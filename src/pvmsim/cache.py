@@ -4,9 +4,9 @@ Each cache way can be switched at run time between two modes:
 
   CACHE  -- the way participates in normal set-associative lookup and in
             per-set tree-PLRU victim selection.
-  SPM    -- the way is removed from the associativity (locked in every
-            set's PLRU tree, tags invalidated) and its data array is
-            instead exposed directly through a physical address window.
+  SPM    -- the way is removed from the associativity (never chosen as a
+            victim, tags invalidated) and its data array is instead
+            exposed directly through a physical address window.
 
 The SPM window maps the whole data array contiguously, one way after the
 other::
@@ -33,11 +33,21 @@ All accesses are modeled at 64-bit word granularity, which is the unit
 everything else in the simulator uses (page-table entries, workload
 loads/stores).  Data is tracked for real so that write-back and SPM
 round-trip behavior can be checked against backing memory.
+
+The state is flat: slot ``set * ways + way`` indexes one list of tags
+(-1 marks a slot that holds no line), its words sit at
+``slot * words_per_line`` in one word list, and each set keeps a dirty
+bitmap over its ways and its tree-PLRU node bits packed into one int.
+The PLRU bits are driven through tables derived from ``PlruTree`` (see
+plru.py); SPM ways are one cache-wide locked-ways mask that selects the
+victim table.  ``snapshot``/``restore`` copy this state wholesale.
 """
 
-from .plru import PlruTree, _is_pow2
+from .plru import _is_pow2, touch_masks, victim_table
 
 WORD_BYTES = 8
+_WORD_MASK = (1 << 64) - 1
+_NO_LINE = -1  # tag of a slot that holds no line
 
 MODE_CACHE = "cache"
 MODE_SPM = "spm"
@@ -73,7 +83,14 @@ class Memory:
         self._regions.append((base, base + size))
 
     def contains(self, addr):
-        return any(lo <= addr < hi for lo, hi in self._regions)
+        return self._covers(addr, addr + 1)
+
+    def _covers(self, lo, hi):
+        """True when one region holds all of [lo, hi)."""
+        for rlo, rhi in self._regions:
+            if rlo <= lo and hi <= rhi:
+                return True
+        return False
 
     def check(self, addr):
         if not self.contains(addr):
@@ -87,7 +104,32 @@ class Memory:
     def write_word(self, addr, value):
         addr &= ~(WORD_BYTES - 1)
         self.check(addr)
-        self._words[addr] = value & (1 << 64) - 1
+        self._words[addr] = value & _WORD_MASK
+
+    def read_line(self, base, count):
+        """`count` consecutive words from word-aligned `base`.  The mapping
+        is checked once when one region holds them all, else word by word
+        (so an unmapped word raises exactly as read_word would)."""
+        if not self._covers(base, base + count * WORD_BYTES):
+            return [self.read_word(base + i * WORD_BYTES) for i in range(count)]
+        get = self._words.get
+        return [get(base + i * WORD_BYTES, 0) for i in range(count)]
+
+    def write_line(self, base, words):
+        """Store consecutive words from word-aligned `base`; see read_line."""
+        if not self._covers(base, base + len(words) * WORD_BYTES):
+            for i, w in enumerate(words):
+                self.write_word(base + i * WORD_BYTES, w)
+            return
+        store = self._words
+        for i, w in enumerate(words):
+            store[base + i * WORD_BYTES] = w & _WORD_MASK
+
+    def snapshot(self):
+        return tuple(self._words.items())
+
+    def restore(self, state):
+        self._words = dict(state)
 
 
 class AccessResult:
@@ -175,15 +217,18 @@ class Cache:
             if memory.contains(spm_base) or memory.contains(spm_base + self.size - 1):
                 raise ValueError("SPM window overlaps a backing-memory region")
         self.spm_base = spm_base
+        self._line_shift = line_bytes.bit_length() - 1
+        self._set_shift = sets.bit_length() - 1
         self.modes = [MODE_CACHE] * ways
-        self._tags = [[0] * ways for _ in range(sets)]
-        self._valid = [0] * sets  # bitmap over ways, per set
-        self._dirty = [0] * sets
-        self._data = [[None] * ways for _ in range(sets)]
-        # One replacement tree per set; each way is its own partition so
-        # SPM conversion can be expressed as a plain leaf lock.
-        self._trees = [PlruTree(ways, ways) for _ in range(sets)]
+        self._tags = [_NO_LINE] * (sets * ways)
+        self._dirty = [0] * sets  # bitmap over ways, per set
+        self._data = [0] * (sets * ways * self.words_per_line)
+        self._plru = [0] * sets  # packed tree-PLRU node bits, per set
+        # Each way is its own partition, so SPM conversion is a lock on
+        # that way in every set: one mask for the whole cache.
+        self._and, self._or = touch_masks(ways)
         self._all_ways_mask = (1 << ways) - 1
+        self._set_locked(0)
         self.stats = _stats_zero()
 
     @classmethod
@@ -201,6 +246,10 @@ class Cache:
 
     # -- mode management ----------------------------------------------------
 
+    def _set_locked(self, locked):
+        self._locked = locked
+        self._victims = victim_table(self.ways, self._all_ways_mask & ~locked)
+
     def spm_ways(self):
         return tuple(w for w in range(self.ways) if self.modes[w] == MODE_SPM)
 
@@ -209,10 +258,10 @@ class Cache:
 
         CACHE -> SPM: dirty lines in the way are written back first (the
         array becomes invisible to lookups, so anything not flushed now
-        would be lost), then tags/valid/dirty are cleared, the way is
-        locked in every set's replacement tree, and the storage is zeroed
-        for its new life as scratchpad.  SPM -> CACHE: the way is simply
-        unlocked and its contents discarded; tags are already invalid.
+        would be lost), then its tags and dirty bits are cleared, the way
+        is locked against replacement, and the storage is zeroed for its
+        new life as scratchpad.  SPM -> CACHE: the way is simply unlocked;
+        tags are already invalid, and fills overwrite the stale storage.
         """
         if not 0 <= way < self.ways:
             raise ValueError("way index %r out of range [0, %d)" % (way, self.ways))
@@ -222,17 +271,16 @@ class Cache:
             return
         bit = 1 << way
         if mode == MODE_SPM:
+            wpl = self.words_per_line
             for s in range(self.sets):
-                if self._valid[s] & self._dirty[s] & bit:
+                if self._dirty[s] & bit:
                     self._write_back(s, way)
-                self._valid[s] &= ~bit
-                self._dirty[s] &= ~bit
-                self._data[s][way] = [0] * self.words_per_line
-                self._trees[s].set_lock(way, True)
+                slot = s * self.ways + way
+                self._tags[slot] = _NO_LINE
+                self._data[slot * wpl:(slot + 1) * wpl] = [0] * wpl
+            self._set_locked(self._locked | bit)
         else:
-            for s in range(self.sets):
-                self._data[s][way] = None
-                self._trees[s].set_lock(way, False)
+            self._set_locked(self._locked & ~bit)
         self.modes[way] = mode
 
     # -- address decode -------------------------------------------------------
@@ -259,13 +307,13 @@ class Cache:
         if kind == "write" and value is None:
             raise ValueError("write access needs a value")
         paddr &= ~(WORD_BYTES - 1)
-        decoded = self.spm_decode(paddr)
-        if decoded is not None:
-            return self._spm_access(decoded, kind, value)
+        spm = self.spm_base
+        if spm is not None and spm <= paddr < spm + self.size:
+            return self._spm_access(paddr, kind, value)
         return self._cached_access(paddr, kind, value)
 
-    def _spm_access(self, decoded, kind, value):
-        way, set_idx, word = decoded
+    def _spm_access(self, paddr, kind, value):
+        way, set_idx, word = self.spm_decode(paddr)
         if self.modes[way] != MODE_SPM:
             # The window slice exists but its way was never converted:
             # behave like a black hole instead of stalling the core.
@@ -274,66 +322,70 @@ class Cache:
                 return AccessResult(self.spm_cycles, EVENT_SPM_MISCONFIG, "dropped", None)
             return AccessResult(self.spm_cycles, EVENT_SPM_MISCONFIG, "dummy", 0)
         self.stats["spm_accesses"] += 1
-        line = self._data[set_idx][way]
+        idx = (set_idx * self.ways + way) * self.words_per_line + word
         if kind == "write":
-            line[word] = value & (1 << 64) - 1
+            self._data[idx] = value & _WORD_MASK
             return AccessResult(self.spm_cycles, EVENT_SPM, "data", None)
-        return AccessResult(self.spm_cycles, EVENT_SPM, "data", line[word])
+        return AccessResult(self.spm_cycles, EVENT_SPM, "data", self._data[idx])
 
     def _cached_access(self, paddr, kind, value):
-        set_idx = paddr // self.line_bytes % self.sets
-        tag = paddr // (self.line_bytes * self.sets)
-        word = paddr % self.line_bytes // WORD_BYTES
-        tags = self._tags[set_idx]
-        valid = self._valid[set_idx]
-        for way in range(self.ways):
-            if valid >> way & 1 and tags[way] == tag and self.modes[way] == MODE_CACHE:
-                self._trees[set_idx].touch(way)
-                line = self._data[set_idx][way]
-                self.stats["hits"] += 1
-                if kind == "write":
-                    line[word] = value & (1 << 64) - 1
-                    self._dirty[set_idx] |= 1 << way
-                    return AccessResult(self.hit_cycles, EVENT_HIT, "data", None)
-                return AccessResult(self.hit_cycles, EVENT_HIT, "data", line[word])
+        line = paddr >> self._line_shift
+        set_idx = line & (self.sets - 1)
+        tag = line >> self._set_shift
+        wpl = self.words_per_line
+        word = paddr >> 3 & (wpl - 1)
+        base = set_idx * self.ways
+        tags = self._tags
+        row = tags[base:base + self.ways]
+        stats = self.stats
+        if tag in row:
+            way = row.index(tag)
+            self._plru[set_idx] = self._plru[set_idx] & self._and[way] | self._or[way]
+            stats["hits"] += 1
+            idx = (base + way) * wpl + word
+            if kind == "write":
+                self._data[idx] = value & _WORD_MASK
+                self._dirty[set_idx] |= 1 << way
+                return AccessResult(self.hit_cycles, EVENT_HIT, "data", None)
+            return AccessResult(self.hit_cycles, EVENT_HIT, "data", self._data[idx])
         # Miss. Whatever happens next involves backing memory, so the
         # mapping check comes first and the whole event costs miss_cycles.
-        self.stats["misses"] += 1
-        line_base = paddr & ~(self.line_bytes - 1)
-        self.memory.check(line_base)
-        victim = self._trees[set_idx].insert(self._all_ways_mask)
+        stats["misses"] += 1
+        line_base = line << self._line_shift
+        memory = self.memory
+        memory.check(line_base)
+        bits = self._plru[set_idx]
+        victim = self._victims[bits]
         if victim is None:
             # Every way is SPM: nothing can be allocated, so the access
             # is serviced straight from memory and nothing is cached.
-            self.stats["fill_drops"] += 1
+            stats["fill_drops"] += 1
             if kind == "write":
-                self.memory.write_word(paddr, value)
+                memory.write_word(paddr, value)
                 return AccessResult(self.miss_cycles, EVENT_MISS, "data", None)
-            return AccessResult(self.miss_cycles, EVENT_MISS, "data", self.memory.read_word(paddr))
+            return AccessResult(self.miss_cycles, EVENT_MISS, "data", memory.read_word(paddr))
+        self._plru[set_idx] = bits & self._and[victim] | self._or[victim]
+        slot = base + victim
         bit = 1 << victim
-        if self._valid[set_idx] & bit:
-            self.stats["evictions"] += 1
+        if tags[slot] != _NO_LINE:
+            stats["evictions"] += 1
             if self._dirty[set_idx] & bit:
                 self._write_back(set_idx, victim)
-        line = [
-            self.memory.read_word(line_base + i * WORD_BYTES) for i in range(self.words_per_line)
-        ]
-        self._data[set_idx][victim] = line
-        tags[victim] = tag
-        self._valid[set_idx] |= bit
+        start = slot * wpl
+        self._data[start:start + wpl] = memory.read_line(line_base, wpl)
+        tags[slot] = tag
         if kind == "write":
-            line[word] = value & (1 << 64) - 1
+            self._data[start + word] = value & _WORD_MASK
             self._dirty[set_idx] |= bit
             return AccessResult(self.miss_cycles, EVENT_MISS, "data", None)
         self._dirty[set_idx] &= ~bit
-        return AccessResult(self.miss_cycles, EVENT_MISS, "data", line[word])
+        return AccessResult(self.miss_cycles, EVENT_MISS, "data", self._data[start + word])
 
     def _write_back(self, set_idx, way):
-        tag = self._tags[set_idx][way]
-        line_base = (tag * self.sets + set_idx) * self.line_bytes
-        line = self._data[set_idx][way]
-        for i, w in enumerate(line):
-            self.memory.write_word(line_base + i * WORD_BYTES, w)
+        slot = set_idx * self.ways + way
+        line_base = (self._tags[slot] * self.sets + set_idx) * self.line_bytes
+        start = slot * self.words_per_line
+        self.memory.write_line(line_base, self._data[start:start + self.words_per_line])
         self._dirty[set_idx] &= ~(1 << way)
         self.stats["write_backs"] += 1
 
@@ -349,43 +401,55 @@ class Cache:
                     self._write_back(s, way)
                 dirty >>= 1
                 way += 1
-            # SPM ways never hold valid bits, so this only drops CACHE lines.
-            self._valid[s] = 0
-            self._dirty[s] = 0
+        # SPM ways never hold tags, so this only drops CACHE lines.
+        self._tags[:] = [_NO_LINE] * len(self._tags)
 
     def reset_stats(self):
         self.stats = _stats_zero()
+
+    def snapshot(self):
+        """Every piece of mutable state, as immutable copies for restore()."""
+        return (
+            tuple(self._tags),
+            tuple(self._dirty),
+            tuple(self._data),
+            tuple(self._plru),
+            tuple(self.modes),
+            self._locked,
+            tuple(self.stats.items()),
+        )
+
+    def restore(self, state):
+        """Return to a snapshot() of this cache, copying it in place."""
+        tags, dirty, data, plru, modes, locked, stats = state
+        self._tags[:] = tags
+        self._dirty[:] = dirty
+        self._data[:] = data
+        self._plru[:] = plru
+        self.modes[:] = modes
+        self._set_locked(locked)
+        self.stats = dict(stats)
 
     # -- introspection (tests) --------------------------------------------------
 
     def probe(self, paddr):
         """Return the (set, way) currently holding paddr's line, else None."""
-        paddr &= ~(WORD_BYTES - 1)
-        set_idx = paddr // self.line_bytes % self.sets
-        tag = paddr // (self.line_bytes * self.sets)
-        for way in range(self.ways):
-            if (
-                self._valid[set_idx] >> way & 1
-                and self._tags[set_idx][way] == tag
-                and self.modes[way] == MODE_CACHE
-            ):
-                return set_idx, way
+        line = paddr >> self._line_shift
+        set_idx = line & (self.sets - 1)
+        tag = line >> self._set_shift
+        row = self._tags[set_idx * self.ways:(set_idx + 1) * self.ways]
+        if tag in row:
+            return set_idx, row.index(tag)
         return None
 
     def spm_word(self, way, set_idx, word):
         """Directly read one SPM storage word (testing aid, no latency)."""
         if self.modes[way] != MODE_SPM:
             raise ValueError("way %d is not in SPM mode" % way)
-        return self._data[set_idx][way][word]
+        return self._data[(set_idx * self.ways + way) * self.words_per_line + word]
 
     def tag_state(self):
-        """Deterministic fingerprint of tags, valid/dirty bits and the
-        per-set replacement bits.  Stale tags of invalid ways are included,
-        so this is meant for before/after comparisons on one instance, not
-        for comparing independently built caches."""
-        return (
-            tuple(tuple(t) for t in self._tags),
-            tuple(self._valid),
-            tuple(self._dirty),
-            tuple(t.snapshot_bits() for t in self._trees),
-        )
+        """Deterministic fingerprint of tags, dirty bits, the per-set
+        replacement bits and the locked-ways mask, for before/after
+        comparisons."""
+        return tuple(self._tags), tuple(self._dirty), tuple(self._plru), self._locked

@@ -53,6 +53,9 @@ def _resolve_config(token):
 
 
 def _cmd_run(args):
+    if args.workers < 1:
+        print("error: --workers must be at least 1, got %d" % args.workers, file=sys.stderr)
+        return 2
     text = _resolve_config(args.config)
     config = load_experiment(text=text, seed=args.seed, iterations=args.iterations)
     if args.scenarios:
@@ -81,8 +84,18 @@ def _cmd_run(args):
 
 
 def _cmd_compare(args):
-    with open(args.bundle, "r", encoding="utf-8") as handle:
-        bundle = json.load(handle)
+    try:
+        with open(args.bundle, "r", encoding="utf-8") as handle:
+            bundle = json.load(handle)
+    except OSError as exc:
+        print("error: cannot read %s: %s" % (args.bundle, exc.strerror or exc), file=sys.stderr)
+        return 2
+    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+        print("error: %s is not JSON: %s" % (args.bundle, exc), file=sys.stderr)
+        return 2
+    if not isinstance(bundle, dict) or not isinstance(bundle.get("scenarios"), dict):
+        print("error: %s is not a summary written by `run`" % args.bundle, file=sys.stderr)
+        return 2
     try:
         delta = compare(bundle, args.baseline, args.subject)
     except (KeyError, ValueError) as exc:

@@ -10,11 +10,14 @@ The modeled world per scenario::
     |   workload)           while descheduled)        and tiny footprint) |
     +----------------------------------------------------------------------+
 
-Every iteration rebuilds the mutable machine state (TLBs, caches, backing
-memory) from scratch and draws its random streams from
+Every iteration starts from the same machine state -- caches with their
+scratchpad ways converted, TLBs with their lock slots programmed, empty
+backing memory, CSRs at boot values -- and draws its random streams from
 iteration_seed(master, index, stream), so iteration i's record never
 depends on which worker executed it or what ran before it.  The immutable
-plan (page tables, physical layout, lock-chunk lists) is built once.
+plan (page tables, physical layout, lock-chunk lists) is built once; the
+set-up machine is built once per plan, on its first iteration, and every
+iteration restores it in place from a snapshot taken right after set-up.
 
 The trap choreography follows the partition CSR protocol: entering the
 handler overwrites CUR_PART with the hypervisor's constant mask (which
@@ -224,13 +227,15 @@ class LockChunk:
 @dataclass
 class ScenarioPlan:
     """Shared, immutable-by-convention product of build_plan: page tables,
-    runtime VM contexts, lock chunks, and the memory region list."""
+    runtime VM contexts, lock chunks, and the memory region list.  machine
+    holds (MemorySystem, its post-set-up snapshot) once an iteration ran."""
 
     defn: "ScenarioDef"
     contexts: list  # VmContext, same order as defn.vms
     hyp_context: VmContext
     lock_chunks: dict  # "i"/"d" -> list of (VmContext, LockChunk)
     memory_regions: tuple
+    machine: tuple = field(default=None, repr=False, compare=False)
 
 
 class _Allocator:
@@ -436,6 +441,20 @@ def setup_scenario(plan, sys):
     return ScenarioState(plan, sys)
 
 
+def restore_machine(plan, jitter_rng):
+    """The plan's memory system in its post-setup_scenario state, ready for
+    one iteration.  Built and set up on the plan's first iteration (so
+    build_plan stays planning only), then restored in place from the
+    snapshot taken after set-up, which no iteration can reach."""
+    if plan.machine is None:
+        sys = build_system(plan.defn, plan.memory_regions, jitter_rng)
+        setup_scenario(plan, sys)
+        plan.machine = (sys, sys.snapshot())
+    sys, pristine = plan.machine
+    sys.restore(pristine, jitter_rng)
+    return sys
+
+
 # -- trap protocol ------------------------------------------------------------------
 
 
@@ -481,8 +500,8 @@ def run_iteration(plan, index):
     )
     work_rng = random.Random(iteration_seed(defn.seed, index, "workload"))
     intf_rng = random.Random(iteration_seed(defn.seed, index, "interference"))
-    sys = build_system(defn, plan.memory_regions, jitter_rng)
-    state = setup_scenario(plan, sys)
+    sys = restore_machine(plan, jitter_rng)
+    state = ScenarioState(plan, sys)
     crit = state.measured_context
 
     # Boot: the hypervisor owns the core, then schedules the critical VM.

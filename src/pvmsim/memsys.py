@@ -19,6 +19,13 @@ Every access is decomposed into three cycle components:
   walk         -- the summed cost of all PTE fetches (zero on a TLB hit)
   cache        -- the final physical access through the I- or D-side array
 
+A TLB miss walks the page tables only the first time a 4 KiB page
+misses: the walk result and its PTE-fetch list depend only on the page
+tables and the page, so later misses replay the remembered fetch list
+through the D-cache in the same order, which prices them exactly as a
+fresh walk would.  A change to either stage's tables (seen through
+AddressSpace.version) forgets what was remembered for that pair.
+
 The optional jitter models memory-controller noise: every access that
 actually reaches backing memory (a cache miss or fill-drop) pays
 memory_cycles plus a uniform draw from [-j, +j].  Hits, SPM accesses and
@@ -29,7 +36,7 @@ SPM-resident access path stays cycle-constant even with jitter enabled.
 from dataclasses import dataclass
 
 from .cache import EVENT_MISS, Cache, Memory
-from .sv39 import PTE_G
+from .sv39 import PAGE_SHIFT, PAGE_SIZE, PTE_G
 from .tlb import PartitionCsrFile, Tlb, TlbEntry
 from .walker import walk_single, walk_two_stage
 
@@ -117,6 +124,8 @@ class MemorySystem:
         self.icache = icache
         self.dcache = dcache
         self.rng = rng
+        # (guest, host) -> ((guest.version, host.version), {page: WalkResult})
+        self._walks = {}
 
     @classmethod
     def build(
@@ -201,6 +210,31 @@ class MemorySystem:
         _, latency = self._priced_access(self.dcache, paddr, "read")
         return latency
 
+    def _walk(self, vm, vaddr):
+        """(walk, cycles) for vaddr's page.  The returned WalkResult is the
+        page's first walk: use its fields, not its cycles or its paddr's
+        page offset."""
+        guest, host = vm.guest_space, vm.host_space
+        versions = (guest.version, None if host is None else host.version)
+        known = self._walks.get((guest, host))
+        if known is None or known[0] != versions:
+            known = self._walks[(guest, host)] = (versions, {})
+        pages = known[1]
+        page = vaddr >> PAGE_SHIFT
+        walk = pages.get(page)
+        if walk is None:
+            if host is None:
+                walk = walk_single(guest, vaddr, self._walk_fetch)
+            else:
+                walk = walk_two_stage(guest, host, vaddr, self._walk_fetch)
+            pages[page] = walk
+            return walk, walk.cycles
+        fetch = self._walk_fetch
+        cycles = 0
+        for paddr in walk.accesses:
+            cycles += fetch(paddr)
+        return walk, cycles
+
     # -- the pipeline -----------------------------------------------------------
 
     def virtual_access(self, vaddr, kind, vm, value=None):
@@ -219,17 +253,13 @@ class MemorySystem:
             out.lock_hit = look.lock_hit
             paddr = look.paddr
         else:
-            if vm.host_space is None:
-                walk = walk_single(vm.guest_space, vaddr, self._walk_fetch)
-            else:
-                walk = walk_two_stage(vm.guest_space, vm.host_space, vaddr, self._walk_fetch)
-            out.walk_cycles = walk.cycles
+            walk, out.walk_cycles = self._walk(vm, vaddr)
             out.walk_fetches = len(walk.accesses)
             if not walk.ok:
                 out.fault = walk.fault
                 out.fault_stage = walk.fault_stage
                 return out._finalize()
-            paddr = walk.paddr
+            paddr = walk.paddr & ~(PAGE_SIZE - 1) | vaddr & (PAGE_SIZE - 1)
             tlb.fill(
                 TlbEntry(
                     vpn=walk.vpn,
@@ -256,8 +286,31 @@ class MemorySystem:
         cache = self.icache.stats["misses"] + self.dcache.stats["misses"]
         return tlb, cache
 
-    def reset_stats(self):
-        self.itlb.reset_stats()
-        self.dtlb.reset_stats()
-        self.icache.reset_stats()
-        self.dcache.reset_stats()
+    def snapshot(self):
+        """The machine state -- both TLBs, both caches, the partition CSRs
+        and the backing memory the caches share -- as immutable copies for
+        restore()."""
+        csr = self.csr
+        return (
+            self.itlb.snapshot(),
+            self.dtlb.snapshot(),
+            self.icache.snapshot(),
+            self.dcache.snapshot(),
+            (csr.cur_part, csr.last_part),
+            self.memory.snapshot(),
+        )
+
+    def restore(self, state, rng=None):
+        """Return to a snapshot() in place; jitter draws come from `rng`
+        from now on.  Remembered walks are kept: they depend only on the
+        page tables."""
+        if self.latency.jitter and rng is None:
+            raise ValueError("jitter is enabled but no seeded generator was supplied")
+        itlb, dtlb, icache, dcache, csr, memory = state
+        self.itlb.restore(itlb)
+        self.dtlb.restore(dtlb)
+        self.icache.restore(icache)
+        self.dcache.restore(dcache)
+        self.csr.cur_part, self.csr.last_part = csr
+        self.memory.restore(memory)
+        self.rng = rng

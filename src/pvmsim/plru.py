@@ -38,7 +38,16 @@ the walk degenerates to the textbook tree-PLRU victim choice.
 
 Selection never modifies the tree; pairing a selection with a touch of
 the chosen leaf is what ``insert`` does.
+
+Structures with many small trees (one per cache set) keep each set's
+node bits packed into one int (bit n = node n) and drive it through
+tables derived here from ``PlruTree`` itself, so the policy is still
+defined only once: ``touch_masks`` gives the per-leaf AND/OR pair of a
+touch, ``victim_table`` the victim for every packed state under one
+reachable-leaf mask.
 """
+
+import functools
 
 
 def _is_pow2(n):
@@ -196,3 +205,59 @@ class PlruTree:
         if len(bits) != self.leaf_count - 1 or any(b not in (0, 1) for b in bits):
             raise ValueError("need %d node bits of 0/1" % (self.leaf_count - 1))
         self.node_bits[:] = bits
+
+
+# -- packed-state tables ---------------------------------------------------------
+
+
+def pack_bits(bits):
+    """Node bits (level order) as one int, bit n = node n."""
+    return sum(b << n for n, b in enumerate(bits))
+
+
+def unpack_bits(packed, leaf_count):
+    return [packed >> n & 1 for n in range(leaf_count - 1)]
+
+
+@functools.cache
+def touch_masks(leaf_count):
+    """(AND, OR) tuples indexed by leaf: touching leaf l maps packed bits b
+    to ``b & AND[l] | OR[l]``.  Derived by touching a tree of all-zero and
+    of all-one bits: nodes that keep their value are off the root path."""
+    tree = PlruTree(leaf_count)
+    nodes = leaf_count - 1
+    ands, ors = [], []
+    for leaf in range(leaf_count):
+        tree.load_bits([0] * nodes)
+        tree.touch(leaf)
+        from_zero = pack_bits(tree.node_bits)
+        tree.load_bits([1] * nodes)
+        tree.touch(leaf)
+        from_one = pack_bits(tree.node_bits)
+        ands.append(from_one & ~from_zero)
+        ors.append(from_zero)
+    return tuple(ands), tuple(ors)
+
+
+class _VictimTable(dict):
+    """Packed bits -> victim leaf (None when nothing is reachable) under
+    one fixed reachable-leaf mask, filled on first use of each state."""
+
+    def __init__(self, leaf_count, reach):
+        super().__init__()
+        self._tree = PlruTree(leaf_count, leaf_count)
+        self._reach = reach
+
+    def __missing__(self, packed):
+        tree = self._tree
+        tree.load_bits(unpack_bits(packed, tree.leaf_count))
+        victim = self[packed] = tree.select_victim(self._reach)
+        return victim
+
+
+@functools.cache
+def victim_table(leaf_count, reach):
+    """The victim of ``PlruTree.select_victim`` for every packed state of a
+    tree with one partition per leaf, where `reach` is the bitmap of
+    leaves that may be chosen.  Index it with the packed node bits."""
+    return _VictimTable(leaf_count, reach)

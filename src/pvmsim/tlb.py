@@ -24,7 +24,7 @@ to the consumer, just not cached).  Partitioning constrains replacement
 only -- lookups hit entries of disabled partitions just fine.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .plru import PlruTree
 from .sv39 import (
@@ -41,10 +41,11 @@ from .sv39 import (
 _SIZE_NAMES = {PAGE_SIZES[0]: "4K", PAGE_SIZES[1]: "2M", PAGE_SIZES[2]: "1G"}
 
 
-@dataclass
+@dataclass(frozen=True)
 class TlbEntry:
     """One cached translation; vpn is the full 27-bit virtual page number
-    with the components below the page size forced to zero."""
+    with the components below the page size forced to zero.  Immutable, so
+    a TLB snapshot can share its entries with the live TLB."""
 
     vpn: int
     page_size: int
@@ -59,14 +60,6 @@ class TlbEntry:
             raise ValueError("unsupported page size %r" % (self.page_size,))
         if self.vpn & (self.page_size // (1 << PAGE_SHIFT) - 1):
             raise ValueError("vpn 0x%x not aligned to its page size" % self.vpn)
-
-    def matches(self, vaddr, asid, vmid):
-        if not self.valid or vmid != self.vmid:
-            return False
-        if asid != self.asid and not self.global_flag:
-            return False
-        span = self.page_size >> PAGE_SHIFT
-        return (vaddr >> PAGE_SHIFT) & VPN_MASK & ~(span - 1) == self.vpn
 
     def paddr_for(self, vaddr):
         return (pte_ppn(self.pte) << PAGE_SHIFT) | (vaddr & (self.page_size - 1))
@@ -110,14 +103,6 @@ class LockSlot:
     @property
     def active(self):
         return self.vpn_valid and self.pte_valid and self.id_valid
-
-    def matches(self, vaddr, asid, vmid):
-        if not self.active or vmid != self.vmid:
-            return False
-        if asid != self.asid and not self.flags & PTE_G:
-            return False
-        span = self.page_size >> PAGE_SHIFT
-        return (vaddr >> PAGE_SHIFT) & VPN_MASK & ~(span - 1) == self.vpn
 
     def paddr_for(self, vaddr):
         return (pte_ppn(self.pte) << PAGE_SHIFT) | (vaddr & (self.page_size - 1))
@@ -177,8 +162,19 @@ class Tlb:
     def lookup(self, vaddr, asid, vmid):
         if not is_canonical(vaddr):
             return LookupResult(status="fault", cycles=self.hit_cycles)
+        # A slot or entry matches on vmid, on asid unless it is global, and
+        # on the page number with the bits below its page size cleared
+        # (vpn & -span for a page of span base pages).
+        vpn = vaddr >> PAGE_SHIFT & VPN_MASK
         for slot in self.slots:
-            if slot.matches(vaddr, asid, vmid):
+            if (
+                slot.vpn_valid
+                and slot.pte_valid
+                and slot.id_valid
+                and slot.vmid == vmid
+                and (slot.asid == asid or slot.flags & PTE_G)
+                and vpn & -(slot.page_size >> PAGE_SHIFT) == slot.vpn
+            ):
                 # Served from the registers; replacement state untouched.
                 self.lock_hits += 1
                 self.hits += 1
@@ -187,7 +183,12 @@ class Tlb:
                     page_size=slot.page_size, pte=slot.pte, lock_hit=True,
                 )
         for leaf, entry in enumerate(self.entries):
-            if entry.matches(vaddr, asid, vmid):
+            if (
+                entry.valid
+                and entry.vmid == vmid
+                and (entry.asid == asid or entry.global_flag)
+                and vpn & -(entry.page_size >> PAGE_SHIFT) == entry.vpn
+            ):
                 self.tree.touch(leaf)
                 self.hits += 1
                 return LookupResult(
@@ -258,27 +259,44 @@ class Tlb:
 
     def flush(self, kind="all", asid=None, vmid=None, vaddr=None):
         """Invalidate matching regular entries; lock slots are never affected."""
-        for entry in self.entries:
+        for leaf, entry in enumerate(self.entries):
             if not entry.valid:
                 continue
             if kind == "all":
-                entry.valid = False
+                hit = True
             elif kind == "by-asid":
-                if entry.asid == asid and not entry.global_flag:
-                    entry.valid = False
+                hit = entry.asid == asid and not entry.global_flag
             elif kind == "by-vmid":
-                if entry.vmid == vmid:
-                    entry.valid = False
+                hit = entry.vmid == vmid
             elif kind == "by-vaddr":
                 span = entry.page_size >> PAGE_SHIFT
-                if (vaddr >> PAGE_SHIFT) & VPN_MASK & ~(span - 1) == entry.vpn:
-                    entry.valid = False
+                hit = (vaddr >> PAGE_SHIFT) & VPN_MASK & ~(span - 1) == entry.vpn
             else:
                 raise ValueError("unknown flush kind %r" % (kind,))
+            if hit:
+                self.entries[leaf] = replace(entry, valid=False)
 
-    def reset_stats(self):
-        self.hits = self.misses = self.lock_hits = 0
-        self.fills = self.dropped_fills = 0
+    def snapshot(self):
+        """Replacement bits, entries, lock-slot registers and counters, as
+        copies that restore() only reads.  Entries are shared: they are
+        immutable."""
+        return (
+            tuple(self.tree.node_bits),
+            self.tree.locked,
+            tuple(self.entries),
+            tuple(dict(vars(slot)) for slot in self.slots),
+            (self.hits, self.misses, self.lock_hits, self.fills, self.dropped_fills),
+        )
+
+    def restore(self, state):
+        """Return to a snapshot() of this TLB, copying it in place."""
+        bits, locked, entries, slots, counters = state
+        self.tree.node_bits[:] = bits
+        self.tree.locked = locked
+        self.entries[:] = entries
+        for slot, fields in zip(self.slots, slots):
+            slot.__dict__.update(fields)
+        self.hits, self.misses, self.lock_hits, self.fills, self.dropped_fills = counters
 
     # -- inspection -------------------------------------------------------------
 

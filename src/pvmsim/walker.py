@@ -70,12 +70,17 @@ class AddressSpace:
     `gpa_space=True` marks a table set indexed by guest-physical
     addresses (the hypervisor stage): inputs are zero-extended 41-bit
     addresses rather than sign-extended 39-bit virtual ones.
+
+    `version` counts the mutations made through map_page, set_pte and
+    add_table, so a cache of walk results can tell when it went stale;
+    change tables only through those methods.
     """
 
     def __init__(self, root_ppn, table_alloc_ppn=None, gpa_space=False):
         self.root_ppn = root_ppn
         self.gpa_space = gpa_space
         self.tables = {root_ppn: [0] * _ENTRIES_PER_TABLE}
+        self.version = 0
         self._next_table_ppn = table_alloc_ppn if table_alloc_ppn is not None else root_ppn + 1
 
     # -- raw table access ---------------------------------------------------
@@ -88,11 +93,13 @@ class AddressSpace:
 
     def set_pte(self, table_ppn, index, value):
         self.tables[table_ppn][index] = value
+        self.version += 1
 
     def add_table(self, ppn):
         if ppn in self.tables:
             raise ValueError("table page 0x%x already exists" % ppn)
         self.tables[ppn] = [0] * _ENTRIES_PER_TABLE
+        self.version += 1
         return ppn
 
     def table_ppns(self):
@@ -123,6 +130,7 @@ class AddressSpace:
             )
         if not self.check_addr(vaddr):
             raise ValueError("address 0x%x outside this space" % vaddr)
+        self.version += 1
         table_ppn = self.root_ppn
         for level in range(2, target_level, -1):
             idx = vpn_index(vaddr, level)

@@ -6,6 +6,8 @@ JSON outputs are byte-stable for a given configuration and seed, and
 splitting iterations over worker processes changes nothing.
 """
 
+import contextlib
+import io
 import json
 import os
 import unittest
@@ -263,6 +265,48 @@ class CliTest(unittest.TestCase):
             summary = os.path.join(d, "unit-summary.json")
             code = self.run_cli(["compare", summary, "isolation", "ghost"])
             self.assertEqual(code, 1)
+
+    def test_workers_below_one_fail_fast(self):
+        import tempfile
+
+        with tempfile.TemporaryDirectory() as d:
+            cfg_path = os.path.join(d, "unit.ini")
+            with open(cfg_path, "w", encoding="utf-8") as handle:
+                handle.write(SMALL)
+            for workers in ("0", "-4"):
+                err = io.StringIO()
+                with contextlib.redirect_stderr(err):
+                    code = self.run_cli(
+                        ["run", cfg_path, "--outdir", d, "--workers", workers, "--quiet"]
+                    )
+                self.assertEqual(code, 2)
+                self.assertEqual(err.getvalue().count("\n"), 1)
+                self.assertIn("--workers", err.getvalue())
+            self.assertEqual(os.listdir(d), ["unit.ini"])  # nothing ran
+
+    def test_compare_missing_file_fails_fast(self):
+        import tempfile
+
+        with tempfile.TemporaryDirectory() as d:
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                code = self.run_cli(["compare", os.path.join(d, "nope.json"), "a", "b"])
+        self.assertEqual(code, 2)
+        self.assertEqual(err.getvalue().count("\n"), 1)
+
+    def test_compare_non_json_file_fails_fast(self):
+        import tempfile
+
+        with tempfile.TemporaryDirectory() as d:
+            for name, body in (("text.json", "not json\n"), ("list.json", "[1, 2]\n")):
+                path = os.path.join(d, name)
+                with open(path, "w", encoding="utf-8") as handle:
+                    handle.write(body)
+                err = io.StringIO()
+                with contextlib.redirect_stderr(err):
+                    code = self.run_cli(["compare", path, "a", "b"])
+                self.assertEqual(code, 2)
+                self.assertEqual(err.getvalue().count("\n"), 1)
 
     def test_unknown_preset_is_config_error(self):
         code = self.run_cli(["run", "no-such-preset", "--quiet"])

@@ -15,6 +15,7 @@ from pvmsim.hypervisor import (
     build_plan,
     build_system,
     iteration_seed,
+    restore_machine,
     run_interference,
     run_iteration,
     run_regions,
@@ -354,6 +355,83 @@ class ReproducibilityTest(unittest.TestCase):
         a = run_scenario(scenario((crit_vm(), intf_vm()), iterations=4, seed=1))
         b = run_scenario(scenario((crit_vm(), intf_vm()), iterations=4, seed=2))
         self.assertNotEqual(a, b)
+
+
+class SnapshotIsolationTest(unittest.TestCase):
+    """Iterations restore one set-up machine per plan; none may leak state
+    (scratchpad words, TLB entries, replacement bits) into it."""
+
+    SPM_V = 0x0080_0000
+
+    def defn(self):
+        crit = VmSpec(
+            name="crit",
+            vmid=1,
+            asid=1,
+            partition_mask=FULL,
+            regions=(
+                MappedRegion(gvaddr=DATA_V, size=4 * SIZE_4K, flags=RW),
+                MappedRegion(gvaddr=self.SPM_V, size=SIZE_4K, flags=RW, backing="dspm", lock=True),
+                MappedRegion(gvaddr=CODE_V, size=2 * SIZE_4K, flags=RX, backing="ispm", lock=True),
+            ),
+            workload=Workload(
+                prime=(
+                    Region(base=DATA_V, pages=4, stride=512, kind="write"),
+                    Region(base=self.SPM_V, pages=1, stride=64, kind="write"),
+                    Region(base=CODE_V, pages=2, stride=512, kind="ifetch"),
+                ),
+                measure=(
+                    Region(base=DATA_V, pages=4, stride=512, order="reverse"),
+                    Region(base=self.SPM_V, pages=1, stride=64),
+                    Region(base=CODE_V, pages=2, stride=512, kind="ifetch"),
+                ),
+            ),
+        )
+        intf = VmSpec(
+            name="intf",
+            vmid=2,
+            asid=2,
+            partition_mask=FULL,
+            regions=(MappedRegion(gvaddr=POOL_V, size=32 * SIZE_4K, flags=RW),),
+            workload=InterferenceLoop(base=POOL_V, pages=32, kind="write"),
+        )
+        return scenario(
+            (crit, intf),
+            iterations=4,
+            spm_ways=4,
+            jitter=4,
+            hyp=HypervisorConfig(partition_mask=FULL, quantum_cycles=6000),
+        )
+
+    def assert_same_state(self, got, want):
+        # Part by part, and without assertEqual's diff of thousands of words.
+        parts = ("itlb", "dtlb", "icache", "dcache", "csr", "memory")
+        for name, got_part, want_part in zip(parts, got, want):
+            self.assertTrue(got_part == want_part, "%s state differs" % name)
+
+    def test_out_of_order_iterations_match_fresh_plans(self):
+        defn = self.defn()
+        fresh = run_scenario(defn)
+        self.assertGreater(len({r.cycles for r in fresh}), 1)
+        plan = build_plan(defn)
+        for index in (3, 0, 3, 1, 3):
+            self.assertEqual(run_iteration(plan, index), fresh[index])
+        # The snapshot still equals a freshly built, freshly set-up machine.
+        machine = build_system(defn, plan.memory_regions, random.Random(0))
+        setup_scenario(plan, machine)
+        self.assert_same_state(plan.machine[1], machine.snapshot())
+
+    def test_restore_discards_what_an_iteration_wrote(self):
+        defn = self.defn()
+        plan = build_plan(defn)
+        run_iteration(plan, 2)
+        sys = restore_machine(plan, random.Random(0))
+        self.assert_same_state(sys.snapshot(), plan.machine[1])
+        self.assertEqual(sys.dcache.spm_word(0, 0, 0), 0)
+        self.assertFalse(any(entry.valid for entry in sys.dtlb.entries))
+        self.assertEqual(sys.dtlb.tree.snapshot_bits(), (0,) * 15)
+        self.assertEqual(sys.memory.snapshot(), ())
+        self.assertEqual(sys.miss_counts(), (0, 0))
 
 
 class InterferencePhysicsTest(unittest.TestCase):

@@ -7,6 +7,7 @@ from types import SimpleNamespace
 
 import pytest
 
+from pvmsim import memsys
 from pvmsim.cache import MODE_SPM, Memory
 from pvmsim.memsys import LatencyConfig, MemAccessOutcome, MemorySystem
 from pvmsim.sv39 import (
@@ -19,6 +20,8 @@ from pvmsim.sv39 import (
     PTE_X,
     SIZE_4K,
     make_pte,
+    pte_ppn,
+    vpn_index,
 )
 from pvmsim.walker import AddressSpace
 
@@ -146,6 +149,72 @@ def test_walk_fetches_are_priced_through_the_data_cache():
     again = sys_.virtual_access(VBASE, "ifetch", vm)
     assert again.walk_fetches == 3
     assert again.walk_cycles == 3 * sys_.latency.cache_hit_cycles
+
+
+# -- remembered walks -------------------------------------------------------------
+
+
+def count_calls(monkeypatch, name):
+    calls = []
+    real = getattr(memsys, name)
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(memsys, name, counted)
+    return calls
+
+
+def test_repeat_miss_replays_the_remembered_walk(monkeypatch):
+    calls = count_calls(monkeypatch, "walk_two_stage")
+    sys_ = build_system()
+    vm, vaddr = scattered_two_stage()
+    mc = sys_.latency.memory_cycles
+    first = sys_.virtual_access(vaddr, "read", vm)
+    sys_.dtlb.flush()
+    sys_.dcache.flush()
+    again = sys_.virtual_access(vaddr + 8, "read", vm)
+    assert len(calls) == 1
+    assert again.walk_fetches == first.walk_fetches == 15
+    assert again.walk_cycles == 15 * mc  # every fetch missed the flushed cache again
+    assert again.paddr == first.paddr + 8
+
+
+def test_remapped_guest_page_is_walked_again():
+    sys_ = build_system()
+    vm = single_stage_vm()
+    assert sys_.virtual_access(VBASE, "read", vm).paddr == DATA_BASE
+    # Point VBASE's level-1 entry at a new leaf table mapping another frame.
+    guest = vm.guest_space
+    mid = pte_ppn(guest.pte_at(guest.root_ppn, vpn_index(VBASE, 2)))
+    leaf = guest.add_table(guest.root_ppn + 0x40)
+    guest.set_pte(leaf, vpn_index(VBASE, 0), make_pte((DATA_BASE >> 12) + 0x20, RWX | PTE_V))
+    guest.set_pte(mid, vpn_index(VBASE, 1), make_pte(leaf, PTE_V))
+    sys_.dtlb.flush()
+    out = sys_.virtual_access(VBASE + 8, "read", vm)
+    assert out.paddr == DATA_BASE + 0x20 * SIZE_4K + 8
+    assert out.walk_fetches == 3
+    assert sys_.dcache.probe((leaf << 12) + vpn_index(VBASE, 0) * 8) is not None
+
+
+def test_remapped_host_page_is_walked_again():
+    sys_ = build_system()
+    vm, vaddr = scattered_two_stage()
+    first = sys_.virtual_access(vaddr, "read", vm)
+    host = vm.host_space
+    gpa = 0x40 << 30  # scattered_two_stage's guest-physical data page
+    old_tables = set(host.tables)
+    host.set_pte(host.root_ppn, vpn_index(gpa, 2), 0)
+    host.map_page(gpa, DATA_BASE + 0x30 * SIZE_4K, SIZE_4K, RW)
+    sys_.dtlb.flush()
+    out = sys_.virtual_access(vaddr, "read", vm)
+    assert out.ok and out.walk_fetches == 15
+    assert out.paddr == DATA_BASE + 0x30 * SIZE_4K
+    new_tables = set(host.tables) - old_tables
+    assert len(new_tables) == 2
+    for table in new_tables:  # the new walk fetched entry 0 of each new table
+        assert sys_.dcache.probe(table << 12) is not None
 
 
 # -- faults ---------------------------------------------------------------------

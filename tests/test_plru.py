@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from pvmsim.plru import PlruTree
+from pvmsim.plru import PlruTree, pack_bits, touch_masks, unpack_bits, victim_table
 from pvmsim.vectors import (
     BITS_AFTER_INSERT5,
     BITS_AFTER_TOUCH1,
@@ -268,3 +268,46 @@ def test_selection_is_pure():
         before = (tree.snapshot_bits(), tree.locked)
         tree.select_victim(rng.getrandbits(8))
         assert (tree.snapshot_bits(), tree.locked) == before
+
+
+# -- packed-state tables (per-set cache replacement) -----------------------------
+
+
+def check_packed_touch(leaf_count, states, leaves):
+    ands, ors = touch_masks(leaf_count)
+    tree = PlruTree(leaf_count)
+    for packed in states:
+        for leaf in leaves(packed):
+            tree.load_bits(unpack_bits(packed, leaf_count))
+            tree.touch(leaf)
+            assert packed & ands[leaf] | ors[leaf] == pack_bits(tree.node_bits), (packed, leaf)
+
+
+def check_packed_victims(leaf_count, reach, states):
+    table = victim_table(leaf_count, reach)
+    tree = PlruTree(leaf_count, leaf_count)
+    for packed in states:
+        tree.load_bits(unpack_bits(packed, leaf_count))
+        assert table[packed] == tree.select_victim(reach), (packed, reach)
+
+
+@pytest.mark.parametrize("leaf_count", [2, 4, 8])
+def test_packed_tables_match_tree_exhaustively(leaf_count):
+    states = range(1 << (leaf_count - 1))
+    check_packed_touch(leaf_count, states, lambda packed: range(leaf_count))
+    for reach in range(1 << leaf_count):
+        check_packed_victims(leaf_count, reach, states)
+
+
+def test_packed_tables_match_tree_16_ways():
+    # 2^15 states x 2^16 reachable sets is out of reach; every state is
+    # checked under full reach and with one touch each, every leaf and 64
+    # reachable sets on a sample of states.
+    rng = random.Random(16)
+    states = range(1 << 15)
+    sample = [rng.getrandbits(15) for _ in range(256)] + [0, (1 << 15) - 1]
+    check_packed_touch(16, states, lambda packed: (packed % 16,))
+    check_packed_touch(16, sample, lambda packed: range(16))
+    check_packed_victims(16, (1 << 16) - 1, states)
+    for reach in [0, 1 << 15] + [rng.getrandbits(16) for _ in range(62)]:
+        check_packed_victims(16, reach, sample)

@@ -88,6 +88,22 @@ def test_misaligned_superpage_faults():
     assert len(res.accesses) == 2
 
 
+def test_every_table_mutation_bumps_the_version():
+    space = AddressSpace(root_ppn=0x100)
+    versions = [space.version]
+    space.map_page(0x40_0000, 0x8000_0000, SIZE_4K, RW)
+    versions.append(space.version)
+    space.map_page(0x40_1000, 0x8000_1000, SIZE_4K, RW)  # into existing tables
+    versions.append(space.version)
+    space.add_table(0x200)
+    versions.append(space.version)
+    space.set_pte(0x200, 0, make_pte(0x201, PTE_V | RW))
+    versions.append(space.version)
+    walk_single(space, 0x40_0000, lambda p: 1)  # reads change nothing
+    versions.append(space.version)
+    assert versions[:5] == sorted(set(versions[:5])) and versions[5] == versions[4]
+
+
 def test_depth_exhaustion_faults():
     space = AddressSpace(root_ppn=0x100)
     space.add_table(0x101)
