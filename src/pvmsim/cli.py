@@ -19,6 +19,7 @@ from importlib import resources
 
 from .config import ConfigError, load_experiment
 from .harness import build_bundle, compare, run_experiment, write_outputs
+from .hypervisor import SetupError
 from .vectors import main as vectors_main
 
 
@@ -159,7 +160,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
+    except (ConfigError, SetupError) as exc:
         print("configuration error: %s" % exc, file=sys.stderr)
         return 2
 

@@ -527,10 +527,14 @@ def run_iteration(plan, index):
     )
 
 
-def run_scenario(defn, start=0, stop=None):
-    """Run iterations [start, stop) serially; the default runs them all.
-    Chunking is safe: records depend only on (defn, index)."""
-    plan = build_plan(defn)
-    if stop is None:
-        stop = defn.iterations
+def run_range(plan, start, stop):
+    """Run iterations [start, stop) of a plan serially.  Any split of a
+    scenario into ranges yields the same records: each depends only on
+    (defn, index), and every iteration restores the same set-up machine."""
     return [run_iteration(plan, i) for i in range(start, stop)]
+
+
+def run_scenario(defn, start=0, stop=None):
+    """Run iterations [start, stop) of a freshly built plan; the default
+    runs them all."""
+    return run_range(build_plan(defn), start, defn.iterations if stop is None else stop)

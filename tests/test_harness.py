@@ -6,14 +6,17 @@ JSON outputs are byte-stable for a given configuration and seed, and
 splitting iterations over worker processes changes nothing.
 """
 
+import concurrent.futures
 import contextlib
 import io
 import json
 import os
+import tempfile
 import unittest
 
 import pytest
 
+from pvmsim import hypervisor
 from pvmsim.cli import main as cli_main
 from pvmsim.config import load_experiment
 from pvmsim.harness import (
@@ -68,6 +71,41 @@ hyp_mask = 0xffff
 vms = crit intf
 hyp_mask = 0xffff
 """
+
+
+# A second scenario whose measured VM locks 9 data pages: one lock slot per
+# page, one more than the default 8, so it cannot be realized.
+LOCK_OVERFLOW = SMALL.replace(
+    "[scenario.unmitigated]",
+    """[vm.hog]
+vmid = 3
+asid = 3
+mask = 0x00ff
+role = measured
+region.data = base=0x00100000 pages=9 flags=rw lock=true
+prime = data
+measure = data
+
+[scenario.locked]
+vms = hog
+hyp_mask = 0xffff
+
+[scenario.unmitigated]""",
+)
+
+# Iteration counts that 3 workers do not divide (8 and 7), plus a scenario
+# below the 2 * workers threshold that runs in the calling process, listed
+# out of file order.
+UNEVEN = SMALL.replace(
+    "[scenario.unmitigated]",
+    """[scenario.tiny]
+vms = crit
+hyp_mask = 0xffff
+iterations = 5
+
+[scenario.unmitigated]""",
+).replace("[scenario.isolation]\n", "[scenario.isolation]\niterations = 7\n")
+UNEVEN_ORDER = ["unmitigated", "tiny", "isolation"]
 
 
 def records_from(values):
@@ -236,6 +274,130 @@ class EndToEndTest(unittest.TestCase):
             )
 
 
+@pytest.fixture
+def pools(monkeypatch):
+    """Every process pool run_experiment opens, with the (plan, start, stop)
+    arguments of each job submitted to it."""
+    opened = []
+
+    class CountingPool(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, max_workers=None, *args, **kwargs):
+            super().__init__(max_workers, *args, **kwargs)
+            self.max_workers = max_workers
+            self.jobs = []
+            opened.append(self)
+
+        def submit(self, fn, /, *args, **kwargs):
+            self.jobs.append(args)
+            return super().submit(fn, *args, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
+    return opened
+
+
+def uneven_config():
+    return load_experiment(text=UNEVEN).select(UNEVEN_ORDER)
+
+
+def test_one_pool_per_experiment(pools):
+    cfg = uneven_config()
+    run_experiment(cfg, workers=3)
+    assert len(pools) == 1
+    assert pools[0].max_workers == 3
+    run_experiment(cfg, workers=1)
+    run_experiment(load_experiment(text=SMALL, iterations=3), workers=2)  # all below 2 * 2
+    assert len(pools) == 1
+
+
+def test_pool_is_no_larger_than_its_job_count(pools):
+    # 9 iterations over 4 workers: ranges of ceil(9 / 4) = 3, so 3 jobs.
+    cfg = load_experiment(text=SMALL, iterations=9).select(["isolation"])
+    run_experiment(cfg, workers=4)
+    assert [(p.max_workers, len(p.jobs)) for p in pools] == [(3, 3)]
+
+
+def test_one_contiguous_range_per_worker_per_scenario(pools):
+    cfg = uneven_config()
+    run_experiment(cfg, workers=3)
+    ranges = {}
+    for plan, start, stop in pools[0].jobs:
+        ranges.setdefault(plan.defn.name, []).append((start, stop))
+    # Submitted scenario by scenario in run order; "tiny" (5 < 2 * 3) stays home.
+    assert list(ranges) == ["unmitigated", "isolation"]
+    assert ranges["unmitigated"] == [(0, 3), (3, 6), (6, 8)]
+    assert ranges["isolation"] == [(0, 3), (3, 6), (6, 7)]
+
+
+def test_plans_are_built_once_per_scenario_in_the_calling_process(monkeypatch):
+    parent = os.getpid()
+    built = []
+    real = hypervisor.build_plan
+
+    def counting(defn):
+        assert os.getpid() == parent, "a worker process built a plan"
+        built.append(defn.name)
+        return real(defn)
+
+    monkeypatch.setattr(hypervisor, "build_plan", counting)
+    run_experiment(uneven_config(), workers=3)
+    assert built == UNEVEN_ORDER
+
+
+def test_results_follow_scenario_names_order():
+    cfg = uneven_config()
+    twice = load_experiment(text=SMALL).select(["unmitigated", "isolation", "unmitigated"])
+    for workers in (1, 3):
+        assert list(run_experiment(cfg, workers=workers)) == UNEVEN_ORDER
+        assert list(run_experiment(twice, workers=workers)) == ["unmitigated", "isolation"]
+
+
+def test_uneven_ranges_equal_serial_records():
+    cfg = uneven_config()
+    serial = run_experiment(cfg, workers=1)
+    assert [len(serial[n]) for n in UNEVEN_ORDER] == [8, 5, 7]
+    assert run_experiment(cfg, workers=3) == serial
+
+
+def test_unrealizable_scenario_fails_before_any_iteration(monkeypatch, pools):
+    ran = []
+    real = hypervisor.run_iteration
+
+    def counting(plan, index):
+        ran.append((plan.defn.name, index))
+        return real(plan, index)
+
+    monkeypatch.setattr(hypervisor, "run_iteration", counting)
+    cfg = load_experiment(text=LOCK_OVERFLOW)
+    assert cfg.scenario_names == ("isolation", "locked", "unmitigated")
+    for workers in (1, 2):
+        with pytest.raises(hypervisor.SetupError, match="'locked'.*9 slots"):
+            run_experiment(cfg, workers=workers)
+    assert ran == []
+    assert pools == []
+
+
+def test_progress_is_logged_once_each_scenario_is_complete(monkeypatch):
+    ran = []
+    real = hypervisor.run_iteration
+
+    def counting(plan, index):
+        ran.append(plan.defn.name)
+        return real(plan, index)
+
+    def log(line):
+        name = line.split()[1]
+        # Every iteration of this scenario ran before its line was written.
+        assert ran.count(name) == cfg.scenarios[name].iterations
+        lines.append(line)
+
+    monkeypatch.setattr(hypervisor, "run_iteration", counting)
+    cfg = uneven_config()
+    lines = []
+    run_experiment(cfg, workers=1, log=log)
+    assert [line.split()[1] for line in lines] == UNEVEN_ORDER
+    assert all(line.endswith(" s") for line in lines)
+
+
 class CliTest(unittest.TestCase):
     def run_cli(self, argv):
         return cli_main(argv)
@@ -283,6 +445,38 @@ class CliTest(unittest.TestCase):
                 self.assertEqual(err.getvalue().count("\n"), 1)
                 self.assertIn("--workers", err.getvalue())
             self.assertEqual(os.listdir(d), ["unit.ini"])  # nothing ran
+
+    def test_unrealizable_scenario_is_config_error_before_any_output(self):
+        with tempfile.TemporaryDirectory() as d:
+            cfg_path = os.path.join(d, "overflow.ini")
+            with open(cfg_path, "w", encoding="utf-8") as handle:
+                handle.write(LOCK_OVERFLOW)
+            for workers in ("1", "2"):
+                out, err = io.StringIO(), io.StringIO()
+                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                    code = self.run_cli(["run", cfg_path, "--outdir", d, "--workers", workers])
+                self.assertEqual(code, 2)
+                self.assertEqual(out.getvalue(), "")
+                self.assertEqual(err.getvalue().count("\n"), 1)
+                self.assertTrue(err.getvalue().startswith("configuration error: scenario 'locked'"))
+            self.assertEqual(os.listdir(d), ["overflow.ini"])  # nothing written
+
+    def test_progress_goes_to_stderr_and_quiet_silences_it(self):
+        with tempfile.TemporaryDirectory() as d:
+            cfg_path = os.path.join(d, "unit.ini")
+            with open(cfg_path, "w", encoding="utf-8") as handle:
+                handle.write(SMALL)
+            streams = {}
+            for flags in ((), ("--quiet",)):
+                out, err = io.StringIO(), io.StringIO()
+                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                    code = self.run_cli(["run", cfg_path, "--outdir", d, *flags])
+                self.assertEqual(code, 0)
+                streams[flags] = out.getvalue(), err.getvalue()
+            self.assertEqual(streams[()][0], streams[("--quiet",)][0])
+            self.assertEqual(streams[("--quiet",)][1], "")
+            progress = streams[()][1].splitlines()
+            self.assertEqual([line.split()[1] for line in progress], ["isolation", "unmitigated"])
 
     def test_compare_missing_file_fails_fast(self):
         import tempfile
