@@ -190,7 +190,6 @@ class Cache:
         miss_cycles=40,
         spm_cycles=1,
         spm_base=None,
-        name="cache",
     ):
         for label, n in (("ways", ways), ("sets", sets), ("line_bytes", line_bytes)):
             if not _is_pow2(n):
@@ -207,7 +206,6 @@ class Cache:
         self.hit_cycles = hit_cycles
         self.miss_cycles = miss_cycles
         self.spm_cycles = spm_cycles
-        self.name = name
         if spm_base is not None:
             if spm_base % self.size:
                 raise ValueError(
@@ -230,19 +228,6 @@ class Cache:
         self._all_ways_mask = (1 << ways) - 1
         self._set_locked(0)
         self.stats = _stats_zero()
-
-    @classmethod
-    def from_size(cls, memory, total_bytes, **kwargs):
-        """Build a cache of `total_bytes` capacity, deriving the set count."""
-        ways = kwargs.get("ways", 8)
-        line_bytes = kwargs.get("line_bytes", 16)
-        per_way = ways * line_bytes
-        if total_bytes % per_way:
-            raise ValueError(
-                "total size %d is not a multiple of ways*line_bytes=%d" % (total_bytes, per_way)
-            )
-        kwargs["sets"] = total_bytes // per_way
-        return cls(memory, **kwargs)
 
     # -- mode management ----------------------------------------------------
 
@@ -403,9 +388,6 @@ class Cache:
                 way += 1
         # SPM ways never hold tags, so this only drops CACHE lines.
         self._tags[:] = [_NO_LINE] * len(self._tags)
-
-    def reset_stats(self):
-        self.stats = _stats_zero()
 
     def snapshot(self):
         """Every piece of mutable state, as immutable copies for restore()."""

@@ -6,8 +6,7 @@ back to defaults.  The full schema::
 
     [run]           name, iterations, seed, scenarios (names, space-separated;
                     default: every [scenario.*] in file order)
-    [latency]       tlb_hit cache_hit spm memory trap_entry trap_exit
-                    vm_switch jitter                       (cycle counts)
+    [latency]       tlb_hit cache_hit spm memory jitter    (cycle counts)
     [tlb]           entries partitions lock_slots
     [cache]         ways icache_sets dcache_sets line_bytes
     [hypervisor]    mask quantum footprint_base footprint_pages footprint_stride
@@ -50,14 +49,19 @@ _LATENCY_KEYS = {
     "cache_hit": "cache_hit_cycles",
     "spm": "spm_cycles",
     "memory": "memory_cycles",
-    "trap_entry": "trap_entry_cycles",
-    "trap_exit": "trap_exit_cycles",
-    "vm_switch": "vm_switch_cycles",
     "jitter": "jitter",
 }
 _TLB_KEYS = {"entries": "tlb_entries", "partitions": "tlb_partitions", "lock_slots": "lock_slots"}
 _CACHE_KEYS = {"ways", "icache_sets", "dcache_sets", "line_bytes"}
-_HYP_KEYS = {"mask", "quantum", "footprint_base", "footprint_pages", "footprint_stride"}
+# [hypervisor] key -> HypervisorConfig field, or field of its footprint Region
+_HYP_KEYS = {
+    "mask": "partition_mask",
+    "quantum": "quantum_cycles",
+    "footprint_base": "base",
+    "footprint_pages": "pages",
+    "footprint_stride": "stride",
+}
+_FOOTPRINT_FIELDS = ("base", "pages", "stride")
 _VM_KEYS = {"vmid", "asid", "mask", "two_stage", "role", "prime", "measure", "loop"}
 _SCENARIO_KEYS = {"vms", "spm_ways", "hyp_mask", "iterations", "seed"}
 _SWEEP_KEYS = {"order", "stride", "pages", "repeats", "kind", "compute"}
@@ -133,6 +137,13 @@ class ExperimentConfig:
     scenario_names: tuple
     scenarios: dict  # name -> ScenarioDef
     text: str  # the raw configuration, hashed into result bundles
+
+    def __post_init__(self):
+        seen = set()
+        for name in self.scenario_names:
+            if name in seen:
+                raise ConfigError("scenario %r is selected more than once" % name)
+            seen.add(name)
 
     def select(self, names):
         """Restrict to the given scenario names (order preserved)."""
@@ -342,14 +353,14 @@ def load_experiment(path=None, *, text=None, seed=None, iterations=None):
     machine = _mapped_section(cp, "tlb", _TLB_KEYS)
     machine.update(_mapped_section(cp, "cache", _CACHE_KEYS))
 
+    # Only the keys present override HypervisorConfig's own defaults.
     hyp_raw = _mapped_section(cp, "hypervisor", _HYP_KEYS)
-    footprint = Region(
-        base=hyp_raw.get("footprint_base", 0x0070_0000),
-        pages=hyp_raw.get("footprint_pages", 2),
-        stride=hyp_raw.get("footprint_stride", 512),
-    )
-    hyp_mask = hyp_raw.get("mask", 1 << 8)
-    quantum = hyp_raw.get("quantum", 10_000)
+    footprint = {key: hyp_raw.pop(key) for key in _FOOTPRINT_FIELDS if key in hyp_raw}
+    hyp = HypervisorConfig()
+    try:
+        hyp = replace(hyp, footprint=(replace(hyp.footprint[0], **footprint),), **hyp_raw)
+    except ValueError as exc:
+        _fail("[hypervisor]", str(exc))
 
     vms = {}
     for section in vm_sections:
@@ -370,28 +381,28 @@ def load_experiment(path=None, *, text=None, seed=None, iterations=None):
             if vm_name not in vms:
                 _fail(where, "unknown vm %r (defined: %s)" % (vm_name, ", ".join(vms)))
             members.append(vms[vm_name])
-        hyp = HypervisorConfig(
-            partition_mask=_int(where, options["hyp_mask"]) if "hyp_mask" in options else hyp_mask,
-            quantum_cycles=quantum,
-            footprint=(footprint,),
-        )
         s_iters = run_iters
         if iterations is None and "iterations" in options:
             s_iters = _int("%s iterations" % where, options["iterations"])
         s_seed = run_seed
         if seed is None and "seed" in options:
             s_seed = _int("%s seed" % where, options["seed"])
+        s_hyp = hyp
         try:
+            if "hyp_mask" in options:
+                s_hyp = replace(hyp, partition_mask=_int(where, options["hyp_mask"]))
             defn = ScenarioDef(
                 name=sname,
                 vms=tuple(members),
-                hyp=hyp,
+                hyp=s_hyp,
                 latency=latency,
                 iterations=s_iters,
                 seed=s_seed,
                 spm_ways=_int(where, options["spm_ways"]) if "spm_ways" in options else 0,
                 **machine,
             )
+        except ConfigError:
+            raise
         except ValueError as exc:
             _fail(where, str(exc))
         scenarios[sname] = defn

@@ -48,7 +48,7 @@ def run_experiment(config, workers=1, log=None):
     """
     started = time.perf_counter()
     plans = {}
-    for name in dict.fromkeys(config.scenario_names):  # a name listed twice runs once
+    for name in config.scenario_names:
         try:
             # Looked up on the module at call time, like run_range's
             # run_iteration, so wrappers installed on the module see it.

@@ -24,6 +24,11 @@ handler overwrites CUR_PART with the hypervisor's constant mask (which
 hardware-saves the interrupted mask into LAST_PART); leaving it either
 restores the saved mask (same-VM resume) or installs the next VM's mask
 by writing LAST_PART first and then RESTORE_LAST_PART.
+
+Only the measured phase is timed, so the untimed phases (prime, the
+handler's footprint sweep, interference quanta) matter solely through
+the TLB, cache and CSR state they leave behind, and traps and VM
+switches carry no cycle price of their own.
 """
 
 import hashlib
@@ -172,13 +177,6 @@ class ScenarioDef:
         if len(set(ids)) != len(ids):
             raise ValueError("duplicate vmid/asid pair")
 
-    @property
-    def measured_vm(self):
-        for vm in self.vms:
-            if isinstance(vm.workload, Workload):
-                return vm
-        raise AssertionError("validated in __post_init__")
-
 
 @dataclass(frozen=True)
 class IterationRecord:
@@ -221,7 +219,6 @@ class LockChunk:
     page_size: int
     paddr: int
     flags: int
-    executable: bool
 
 
 @dataclass
@@ -231,7 +228,8 @@ class ScenarioPlan:
     holds (MemorySystem, its post-set-up snapshot) once an iteration ran."""
 
     defn: "ScenarioDef"
-    contexts: list  # VmContext, same order as defn.vms
+    measured: VmContext
+    interference: tuple  # VmContext per interference VM, in defn.vms order
     hyp_context: VmContext
     lock_chunks: dict  # "i"/"d" -> list of (VmContext, LockChunk)
     memory_regions: tuple
@@ -249,99 +247,75 @@ class _Allocator:
         return addr
 
 
-def _spm_capacity(defn):
-    d_way = defn.dcache_sets * defn.line_bytes
-    i_way = defn.icache_sets * defn.line_bytes
-    return defn.spm_ways * d_way, defn.spm_ways * i_way
-
-
 def build_plan(defn):
     """Build page tables and physical placement for every VM, decompose
     lock regions into per-PTE chunks, and fail fast on any budget the
     per-iteration setup would blow (lock slots, scratchpad capacity)."""
     frames = _Allocator(FRAME_BASE)
-    dspm = _Allocator(DSPM_BASE)
-    ispm = _Allocator(ISPM_BASE)
-    dspm_cap, ispm_cap = _spm_capacity(defn)
     table_area = _Allocator(RAM_BASE)
-    contexts = []
+    dspm_end = DSPM_BASE + defn.spm_ways * defn.dcache_sets * defn.line_bytes
+    ispm_end = ISPM_BASE + defn.spm_ways * defn.icache_sets * defn.line_bytes
+    # backing -> (name, allocator, end of the converted ways' window)
+    scratchpads = {
+        "dspm": ("data", _Allocator(DSPM_BASE), dspm_end),
+        "ispm": ("instruction", _Allocator(ISPM_BASE), ispm_end),
+    }
+    measured = None
+    interference = []
     lock_chunks = {"i": [], "d": []}
 
-    def place(region, gvaddr, map_leaf):
+    def place(region):
         """Allocate the physical home of one page-table leaf chunk."""
         if region.backing == "ram":
-            paddr = frames.take(region.page_size, region.page_size)
-        elif region.backing == "dspm":
-            paddr = dspm.take(SIZE_4K, SIZE_4K)
-            if paddr + SIZE_4K > DSPM_BASE + dspm_cap:
-                raise SetupError(
-                    "data scratchpad overflow: region 0x%x needs more than the "
-                    "%d converted ways provide" % (region.gvaddr, defn.spm_ways)
-                )
-        else:
-            paddr = ispm.take(SIZE_4K, SIZE_4K)
-            if paddr + SIZE_4K > ISPM_BASE + ispm_cap:
-                raise SetupError(
-                    "instruction scratchpad overflow: region 0x%x needs more than "
-                    "the %d converted ways provide" % (region.gvaddr, defn.spm_ways)
-                )
-        map_leaf(gvaddr, paddr)
+            return frames.take(region.page_size, region.page_size)
+        name, spm, end = scratchpads[region.backing]
+        paddr = spm.take(SIZE_4K, SIZE_4K)
+        if paddr + SIZE_4K > end:
+            raise SetupError(
+                "%s scratchpad overflow: region 0x%x needs more than the "
+                "%d converted ways provide" % (name, region.gvaddr, defn.spm_ways)
+            )
         return paddr
 
     for vm in defn.vms:
-        vm_chunks = []
         root = table_area.take(TABLE_STRIDE, TABLE_STRIDE)
         if vm.two_stage:
-            gpa_tables = _Allocator(GPA_TABLE_BASE)
             gpa_data = _Allocator(GPA_DATA_BASE)
-            guest = AddressSpace(root_ppn=gpa_tables.take(TABLE_STRIDE, TABLE_STRIDE) >> PAGE_SHIFT)
+            guest = AddressSpace(root_ppn=GPA_TABLE_BASE >> PAGE_SHIFT)
             host = AddressSpace(root_ppn=root >> PAGE_SHIFT, gpa_space=True)
 
-            for region in vm.regions:
-                for i in range(region.page_count):
-                    gvaddr = region.gvaddr + i * region.page_size
+            def map_leaf(gvaddr, paddr, region):
+                gpa = gpa_data.take(region.page_size, region.page_size)
+                guest.map_page(gvaddr, gpa, region.page_size, region.flags)
+                host.map_page(gpa, paddr, region.page_size, _HOST_FULL)
 
-                    def leaf(gva, paddr, region=region):
-                        gpa = gpa_data.take(region.page_size, region.page_size)
-                        guest.map_page(gva, gpa, region.page_size, region.flags)
-                        host.map_page(gpa, paddr, region.page_size, _HOST_FULL)
+        else:
+            guest = AddressSpace(root_ppn=root >> PAGE_SHIFT)
+            host = None
 
-                    paddr = place(region, gvaddr, leaf)
-                    vm_chunks.append((region, gvaddr, paddr))
+            def map_leaf(gvaddr, paddr, region):
+                guest.map_page(gvaddr, paddr, region.page_size, region.flags)
+
+        ctx = VmContext(vm.name, vm.vmid, vm.asid, vm.partition_mask, guest, host, vm.workload)
+        for region in vm.regions:
+            side = "i" if region.flags & PTE_X else "d"
+            for i in range(region.page_count):
+                gvaddr = region.gvaddr + i * region.page_size
+                paddr = place(region)
+                map_leaf(gvaddr, paddr, region)
+                if region.lock:
+                    lock_chunks[side].append(
+                        (ctx, LockChunk(gvaddr, region.page_size, paddr, region.flags))
+                    )
+        if host is not None:
             # Guest page tables themselves live in guest-physical pages;
             # give each one a host frame so their PTE fetches are priceable.
             for tppn in guest.table_ppns():
                 host.map_page(tppn << PAGE_SHIFT, frames.take(SIZE_4K, SIZE_4K), SIZE_4K, _HOST_FULL)
-        else:
-            guest = AddressSpace(root_ppn=root >> PAGE_SHIFT)
-            host = None
-            for region in vm.regions:
-                for i in range(region.page_count):
-                    gvaddr = region.gvaddr + i * region.page_size
-
-                    def leaf(gva, paddr, region=region):
-                        guest.map_page(gva, paddr, region.page_size, region.flags)
-
-                    paddr = place(region, gvaddr, leaf)
-                    vm_chunks.append((region, gvaddr, paddr))
-
-        ctx = VmContext(vm.name, vm.vmid, vm.asid, vm.partition_mask, guest, host, vm.workload)
-        contexts.append(ctx)
-        for region, gvaddr, paddr in vm_chunks:
-            if region.lock:
-                side = "i" if region.flags & PTE_X else "d"
-                lock_chunks[side].append(
-                    (
-                        ctx,
-                        LockChunk(
-                            gvaddr=gvaddr,
-                            page_size=region.page_size,
-                            paddr=paddr,
-                            flags=region.flags,
-                            executable=bool(region.flags & PTE_X),
-                        ),
-                    )
-                )
+        if isinstance(vm.workload, Workload):
+            measured = ctx
+        elif isinstance(vm.workload, InterferenceLoop):
+            interference.append(ctx)
 
     for side, chunks in lock_chunks.items():
         if len(chunks) > defn.lock_slots:
@@ -367,7 +341,8 @@ def build_plan(defn):
 
     return ScenarioPlan(
         defn=defn,
-        contexts=contexts,
+        measured=measured,
+        interference=tuple(interference),
         hyp_context=hyp_context,
         lock_chunks=lock_chunks,
         memory_regions=((RAM_BASE, RAM_SIZE),),
@@ -375,29 +350,6 @@ def build_plan(defn):
 
 
 # -- per-iteration machine state -------------------------------------------------
-
-
-class ScenarioState:
-    """Mutable per-iteration execution state: the memory system plus the
-    scheduler's idea of who is running."""
-
-    def __init__(self, plan, sys):
-        self.plan = plan
-        self.sys = sys
-        self.current = None  # VmContext on the core (None = hypervisor)
-        self.interrupted = None
-        self.clock = 0  # whole-iteration clock, includes untimed phases
-
-    @property
-    def measured_context(self):
-        for ctx in self.plan.contexts:
-            if isinstance(ctx.workload, Workload):
-                return ctx
-        raise AssertionError("plan always carries the measured VM")
-
-    @property
-    def interference_contexts(self):
-        return [c for c in self.plan.contexts if isinstance(c.workload, InterferenceLoop)]
 
 
 def build_system(defn, regions, jitter_rng):
@@ -427,8 +379,6 @@ def setup_scenario(plan, sys):
         sys.dcache.configure_way(way, MODE_SPM)
     for side, tlb in (("i", sys.itlb), ("d", sys.dtlb)):
         for index, (ctx, chunk) in enumerate(plan.lock_chunks[side]):
-            if index >= defn.lock_slots:
-                raise SetupError("lock slots exhausted on the %s side" % side)
             tlb.program_lock_slot(
                 index,
                 "vpn",
@@ -438,7 +388,6 @@ def setup_scenario(plan, sys):
             )
             tlb.program_lock_slot(index, "pte", pte=make_pte(chunk.paddr >> PAGE_SHIFT, chunk.flags))
             tlb.program_lock_slot(index, "id", asid=ctx.asid, vmid=ctx.vmid)
-    return ScenarioState(plan, sys)
 
 
 def restore_machine(plan, jitter_rng):
@@ -458,34 +407,21 @@ def restore_machine(plan, jitter_rng):
 # -- trap protocol ------------------------------------------------------------------
 
 
-def trap_enter(state):
+def trap_enter(plan, sys):
     """Enter the hypervisor: install its partition mask before anything
-    else (hardware saves the interrupted mask), pay the entry cost, then
-    run the handler's own memory footprint under the hypervisor mask."""
-    sys = state.sys
-    sys.csr.write_cur_part(state.plan.hyp_context.partition_mask)
-    state.clock += sys.latency.trap_entry_cycles
-    state.clock += run_regions(sys, state.plan.hyp_context, state.plan.defn.hyp.footprint)
-    state.interrupted = state.current
-    state.current = None
-    return state
+    else (hardware saves the interrupted mask in LAST_PART), then run the
+    handler's own memory footprint under the hypervisor mask."""
+    sys.csr.write_cur_part(plan.hyp_context.partition_mask)
+    run_regions(sys, plan.hyp_context, plan.defn.hyp.footprint)
 
 
-def trap_exit(state, next_ctx):
-    """Leave the hypervisor into next_ctx.  Same-VM resume restores the
-    saved mask; a switch installs the next VM's mask through LAST_PART and
-    additionally pays the VM-switch cost."""
-    sys = state.sys
-    switching = next_ctx is not state.interrupted
-    if switching:
+def trap_exit(sys, next_ctx=None):
+    """Leave the hypervisor.  Without next_ctx the interrupted VM resumes
+    under the mask the hardware saved; a switch to next_ctx installs its
+    mask through LAST_PART first."""
+    if next_ctx is not None:
         sys.csr.write_last_part(next_ctx.partition_mask)
     sys.csr.write_restore_last_part(1)
-    state.clock += sys.latency.trap_exit_cycles
-    if switching:
-        state.clock += sys.latency.vm_switch_cycles
-    state.current = next_ctx
-    state.interrupted = None
-    return state
 
 
 # -- the iteration loop ---------------------------------------------------------------
@@ -501,27 +437,24 @@ def run_iteration(plan, index):
     work_rng = random.Random(iteration_seed(defn.seed, index, "workload"))
     intf_rng = random.Random(iteration_seed(defn.seed, index, "interference"))
     sys = restore_machine(plan, jitter_rng)
-    state = ScenarioState(plan, sys)
-    crit = state.measured_context
+    crit = plan.measured
 
     # Boot: the hypervisor owns the core, then schedules the critical VM.
     sys.csr.write_cur_part(plan.hyp_context.partition_mask)
-    trap_exit(state, crit)
+    trap_exit(sys, crit)
 
-    state.clock += run_regions(sys, crit, crit.workload.prime, work_rng)
-    trap_enter(state)
-    for intf in state.interference_contexts:
-        trap_exit(state, intf)
-        state.clock += run_interference(
-            sys, intf, intf.workload, defn.hyp.quantum_cycles, intf_rng
-        )
-        trap_enter(state)
-    trap_exit(state, crit)
+    run_regions(sys, crit, crit.workload.prime, work_rng)
+    trap_enter(plan, sys)
+    for intf in plan.interference:
+        trap_exit(sys, intf)
+        run_interference(sys, intf, intf.workload, defn.hyp.quantum_cycles, intf_rng)
+        trap_enter(plan, sys)
+    # Switch back if another VM ran; otherwise the critical VM just resumes.
+    trap_exit(sys, crit if plan.interference else None)
 
     tlb0, cache0 = sys.miss_counts()
     cycles = run_regions(sys, crit, crit.workload.measure, work_rng)
     tlb1, cache1 = sys.miss_counts()
-    state.clock += cycles
     return IterationRecord(
         index=index, cycles=cycles, tlb_misses=tlb1 - tlb0, cache_misses=cache1 - cache0
     )

@@ -33,7 +33,7 @@ lock-slot translations never consult the generator, so a fully locked,
 SPM-resident access path stays cycle-constant even with jitter enabled.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .cache import EVENT_MISS, Cache, Memory
 from .sv39 import PAGE_SHIFT, PAGE_SIZE, PTE_G
@@ -53,24 +53,12 @@ class LatencyConfig:
     cache_hit_cycles: int = 1
     spm_cycles: int = 1
     memory_cycles: int = 40
-    trap_entry_cycles: int = 50
-    trap_exit_cycles: int = 50
-    vm_switch_cycles: int = 400
     jitter: int = 0  # uniform +/- bound applied per memory access; 0 disables
 
     def validate(self):
-        for name in (
-            "tlb_hit_cycles",
-            "cache_hit_cycles",
-            "spm_cycles",
-            "memory_cycles",
-            "trap_entry_cycles",
-            "trap_exit_cycles",
-            "vm_switch_cycles",
-            "jitter",
-        ):
-            if getattr(self, name) < 0:
-                raise ValueError("%s must be >= 0" % name)
+        for f in fields(self):
+            if getattr(self, f.name) < 0:
+                raise ValueError("%s must be >= 0" % f.name)
         if self.jitter >= self.memory_cycles and self.jitter:
             raise ValueError(
                 "jitter bound %d must stay below memory_cycles %d"
@@ -150,17 +138,16 @@ class MemorySystem:
             memory = Memory()
         csr = PartitionCsrFile(partition_count)
 
-        def make_tlb(name):
+        def make_tlb():
             return Tlb(
                 csr,
                 entries=tlb_entries,
                 partition_count=partition_count,
                 lock_slots=lock_slots,
                 hit_cycles=latency.tlb_hit_cycles,
-                name=name,
             )
 
-        def make_cache(sets, base, name):
+        def make_cache(sets, base):
             return Cache(
                 memory,
                 ways=ways,
@@ -170,13 +157,12 @@ class MemorySystem:
                 miss_cycles=latency.memory_cycles,
                 spm_cycles=latency.spm_cycles,
                 spm_base=base,
-                name=name,
             )
         return cls(
-            itlb=make_tlb("itlb"),
-            dtlb=make_tlb("dtlb"),
-            icache=make_cache(icache_sets, ispm_base, "icache"),
-            dcache=make_cache(dcache_sets, dspm_base, "dcache"),
+            itlb=make_tlb(),
+            dtlb=make_tlb(),
+            icache=make_cache(icache_sets, ispm_base),
+            dcache=make_cache(dcache_sets, dspm_base),
             latency=latency,
             rng=rng,
         )

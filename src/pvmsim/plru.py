@@ -121,10 +121,6 @@ class PlruTree:
         else:
             self.locked &= ~(1 << leaf)
 
-    def is_locked(self, leaf):
-        self._check_leaf(leaf)
-        return bool(self.locked >> leaf & 1)
-
     def enabled_leaves(self, enabled):
         """Expand a partition mask into the bitmap of leaves it enables."""
         if not 0 <= enabled <= self.full_mask:

@@ -38,7 +38,6 @@ PTE_U = 1 << 4
 PTE_G = 1 << 5
 PTE_A = 1 << 6
 PTE_D = 1 << 7
-PTE_FLAG_NAMES = "VRWXUGAD"  # bit 0 first
 
 PTE_LEAF_MASK = PTE_R | PTE_W | PTE_X
 
@@ -66,17 +65,5 @@ def pte_ppn(pte):
     return pte >> 10
 
 
-def pte_flags(pte):
-    return pte & 0xFF
-
-
 def pte_is_leaf(pte):
     return bool(pte & PTE_LEAF_MASK)
-
-
-def flags_str(flags):
-    """Compact dump form, highest bit first, '-' for clear bits."""
-    return "".join(
-        name if flags >> bit & 1 else "-"
-        for bit, name in reversed(list(enumerate(PTE_FLAG_NAMES)))
-    )

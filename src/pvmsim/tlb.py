@@ -32,9 +32,7 @@ from .sv39 import (
     PAGE_SIZES,
     PTE_G,
     VPN_MASK,
-    flags_str,
     is_canonical,
-    pte_flags,
     pte_ppn,
 )
 
@@ -136,12 +134,10 @@ class PartitionCsrFile:
 
 
 class Tlb:
-    def __init__(self, csr, entries=16, partition_count=16, lock_slots=8,
-                 hit_cycles=1, name="tlb"):
+    def __init__(self, csr, entries=16, partition_count=16, lock_slots=8, hit_cycles=1):
         if csr.width != partition_count:
             raise ValueError("partition CSR width %d != partition count %d"
                              % (csr.width, partition_count))
-        self.name = name
         self.csr = csr
         self.tree = PlruTree(entries, partition_count)
         self.entries = [
@@ -297,40 +293,3 @@ class Tlb:
         for slot, fields in zip(self.slots, slots):
             slot.__dict__.update(fields)
         self.hits, self.misses, self.lock_hits, self.fills, self.dropped_fills = counters
-
-    # -- inspection -------------------------------------------------------------
-
-    def dump(self):
-        """Deterministic textual state dump (debugging aid and golden-test food)."""
-        lines = [
-            "%s: %d entries, %d partitions, %d lock slots"
-            % (self.name, len(self.entries), self.tree.partition_count, len(self.slots)),
-            "csr cur_part=0x%04x last_part=0x%04x" % (self.csr.cur_part, self.csr.last_part),
-            "plru bits=%s locked=0x%04x"
-            % ("".join(str(b) for b in self.tree.node_bits), self.tree.locked),
-        ]
-        for i, slot in enumerate(self.slots):
-            if slot.active:
-                lines.append(
-                    "slot %d: leaf=%d ACTIVE vpn=0x%07x size=%s flags=%s "
-                    "pte=0x%x asid=%d vmid=%d"
-                    % (i, slot.target_leaf, slot.vpn, _SIZE_NAMES[slot.page_size],
-                       flags_str(slot.flags), slot.pte, slot.asid, slot.vmid)
-                )
-            else:
-                valids = "".join(
-                    name for name, v in
-                    (("v", slot.vpn_valid), ("p", slot.pte_valid), ("i", slot.id_valid)) if v
-                )
-                lines.append("slot %d: leaf=%d inactive[%s]" % (i, slot.target_leaf, valids))
-        for leaf, entry in enumerate(self.entries):
-            if entry.valid:
-                lines.append(
-                    "entry %2d: vpn=0x%07x size=%s asid=%d vmid=%d%s pte=0x%x flags=%s"
-                    % (leaf, entry.vpn, _SIZE_NAMES[entry.page_size], entry.asid,
-                       entry.vmid, " G" if entry.global_flag else "", entry.pte,
-                       flags_str(pte_flags(entry.pte)))
-                )
-            else:
-                lines.append("entry %2d: -" % leaf)
-        return "\n".join(lines) + "\n"

@@ -58,11 +58,6 @@ class Region:
         if self.compute_cycles < 0:
             raise ValueError("compute_cycles must be >= 0")
 
-    @property
-    def accesses_per_sweep(self):
-        per_page = max(1, SIZE_4K // self.stride) if self.stride < SIZE_4K else 1
-        return self.pages * per_page
-
     def addresses(self, rng=None):
         """Yield the access addresses of the full sweep (all repeats)."""
         pages = list(range(self.pages))

@@ -70,16 +70,6 @@ def test_spm_window_may_not_overlap_memory():
         Cache(mem, ways=4, sets=8, line_bytes=16, spm_base=RAM_BASE)
 
 
-def test_from_size_derives_set_count():
-    mem = Memory([(RAM_BASE, RAM_SIZE)])
-    icache = Cache.from_size(mem, 16 * 1024, ways=8, line_bytes=16)
-    dcache = Cache.from_size(mem, 32 * 1024, ways=8, line_bytes=16)
-    assert icache.sets == 128
-    assert dcache.sets == 256
-    assert icache.size == 16 * 1024
-    assert dcache.size == 32 * 1024
-
-
 def test_unmapped_address_is_a_configuration_error():
     cache, _ = make_cache()
     with pytest.raises(UnmappedAddress):
@@ -461,5 +451,3 @@ def test_stats_add_up_on_random_trace():
     assert cache.stats["hits"] + cache.stats["misses"] == n
     assert cache.stats["evictions"] <= cache.stats["misses"]
     assert cache.stats["write_backs"] <= cache.stats["evictions"]
-    cache.reset_stats()
-    assert sum(cache.stats.values()) == 0

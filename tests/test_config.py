@@ -5,13 +5,22 @@ in a long experiment file is a one-glance fix; the acceptance on that
 promise is string-matching the error text here.
 """
 
+import os
 import unittest
 
 import pytest
 
 from pvmsim.config import ConfigError, load_experiment
+from pvmsim.hypervisor import HypervisorConfig
 from pvmsim.sv39 import PTE_A, PTE_D, PTE_R, PTE_W, PTE_X, SIZE_2M
-from pvmsim.workload import InterferenceLoop, Workload
+from pvmsim.workload import InterferenceLoop, Region, Workload
+
+BENCH_WORKLOAD = os.path.join(
+    os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+    "bench",
+    "workloads",
+    "spm-writes-longq.ini",
+)
 
 BASE = """\
 [run]
@@ -95,6 +104,26 @@ class ParseShapeTest(unittest.TestCase):
         self.assertEqual(defn.iterations, 12)
         self.assertEqual(defn.seed, 7)
 
+    def test_missing_hypervisor_keys_take_the_dataclass_defaults(self):
+        text = BASE.split("[hypervisor]")[0] + "[vm.crit]" + BASE.split("[vm.crit]")[1]
+        cfg = load(text)
+        self.assertEqual(cfg.scenarios["noisy"].hyp, HypervisorConfig())
+        # hyp_mask still overrides the default mask, and only the mask.
+        self.assertEqual(
+            cfg.scenarios["quiet"].hyp, HypervisorConfig(partition_mask=0xFFFF)
+        )
+        # A partial footprint keeps the default of each key left out.
+        text = BASE.replace("footprint_pages = 2\nfootprint_stride = 2048\n", "")
+        footprint = load(text).scenarios["noisy"].hyp.footprint
+        self.assertEqual(footprint, (Region(base=0x00700000, pages=2, stride=512),))
+
+    def test_benchmark_workload_loads(self):
+        # The benchmark's own workload file must keep parsing under the schema.
+        cfg = load_experiment(BENCH_WORKLOAD)
+        self.assertEqual(cfg.scenario_names, ("isolation", "unmitigated", "spm", "lockspm"))
+        for defn in cfg.scenarios.values():
+            self.assertEqual(defn.hyp.quantum_cycles, 24000)
+
     def test_vm_section_becomes_spec(self):
         crit = next(v for v in load().scenarios["noisy"].vms if v.name == "crit")
         self.assertEqual(crit.vmid, 1)
@@ -167,6 +196,10 @@ class OverrideTest(unittest.TestCase):
         with pytest.raises(ConfigError, match=r"\[scenario.absent\]"):
             load().select(["absent"])
 
+    def test_select_repeated_scenario(self):
+        with pytest.raises(ConfigError, match="scenario 'noisy' is selected more than once"):
+            load().select(["noisy", "quiet", "noisy"])
+
 
 class RejectionTest(unittest.TestCase):
     """Each bad input must raise ConfigError naming the offending spot."""
@@ -182,7 +215,11 @@ class RejectionTest(unittest.TestCase):
         self.check(BASE.replace("name = unit", "name = unit\ncolor = red"), r"\[run\].*color")
 
     def test_unknown_latency_key(self):
-        self.check(BASE.replace("memory = 40", "memory = 40\nwarp = 9"), r"\[latency\].*warp")
+        for key in ("warp", "trap_entry", "trap_exit", "vm_switch"):
+            self.check(
+                BASE.replace("memory = 40", "memory = 40\n%s = 9" % key),
+                r"\[latency\]: unknown key '%s'" % key,
+            )
 
     def test_unknown_cache_key(self):
         self.check(BASE.replace("ways = 8", "ways = 8\nbanks = 2"), r"\[cache\].*banks")
@@ -278,6 +315,23 @@ class RejectionTest(unittest.TestCase):
         self.check(
             BASE.replace("vms = crit\nhyp_mask = 0xffff", "hyp_mask = 0xffff"),
             r"\[scenario.quiet\]: missing 'vms'",
+        )
+
+    def test_invalid_hypervisor_value(self):
+        self.check(BASE.replace("quantum = 1500", "quantum = 0"), r"\[hypervisor\]: quantum")
+        self.check(
+            BASE.replace("footprint_stride = 2048", "footprint_stride = 12"),
+            r"\[hypervisor\]: stride",
+        )
+        self.check(
+            BASE.replace("vms = crit\nhyp_mask = 0xffff", "vms = crit\nhyp_mask = 0"),
+            r"\[scenario.quiet\]: hypervisor partition mask",
+        )
+
+    def test_run_lists_repeated_scenario(self):
+        self.check(
+            BASE.replace("scenarios = quiet noisy", "scenarios = quiet noisy quiet"),
+            r"scenario 'quiet' is selected more than once",
         )
 
     def test_run_lists_unknown_scenario(self):

@@ -345,10 +345,8 @@ def test_plans_are_built_once_per_scenario_in_the_calling_process(monkeypatch):
 
 def test_results_follow_scenario_names_order():
     cfg = uneven_config()
-    twice = load_experiment(text=SMALL).select(["unmitigated", "isolation", "unmitigated"])
     for workers in (1, 3):
         assert list(run_experiment(cfg, workers=workers)) == UNEVEN_ORDER
-        assert list(run_experiment(twice, workers=workers)) == ["unmitigated", "isolation"]
 
 
 def test_uneven_ranges_equal_serial_records():
@@ -460,6 +458,23 @@ class CliTest(unittest.TestCase):
                 self.assertEqual(err.getvalue().count("\n"), 1)
                 self.assertTrue(err.getvalue().startswith("configuration error: scenario 'locked'"))
             self.assertEqual(os.listdir(d), ["overflow.ini"])  # nothing written
+
+    def test_repeated_scenario_is_config_error_before_any_output(self):
+        with tempfile.TemporaryDirectory() as d:
+            cfg_path = os.path.join(d, "unit.ini")
+            with open(cfg_path, "w", encoding="utf-8") as handle:
+                handle.write(SMALL)
+            out, err = io.StringIO(), io.StringIO()
+            argv = ["run", cfg_path, "--outdir", d, "--scenario", "isolation", "--scenario", "isolation"]
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = self.run_cli(argv)
+            self.assertEqual(code, 2)
+            self.assertEqual(out.getvalue(), "")
+            self.assertEqual(
+                err.getvalue(),
+                "configuration error: scenario 'isolation' is selected more than once\n",
+            )
+            self.assertEqual(os.listdir(d), ["unit.ini"])  # nothing written
 
     def test_progress_goes_to_stderr_and_quiet_silences_it(self):
         with tempfile.TemporaryDirectory() as d:

@@ -247,7 +247,7 @@ def test_partial_programming_stays_inactive():
     tlb.program_lock_slot(0, "vpn", vpn=0x700)
     tlb.program_lock_slot(0, "pte", pte=make_pte(0x99000, FULL))
     assert not tlb.slots[0].active
-    assert not tlb.tree.is_locked(0)
+    assert not tlb.tree.locked >> 0 & 1
     assert tlb.lookup(0x700 << 12, asid=1, vmid=0).status == "miss"
 
 
@@ -255,14 +255,14 @@ def test_activation_locks_leaf_and_serves_lookups():
     tlb = make_tlb()
     program_full_slot(tlb, 3, 0x700)
     assert tlb.slots[3].active
-    assert tlb.tree.is_locked(3)
+    assert tlb.tree.locked >> 3 & 1
     res = tlb.lookup(0x700 << 12, asid=1, vmid=0)
     assert res.hit and res.lock_hit
     assert res.paddr == 0x99000 << 12
     # Deactivate by clearing one valid bit: leaf replaceable again.
     tlb.program_lock_slot(3, "id", asid=1, vmid=0, valid=False)
     assert not tlb.slots[3].active
-    assert not tlb.tree.is_locked(3)
+    assert not tlb.tree.locked >> 3 & 1
     assert tlb.lookup(0x700 << 12, asid=1, vmid=0).status == "miss"
 
 
@@ -330,7 +330,7 @@ def test_retarget_only_while_inactive():
     tlb = make_tlb()
     tlb.set_lock_target(0, 9)
     program_full_slot(tlb, 0, 0x700)
-    assert tlb.tree.is_locked(9)
+    assert tlb.tree.locked >> 9 & 1
     with pytest.raises(ValueError):
         tlb.set_lock_target(0, 5)
 
@@ -381,17 +381,3 @@ def test_flush_empty_is_noop():
 def test_entry_alignment_enforced():
     with pytest.raises(ValueError):
         TlbEntry(vpn=0x201, page_size=SIZE_2M, asid=0, vmid=0, pte=make_pte(1, FULL))
-
-
-def test_dump_is_deterministic_and_complete():
-    def build():
-        tlb = make_tlb()
-        program_full_slot(tlb, 2, 0x600, size=SIZE_2M, ppn=0x80000 & ~0x1FF)
-        tlb.fill(entry(vpn=0x123, asid=3, vmid=1))
-        return tlb
-
-    d1, d2 = build().dump(), build().dump()
-    assert d1 == d2
-    assert "slot 2: leaf=2 ACTIVE" in d1
-    assert "vpn=0x0000123" in d1
-    assert "cur_part=0xffff" in d1
