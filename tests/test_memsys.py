@@ -136,6 +136,48 @@ def test_cold_two_stage_miss_prices_fifteen_fetches():
     assert again.total_cycles == 2
 
 
+def test_every_event_is_priced_from_the_latency_config():
+    """Distinct non-default prices, so a component priced from the wrong
+    entry (or from a default) shows up as a wrong number."""
+    mem = Memory([(TABLE_BASE, 1 << 20), (DATA_BASE, 1 << 20)])
+    latency = LatencyConfig(tlb_hit_cycles=2, cache_hit_cycles=3, spm_cycles=5, memory_cycles=50)
+    sys_ = MemorySystem.build(memory=mem, latency=latency, dspm_base=DSPM_BASE)
+    vm = single_stage_vm()
+    sys_.dcache.configure_way(0, MODE_SPM)
+    way_bytes = sys_.dcache.way_bytes
+    # Lock slots: a RAM frame, the converted way 0 and the unconverted way 1.
+    for slot, (vaddr, paddr) in enumerate(
+        ((0x70_0000, DATA_BASE + 0x8_0000), (0x71_0000, DSPM_BASE), (0x72_0000, DSPM_BASE + way_bytes))
+    ):
+        sys_.dtlb.program_lock_slot(slot, "vpn", vpn=vaddr >> 12, page_size=SIZE_4K)
+        sys_.dtlb.program_lock_slot(slot, "pte", pte=make_pte(paddr >> 12, RW | PTE_V))
+        sys_.dtlb.program_lock_slot(slot, "id", asid=vm.asid, vmid=vm.vmid)
+
+    def cycles(vaddr, kind="read", value=None, on=vm):
+        out = sys_.virtual_access(vaddr, kind, on, value=value)
+        parts = (out.translation_cycles, out.walk_cycles, out.cache_cycles)
+        assert out.total_cycles == sum(parts)
+        return parts, out.cache_event
+
+    # A cold walk: three PTE fetches and the data line all miss.
+    assert cycles(VBASE) == ((2, 150, 50), "miss")
+    # Main-array TLB hit; the same line hits, another line misses.
+    assert cycles(VBASE + 8) == ((2, 0, 3), "hit")
+    assert cycles(VBASE + 0x100) == ((2, 0, 50), "miss")
+    # The same walk remembered after a flush: its PTE lines now hit.
+    sys_.dtlb.flush()
+    assert cycles(VBASE + 8) == ((2, 9, 3), "hit")
+    # A lock-slot hit never walks; its data line is cold, then warm.
+    assert cycles(0x70_0000) == ((2, 0, 50), "miss")
+    assert cycles(0x70_0000) == ((2, 0, 3), "hit")
+    # Scratchpad and misconfigured-window accesses both cost spm_cycles.
+    assert cycles(0x71_0008, "write", 7) == ((2, 0, 5), "spm")
+    assert cycles(0x72_0008) == ((2, 0, 5), "spm-misconfig")
+    # Two stages: fifteen cold fetches, then the data line.
+    nested, vaddr = scattered_two_stage()
+    assert cycles(vaddr, on=nested) == ((2, 15 * 50, 50), "miss")
+
+
 def test_walk_fetches_are_priced_through_the_data_cache():
     sys_ = build_system()
     vm = single_stage_vm()
