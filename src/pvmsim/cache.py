@@ -26,8 +26,11 @@ so for an address inside the window:
 Only ways currently in SPM mode respond with real storage.  Hitting the
 window slice of a way that is still in CACHE mode is a software
 misconfiguration: writes are silently dropped and reads return dummy
-zeros, both at the normal SPM latency so the pipeline never stalls on
-the mistake.
+zeros, reported as their own event so the pipeline can price them like
+any SPM access and never stall on the mistake.
+
+An access reports its event (hit, miss, spm, spm-misconfig) and the
+value read; memsys.MemorySystem turns events into cycles.
 
 All accesses are modeled at 64-bit word granularity, which is the unit
 everything else in the simulator uses (page-table entries, workload
@@ -43,7 +46,7 @@ plru.py); SPM ways are one cache-wide locked-ways mask that selects the
 victim table.  ``snapshot``/``restore`` copy this state wholesale.
 """
 
-from .plru import _is_pow2, touch_masks, victim_table
+from .plru import _is_pow2, check_tree, touch_masks, victim_table
 
 WORD_BYTES = 8
 _WORD_MASK = (1 << 64) - 1
@@ -56,6 +59,17 @@ EVENT_HIT = "hit"
 EVENT_MISS = "miss"
 EVENT_SPM = "spm"
 EVENT_SPM_MISCONFIG = "spm-misconfig"
+
+
+def check_geometry(ways, sets, line_bytes, sets_name="sets"):
+    """Raise ValueError unless a Cache of this shape can be built (each
+    set is a tree-PLRU over its ways)."""
+    check_tree(ways, 1, "ways")
+    for label, n in ((sets_name, sets), ("line_bytes", line_bytes)):
+        if not _is_pow2(n):
+            raise ValueError("%s must be a power of two, got %r" % (label, n))
+    if line_bytes < WORD_BYTES:
+        raise ValueError("line_bytes must be at least %d, got %r" % (WORD_BYTES, line_bytes))
 
 
 class UnmappedAddress(ValueError):
@@ -133,28 +147,17 @@ class Memory:
 
 
 class AccessResult:
-    """Outcome of one cache access.
+    """Outcome of one cache access: its event and the value read (None for
+    a write; a misconfigured-window read returns a dummy 0)."""
 
-    result is "data" when real storage was read or written, "dummy" for a
-    read serviced with fabricated zeros, and "dropped" for a write that
-    went nowhere (both of the latter only on SPM-window misconfiguration).
-    """
+    __slots__ = ("event", "value")
 
-    __slots__ = ("latency", "event", "result", "value")
-
-    def __init__(self, latency, event, result, value):
-        self.latency = latency
+    def __init__(self, event, value):
         self.event = event
-        self.result = result
         self.value = value
 
     def __repr__(self):
-        return "AccessResult(latency=%d, event=%r, result=%r, value=%r)" % (
-            self.latency,
-            self.event,
-            self.result,
-            self.value,
-        )
+        return "AccessResult(event=%r, value=%r)" % (self.event, self.value)
 
 
 def _stats_zero():
@@ -173,10 +176,7 @@ class Cache:
     """One L1 instruction or data cache with hybrid SPM support.
 
     The same object serves both personalities; instruction caches simply
-    receive kind="ifetch" accesses and never see writes.  Latencies are
-    flat per event class: hit_cycles on a tag match, miss_cycles for
-    anything that goes to backing memory (refill, fill-drop), spm_cycles
-    for everything decoded through the SPM window.
+    receive kind="ifetch" accesses and never see writes.
     """
 
     def __init__(
@@ -186,16 +186,9 @@ class Cache:
         ways=8,
         sets=256,
         line_bytes=16,
-        hit_cycles=1,
-        miss_cycles=40,
-        spm_cycles=1,
         spm_base=None,
     ):
-        for label, n in (("ways", ways), ("sets", sets), ("line_bytes", line_bytes)):
-            if not _is_pow2(n):
-                raise ValueError("%s must be a power of two, got %r" % (label, n))
-        if line_bytes < WORD_BYTES:
-            raise ValueError("line_bytes must be at least %d" % WORD_BYTES)
+        check_geometry(ways, sets, line_bytes)
         self.memory = memory
         self.ways = ways
         self.sets = sets
@@ -203,9 +196,6 @@ class Cache:
         self.way_bytes = sets * line_bytes
         self.size = ways * self.way_bytes
         self.words_per_line = line_bytes // WORD_BYTES
-        self.hit_cycles = hit_cycles
-        self.miss_cycles = miss_cycles
-        self.spm_cycles = spm_cycles
         if spm_base is not None:
             if spm_base % self.size:
                 raise ValueError(
@@ -234,9 +224,6 @@ class Cache:
     def _set_locked(self, locked):
         self._locked = locked
         self._victims = victim_table(self.ways, self._all_ways_mask & ~locked)
-
-    def spm_ways(self):
-        return tuple(w for w in range(self.ways) if self.modes[w] == MODE_SPM)
 
     def configure_way(self, way, mode):
         """Switch one way between CACHE and SPM mode.
@@ -303,15 +290,13 @@ class Cache:
             # The window slice exists but its way was never converted:
             # behave like a black hole instead of stalling the core.
             self.stats["spm_misconfigs"] += 1
-            if kind == "write":
-                return AccessResult(self.spm_cycles, EVENT_SPM_MISCONFIG, "dropped", None)
-            return AccessResult(self.spm_cycles, EVENT_SPM_MISCONFIG, "dummy", 0)
+            return AccessResult(EVENT_SPM_MISCONFIG, None if kind == "write" else 0)
         self.stats["spm_accesses"] += 1
         idx = (set_idx * self.ways + way) * self.words_per_line + word
         if kind == "write":
             self._data[idx] = value & _WORD_MASK
-            return AccessResult(self.spm_cycles, EVENT_SPM, "data", None)
-        return AccessResult(self.spm_cycles, EVENT_SPM, "data", self._data[idx])
+            return AccessResult(EVENT_SPM, None)
+        return AccessResult(EVENT_SPM, self._data[idx])
 
     def _cached_access(self, paddr, kind, value):
         line = paddr >> self._line_shift
@@ -331,10 +316,10 @@ class Cache:
             if kind == "write":
                 self._data[idx] = value & _WORD_MASK
                 self._dirty[set_idx] |= 1 << way
-                return AccessResult(self.hit_cycles, EVENT_HIT, "data", None)
-            return AccessResult(self.hit_cycles, EVENT_HIT, "data", self._data[idx])
+                return AccessResult(EVENT_HIT, None)
+            return AccessResult(EVENT_HIT, self._data[idx])
         # Miss. Whatever happens next involves backing memory, so the
-        # mapping check comes first and the whole event costs miss_cycles.
+        # mapping check comes first.
         stats["misses"] += 1
         line_base = line << self._line_shift
         memory = self.memory
@@ -347,8 +332,8 @@ class Cache:
             stats["fill_drops"] += 1
             if kind == "write":
                 memory.write_word(paddr, value)
-                return AccessResult(self.miss_cycles, EVENT_MISS, "data", None)
-            return AccessResult(self.miss_cycles, EVENT_MISS, "data", memory.read_word(paddr))
+                return AccessResult(EVENT_MISS, None)
+            return AccessResult(EVENT_MISS, memory.read_word(paddr))
         self._plru[set_idx] = bits & self._and[victim] | self._or[victim]
         slot = base + victim
         bit = 1 << victim
@@ -362,9 +347,9 @@ class Cache:
         if kind == "write":
             self._data[start + word] = value & _WORD_MASK
             self._dirty[set_idx] |= bit
-            return AccessResult(self.miss_cycles, EVENT_MISS, "data", None)
+            return AccessResult(EVENT_MISS, None)
         self._dirty[set_idx] &= ~bit
-        return AccessResult(self.miss_cycles, EVENT_MISS, "data", self._data[start + word])
+        return AccessResult(EVENT_MISS, self._data[start + word])
 
     def _write_back(self, set_idx, way):
         slot = set_idx * self.ways + way
@@ -425,7 +410,7 @@ class Cache:
         return None
 
     def spm_word(self, way, set_idx, word):
-        """Directly read one SPM storage word (testing aid, no latency)."""
+        """Directly read one SPM storage word (testing aid, not an access)."""
         if self.modes[way] != MODE_SPM:
             raise ValueError("way %d is not in SPM mode" % way)
         return self._data[(set_idx * self.ways + way) * self.words_per_line + word]

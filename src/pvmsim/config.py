@@ -133,7 +133,6 @@ class ExperimentConfig:
 
     name: str
     seed: int
-    iterations: int
     scenario_names: tuple
     scenarios: dict  # name -> ScenarioDef
     text: str  # the raw configuration, hashed into result bundles
@@ -418,7 +417,6 @@ def load_experiment(path=None, *, text=None, seed=None, iterations=None):
     return ExperimentConfig(
         name=name,
         seed=run_seed,
-        iterations=run_iters,
         scenario_names=tuple(order),
         scenarios={n: scenarios[n] for n in order},
         text=text,

@@ -35,7 +35,7 @@ import hashlib
 import random
 from dataclasses import dataclass, field
 
-from .cache import MODE_SPM, Memory
+from .cache import MODE_SPM, Memory, check_geometry as check_cache_geometry
 from .memsys import LatencyConfig, MemorySystem
 from .sv39 import (
     PAGE_SHIFT,
@@ -48,6 +48,7 @@ from .sv39 import (
     SIZE_4K,
     make_pte,
 )
+from .tlb import check_geometry as check_tlb_geometry, check_mask
 from .walker import AddressSpace
 from .workload import InterferenceLoop, Region, Workload, run_interference, run_regions
 
@@ -168,6 +169,14 @@ class ScenarioDef:
         object.__setattr__(self, "vms", tuple(self.vms))
         if self.iterations < 0:
             raise ValueError("iterations must be >= 0")
+        # The machine's own rules, checked here so that a scenario that
+        # cannot be built fails at load time, not in its first iteration.
+        check_tlb_geometry(self.tlb_entries, self.tlb_partitions, self.lock_slots)
+        for sets_name in ("icache_sets", "dcache_sets"):
+            check_cache_geometry(self.ways, getattr(self, sets_name), self.line_bytes, sets_name)
+        check_mask(self.hyp.partition_mask, self.tlb_partitions, "hypervisor mask")
+        for vm in self.vms:
+            check_mask(vm.partition_mask, self.tlb_partitions, "vm %r mask" % vm.name)
         if not 0 <= self.spm_ways <= self.ways:
             raise ValueError("spm_ways must lie in [0, ways]")
         measured = [vm for vm in self.vms if isinstance(vm.workload, Workload)]

@@ -13,29 +13,35 @@ One MemorySystem models the memory side of a single hart::
                    \\                             /
                     '----- shared backing memory
 
-Every access is decomposed into three cycle components:
+This is the only module that knows a price.  TLB lookups, cache
+accesses and walks report what happened; one table built from
+LatencyConfig turns those events into cycles:
 
-  translation  -- the TLB lookup itself (charged on hits and misses alike)
-  walk         -- the summed cost of all PTE fetches (zero on a TLB hit)
-  cache        -- the final physical access through the I- or D-side array
+  every TLB lookup      -> tlb_hit_cycles (hit, miss or fault)
+  cache hit             -> cache_hit_cycles
+  cache miss            -> memory_cycles plus jitter
+  spm, spm-misconfig    -> spm_cycles
 
-A TLB miss walks the page tables only the first time a 4 KiB page
-misses: the walk result and its PTE-fetch list depend only on the page
-tables and the page, so later misses replay the remembered fetch list
-through the D-cache in the same order, which prices them exactly as a
-fresh walk would.  A change to either stage's tables (seen through
-AddressSpace.version) forgets what was remembered for that pair.
+An access's cycles split into translation (its TLB lookup), walk (its
+PTE fetches, each one a D-cache read; zero on a TLB hit) and cache (the
+final physical access through the I- or D-side array).
 
-The optional jitter models memory-controller noise: every access that
-actually reaches backing memory (a cache miss or fill-drop) pays
-memory_cycles plus a uniform draw from [-j, +j].  Hits, SPM accesses and
-lock-slot translations never consult the generator, so a fully locked,
-SPM-resident access path stays cycle-constant even with jitter enabled.
+Each 4 KiB page is walked once: the walk and its PTE-fetch list depend
+only on the page tables and the page, so every TLB miss on the page
+prices the remembered fetch list through the D-cache, in order.  A
+change to either stage's tables (seen through AddressSpace.version)
+forgets what was remembered for that pair.
+
+The optional jitter models memory-controller noise: a miss (a refill or
+a fill-drop, the only events that reach backing memory) adds a uniform
+draw from [-j, +j].  Hits, SPM accesses and lock-slot translations never
+consult the generator, so a fully locked, SPM-resident access path stays
+cycle-constant even with jitter enabled.
 """
 
 from dataclasses import dataclass, fields
 
-from .cache import EVENT_MISS, Cache, Memory
+from .cache import EVENT_HIT, EVENT_MISS, EVENT_SPM, EVENT_SPM_MISCONFIG, Cache, Memory
 from .sv39 import PAGE_SHIFT, PAGE_SIZE, PTE_G
 from .tlb import PartitionCsrFile, Tlb, TlbEntry
 from .walker import walk_single, walk_two_stage
@@ -69,10 +75,9 @@ class LatencyConfig:
 
 @dataclass
 class MemAccessOutcome:
-    """One access, fully accounted.  total_cycles is always the sum of the
-    three components; faults simply leave the later components at zero."""
+    """One access, fully accounted.  total_cycles is the sum of the three
+    components; faults simply leave the later components at zero."""
 
-    total_cycles: int = 0
     translation_cycles: int = 0
     walk_cycles: int = 0
     cache_cycles: int = 0
@@ -89,9 +94,9 @@ class MemAccessOutcome:
     def ok(self):
         return self.fault is None
 
-    def _finalize(self):
-        self.total_cycles = self.translation_cycles + self.walk_cycles + self.cache_cycles
-        return self
+    @property
+    def total_cycles(self):
+        return self.translation_cycles + self.walk_cycles + self.cache_cycles
 
 
 class MemorySystem:
@@ -112,6 +117,14 @@ class MemorySystem:
         self.icache = icache
         self.dcache = dcache
         self.rng = rng
+        lat = self.latency
+        # Cache event -> cycles; a miss also pays a jitter draw.
+        self._price = {
+            EVENT_HIT: lat.cache_hit_cycles,
+            EVENT_MISS: lat.memory_cycles,
+            EVENT_SPM: lat.spm_cycles,
+            EVENT_SPM_MISCONFIG: lat.spm_cycles,
+        }
         # (guest, host) -> ((guest.version, host.version), {page: WalkResult})
         self._walks = {}
 
@@ -132,32 +145,19 @@ class MemorySystem:
         dspm_base=None,
         rng=None,
     ):
-        """Convenience constructor wiring shared CSR file, memory and prices."""
-        latency = (latency or LatencyConfig()).validate()
+        """Convenience constructor wiring the shared CSR file and memory."""
         if memory is None:
             memory = Memory()
         csr = PartitionCsrFile(partition_count)
 
         def make_tlb():
             return Tlb(
-                csr,
-                entries=tlb_entries,
-                partition_count=partition_count,
-                lock_slots=lock_slots,
-                hit_cycles=latency.tlb_hit_cycles,
+                csr, entries=tlb_entries, partition_count=partition_count, lock_slots=lock_slots
             )
 
         def make_cache(sets, base):
-            return Cache(
-                memory,
-                ways=ways,
-                sets=sets,
-                line_bytes=line_bytes,
-                hit_cycles=latency.cache_hit_cycles,
-                miss_cycles=latency.memory_cycles,
-                spm_cycles=latency.spm_cycles,
-                spm_base=base,
-            )
+            return Cache(memory, ways=ways, sets=sets, line_bytes=line_bytes, spm_base=base)
+
         return cls(
             itlb=make_tlb(),
             dtlb=make_tlb(),
@@ -178,28 +178,19 @@ class MemorySystem:
 
     # -- pricing helpers ------------------------------------------------------
 
-    def _memory_noise(self):
-        j = self.latency.jitter
-        if not j:
-            return 0
-        return self.rng.randint(-j, j)
-
     def _priced_access(self, cache, paddr, kind, value=None):
-        """Cache access plus the jitter surcharge for real memory trips."""
+        """(AccessResult, cycles) of one cache access; only a miss, a real
+        memory trip, draws jitter."""
         res = cache.access(paddr, kind, value)
-        latency = res.latency
-        if res.event == EVENT_MISS:
-            latency += self._memory_noise()
-        return res, latency
-
-    def _walk_fetch(self, paddr):
-        _, latency = self._priced_access(self.dcache, paddr, "read")
-        return latency
+        cycles = self._price[res.event]
+        j = self.latency.jitter
+        if j and res.event == EVENT_MISS:
+            cycles += self.rng.randint(-j, j)
+        return res, cycles
 
     def _walk(self, vm, vaddr):
         """(walk, cycles) for vaddr's page.  The returned WalkResult is the
-        page's first walk: use its fields, not its cycles or its paddr's
-        page offset."""
+        page's first walk: use its fields, not its paddr's page offset."""
         guest, host = vm.guest_space, vm.host_space
         versions = (guest.version, None if host is None else host.version)
         known = self._walks.get((guest, host))
@@ -210,15 +201,12 @@ class MemorySystem:
         walk = pages.get(page)
         if walk is None:
             if host is None:
-                walk = walk_single(guest, vaddr, self._walk_fetch)
+                walk = pages[page] = walk_single(guest, vaddr)
             else:
-                walk = walk_two_stage(guest, host, vaddr, self._walk_fetch)
-            pages[page] = walk
-            return walk, walk.cycles
-        fetch = self._walk_fetch
+                walk = pages[page] = walk_two_stage(guest, host, vaddr)
         cycles = 0
         for paddr in walk.accesses:
-            cycles += fetch(paddr)
+            cycles += self._priced_access(self.dcache, paddr, "read")[1]
         return walk, cycles
 
     # -- the pipeline -----------------------------------------------------------
@@ -230,10 +218,10 @@ class MemorySystem:
         tlb = self.itlb if kind == "ifetch" else self.dtlb
         out = MemAccessOutcome()
         look = tlb.lookup(vaddr, vm.asid, vm.vmid)
-        out.translation_cycles = look.cycles
+        out.translation_cycles = self.latency.tlb_hit_cycles
         if look.status == "fault":
             out.fault = "non-canonical"
-            return out._finalize()
+            return out
         if look.hit:
             out.tlb_hit = True
             out.lock_hit = look.lock_hit
@@ -244,7 +232,7 @@ class MemorySystem:
             if not walk.ok:
                 out.fault = walk.fault
                 out.fault_stage = walk.fault_stage
-                return out._finalize()
+                return out
             paddr = walk.paddr & ~(PAGE_SIZE - 1) | vaddr & (PAGE_SIZE - 1)
             tlb.fill(
                 TlbEntry(
@@ -262,7 +250,7 @@ class MemorySystem:
         out.cache_event = res.event
         out.value = res.value
         out.paddr = paddr
-        return out._finalize()
+        return out
 
     # -- bookkeeping ---------------------------------------------------------
 

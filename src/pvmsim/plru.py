@@ -54,6 +54,17 @@ def _is_pow2(n):
     return n >= 1 and (n & (n - 1)) == 0
 
 
+def check_tree(leaf_count, partition_count, leaves="leaf_count", parts="partition_count"):
+    """Raise ValueError unless a tree of this shape can be built; `leaves`
+    and `parts` name the two numbers in the message."""
+    if leaf_count < 2 or not _is_pow2(leaf_count):
+        raise ValueError("%s must be a power of two >= 2, got %r" % (leaves, leaf_count))
+    if not _is_pow2(partition_count) or partition_count > leaf_count:
+        raise ValueError(
+            "%s must be a power of two <= %s, got %r" % (parts, leaves, partition_count)
+        )
+
+
 # Geometry tables depend only on (leaf_count, partition_count); they are
 # shared across instances so that building many small trees (one per cache
 # set) stays cheap.  The expansion cache memoizes a pure function.
@@ -92,12 +103,7 @@ class PlruTree:
     )
 
     def __init__(self, leaf_count, partition_count=1):
-        if leaf_count < 2 or not _is_pow2(leaf_count):
-            raise ValueError("leaf_count must be a power of two >= 2, got %r" % (leaf_count,))
-        if not _is_pow2(partition_count) or partition_count > leaf_count:
-            raise ValueError(
-                "partition_count must be a power of two <= leaf_count, got %r" % (partition_count,)
-            )
+        check_tree(leaf_count, partition_count)
         self.leaf_count = leaf_count
         self.partition_count = partition_count
         self.node_bits = [0] * (leaf_count - 1)

@@ -22,11 +22,14 @@ Fills pick their victim under the CUR_PART mask; if the mask enables no
 replaceable leaf the fill is dropped (the translation is still handed
 to the consumer, just not cached).  Partitioning constrains replacement
 only -- lookups hit entries of disabled partitions just fine.
+
+A lookup reports what it found, not what it cost: memsys.MemorySystem
+prices every lookup at LatencyConfig.tlb_hit_cycles.
 """
 
 from dataclasses import dataclass, replace
 
-from .plru import PlruTree
+from .plru import PlruTree, check_tree
 from .sv39 import (
     PAGE_SHIFT,
     PAGE_SIZES,
@@ -66,7 +69,6 @@ class TlbEntry:
 @dataclass
 class LookupResult:
     status: str  # "hit" | "miss" | "fault"
-    cycles: int
     paddr: int = 0
     page_size: int = 0
     pte: int = 0
@@ -106,6 +108,19 @@ class LockSlot:
         return (pte_ppn(self.pte) << PAGE_SHIFT) | (vaddr & (self.page_size - 1))
 
 
+def check_geometry(entries, partition_count, lock_slots):
+    """Raise ValueError unless a Tlb of this shape can be built."""
+    check_tree(entries, partition_count, "entries", "partitions")
+    if not 0 <= lock_slots <= entries:
+        raise ValueError("lock_slots must lie in [0, entries], got %r" % (lock_slots,))
+
+
+def check_mask(value, width, what="mask"):
+    """Raise ValueError unless `value` fits a partition mask of `width` bits."""
+    if not 0 <= value < (1 << width):
+        raise ValueError("%s 0x%x wider than %d partitions" % (what, value, width))
+
+
 class PartitionCsrFile:
     """The CUR_PART / LAST_PART pair; width equals the partition count."""
 
@@ -115,17 +130,13 @@ class PartitionCsrFile:
         self.cur_part = full  # boot default: everything replaceable
         self.last_part = full
 
-    def _check(self, value):
-        if not 0 <= value < (1 << self.width):
-            raise ValueError("mask 0x%x wider than %d partitions" % (value, self.width))
-
     def write_cur_part(self, value):
-        self._check(value)
+        check_mask(value, self.width)
         self.last_part = self.cur_part
         self.cur_part = value
 
     def write_last_part(self, value):
-        self._check(value)
+        check_mask(value, self.width)
         self.last_part = value
 
     def write_restore_last_part(self, word):
@@ -134,10 +145,11 @@ class PartitionCsrFile:
 
 
 class Tlb:
-    def __init__(self, csr, entries=16, partition_count=16, lock_slots=8, hit_cycles=1):
+    def __init__(self, csr, entries=16, partition_count=16, lock_slots=8):
         if csr.width != partition_count:
             raise ValueError("partition CSR width %d != partition count %d"
                              % (csr.width, partition_count))
+        check_geometry(entries, partition_count, lock_slots)
         self.csr = csr
         self.tree = PlruTree(entries, partition_count)
         self.entries = [
@@ -146,7 +158,6 @@ class Tlb:
         ]
         # Default placement: slot j shadows leaf j; steerable while inactive.
         self.slots = [LockSlot(target_leaf=j) for j in range(lock_slots)]
-        self.hit_cycles = hit_cycles
         self.hits = 0
         self.misses = 0
         self.lock_hits = 0
@@ -157,7 +168,7 @@ class Tlb:
 
     def lookup(self, vaddr, asid, vmid):
         if not is_canonical(vaddr):
-            return LookupResult(status="fault", cycles=self.hit_cycles)
+            return LookupResult(status="fault")
         # A slot or entry matches on vmid, on asid unless it is global, and
         # on the page number with the bits below its page size cleared
         # (vpn & -span for a page of span base pages).
@@ -175,7 +186,7 @@ class Tlb:
                 self.lock_hits += 1
                 self.hits += 1
                 return LookupResult(
-                    status="hit", cycles=self.hit_cycles, paddr=slot.paddr_for(vaddr),
+                    status="hit", paddr=slot.paddr_for(vaddr),
                     page_size=slot.page_size, pte=slot.pte, lock_hit=True,
                 )
         for leaf, entry in enumerate(self.entries):
@@ -188,11 +199,11 @@ class Tlb:
                 self.tree.touch(leaf)
                 self.hits += 1
                 return LookupResult(
-                    status="hit", cycles=self.hit_cycles, paddr=entry.paddr_for(vaddr),
+                    status="hit", paddr=entry.paddr_for(vaddr),
                     page_size=entry.page_size, pte=entry.pte,
                 )
         self.misses += 1
-        return LookupResult(status="miss", cycles=self.hit_cycles)
+        return LookupResult(status="miss")
 
     def fill(self, entry):
         """Install a walked translation; returns the leaf used, or None when

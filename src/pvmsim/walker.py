@@ -1,10 +1,9 @@
 """SV39 single-stage and SV39x4 two-stage page-table walking.
 
-The walker is policy-free: every PTE fetch is announced through a
-caller-provided callback that receives the host-physical address of the
-fetch and returns the latency it cost (the memory system routes these
-through the data cache).  Walk results therefore carry both the decoded
-translation and the full priced fetch trace.
+The walker is pure: it reads the page tables and returns the decoded
+translation together with the host-physical address of every PTE fetch,
+in order.  Pricing those fetches (through the data cache) is the memory
+system's job.
 
 Two-stage walks translate EVERY guest-physical access through a full
 host walk -- each guest PTE address and the final guest-physical
@@ -57,7 +56,6 @@ class WalkResult:
     pte: int = 0  # leaf PTE carrying the final frame + merged flags
     paddr: int = 0  # host-physical address of the walked vaddr
     accesses: list = field(default_factory=list)  # PTE fetch addresses, in order
-    cycles: int = 0  # sum of the callback-reported fetch latencies
 
     @property
     def ok(self):
@@ -168,9 +166,9 @@ def _check_leaf(pte, level, vaddr):
     return None, (vpn, page_size, paddr)
 
 
-def walk_single(space, vaddr, fetch):
-    """Standard three-level radix walk.  `fetch(paddr) -> latency` is called
-    exactly once per PTE fetch, in root-to-leaf order."""
+def walk_single(space, vaddr):
+    """Standard three-level radix walk; the PTE fetches are recorded in
+    root-to-leaf order."""
     if not space.check_addr(vaddr):
         raise ValueError("address 0x%x violates the space's addressing rules" % vaddr)
     result = WalkResult()
@@ -178,7 +176,6 @@ def walk_single(space, vaddr, fetch):
     for level in (2, 1, 0):
         idx = vpn_index(vaddr, level)
         result.accesses.append((table_ppn << PAGE_SHIFT) + idx * 8)
-        result.cycles += fetch(result.accesses[-1])
         pte = space.pte_at(table_ppn, idx)
         if not pte & PTE_V:
             result.fault = "invalid"
@@ -203,7 +200,7 @@ def _merge_flags(guest_flags, host_flags):
     return PTE_V | both | (guest_flags & (PTE_U | PTE_G))
 
 
-def walk_two_stage(guest, host, gvaddr, fetch):
+def walk_two_stage(guest, host, gvaddr):
     """SV39x4-style nested walk: the guest walk where every guest-physical
     access (guest PTE addresses and the final translated address) is first
     translated by a full host walk.  The access list interleaves host-walk
@@ -213,9 +210,8 @@ def walk_two_stage(guest, host, gvaddr, fetch):
     result = WalkResult()
 
     def nested(gpa):
-        sub = walk_single(host, gpa, fetch)
+        sub = walk_single(host, gpa)
         result.accesses.extend(sub.accesses)
-        result.cycles += sub.cycles
         if sub.fault:
             result.fault = sub.fault
             result.fault_stage = "host"
@@ -230,7 +226,6 @@ def walk_two_stage(guest, host, gvaddr, fetch):
         if sub is None:
             return result
         result.accesses.append(sub.paddr)  # the guest PTE fetch itself
-        result.cycles += fetch(sub.paddr)
         pte = guest.pte_at(table_gppn, idx)
         if not pte & PTE_V:
             result.fault, result.fault_stage = "invalid", "guest"

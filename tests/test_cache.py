@@ -93,8 +93,8 @@ def test_cold_read_misses_then_hits():
     mem.write_word(RAM_BASE + 0x40, 0xDEAD)
     first = cache.access(RAM_BASE + 0x40, "read")
     second = cache.access(RAM_BASE + 0x40, "read")
-    assert (first.event, first.value, first.latency) == (EVENT_MISS, 0xDEAD, cache.miss_cycles)
-    assert (second.event, second.value, second.latency) == (EVENT_HIT, 0xDEAD, cache.hit_cycles)
+    assert (first.event, first.value) == (EVENT_MISS, 0xDEAD)
+    assert (second.event, second.value) == (EVENT_HIT, 0xDEAD)
     assert cache.stats["misses"] == 1 and cache.stats["hits"] == 1
 
 
@@ -193,14 +193,9 @@ def test_spm_write_read_round_trip():
     cache.configure_way(1, MODE_SPM)
     addr = SPM_BASE + 1 * cache.way_bytes + 0x28
     res = cache.access(addr, "write", value=0xAB)
-    assert (res.event, res.result, res.latency) == (EVENT_SPM, "data", cache.spm_cycles)
+    assert (res.event, res.value) == (EVENT_SPM, None)
     res = cache.access(addr, "read")
-    assert (res.event, res.result, res.value, res.latency) == (
-        EVENT_SPM,
-        "data",
-        0xAB,
-        cache.spm_cycles,
-    )
+    assert (res.event, res.value) == (EVENT_SPM, 0xAB)
 
 
 def test_misconfigured_window_slice_drops_writes_and_reads_dummy():
@@ -209,18 +204,8 @@ def test_misconfigured_window_slice_drops_writes_and_reads_dummy():
     before = cache.tag_state()
     w = cache.access(SPM_BASE + 0x10, "write", value=0xAB)
     r = cache.access(SPM_BASE + 0x10, "read")
-    assert (w.event, w.result, w.value, w.latency) == (
-        EVENT_SPM_MISCONFIG,
-        "dropped",
-        None,
-        cache.spm_cycles,
-    )
-    assert (r.event, r.result, r.value, r.latency) == (
-        EVENT_SPM_MISCONFIG,
-        "dummy",
-        0,
-        cache.spm_cycles,
-    )
+    assert (w.event, w.value) == (EVENT_SPM_MISCONFIG, None)
+    assert (r.event, r.value) == (EVENT_SPM_MISCONFIG, 0)
     assert cache.tag_state() == before
     assert cache.stats["spm_misconfigs"] == 2
     assert cache.stats["spm_accesses"] == 0
@@ -291,7 +276,6 @@ def test_all_ways_spm_turns_every_cached_access_into_fill_drop():
     first = cache.access(RAM_BASE + 0x40, "read")
     second = cache.access(RAM_BASE + 0x40, "read")
     assert first.event == second.event == EVENT_MISS
-    assert first.latency == second.latency == cache.miss_cycles
     assert first.value == second.value == 9
     assert cache.probe(RAM_BASE + 0x40) is None
     assert cache.stats["fill_drops"] == 2
@@ -311,10 +295,10 @@ def test_way_and_mode_arguments_validated():
 # -- invariants under random traffic ---------------------------------------------
 
 
-def spm_snapshot(cache):
+def spm_snapshot(cache, ways):
     return [
         [cache.spm_word(w, s, i) for s in range(cache.sets) for i in range(cache.words_per_line)]
-        for w in cache.spm_ways()
+        for w in ways
     ]
 
 
@@ -326,14 +310,14 @@ def test_cached_traffic_never_disturbs_spm_data():
     for w in (0, 3):
         for off in range(0, cache.way_bytes, 8):
             cache.access(SPM_BASE + w * cache.way_bytes + off, "write", value=rng.getrandbits(32))
-    frozen = spm_snapshot(cache)
+    frozen = spm_snapshot(cache, (0, 3))
     for _ in range(3000):
         addr = RAM_BASE + rng.randrange(0, 64 * cache.line_bytes, 8)
         if rng.random() < 0.4:
             cache.access(addr, "write", value=rng.getrandbits(16))
         else:
             cache.access(addr, "read")
-    assert spm_snapshot(cache) == frozen
+    assert spm_snapshot(cache, (0, 3)) == frozen
 
 
 def test_spm_traffic_never_touches_cache_state_or_memory():
@@ -357,19 +341,23 @@ def test_spm_traffic_never_touches_cache_state_or_memory():
 
 
 def test_spm_latency_is_constant_whatever_the_history():
+    # The memory system prices an access by its event alone, so a window
+    # access must report the event of its way's mode, whatever came before.
     cache, _ = make_cache()
     cache.configure_way(1, MODE_SPM)
     rng = random.Random(43)
+
+    def want(addr):
+        return EVENT_SPM if (addr - SPM_BASE) // cache.way_bytes == 1 else EVENT_SPM_MISCONFIG
+
     for _ in range(2000):
         roll = rng.random()
         if roll < 0.4:
-            res = cache.access(SPM_BASE + rng.randrange(0, cache.size, 8), "read")
-            assert res.latency == cache.spm_cycles
+            addr = SPM_BASE + rng.randrange(0, cache.size, 8)
+            assert cache.access(addr, "read").event == want(addr)
         elif roll < 0.6:
-            res = cache.access(
-                SPM_BASE + rng.randrange(0, cache.size, 8), "write", value=rng.getrandbits(8)
-            )
-            assert res.latency == cache.spm_cycles
+            addr = SPM_BASE + rng.randrange(0, cache.size, 8)
+            assert cache.access(addr, "write", value=rng.getrandbits(8)).event == want(addr)
         elif roll < 0.8:
             cache.access(RAM_BASE + rng.randrange(0, 64 * cache.line_bytes, 8), "read")
         else:

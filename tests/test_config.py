@@ -88,7 +88,7 @@ class ParseShapeTest(unittest.TestCase):
         cfg = load()
         self.assertEqual(cfg.name, "unit")
         self.assertEqual(cfg.seed, 7)
-        self.assertEqual(cfg.iterations, 12)
+        self.assertEqual(cfg.scenarios["noisy"].iterations, 12)
         self.assertEqual(cfg.scenario_names, ("quiet", "noisy"))
         self.assertEqual(set(cfg.scenarios), {"quiet", "noisy"})
 
@@ -351,6 +351,36 @@ class RejectionTest(unittest.TestCase):
             BASE.replace("spm_ways = 0", "spm_ways = 9"),
             r"\[scenario.noisy\].*spm_ways",
         )
+
+    def test_machine_the_scenario_cannot_build(self):
+        # Each rule of Cache, PlruTree and PartitionCsrFile, at load time.
+        for old, new, pattern in (
+            ("ways = 8", "ways = 6", r"ways must be a power of two >= 2, got 6"),
+            ("ways = 8", "ways = 1", r"ways must be a power of two >= 2, got 1"),
+            ("icache_sets = 128", "icache_sets = 96", r"icache_sets must be a power of two"),
+            ("dcache_sets = 256", "dcache_sets = 0", r"dcache_sets must be a power of two"),
+            ("line_bytes = 16", "line_bytes = 24", r"line_bytes must be a power of two"),
+            ("line_bytes = 16", "line_bytes = 4", r"line_bytes must be at least 8"),
+            ("entries = 16", "entries = 12", r"entries must be a power of two >= 2, got 12"),
+            ("partitions = 16", "partitions = 32", r"partitions must be a power of two <= entries"),
+            ("partitions = 16", "partitions = 12", r"partitions must be a power of two <= entries"),
+            ("lock_slots = 8", "lock_slots = 17", r"lock_slots must lie in \[0, entries\], got 17"),
+            (
+                "entries = 16\npartitions = 16",
+                "entries = 4\npartitions = 4",
+                r"lock_slots must lie in \[0, entries\], got 8",
+            ),
+            (
+                "partitions = 16",
+                "partitions = 8",
+                r"hypervisor mask 0xffff wider than 8 partitions",
+            ),
+            ("mask = 0xfe00", "mask = 0x1fe00", r"vm 'intf' mask 0x1fe00 wider than 16 partitions"),
+        ):
+            with self.subTest(new=new):
+                text = BASE.replace(old, new)
+                self.assertNotEqual(text, BASE)
+                self.check(text, r"^\[scenario\.(quiet|noisy)\]: " + pattern)
 
     def test_duplicate_kv_in_region(self):
         self.check(

@@ -18,6 +18,7 @@ import pytest
 
 from pvmsim import hypervisor
 from pvmsim.cli import main as cli_main
+from pvmsim.cli import preset_text
 from pvmsim.config import load_experiment
 from pvmsim.harness import (
     build_bundle,
@@ -458,6 +459,33 @@ class CliTest(unittest.TestCase):
                 self.assertEqual(err.getvalue().count("\n"), 1)
                 self.assertTrue(err.getvalue().startswith("configuration error: scenario 'locked'"))
             self.assertEqual(os.listdir(d), ["overflow.ini"])  # nothing written
+
+    def test_unbuildable_machine_is_config_error_before_any_output(self):
+        preset = preset_text("synthetic-nospm")
+        with tempfile.TemporaryDirectory() as d:
+            cfg_path = os.path.join(d, "edited.ini")
+            for old, new in (
+                ("ways = 8", "ways = 6"),
+                ("entries = 16", "entries = 12"),
+                ("line_bytes = 16", "line_bytes = 4"),
+                ("partitions = 16", "partitions = 32"),
+                ("partitions = 16", "partitions = 8"),
+                ("entries = 16", "entries = 4"),
+            ):
+                with open(cfg_path, "w", encoding="utf-8") as handle:
+                    handle.write(preset.replace(old, new))
+                for workers in ("1", "2"):
+                    out, err = io.StringIO(), io.StringIO()
+                    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                        code = self.run_cli(["run", cfg_path, "--outdir", d, "--workers", workers])
+                    self.assertEqual(code, 2, new)
+                    self.assertEqual(out.getvalue(), "")
+                    self.assertEqual(err.getvalue().count("\n"), 1)
+                    self.assertTrue(
+                        err.getvalue().startswith("configuration error: [scenario.isolation]: "),
+                        err.getvalue(),
+                    )
+            self.assertEqual(os.listdir(d), ["edited.ini"])  # nothing written
 
     def test_repeated_scenario_is_config_error_before_any_output(self):
         with tempfile.TemporaryDirectory() as d:

@@ -146,9 +146,12 @@ def test_every_event_is_priced_from_the_latency_config():
     sys_.dcache.configure_way(0, MODE_SPM)
     way_bytes = sys_.dcache.way_bytes
     # Lock slots: a RAM frame, the converted way 0 and the unconverted way 1.
-    for slot, (vaddr, paddr) in enumerate(
-        ((0x70_0000, DATA_BASE + 0x8_0000), (0x71_0000, DSPM_BASE), (0x72_0000, DSPM_BASE + way_bytes))
-    ):
+    slots = (
+        (0x70_0000, DATA_BASE + 0x8_0000),
+        (0x71_0000, DSPM_BASE),
+        (0x72_0000, DSPM_BASE + way_bytes),
+    )
+    for slot, (vaddr, paddr) in enumerate(slots):
         sys_.dtlb.program_lock_slot(slot, "vpn", vpn=vaddr >> 12, page_size=SIZE_4K)
         sys_.dtlb.program_lock_slot(slot, "pte", pte=make_pte(paddr >> 12, RW | PTE_V))
         sys_.dtlb.program_lock_slot(slot, "id", asid=vm.asid, vmid=vm.vmid)

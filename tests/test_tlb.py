@@ -49,7 +49,7 @@ def test_fill_then_lookup_round_trip():
     tlb = make_tlb()
     tlb.fill(entry(vpn=0x80000, asid=1, vmid=2))
     res = tlb.lookup(0x80000 << 12, asid=1, vmid=2)
-    assert res.hit and res.cycles == 1
+    assert res.hit
     assert res.paddr == (0x40000 + 0x80000) << 12
 
 
