@@ -11,6 +11,12 @@ match the pin; at 4 iterations three workers fall below the harness's
 uneven split is pinned separately: 7 iterations over 3 workers run as the
 ranges [0, 3), [3, 6) and [6, 7).
 
+No preset primes in random order, and every preset has jitter, so the
+`prefix` section pins PREFIX_TEXT, a cut-down synthetic-nospm whose
+critical VM also primes an 8-page region in random order (a shuffle that
+draws from the workload stream and changes what the prime leaves behind),
+and its jitter = 0 twin, serially and with two workers.
+
 Regenerate (only when records are meant to change, and say so):
 
     PYTHONPATH=src python tests/test_golden.py
@@ -31,6 +37,75 @@ SEEDS = (1, 2)
 ITERATIONS = 4
 UNEVEN = {"iterations": 7, "seed": 1, "workers": 3}
 
+PREFIX_TEXT = """\
+[run]
+name = prefix-random
+iterations = 6
+seed = 1
+scenarios = isolation unmitigated
+
+[latency]
+memory = 40
+jitter = 3
+
+[tlb]
+entries = 16
+partitions = 16
+lock_slots = 8
+
+[cache]
+ways = 8
+icache_sets = 128
+dcache_sets = 256
+line_bytes = 16
+
+[hypervisor]
+mask = 0x0100
+quantum = 2000
+footprint_base = 0x00700000
+footprint_pages = 2
+footprint_stride = 2048
+
+[vm.crit]
+vmid = 1
+asid = 1
+mask = 0xffff
+role = measured
+region.data0 = base=0x000100000 pages=1 flags=rw
+region.data1 = base=0x040100000 pages=1 flags=rw
+region.data2 = base=0x080100000 pages=1 flags=rw
+region.data3 = base=0x0c0100000 pages=1 flags=rw
+region.data4 = base=0x100100000 pages=1 flags=rw
+region.data5 = base=0x140100000 pages=1 flags=rw
+region.data6 = base=0x180100000 pages=1 flags=rw
+region.data7 = base=0x1c0100000 pages=1 flags=rw
+region.code = base=0x000600000 pages=2 flags=rx
+region.bulk = base=0x000200000 pages=8 flags=rw
+prime = bulk stride=2048 order=random; data0 stride=2048; data1 stride=2048; data2 stride=2048; data3 stride=2048; data4 stride=2048; data5 stride=2048; data6 stride=2048; data7 stride=2048; code stride=512
+measure = data7 stride=2048; data6 stride=2048; data5 stride=2048; data4 stride=2048; data3 stride=2048; data2 stride=2048; data1 stride=2048; data0 stride=2048; code stride=512 order=reverse; bulk stride=2048
+
+[vm.intf]
+vmid = 2
+asid = 2
+mask = 0xffff
+role = interference
+region.pool = base=0x40080000 pages=64 flags=rw
+loop = pool stride=64 touches=2
+
+[scenario.isolation]
+vms = crit
+hyp_mask = 0xffff
+
+[scenario.unmitigated]
+vms = crit intf
+hyp_mask = 0xffff
+"""
+# variant -> configuration text; the twin differs only in its jitter bound.
+PREFIX_VARIANTS = {
+    "jitter": PREFIX_TEXT,
+    "no-jitter": PREFIX_TEXT.replace("jitter = 3", "jitter = 0"),
+}
+
 
 def records_digest(results):
     """SHA-256 over the sorted (scenario, index, cycles, tlb, cache) rows."""
@@ -50,6 +125,11 @@ def run_digest(preset, seed, workers, iterations=ITERATIONS):
     return records_digest(run_experiment(cfg, workers=workers))
 
 
+def prefix_digest(variant, workers):
+    cfg = load_experiment(text=PREFIX_VARIANTS[variant])
+    return records_digest(run_experiment(cfg, workers=workers))
+
+
 def load_golden():
     with open(GOLDEN_PATH, "r", encoding="utf-8") as handle:
         return json.load(handle)
@@ -63,6 +143,7 @@ def test_golden_file_covers_every_preset():
         assert sorted(golden["digests"][preset]) == [str(s) for s in SEEDS]
     assert {k: v for k, v in golden["uneven"].items() if k != "digests"} == UNEVEN
     assert sorted(golden["uneven"]["digests"]) == preset_names()
+    assert sorted(golden["prefix"]) == sorted(PREFIX_VARIANTS)
 
 
 @pytest.mark.parametrize("workers", (1, 2, 3))
@@ -79,6 +160,12 @@ def test_uneven_ranges_match_golden_digest(preset):
     assert run_digest(preset, UNEVEN["seed"], UNEVEN["workers"], UNEVEN["iterations"]) == expected
 
 
+@pytest.mark.parametrize("workers", (1, 2))
+@pytest.mark.parametrize("variant", sorted(PREFIX_VARIANTS))
+def test_random_order_prime_matches_golden_digest(variant, workers):
+    assert prefix_digest(variant, workers) == load_golden()["prefix"][variant]
+
+
 def main():
     digests = {
         preset: {str(seed): run_digest(preset, seed, 1) for seed in SEEDS}
@@ -91,10 +178,11 @@ def main():
             for preset in preset_names()
         },
     )
+    prefix = {variant: prefix_digest(variant, 1) for variant in PREFIX_VARIANTS}
     os.makedirs(os.path.dirname(GOLDEN_PATH), exist_ok=True)
     with open(GOLDEN_PATH, "w", encoding="utf-8") as handle:
         json.dump(
-            {"iterations": ITERATIONS, "digests": digests, "uneven": uneven},
+            {"iterations": ITERATIONS, "digests": digests, "uneven": uneven, "prefix": prefix},
             handle,
             indent=1,
             sort_keys=True,
