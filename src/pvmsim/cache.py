@@ -72,6 +72,18 @@ def check_geometry(ways, sets, line_bytes, sets_name="sets"):
         raise ValueError("line_bytes must be at least %d, got %r" % (WORD_BYTES, line_bytes))
 
 
+def check_spm_window(base, size, memory, name="SPM window"):
+    """Raise ValueError unless the scratchpad window of a `size`-byte data
+    array can sit at `base`: aligned to the array size, and outside every
+    region of `memory`."""
+    if base % size:
+        raise ValueError(
+            "%s base 0x%x must be aligned to the array size 0x%x" % (name, base, size)
+        )
+    if memory.contains(base) or memory.contains(base + size - 1):
+        raise ValueError("%s overlaps a backing-memory region" % name)
+
+
 class UnmappedAddress(ValueError):
     """An access targeted a physical address outside every modeled region."""
 
@@ -197,13 +209,7 @@ class Cache:
         self.size = ways * self.way_bytes
         self.words_per_line = line_bytes // WORD_BYTES
         if spm_base is not None:
-            if spm_base % self.size:
-                raise ValueError(
-                    "SPM window base 0x%x must be aligned to the array size 0x%x"
-                    % (spm_base, self.size)
-                )
-            if memory.contains(spm_base) or memory.contains(spm_base + self.size - 1):
-                raise ValueError("SPM window overlaps a backing-memory region")
+            check_spm_window(spm_base, self.size, memory)
         self.spm_base = spm_base
         self._line_shift = line_bytes.bit_length() - 1
         self._set_shift = sets.bit_length() - 1

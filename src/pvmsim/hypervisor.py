@@ -16,8 +16,19 @@ backing memory, CSRs at boot values -- and draws its random streams from
 iteration_seed(master, index, stream), so iteration i's record never
 depends on which worker executed it or what ran before it.  The immutable
 plan (page tables, physical layout, lock-chunk lists) is built once; the
-set-up machine is built once per plan, on its first iteration, and every
-iteration restores it in place from a snapshot taken right after set-up.
+machine is built once per plan, on its first iteration, and every later
+iteration restores it in place from the plan's one snapshot.
+
+Each iteration begins with a deterministic prefix: boot, the untimed
+prime and the first trap_enter.  Unless a prime region visits its pages
+in random order (drawn from the workload stream), the prefix leaves the
+same TLB, cache, CSR and memory state in every iteration; only the jitter
+stream differs, and it has moved by exactly one draw per cache miss the
+prefix took.  So the snapshot is taken after the prefix, together with
+that miss count k, and a later iteration restores it and advances its own
+jitter generator by k draws (MemorySystem.replay_jitter) instead of
+running the prefix again.  A plan with a random-order prime keeps the
+snapshot taken right after set-up and runs its prefix on every iteration.
 
 The trap choreography follows the partition CSR protocol: entering the
 handler overwrites CUR_PART with the hypervisor's constant mask (which
@@ -35,7 +46,7 @@ import hashlib
 import random
 from dataclasses import dataclass, field
 
-from .cache import MODE_SPM, Memory, check_geometry as check_cache_geometry
+from .cache import MODE_SPM, Memory, check_geometry as check_cache_geometry, check_spm_window
 from .memsys import LatencyConfig, MemorySystem
 from .sv39 import (
     PAGE_SHIFT,
@@ -56,6 +67,7 @@ from .workload import InterferenceLoop, Region, Workload, run_interference, run_
 # generous spacing costs nothing.
 RAM_BASE = 0x8000_0000
 RAM_SIZE = 0x1000_0000  # 256 MiB
+MEMORY_REGIONS = ((RAM_BASE, RAM_SIZE),)
 TABLE_STRIDE = 0x0020_0000  # 2 MiB of page-table headroom per address space
 FRAME_BASE = RAM_BASE + 0x0800_0000  # data frames grow from here
 DSPM_BASE = 0x1000_0000  # data-cache scratchpad window
@@ -172,8 +184,16 @@ class ScenarioDef:
         # The machine's own rules, checked here so that a scenario that
         # cannot be built fails at load time, not in its first iteration.
         check_tlb_geometry(self.tlb_entries, self.tlb_partitions, self.lock_slots)
-        for sets_name in ("icache_sets", "dcache_sets"):
-            check_cache_geometry(self.ways, getattr(self, sets_name), self.line_bytes, sets_name)
+        memory = Memory(MEMORY_REGIONS)
+        for sets_name, spm_base, side in (
+            ("icache_sets", ISPM_BASE, "instruction"),
+            ("dcache_sets", DSPM_BASE, "data"),
+        ):
+            sets = getattr(self, sets_name)
+            check_cache_geometry(self.ways, sets, self.line_bytes, sets_name)
+            check_spm_window(
+                spm_base, self.ways * sets * self.line_bytes, memory, "%s scratchpad window" % side
+            )
         check_mask(self.hyp.partition_mask, self.tlb_partitions, "hypervisor mask")
         for vm in self.vms:
             check_mask(vm.partition_mask, self.tlb_partitions, "vm %r mask" % vm.name)
@@ -233,8 +253,10 @@ class LockChunk:
 @dataclass
 class ScenarioPlan:
     """Shared, immutable-by-convention product of build_plan: page tables,
-    runtime VM contexts, lock chunks, and the memory region list.  machine
-    holds (MemorySystem, its post-set-up snapshot) once an iteration ran."""
+    runtime VM contexts, lock chunks, and the memory region list.  Once an
+    iteration ran, machine holds (MemorySystem, snapshot, k): the snapshot
+    after the prefix and the prefix's cache-miss count k, or, when the
+    prime has a random-order region, the post-set-up snapshot and None."""
 
     defn: "ScenarioDef"
     measured: VmContext
@@ -354,7 +376,7 @@ def build_plan(defn):
         interference=tuple(interference),
         hyp_context=hyp_context,
         lock_chunks=lock_chunks,
-        memory_regions=((RAM_BASE, RAM_SIZE),),
+        memory_regions=MEMORY_REGIONS,
     )
 
 
@@ -399,17 +421,38 @@ def setup_scenario(plan, sys):
             tlb.program_lock_slot(index, "id", asid=ctx.asid, vmid=ctx.vmid)
 
 
-def restore_machine(plan, jitter_rng):
-    """The plan's memory system in its post-setup_scenario state, ready for
-    one iteration.  Built and set up on the plan's first iteration (so
-    build_plan stays planning only), then restored in place from the
-    snapshot taken after set-up, which no iteration can reach."""
+def run_prefix(plan, sys, work_rng):
+    """An iteration's deterministic prefix: boot (the hypervisor owns the
+    core, then schedules the critical VM), the untimed prime, and the
+    first trap into the hypervisor."""
+    crit = plan.measured
+    sys.csr.write_cur_part(plan.hyp_context.partition_mask)
+    trap_exit(sys, crit)
+    run_regions(sys, crit, crit.workload.prime, work_rng)
+    trap_enter(plan, sys)
+
+
+def restore_machine(plan, jitter_rng, work_rng):
+    """The plan's memory system right after run_prefix, ready for the
+    iteration's first interference quantum.  Built and set up on the
+    plan's first iteration (so build_plan stays planning only), then
+    restored in place from the plan's snapshot, which no iteration can
+    reach.  See the module docstring for where that snapshot is taken."""
     if plan.machine is None:
         sys = build_system(plan.defn, plan.memory_regions, jitter_rng)
         setup_scenario(plan, sys)
-        plan.machine = (sys, sys.snapshot())
-    sys, pristine = plan.machine
-    sys.restore(pristine, jitter_rng)
+        if any(region.order == "random" for region in plan.measured.workload.prime):
+            plan.machine = (sys, sys.snapshot(), None)
+        else:
+            run_prefix(plan, sys, work_rng)
+            plan.machine = (sys, sys.snapshot(), sys.miss_counts()[1])
+            return sys
+    sys, state, misses = plan.machine
+    sys.restore(state, jitter_rng)
+    if misses is None:
+        run_prefix(plan, sys, work_rng)
+    else:
+        sys.replay_jitter(misses)
     return sys
 
 
@@ -437,23 +480,17 @@ def trap_exit(sys, next_ctx=None):
 
 
 def run_iteration(plan, index):
-    """One scheduling round: prime (untimed), deschedule, interference
-    quantum per interference VM, reschedule, timed measured phase."""
+    """One scheduling round: boot and prime (untimed), deschedule,
+    interference quantum per interference VM, reschedule, timed measured
+    phase."""
     defn = plan.defn
     jitter_rng = (
         random.Random(iteration_seed(defn.seed, index, "jitter")) if defn.latency.jitter else None
     )
     work_rng = random.Random(iteration_seed(defn.seed, index, "workload"))
     intf_rng = random.Random(iteration_seed(defn.seed, index, "interference"))
-    sys = restore_machine(plan, jitter_rng)
+    sys = restore_machine(plan, jitter_rng, work_rng)
     crit = plan.measured
-
-    # Boot: the hypervisor owns the core, then schedules the critical VM.
-    sys.csr.write_cur_part(plan.hyp_context.partition_mask)
-    trap_exit(sys, crit)
-
-    run_regions(sys, crit, crit.workload.prime, work_rng)
-    trap_enter(plan, sys)
     for intf in plan.interference:
         trap_exit(sys, intf)
         run_interference(sys, intf, intf.workload, defn.hyp.quantum_cycles, intf_rng)

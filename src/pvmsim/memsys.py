@@ -36,7 +36,10 @@ The optional jitter models memory-controller noise: a miss (a refill or
 a fill-drop, the only events that reach backing memory) adds a uniform
 draw from [-j, +j].  Hits, SPM accesses and lock-slot translations never
 consult the generator, so a fully locked, SPM-resident access path stays
-cycle-constant even with jitter enabled.
+cycle-constant even with jitter enabled.  Because each miss is exactly one
+draw, replay_jitter can advance the generator past a known number of
+misses without performing them (the hypervisor does so for the prefix it
+restores instead of re-running).
 """
 
 from dataclasses import dataclass, fields
@@ -187,6 +190,15 @@ class MemorySystem:
         if j and res.event == EVENT_MISS:
             cycles += self.rng.randint(-j, j)
         return res, cycles
+
+    def replay_jitter(self, misses):
+        """Advance the jitter generator as `misses` cache misses priced by
+        _priced_access would have: one draw each, nothing else."""
+        j = self.latency.jitter
+        if j:
+            randint = self.rng.randint
+            for _ in range(misses):
+                randint(-j, j)
 
     def _walk(self, vm, vaddr):
         """(walk, cycles) for vaddr's page.  The returned WalkResult is the

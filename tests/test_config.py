@@ -353,12 +353,27 @@ class RejectionTest(unittest.TestCase):
         )
 
     def test_machine_the_scenario_cannot_build(self):
-        # Each rule of Cache, PlruTree and PartitionCsrFile, at load time.
+        # Each rule of Cache, PlruTree and PartitionCsrFile, at load time,
+        # including where the scratchpad windows sit: an 8-way array of
+        # 2^22 (2^23) sets of 16 bytes outgrows the alignment of the data
+        # (instruction) window base.
         for old, new, pattern in (
             ("ways = 8", "ways = 6", r"ways must be a power of two >= 2, got 6"),
             ("ways = 8", "ways = 1", r"ways must be a power of two >= 2, got 1"),
             ("icache_sets = 128", "icache_sets = 96", r"icache_sets must be a power of two"),
             ("dcache_sets = 256", "dcache_sets = 0", r"dcache_sets must be a power of two"),
+            (
+                "dcache_sets = 256",
+                "dcache_sets = 4194304",
+                r"data scratchpad window base 0x10000000 must be aligned to the array size "
+                r"0x20000000$",
+            ),
+            (
+                "icache_sets = 128",
+                "icache_sets = 8388608",
+                r"instruction scratchpad window base 0x20000000 must be aligned to the array "
+                r"size 0x40000000$",
+            ),
             ("line_bytes = 16", "line_bytes = 24", r"line_bytes must be a power of two"),
             ("line_bytes = 16", "line_bytes = 4", r"line_bytes must be at least 8"),
             ("entries = 16", "entries = 12", r"entries must be a power of two >= 2, got 12"),

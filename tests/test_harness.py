@@ -10,7 +10,9 @@ import concurrent.futures
 import contextlib
 import io
 import json
+import multiprocessing
 import os
+import re
 import tempfile
 import unittest
 
@@ -285,6 +287,7 @@ def pools(monkeypatch):
         def __init__(self, max_workers=None, *args, **kwargs):
             super().__init__(max_workers, *args, **kwargs)
             self.max_workers = max_workers
+            self.mp_context = kwargs.get("mp_context")
             self.jobs = []
             opened.append(self)
 
@@ -308,6 +311,20 @@ def test_one_pool_per_experiment(pools):
     run_experiment(cfg, workers=1)
     run_experiment(load_experiment(text=SMALL, iterations=3), workers=2)  # all below 2 * 2
     assert len(pools) == 1
+
+
+def test_pool_forks_where_the_platform_can(pools, monkeypatch):
+    cfg = uneven_config()
+    serial = run_experiment(cfg, workers=1)
+    assert run_experiment(cfg, workers=3) == serial
+    if "fork" in multiprocessing.get_all_start_methods():
+        assert pools[0].mp_context.get_start_method() == "fork"
+    else:
+        assert pools[0].mp_context is None
+    # Without fork the pool keeps the platform's default start method.
+    monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn", "forkserver"])
+    assert run_experiment(cfg, workers=3) == serial
+    assert pools[1].mp_context is None
 
 
 def test_pool_is_no_larger_than_its_job_count(pools):
@@ -471,6 +488,7 @@ class CliTest(unittest.TestCase):
                 ("partitions = 16", "partitions = 32"),
                 ("partitions = 16", "partitions = 8"),
                 ("entries = 16", "entries = 4"),
+                ("dcache_sets = 256", "dcache_sets = 4194304"),  # a 512 MiB data array
             ):
                 with open(cfg_path, "w", encoding="utf-8") as handle:
                     handle.write(preset.replace(old, new))
@@ -510,16 +528,31 @@ class CliTest(unittest.TestCase):
             with open(cfg_path, "w", encoding="utf-8") as handle:
                 handle.write(SMALL)
             streams = {}
+            files = {}
             for flags in ((), ("--quiet",)):
+                outdir = os.path.join(d, "quiet" if flags else "loud")
                 out, err = io.StringIO(), io.StringIO()
                 with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                    code = self.run_cli(["run", cfg_path, "--outdir", d, *flags])
+                    code = self.run_cli(["run", cfg_path, "--outdir", outdir, *flags])
                 self.assertEqual(code, 0)
-                streams[flags] = out.getvalue(), err.getvalue()
+                streams[flags] = out.getvalue().replace(outdir, "<outdir>"), err.getvalue()
+                files[flags] = {}
+                for name in sorted(os.listdir(outdir)):
+                    with open(os.path.join(outdir, name), "rb") as handle:
+                        files[flags][name] = handle.read()
             self.assertEqual(streams[()][0], streams[("--quiet",)][0])
+            self.assertEqual(files[()], files[("--quiet",)])
             self.assertEqual(streams[("--quiet",)][1], "")
             progress = streams[()][1].splitlines()
             self.assertEqual([line.split()[1] for line in progress], ["isolation", "unmitigated"])
+            for line in progress:
+                # e.g. "scenario isolation   20 iterations at   812.4 iterations/s, done at   0.03 s"
+                match = re.fullmatch(
+                    r"scenario \S+ +(\d+) iterations at +([0-9.]+) iterations/s, done at +[0-9.]+ s",
+                    line,
+                )
+                self.assertIsNotNone(match, line)
+                self.assertGreater(float(match.group(2)), 0)
 
     def test_compare_missing_file_fails_fast(self):
         import tempfile

@@ -4,7 +4,11 @@ trap-time CSR protocol, and the iteration loop's reproducibility."""
 import random
 import statistics
 import unittest
+from dataclasses import replace
+from types import SimpleNamespace
+from unittest import mock
 
+from pvmsim import hypervisor
 from pvmsim.hypervisor import (
     HypervisorConfig,
     IterationRecord,
@@ -99,6 +103,30 @@ def scenario(vms, *, name="unit", iterations=10, seed=1, spm_ways=0, jitter=0, h
         seed=seed,
         spm_ways=spm_ways,
     )
+
+
+def fresh_prefix(plan, jitter_rng=None, work_rng=None):
+    """A freshly built machine taken through set-up and an iteration's
+    deterministic prefix by hand: boot, prime, first trap_enter."""
+    sys = build_system(plan.defn, plan.memory_regions, jitter_rng)
+    setup_scenario(plan, sys)
+    sys.csr.write_cur_part(plan.hyp_context.partition_mask)
+    trap_exit(sys, plan.measured)
+    run_regions(sys, plan.measured, plan.measured.workload.prime, work_rng)
+    trap_enter(plan, sys)
+    return sys
+
+
+class CountingRandom(random.Random):
+    """random.Random that counts its randint calls (the jitter draws)."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.randints = 0
+
+    def randint(self, a, b):
+        self.randints += 1
+        return super().randint(a, b)
 
 
 class IterationSeedTest(unittest.TestCase):
@@ -369,10 +397,13 @@ class ReproducibilityTest(unittest.TestCase):
 
 
 class SnapshotIsolationTest(unittest.TestCase):
-    """Iterations restore one set-up machine per plan; none may leak state
-    (scratchpad words, TLB entries, replacement bits) into it."""
+    """Iterations restore one machine per plan, snapshotted after the
+    deterministic prefix; neither the interference quanta nor the measured
+    phase may leak state (memory words, scratchpad words, TLB entries,
+    replacement bits) into it."""
 
     SPM_V = 0x0080_0000
+    JITTER = 4
 
     def defn(self):
         crit = VmSpec(
@@ -410,7 +441,7 @@ class SnapshotIsolationTest(unittest.TestCase):
             (crit, intf),
             iterations=4,
             spm_ways=4,
-            jitter=4,
+            jitter=self.JITTER,
             hyp=HypervisorConfig(partition_mask=FULL, quantum_cycles=6000),
         )
 
@@ -427,22 +458,111 @@ class SnapshotIsolationTest(unittest.TestCase):
         plan = build_plan(defn)
         for index in (3, 0, 3, 1, 3):
             self.assertEqual(run_iteration(plan, index), fresh[index])
-        # The snapshot still equals a freshly built, freshly set-up machine.
-        machine = build_system(defn, plan.memory_regions, random.Random(0))
-        setup_scenario(plan, machine)
-        self.assert_same_state(plan.machine[1], machine.snapshot())
+        # The snapshot still equals a freshly built machine after set-up
+        # and the prefix.
+        self.assert_same_state(plan.machine[1], fresh_prefix(plan, random.Random(0)).snapshot())
 
     def test_restore_discards_what_an_iteration_wrote(self):
         defn = self.defn()
         plan = build_plan(defn)
         run_iteration(plan, 2)
-        sys = restore_machine(plan, random.Random(0))
-        self.assert_same_state(sys.snapshot(), plan.machine[1])
-        self.assertEqual(sys.dcache.spm_word(0, 0, 0), 0)
-        self.assertFalse(any(entry.valid for entry in sys.dtlb.entries))
-        self.assertEqual(sys.dtlb.tree.snapshot_bits(), (0,) * 15)
-        self.assertEqual(sys.memory.snapshot(), ())
-        self.assertEqual(sys.miss_counts(), (0, 0))
+        sys = plan.machine[0]
+        want = fresh_prefix(plan, random.Random(0))
+        spm = hypervisor.DSPM_BASE
+
+        def intf_entries():
+            return [e for e in sys.dtlb.entries if e.valid and e.asid == 2]
+
+        # What the interference quantum and the measured phase left
+        # behind: the interference VM's translations and write-backs; and
+        # a scratchpad word and the partition CSRs, rewritten after the
+        # iteration (every VM here runs under the same mask).
+        self.assertTrue(intf_entries())
+        self.assertGreater(len(sys.memory.snapshot()), len(want.memory.snapshot()))
+        self.assertNotEqual(sys.miss_counts(), want.miss_counts())
+        prime_word = sys.dcache.spm_word(0, 0, 0)
+        self.assertNotEqual(prime_word, 0)  # written by the prime
+        sys.dcache.access(spm, "write", ~prime_word)
+        sys.csr.write_cur_part(INTF_MASK)
+
+        jitter = random.Random(9)
+        self.assertIs(restore_machine(plan, jitter, random.Random(0)), sys)
+        self.assert_same_state(sys.snapshot(), want.snapshot())
+        self.assertEqual(intf_entries(), [])
+        self.assertEqual(sys.dcache.spm_word(0, 0, 0), prime_word)
+        self.assertEqual(sys.miss_counts(), want.miss_counts())
+        # The restored machine draws from the generator it was handed,
+        # already past the prefix's k draws.
+        self.assertIs(sys.rng, jitter)
+        expected = random.Random(9)
+        for _ in range(plan.machine[2]):
+            expected.randint(-self.JITTER, self.JITTER)
+        self.assertEqual(jitter.getstate(), expected.getstate())
+
+
+class PrefixSnapshotTest(unittest.TestCase):
+    """The deterministic prefix (boot, prime, first trap_enter) runs once
+    per plan unless the prime visits pages in random order."""
+
+    def random_prime_vm(self):
+        vm = crit_vm()
+        prime = tuple(replace(r, order="random") for r in vm.workload.prime)
+        return replace(vm, workload=replace(vm.workload, prime=prime))
+
+    def prime_runs(self, defn, iterations):
+        """How many times run_regions ran the measured VM's prime."""
+        plan = build_plan(defn)
+        prime = plan.measured.workload.prime
+        with mock.patch.object(hypervisor, "run_regions", wraps=run_regions) as spy:
+            for index in range(iterations):
+                run_iteration(plan, index)
+        return sum(1 for call in spy.call_args_list if call.args[2] is prime)
+
+    def test_snapshot_is_the_machine_after_boot_prime_and_first_trap(self):
+        defn = scenario((crit_vm(), intf_vm()), jitter=3)
+        plan = build_plan(defn)
+        run_iteration(plan, 0)
+        run_iteration(plan, 1)
+        want = fresh_prefix(plan, random.Random(0))
+        self.assertEqual(plan.machine[1], want.snapshot())
+        # After trap_enter, not before it: the hypervisor's mask is
+        # installed and the critical VM's saved.
+        self.assertEqual(plan.machine[1][4], (HYP_MASK, CRIT_MASK))
+
+    def test_draw_count_is_the_prefix_jitter_draws(self):
+        defn = scenario((crit_vm(), intf_vm()), jitter=3)
+        plan = build_plan(defn)
+        run_iteration(plan, 0)
+        counting = CountingRandom(0)
+        fresh_prefix(plan, counting)
+        self.assertGreater(counting.randints, 0)
+        self.assertEqual(plan.machine[2], counting.randints)
+
+    def test_random_order_prime_runs_on_every_iteration(self):
+        defn = scenario((self.random_prime_vm(), intf_vm()), jitter=3)
+        self.assertEqual(self.prime_runs(defn, 4), 4)
+        plan = build_plan(defn)
+        run_iteration(plan, 0)
+        self.assertIsNone(plan.machine[2])
+        # A fixed-order prime runs once per plan.
+        self.assertEqual(self.prime_runs(scenario((crit_vm(), intf_vm()), jitter=3), 4), 1)
+
+    def test_jitter_free_plan_never_touches_a_generator(self):
+        plan = build_plan(scenario((crit_vm(), intf_vm())))
+        made = []
+
+        class Recording(CountingRandom):
+            def __init__(self, *args):
+                super().__init__(*args)
+                made.append(self)
+
+        with mock.patch.object(hypervisor, "random", SimpleNamespace(Random=Recording)):
+            for index in range(3):
+                run_iteration(plan, index)
+        self.assertEqual(len(made), 6)  # the workload and interference streams
+        self.assertEqual([r.randints for r in made], [0] * 6)
+        self.assertIsNone(plan.machine[0].rng)
+        self.assertGreater(plan.machine[2], 0)  # misses to replay, but no draws
 
 
 class InterferencePhysicsTest(unittest.TestCase):
