@@ -17,6 +17,12 @@ critical VM also primes an 8-page region in random order (a shuffle that
 draws from the workload stream and changes what the prime leaves behind),
 and its jitter = 0 twin, serially and with two workers.
 
+Records cannot see most of the machine: cache evictions, write-backs and
+hit counts, PLRU bits, TLB entries and memory words.  MACHINE_PATH pins,
+per preset, SHA-256 over each scenario's repr(MemorySystem.snapshot())
+after its last iteration (seed 1, serial, ITERATIONS iterations), so a
+speed-up that moves any of that state shows even when the records hold.
+
 Regenerate (only when records are meant to change, and say so):
 
     PYTHONPATH=src python tests/test_golden.py
@@ -31,8 +37,11 @@ import pytest
 from pvmsim.cli import preset_names, preset_text
 from pvmsim.config import load_experiment
 from pvmsim.harness import run_experiment
+from pvmsim.hypervisor import build_plan, run_range
 
-GOLDEN_PATH = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden", "records.json")
+GOLDEN_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
+GOLDEN_PATH = os.path.join(GOLDEN_DIR, "records.json")
+MACHINE_PATH = os.path.join(GOLDEN_DIR, "machine.json")
 SEEDS = (1, 2)
 ITERATIONS = 4
 UNEVEN = {"iterations": 7, "seed": 1, "workers": 3}
@@ -130,9 +139,28 @@ def prefix_digest(variant, workers):
     return records_digest(run_experiment(cfg, workers=workers))
 
 
-def load_golden():
-    with open(GOLDEN_PATH, "r", encoding="utf-8") as handle:
+def machine_digest(preset):
+    """SHA-256 over each scenario's machine state after its last iteration."""
+    cfg = load_experiment(text=preset_text(preset), seed=1, iterations=ITERATIONS)
+    h = hashlib.sha256()
+    for name in cfg.scenario_names:
+        plan = build_plan(cfg.scenarios[name])
+        run_range(plan, 0, ITERATIONS)
+        h.update(("%s\n%r\n" % (name, plan.machine[0].snapshot())).encode())
+    return h.hexdigest()
+
+
+def load_golden(path=GOLDEN_PATH):
+    with open(path, "r", encoding="utf-8") as handle:
         return json.load(handle)
+
+
+def dump_golden(path, content):
+    os.makedirs(os.path.dirname(path), exist_ok=True)
+    with open(path, "w", encoding="utf-8") as handle:
+        json.dump(content, handle, indent=1, sort_keys=True)
+        handle.write("\n")
+    print("wrote %s" % path)
 
 
 def test_golden_file_covers_every_preset():
@@ -166,6 +194,15 @@ def test_random_order_prime_matches_golden_digest(variant, workers):
     assert prefix_digest(variant, workers) == load_golden()["prefix"][variant]
 
 
+def test_machine_file_covers_every_preset():
+    assert sorted(load_golden(MACHINE_PATH)) == preset_names()
+
+
+@pytest.mark.parametrize("preset", preset_names())
+def test_machine_state_matches_golden_digest(preset):
+    assert machine_digest(preset) == load_golden(MACHINE_PATH)[preset]
+
+
 def main():
     digests = {
         preset: {str(seed): run_digest(preset, seed, 1) for seed in SEEDS}
@@ -179,16 +216,11 @@ def main():
         },
     )
     prefix = {variant: prefix_digest(variant, 1) for variant in PREFIX_VARIANTS}
-    os.makedirs(os.path.dirname(GOLDEN_PATH), exist_ok=True)
-    with open(GOLDEN_PATH, "w", encoding="utf-8") as handle:
-        json.dump(
-            {"iterations": ITERATIONS, "digests": digests, "uneven": uneven, "prefix": prefix},
-            handle,
-            indent=1,
-            sort_keys=True,
-        )
-        handle.write("\n")
-    print("wrote %s" % GOLDEN_PATH)
+    dump_golden(
+        GOLDEN_PATH,
+        {"iterations": ITERATIONS, "digests": digests, "uneven": uneven, "prefix": prefix},
+    )
+    dump_golden(MACHINE_PATH, {preset: machine_digest(preset) for preset in preset_names()})
 
 
 if __name__ == "__main__":
