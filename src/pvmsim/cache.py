@@ -290,6 +290,41 @@ class Cache:
             return self._spm_access(paddr, kind, value)
         return self._cached_access(paddr, kind, value)
 
+    def read_fetches(self, paddrs):
+        """Read every address of a page walk's fetch list, in order, exactly
+        as access(paddr, "read") one by one would; return the counts of
+        (hits, misses, spm) events, spm covering misconfigured-window reads
+        too.  Hits are served here; misses and window addresses go through
+        the same paths as access."""
+        hits = misses = spm = 0
+        ways = self.ways
+        set_mask = self.sets - 1
+        line_shift, set_shift = self._line_shift, self._set_shift
+        tags, plru, and_, or_ = self._tags, self._plru, self._and, self._or
+        stats = self.stats
+        spm_lo = self.spm_base
+        spm_hi = None if spm_lo is None else spm_lo + self.size
+        for paddr in paddrs:
+            paddr &= ~(WORD_BYTES - 1)
+            if spm_lo is not None and spm_lo <= paddr < spm_hi:
+                self._spm_access(paddr, "read", None)
+                spm += 1
+                continue
+            line = paddr >> line_shift
+            set_idx = line & set_mask
+            base = set_idx * ways
+            row = tags[base:base + ways]
+            tag = line >> set_shift
+            if tag in row:
+                way = row.index(tag)
+                plru[set_idx] = plru[set_idx] & and_[way] | or_[way]
+                stats["hits"] += 1
+                hits += 1
+            else:
+                self._cached_access(paddr, "read", None)
+                misses += 1
+        return hits, misses, spm
+
     def _spm_access(self, paddr, kind, value):
         way, set_idx, word = self.spm_decode(paddr)
         if self.modes[way] != MODE_SPM:
@@ -324,12 +359,13 @@ class Cache:
                 self._dirty[set_idx] |= 1 << way
                 return AccessResult(EVENT_HIT, None)
             return AccessResult(EVENT_HIT, self._data[idx])
-        # Miss. Whatever happens next involves backing memory, so the
-        # mapping check comes first.
+        # Miss.  Reading the fill line first is the mapping check: an
+        # unmapped line raises before any tag, dirty or PLRU bit moves.
+        # The victim holds another line, so its write-back cannot change
+        # what was read.
         stats["misses"] += 1
-        line_base = line << self._line_shift
         memory = self.memory
-        memory.check(line_base)
+        fill = memory.read_line(line << self._line_shift, wpl)
         bits = self._plru[set_idx]
         victim = self._victims[bits]
         if victim is None:
@@ -339,7 +375,7 @@ class Cache:
             if kind == "write":
                 memory.write_word(paddr, value)
                 return AccessResult(EVENT_MISS, None)
-            return AccessResult(EVENT_MISS, memory.read_word(paddr))
+            return AccessResult(EVENT_MISS, fill[word])
         self._plru[set_idx] = bits & self._and[victim] | self._or[victim]
         slot = base + victim
         bit = 1 << victim
@@ -348,7 +384,7 @@ class Cache:
             if self._dirty[set_idx] & bit:
                 self._write_back(set_idx, victim)
         start = slot * wpl
-        self._data[start:start + wpl] = memory.read_line(line_base, wpl)
+        self._data[start:start + wpl] = fill
         tags[slot] = tag
         if kind == "write":
             self._data[start + word] = value & _WORD_MASK

@@ -26,11 +26,17 @@ An access's cycles split into translation (its TLB lookup), walk (its
 PTE fetches, each one a D-cache read; zero on a TLB hit) and cache (the
 final physical access through the I- or D-side array).
 
-Each 4 KiB page is walked once: the walk and its PTE-fetch list depend
-only on the page tables and the page, so every TLB miss on the page
+Each 4 KiB page is walked once per VM: the walk, its PTE-fetch list and
+the TLB entry it fills depend only on the page tables, the VM's ids and
+the page, so every TLB miss on the page fills the remembered entry and
 prices the remembered fetch list through the D-cache, in order.  A
 change to either stage's tables (seen through AddressSpace.version)
-forgets what was remembered for that pair.
+forgets what was remembered for that pair.  The whole list goes to the
+D-cache in one Cache.read_fetches call, which reads it in order and
+returns the walk's hit, miss and SPM counts; the walk is priced from
+those counts and then draws one jitter sample per miss.  Nothing between
+two fetches of one walk draws from the generator, so this is the same
+sequence of draws as pricing the fetches one by one.
 
 The optional jitter models memory-controller noise: a miss (a refill or
 a fill-drop, the only events that reach backing memory) adds a uniform
@@ -39,7 +45,8 @@ consult the generator, so a fully locked, SPM-resident access path stays
 cycle-constant even with jitter enabled.  Because each miss is exactly one
 draw, replay_jitter can advance the generator past a known number of
 misses without performing them (the hypervisor does so for the prefix it
-restores instead of re-running).
+restores instead of re-running).  All three -- a final access, a walk
+and a replay -- sample through MemorySystem._jitter.
 """
 
 from dataclasses import dataclass, fields
@@ -84,6 +91,7 @@ class MemAccessOutcome:
     translation_cycles: int = 0
     walk_cycles: int = 0
     cache_cycles: int = 0
+    total_cycles: int = 0
     tlb_hit: bool = False
     lock_hit: bool = False
     walk_fetches: int = 0
@@ -96,10 +104,6 @@ class MemAccessOutcome:
     @property
     def ok(self):
         return self.fault is None
-
-    @property
-    def total_cycles(self):
-        return self.translation_cycles + self.walk_cycles + self.cache_cycles
 
 
 class MemorySystem:
@@ -122,13 +126,16 @@ class MemorySystem:
         self.rng = rng
         lat = self.latency
         # Cache event -> cycles; a miss also pays a jitter draw.
+        # read_fetches counts both scratchpad events as one, so they
+        # share a price.
         self._price = {
             EVENT_HIT: lat.cache_hit_cycles,
             EVENT_MISS: lat.memory_cycles,
             EVENT_SPM: lat.spm_cycles,
             EVENT_SPM_MISCONFIG: lat.spm_cycles,
         }
-        # (guest, host) -> ((guest.version, host.version), {page: WalkResult})
+        # (guest, host, asid, vmid) -> ((guest.version, host.version),
+        # {page: (WalkResult, TlbEntry or None on a fault)})
         self._walks = {}
 
     @classmethod
@@ -181,45 +188,70 @@ class MemorySystem:
 
     # -- pricing helpers ------------------------------------------------------
 
+    def _jitter(self, misses):
+        """The sum of `misses` jitter draws, one per cache miss; 0 without
+        touching the generator when jitter is off."""
+        j = self.latency.jitter
+        total = 0
+        if j:
+            randint = self.rng.randint
+            for _ in range(misses):
+                total += randint(-j, j)
+        return total
+
     def _priced_access(self, cache, paddr, kind, value=None):
         """(AccessResult, cycles) of one cache access; only a miss, a real
         memory trip, draws jitter."""
         res = cache.access(paddr, kind, value)
         cycles = self._price[res.event]
-        j = self.latency.jitter
-        if j and res.event == EVENT_MISS:
-            cycles += self.rng.randint(-j, j)
+        if res.event == EVENT_MISS:
+            cycles += self._jitter(1)
         return res, cycles
 
     def replay_jitter(self, misses):
         """Advance the jitter generator as `misses` cache misses priced by
         _priced_access would have: one draw each, nothing else."""
-        j = self.latency.jitter
-        if j:
-            randint = self.rng.randint
-            for _ in range(misses):
-                randint(-j, j)
+        self._jitter(misses)
 
     def _walk(self, vm, vaddr):
-        """(walk, cycles) for vaddr's page.  The returned WalkResult is the
+        """(walk, entry, cycles) for vaddr's page: entry is the TlbEntry
+        the walk fills, None on a fault.  The returned WalkResult is the
         page's first walk: use its fields, not its paddr's page offset."""
         guest, host = vm.guest_space, vm.host_space
         versions = (guest.version, None if host is None else host.version)
-        known = self._walks.get((guest, host))
+        key = (guest, host, vm.asid, vm.vmid)
+        known = self._walks.get(key)
         if known is None or known[0] != versions:
-            known = self._walks[(guest, host)] = (versions, {})
+            known = self._walks[key] = (versions, {})
         pages = known[1]
         page = vaddr >> PAGE_SHIFT
-        walk = pages.get(page)
-        if walk is None:
+        remembered = pages.get(page)
+        if remembered is None:
             if host is None:
-                walk = pages[page] = walk_single(guest, vaddr)
+                walk = walk_single(guest, vaddr)
             else:
-                walk = pages[page] = walk_two_stage(guest, host, vaddr)
-        cycles = 0
-        for paddr in walk.accesses:
-            cycles += self._priced_access(self.dcache, paddr, "read")[1]
-        return walk, cycles
+                walk = walk_two_stage(guest, host, vaddr)
+            entry = None
+            if walk.ok:
+                entry = TlbEntry(
+                    vpn=walk.vpn,
+                    page_size=walk.page_size,
+                    asid=vm.asid,
+                    vmid=vm.vmid,
+                    pte=walk.pte,
+                    global_flag=bool(walk.pte & PTE_G),
+                )
+            remembered = pages[page] = (walk, entry)
+        walk, entry = remembered
+        hits, misses, spm = self.dcache.read_fetches(walk.accesses)
+        price = self._price
+        cycles = (
+            hits * price[EVENT_HIT]
+            + misses * price[EVENT_MISS]
+            + spm * price[EVENT_SPM]
+            + self._jitter(misses)
+        )
+        return walk, entry, cycles
 
     # -- the pipeline -----------------------------------------------------------
 
@@ -228,41 +260,32 @@ class MemorySystem:
         if kind not in KINDS:
             raise ValueError("kind must be one of %r, got %r" % (KINDS, kind))
         tlb = self.itlb if kind == "ifetch" else self.dtlb
-        out = MemAccessOutcome()
         look = tlb.lookup(vaddr, vm.asid, vm.vmid)
-        out.translation_cycles = self.latency.tlb_hit_cycles
-        if look.status == "fault":
-            out.fault = "non-canonical"
-            return out
-        if look.hit:
-            out.tlb_hit = True
-            out.lock_hit = look.lock_hit
+        translation = self.latency.tlb_hit_cycles
+        status = look.status
+        if status == "fault":
+            return MemAccessOutcome(
+                translation, 0, 0, translation, False, False, 0, None, "non-canonical"
+            )
+        if status == "hit":
+            walk_cycles = fetches = 0
             paddr = look.paddr
         else:
-            walk, out.walk_cycles = self._walk(vm, vaddr)
-            out.walk_fetches = len(walk.accesses)
+            walk, entry, walk_cycles = self._walk(vm, vaddr)
+            fetches = len(walk.accesses)
             if not walk.ok:
-                out.fault = walk.fault
-                out.fault_stage = walk.fault_stage
-                return out
-            paddr = walk.paddr & ~(PAGE_SIZE - 1) | vaddr & (PAGE_SIZE - 1)
-            tlb.fill(
-                TlbEntry(
-                    vpn=walk.vpn,
-                    page_size=walk.page_size,
-                    asid=vm.asid,
-                    vmid=vm.vmid,
-                    pte=walk.pte,
-                    global_flag=bool(walk.pte & PTE_G),
+                return MemAccessOutcome(
+                    translation, walk_cycles, 0, translation + walk_cycles, False, False,
+                    fetches, None, walk.fault, walk.fault_stage,
                 )
-            )
+            paddr = walk.paddr & ~(PAGE_SIZE - 1) | vaddr & (PAGE_SIZE - 1)
+            tlb.fill(entry)
         cache = self.icache if kind == "ifetch" else self.dcache
         res, cycles = self._priced_access(cache, paddr, kind, value)
-        out.cache_cycles = cycles
-        out.cache_event = res.event
-        out.value = res.value
-        out.paddr = paddr
-        return out
+        return MemAccessOutcome(
+            translation, walk_cycles, cycles, translation + walk_cycles + cycles,
+            status == "hit", look.lock_hit, fetches, res.event, None, None, res.value, paddr,
+        )
 
     # -- bookkeeping ---------------------------------------------------------
 

@@ -28,6 +28,7 @@ prices every lookup at LatencyConfig.tlb_hit_cycles.
 """
 
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 from .plru import PlruTree, check_tree
 from .sv39 import (
@@ -66,8 +67,9 @@ class TlbEntry:
         return (pte_ppn(self.pte) << PAGE_SHIFT) | (vaddr & (self.page_size - 1))
 
 
-@dataclass
-class LookupResult:
+class LookupResult(NamedTuple):
+    """Immutable, so every miss and every fault can share one result."""
+
     status: str  # "hit" | "miss" | "fault"
     paddr: int = 0
     page_size: int = 0
@@ -77,6 +79,10 @@ class LookupResult:
     @property
     def hit(self):
         return self.status == "hit"
+
+
+_MISS = LookupResult("miss")
+_FAULT = LookupResult("fault")
 
 
 class LockSlot:
@@ -158,6 +164,7 @@ class Tlb:
         ]
         # Default placement: slot j shadows leaf j; steerable while inactive.
         self.slots = [LockSlot(target_leaf=j) for j in range(lock_slots)]
+        self._active = ()  # the active slots, in slot order; never snapshotted
         self.hits = 0
         self.misses = 0
         self.lock_hits = 0
@@ -168,27 +175,21 @@ class Tlb:
 
     def lookup(self, vaddr, asid, vmid):
         if not is_canonical(vaddr):
-            return LookupResult(status="fault")
+            return _FAULT
         # A slot or entry matches on vmid, on asid unless it is global, and
         # on the page number with the bits below its page size cleared
         # (vpn & -span for a page of span base pages).
         vpn = vaddr >> PAGE_SHIFT & VPN_MASK
-        for slot in self.slots:
+        for slot in self._active:
             if (
-                slot.vpn_valid
-                and slot.pte_valid
-                and slot.id_valid
-                and slot.vmid == vmid
+                slot.vmid == vmid
                 and (slot.asid == asid or slot.flags & PTE_G)
                 and vpn & -(slot.page_size >> PAGE_SHIFT) == slot.vpn
             ):
                 # Served from the registers; replacement state untouched.
                 self.lock_hits += 1
                 self.hits += 1
-                return LookupResult(
-                    status="hit", paddr=slot.paddr_for(vaddr),
-                    page_size=slot.page_size, pte=slot.pte, lock_hit=True,
-                )
+                return LookupResult("hit", slot.paddr_for(vaddr), slot.page_size, slot.pte, True)
         for leaf, entry in enumerate(self.entries):
             if (
                 entry.valid
@@ -198,12 +199,9 @@ class Tlb:
             ):
                 self.tree.touch(leaf)
                 self.hits += 1
-                return LookupResult(
-                    status="hit", paddr=entry.paddr_for(vaddr),
-                    page_size=entry.page_size, pte=entry.pte,
-                )
+                return LookupResult("hit", entry.paddr_for(vaddr), entry.page_size, entry.pte)
         self.misses += 1
-        return LookupResult(status="miss")
+        return _MISS
 
     def fill(self, entry):
         """Install a walked translation; returns the leaf used, or None when
@@ -254,6 +252,7 @@ class Tlb:
             slot.id_valid = fields.get("valid", True)
         else:
             raise ValueError("unknown lock-slot register %r" % (which,))
+        self._refresh_active()
         if slot.active and not was_active:
             for other in self.slots:
                 if other is not slot and other.active and other.target_leaf == slot.target_leaf:
@@ -261,6 +260,9 @@ class Tlb:
             self.tree.set_lock(slot.target_leaf, True)
         elif was_active and not slot.active:
             self.tree.set_lock(slot.target_leaf, False)
+
+    def _refresh_active(self):
+        self._active = tuple(slot for slot in self.slots if slot.active)
 
     # -- maintenance -----------------------------------------------------------
 
@@ -303,4 +305,5 @@ class Tlb:
         self.entries[:] = entries
         for slot, fields in zip(self.slots, slots):
             slot.__dict__.update(fields)
+        self._refresh_active()
         self.hits, self.misses, self.lock_hits, self.fills, self.dropped_fills = counters

@@ -439,3 +439,86 @@ def test_stats_add_up_on_random_trace():
     assert cache.stats["hits"] + cache.stats["misses"] == n
     assert cache.stats["evictions"] <= cache.stats["misses"]
     assert cache.stats["write_backs"] <= cache.stats["evictions"]
+
+
+# -- batched walk fetches ------------------------------------------------------------
+
+
+def twin_caches(ways, sets, line_bytes, spm_ways):
+    """Two identical caches over two identical memories, the first
+    `spm_ways` ways of each converted to scratchpad."""
+    twins = [make_cache(ways=ways, sets=sets, line_bytes=line_bytes) for _ in range(2)]
+    for cache, _ in twins:
+        for way in range(spm_ways):
+            cache.configure_way(way, MODE_SPM)
+    return twins
+
+
+def assert_twins_equal(a, b):
+    (ca, ma), (cb, mb) = a, b
+    assert ca.tag_state() == cb.tag_state()
+    assert ca.stats == cb.stats
+    assert ca.snapshot() == cb.snapshot()
+    assert ma.snapshot() == mb.snapshot()
+
+
+def read_one_by_one(cache, paddrs):
+    """(hits, misses, spm) of reading paddrs through access(p, "read")."""
+    events = [cache.access(p, "read").event for p in paddrs]
+    spm = events.count(EVENT_SPM) + events.count(EVENT_SPM_MISCONFIG)
+    return events.count(EVENT_HIT), events.count(EVENT_MISS), spm
+
+
+# (ways, sets, line_bytes, spm_ways, stats that the trace must move)
+FETCH_SHAPES = {
+    "cache-only": (4, 8, 16, 0, ("evictions", "write_backs")),
+    "spm-and-misconfig": (4, 8, 16, 2, ("write_backs", "spm_accesses", "spm_misconfigs")),
+    "wide-lines": (8, 4, 32, 3, ("write_backs", "spm_accesses", "spm_misconfigs")),
+    "all-spm": (4, 8, 16, 4, ("fill_drops", "spm_accesses")),
+}
+
+
+@pytest.mark.parametrize("seed", (1, 2, 3))
+@pytest.mark.parametrize("shape", sorted(FETCH_SHAPES))
+def test_read_fetches_matches_one_access_per_address(shape, seed):
+    ways, sets, line_bytes, spm_ways, moved = FETCH_SHAPES[shape]
+    a, b = twin_caches(ways, sets, line_bytes, spm_ways)
+    size = a[0].size
+    rng = random.Random(seed)
+    # Lines over 3x the array, so fetches hit, miss and evict; writes
+    # between walks leave dirty victims behind.
+    pool = [RAM_BASE + k * line_bytes for k in range(3 * ways * sets)]
+
+    def address():
+        if rng.random() < 0.2:
+            return SPM_BASE + rng.randrange(size)
+        return rng.choice(pool) + rng.randrange(line_bytes)
+
+    for _ in range(120):
+        for _ in range(rng.randrange(3)):
+            paddr, value = address(), rng.getrandbits(64)
+            assert a[0].access(paddr, "write", value).event == b[0].access(paddr, "write", value).event
+        fetches = [address() for _ in range(rng.randrange(16))]
+        assert a[0].read_fetches(fetches) == read_one_by_one(b[0], fetches)
+        assert_twins_equal(a, b)
+    for stat in moved:
+        assert a[0].stats[stat] > 0, stat
+
+
+def test_read_fetches_stops_at_an_unmapped_line_without_touching_the_set():
+    a, b = twin_caches(4, 8, 16, 0)
+    cache = b[0]
+    unmapped = 0x4000_0000 + 5 * cache.line_bytes  # decodes to set 5
+    # Fill set 5 with dirty lines, so any victim choice would write back.
+    for twin, _ in (a, b):
+        for k in range(4):
+            twin.access(same_set_addr(twin, 5, k), "write", value=k + 1)
+    fetches = [same_set_addr(cache, 5, 0), same_set_addr(cache, 2, 9), unmapped, RAM_BASE]
+    read_one_by_one(cache, fetches[:2])
+    tags, memory = cache.tag_state(), b[1].snapshot()
+    with pytest.raises(UnmappedAddress):
+        cache.access(unmapped, "read")
+    assert (cache.tag_state(), b[1].snapshot()) == (tags, memory)
+    with pytest.raises(UnmappedAddress):
+        a[0].read_fetches(fetches)
+    assert_twins_equal(a, b)

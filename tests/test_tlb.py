@@ -266,6 +266,23 @@ def test_activation_locks_leaf_and_serves_lookups():
     assert tlb.lookup(0x700 << 12, asid=1, vmid=0).status == "miss"
 
 
+@pytest.mark.parametrize("active_in_snapshot", (False, True))
+def test_restore_brings_back_which_slots_serve_lookups(active_in_snapshot):
+    """Which slots are active is derived from their registers: restore must
+    recompute it, so a slot activated after the snapshot stops lock-hitting
+    and one deactivated after it lock-hits again."""
+    tlb = make_tlb()
+    program_full_slot(tlb, 2, 0x700)
+    tlb.program_lock_slot(2, "id", asid=1, vmid=0, valid=active_in_snapshot)
+    state = tlb.snapshot()
+    tlb.program_lock_slot(2, "id", asid=1, vmid=0, valid=not active_in_snapshot)
+    assert tlb.lookup(0x700 << 12, asid=1, vmid=0).lock_hit is not active_in_snapshot
+    tlb.restore(state)
+    assert tlb.slots[2].active is active_in_snapshot
+    res = tlb.lookup(0x700 << 12, asid=1, vmid=0)
+    assert (res.hit, res.lock_hit) == (active_in_snapshot, active_in_snapshot)
+
+
 def test_lock_slot_survives_flush_all():
     tlb = make_tlb()
     program_full_slot(tlb, 0, 0x400, size=SIZE_2M, ppn=0x80000 & ~0x1FF)
