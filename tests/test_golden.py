@@ -23,6 +23,14 @@ per preset, SHA-256 over each scenario's repr(MemorySystem.snapshot())
 after its last iteration (seed 1, serial, ITERATIONS iterations), so a
 speed-up that moves any of that state shows even when the records hold.
 
+Records cannot see the output files' formatting or the summary's
+statistics either.  OUTPUTS_PATH pins, per preset and seed, SHA-256 over
+every scenario CSV that `write_outputs` writes (name and bytes, in
+scenario order) and over the summary JSON's bytes without its
+config_sha256 line (serial, ITERATIONS iterations), so a formatting or
+statistics change shows too, while a preset whose text is rewritten to
+the same behaviour does not.
+
 Regenerate (only when records are meant to change, and say so):
 
     PYTHONPATH=src python tests/test_golden.py
@@ -31,17 +39,19 @@ Regenerate (only when records are meant to change, and say so):
 import hashlib
 import json
 import os
+import tempfile
 
 import pytest
 
 from pvmsim.cli import preset_names, preset_text
 from pvmsim.config import load_experiment
-from pvmsim.harness import run_experiment
+from pvmsim.harness import run_experiment, write_outputs
 from pvmsim.hypervisor import build_plan, run_range
 
 GOLDEN_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
 GOLDEN_PATH = os.path.join(GOLDEN_DIR, "records.json")
 MACHINE_PATH = os.path.join(GOLDEN_DIR, "machine.json")
+OUTPUTS_PATH = os.path.join(GOLDEN_DIR, "outputs.json")
 SEEDS = (1, 2)
 ITERATIONS = 4
 UNEVEN = {"iterations": 7, "seed": 1, "workers": 3}
@@ -150,6 +160,23 @@ def machine_digest(preset):
     return h.hexdigest()
 
 
+def outputs_digests(preset, seed):
+    """{"csv": ..., "summary": ...} SHA-256 digests of one run's output files."""
+    cfg = load_experiment(text=preset_text(preset), seed=seed, iterations=ITERATIONS)
+    results = run_experiment(cfg, workers=1)
+    csv, summary = hashlib.sha256(), hashlib.sha256()
+    with tempfile.TemporaryDirectory() as outdir:
+        *csv_paths, summary_path = write_outputs(outdir, cfg, results)
+        for path in csv_paths:
+            with open(path, "rb") as handle:
+                csv.update(os.path.basename(path).encode() + b"\n" + handle.read())
+        with open(summary_path, "rb") as handle:
+            for line in handle:
+                if not line.lstrip().startswith(b'"config_sha256":'):
+                    summary.update(line)
+    return {"csv": csv.hexdigest(), "summary": summary.hexdigest()}
+
+
 def load_golden(path=GOLDEN_PATH):
     with open(path, "r", encoding="utf-8") as handle:
         return json.load(handle)
@@ -203,6 +230,19 @@ def test_machine_state_matches_golden_digest(preset):
     assert machine_digest(preset) == load_golden(MACHINE_PATH)[preset]
 
 
+def test_outputs_file_covers_every_preset():
+    golden = load_golden(OUTPUTS_PATH)
+    assert sorted(golden) == preset_names()
+    for preset in preset_names():
+        assert sorted(golden[preset]) == [str(s) for s in SEEDS]
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("preset", preset_names())
+def test_outputs_match_golden_digest(preset, seed):
+    assert outputs_digests(preset, seed) == load_golden(OUTPUTS_PATH)[preset][str(seed)]
+
+
 def main():
     digests = {
         preset: {str(seed): run_digest(preset, seed, 1) for seed in SEEDS}
@@ -221,6 +261,13 @@ def main():
         {"iterations": ITERATIONS, "digests": digests, "uneven": uneven, "prefix": prefix},
     )
     dump_golden(MACHINE_PATH, {preset: machine_digest(preset) for preset in preset_names()})
+    dump_golden(
+        OUTPUTS_PATH,
+        {
+            preset: {str(seed): outputs_digests(preset, seed) for seed in SEEDS}
+            for preset in preset_names()
+        },
+    )
 
 
 if __name__ == "__main__":
