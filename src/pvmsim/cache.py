@@ -30,7 +30,10 @@ zeros, reported as their own event so the pipeline can price them like
 any SPM access and never stall on the mistake.
 
 An access reports its event (hit, miss, spm, spm-misconfig) and the
-value read; memsys.MemorySystem turns events into cycles.
+value read; memsys.MemorySystem turns events into cycles.  Results are
+immutable, so every write of one event returns one shared result.
+``Cache.access`` serves a hit in its own frame; every miss, whether from
+``access`` or from a walk's ``read_fetches``, goes through ``_miss``.
 
 All accesses are modeled at 64-bit word granularity, which is the unit
 everything else in the simulator uses (page-table entries, workload
@@ -45,6 +48,9 @@ The PLRU bits are driven through tables derived from ``PlruTree`` (see
 plru.py); SPM ways are one cache-wide locked-ways mask that selects the
 victim table.  ``snapshot``/``restore`` copy this state wholesale.
 """
+
+from itertools import repeat
+from typing import NamedTuple
 
 from .plru import _is_pow2, check_tree, touch_masks, victim_table
 
@@ -109,14 +115,7 @@ class Memory:
         self._regions.append((base, base + size))
 
     def contains(self, addr):
-        return self._covers(addr, addr + 1)
-
-    def _covers(self, lo, hi):
-        """True when one region holds all of [lo, hi)."""
-        for rlo, rhi in self._regions:
-            if rlo <= lo and hi <= rhi:
-                return True
-        return False
+        return any(lo <= addr < hi for lo, hi in self._regions)
 
     def check(self, addr):
         if not self.contains(addr):
@@ -136,20 +135,23 @@ class Memory:
         """`count` consecutive words from word-aligned `base`.  The mapping
         is checked once when one region holds them all, else word by word
         (so an unmapped word raises exactly as read_word would)."""
-        if not self._covers(base, base + count * WORD_BYTES):
-            return [self.read_word(base + i * WORD_BYTES) for i in range(count)]
-        get = self._words.get
-        return [get(base + i * WORD_BYTES, 0) for i in range(count)]
+        top = base + count * WORD_BYTES
+        for lo, hi in self._regions:
+            if lo <= base and top <= hi:
+                return list(map(self._words.get, range(base, top, WORD_BYTES), repeat(0)))
+        return [self.read_word(base + i * WORD_BYTES) for i in range(count)]
 
     def write_line(self, base, words):
         """Store consecutive words from word-aligned `base`; see read_line."""
-        if not self._covers(base, base + len(words) * WORD_BYTES):
-            for i, w in enumerate(words):
-                self.write_word(base + i * WORD_BYTES, w)
-            return
-        store = self._words
+        top = base + len(words) * WORD_BYTES
+        for lo, hi in self._regions:
+            if lo <= base and top <= hi:
+                store = self._words
+                for addr, w in zip(range(base, top, WORD_BYTES), words):
+                    store[addr] = w & _WORD_MASK
+                return
         for i, w in enumerate(words):
-            store[base + i * WORD_BYTES] = w & _WORD_MASK
+            self.write_word(base + i * WORD_BYTES, w)
 
     def snapshot(self):
         return tuple(self._words.items())
@@ -158,18 +160,20 @@ class Memory:
         self._words = dict(state)
 
 
-class AccessResult:
+class AccessResult(NamedTuple):
     """Outcome of one cache access: its event and the value read (None for
     a write; a misconfigured-window read returns a dummy 0)."""
 
-    __slots__ = ("event", "value")
+    event: str
+    value: int = None
 
-    def __init__(self, event, value):
-        self.event = event
-        self.value = value
 
-    def __repr__(self):
-        return "AccessResult(event=%r, value=%r)" % (self.event, self.value)
+# Every write of one event shares its result, and so does a misconfigured
+# read.  tuple.__new__ builds a read result without the named tuple's
+# Python-level __new__ (what AccessResult._make does inside).
+_WRITTEN = {e: AccessResult(e) for e in (EVENT_HIT, EVENT_MISS, EVENT_SPM, EVENT_SPM_MISCONFIG)}
+_MISCONFIG_READ = AccessResult(EVENT_SPM_MISCONFIG, 0)
+_new_result = tuple.__new__
 
 
 def _stats_zero():
@@ -213,6 +217,7 @@ class Cache:
         self.spm_base = spm_base
         self._line_shift = line_bytes.bit_length() - 1
         self._set_shift = sets.bit_length() - 1
+        self._set_mask = sets - 1
         self.modes = [MODE_CACHE] * ways
         self._tags = [_NO_LINE] * (sets * ways)
         self._dirty = [0] * sets  # bitmap over ways, per set
@@ -280,15 +285,34 @@ class Cache:
 
     def access(self, paddr, kind="read", value=None):
         """Perform one 64-bit access; paddr is word-aligned internally."""
-        if kind not in ("read", "write", "ifetch"):
+        if kind == "write":
+            if value is None:
+                raise ValueError("write access needs a value")
+        elif kind != "read" and kind != "ifetch":
             raise ValueError("kind must be read/write/ifetch, got %r" % (kind,))
-        if kind == "write" and value is None:
-            raise ValueError("write access needs a value")
         paddr &= ~(WORD_BYTES - 1)
         spm = self.spm_base
         if spm is not None and spm <= paddr < spm + self.size:
             return self._spm_access(paddr, kind, value)
-        return self._cached_access(paddr, kind, value)
+        line = paddr >> self._line_shift
+        set_idx = line & self._set_mask
+        tag = line >> self._set_shift
+        ways = self.ways
+        base = set_idx * ways
+        row = self._tags[base:base + ways]
+        if tag not in row:
+            return self._miss(paddr, line, set_idx, tag, kind, value)
+        way = row.index(tag)
+        plru = self._plru
+        plru[set_idx] = plru[set_idx] & self._and[way] | self._or[way]
+        self.stats["hits"] += 1
+        wpl = self.words_per_line
+        idx = (base + way) * wpl + (paddr >> 3 & (wpl - 1))
+        if kind == "write":
+            self._data[idx] = value & _WORD_MASK
+            self._dirty[set_idx] |= 1 << way
+            return _WRITTEN[EVENT_HIT]
+        return _new_result(AccessResult, (EVENT_HIT, self._data[idx]))
 
     def read_fetches(self, paddrs):
         """Read every address of a page walk's fetch list, in order, exactly
@@ -298,7 +322,7 @@ class Cache:
         the same paths as access."""
         hits = misses = spm = 0
         ways = self.ways
-        set_mask = self.sets - 1
+        set_mask = self._set_mask
         line_shift, set_shift = self._line_shift, self._set_shift
         tags, plru, and_, or_ = self._tags, self._plru, self._and, self._or
         stats = self.stats
@@ -321,7 +345,7 @@ class Cache:
                 stats["hits"] += 1
                 hits += 1
             else:
-                self._cached_access(paddr, "read", None)
+                self._miss(paddr, line, set_idx, tag, "read", None)
                 misses += 1
         return hits, misses, spm
 
@@ -331,39 +355,24 @@ class Cache:
             # The window slice exists but its way was never converted:
             # behave like a black hole instead of stalling the core.
             self.stats["spm_misconfigs"] += 1
-            return AccessResult(EVENT_SPM_MISCONFIG, None if kind == "write" else 0)
+            return _WRITTEN[EVENT_SPM_MISCONFIG] if kind == "write" else _MISCONFIG_READ
         self.stats["spm_accesses"] += 1
         idx = (set_idx * self.ways + way) * self.words_per_line + word
         if kind == "write":
             self._data[idx] = value & _WORD_MASK
-            return AccessResult(EVENT_SPM, None)
+            return _WRITTEN[EVENT_SPM]
         return AccessResult(EVENT_SPM, self._data[idx])
 
-    def _cached_access(self, paddr, kind, value):
-        line = paddr >> self._line_shift
-        set_idx = line & (self.sets - 1)
-        tag = line >> self._set_shift
+    def _miss(self, paddr, line, set_idx, tag, kind, value):
+        """Serve a miss on `paddr`, whose line, set and tag the caller has
+        decoded and found in no way of the set."""
+        # Reading the fill line first is the mapping check: an unmapped
+        # line raises before any tag, dirty or PLRU bit moves.  The victim
+        # holds another line, so its write-back cannot change what was read.
+        stats = self.stats
+        stats["misses"] += 1
         wpl = self.words_per_line
         word = paddr >> 3 & (wpl - 1)
-        base = set_idx * self.ways
-        tags = self._tags
-        row = tags[base:base + self.ways]
-        stats = self.stats
-        if tag in row:
-            way = row.index(tag)
-            self._plru[set_idx] = self._plru[set_idx] & self._and[way] | self._or[way]
-            stats["hits"] += 1
-            idx = (base + way) * wpl + word
-            if kind == "write":
-                self._data[idx] = value & _WORD_MASK
-                self._dirty[set_idx] |= 1 << way
-                return AccessResult(EVENT_HIT, None)
-            return AccessResult(EVENT_HIT, self._data[idx])
-        # Miss.  Reading the fill line first is the mapping check: an
-        # unmapped line raises before any tag, dirty or PLRU bit moves.
-        # The victim holds another line, so its write-back cannot change
-        # what was read.
-        stats["misses"] += 1
         memory = self.memory
         fill = memory.read_line(line << self._line_shift, wpl)
         bits = self._plru[set_idx]
@@ -374,11 +383,12 @@ class Cache:
             stats["fill_drops"] += 1
             if kind == "write":
                 memory.write_word(paddr, value)
-                return AccessResult(EVENT_MISS, None)
-            return AccessResult(EVENT_MISS, fill[word])
+                return _WRITTEN[EVENT_MISS]
+            return _new_result(AccessResult, (EVENT_MISS, fill[word]))
         self._plru[set_idx] = bits & self._and[victim] | self._or[victim]
-        slot = base + victim
+        slot = set_idx * self.ways + victim
         bit = 1 << victim
+        tags = self._tags
         if tags[slot] != _NO_LINE:
             stats["evictions"] += 1
             if self._dirty[set_idx] & bit:
@@ -389,9 +399,9 @@ class Cache:
         if kind == "write":
             self._data[start + word] = value & _WORD_MASK
             self._dirty[set_idx] |= bit
-            return AccessResult(EVENT_MISS, None)
+            return _WRITTEN[EVENT_MISS]
         self._dirty[set_idx] &= ~bit
-        return AccessResult(EVENT_MISS, self._data[start + word])
+        return _new_result(AccessResult, (EVENT_MISS, fill[word]))
 
     def _write_back(self, set_idx, way):
         slot = set_idx * self.ways + way
@@ -444,7 +454,7 @@ class Cache:
     def probe(self, paddr):
         """Return the (set, way) currently holding paddr's line, else None."""
         line = paddr >> self._line_shift
-        set_idx = line & (self.sets - 1)
+        set_idx = line & self._set_mask
         tag = line >> self._set_shift
         row = self._tags[set_idx * self.ways:(set_idx + 1) * self.ways]
         if tag in row:

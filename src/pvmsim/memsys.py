@@ -45,8 +45,13 @@ consult the generator, so a fully locked, SPM-resident access path stays
 cycle-constant even with jitter enabled.  Because each miss is exactly one
 draw, replay_jitter can advance the generator past a known number of
 misses without performing them (the hypervisor does so for the prefix it
-restores instead of re-running).  All three -- a final access, a walk
-and a replay -- sample through MemorySystem._jitter.
+restores instead of re-running).  All three -- virtual_access pricing its
+final access, a walk and a replay -- sample through MemorySystem._jitter.
+
+Draws go straight to the generator's getrandbits through randbelow, which
+applies CPython's own rejection rule, so a draw gives the same value and
+leaves the generator in the same state as random.Random.randint(-j, j)
+(and the interference loop's page and offset draws as randrange(n)).
 """
 
 from dataclasses import dataclass, fields
@@ -57,6 +62,17 @@ from .tlb import PartitionCsrFile, Tlb, TlbEntry
 from .walker import walk_single, walk_two_stage
 
 KINDS = ("read", "write", "ifetch")
+
+
+def randbelow(getrandbits, n):
+    """A uniform draw from [0, n), n >= 1, taken from `getrandbits` of a
+    random.Random exactly as its randrange(n) takes it: the same value,
+    and the same generator state after."""
+    k = n.bit_length()
+    r = getrandbits(k)
+    while r >= n:
+        r = getrandbits(k)
+    return r
 
 
 @dataclass
@@ -124,6 +140,11 @@ class MemorySystem:
         self.icache = icache
         self.dcache = dcache
         self.rng = rng
+        self._sides = {
+            "read": (dtlb, dcache),
+            "write": (dtlb, dcache),
+            "ifetch": (itlb, icache),
+        }
         lat = self.latency
         # Cache event -> cycles; a miss also pays a jitter draw.
         # read_fetches counts both scratchpad events as one, so they
@@ -189,28 +210,21 @@ class MemorySystem:
     # -- pricing helpers ------------------------------------------------------
 
     def _jitter(self, misses):
-        """The sum of `misses` jitter draws, one per cache miss; 0 without
-        touching the generator when jitter is off."""
+        """The sum of `misses` jitter draws, one per cache miss, each as
+        randint(-j, j) would draw it; 0 without touching the generator
+        when jitter is off."""
         j = self.latency.jitter
         total = 0
         if j:
-            randint = self.rng.randint
+            getrandbits = self.rng.getrandbits
+            span = 2 * j + 1
             for _ in range(misses):
-                total += randint(-j, j)
+                total += randbelow(getrandbits, span) - j
         return total
 
-    def _priced_access(self, cache, paddr, kind, value=None):
-        """(AccessResult, cycles) of one cache access; only a miss, a real
-        memory trip, draws jitter."""
-        res = cache.access(paddr, kind, value)
-        cycles = self._price[res.event]
-        if res.event == EVENT_MISS:
-            cycles += self._jitter(1)
-        return res, cycles
-
     def replay_jitter(self, misses):
-        """Advance the jitter generator as `misses` cache misses priced by
-        _priced_access would have: one draw each, nothing else."""
+        """Advance the jitter generator as `misses` priced cache misses
+        would have: one draw each, nothing else."""
         self._jitter(misses)
 
     def _walk(self, vm, vaddr):
@@ -256,10 +270,12 @@ class MemorySystem:
     # -- the pipeline -----------------------------------------------------------
 
     def virtual_access(self, vaddr, kind, vm, value=None):
-        """Translate and perform one access on behalf of `vm`."""
-        if kind not in KINDS:
+        """Translate and perform one access on behalf of `vm`, and price
+        it; only a final-access miss, a real memory trip, draws jitter."""
+        side = self._sides.get(kind)
+        if side is None:
             raise ValueError("kind must be one of %r, got %r" % (KINDS, kind))
-        tlb = self.itlb if kind == "ifetch" else self.dtlb
+        tlb, cache = side
         look = tlb.lookup(vaddr, vm.asid, vm.vmid)
         translation = self.latency.tlb_hit_cycles
         status = look.status
@@ -280,11 +296,13 @@ class MemorySystem:
                 )
             paddr = walk.paddr & ~(PAGE_SIZE - 1) | vaddr & (PAGE_SIZE - 1)
             tlb.fill(entry)
-        cache = self.icache if kind == "ifetch" else self.dcache
-        res, cycles = self._priced_access(cache, paddr, kind, value)
+        event, read = cache.access(paddr, kind, value)
+        cycles = self._price[event]
+        if event == EVENT_MISS:
+            cycles += self._jitter(1)
         return MemAccessOutcome(
             translation, walk_cycles, cycles, translation + walk_cycles + cycles,
-            status == "hit", look.lock_hit, fetches, res.event, None, None, res.value, paddr,
+            status == "hit", look.lock_hit, fetches, event, None, None, read, paddr,
         )
 
     # -- bookkeeping ---------------------------------------------------------

@@ -44,7 +44,8 @@ node bits packed into one int (bit n = node n) and drive it through
 tables derived here from ``PlruTree`` itself, so the policy is still
 defined only once: ``touch_masks`` gives the per-leaf AND/OR pair of a
 touch, ``victim_table`` the victim for every packed state under one
-reachable-leaf mask.
+reachable-leaf mask.  ``touch_writes`` gives the same touch as the node
+writes on the leaf's root path, for a tree whose bits stay a list.
 """
 
 import functools
@@ -239,6 +240,19 @@ def touch_masks(leaf_count):
         ands.append(from_one & ~from_zero)
         ors.append(from_zero)
     return tuple(ands), tuple(ors)
+
+
+@functools.cache
+def touch_writes(leaf_count):
+    """(node, bit) pairs indexed by leaf: touching leaf l sets
+    ``node_bits[node] = bit`` for each pair, which are the nodes on its root
+    path.  Read off touch_masks: a node is on the path when the AND mask
+    clears it, and the OR mask holds the value it gets."""
+    ands, ors = touch_masks(leaf_count)
+    return tuple(
+        tuple((n, ors[leaf] >> n & 1) for n in range(leaf_count - 1) if not ands[leaf] >> n & 1)
+        for leaf in range(leaf_count)
+    )
 
 
 class _VictimTable(dict):

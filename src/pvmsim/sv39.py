@@ -40,6 +40,7 @@ PTE_A = 1 << 6
 PTE_D = 1 << 7
 
 PTE_LEAF_MASK = PTE_R | PTE_W | PTE_X
+PPN_SHIFT = 10  # the physical page number sits above the ten flag bits
 
 # Virtual page numbers are 27 bits; the bits above them only carry the
 # sign extension checked by is_canonical().
@@ -58,11 +59,11 @@ def vpn_index(vaddr, level):
 
 
 def make_pte(ppn, flags):
-    return (ppn << 10) | flags
+    return (ppn << PPN_SHIFT) | flags
 
 
 def pte_ppn(pte):
-    return pte >> 10
+    return pte >> PPN_SHIFT
 
 
 def pte_is_leaf(pte):

@@ -25,20 +25,22 @@ only -- lookups hit entries of disabled partitions just fine.
 
 A lookup reports what it found, not what it cost: memsys.MemorySystem
 prices every lookup at LatencyConfig.tlb_hit_cycles.
+
+A hit on a regular entry touches its leaf by writing the node bits of
+the leaf's root path directly (plru.touch_writes).  The TLB remembers its
+last hit exactly: a lookup with the same page number, asid and vmid as
+the previous hit is served from that memo without a scan.  Between the
+two nothing has changed -- every fill, flush, restore and lock-slot write
+clears the memo -- so the scan would find the same slot or leaf first,
+and touching that leaf again would change no bit.  The memo is derived
+state and never goes into a snapshot.
 """
 
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
-from .plru import PlruTree, check_tree
-from .sv39 import (
-    PAGE_SHIFT,
-    PAGE_SIZES,
-    PTE_G,
-    VPN_MASK,
-    is_canonical,
-    pte_ppn,
-)
+from .plru import PlruTree, check_tree, touch_writes
+from .sv39 import PAGE_SHIFT, PAGE_SIZES, PPN_SHIFT, PTE_G, VPN_MASK, is_canonical
 
 _SIZE_NAMES = {PAGE_SIZES[0]: "4K", PAGE_SIZES[1]: "2M", PAGE_SIZES[2]: "1G"}
 
@@ -63,9 +65,6 @@ class TlbEntry:
         if self.vpn & (self.page_size // (1 << PAGE_SHIFT) - 1):
             raise ValueError("vpn 0x%x not aligned to its page size" % self.vpn)
 
-    def paddr_for(self, vaddr):
-        return (pte_ppn(self.pte) << PAGE_SHIFT) | (vaddr & (self.page_size - 1))
-
 
 class LookupResult(NamedTuple):
     """Immutable, so every miss and every fault can share one result."""
@@ -83,6 +82,9 @@ class LookupResult(NamedTuple):
 
 _MISS = LookupResult("miss")
 _FAULT = LookupResult("fault")
+# tuple.__new__ builds a hit without the named tuple's Python-level __new__
+# (what LookupResult._make does inside).
+_new_result = tuple.__new__
 
 
 class LockSlot:
@@ -109,9 +111,6 @@ class LockSlot:
     @property
     def active(self):
         return self.vpn_valid and self.pte_valid and self.id_valid
-
-    def paddr_for(self, vaddr):
-        return (pte_ppn(self.pte) << PAGE_SHIFT) | (vaddr & (self.page_size - 1))
 
 
 def check_geometry(entries, partition_count, lock_slots):
@@ -165,6 +164,10 @@ class Tlb:
         # Default placement: slot j shadows leaf j; steerable while inactive.
         self.slots = [LockSlot(target_leaf=j) for j in range(lock_slots)]
         self._active = ()  # the active slots, in slot order; never snapshotted
+        self._touch = touch_writes(entries)
+        # (vpn, asid, vmid, frame address, offset mask, page size, pte,
+        # lock hit) of the last hit, or None; never snapshotted.
+        self._memo = None
         self.hits = 0
         self.misses = 0
         self.lock_hits = 0
@@ -176,10 +179,27 @@ class Tlb:
     def lookup(self, vaddr, asid, vmid):
         if not is_canonical(vaddr):
             return _FAULT
+        vpn = vaddr >> PAGE_SHIFT & VPN_MASK
+        memo = self._memo
+        if memo is None or memo[0] != vpn or memo[1] != asid or memo[2] != vmid:
+            memo = self._scan(vpn, asid, vmid)
+            if memo is None:
+                self.misses += 1
+                return _MISS
+        self.hits += 1
+        lock_hit = memo[7]
+        if lock_hit:
+            self.lock_hits += 1
+        return _new_result(
+            LookupResult, ("hit", memo[3] | vaddr & memo[4], memo[5], memo[6], lock_hit)
+        )
+
+    def _scan(self, vpn, asid, vmid):
+        """Find the slot or entry serving a page, touch an entry's leaf, and
+        return the new memo; None on a miss."""
         # A slot or entry matches on vmid, on asid unless it is global, and
         # on the page number with the bits below its page size cleared
         # (vpn & -span for a page of span base pages).
-        vpn = vaddr >> PAGE_SHIFT & VPN_MASK
         for slot in self._active:
             if (
                 slot.vmid == vmid
@@ -187,27 +207,34 @@ class Tlb:
                 and vpn & -(slot.page_size >> PAGE_SHIFT) == slot.vpn
             ):
                 # Served from the registers; replacement state untouched.
-                self.lock_hits += 1
-                self.hits += 1
-                return LookupResult("hit", slot.paddr_for(vaddr), slot.page_size, slot.pte, True)
-        for leaf, entry in enumerate(self.entries):
-            if (
-                entry.valid
-                and entry.vmid == vmid
-                and (entry.asid == asid or entry.global_flag)
-                and vpn & -(entry.page_size >> PAGE_SHIFT) == entry.vpn
-            ):
-                self.tree.touch(leaf)
-                self.hits += 1
-                return LookupResult("hit", entry.paddr_for(vaddr), entry.page_size, entry.pte)
-        self.misses += 1
-        return _MISS
+                size, pte, lock_hit = slot.page_size, slot.pte, True
+                break
+        else:
+            for leaf, entry in enumerate(self.entries):
+                if (
+                    entry.valid
+                    and entry.vmid == vmid
+                    and (entry.asid == asid or entry.global_flag)
+                    and vpn & -(entry.page_size >> PAGE_SHIFT) == entry.vpn
+                ):
+                    bits = self.tree.node_bits
+                    for node, bit in self._touch[leaf]:
+                        bits[node] = bit
+                    size, pte, lock_hit = entry.page_size, entry.pte, False
+                    break
+            else:
+                return None
+        memo = self._memo = (
+            vpn, asid, vmid, pte >> PPN_SHIFT << PAGE_SHIFT, size - 1, size, pte, lock_hit
+        )
+        return memo
 
     def fill(self, entry):
         """Install a walked translation; returns the leaf used, or None when
         CUR_PART enabled nothing replaceable and the fill was dropped."""
         if not entry.valid:
             raise ValueError("refusing to fill an invalid entry")
+        self._memo = None
         victim = self.tree.insert(self.csr.cur_part)
         if victim is None:
             self.dropped_fills += 1
@@ -223,12 +250,14 @@ class Tlb:
         if slot.active:
             raise ValueError("cannot retarget an active lock slot")
         self.tree._check_leaf(leaf)
+        self._memo = None
         slot.target_leaf = leaf
 
     def program_lock_slot(self, index, which, **fields):
         """Write one of a slot's three registers and re-evaluate activation."""
         slot = self.slots[index]
         was_active = slot.active
+        self._memo = None
         if which == "vpn":
             page_size = fields.get("page_size", PAGE_SIZES[0])
             if page_size not in PAGE_SIZES:
@@ -268,6 +297,7 @@ class Tlb:
 
     def flush(self, kind="all", asid=None, vmid=None, vaddr=None):
         """Invalidate matching regular entries; lock slots are never affected."""
+        self._memo = None
         for leaf, entry in enumerate(self.entries):
             if not entry.valid:
                 continue
@@ -306,4 +336,5 @@ class Tlb:
         for slot, fields in zip(self.slots, slots):
             slot.__dict__.update(fields)
         self._refresh_active()
+        self._memo = None
         self.hits, self.misses, self.lock_hits, self.fills, self.dropped_fills = counters

@@ -19,15 +19,16 @@ miss was inflicted from outside).
 
 An InterferenceLoop is open-ended instead: it visits uniformly random
 pages of its pool, a few line-granular touches per visit, until the cycle
-quantum the scheduler granted is used up.
+quantum the scheduler granted is used up.  Its page and offset draws are
+memsys.randbelow draws, the same values as the generator's randrange.
 """
 
 from dataclasses import dataclass
 
+from .memsys import KINDS, randbelow
 from .sv39 import SIZE_4K
 
 ORDERS = ("forward", "reverse", "random")
-KINDS = ("read", "write", "ifetch")
 
 
 class SimulationError(RuntimeError):
@@ -127,7 +128,7 @@ def run_regions(sys, vm, regions, rng=None):
         for vaddr in region.addresses(rng):
             value = _write_value(vaddr) if region.kind == "write" else None
             out = sys.virtual_access(vaddr, region.kind, vm, value=value)
-            if not out.ok:
+            if out.fault is not None:
                 raise SimulationError(
                     "workload access 0x%x faulted (%s, stage %s)"
                     % (vaddr, out.fault, out.fault_stage)
@@ -144,13 +145,17 @@ def run_interference(sys, vm, loop, quantum, rng):
     """
     spent = 0
     per_page = max(1, SIZE_4K // loop.stride)
+    touches = min(loop.touches_per_page, per_page)
+    base, pages, stride, kind = loop.base, loop.pages, loop.stride, loop.kind
+    write = kind == "write"
+    getrandbits = rng.getrandbits
     while spent < quantum:
-        page_base = loop.base + rng.randrange(loop.pages) * SIZE_4K
-        for _ in range(min(loop.touches_per_page, per_page)):
-            vaddr = page_base + rng.randrange(per_page) * loop.stride
-            value = _write_value(vaddr) if loop.kind == "write" else None
-            out = sys.virtual_access(vaddr, loop.kind, vm, value=value)
-            if not out.ok:
+        page_base = base + randbelow(getrandbits, pages) * SIZE_4K
+        for _ in range(touches):
+            vaddr = page_base + randbelow(getrandbits, per_page) * stride
+            value = _write_value(vaddr) if write else None
+            out = sys.virtual_access(vaddr, kind, vm, value)
+            if out.fault is not None:
                 raise SimulationError(
                     "interference access 0x%x faulted (%s, stage %s)"
                     % (vaddr, out.fault, out.fault_stage)

@@ -266,3 +266,130 @@ def spm_decode_ref(base, ways, sets, line_bytes, paddr):
                 if s_lo <= paddr < s_lo + line_bytes:
                     return way, set_idx, (paddr - s_lo) // 8
     return None
+
+
+# -- TLB reference ------------------------------------------------------------
+
+
+class TlbRef:
+    """Naive fully associative TLB with lock slots and partition-steered
+    fills, built on the PLRU helpers above.
+
+    Entries and slot registers are plain dicts; a lookup scans the active
+    lock slots in slot order, then every valid entry in leaf order, and
+    matches a page by range (vpn <= page < vpn + span) rather than by
+    masking.  No state is remembered between lookups.  Results are
+    (status, paddr, page_size, pte, lock_hit) tuples; the counters are
+    (hits, misses, lock_hits, fills, dropped_fills).
+    """
+
+    G_FLAG = 1 << 5
+
+    def __init__(self, entries, partitions, slots):
+        self.leaf_count = entries
+        self.partitions = partitions
+        self.bits = [0] * (entries - 1)
+        self.locked = set()
+        self.entries = [None] * entries  # leaf -> dict, None once invalid
+        self.slots = [
+            {"target": j, "vpn": None, "pte": None, "id": None} for j in range(slots)
+        ]
+        self.counters = [0, 0, 0, 0, 0]
+
+    @staticmethod
+    def _canonical(vaddr):
+        low = vaddr & ((1 << 39) - 1)
+        if low >> 38:
+            low |= ((1 << 64) - 1) ^ ((1 << 39) - 1)  # sign-extend bit 38
+        return low == vaddr
+
+    @staticmethod
+    def _covers(vpn, page_size, vaddr):
+        page = (vaddr >> 12) % (1 << 27)
+        return vpn <= page < vpn + page_size // 4096
+
+    def _active(self, slot):
+        return None not in (slot["vpn"], slot["pte"], slot["id"])
+
+    def lookup(self, vaddr, asid, vmid):
+        if not self._canonical(vaddr):
+            return ("fault", 0, 0, 0, False)
+        for slot in self.slots:
+            if not self._active(slot):
+                continue
+            vpn, page_size, flags = slot["vpn"]
+            slot_asid, slot_vmid = slot["id"]
+            if (
+                slot_vmid == vmid
+                and (slot_asid == asid or flags & self.G_FLAG)
+                and self._covers(vpn, page_size, vaddr)
+            ):
+                self.counters[0] += 1
+                self.counters[2] += 1
+                pte = slot["pte"]
+                return ("hit", (pte >> 10) * 4096 + vaddr % page_size, page_size, pte, True)
+        for leaf, entry in enumerate(self.entries):
+            if (
+                entry is not None
+                and entry["vmid"] == vmid
+                and (entry["asid"] == asid or entry["global"])
+                and self._covers(entry["vpn"], entry["page_size"], vaddr)
+            ):
+                self.bits = plru_touch_ref(self.bits, self.leaf_count, leaf)
+                self.counters[0] += 1
+                pte = entry["pte"]
+                page_size = entry["page_size"]
+                return ("hit", (pte >> 10) * 4096 + vaddr % page_size, page_size, pte, False)
+        self.counters[1] += 1
+        return ("miss", 0, 0, 0, False)
+
+    def fill(self, mask, vpn, page_size, asid, vmid, pte, global_flag):
+        """Install under partition mask `mask`; the leaf, or None if dropped."""
+        reachable = partition_leaves_ref(self.leaf_count, self.partitions, mask) - self.locked
+        victim = plru_constrained_victim_ref(self.bits, self.leaf_count, reachable)
+        if victim is None:
+            self.counters[4] += 1
+            return None
+        self.bits = plru_touch_ref(self.bits, self.leaf_count, victim)
+        self.entries[victim] = {
+            "vpn": vpn, "page_size": page_size, "asid": asid, "vmid": vmid,
+            "pte": pte, "global": global_flag,
+        }
+        self.counters[3] += 1
+        return victim
+
+    def flush(self, kind, asid=None, vmid=None, vaddr=None):
+        for leaf, entry in enumerate(self.entries):
+            if entry is None:
+                continue
+            if (
+                kind == "all"
+                or kind == "by-asid" and entry["asid"] == asid and not entry["global"]
+                or kind == "by-vmid" and entry["vmid"] == vmid
+                or kind == "by-vaddr" and self._covers(entry["vpn"], entry["page_size"], vaddr)
+            ):
+                self.entries[leaf] = None
+
+    def program(self, index, which, value):
+        """Write one slot register: `value` is the register's fields, or
+        None for a cleared valid bit.  vpn = (vpn, page_size, flags),
+        pte = pte, id = (asid, vmid)."""
+        slot = self.slots[index]
+        was_active = self._active(slot)
+        slot[which] = value
+        if self._active(slot) and not was_active:
+            self.locked.add(slot["target"])
+        elif was_active and not self._active(slot):
+            self.locked.discard(slot["target"])
+
+    def retarget(self, index, leaf):
+        self.slots[index]["target"] = leaf
+
+    def state(self):
+        """Comparable view: (node bits, locked leaves, entries, counters)."""
+        return (
+            list(self.bits),
+            sorted(self.locked),
+            [None if e is None else dict(e) for e in self.entries],
+            tuple(self.counters),
+        )

@@ -117,18 +117,6 @@ def fresh_prefix(plan, jitter_rng=None, work_rng=None):
     return sys
 
 
-class CountingRandom(random.Random):
-    """random.Random that counts its randint calls (the jitter draws)."""
-
-    def __init__(self, *args):
-        super().__init__(*args)
-        self.randints = 0
-
-    def randint(self, a, b):
-        self.randints += 1
-        return super().randint(a, b)
-
-
 class IterationSeedTest(unittest.TestCase):
     def test_stable_and_distinct(self):
         a = iteration_seed(42, 7, "jitter")
@@ -533,10 +521,15 @@ class PrefixSnapshotTest(unittest.TestCase):
         defn = scenario((crit_vm(), intf_vm()), jitter=3)
         plan = build_plan(defn)
         run_iteration(plan, 0)
-        counting = CountingRandom(0)
-        fresh_prefix(plan, counting)
-        self.assertGreater(counting.randints, 0)
-        self.assertEqual(plan.machine[2], counting.randints)
+        self.assertGreater(plan.machine[2], 0)
+        jitter = random.Random(0)
+        fresh_prefix(plan, jitter)
+        # Every draw advances the generator, so the states agree only if
+        # the prefix drew exactly plan.machine[2] times.
+        expected = random.Random(0)
+        for _ in range(plan.machine[2]):
+            expected.randint(-3, 3)
+        self.assertEqual(jitter.getstate(), expected.getstate())
 
     def test_random_order_prime_runs_on_every_iteration(self):
         defn = scenario((self.random_prime_vm(), intf_vm()), jitter=3)
@@ -551,7 +544,7 @@ class PrefixSnapshotTest(unittest.TestCase):
         plan = build_plan(scenario((crit_vm(), intf_vm())))
         made = []
 
-        class Recording(CountingRandom):
+        class Recording(random.Random):
             def __init__(self, *args):
                 super().__init__(*args)
                 made.append(self)
@@ -560,7 +553,7 @@ class PrefixSnapshotTest(unittest.TestCase):
             for index in range(3):
                 run_iteration(plan, index)
         self.assertEqual(len(made), 6)  # the workload and interference streams
-        self.assertEqual([r.randints for r in made], [0] * 6)
+        # No jitter generator exists, so a jitter draw would have raised.
         self.assertIsNone(plan.machine[0].rng)
         self.assertGreater(plan.machine[2], 0)  # misses to replay, but no draws
 

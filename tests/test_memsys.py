@@ -400,6 +400,28 @@ def test_identical_streams_give_identical_cycles():
     assert a == b
 
 
+@pytest.mark.parametrize("seed", (0, 1, 29, 2**40 + 3))
+def test_draws_match_random_randrange_and_randint(seed):
+    """randbelow and the jitter draw give randrange(n)'s and randint(-j,
+    j)'s values, and leave the generator in the same state, draw by draw."""
+    for n in (1, 2, 7, 64, 512):
+        ours, theirs = random.Random(seed), random.Random(seed)
+        for _ in range(100):
+            assert memsys.randbelow(ours.getrandbits, n) == theirs.randrange(n)
+            assert ours.getstate() == theirs.getstate()
+    for j in range(1, 6):
+        sys_ = MemorySystem(
+            itlb=None, dtlb=None, icache=None, dcache=None,
+            latency=LatencyConfig(jitter=j), rng=random.Random(seed),
+        )
+        theirs = random.Random(seed)
+        for _ in range(100):
+            assert sys_._jitter(1) == theirs.randint(-j, j)
+            assert sys_.rng.getstate() == theirs.getstate()
+        assert sys_._jitter(5) == sum(theirs.randint(-j, j) for _ in range(5))
+        assert sys_.rng.getstate() == theirs.getstate()
+
+
 def test_jitter_is_seed_deterministic_and_bounded():
     base = trace_totals(build_system(), single_stage_vm(), seed=5)
     j1 = trace_totals(build_system(jitter=5, seed=100), single_stage_vm(), seed=5)

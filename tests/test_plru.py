@@ -6,7 +6,14 @@ import random
 
 import pytest
 
-from pvmsim.plru import PlruTree, pack_bits, touch_masks, unpack_bits, victim_table
+from pvmsim.plru import (
+    PlruTree,
+    pack_bits,
+    touch_masks,
+    touch_writes,
+    unpack_bits,
+    victim_table,
+)
 from pvmsim.vectors import (
     BITS_AFTER_INSERT5,
     BITS_AFTER_TOUCH1,
@@ -311,3 +318,19 @@ def test_packed_tables_match_tree_16_ways():
     check_packed_victims(16, (1 << 16) - 1, states)
     for reach in [0, 1 << 15] + [rng.getrandbits(16) for _ in range(62)]:
         check_packed_victims(16, reach, sample)
+
+
+@pytest.mark.parametrize("leaf_count", [2, 4, 8, 16])
+def test_touch_writes_match_tree(leaf_count):
+    """Writing a leaf's (node, bit) pairs into any node bits is its touch."""
+    rng = random.Random(leaf_count)
+    tree = PlruTree(leaf_count)
+    writes = touch_writes(leaf_count)
+    for _ in range(200):
+        bits = [rng.getrandbits(1) for _ in range(leaf_count - 1)]
+        leaf = rng.randrange(leaf_count)
+        tree.load_bits(bits)
+        tree.touch(leaf)
+        for node, bit in writes[leaf]:
+            bits[node] = bit
+        assert bits == tree.node_bits, (leaf, bits)

@@ -21,7 +21,7 @@ from pvmsim.sv39 import (
 )
 from pvmsim.tlb import LockSlot, PartitionCsrFile, Tlb, TlbEntry
 
-from oracles import CsrPairRef
+from oracles import CsrPairRef, TlbRef
 
 FULL = PTE_V | PTE_R | PTE_W | PTE_X | PTE_A | PTE_D
 
@@ -398,3 +398,150 @@ def test_flush_empty_is_noop():
 def test_entry_alignment_enforced():
     with pytest.raises(ValueError):
         TlbEntry(vpn=0x201, page_size=SIZE_2M, asid=0, vmid=0, pte=make_pte(1, FULL))
+
+
+# -- differential test against the naive reference ---------------------------------
+
+# (entries, partitions, lock slots)
+REF_GEOMETRIES = ((16, 16, 8), (16, 4, 8), (8, 2, 4), (4, 4, 2))
+REF_IDS = ((1, 0), (2, 0), (1, 1))  # (asid, vmid)
+# (vpn, page_size): 4 KiB pages, two 2 MiB pages, a 1 GiB page and the top
+# page of the canonical upper half.
+REF_PAGES = tuple((0x100 + i, SIZE_4K) for i in range(6)) + (
+    (0x600, SIZE_2M),
+    (0xA00, SIZE_2M),
+    (1 << 18, SIZE_1G),
+    ((1 << 27) - 1, SIZE_4K),
+)
+FLUSH_KINDS = ("all", "by-asid", "by-vmid", "by-vaddr")
+
+
+def page_vaddr(vpn):
+    """The canonical virtual address of a page number's first byte."""
+    vaddr = vpn << 12
+    if vpn >> 26:
+        vaddr |= ((1 << 64) - 1) ^ ((1 << 39) - 1)
+    return vaddr
+
+
+def tlb_state(tlb):
+    """The TLB seen the way TlbRef.state() shows its own."""
+    entries = [
+        {
+            "vpn": e.vpn, "page_size": e.page_size, "asid": e.asid, "vmid": e.vmid,
+            "pte": e.pte, "global": e.global_flag,
+        }
+        if e.valid
+        else None
+        for e in tlb.entries
+    ]
+    locked = [leaf for leaf in range(len(tlb.entries)) if tlb.tree.locked >> leaf & 1]
+    counters = (tlb.hits, tlb.misses, tlb.lock_hits, tlb.fills, tlb.dropped_fills)
+    return list(tlb.tree.node_bits), locked, entries, counters
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_tlb_matches_naive_reference(seed):
+    """Runs of lookups in one page, often with the same page number and
+    ids as the lookup before, interleaved with fills under random CUR_PART
+    masks, every flush kind, lock-slot programming and retargeting, and
+    snapshot/restore: every lookup result, every fill's leaf, the
+    counters, the entries and the PLRU node bits must match TlbRef."""
+    rng = random.Random(seed)
+    n_entries, partitions, n_slots = REF_GEOMETRIES[seed % len(REF_GEOMETRIES)]
+    tlb = make_tlb(n_entries, partitions, n_slots)
+    ref = TlbRef(n_entries, partitions, n_slots)
+    saved = []
+    seen = dict.fromkeys(("repeat", "lock_hit", "drop", "restore", "fault"), 0)
+    last = None  # (vaddr, asid, vmid) of the previous lookup
+
+    def frame():
+        return rng.randrange(1, 64) << 18  # a page number aligned for every page size
+
+    for _ in range(600):
+        op = rng.random()
+        if op < 0.45:
+            active = [slot for slot in tlb.slots if slot.active]
+            if last is not None and rng.random() < 0.5:
+                page, asid, vmid = last
+            elif active and rng.random() < 0.3:
+                slot = rng.choice(active)
+                asid, vmid = slot.asid, slot.vmid
+                page = page_vaddr(slot.vpn) + rng.randrange(0, slot.page_size, SIZE_4K)
+            else:
+                vpn, size = rng.choice(REF_PAGES)
+                asid, vmid = rng.choice(REF_IDS)
+                page = page_vaddr(vpn) + rng.randrange(0, size, SIZE_4K)
+            for _ in range(rng.randint(1, 6)):
+                if rng.random() < 0.1:
+                    asid, vmid = rng.choice(REF_IDS)
+                vaddr = page + rng.randrange(SIZE_4K)
+                if rng.random() < 0.05:
+                    vaddr ^= 1 << 40  # same page number bits, not canonical
+                    seen["fault"] += 1
+                elif last == (vaddr & ~(SIZE_4K - 1), asid, vmid):
+                    seen["repeat"] += 1
+                got = tlb.lookup(vaddr, asid, vmid)
+                assert got == ref.lookup(vaddr, asid, vmid)
+                seen["lock_hit"] += got.lock_hit
+                last = (vaddr & ~(SIZE_4K - 1), asid, vmid)
+        elif op < 0.65:
+            if rng.random() < 0.5:
+                tlb.csr.write_cur_part(0 if rng.random() < 0.1 else rng.randrange(1 << partitions))
+            vpn, size = rng.choice(REF_PAGES)
+            asid, vmid = rng.choice(REF_IDS)
+            pte, global_flag = make_pte(frame(), FULL), rng.random() < 0.15
+            leaf = tlb.fill(TlbEntry(vpn=vpn, page_size=size, asid=asid, vmid=vmid, pte=pte,
+                                     global_flag=global_flag))
+            assert leaf == ref.fill(tlb.csr.cur_part, vpn, size, asid, vmid, pte, global_flag)
+            seen["drop"] += leaf is None
+        elif op < 0.73:
+            kind = rng.choice(FLUSH_KINDS)
+            asid, vmid = rng.choice(REF_IDS)
+            vaddr = page_vaddr(rng.choice(REF_PAGES)[0])
+            tlb.flush(kind, asid=asid, vmid=vmid, vaddr=vaddr)
+            ref.flush(kind, asid=asid, vmid=vmid, vaddr=vaddr)
+        elif op < 0.85:
+            # Mostly the first two slots, so that some become active; often
+            # the previous lookup's page and ids, so that a lookup repeating
+            # it sees the slot change.
+            index = rng.randrange(n_slots if rng.random() < 0.3 else 2)
+            follow = last is not None and rng.random() < 0.5
+            if rng.random() < 0.5:
+                writes = (("vpn", True), ("pte", True), ("id", True))  # the whole slot
+            else:
+                writes = ((rng.choice(("vpn", "pte", "id")), rng.random() < 0.7),)
+            for which, valid in writes:
+                if which == "vpn":
+                    vpn, size = rng.choice(REF_PAGES)
+                    if follow:
+                        vpn, size = (last[0] >> 12) & ((1 << 27) - 1), SIZE_4K
+                    flags = FULL | (PTE_G if rng.random() < 0.2 else 0)
+                    tlb.program_lock_slot(index, "vpn", vpn=vpn, page_size=size, flags=flags,
+                                          valid=valid)
+                    value = (vpn, size, flags)
+                elif which == "pte":
+                    value = make_pte(frame(), FULL)
+                    tlb.program_lock_slot(index, "pte", pte=value, valid=valid)
+                else:
+                    value = last[1:] if follow else rng.choice(REF_IDS)
+                    tlb.program_lock_slot(index, "id", asid=value[0], vmid=value[1], valid=valid)
+                ref.program(index, which, value if valid else None)
+                assert tlb_state(tlb) == ref.state()
+        elif op < 0.90:
+            idle = [i for i, slot in enumerate(tlb.slots) if not slot.active]
+            if idle:
+                index = rng.choice(idle)
+                taken = {slot.target_leaf for i, slot in enumerate(tlb.slots) if i != index}
+                leaf = rng.choice(sorted(set(range(n_entries)) - taken))
+                tlb.set_lock_target(index, leaf)
+                ref.retarget(index, leaf)
+        elif op < 0.95 or not saved:
+            saved.append((tlb.snapshot(), copy.deepcopy(ref)))
+        else:
+            state, ref_state = rng.choice(saved)
+            tlb.restore(state)
+            ref = copy.deepcopy(ref_state)
+            seen["restore"] += 1
+        assert tlb_state(tlb) == ref.state()
+    assert all(seen.values()), seen
