@@ -148,6 +148,13 @@ def test_write_needs_a_value():
         cache.access(RAM_BASE, "write")
 
 
+@pytest.mark.parametrize("kind", ("poke", None))
+def test_access_kind_is_validated(kind):
+    cache, _ = make_cache()
+    with pytest.raises(ValueError):
+        cache.access(RAM_BASE, kind, value=1)
+
+
 def test_flush_spills_everything_and_invalidates():
     cache, mem = make_cache()
     addrs = [RAM_BASE + 0x10 * k for k in range(6)]
