@@ -199,9 +199,9 @@ class Cache:
         self,
         memory,
         *,
-        ways=8,
-        sets=256,
-        line_bytes=16,
+        ways,
+        sets,
+        line_bytes,
         spm_base=None,
     ):
         check_geometry(ways, sets, line_bytes)

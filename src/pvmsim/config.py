@@ -25,13 +25,18 @@ back to defaults.  The full schema::
 
 Integers accept 0x-prefixed hex.  A sweep's kind defaults to ifetch for
 executable regions and read otherwise.
+
+[tlb] and [cache] describe one MachineConfig, built and checked once per
+experiment (geometry and scratchpad windows, errors under [tlb] or
+[cache]) and shared by every scenario; a scenario checks only its own
+masks and spm_ways against it.
 """
 
 import configparser
 from dataclasses import dataclass, replace
 
-from .hypervisor import HypervisorConfig, MappedRegion, ScenarioDef, VmSpec
-from .memsys import LatencyConfig
+from .hypervisor import HypervisorConfig, MappedRegion, ScenarioDef, VmSpec, check_spm_windows
+from .memsys import LatencyConfig, MachineConfig
 from .sv39 import PTE_A, PTE_D, PTE_R, PTE_W, PTE_X, SIZE_1G, SIZE_2M, SIZE_4K
 from .workload import InterferenceLoop, Region, Workload
 
@@ -51,7 +56,7 @@ _LATENCY_KEYS = {
     "memory": "memory_cycles",
     "jitter": "jitter",
 }
-_TLB_KEYS = {"entries": "tlb_entries", "partitions": "tlb_partitions", "lock_slots": "lock_slots"}
+_TLB_KEYS = {"entries", "partitions", "lock_slots"}
 _CACHE_KEYS = {"ways", "icache_sets", "dcache_sets", "line_bytes"}
 # [hypervisor] key -> HypervisorConfig field, or field of its footprint Region
 _HYP_KEYS = {
@@ -71,6 +76,20 @@ _REGION_KEYS = {"base", "pages", "flags", "page_size", "backing", "lock"}
 
 def _fail(where, message):
     raise ConfigError("%s: %s" % (where, message))
+
+
+class _located:
+    """Report a ValueError raised in the with-block as a ConfigError at `where`."""
+
+    def __init__(self, where):
+        self.where = where
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, kind, exc, traceback):
+        if isinstance(exc, ValueError) and not isinstance(exc, ConfigError):
+            _fail(self.where, str(exc))
 
 
 def _int(where, raw):
@@ -171,7 +190,7 @@ def _parse_region(where, raw):
         if token not in _PAGE_SIZES:
             _fail(where, "page_size must be one of %s" % ", ".join(sorted(_PAGE_SIZES)))
         page_size = _PAGE_SIZES[token]
-    try:
+    with _located(where):
         return MappedRegion(
             gvaddr=_int(where, kv["base"]),
             size=_int(where, kv["pages"]) * page_size,
@@ -180,10 +199,6 @@ def _parse_region(where, raw):
             backing=kv.get("backing", "ram"),
             lock=_bool(where, kv["lock"]) if "lock" in kv else False,
         )
-    except ConfigError:
-        raise
-    except ValueError as exc:
-        _fail(where, str(exc))
 
 
 def _parse_sweeps(where, raw, regions):
@@ -195,7 +210,7 @@ def _parse_sweeps(where, raw, regions):
             _fail(where, "unknown region %r" % rname)
         region = regions[rname]
         kind = kv.get("kind", "ifetch" if region.flags & PTE_X else "read")
-        try:
+        with _located(where):
             sweeps.append(
                 Region(
                     base=region.gvaddr,
@@ -207,10 +222,6 @@ def _parse_sweeps(where, raw, regions):
                     compute_cycles=_int(where, kv["compute"]) if "compute" in kv else 0,
                 )
             )
-        except ConfigError:
-            raise
-        except ValueError as exc:
-            _fail(where, str(exc))
     if not sweeps:
         _fail(where, "needs at least one sweep")
     return tuple(sweeps)
@@ -223,7 +234,7 @@ def _parse_loop(where, raw, regions):
         _fail(where, "unknown region %r" % rname)
     region = regions[rname]
     kind = kv.get("kind", "ifetch" if region.flags & PTE_X else "read")
-    try:
+    with _located(where):
         return InterferenceLoop(
             base=region.gvaddr,
             pages=region.size // SIZE_4K,
@@ -232,10 +243,6 @@ def _parse_loop(where, raw, regions):
             kind=kind,
             compute_cycles=_int(where, kv["compute"]) if "compute" in kv else 0,
         )
-    except ConfigError:
-        raise
-    except ValueError as exc:
-        _fail(where, str(exc))
 
 
 def _parse_vm(section, options):
@@ -275,7 +282,7 @@ def _parse_vm(section, options):
         workload = _parse_loop("%s loop" % where, plain["loop"], regions)
     else:
         _fail(where, "role must be 'measured' or 'interference', got %r" % role)
-    try:
+    with _located(where):
         return VmSpec(
             name=name,
             vmid=_int(where, plain["vmid"]),
@@ -285,25 +292,19 @@ def _parse_vm(section, options):
             workload=workload,
             two_stage=_bool(where, plain["two_stage"]) if "two_stage" in plain else True,
         )
-    except ConfigError:
-        raise
-    except ValueError as exc:
-        _fail(where, str(exc))
 
 
-def _mapped_section(cp, name, mapping_or_keys):
-    """Read one optional section of scalar ints with key checking."""
-    out = {}
+def _mapped_section(cp, name, keys):
+    """Read one optional section of scalar ints with key checking; `keys`
+    is the set of field names, or maps each key to its field."""
     if not cp.has_section(name):
-        return out
+        return {}
     where = "[%s]" % name
-    options = cp[name]
-    keys = mapping_or_keys if isinstance(mapping_or_keys, dict) else None
-    allowed = set(mapping_or_keys)
-    _check_keys(where, options, allowed)
-    for key, raw in options.items():
-        out[keys[key] if keys else key] = _int("%s %s" % (where, key), raw)
-    return out
+    _check_keys(where, cp[name], keys)
+    field_of = keys if isinstance(keys, dict) else {}
+    return {
+        field_of.get(key, key): _int("%s %s" % (where, key), raw) for key, raw in cp[name].items()
+    }
 
 
 def load_experiment(path=None, *, text=None, seed=None, iterations=None):
@@ -345,21 +346,22 @@ def load_experiment(path=None, *, text=None, seed=None, iterations=None):
         iterations if iterations is not None else _int("[run] iterations", run.get("iterations", "10000"))
     )
 
-    try:
-        latency = LatencyConfig(**_mapped_section(cp, "latency", _LATENCY_KEYS)).validate()
-    except ValueError as exc:
-        _fail("[latency]", str(exc))
-    machine = _mapped_section(cp, "tlb", _TLB_KEYS)
-    machine.update(_mapped_section(cp, "cache", _CACHE_KEYS))
+    with _located("[latency]"):
+        latency = LatencyConfig(**_mapped_section(cp, "latency", _LATENCY_KEYS))
+    # One machine for every scenario.  The [tlb] keys are checked against
+    # the default cache first, so each rule is reported under its section.
+    with _located("[tlb]"):
+        machine = MachineConfig(**_mapped_section(cp, "tlb", _TLB_KEYS))
+    with _located("[cache]"):
+        machine = replace(machine, **_mapped_section(cp, "cache", _CACHE_KEYS))
+        check_spm_windows(machine)
 
     # Only the keys present override HypervisorConfig's own defaults.
     hyp_raw = _mapped_section(cp, "hypervisor", _HYP_KEYS)
     footprint = {key: hyp_raw.pop(key) for key in _FOOTPRINT_FIELDS if key in hyp_raw}
     hyp = HypervisorConfig()
-    try:
+    with _located("[hypervisor]"):
         hyp = replace(hyp, footprint=(replace(hyp.footprint[0], **footprint),), **hyp_raw)
-    except ValueError as exc:
-        _fail("[hypervisor]", str(exc))
 
     vms = {}
     for section in vm_sections:
@@ -387,24 +389,19 @@ def load_experiment(path=None, *, text=None, seed=None, iterations=None):
         if seed is None and "seed" in options:
             s_seed = _int("%s seed" % where, options["seed"])
         s_hyp = hyp
-        try:
+        with _located(where):
             if "hyp_mask" in options:
                 s_hyp = replace(hyp, partition_mask=_int(where, options["hyp_mask"]))
-            defn = ScenarioDef(
+            scenarios[sname] = ScenarioDef(
                 name=sname,
                 vms=tuple(members),
                 hyp=s_hyp,
                 latency=latency,
                 iterations=s_iters,
                 seed=s_seed,
+                machine=machine,
                 spm_ways=_int(where, options["spm_ways"]) if "spm_ways" in options else 0,
-                **machine,
             )
-        except ConfigError:
-            raise
-        except ValueError as exc:
-            _fail(where, str(exc))
-        scenarios[sname] = defn
         order.append(sname)
 
     if "scenarios" in run:

@@ -46,8 +46,8 @@ import hashlib
 import random
 from dataclasses import dataclass, field
 
-from .cache import MODE_SPM, Memory, check_geometry as check_cache_geometry, check_spm_window
-from .memsys import LatencyConfig, MemorySystem
+from .cache import MODE_SPM, Memory, check_spm_window
+from .memsys import LatencyConfig, MachineConfig, MemorySystem
 from .sv39 import (
     PAGE_SHIFT,
     PAGE_SIZES,
@@ -59,8 +59,8 @@ from .sv39 import (
     SIZE_4K,
     make_pte,
 )
-from .tlb import check_geometry as check_tlb_geometry, check_mask
-from .walker import AddressSpace
+from .tlb import check_mask
+from .walker import GPA_BITS, AddressSpace
 from .workload import InterferenceLoop, Region, Workload, run_interference, run_regions
 
 # Physical layout of the modeled machine. Backing memory is sparse, so
@@ -69,7 +69,7 @@ RAM_BASE = 0x8000_0000
 RAM_SIZE = 0x1000_0000  # 256 MiB
 MEMORY_REGIONS = ((RAM_BASE, RAM_SIZE),)
 TABLE_STRIDE = 0x0020_0000  # 2 MiB of page-table headroom per address space
-FRAME_BASE = RAM_BASE + 0x0800_0000  # data frames grow from here
+FRAME_BASE = RAM_BASE + 0x0800_0000  # data frames fill the upper 128 MiB
 DSPM_BASE = 0x1000_0000  # data-cache scratchpad window
 ISPM_BASE = 0x2000_0000  # instruction-cache scratchpad window
 GPA_TABLE_BASE = 0x0100_0000  # guest-physical home of guest page tables
@@ -168,36 +168,18 @@ class ScenarioDef:
     latency: LatencyConfig = field(default_factory=LatencyConfig)
     iterations: int = 10_000
     seed: int = 0
-    tlb_entries: int = 16
-    tlb_partitions: int = 16
-    lock_slots: int = 8
-    ways: int = 8
-    icache_sets: int = 128
-    dcache_sets: int = 256
-    line_bytes: int = 16
+    machine: MachineConfig = field(default_factory=MachineConfig)
     spm_ways: int = 0  # ways converted to scratchpad in BOTH caches
 
     def __post_init__(self):
         object.__setattr__(self, "vms", tuple(self.vms))
         if self.iterations < 0:
             raise ValueError("iterations must be >= 0")
-        # The machine's own rules, checked here so that a scenario that
-        # cannot be built fails at load time, not in its first iteration.
-        check_tlb_geometry(self.tlb_entries, self.tlb_partitions, self.lock_slots)
-        memory = Memory(MEMORY_REGIONS)
-        for sets_name, spm_base, side in (
-            ("icache_sets", ISPM_BASE, "instruction"),
-            ("dcache_sets", DSPM_BASE, "data"),
-        ):
-            sets = getattr(self, sets_name)
-            check_cache_geometry(self.ways, sets, self.line_bytes, sets_name)
-            check_spm_window(
-                spm_base, self.ways * sets * self.line_bytes, memory, "%s scratchpad window" % side
-            )
-        check_mask(self.hyp.partition_mask, self.tlb_partitions, "hypervisor mask")
+        partitions = self.machine.partitions
+        check_mask(self.hyp.partition_mask, partitions, "hypervisor mask")
         for vm in self.vms:
-            check_mask(vm.partition_mask, self.tlb_partitions, "vm %r mask" % vm.name)
-        if not 0 <= self.spm_ways <= self.ways:
+            check_mask(vm.partition_mask, partitions, "vm %r mask" % vm.name)
+        if not 0 <= self.spm_ways <= self.machine.ways:
             raise ValueError("spm_ways must lie in [0, ways]")
         measured = [vm for vm in self.vms if isinstance(vm.workload, Workload)]
         if len(measured) != 1:
@@ -205,6 +187,20 @@ class ScenarioDef:
         ids = [(vm.vmid, vm.asid) for vm in self.vms]
         if len(set(ids)) != len(ids):
             raise ValueError("duplicate vmid/asid pair")
+
+
+def check_spm_windows(machine):
+    """Raise ValueError unless both scratchpad windows of `machine` fit this
+    layout: each aligned to its whole array and clear of RAM.  Run once
+    per MachineConfig, so a shape that cannot be built fails at load time,
+    not in its first iteration."""
+    memory = Memory(MEMORY_REGIONS)
+    for sets, base, side in (
+        (machine.icache_sets, ISPM_BASE, "instruction"),
+        (machine.dcache_sets, DSPM_BASE, "data"),
+    ):
+        size = machine.ways * sets * machine.line_bytes
+        check_spm_window(base, size, memory, "%s scratchpad window" % side)
 
 
 @dataclass(frozen=True)
@@ -268,55 +264,52 @@ class ScenarioPlan:
 
 
 class _Allocator:
-    def __init__(self, base):
-        self.cursor = base
+    """Bump allocation of aligned blocks from [base, end), called `name`."""
 
-    def take(self, size, align):
-        self.cursor = (self.cursor + align - 1) & ~(align - 1)
-        addr = self.cursor
-        self.cursor += size
+    def __init__(self, base, end, name):
+        self.cursor = base
+        self.end = end
+        self.name = name
+
+    def take(self, size, align, owner):
+        addr = (self.cursor + align - 1) & ~(align - 1)
+        if addr + size > self.end:
+            raise SetupError("%s: does not fit in %s" % (owner, self.name))
+        self.cursor = addr + size
         return addr
 
 
 def build_plan(defn):
     """Build page tables and physical placement for every VM, decompose
-    lock regions into per-PTE chunks, and fail fast on any budget the
-    per-iteration setup would blow (lock slots, scratchpad capacity)."""
-    frames = _Allocator(FRAME_BASE)
-    table_area = _Allocator(RAM_BASE)
-    dspm_end = DSPM_BASE + defn.spm_ways * defn.dcache_sets * defn.line_bytes
-    ispm_end = ISPM_BASE + defn.spm_ways * defn.icache_sets * defn.line_bytes
-    # backing -> (name, allocator, end of the converted ways' window)
-    scratchpads = {
-        "dspm": ("data", _Allocator(DSPM_BASE), dspm_end),
-        "ispm": ("instruction", _Allocator(ISPM_BASE), ispm_end),
-    }
+    lock regions into per-PTE chunks, and fail fast, naming the VM and
+    region, on anything the per-iteration setup could not realize: a
+    region mapped twice or outside its address space, a frame or table
+    outside RAM, and the lock-slot and scratchpad budgets."""
+    machine = defn.machine
+    frames = _Allocator(FRAME_BASE, RAM_BASE + RAM_SIZE, "the 128 MiB of RAM for data frames")
+    table_area = _Allocator(RAM_BASE, FRAME_BASE, "the 64 page-table areas of RAM")
+    # backing -> where its frames come from
+    stores = {"ram": frames}
+    for backing, base, sets, side in (
+        ("dspm", DSPM_BASE, machine.dcache_sets, "data"),
+        ("ispm", ISPM_BASE, machine.icache_sets, "instruction"),
+    ):
+        end = base + defn.spm_ways * sets * machine.line_bytes
+        name = "the %s scratchpad of %d converted ways" % (side, defn.spm_ways)
+        stores[backing] = _Allocator(base, end, name)
     measured = None
     interference = []
     lock_chunks = {"i": [], "d": []}
 
-    def place(region):
-        """Allocate the physical home of one page-table leaf chunk."""
-        if region.backing == "ram":
-            return frames.take(region.page_size, region.page_size)
-        name, spm, end = scratchpads[region.backing]
-        paddr = spm.take(SIZE_4K, SIZE_4K)
-        if paddr + SIZE_4K > end:
-            raise SetupError(
-                "%s scratchpad overflow: region 0x%x needs more than the "
-                "%d converted ways provide" % (name, region.gvaddr, defn.spm_ways)
-            )
-        return paddr
-
     for vm in defn.vms:
-        root = table_area.take(TABLE_STRIDE, TABLE_STRIDE)
+        root = table_area.take(TABLE_STRIDE, TABLE_STRIDE, "vm %r" % vm.name)
         if vm.two_stage:
-            gpa_data = _Allocator(GPA_DATA_BASE)
+            gpa_data = _Allocator(GPA_DATA_BASE, 1 << GPA_BITS, "the guest-physical space")
             guest = AddressSpace(root_ppn=GPA_TABLE_BASE >> PAGE_SHIFT)
             host = AddressSpace(root_ppn=root >> PAGE_SHIFT, gpa_space=True)
 
-            def map_leaf(gvaddr, paddr, region):
-                gpa = gpa_data.take(region.page_size, region.page_size)
+            def map_leaf(gvaddr, paddr, region, owner):
+                gpa = gpa_data.take(region.page_size, region.page_size, owner)
                 guest.map_page(gvaddr, gpa, region.page_size, region.flags)
                 host.map_page(gpa, paddr, region.page_size, _HOST_FULL)
 
@@ -324,16 +317,21 @@ def build_plan(defn):
             guest = AddressSpace(root_ppn=root >> PAGE_SHIFT)
             host = None
 
-            def map_leaf(gvaddr, paddr, region):
+            def map_leaf(gvaddr, paddr, region, owner):
                 guest.map_page(gvaddr, paddr, region.page_size, region.flags)
 
         ctx = VmContext(vm.name, vm.vmid, vm.asid, vm.partition_mask, guest, host, vm.workload)
         for region in vm.regions:
             side = "i" if region.flags & PTE_X else "d"
+            store = stores[region.backing]
+            owner = "vm %r region 0x%x" % (vm.name, region.gvaddr)
             for i in range(region.page_count):
                 gvaddr = region.gvaddr + i * region.page_size
-                paddr = place(region)
-                map_leaf(gvaddr, paddr, region)
+                paddr = store.take(region.page_size, region.page_size, owner)
+                try:
+                    map_leaf(gvaddr, paddr, region, owner)
+                except ValueError as exc:  # mapped twice, or outside the address space
+                    raise SetupError("%s: %s" % (owner, exc)) from exc
                 if region.lock:
                     lock_chunks[side].append(
                         (ctx, LockChunk(gvaddr, region.page_size, paddr, region.flags))
@@ -341,28 +339,30 @@ def build_plan(defn):
         if host is not None:
             # Guest page tables themselves live in guest-physical pages;
             # give each one a host frame so their PTE fetches are priceable.
+            owner = "vm %r page tables" % vm.name
             for tppn in guest.table_ppns():
-                host.map_page(tppn << PAGE_SHIFT, frames.take(SIZE_4K, SIZE_4K), SIZE_4K, _HOST_FULL)
+                frame = frames.take(SIZE_4K, SIZE_4K, owner)
+                host.map_page(tppn << PAGE_SHIFT, frame, SIZE_4K, _HOST_FULL)
         if isinstance(vm.workload, Workload):
             measured = ctx
         elif isinstance(vm.workload, InterferenceLoop):
             interference.append(ctx)
 
     for side, chunks in lock_chunks.items():
-        if len(chunks) > defn.lock_slots:
+        if len(chunks) > machine.lock_slots:
             raise SetupError(
                 "%s-side lock regions need %d slots but only %d are available"
-                % (side.upper(), len(chunks), defn.lock_slots)
+                % (side.upper(), len(chunks), machine.lock_slots)
             )
 
     # The hypervisor's own footprint pages, single-stage under its ids.
-    hyp_root = table_area.take(TABLE_STRIDE, TABLE_STRIDE)
+    hyp_root = table_area.take(TABLE_STRIDE, TABLE_STRIDE, "the hypervisor")
     hyp_space = AddressSpace(root_ppn=hyp_root >> PAGE_SHIFT)
     for region in defn.hyp.footprint:
         for i in range(region.pages):
             hyp_space.map_page(
                 region.base + i * SIZE_4K,
-                frames.take(SIZE_4K, SIZE_4K),
+                frames.take(SIZE_4K, SIZE_4K, "the hypervisor footprint"),
                 SIZE_4K,
                 PTE_R | PTE_W | PTE_A | PTE_D,
             )
@@ -384,16 +384,12 @@ def build_plan(defn):
 
 
 def build_system(defn, regions, jitter_rng):
+    """The one production MemorySystem: defn's machine over `regions`,
+    with the scratchpad windows at this layout's bases."""
     return MemorySystem.build(
-        memory=Memory(regions),
-        latency=defn.latency,
-        tlb_entries=defn.tlb_entries,
-        partition_count=defn.tlb_partitions,
-        lock_slots=defn.lock_slots,
-        icache_sets=defn.icache_sets,
-        dcache_sets=defn.dcache_sets,
-        ways=defn.ways,
-        line_bytes=defn.line_bytes,
+        defn.machine,
+        Memory(regions),
+        defn.latency,
         ispm_base=ISPM_BASE,
         dspm_base=DSPM_BASE,
         rng=jitter_rng,

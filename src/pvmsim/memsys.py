@@ -57,8 +57,9 @@ leaves the generator in the same state as random.Random.randint(-j, j)
 from dataclasses import dataclass, fields
 
 from .cache import EVENT_HIT, EVENT_MISS, EVENT_SPM, EVENT_SPM_MISCONFIG, Cache, Memory
+from .cache import check_geometry as check_cache_geometry
 from .sv39 import PAGE_SHIFT, PAGE_SIZE, PTE_G
-from .tlb import PartitionCsrFile, Tlb, TlbEntry
+from .tlb import PartitionCsrFile, Tlb, TlbEntry, check_geometry as check_tlb_geometry
 from .walker import walk_single, walk_two_stage
 
 KINDS = ("read", "write", "ifetch")
@@ -75,7 +76,7 @@ def randbelow(getrandbits, n):
     return r
 
 
-@dataclass
+@dataclass(frozen=True)
 class LatencyConfig:
     """All cycle prices in one place.  These are simulator calibration
     constants (configurable per experiment), not measurements of any
@@ -87,7 +88,7 @@ class LatencyConfig:
     memory_cycles: int = 40
     jitter: int = 0  # uniform +/- bound applied per memory access; 0 disables
 
-    def validate(self):
+    def __post_init__(self):
         for f in fields(self):
             if getattr(self, f.name) < 0:
                 raise ValueError("%s must be >= 0" % f.name)
@@ -96,7 +97,26 @@ class LatencyConfig:
                 "jitter bound %d must stay below memory_cycles %d"
                 % (self.jitter, self.memory_cycles)
             )
-        return self
+
+
+@dataclass(frozen=True)
+class MachineConfig:
+    """The shape no mitigation changes: the geometry of both TLBs and both
+    caches, named after the [tlb] and [cache] keys.  Building one checks
+    that it can be built; the scratchpad windows are the caller's."""
+
+    entries: int = 16
+    partitions: int = 16
+    lock_slots: int = 8
+    ways: int = 8
+    icache_sets: int = 128
+    dcache_sets: int = 256
+    line_bytes: int = 16
+
+    def __post_init__(self):
+        check_tlb_geometry(self.entries, self.partitions, self.lock_slots)
+        for name in ("icache_sets", "dcache_sets"):
+            check_cache_geometry(self.ways, getattr(self, name), self.line_bytes, name)
 
 
 @dataclass
@@ -132,7 +152,7 @@ class MemorySystem:
     """
 
     def __init__(self, *, itlb, dtlb, icache, dcache, latency=None, rng=None):
-        self.latency = (latency or LatencyConfig()).validate()
+        self.latency = latency or LatencyConfig()
         if self.latency.jitter and rng is None:
             raise ValueError("jitter is enabled but no seeded generator was supplied")
         self.itlb = itlb
@@ -161,42 +181,22 @@ class MemorySystem:
 
     @classmethod
     def build(
-        cls,
-        memory=None,
-        latency=None,
-        *,
-        tlb_entries=16,
-        partition_count=16,
-        lock_slots=8,
-        icache_sets=128,
-        dcache_sets=256,
-        ways=8,
-        line_bytes=16,
-        ispm_base=None,
-        dspm_base=None,
-        rng=None,
+        cls, machine=None, memory=None, latency=None, *, ispm_base=None, dspm_base=None, rng=None
     ):
-        """Convenience constructor wiring the shared CSR file and memory."""
-        if memory is None:
-            memory = Memory()
-        csr = PartitionCsrFile(partition_count)
-
-        def make_tlb():
-            return Tlb(
-                csr, entries=tlb_entries, partition_count=partition_count, lock_slots=lock_slots
-            )
-
-        def make_cache(sets, base):
-            return Cache(memory, ways=ways, sets=sets, line_bytes=line_bytes, spm_base=base)
-
-        return cls(
-            itlb=make_tlb(),
-            dtlb=make_tlb(),
-            icache=make_cache(icache_sets, ispm_base),
-            dcache=make_cache(dcache_sets, dspm_base),
-            latency=latency,
-            rng=rng,
+        """Convenience constructor: two TLBs sharing one CSR file and two
+        caches sharing `memory`, all of `machine`'s shape."""
+        m = machine or MachineConfig()
+        memory = Memory() if memory is None else memory
+        csr = PartitionCsrFile(m.partitions)
+        itlb, dtlb = (
+            Tlb(csr, entries=m.entries, partition_count=m.partitions, lock_slots=m.lock_slots)
+            for _ in range(2)
         )
+        icache, dcache = (
+            Cache(memory, ways=m.ways, sets=sets, line_bytes=m.line_bytes, spm_base=base)
+            for sets, base in ((m.icache_sets, ispm_base), (m.dcache_sets, dspm_base))
+        )
+        return cls(itlb=itlb, dtlb=dtlb, icache=icache, dcache=dcache, latency=latency, rng=rng)
 
     @property
     def csr(self):

@@ -150,7 +150,7 @@ class PartitionCsrFile:
 
 
 class Tlb:
-    def __init__(self, csr, entries=16, partition_count=16, lock_slots=8):
+    def __init__(self, csr, entries, partition_count, lock_slots):
         if csr.width != partition_count:
             raise ValueError("partition CSR width %d != partition count %d"
                              % (csr.width, partition_count))

@@ -29,7 +29,7 @@ from pvmsim.cache import (
 from pvmsim.cli import preset_text
 from pvmsim.config import load_experiment
 from pvmsim.harness import run_experiment, summarize, write_outputs
-from pvmsim.memsys import LatencyConfig, MemorySystem
+from pvmsim.memsys import LatencyConfig, MachineConfig, MemorySystem
 from pvmsim.sv39 import (
     PTE_A, PTE_D, PTE_R, PTE_V, PTE_W, PTE_X, SIZE_1G, SIZE_2M, SIZE_4K, make_pte,
 )
@@ -423,8 +423,8 @@ def test_criterion_08_scratchpad_semantics():
     rng = random.Random(0xACC8 + 2)
     latency = LatencyConfig(spm_cycles=2, jitter=3)
     sys_ = MemorySystem.build(
-        memory=Memory([(RAM_BASE, 1 << 20)]), latency=latency, ways=4,
-        icache_sets=8, dcache_sets=8, dspm_base=SPM_BASE, rng=random.Random(0xACC8 + 3),
+        MachineConfig(ways=4, icache_sets=8, dcache_sets=8), Memory([(RAM_BASE, 1 << 20)]),
+        latency, dspm_base=SPM_BASE, rng=random.Random(0xACC8 + 3),
     )
     cache = sys_.dcache
     cache.configure_way(1, MODE_SPM)

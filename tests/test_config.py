@@ -12,6 +12,7 @@ import pytest
 
 from pvmsim.config import ConfigError, load_experiment
 from pvmsim.hypervisor import HypervisorConfig
+from pvmsim.memsys import MachineConfig
 from pvmsim.sv39 import PTE_A, PTE_D, PTE_R, PTE_W, PTE_X, SIZE_2M
 from pvmsim.workload import InterferenceLoop, Region, Workload
 
@@ -94,15 +95,26 @@ class ParseShapeTest(unittest.TestCase):
 
     def test_scenario_defn_carries_machine_shape(self):
         defn = load().scenarios["noisy"]
-        self.assertEqual(defn.tlb_entries, 16)
-        self.assertEqual(defn.lock_slots, 8)
-        self.assertEqual(defn.dcache_sets, 256)
+        self.assertEqual(defn.machine.entries, 16)
+        self.assertEqual(defn.machine.lock_slots, 8)
+        self.assertEqual(defn.machine.dcache_sets, 256)
         self.assertEqual(defn.latency.memory_cycles, 40)
         self.assertEqual(defn.latency.jitter, 3)
         self.assertEqual(defn.hyp.quantum_cycles, 1500)
         self.assertEqual(defn.hyp.footprint[0].pages, 2)
         self.assertEqual(defn.iterations, 12)
         self.assertEqual(defn.seed, 7)
+
+    def test_every_scenario_shares_one_machine(self):
+        cfg = load(BASE.replace("entries = 16", "entries = 32"))
+        first, *others = (cfg.scenarios[name].machine for name in cfg.scenario_names)
+        self.assertEqual(first, MachineConfig(entries=32))
+        for machine in others:
+            self.assertIs(machine, first)
+
+    def test_missing_machine_sections_take_the_dataclass_defaults(self):
+        text = BASE.split("[tlb]")[0] + "[hypervisor]" + BASE.split("[hypervisor]")[1]
+        self.assertEqual(load(text).scenarios["noisy"].machine, MachineConfig())
 
     def test_missing_hypervisor_keys_take_the_dataclass_defaults(self):
         text = BASE.split("[hypervisor]")[0] + "[vm.crit]" + BASE.split("[vm.crit]")[1]
@@ -356,46 +368,72 @@ class RejectionTest(unittest.TestCase):
         # Each rule of Cache, PlruTree and PartitionCsrFile, at load time,
         # including where the scratchpad windows sit: an 8-way array of
         # 2^22 (2^23) sets of 16 bytes outgrows the alignment of the data
-        # (instruction) window base.
-        for old, new, pattern in (
-            ("ways = 8", "ways = 6", r"ways must be a power of two >= 2, got 6"),
-            ("ways = 8", "ways = 1", r"ways must be a power of two >= 2, got 1"),
-            ("icache_sets = 128", "icache_sets = 96", r"icache_sets must be a power of two"),
-            ("dcache_sets = 256", "dcache_sets = 0", r"dcache_sets must be a power of two"),
+        # (instruction) window base.  Geometry and windows are checked once,
+        # under their own section; the masks are checked per scenario.
+        tlb, cache, scenario = r"\[tlb\]", r"\[cache\]", r"\[scenario\.(quiet|noisy)\]"
+        for old, new, where, pattern in (
+            ("ways = 8", "ways = 6", cache, r"ways must be a power of two >= 2, got 6"),
+            ("ways = 8", "ways = 1", cache, r"ways must be a power of two >= 2, got 1"),
+            ("icache_sets = 128", "icache_sets = 96", cache, r"icache_sets must be a power of two"),
+            ("dcache_sets = 256", "dcache_sets = 0", cache, r"dcache_sets must be a power of two"),
             (
                 "dcache_sets = 256",
                 "dcache_sets = 4194304",
+                cache,
                 r"data scratchpad window base 0x10000000 must be aligned to the array size "
                 r"0x20000000$",
             ),
             (
                 "icache_sets = 128",
                 "icache_sets = 8388608",
+                cache,
                 r"instruction scratchpad window base 0x20000000 must be aligned to the array "
                 r"size 0x40000000$",
             ),
-            ("line_bytes = 16", "line_bytes = 24", r"line_bytes must be a power of two"),
-            ("line_bytes = 16", "line_bytes = 4", r"line_bytes must be at least 8"),
-            ("entries = 16", "entries = 12", r"entries must be a power of two >= 2, got 12"),
-            ("partitions = 16", "partitions = 32", r"partitions must be a power of two <= entries"),
-            ("partitions = 16", "partitions = 12", r"partitions must be a power of two <= entries"),
-            ("lock_slots = 8", "lock_slots = 17", r"lock_slots must lie in \[0, entries\], got 17"),
+            ("line_bytes = 16", "line_bytes = 24", cache, r"line_bytes must be a power of two"),
+            ("line_bytes = 16", "line_bytes = 4", cache, r"line_bytes must be at least 8"),
+            ("entries = 16", "entries = 12", tlb, r"entries must be a power of two >= 2, got 12"),
+            (
+                "partitions = 16",
+                "partitions = 32",
+                tlb,
+                r"partitions must be a power of two <= entries",
+            ),
+            (
+                "partitions = 16",
+                "partitions = 12",
+                tlb,
+                r"partitions must be a power of two <= entries",
+            ),
+            (
+                "lock_slots = 8",
+                "lock_slots = 17",
+                tlb,
+                r"lock_slots must lie in \[0, entries\], got 17",
+            ),
             (
                 "entries = 16\npartitions = 16",
                 "entries = 4\npartitions = 4",
+                tlb,
                 r"lock_slots must lie in \[0, entries\], got 8",
             ),
             (
                 "partitions = 16",
                 "partitions = 8",
+                scenario,
                 r"hypervisor mask 0xffff wider than 8 partitions",
             ),
-            ("mask = 0xfe00", "mask = 0x1fe00", r"vm 'intf' mask 0x1fe00 wider than 16 partitions"),
+            (
+                "mask = 0xfe00",
+                "mask = 0x1fe00",
+                scenario,
+                r"vm 'intf' mask 0x1fe00 wider than 16 partitions",
+            ),
         ):
             with self.subTest(new=new):
                 text = BASE.replace(old, new)
                 self.assertNotEqual(text, BASE)
-                self.check(text, r"^\[scenario\.(quiet|noisy)\]: " + pattern)
+                self.check(text, "^" + where + ": " + pattern)
 
     def test_duplicate_kv_in_region(self):
         self.check(

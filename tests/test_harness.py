@@ -481,14 +481,14 @@ class CliTest(unittest.TestCase):
         preset = preset_text("synthetic-nospm")
         with tempfile.TemporaryDirectory() as d:
             cfg_path = os.path.join(d, "edited.ini")
-            for old, new in (
-                ("ways = 8", "ways = 6"),
-                ("entries = 16", "entries = 12"),
-                ("line_bytes = 16", "line_bytes = 4"),
-                ("partitions = 16", "partitions = 32"),
-                ("partitions = 16", "partitions = 8"),
-                ("entries = 16", "entries = 4"),
-                ("dcache_sets = 256", "dcache_sets = 4194304"),  # a 512 MiB data array
+            for old, new, where in (
+                ("ways = 8", "ways = 6", "[cache]"),
+                ("entries = 16", "entries = 12", "[tlb]"),
+                ("line_bytes = 16", "line_bytes = 4", "[cache]"),
+                ("partitions = 16", "partitions = 32", "[tlb]"),
+                ("partitions = 16", "partitions = 8", "[scenario.isolation]"),  # the masks
+                ("entries = 16", "entries = 4", "[tlb]"),
+                ("dcache_sets = 256", "dcache_sets = 4194304", "[cache]"),  # a 512 MiB data array
             ):
                 with open(cfg_path, "w", encoding="utf-8") as handle:
                     handle.write(preset.replace(old, new))
@@ -500,10 +500,55 @@ class CliTest(unittest.TestCase):
                     self.assertEqual(out.getvalue(), "")
                     self.assertEqual(err.getvalue().count("\n"), 1)
                     self.assertTrue(
-                        err.getvalue().startswith("configuration error: [scenario.isolation]: "),
+                        err.getvalue().startswith("configuration error: %s: " % where),
                         err.getvalue(),
                     )
             self.assertEqual(os.listdir(d), ["edited.ini"])  # nothing written
+
+    def test_unrealizable_region_is_config_error_before_any_output(self):
+        for name, text, start in (
+            (
+                "same-base",
+                SMALL.replace(
+                    "flags=rx\n", "flags=rx\nregion.twin = base=0x00100000 pages=1 flags=rw\n"
+                ),
+                "scenario 'isolation': vm 'crit' region 0x100000: 0x100000 mapped twice",
+            ),
+            (
+                "non-canonical",
+                SMALL.replace("base=0x00100000", "base=0x8000000000"),
+                "scenario 'isolation': vm 'crit' region 0x8000000000: address 0x8000000000 "
+                "outside this space",
+            ),
+            (
+                "pool-past-ram",  # 40,000 frames of 4 KiB, 128 MiB is 32,768
+                SMALL.replace("pages=16", "pages=40000"),
+                "scenario 'unmitigated': vm 'intf' region 0x40080000: does not fit in",
+            ),
+            (
+                "giga-page",
+                SMALL.replace(
+                    "flags=rx\n",
+                    "flags=rx\nregion.big = base=0x40000000 pages=1 flags=rw page_size=1g\n",
+                ),
+                "scenario 'isolation': vm 'crit' region 0x40000000: does not fit in",
+            ),
+        ):
+            with self.subTest(name), tempfile.TemporaryDirectory() as d:
+                cfg_path = os.path.join(d, name + ".ini")
+                with open(cfg_path, "w", encoding="utf-8") as handle:
+                    handle.write(text)
+                for workers in ("1", "2"):
+                    out, err = io.StringIO(), io.StringIO()
+                    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                        code = self.run_cli(["run", cfg_path, "--outdir", d, "--workers", workers])
+                    self.assertEqual(code, 2)
+                    self.assertEqual(out.getvalue(), "")
+                    self.assertEqual(err.getvalue().count("\n"), 1)  # no progress line
+                    self.assertTrue(
+                        err.getvalue().startswith("configuration error: " + start), err.getvalue()
+                    )
+                self.assertEqual(os.listdir(d), [name + ".ini"])  # nothing written
 
     def test_repeated_scenario_is_config_error_before_any_output(self):
         with tempfile.TemporaryDirectory() as d:

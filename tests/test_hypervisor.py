@@ -29,7 +29,7 @@ from pvmsim.hypervisor import (
     trap_exit,
 )
 from pvmsim.memsys import LatencyConfig
-from pvmsim.sv39 import PTE_A, PTE_D, PTE_R, PTE_W, PTE_X, SIZE_2M, SIZE_4K
+from pvmsim.sv39 import PTE_A, PTE_D, PTE_R, PTE_W, PTE_X, SIZE_1G, SIZE_2M, SIZE_4K
 from pvmsim.workload import InterferenceLoop, Region, Workload
 
 from oracles import partition_leaves_ref
@@ -228,6 +228,24 @@ class PlanTest(unittest.TestCase):
         )
         with self.assertRaises(SetupError):
             build_plan(scenario((vm,), spm_ways=4))
+
+    def test_unrealizable_regions_are_setup_errors_naming_vm_and_region(self):
+        twin = MappedRegion(gvaddr=DATA_V, size=SIZE_4K, flags=RW)
+        far = MappedRegion(gvaddr=1 << 39, size=SIZE_4K, flags=RW)  # not canonical SV39
+        big = MappedRegion(gvaddr=0x4000_0000, size=SIZE_1G, flags=RW, page_size=SIZE_1G)
+        # With crit_vm's 6 pages, 32,768 data frames fill the 128 MiB, so the
+        # host frames of the VM's guest page tables do not fit.
+        pool = MappedRegion(gvaddr=0x4000_0000, size=(0x8000 - 6) * SIZE_4K, flags=RW)
+        for region, pattern in (
+            (twin, r"^vm 'crit' region 0x400000: 0x400000 mapped twice$"),
+            (far, r"^vm 'crit' region 0x8000000000: address 0x8000000000 outside this space$"),
+            (big, r"^vm 'crit' region 0x40000000: does not fit in the 128 MiB of RAM for data"),
+            (pool, r"^vm 'crit' page tables: does not fit in the 128 MiB of RAM for data"),
+        ):
+            vm = crit_vm()
+            vm = replace(vm, regions=vm.regions + (region,))
+            with self.subTest(region=region), self.assertRaisesRegex(SetupError, pattern):
+                build_plan(scenario((vm,)))
 
     def test_two_stage_tables_are_walkable(self):
         defn = scenario((crit_vm(), intf_vm()))

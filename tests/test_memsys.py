@@ -9,7 +9,7 @@ import pytest
 
 from pvmsim import memsys
 from pvmsim.cache import MODE_SPM, Memory
-from pvmsim.memsys import LatencyConfig, MemAccessOutcome, MemorySystem
+from pvmsim.memsys import LatencyConfig, MachineConfig, MemAccessOutcome, MemorySystem
 from pvmsim.sv39 import (
     PTE_A,
     PTE_D,
@@ -351,12 +351,12 @@ def test_write_value_round_trips_through_pipeline():
 
 def test_latency_values_must_be_non_negative():
     with pytest.raises(ValueError):
-        LatencyConfig(memory_cycles=-1).validate()
+        LatencyConfig(memory_cycles=-1)
 
 
 def test_jitter_must_stay_below_memory_cycles():
     with pytest.raises(ValueError):
-        LatencyConfig(jitter=40, memory_cycles=40).validate()
+        LatencyConfig(jitter=40, memory_cycles=40)
 
 
 def test_jitter_requires_a_generator():
@@ -506,3 +506,17 @@ def test_build_wires_shared_components():
     assert sys_.icache.size == 16 * 1024 and sys_.dcache.size == 32 * 1024
     tlb_m, cache_m = sys_.miss_counts()
     assert (tlb_m, cache_m) == (0, 0)
+
+
+def test_build_takes_its_shape_from_the_machine_config():
+    machine = MachineConfig(
+        entries=8, partitions=4, lock_slots=3, ways=4, icache_sets=16, dcache_sets=32, line_bytes=32
+    )
+    sys_ = MemorySystem.build(machine, Memory([(DATA_BASE, 1 << 20)]), dspm_base=DSPM_BASE)
+    assert sys_.csr.width == 4
+    for tlb in (sys_.itlb, sys_.dtlb):
+        assert len(tlb.entries) == 8 and len(tlb.slots) == 3
+        assert tlb.tree.partition_count == 4
+    for cache, sets in ((sys_.icache, 16), (sys_.dcache, 32)):
+        assert (cache.ways, cache.sets, cache.line_bytes) == (4, sets, 32)
+    assert sys_.dcache.spm_base == DSPM_BASE and sys_.icache.spm_base is None

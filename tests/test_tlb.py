@@ -198,7 +198,7 @@ def test_width_mismatch_rejected():
     with pytest.raises(ValueError):
         csr.write_last_part(-1)
     with pytest.raises(ValueError):
-        Tlb(PartitionCsrFile(8), partition_count=16)
+        Tlb(PartitionCsrFile(8), entries=16, partition_count=16, lock_slots=8)
 
 
 def test_csr_protocol_matches_reference_machine():
