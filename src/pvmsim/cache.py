@@ -80,13 +80,13 @@ def check_geometry(ways, sets, line_bytes, sets_name="sets"):
 
 def check_spm_window(base, size, memory, name="SPM window"):
     """Raise ValueError unless the scratchpad window of a `size`-byte data
-    array can sit at `base`: aligned to the array size, and outside every
+    array can sit at `base`: aligned to the array size, and clear of every
     region of `memory`."""
     if base % size:
         raise ValueError(
             "%s base 0x%x must be aligned to the array size 0x%x" % (name, base, size)
         )
-    if memory.contains(base) or memory.contains(base + size - 1):
+    if memory.overlaps(base, size):
         raise ValueError("%s overlaps a backing-memory region" % name)
 
 
@@ -116,6 +116,9 @@ class Memory:
 
     def contains(self, addr):
         return any(lo <= addr < hi for lo, hi in self._regions)
+
+    def overlaps(self, base, size):
+        return any(lo < base + size and base < hi for lo, hi in self._regions)
 
     def check(self, addr):
         if not self.contains(addr):

@@ -54,13 +54,18 @@ def _resolve_config(token):
 
 
 def _cmd_run(args):
-    if args.workers < 1:
-        print("error: --workers must be at least 1, got %d" % args.workers, file=sys.stderr)
-        return 2
-    text = _resolve_config(args.config)
-    config = load_experiment(text=text, seed=args.seed, iterations=args.iterations)
-    if args.scenarios:
-        config = config.select(args.scenarios)
+    for flag, least in (("workers", 1), ("iterations", 0)):
+        value = getattr(args, flag)
+        if value is not None and value < least:
+            message = "error: --%s must be at least %d, got %d" % (flag, least, value)
+            print(message, file=sys.stderr)
+            return 2
+    config = load_experiment(
+        text=_resolve_config(args.config),
+        seed=args.seed,
+        iterations=args.iterations,
+        scenarios=args.scenarios,
+    )
     log = None if args.quiet else lambda msg: print(msg, file=sys.stderr)
     results = run_experiment(config, workers=args.workers, log=log)
     paths = write_outputs(args.outdir, config, results)
@@ -100,7 +105,7 @@ def _cmd_compare(args):
     try:
         delta = compare(bundle, args.baseline, args.subject)
     except (KeyError, ValueError) as exc:
-        print("error: %s" % exc, file=sys.stderr)
+        print("error: %s" % exc.args[0], file=sys.stderr)  # str(KeyError) adds quotes
         return 1
     print(json.dumps(delta, indent=2, sort_keys=True))
     return 0
@@ -136,7 +141,7 @@ def main(argv=None):
         action="append",
         dest="scenarios",
         metavar="NAME",
-        help="run only this scenario (repeatable)",
+        help="run this scenario instead of [run] scenarios (repeatable)",
     )
     p_run.add_argument("--quiet", action="store_true", help="suppress progress logging")
     p_run.set_defaults(func=_cmd_run)

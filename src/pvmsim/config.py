@@ -23,8 +23,11 @@ back to defaults.  The full schema::
     [scenario.<n>]  vms (vm names, space-separated), spm_ways, hyp_mask,
                     iterations, seed
 
-Integers accept 0x-prefixed hex.  A sweep's kind defaults to ifetch for
-executable regions and read otherwise.
+Integers accept 0x-prefixed hex.  Each section and each key=value list
+has one table below (key -> dataclass field, parser); only the keys
+present are passed on, so every default is the dataclass's own.  A
+sweep covers its whole region unless pages= says fewer, and its kind
+defaults to ifetch for executable regions.
 
 [tlb] and [cache] describe one MachineConfig, built and checked once per
 experiment (geometry and scratchpad windows, errors under [tlb] or
@@ -47,31 +50,6 @@ class ConfigError(ValueError):
 
 _PAGE_SIZES = {"4k": SIZE_4K, "2m": SIZE_2M, "1g": SIZE_1G}
 _FLAG_LETTERS = {"r": PTE_R, "w": PTE_W, "x": PTE_X}
-
-_RUN_KEYS = {"name", "iterations", "seed", "scenarios"}
-_LATENCY_KEYS = {
-    "tlb_hit": "tlb_hit_cycles",
-    "cache_hit": "cache_hit_cycles",
-    "spm": "spm_cycles",
-    "memory": "memory_cycles",
-    "jitter": "jitter",
-}
-_TLB_KEYS = {"entries", "partitions", "lock_slots"}
-_CACHE_KEYS = {"ways", "icache_sets", "dcache_sets", "line_bytes"}
-# [hypervisor] key -> HypervisorConfig field, or field of its footprint Region
-_HYP_KEYS = {
-    "mask": "partition_mask",
-    "quantum": "quantum_cycles",
-    "footprint_base": "base",
-    "footprint_pages": "pages",
-    "footprint_stride": "stride",
-}
-_FOOTPRINT_FIELDS = ("base", "pages", "stride")
-_VM_KEYS = {"vmid", "asid", "mask", "two_stage", "role", "prime", "measure", "loop"}
-_SCENARIO_KEYS = {"vms", "spm_ways", "hyp_mask", "iterations", "seed"}
-_SWEEP_KEYS = {"order", "stride", "pages", "repeats", "kind", "compute"}
-_LOOP_KEYS = {"stride", "touches", "kind", "compute"}
-_REGION_KEYS = {"base", "pages", "flags", "page_size", "backing", "lock"}
 
 
 def _fail(where, message):
@@ -108,6 +86,14 @@ def _bool(where, raw):
     _fail(where, "expected a boolean, got %r" % raw)
 
 
+def _str(where, raw):
+    return raw
+
+
+def _words(where, raw):
+    return raw.split()
+
+
 def _flags(where, raw):
     value = PTE_A | PTE_D  # accessed/dirty are pre-set; faults on them are unmodeled
     for letter in raw.strip().lower():
@@ -117,6 +103,70 @@ def _flags(where, raw):
     if not value & (PTE_R | PTE_W | PTE_X):
         _fail(where, "flags need at least one of r/w/x")
     return value
+
+
+def _page_size(where, raw):
+    token = raw.lower()
+    if token not in _PAGE_SIZES:
+        _fail(where, "must be one of %s" % ", ".join(sorted(_PAGE_SIZES)))
+    return _PAGE_SIZES[token]
+
+
+def _ints(*keys):
+    return {key: (key, _int) for key in keys}
+
+
+# key -> (dataclass field, parser), one table per section and key=value list
+_RUN = {"name": ("name", _str), "scenarios": ("scenarios", _words)} | _ints("iterations", "seed")
+_LATENCY = {
+    key: (key + "_cycles", _int) for key in ("tlb_hit", "cache_hit", "spm", "memory")
+} | _ints("jitter")
+_TLB = _ints("entries", "partitions", "lock_slots")
+_CACHE = _ints("ways", "icache_sets", "dcache_sets", "line_bytes")
+# footprint_* keys go to the fields of the footprint Region
+_FOOTPRINT = {"footprint_" + field: (field, _int) for field in ("base", "pages", "stride")}
+_HYPERVISOR = {"mask": ("partition_mask", _int), "quantum": ("quantum_cycles", _int)} | _FOOTPRINT
+_VM = (
+    {"mask": ("partition_mask", _int), "two_stage": ("two_stage", _bool)}
+    | _ints("vmid", "asid")
+    | {key: (key, _str) for key in ("role", "prime", "measure", "loop")}
+)
+_ROLES = {"measured": ("prime", "measure"), "interference": ("loop",)}
+_SCENARIO = {"vms": ("vms", _words)} | _ints("spm_ways", "hyp_mask", "iterations", "seed")
+_REGION = {
+    "base": ("gvaddr", _int),
+    "pages": ("pages", _int),  # times page_size, into the MappedRegion's size
+    "flags": ("flags", _flags),
+    "page_size": ("page_size", _page_size),
+    "backing": ("backing", _str),
+    "lock": ("lock", _bool),
+}
+_SWEEP = {
+    "order": ("order", _str),
+    "kind": ("kind", _str),
+    "compute": ("compute_cycles", _int),
+} | _ints("stride", "pages", "repeats")
+_LOOP = {
+    "touches": ("touches_per_page", _int),
+    "kind": ("kind", _str),
+    "compute": ("compute_cycles", _int),
+} | _ints("stride")
+
+
+def _read(where, pairs, table, required=()):
+    """Parse `pairs` (key -> raw text) through `table` into field -> value
+    for the keys present; unknown and missing keys are errors, and a value
+    that does not parse is reported at '<where> <key>'."""
+    values = {}
+    for key, raw in pairs.items():
+        if key not in table:
+            _fail(where, "unknown key %r (allowed: %s)" % (key, ", ".join(sorted(table))))
+        field, parse = table[key]
+        values[field] = parse("%s %s" % (where, key), raw)
+    for key in required:
+        if key not in pairs:
+            _fail(where, "missing %r" % key)
+    return values
 
 
 def _kv_items(where, raw, first_is_name=False):
@@ -139,180 +189,108 @@ def _kv_items(where, raw, first_is_name=False):
     return name, pairs
 
 
-def _check_keys(where, pairs, allowed):
-    for key in pairs:
-        if key not in allowed:
-            _fail(where, "unknown key %r (allowed: %s)" % (key, ", ".join(sorted(allowed))))
-
-
 @dataclass
 class ExperimentConfig:
     """A parsed experiment: run-level identity plus one ScenarioDef per
-    scenario section, in file order."""
+    selected scenario, in run order."""
 
-    name: str
-    seed: int
     scenario_names: tuple
     scenarios: dict  # name -> ScenarioDef
     text: str  # the raw configuration, hashed into result bundles
-
-    def __post_init__(self):
-        seen = set()
-        for name in self.scenario_names:
-            if name in seen:
-                raise ConfigError("scenario %r is selected more than once" % name)
-            seen.add(name)
-
-    def select(self, names):
-        """Restrict to the given scenario names (order preserved)."""
-        for name in names:
-            if name not in self.scenarios:
-                _fail(
-                    "[scenario.%s]" % name,
-                    "not defined; available: %s" % ", ".join(self.scenario_names),
-                )
-        return replace(
-            self,
-            scenario_names=tuple(names),
-            scenarios={n: self.scenarios[n] for n in names},
-        )
+    name: str = "experiment"
+    seed: int = 1
 
 
 def _parse_region(where, raw):
-    _, kv = _kv_items(where, raw)
-    _check_keys(where, kv, _REGION_KEYS)
-    for required in ("base", "pages", "flags"):
-        if required not in kv:
-            _fail(where, "missing %r" % required)
-    page_size = SIZE_4K
-    if "page_size" in kv:
-        token = kv["page_size"].lower()
-        if token not in _PAGE_SIZES:
-            _fail(where, "page_size must be one of %s" % ", ".join(sorted(_PAGE_SIZES)))
-        page_size = _PAGE_SIZES[token]
+    values = _read(where, _kv_items(where, raw)[1], _REGION, required=("base", "pages", "flags"))
+    pages = values.pop("pages")
     with _located(where):
-        return MappedRegion(
-            gvaddr=_int(where, kv["base"]),
-            size=_int(where, kv["pages"]) * page_size,
-            flags=_flags(where, kv["flags"]),
-            page_size=page_size,
-            backing=kv.get("backing", "ram"),
-            lock=_bool(where, kv["lock"]) if "lock" in kv else False,
-        )
+        return MappedRegion(size=pages * values.get("page_size", MappedRegion.page_size), **values)
+
+
+def _region_workload(where, raw, regions, table):
+    """(region, field -> value) of one '<rname> key=value ...' item."""
+    rname, kv = _kv_items(where, raw, first_is_name=True)
+    values = _read(where, kv, table)
+    if rname not in regions:
+        _fail(where, "unknown region %r" % rname)
+    region = regions[rname]
+    if region.flags & PTE_X:
+        values.setdefault("kind", "ifetch")
+    return region, values
 
 
 def _parse_sweeps(where, raw, regions):
     sweeps = []
     for item in filter(None, (s.strip() for s in raw.split(";"))):
-        rname, kv = _kv_items(where, item, first_is_name=True)
-        _check_keys(where, kv, _SWEEP_KEYS)
-        if rname not in regions:
-            _fail(where, "unknown region %r" % rname)
-        region = regions[rname]
-        kind = kv.get("kind", "ifetch" if region.flags & PTE_X else "read")
+        region, values = _region_workload(where, item, regions, _SWEEP)
+        pages = region.size // SIZE_4K
+        if values.setdefault("pages", pages) > pages:
+            _fail(where, "pages=%d exceeds its %d-page region" % (values["pages"], pages))
         with _located(where):
-            sweeps.append(
-                Region(
-                    base=region.gvaddr,
-                    pages=_int(where, kv["pages"]) if "pages" in kv else region.size // SIZE_4K,
-                    stride=_int(where, kv["stride"]) if "stride" in kv else 512,
-                    order=kv.get("order", "forward"),
-                    repeats=_int(where, kv["repeats"]) if "repeats" in kv else 1,
-                    kind=kind,
-                    compute_cycles=_int(where, kv["compute"]) if "compute" in kv else 0,
-                )
-            )
+            sweeps.append(Region(base=region.gvaddr, **values))
     if not sweeps:
         _fail(where, "needs at least one sweep")
     return tuple(sweeps)
 
 
 def _parse_loop(where, raw, regions):
-    rname, kv = _kv_items(where, raw, first_is_name=True)
-    _check_keys(where, kv, _LOOP_KEYS)
-    if rname not in regions:
-        _fail(where, "unknown region %r" % rname)
-    region = regions[rname]
-    kind = kv.get("kind", "ifetch" if region.flags & PTE_X else "read")
+    region, values = _region_workload(where, raw, regions, _LOOP)
     with _located(where):
-        return InterferenceLoop(
-            base=region.gvaddr,
-            pages=region.size // SIZE_4K,
-            stride=_int(where, kv["stride"]) if "stride" in kv else 64,
-            touches_per_page=_int(where, kv["touches"]) if "touches" in kv else 8,
-            kind=kind,
-            compute_cycles=_int(where, kv["compute"]) if "compute" in kv else 0,
-        )
+        return InterferenceLoop(base=region.gvaddr, pages=region.size // SIZE_4K, **values)
 
 
 def _parse_vm(section, options):
     where = "[%s]" % section
-    name = section.split(".", 1)[1]
     regions = {}
     plain = {}
     for key, raw in options.items():
         if key.startswith("region."):
-            rname = key.split(".", 1)[1]
-            regions[rname] = _parse_region("%s %s" % (where, key), raw)
-        elif key in _VM_KEYS:
-            plain[key] = raw
+            regions[key.split(".", 1)[1]] = _parse_region("%s %s" % (where, key), raw)
         else:
-            _fail(where, "unknown key %r" % key)
-    for required in ("vmid", "asid", "mask", "role"):
-        if required not in plain:
-            _fail(where, "missing %r" % required)
+            plain[key] = raw
+    values = _read(where, plain, _VM, required=("vmid", "asid", "mask", "role"))
     if not regions:
         _fail(where, "needs at least one region.<name>")
-    role = plain["role"]
-    if role == "measured":
-        if "loop" in plain:
-            _fail(where, "a measured VM takes prime/measure, not loop")
-        for required in ("prime", "measure"):
-            if required not in plain:
-                _fail(where, "measured VM is missing %r" % required)
-        workload = Workload(
-            prime=_parse_sweeps("%s prime" % where, plain["prime"], regions),
-            measure=_parse_sweeps("%s measure" % where, plain["measure"], regions),
-        )
-    elif role == "interference":
-        if "prime" in plain or "measure" in plain:
-            _fail(where, "an interference VM takes loop, not prime/measure")
-        if "loop" not in plain:
-            _fail(where, "interference VM is missing 'loop'")
-        workload = _parse_loop("%s loop" % where, plain["loop"], regions)
-    else:
+    role = values.pop("role")
+    if role not in _ROLES:
         _fail(where, "role must be 'measured' or 'interference', got %r" % role)
+    wanted = _ROLES[role]
+    for key in ("prime", "measure", "loop"):
+        if key in values and key not in wanted:
+            _fail(where, "%s VMs take %s, not %s" % (role, "/".join(wanted), key))
+        if key in wanted and key not in values:
+            _fail(where, "%s VM is missing %r" % (role, key))
+    parse = _parse_sweeps if role == "measured" else _parse_loop
+    lists = {key: parse("%s %s" % (where, key), values.pop(key), regions) for key in wanted}
     with _located(where):
         return VmSpec(
-            name=name,
-            vmid=_int(where, plain["vmid"]),
-            asid=_int(where, plain["asid"]),
-            partition_mask=_int(where, plain["mask"]),
+            name=section.split(".", 1)[1],
             regions=tuple(regions.values()),
-            workload=workload,
-            two_stage=_bool(where, plain["two_stage"]) if "two_stage" in plain else True,
+            workload=Workload(**lists) if role == "measured" else lists["loop"],
+            **values,
         )
 
 
-def _mapped_section(cp, name, keys):
-    """Read one optional section of scalar ints with key checking; `keys`
-    is the set of field names, or maps each key to its field."""
-    if not cp.has_section(name):
-        return {}
-    where = "[%s]" % name
-    _check_keys(where, cp[name], keys)
-    field_of = keys if isinstance(keys, dict) else {}
-    return {
-        field_of.get(key, key): _int("%s %s" % (where, key), raw) for key, raw in cp[name].items()
-    }
+def _select(defined, names):
+    """The scenarios to run, in order: `names`, or every defined one."""
+    available = "(defined: %s)" % (", ".join(defined) or "none")
+    for i, name in enumerate(names):
+        if name not in defined:
+            _fail("[scenario.%s]" % name, "not defined %s" % available)
+        if name in names[:i]:
+            raise ConfigError("scenario %r is selected more than once" % name)
+    if not names:
+        raise ConfigError("no scenario selected %s" % available)
+    return {name: defined[name] for name in names}
 
 
-def load_experiment(path=None, *, text=None, seed=None, iterations=None):
+def load_experiment(path=None, *, text=None, seed=None, iterations=None, scenarios=None):
     """Parse and validate a configuration; returns an ExperimentConfig.
 
-    seed/iterations, when given, override the file's run-level values
-    (scenario-level overrides in the file still win for iterations of a
-    specific scenario unless the CLI override is present).
+    seed/iterations, when given, override the file's run- and
+    scenario-level values; scenarios, when given, replaces [run]
+    scenarios and may name any defined scenario.
     """
     if text is None:
         if path is None:
@@ -326,95 +304,71 @@ def load_experiment(path=None, *, text=None, seed=None, iterations=None):
     except configparser.Error as exc:
         raise ConfigError("configuration does not parse: %s" % exc) from None
 
-    vm_sections = []
-    scenario_sections = []
-    for section in cp.sections():
-        if section in ("run", "latency", "tlb", "cache", "hypervisor"):
-            continue
-        if section.startswith("vm."):
-            vm_sections.append(section)
-        elif section.startswith("scenario."):
-            scenario_sections.append(section)
-        else:
+    sections = {name: dict(cp[name]) for name in cp.sections()}
+    for section in sections:
+        fixed_section = section in ("run", "latency", "tlb", "cache", "hypervisor")
+        if not fixed_section and not section.startswith(("vm.", "scenario.")):
             _fail("[%s]" % section, "unknown section")
 
-    run = dict(cp["run"]) if cp.has_section("run") else {}
-    _check_keys("[run]", run, _RUN_KEYS)
-    name = run.get("name", "experiment")
-    run_seed = seed if seed is not None else _int("[run] seed", run.get("seed", "1"))
-    run_iters = (
-        iterations if iterations is not None else _int("[run] iterations", run.get("iterations", "10000"))
-    )
+    def fixed(name, table):
+        return _read("[%s]" % name, sections.get(name, {}), table)
+
+    overrides = {k: v for k, v in (("seed", seed), ("iterations", iterations)) if v is not None}
+    # Scenarios inherit the run seed, so its default is read here.
+    run = {"seed": ExperimentConfig.seed, **fixed("run", _RUN), **overrides}
+    listed = run.pop("scenarios", None)
+    inherited = {key: run.pop(key) for key in ("seed", "iterations") if key in run}
 
     with _located("[latency]"):
-        latency = LatencyConfig(**_mapped_section(cp, "latency", _LATENCY_KEYS))
+        latency = LatencyConfig(**fixed("latency", _LATENCY))
     # One machine for every scenario.  The [tlb] keys are checked against
     # the default cache first, so each rule is reported under its section.
     with _located("[tlb]"):
-        machine = MachineConfig(**_mapped_section(cp, "tlb", _TLB_KEYS))
+        machine = MachineConfig(**fixed("tlb", _TLB))
     with _located("[cache]"):
-        machine = replace(machine, **_mapped_section(cp, "cache", _CACHE_KEYS))
+        machine = replace(machine, **fixed("cache", _CACHE))
         check_spm_windows(machine)
 
-    # Only the keys present override HypervisorConfig's own defaults.
-    hyp_raw = _mapped_section(cp, "hypervisor", _HYP_KEYS)
-    footprint = {key: hyp_raw.pop(key) for key in _FOOTPRINT_FIELDS if key in hyp_raw}
+    hyp_values = fixed("hypervisor", _HYPERVISOR)
+    footprint = {f: hyp_values.pop(f) for f, _ in _FOOTPRINT.values() if f in hyp_values}
     hyp = HypervisorConfig()
     with _located("[hypervisor]"):
-        hyp = replace(hyp, footprint=(replace(hyp.footprint[0], **footprint),), **hyp_raw)
+        hyp = replace(hyp, footprint=(replace(hyp.footprint[0], **footprint),), **hyp_values)
 
     vms = {}
-    for section in vm_sections:
-        spec = _parse_vm(section, dict(cp[section]))
-        vms[spec.name] = spec
+    for section in sections:
+        if section.startswith("vm."):
+            spec = _parse_vm(section, sections[section])
+            vms[spec.name] = spec
 
-    scenarios = {}
-    order = []
-    for section in scenario_sections:
+    defined = {}
+    for section in sections:
+        if not section.startswith("scenario."):
+            continue
         where = "[%s]" % section
-        sname = section.split(".", 1)[1]
-        options = dict(cp[section])
-        _check_keys(where, options, _SCENARIO_KEYS)
-        if "vms" not in options:
-            _fail(where, "missing 'vms'")
+        values = _read(where, sections[section], _SCENARIO, required=("vms",))
         members = []
-        for vm_name in options["vms"].split():
+        for vm_name in values.pop("vms"):
             if vm_name not in vms:
                 _fail(where, "unknown vm %r (defined: %s)" % (vm_name, ", ".join(vms)))
             members.append(vms[vm_name])
-        s_iters = run_iters
-        if iterations is None and "iterations" in options:
-            s_iters = _int("%s iterations" % where, options["iterations"])
-        s_seed = run_seed
-        if seed is None and "seed" in options:
-            s_seed = _int("%s seed" % where, options["seed"])
         s_hyp = hyp
+        sname = section.split(".", 1)[1]
         with _located(where):
-            if "hyp_mask" in options:
-                s_hyp = replace(hyp, partition_mask=_int(where, options["hyp_mask"]))
-            scenarios[sname] = ScenarioDef(
+            if "hyp_mask" in values:
+                s_hyp = replace(hyp, partition_mask=values.pop("hyp_mask"))
+            defined[sname] = ScenarioDef(
                 name=sname,
                 vms=tuple(members),
                 hyp=s_hyp,
                 latency=latency,
-                iterations=s_iters,
-                seed=s_seed,
                 machine=machine,
-                spm_ways=_int(where, options["spm_ways"]) if "spm_ways" in options else 0,
+                **{**inherited, **values, **overrides},
             )
-        order.append(sname)
 
-    if "scenarios" in run:
-        chosen = run["scenarios"].split()
-        for sname in chosen:
-            if sname not in scenarios:
-                _fail("[run] scenarios", "unknown scenario %r" % sname)
-        order = chosen
-
+    if scenarios is None:
+        scenarios = defined if listed is None else listed
+    chosen = _select(defined, list(scenarios))
     return ExperimentConfig(
-        name=name,
-        seed=run_seed,
-        scenario_names=tuple(order),
-        scenarios={n: scenarios[n] for n in order},
-        text=text,
+        scenario_names=tuple(chosen), scenarios=chosen, text=text, seed=inherited["seed"], **run
     )

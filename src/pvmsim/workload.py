@@ -39,7 +39,7 @@ class SimulationError(RuntimeError):
 class Region:
     base: int
     pages: int
-    stride: int = SIZE_4K
+    stride: int = 512
     order: str = "forward"
     repeats: int = 1
     kind: str = "read"

@@ -271,8 +271,7 @@ def test_criterion_06_zero_variance_when_fully_covered():
     constants = []
     iters_ok = True
     for seed in (424242, 7, 99):
-        cfg = load_experiment(text=text, seed=seed, iterations=1000)
-        cfg = cfg.select(["lockspm"])
+        cfg = load_experiment(text=text, seed=seed, iterations=1000, scenarios=["lockspm"])
         records = run_experiment(cfg)["lockspm"]
         iters_ok = iters_ok and len(records) == 1000
         cycles = sorted({r.cycles for r in records})
@@ -300,7 +299,7 @@ def test_criterion_07_interference_trends():
         stds = {}
         for preset, names in plan:
             cfg = load_experiment(text=preset_text(preset), seed=seed,
-                                  iterations=1000).select(names)
+                                  iterations=1000, scenarios=names)
             results = run_experiment(cfg)
             for name in names:
                 stds[(preset, name)] = summarize(results[name])["cycles"]["std"]
@@ -500,7 +499,7 @@ def test_criterion_10_determinism():
             runs.append(blobs)
         stable.append(runs[0] == runs[1] and len(runs[0]) > 1)
     cfg = load_experiment(text=preset_text("synthetic-spm"), seed=3,
-                          iterations=30).select(["unmitigated"])
+                          iterations=30, scenarios=["unmitigated"])
     serial = run_experiment(cfg)["unmitigated"]
     parallel = run_experiment(cfg, workers=3)["unmitigated"]
     chunking_ok = serial == parallel

@@ -16,6 +16,7 @@ from pvmsim.cache import (
     Cache,
     Memory,
     UnmappedAddress,
+    check_spm_window,
 )
 from oracles import CacheRef, spm_decode_ref
 
@@ -68,6 +69,9 @@ def test_spm_window_may_not_overlap_memory():
     mem = Memory([(RAM_BASE, RAM_SIZE)])
     with pytest.raises(ValueError):
         Cache(mem, ways=4, sets=8, line_bytes=16, spm_base=RAM_BASE)
+    # A region strictly inside the window holds neither of its ends.
+    with pytest.raises(ValueError, match="overlaps a backing-memory region"):
+        check_spm_window(0x1000_0000, 0x1000_0000, Memory([(0x1800_0000, 0x1000)]))
 
 
 def test_unmapped_address_is_a_configuration_error():

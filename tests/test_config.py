@@ -200,17 +200,34 @@ class OverrideTest(unittest.TestCase):
         self.assertEqual(cfg.scenarios["quiet"].seed, 99)
 
     def test_select_restricts_and_orders(self):
-        cfg = load().select(["noisy"])
+        cfg = load(scenarios=["noisy"])
         self.assertEqual(cfg.scenario_names, ("noisy",))
         self.assertEqual(list(cfg.scenarios), ["noisy"])
 
+    def test_select_beats_run_key(self):
+        # A defined scenario that [run] scenarios leaves out can still be picked.
+        text = BASE.replace("scenarios = quiet noisy", "scenarios = quiet")
+        self.assertEqual(load(text).scenario_names, ("quiet",))
+        picked = load(text, scenarios=["noisy", "quiet"])
+        self.assertEqual(picked.scenario_names, ("noisy", "quiet"))
+
+    def check_either_source(self, names, message):
+        """The same names listed in [run] scenarios or passed as scenarios=
+        fail with one and the same message."""
+        text = BASE.replace("scenarios = quiet noisy", "scenarios = " + " ".join(names))
+        for kw in ({"text": text}, {"scenarios": names}):
+            with pytest.raises(ConfigError, match=message):
+                load(**kw)
+
     def test_select_unknown_scenario(self):
-        with pytest.raises(ConfigError, match=r"\[scenario.absent\]"):
-            load().select(["absent"])
+        self.check_either_source(
+            ["absent"], r"^\[scenario.absent\]: not defined \(defined: quiet, noisy\)$"
+        )
 
     def test_select_repeated_scenario(self):
-        with pytest.raises(ConfigError, match="scenario 'noisy' is selected more than once"):
-            load().select(["noisy", "quiet", "noisy"])
+        self.check_either_source(
+            ["noisy", "quiet", "noisy"], r"^scenario 'noisy' is selected more than once$"
+        )
 
 
 class RejectionTest(unittest.TestCase):
@@ -263,7 +280,7 @@ class RejectionTest(unittest.TestCase):
     def test_region_bad_page_size(self):
         self.check(
             BASE.replace("pages=8 flags=rw", "pages=8 flags=rw page_size=16k"),
-            r"region.pool: page_size must be one of",
+            r"region.pool page_size: must be one of 1g, 2m, 4k$",
         )
 
     def test_region_misaligned_base(self):
@@ -349,7 +366,7 @@ class RejectionTest(unittest.TestCase):
     def test_run_lists_unknown_scenario(self):
         self.check(
             BASE.replace("scenarios = quiet noisy", "scenarios = quiet missing"),
-            r"\[run\] scenarios: unknown scenario 'missing'",
+            r"\[scenario.missing\]: not defined",
         )
 
     def test_scenario_without_measured_vm(self):

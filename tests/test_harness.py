@@ -8,6 +8,7 @@ splitting iterations over worker processes changes nothing.
 
 import concurrent.futures
 import contextlib
+import dataclasses
 import io
 import json
 import multiprocessing
@@ -214,9 +215,9 @@ class BundleTest(unittest.TestCase):
         self.assertNotIn("vs_isolation", bundle["scenarios"]["isolation"])
 
     def test_no_scenarios_is_a_valid_empty_bundle(self):
-        text = SMALL.split("[scenario.isolation]")[0]
-        cfg = load_experiment(text=text)
-        self.assertEqual(cfg.scenario_names, ())
+        # load_experiment rejects a configuration that selects nothing, so
+        # empty the selection of a loaded one.
+        cfg = dataclasses.replace(load_experiment(text=SMALL), scenario_names=(), scenarios={})
         results = run_experiment(cfg)
         bundle = build_bundle(cfg, results)
         self.assertEqual(bundle["scenarios"], {})
@@ -300,7 +301,7 @@ def pools(monkeypatch):
 
 
 def uneven_config():
-    return load_experiment(text=UNEVEN).select(UNEVEN_ORDER)
+    return load_experiment(text=UNEVEN, scenarios=UNEVEN_ORDER)
 
 
 def test_one_pool_per_experiment(pools):
@@ -329,7 +330,7 @@ def test_pool_forks_where_the_platform_can(pools, monkeypatch):
 
 def test_pool_is_no_larger_than_its_job_count(pools):
     # 9 iterations over 4 workers: ranges of ceil(9 / 4) = 3, so 3 jobs.
-    cfg = load_experiment(text=SMALL, iterations=9).select(["isolation"])
+    cfg = load_experiment(text=SMALL, iterations=9, scenarios=["isolation"])
     run_experiment(cfg, workers=4)
     assert [(p.max_workers, len(p.jobs)) for p in pools] == [(3, 3)]
 
@@ -441,8 +442,14 @@ class CliTest(unittest.TestCase):
                 handle.write(SMALL)
             self.run_cli(["run", cfg_path, "--outdir", d, "--quiet"])
             summary = os.path.join(d, "unit-summary.json")
-            code = self.run_cli(["compare", summary, "isolation", "ghost"])
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = self.run_cli(["compare", summary, "isolation", "ghost"])
             self.assertEqual(code, 1)
+            self.assertEqual(
+                err.getvalue(),
+                "error: scenario 'ghost' not in bundle (has: isolation, unmitigated)\n",
+            )
 
     def test_workers_below_one_fail_fast(self):
         import tempfile
@@ -567,6 +574,89 @@ class CliTest(unittest.TestCase):
             )
             self.assertEqual(os.listdir(d), ["unit.ini"])  # nothing written
 
+    def run_rejected(self, name, text, argv=()):
+        """Run `text` as <name>.ini; assert exit 2, one stderr line and no
+        output, serially and with 2 workers; return that line."""
+        lines = set()
+        with tempfile.TemporaryDirectory() as d:
+            cfg_path = os.path.join(d, name + ".ini")
+            with open(cfg_path, "w", encoding="utf-8") as handle:
+                handle.write(text)
+            for workers in ("1", "2"):
+                out, err = io.StringIO(), io.StringIO()
+                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                    code = self.run_cli(
+                        ["run", cfg_path, "--outdir", d, "--workers", workers, *argv]
+                    )
+                self.assertEqual(code, 2)
+                self.assertEqual(out.getvalue(), "")
+                self.assertEqual(err.getvalue().count("\n"), 1)
+                lines.add(err.getvalue())
+            self.assertEqual(os.listdir(d), [name + ".ini"])  # nothing written
+        self.assertEqual(len(lines), 1)
+        return lines.pop()
+
+    def test_scenario_flag_picks_a_scenario_left_out_of_run_scenarios(self):
+        text = SMALL.replace("seed = 5\n", "seed = 5\nscenarios = isolation\n")
+        with tempfile.TemporaryDirectory() as d:
+            cfg_path = os.path.join(d, "unit.ini")
+            with open(cfg_path, "w", encoding="utf-8") as handle:
+                handle.write(text)
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                argv = ["run", cfg_path, "--outdir", d, "--scenario", "unmitigated", "--quiet"]
+                code = self.run_cli(argv)
+            self.assertEqual(code, 0)
+            self.assertEqual(out.getvalue().split()[0], "unmitigated")
+            self.assertEqual(
+                sorted(os.listdir(d)), ["unit-summary.json", "unit-unmitigated.csv", "unit.ini"]
+            )
+
+    def test_bad_selection_reads_the_same_from_flag_and_file(self):
+        for names, line in (
+            (["ghost"], "[scenario.ghost]: not defined (defined: isolation, unmitigated)"),
+            (["isolation", "isolation"], "scenario 'isolation' is selected more than once"),
+        ):
+            with self.subTest(names=names):
+                run_key = "seed = 5\nscenarios = %s\n" % " ".join(names)
+                listed = SMALL.replace("seed = 5\n", run_key)
+                flags = [arg for name in names for arg in ("--scenario", name)]
+                for got in (
+                    self.run_rejected("listed", listed),
+                    self.run_rejected("flagged", SMALL, flags),
+                ):
+                    self.assertEqual(got, "configuration error: %s\n" % line)
+
+    def test_selecting_nothing_is_config_error_before_any_output(self):
+        for name, text, line in (
+            ("empty", "", "no scenario selected (defined: none)"),
+            (
+                "none-listed",
+                SMALL.replace("seed = 5\n", "seed = 5\nscenarios =\n"),
+                "no scenario selected (defined: isolation, unmitigated)",
+            ),
+        ):
+            with self.subTest(name):
+                self.assertEqual(self.run_rejected(name, text), "configuration error: %s\n" % line)
+
+    def test_sweep_past_its_region_is_config_error_before_any_output(self):
+        # data has 2 pages and code 1; a sweep may cover fewer, never more.
+        for old, new, line in (
+            ("prime = data", "prime = data pages=3", "prime: pages=3 exceeds its 2-page"),
+            ("reverse; code", "reverse; code pages=2", "measure: pages=2 exceeds its 1-page"),
+        ):
+            with self.subTest(new):
+                self.assertEqual(
+                    self.run_rejected("long-sweep", SMALL.replace(old, new)),
+                    "configuration error: [vm.crit] %s region\n" % line,
+                )
+
+    def test_negative_iterations_fail_fast(self):
+        self.assertEqual(
+            self.run_rejected("unit", SMALL, ["--iterations", "-1"]),
+            "error: --iterations must be at least 0, got -1\n",
+        )
+
     def test_progress_goes_to_stderr_and_quiet_silences_it(self):
         with tempfile.TemporaryDirectory() as d:
             cfg_path = os.path.join(d, "unit.ini")
@@ -652,7 +742,7 @@ class TouchRateTest(unittest.TestCase):
         means = {}
         for touches in (1, 2, 8):
             text = base.replace("touches=2", "touches=%d" % touches)
-            cfg = load_experiment(text=text, iterations=60).select(["unmitigated"])
+            cfg = load_experiment(text=text, iterations=60, scenarios=["unmitigated"])
             recs = run_experiment(cfg)["unmitigated"]
             means[touches] = sum(r.tlb_misses for r in recs) / len(recs)
         self.assertGreaterEqual(means[1], means[2])

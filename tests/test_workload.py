@@ -81,7 +81,7 @@ class RegionDescriptorTest(unittest.TestCase):
         c = list(r.addresses(random.Random(8)))
         self.assertEqual(a, b)
         self.assertNotEqual(a, c)
-        self.assertEqual(sorted(a), list(Region(base=VBASE, pages=16).addresses()))
+        self.assertEqual(sorted(a), list(Region(base=VBASE, pages=16, stride=SIZE_4K).addresses()))
 
     def test_repeats_and_count(self):
         r = Region(base=VBASE, pages=3, stride=0x400, repeats=4)
