@@ -43,10 +43,12 @@ round-trip behavior can be checked against backing memory.
 The state is flat: slot ``set * ways + way`` indexes one list of tags
 (-1 marks a slot that holds no line), its words sit at
 ``slot * words_per_line`` in one word list, and each set keeps a dirty
-bitmap over its ways and its tree-PLRU node bits packed into one int.
-The PLRU bits are driven through tables derived from ``PlruTree`` (see
-plru.py); SPM ways are one cache-wide locked-ways mask that selects the
-victim table.  ``snapshot``/``restore`` copy this state wholesale.
+bitmap over its ways and its tree-PLRU node bits packed into one int,
+the format every ``PlruTree`` uses.  A set is touched with the same
+``touch_masks`` pair as a tree and picks its victim from a
+``victim_table`` (see plru.py).  The SPM ways are recorded once, as one
+cache-wide locked-ways mask that selects the victim table; ``modes`` is
+read off it.  ``snapshot``/``restore`` copy this state wholesale.
 """
 
 from itertools import repeat
@@ -221,7 +223,6 @@ class Cache:
         self._line_shift = line_bytes.bit_length() - 1
         self._set_shift = sets.bit_length() - 1
         self._set_mask = sets - 1
-        self.modes = [MODE_CACHE] * ways
         self._tags = [_NO_LINE] * (sets * ways)
         self._dirty = [0] * sets  # bitmap over ways, per set
         self._data = [0] * (sets * ways * self.words_per_line)
@@ -239,6 +240,11 @@ class Cache:
         self._locked = locked
         self._victims = victim_table(self.ways, self._all_ways_mask & ~locked)
 
+    @property
+    def modes(self):
+        """Each way's mode, read off the locked-ways mask."""
+        return [MODE_SPM if self._locked >> w & 1 else MODE_CACHE for w in range(self.ways)]
+
     def configure_way(self, way, mode):
         """Switch one way between CACHE and SPM mode.
 
@@ -253,9 +259,9 @@ class Cache:
             raise ValueError("way index %r out of range [0, %d)" % (way, self.ways))
         if mode not in (MODE_CACHE, MODE_SPM):
             raise ValueError("mode must be %r or %r, got %r" % (MODE_CACHE, MODE_SPM, mode))
-        if self.modes[way] == mode:
-            return
         bit = 1 << way
+        if bool(self._locked & bit) == (mode == MODE_SPM):
+            return
         if mode == MODE_SPM:
             wpl = self.words_per_line
             for s in range(self.sets):
@@ -267,7 +273,6 @@ class Cache:
             self._set_locked(self._locked | bit)
         else:
             self._set_locked(self._locked & ~bit)
-        self.modes[way] = mode
 
     # -- address decode -------------------------------------------------------
 
@@ -354,7 +359,7 @@ class Cache:
 
     def _spm_access(self, paddr, kind, value):
         way, set_idx, word = self.spm_decode(paddr)
-        if self.modes[way] != MODE_SPM:
+        if not self._locked >> way & 1:
             # The window slice exists but its way was never converted:
             # behave like a black hole instead of stalling the core.
             self.stats["spm_misconfigs"] += 1
@@ -436,19 +441,17 @@ class Cache:
             tuple(self._dirty),
             tuple(self._data),
             tuple(self._plru),
-            tuple(self.modes),
             self._locked,
             tuple(self.stats.items()),
         )
 
     def restore(self, state):
         """Return to a snapshot() of this cache, copying it in place."""
-        tags, dirty, data, plru, modes, locked, stats = state
+        tags, dirty, data, plru, locked, stats = state
         self._tags[:] = tags
         self._dirty[:] = dirty
         self._data[:] = data
         self._plru[:] = plru
-        self.modes[:] = modes
         self._set_locked(locked)
         self.stats = dict(stats)
 
@@ -466,7 +469,7 @@ class Cache:
 
     def spm_word(self, way, set_idx, word):
         """Directly read one SPM storage word (testing aid, not an access)."""
-        if self.modes[way] != MODE_SPM:
+        if not self._locked >> way & 1:
             raise ValueError("way %d is not in SPM mode" % way)
         return self._data[(set_idx * self.ways + way) * self.words_per_line + word]
 

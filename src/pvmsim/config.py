@@ -77,6 +77,13 @@ def _int(where, raw):
         _fail(where, "expected an integer, got %r" % raw)
 
 
+def _count(where, raw):
+    value = _int(where, raw)
+    if value < 0:
+        _fail(where, "must be >= 0, got %d" % value)
+    return value
+
+
 def _bool(where, raw):
     lowered = raw.strip().lower()
     if lowered in ("1", "true", "yes", "on"):
@@ -117,7 +124,11 @@ def _ints(*keys):
 
 
 # key -> (dataclass field, parser), one table per section and key=value list
-_RUN = {"name": ("name", _str), "scenarios": ("scenarios", _words)} | _ints("iterations", "seed")
+_RUN = {
+    "name": ("name", _str),
+    "scenarios": ("scenarios", _words),
+    "iterations": ("iterations", _count),
+} | _ints("seed")
 _LATENCY = {
     key: (key + "_cycles", _int) for key in ("tlb_hit", "cache_hit", "spm", "memory")
 } | _ints("jitter")
@@ -217,6 +228,11 @@ def _region_workload(where, raw, regions, table):
     region = regions[rname]
     if region.flags & PTE_X:
         values.setdefault("kind", "ifetch")
+    # Each cache decodes only its own scratchpad window.
+    fetch = values.get("kind") == "ifetch"
+    if region.backing not in ("ram", "ispm" if fetch else "dspm"):
+        accesses = "fetches" if fetch else "loads and stores"
+        _fail(where, "%s cannot reach region %r on %s" % (accesses, rname, region.backing))
     return region, values
 
 

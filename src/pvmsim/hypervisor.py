@@ -358,14 +358,16 @@ def build_plan(defn):
     # The hypervisor's own footprint pages, single-stage under its ids.
     hyp_root = table_area.take(TABLE_STRIDE, TABLE_STRIDE, "the hypervisor")
     hyp_space = AddressSpace(root_ppn=hyp_root >> PAGE_SHIFT)
+    owner = "the hypervisor footprint"
     for region in defn.hyp.footprint:
         for i in range(region.pages):
-            hyp_space.map_page(
-                region.base + i * SIZE_4K,
-                frames.take(SIZE_4K, SIZE_4K, "the hypervisor footprint"),
-                SIZE_4K,
-                PTE_R | PTE_W | PTE_A | PTE_D,
-            )
+            frame = frames.take(SIZE_4K, SIZE_4K, owner)
+            try:
+                hyp_space.map_page(
+                    region.base + i * SIZE_4K, frame, SIZE_4K, PTE_R | PTE_W | PTE_A | PTE_D
+                )
+            except ValueError as exc:  # outside the address space
+                raise SetupError("%s: %s" % (owner, exc)) from exc
     hyp_context = VmContext(
         "hypervisor", HYP_VMID, HYP_ASID, defn.hyp.partition_mask, hyp_space, None, None
     )

@@ -1,7 +1,7 @@
 """Tree-PLRU replacement state with partition and lock constraints.
 
 One bit per internal node of a complete binary tree over the slots
-("leaves").  Bits are stored in level order:
+("leaves"), packed into one int: bit n is node n, numbered in level order:
 
                 [0]
               /     \\
@@ -39,13 +39,13 @@ the walk degenerates to the textbook tree-PLRU victim choice.
 Selection never modifies the tree; pairing a selection with a touch of
 the chosen leaf is what ``insert`` does.
 
-Structures with many small trees (one per cache set) keep each set's
-node bits packed into one int (bit n = node n) and drive it through
-tables derived here from ``PlruTree`` itself, so the policy is still
-defined only once: ``touch_masks`` gives the per-leaf AND/OR pair of a
-touch, ``victim_table`` the victim for every packed state under one
-reachable-leaf mask.  ``touch_writes`` gives the same touch as the node
-writes on the leaf's root path, for a tree whose bits stay a list.
+Every tree keeps its bits in that one format, whether it is a
+``PlruTree`` or one cache set's int, and there is one definition of a
+touch: ``touch_masks`` gives, per leaf, the AND/OR pair that points the
+leaf's root path away from it.  ``PlruTree.touch`` applies it and so do
+the caches.  ``victim_table`` gives the victim of ``select_victim`` for
+every packed state under one reachable-leaf mask, so a cache set can pick
+a victim by indexing with its bits.
 """
 
 import functools
@@ -66,26 +66,19 @@ def check_tree(leaf_count, partition_count, leaves="leaf_count", parts="partitio
         )
 
 
-# Geometry tables depend only on (leaf_count, partition_count); they are
-# shared across instances so that building many small trees (one per cache
-# set) stays cheap.  The expansion cache memoizes a pure function.
-_GEOMETRY = {}
-
-
+@functools.cache
 def _geometry(leaf_count, partition_count):
-    key = (leaf_count, partition_count)
-    geom = _GEOMETRY.get(key)
-    if geom is None:
-        heap_base = leaf_count - 1
-        subtree = [0] * (2 * leaf_count - 1)
-        for i in range(leaf_count):
-            subtree[heap_base + i] = 1 << i
-        for n in range(heap_base - 1, -1, -1):
-            subtree[n] = subtree[2 * n + 1] | subtree[2 * n + 2]
-        per = leaf_count // partition_count
-        part_masks = tuple(((1 << per) - 1) << (p * per) for p in range(partition_count))
-        geom = _GEOMETRY[key] = (tuple(subtree), part_masks, {})
-    return geom
+    """(subtree leaf bitmaps by heap node, leaf bitmap by partition, the
+    shared partition-mask expansion cache) of one tree shape."""
+    heap_base = leaf_count - 1
+    subtree = [0] * (2 * leaf_count - 1)
+    for i in range(leaf_count):
+        subtree[heap_base + i] = 1 << i
+    for n in range(heap_base - 1, -1, -1):
+        subtree[n] = subtree[2 * n + 1] | subtree[2 * n + 2]
+    per = leaf_count // partition_count
+    part_masks = tuple(((1 << per) - 1) << (p * per) for p in range(partition_count))
+    return tuple(subtree), part_masks, {}
 
 
 class PlruTree:
@@ -94,12 +87,13 @@ class PlruTree:
     __slots__ = (
         "leaf_count",
         "partition_count",
-        "node_bits",
+        "bits",
         "locked",
         "_heap_base",
         "_subtree",
         "_part_masks",
         "_expand_cache",
+        "_touch",
         "full_mask",
     )
 
@@ -107,7 +101,7 @@ class PlruTree:
         check_tree(leaf_count, partition_count)
         self.leaf_count = leaf_count
         self.partition_count = partition_count
-        self.node_bits = [0] * (leaf_count - 1)
+        self.bits = 0  # packed node bits, bit n = node n
         self.locked = 0  # bitmap over leaves
         # Heap layout: internal nodes occupy [0, leaf_count-1), leaf i sits
         # at heap index leaf_count-1+i.  _subtree maps heap node -> bitmap
@@ -116,6 +110,7 @@ class PlruTree:
         self._subtree, self._part_masks, self._expand_cache = _geometry(
             leaf_count, partition_count
         )
+        self._touch = touch_masks(leaf_count)
         self.full_mask = (1 << partition_count) - 1
 
     # -- constraint bookkeeping ------------------------------------------
@@ -153,13 +148,8 @@ class PlruTree:
         at selection time.
         """
         self._check_leaf(leaf)
-        bits = self.node_bits
-        node = self._heap_base + leaf
-        while node:
-            parent = (node - 1) >> 1
-            # Left children have odd heap indices; point at the other side.
-            bits[parent] = node & 1
-            node = parent
+        ands, ors = self._touch
+        self.bits = self.bits & ands[leaf] | ors[leaf]
 
     def select_victim(self, enabled):
         """Walk the tree under `enabled`; return a leaf index, or None if
@@ -167,19 +157,19 @@ class PlruTree:
         reach = self.enabled_leaves(enabled) & ~self.locked
         if not reach:
             return None
-        bits = self.node_bits
+        bits = self.bits
         sub = self._subtree
         base = self._heap_base
         node = 0
         while node < base:
-            bit = bits[node]
+            bit = bits >> node & 1
             chosen = 2 * node + 1 + bit
             other = 2 * node + 2 - bit
             if not sub[chosen] & reach:
                 node = other  # pointed-to side is completely dead
                 continue
             if sub[other] & reach and chosen < base:
-                hop = 2 * chosen + 1 + bits[chosen]
+                hop = 2 * chosen + 1 + (bits >> chosen & 1)
                 if hop >= base and not sub[hop] & reach:
                     node = other  # next hop is a dead leaf: divert early
                     continue
@@ -201,21 +191,18 @@ class PlruTree:
             raise ValueError("leaf index %r out of range [0, %d)" % (leaf, self.leaf_count))
 
     def snapshot_bits(self):
-        return tuple(self.node_bits)
+        """The node bits as a level-order tuple of 0/1."""
+        return tuple(unpack_bits(self.bits, self.leaf_count))
 
     def load_bits(self, bits):
+        """Set the node bits from a level-order sequence of 0/1."""
         bits = list(bits)
         if len(bits) != self.leaf_count - 1 or any(b not in (0, 1) for b in bits):
             raise ValueError("need %d node bits of 0/1" % (self.leaf_count - 1))
-        self.node_bits[:] = bits
+        self.bits = sum(b << n for n, b in enumerate(bits))
 
 
 # -- packed-state tables ---------------------------------------------------------
-
-
-def pack_bits(bits):
-    """Node bits (level order) as one int, bit n = node n."""
-    return sum(b << n for n, b in enumerate(bits))
 
 
 def unpack_bits(packed, leaf_count):
@@ -225,34 +212,21 @@ def unpack_bits(packed, leaf_count):
 @functools.cache
 def touch_masks(leaf_count):
     """(AND, OR) tuples indexed by leaf: touching leaf l maps packed bits b
-    to ``b & AND[l] | OR[l]``.  Derived by touching a tree of all-zero and
-    of all-one bits: nodes that keep their value are off the root path."""
-    tree = PlruTree(leaf_count)
-    nodes = leaf_count - 1
+    to ``b & AND[l] | OR[l]``.  AND clears the nodes on the leaf's root
+    path; OR points each of them at the other side."""
     ands, ors = [], []
     for leaf in range(leaf_count):
-        tree.load_bits([0] * nodes)
-        tree.touch(leaf)
-        from_zero = pack_bits(tree.node_bits)
-        tree.load_bits([1] * nodes)
-        tree.touch(leaf)
-        from_one = pack_bits(tree.node_bits)
-        ands.append(from_one & ~from_zero)
-        ors.append(from_zero)
+        path = away = 0
+        node = leaf_count - 1 + leaf  # heap index of the leaf
+        while node:
+            parent = (node - 1) >> 1
+            path |= 1 << parent
+            # Left children have odd heap indices; point right (1) from them.
+            away |= (node & 1) << parent
+            node = parent
+        ands.append((1 << (leaf_count - 1)) - 1 & ~path)
+        ors.append(away)
     return tuple(ands), tuple(ors)
-
-
-@functools.cache
-def touch_writes(leaf_count):
-    """(node, bit) pairs indexed by leaf: touching leaf l sets
-    ``node_bits[node] = bit`` for each pair, which are the nodes on its root
-    path.  Read off touch_masks: a node is on the path when the AND mask
-    clears it, and the OR mask holds the value it gets."""
-    ands, ors = touch_masks(leaf_count)
-    return tuple(
-        tuple((n, ors[leaf] >> n & 1) for n in range(leaf_count - 1) if not ands[leaf] >> n & 1)
-        for leaf in range(leaf_count)
-    )
 
 
 class _VictimTable(dict):
@@ -266,7 +240,7 @@ class _VictimTable(dict):
 
     def __missing__(self, packed):
         tree = self._tree
-        tree.load_bits(unpack_bits(packed, tree.leaf_count))
+        tree.bits = packed
         victim = self[packed] = tree.select_victim(self._reach)
         return victim
 

@@ -26,11 +26,11 @@ only -- lookups hit entries of disabled partitions just fine.
 A lookup reports what it found, not what it cost: memsys.MemorySystem
 prices every lookup at LatencyConfig.tlb_hit_cycles.
 
-A hit on a regular entry touches its leaf by writing the node bits of
-the leaf's root path directly (plru.touch_writes).  The TLB remembers its
-last hit exactly: a lookup with the same page number, asid and vmid as
-the previous hit is served from that memo without a scan.  Between the
-two nothing has changed -- every fill, flush, restore and lock-slot write
+A hit on a regular entry touches its leaf through PlruTree.touch; a
+lock-slot hit touches nothing.  The TLB remembers its last hit exactly:
+a lookup with the same page number, asid and vmid as the previous hit is
+served from that memo without a scan or a touch.  Between the two
+nothing has changed -- every fill, flush, restore and lock-slot write
 clears the memo -- so the scan would find the same slot or leaf first,
 and touching that leaf again would change no bit.  The memo is derived
 state and never goes into a snapshot.
@@ -39,7 +39,7 @@ state and never goes into a snapshot.
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
-from .plru import PlruTree, check_tree, touch_writes
+from .plru import PlruTree, check_tree
 from .sv39 import PAGE_SHIFT, PAGE_SIZES, PPN_SHIFT, PTE_G, VPN_MASK, is_canonical
 
 _SIZE_NAMES = {PAGE_SIZES[0]: "4K", PAGE_SIZES[1]: "2M", PAGE_SIZES[2]: "1G"}
@@ -164,7 +164,6 @@ class Tlb:
         # Default placement: slot j shadows leaf j; steerable while inactive.
         self.slots = [LockSlot(target_leaf=j) for j in range(lock_slots)]
         self._active = ()  # the active slots, in slot order; never snapshotted
-        self._touch = touch_writes(entries)
         # (vpn, asid, vmid, frame address, offset mask, page size, pte,
         # lock hit) of the last hit, or None; never snapshotted.
         self._memo = None
@@ -217,9 +216,7 @@ class Tlb:
                     and (entry.asid == asid or entry.global_flag)
                     and vpn & -(entry.page_size >> PAGE_SHIFT) == entry.vpn
                 ):
-                    bits = self.tree.node_bits
-                    for node, bit in self._touch[leaf]:
-                        bits[node] = bit
+                    self.tree.touch(leaf)
                     size, pte, lock_hit = entry.page_size, entry.pte, False
                     break
             else:
@@ -320,7 +317,7 @@ class Tlb:
         copies that restore() only reads.  Entries are shared: they are
         immutable."""
         return (
-            tuple(self.tree.node_bits),
+            self.tree.bits,
             self.tree.locked,
             tuple(self.entries),
             tuple(dict(vars(slot)) for slot in self.slots),
@@ -330,7 +327,7 @@ class Tlb:
     def restore(self, state):
         """Return to a snapshot() of this TLB, copying it in place."""
         bits, locked, entries, slots, counters = state
-        self.tree.node_bits[:] = bits
+        self.tree.bits = bits
         self.tree.locked = locked
         self.entries[:] = entries
         for slot, fields in zip(self.slots, slots):

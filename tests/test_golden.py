@@ -187,6 +187,41 @@ def machine_digest(preset):
     return h.hexdigest()
 
 
+def flip(system, what):
+    """Change the one piece of `system`'s state that `what` names."""
+    if what == "tlb-node-bit":
+        system.dtlb.tree.bits ^= 1
+    elif what == "cache-plru-bits":
+        system.dcache._plru[0] ^= 1
+    elif what == "locked-way":
+        system.icache._set_locked(system.icache._locked ^ 1)
+    elif what == "memory-word":
+        addr = system.memory._regions[0][0]
+        system.memory.write_word(addr, system.memory.read_word(addr) ^ 1)
+    elif what == "tlb-counter":
+        system.itlb.fills += 1
+    elif what == "cache-counter":
+        system.dcache.stats["write_backs"] += 1
+    else:
+        raise ValueError(what)
+
+
+@pytest.mark.parametrize(
+    "what",
+    ("tlb-node-bit", "cache-plru-bits", "locked-way", "memory-word", "tlb-counter", "cache-counter"),
+)
+def test_machine_state_sees_each_kind_of_state(what):
+    """The pinned projection is no weaker than the snapshot's repr: one
+    flipped bit, way, word or counter changes it."""
+    cfg = load_experiment(text=preset_text("synthetic-spm"), seed=1, iterations=1)
+    plan = build_plan(cfg.scenarios[cfg.scenario_names[-1]])
+    run_range(plan, 0, 1)
+    system = plan.machine[0]
+    before = repr(machine_state(system))
+    flip(system, what)
+    assert repr(machine_state(system)) != before
+
+
 def outputs_digests(preset, seed):
     """{"csv": ..., "summary": ...} SHA-256 digests of one run's output files."""
     cfg = load_experiment(text=preset_text(preset), seed=seed, iterations=ITERATIONS)

@@ -528,6 +528,12 @@ class CliTest(unittest.TestCase):
                 "outside this space",
             ),
             (
+                "footprint-non-canonical",
+                SMALL.replace("footprint_pages", "footprint_base = 0x4000000000\nfootprint_pages"),
+                "scenario 'isolation': the hypervisor footprint: address 0x4000000000 "
+                "outside this space\n",
+            ),
+            (
                 "pool-past-ram",  # 40,000 frames of 4 KiB, 128 MiB is 32,768
                 SMALL.replace("pages=16", "pages=40000"),
                 "scenario 'unmitigated': vm 'intf' region 0x40080000: does not fit in",
@@ -656,6 +662,26 @@ class CliTest(unittest.TestCase):
             self.run_rejected("unit", SMALL, ["--iterations", "-1"]),
             "error: --iterations must be at least 0, got -1\n",
         )
+        self.assertEqual(
+            self.run_rejected("unit", SMALL.replace("iterations = 8", "iterations = -1")),
+            "configuration error: [run] iterations: must be >= 0, got -1\n",
+        )
+
+    def test_scratchpad_the_access_cannot_reach_is_config_error_before_any_output(self):
+        # Each cache decodes only its own scratchpad window.  Four converted
+        # ways hold either region, so only the access kind is wrong.
+        spm = SMALL.replace("hyp_mask = 0xffff\n", "hyp_mask = 0xffff\nspm_ways = 4\n")
+        for old, new, line in (
+            ("pages=2 flags=rw", "pages=2 flags=rw backing=ispm",
+             "loads and stores cannot reach region 'data' on ispm"),
+            ("pages=1 flags=rx", "pages=1 flags=rx backing=dspm",
+             "fetches cannot reach region 'code' on dspm"),
+        ):
+            with self.subTest(new):
+                self.assertEqual(
+                    self.run_rejected("backing", spm.replace(old, new)),
+                    "configuration error: [vm.crit] prime: %s\n" % line,
+                )
 
     def test_progress_goes_to_stderr_and_quiet_silences_it(self):
         with tempfile.TemporaryDirectory() as d:

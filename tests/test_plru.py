@@ -6,14 +6,7 @@ import random
 
 import pytest
 
-from pvmsim.plru import (
-    PlruTree,
-    pack_bits,
-    touch_masks,
-    touch_writes,
-    unpack_bits,
-    victim_table,
-)
+from pvmsim.plru import PlruTree, unpack_bits, victim_table
 from pvmsim.vectors import (
     BITS_AFTER_INSERT5,
     BITS_AFTER_TOUCH1,
@@ -31,6 +24,11 @@ from oracles import (
 
 def all_states(leaf_count):
     return itertools.product((0, 1), repeat=leaf_count - 1)
+
+
+def sample_16(rng):
+    """256 random packed states of a 16-leaf tree, plus all-zero and all-one."""
+    return [rng.getrandbits(15) for _ in range(256)] + [0, (1 << 15) - 1]
 
 
 def make_tree(leaf_count, bits, partition_count=1, locked=0):
@@ -74,13 +72,22 @@ def test_touch_leftmost_from_zero():
     assert tree.snapshot_bits() == (1, 1, 0, 1, 0, 0, 0)
 
 
-@pytest.mark.parametrize("leaf_count", [4, 8])
-def test_touch_matches_reference_everywhere(leaf_count):
-    for bits in all_states(leaf_count):
+def check_touch(leaf_count, states):
+    for bits in states:
         for leaf in range(leaf_count):
             tree = make_tree(leaf_count, bits)
             tree.touch(leaf)
             assert list(tree.snapshot_bits()) == plru_touch_ref(bits, leaf_count, leaf)
+
+
+@pytest.mark.parametrize("leaf_count", [2, 4, 8])
+def test_touch_matches_reference_everywhere(leaf_count):
+    check_touch(leaf_count, all_states(leaf_count))
+
+
+def test_touch_matches_reference_16_leaves():
+    # Every leaf on the sample of states the packed-table test uses.
+    check_touch(16, [unpack_bits(packed, 16) for packed in sample_16(random.Random(16))])
 
 
 @pytest.mark.parametrize("leaf_count", [2, 4, 8])
@@ -280,16 +287,6 @@ def test_selection_is_pure():
 # -- packed-state tables (per-set cache replacement) -----------------------------
 
 
-def check_packed_touch(leaf_count, states, leaves):
-    ands, ors = touch_masks(leaf_count)
-    tree = PlruTree(leaf_count)
-    for packed in states:
-        for leaf in leaves(packed):
-            tree.load_bits(unpack_bits(packed, leaf_count))
-            tree.touch(leaf)
-            assert packed & ands[leaf] | ors[leaf] == pack_bits(tree.node_bits), (packed, leaf)
-
-
 def check_packed_victims(leaf_count, reach, states):
     table = victim_table(leaf_count, reach)
     tree = PlruTree(leaf_count, leaf_count)
@@ -301,36 +298,16 @@ def check_packed_victims(leaf_count, reach, states):
 @pytest.mark.parametrize("leaf_count", [2, 4, 8])
 def test_packed_tables_match_tree_exhaustively(leaf_count):
     states = range(1 << (leaf_count - 1))
-    check_packed_touch(leaf_count, states, lambda packed: range(leaf_count))
     for reach in range(1 << leaf_count):
         check_packed_victims(leaf_count, reach, states)
 
 
 def test_packed_tables_match_tree_16_ways():
     # 2^15 states x 2^16 reachable sets is out of reach; every state is
-    # checked under full reach and with one touch each, every leaf and 64
-    # reachable sets on a sample of states.
+    # checked under full reach, and 64 reachable sets on a sample of states.
     rng = random.Random(16)
     states = range(1 << 15)
-    sample = [rng.getrandbits(15) for _ in range(256)] + [0, (1 << 15) - 1]
-    check_packed_touch(16, states, lambda packed: (packed % 16,))
-    check_packed_touch(16, sample, lambda packed: range(16))
+    sample = sample_16(rng)
     check_packed_victims(16, (1 << 16) - 1, states)
     for reach in [0, 1 << 15] + [rng.getrandbits(16) for _ in range(62)]:
         check_packed_victims(16, reach, sample)
-
-
-@pytest.mark.parametrize("leaf_count", [2, 4, 8, 16])
-def test_touch_writes_match_tree(leaf_count):
-    """Writing a leaf's (node, bit) pairs into any node bits is its touch."""
-    rng = random.Random(leaf_count)
-    tree = PlruTree(leaf_count)
-    writes = touch_writes(leaf_count)
-    for _ in range(200):
-        bits = [rng.getrandbits(1) for _ in range(leaf_count - 1)]
-        leaf = rng.randrange(leaf_count)
-        tree.load_bits(bits)
-        tree.touch(leaf)
-        for node, bit in writes[leaf]:
-            bits[node] = bit
-        assert bits == tree.node_bits, (leaf, bits)

@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from pvmsim.plru import PlruTree
 from pvmsim.sv39 import (
     PTE_A,
     PTE_D,
@@ -310,6 +311,30 @@ def test_lock_hits_leave_replacement_state_alone():
     assert tlb.tree.snapshot_bits() == bits
 
 
+def test_only_scan_hits_on_entries_touch_the_tree(monkeypatch):
+    """A scan hit on a regular entry touches its leaf once, through
+    PlruTree.touch; a memo hit and a lock-slot hit touch nothing."""
+    touched = []
+    real_touch = PlruTree.touch
+
+    def spy(tree, leaf):
+        touched.append(leaf)
+        real_touch(tree, leaf)
+
+    tlb = make_tlb()
+    program_full_slot(tlb, 0, 0x700)
+    leaf = tlb.fill(entry(vpn=0x100))
+    monkeypatch.setattr(PlruTree, "touch", spy)
+    assert not tlb.lookup(0x100 << 12, asid=1, vmid=0).lock_hit  # scan hit
+    assert touched == [leaf]
+    assert tlb.lookup((0x100 << 12) + 8, asid=1, vmid=0).hit  # memo hit
+    for _ in range(3):  # one scan, then memo hits
+        assert tlb.lookup(0x700 << 12, asid=1, vmid=0).lock_hit
+    assert touched == [leaf]
+    assert tlb.lookup(0x100 << 12, asid=1, vmid=0).hit  # a scan again
+    assert touched == [leaf, leaf]
+
+
 def test_misaligned_lock_vpn_rejected():
     tlb = make_tlb()
     with pytest.raises(ValueError):
@@ -437,7 +462,7 @@ def tlb_state(tlb):
     ]
     locked = [leaf for leaf in range(len(tlb.entries)) if tlb.tree.locked >> leaf & 1]
     counters = (tlb.hits, tlb.misses, tlb.lock_hits, tlb.fills, tlb.dropped_fills)
-    return list(tlb.tree.node_bits), locked, entries, counters
+    return list(tlb.tree.snapshot_bits()), locked, entries, counters
 
 
 @pytest.mark.parametrize("seed", range(8))
