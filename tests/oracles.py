@@ -179,6 +179,59 @@ def two_stage_count_ref(guest_tables, guest_root, host_tables, host_root, gvaddr
     return total, ("fault", "guest")
 
 
+def radix_fetches_ref(tables, root_ppn, addr):
+    """(fetch addresses, radix_translate_ref outcome) of a single-stage
+    walk: one PTE address per level the walk reads, root first."""
+    status = radix_translate_ref(tables, root_ppn, addr)
+    fetches = []
+    node = root_ppn
+    for level in range(2, status[2] - 1, -1):
+        index = (addr >> (12 + 9 * level)) & 0x1FF
+        fetches.append((node << 12) + index * 8)
+        if level > status[2]:
+            node = tables[node][index] >> 10
+    return fetches, status
+
+
+def nested_walk_ref(guest_tables, guest_root, host_tables, host_root, gvaddr):
+    """(fetch addresses, outcome) of a two-stage walk, from the two radix
+    trees alone.  Each guest level costs a host walk of its PTE's
+    guest-physical address, then the guest PTE fetch at the host address
+    found; the final guest-physical address costs one more host walk.
+    outcome is ("ok", paddr, page_size, pte) with the smaller of the two
+    page sizes and the two leaves' flags combined, or ("fault", reason,
+    stage)."""
+    fetches = []
+    node = guest_root
+    for level in (2, 1, 0):
+        index = (gvaddr >> (12 + 9 * level)) & 0x1FF
+        host_fetches, host = radix_fetches_ref(host_tables, host_root, (node << 12) + index * 8)
+        fetches += host_fetches
+        if host[0] != "ok":
+            return fetches, ("fault", host[1], "host")
+        fetches.append(host[1])
+        table = guest_tables.get(node)
+        pte = 0 if table is None else table[index]
+        if not pte & 1:
+            return fetches, ("fault", "invalid", "guest")
+        if pte & 0b1110:
+            guest_size = 1 << (12 + 9 * level)
+            if (pte >> 10) % (guest_size >> 12):
+                return fetches, ("fault", "misaligned", "guest")
+            gpa = (pte >> 10 << 12) + gvaddr % guest_size
+            host_fetches, final = radix_fetches_ref(host_tables, host_root, gpa)
+            fetches += host_fetches
+            if final[0] != "ok":
+                return fetches, ("fault", final[1], "host")
+            size = min(guest_size, 1 << (12 + 9 * final[2]))
+            # R, W, X, A and D must be granted by both leaves; U and G
+            # come from the guest leaf; V is set.
+            flags = pte & final[3] & 0b11001110 | pte & 0b110000 | 1
+            return fetches, ("ok", final[1], size, (final[1] - final[1] % size) >> 12 << 10 | flags)
+        node = pte >> 10
+    return fetches, ("fault", "no-leaf", "guest")
+
+
 def analytic_two_stage_count(guest_leaf_level, host_leaf_level):
     """Closed-form fetch count when every host walk stops at the same level:
     G guest fetches, each preceded by an H-fetch host walk, plus the final
@@ -195,20 +248,36 @@ class CacheRef:
     """Textbook write-back, write-allocate set-associative PLRU cache.
 
     Built from per-set dicts and the decode-formulation PLRU helpers
-    above, with its own flat word store standing in for backing memory.
-    Victim choice is always the PLRU decode (cold ways are claimed by the
+    above, with its own flat word store standing in for backing memory
+    (or a store shared with another cache, passed as `mem`).
+    Victim choice is the PLRU decode (cold ways are claimed by the
     natural once-per-round property of the tree, not by an explicit
-    invalid-way preference).
+    invalid-way preference) while every way caches.
+
+    With `spm_base` the cache also answers a scratchpad window.  A way
+    converted by convert() spills its dirty lines, drops its lines, keeps
+    its words in a dict of its own and leaves the victim walk, which then
+    follows the reachability formulation; a miss with no reachable way
+    goes straight to the word store.  A window address whose way still
+    caches reads 0 and drops writes.  `stats` counts the events under
+    Cache.stats's names.
     """
 
-    def __init__(self, ways, sets, line_bytes):
+    def __init__(self, ways, sets, line_bytes, mem=None, spm_base=None):
         self.ways = ways
         self.sets = sets
         self.line_bytes = line_bytes
         self.words_per_line = line_bytes // 8
         self.bits = [[0] * (ways - 1) for _ in range(sets)]
         self.slots = [dict() for _ in range(sets)]  # way -> [tag, words, dirty]
-        self.mem = {}  # word address -> value
+        self.mem = {} if mem is None else mem  # word address -> value
+        self.spm_base = spm_base
+        self.spm = {}  # scratchpad way -> {(set, word): value}
+        self.stats = dict.fromkeys(
+            ("hits", "misses", "evictions", "write_backs", "fill_drops", "spm_accesses",
+             "spm_misconfigs"),
+            0,
+        )
 
     def _mem_line(self, line_base):
         return [self.mem.get(line_base + 8 * i, 0) for i in range(self.words_per_line)]
@@ -217,9 +286,40 @@ class CacheRef:
         base = (tag * self.sets + set_idx) * self.line_bytes
         for i, w in enumerate(words):
             self.mem[base + 8 * i] = w
+        self.stats["write_backs"] += 1
+
+    def convert(self, way, to_spm):
+        """Turn `way` into scratchpad (True) or back into cache (False)."""
+        if to_spm == (way in self.spm):
+            return
+        if not to_spm:
+            del self.spm[way]
+            return
+        for set_idx, slots in enumerate(self.slots):
+            old = slots.pop(way, None)
+            if old is not None and old[2]:
+                self._spill(set_idx, old[0], old[1])
+        self.spm[way] = {}
+
+    def _window(self, paddr, kind, value):
+        way, set_idx, word = spm_decode_ref(
+            self.spm_base, self.ways, self.sets, self.line_bytes, paddr
+        )
+        store = self.spm.get(way)
+        if store is None:
+            self.stats["spm_misconfigs"] += 1
+            return "spm-misconfig", None if kind == "write" else 0
+        self.stats["spm_accesses"] += 1
+        if kind == "write":
+            store[set_idx, word] = value
+            return "spm", None
+        return "spm", store.get((set_idx, word), 0)
 
     def access(self, paddr, kind, value=None):
         paddr &= ~7
+        span = self.ways * self.sets * self.line_bytes
+        if self.spm_base is not None and self.spm_base <= paddr < self.spm_base + span:
+            return self._window(paddr, kind, value)
         set_idx = paddr // self.line_bytes % self.sets
         tag = paddr // (self.line_bytes * self.sets)
         word = paddr % self.line_bytes // 8
@@ -227,16 +327,30 @@ class CacheRef:
         for way, slot in slots.items():
             if slot[0] == tag:
                 self.bits[set_idx] = plru_touch_ref(self.bits[set_idx], self.ways, way)
+                self.stats["hits"] += 1
                 if kind == "write":
                     slot[1][word] = value
                     slot[2] = True
                     return "hit", None
                 return "hit", slot[1][word]
-        victim = plru_victim_ref(self.bits[set_idx], self.ways)
+        self.stats["misses"] += 1
+        if self.spm:
+            reachable = set(range(self.ways)) - set(self.spm)
+            victim = plru_constrained_victim_ref(self.bits[set_idx], self.ways, reachable)
+        else:
+            victim = plru_victim_ref(self.bits[set_idx], self.ways)
+        if victim is None:
+            self.stats["fill_drops"] += 1
+            if kind == "write":
+                self.mem[paddr] = value
+                return "miss", None
+            return "miss", self.mem.get(paddr, 0)
         self.bits[set_idx] = plru_touch_ref(self.bits[set_idx], self.ways, victim)
         old = slots.get(victim)
-        if old is not None and old[2]:
-            self._spill(set_idx, old[0], old[1])
+        if old is not None:
+            self.stats["evictions"] += 1
+            if old[2]:
+                self._spill(set_idx, old[0], old[1])
         line_base = paddr & ~(self.line_bytes - 1)
         slot = [tag, self._mem_line(line_base), False]
         slots[victim] = slot
@@ -393,3 +507,73 @@ class TlbRef:
             [None if e is None else dict(e) for e in self.entries],
             tuple(self.counters),
         )
+
+
+# -- whole-pipeline reference ---------------------------------------------------
+
+
+class PipelineRef:
+    """Naive reference of MemorySystem.virtual_access: a TlbRef and a
+    CacheRef per side over one shared word store, walks from the radix
+    trees every time (nothing remembered between misses), each PTE fetch
+    read through the data-side CacheRef and priced on its own, and one
+    randint(-j, j) jitter draw per miss, in the order the misses happen.
+
+    `geometry` is (entries, partitions, lock_slots, ways, icache_sets,
+    dcache_sets, line_bytes); `prices` is (tlb, hit, spm, memory,
+    jitter).  A vm carries asid, vmid, guest_space and host_space (None
+    for a single-stage walk); a space is read only through its `tables`
+    ({ppn: [512 ptes]}) and `root_ppn`.  The test mirrors every partition
+    CSR write into `cur_part`.  access() returns the fields of a
+    MemAccessOutcome, in field order.
+    """
+
+    def __init__(self, geometry, prices, ispm_base, dspm_base, rng=None):
+        entries, partitions, lock_slots, ways, icache_sets, dcache_sets, line_bytes = geometry
+        self.prices = prices
+        self.rng = rng
+        self.mem = {}
+        self.itlb, self.dtlb = (TlbRef(entries, partitions, lock_slots) for _ in range(2))
+        self.icache = CacheRef(ways, icache_sets, line_bytes, self.mem, ispm_base)
+        self.dcache = CacheRef(ways, dcache_sets, line_bytes, self.mem, dspm_base)
+        self.cur_part = (1 << partitions) - 1
+
+    def _price(self, event):
+        tlb, hit, spm, memory, jitter = self.prices
+        if event == "hit":
+            return hit
+        if event != "miss":
+            return spm
+        return memory + (self.rng.randint(-jitter, jitter) if jitter else 0)
+
+    def _walk(self, vm, vaddr):
+        guest, host = vm.guest_space, vm.host_space
+        if host is None:
+            fetches, status = radix_fetches_ref(guest.tables, guest.root_ppn, vaddr)
+            if status[0] != "ok":
+                return fetches, ("fault", status[1], None)
+            return fetches, ("ok", status[1], 1 << (12 + 9 * status[2]), status[3])
+        return nested_walk_ref(guest.tables, guest.root_ppn, host.tables, host.root_ppn, vaddr)
+
+    def access(self, vm, vaddr, kind, value=None):
+        tlb, cache = (self.itlb, self.icache) if kind == "ifetch" else (self.dtlb, self.dcache)
+        translation = self.prices[0]
+        status, paddr, _, _, lock_hit = tlb.lookup(vaddr, vm.asid, vm.vmid)
+        if status == "fault":
+            return translation, 0, 0, translation, False, False, 0, None, "non-canonical", None, None, None
+        walk = fetches = 0
+        if status == "miss":
+            addrs, outcome = self._walk(vm, vaddr)
+            fetches = len(addrs)
+            for addr in addrs:
+                walk += self._price(self.dcache.access(addr, "read")[0])
+            if outcome[0] == "fault":
+                return (translation, walk, 0, translation + walk, False, False, fetches, None,
+                        outcome[1], outcome[2], None, None)
+            _, paddr, size, pte = outcome
+            vpn = (vaddr >> 12) % (1 << 27) // (size >> 12) * (size >> 12)
+            tlb.fill(self.cur_part, vpn, size, vm.asid, vm.vmid, pte, bool(pte & TlbRef.G_FLAG))
+        event, read = cache.access(paddr, kind, value)
+        cycles = self._price(event)
+        return (translation, walk, cycles, translation + walk + cycles, status == "hit", lock_hit,
+                fetches, event, None, None, read, paddr)

@@ -180,6 +180,27 @@ class RunInterferenceTest(unittest.TestCase):
         with self.assertRaises(SimulationError):
             run_interference(sys, vm, loop, 100, random.Random(0))
 
+    def test_pool_page_invalidated_after_use_faults_with_its_address(self):
+        sys, vm, _ = build_vm()
+        loop = InterferenceLoop(base=VBASE, pages=1, kind="write")
+        run_interference(sys, vm, loop, 500, random.Random(0))  # walked and remembered
+        space = vm.guest_space
+        table = space.root_ppn
+        for level in (2, 1):
+            table = space.pte_at(table, VBASE >> (12 + 9 * level) & 0x1FF) >> 10
+        space.set_pte(table, VBASE >> 12 & 0x1FF, 0)
+        sys.dtlb.flush()
+        with self.assertRaisesRegex(
+            SimulationError, r"^interference access 0x400[0-9a-f]{3} faulted \(invalid, stage None\)$"
+        ):
+            run_interference(sys, vm, loop, 500, random.Random(1))
+        non_canonical = InterferenceLoop(base=1 << 45, pages=1)
+        with self.assertRaisesRegex(
+            SimulationError,
+            r"^interference access 0x200000000[0-9a-f]{3} faulted \(non-canonical, stage None\)$",
+        ):
+            run_interference(sys, vm, non_canonical, 500, random.Random(1))
+
 
 if __name__ == "__main__":
     unittest.main()
