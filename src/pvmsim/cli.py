@@ -66,6 +66,11 @@ def _cmd_run(args):
         iterations=args.iterations,
         scenarios=args.scenarios,
     )
+    try:
+        os.makedirs(args.outdir, exist_ok=True)
+    except OSError as exc:
+        print("error: --outdir %s: %s" % (args.outdir, exc.strerror or exc), file=sys.stderr)
+        return 2
     log = None if args.quiet else lambda msg: print(msg, file=sys.stderr)
     results = run_experiment(config, workers=args.workers, log=log)
     paths = write_outputs(args.outdir, config, results)

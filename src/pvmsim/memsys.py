@@ -45,13 +45,20 @@ consult the generator, so a fully locked, SPM-resident access path stays
 cycle-constant even with jitter enabled.  Because each miss is exactly one
 draw, replay_jitter can advance the generator past a known number of
 misses without performing them (the hypervisor does so for the prefix it
-restores instead of re-running).  All three -- virtual_access pricing its
-final access, a walk and a replay -- sample through MemorySystem._jitter.
+restores instead of re-running).  virtual_access pricing its final
+access, a walk and a replay sample through MemorySystem._jitter.
 
-Draws go straight to the generator's getrandbits through randbelow, which
-applies CPython's own rejection rule, so a draw gives the same value and
-leaves the generator in the same state as random.Random.randint(-j, j)
-(and the interference loop's page and offset draws as randrange(n)).
+Untimed interference runs through run_loop, which does what a
+virtual_access per touch would do but builds no outcome: it prices the
+cache event from a table fixed once per call, with the lookup and compute
+cycles folded in.  Its draw order: per visit a page and per touch an
+offset from the loop's generator, then the access's jitter draws, its
+walk's misses first and then one for a final miss.
+
+Draws go straight to the generator's getrandbits through randbelow (which
+run_loop writes out), applying CPython's own rejection rule, so a draw
+gives the same value and leaves the generator in the same state as
+random.Random.randint(-j, j) (and a page or offset draw as randrange(n)).
 """
 
 from dataclasses import dataclass, fields
@@ -74,6 +81,13 @@ def randbelow(getrandbits, n):
     while r >= n:
         r = getrandbits(k)
     return r
+
+
+def write_value(vaddr):
+    """The value a workload stores at vaddr.  Any deterministic function
+    of the address will do; this one makes memory contents recognizable
+    in dumps."""
+    return (vaddr >> 3) & 0xFFFF_FFFF
 
 
 @dataclass(frozen=True)
@@ -304,6 +318,58 @@ class MemorySystem:
             translation, walk_cycles, cycles, translation + walk_cycles + cycles,
             status == "hit", look.lock_hit, fetches, event, None, None, read, paddr,
         )
+
+    def run_loop(self, vm, loop, quantum, rng):
+        """Run an interference loop on behalf of `vm` until `quantum` cycles
+        are spent, stopping at the first access boundary past it; each touch
+        costs virtual_access's cycles plus the loop's compute charge.
+        Returns (spent, None), or (spent, (vaddr, fault, fault_stage)) at
+        the first access that faults.  The page, offset and jitter draws
+        are randbelow's rule written out, which saves a call per draw."""
+        tlb, cache = self._sides[loop.kind]
+        lookup, fill, access = tlb.lookup, tlb.fill, cache.access
+        asid, vmid = vm.asid, vm.vmid
+        step = self.latency.tlb_hit_cycles + loop.compute_cycles  # no walk, no jitter
+        price = {event: step + cycles for event, cycles in self._price.items()}
+        jitter = self.latency.jitter
+        draw, span = self.rng.getrandbits if jitter else None, 2 * jitter + 1
+        per_page = max(1, PAGE_SIZE // loop.stride)
+        touches = min(loop.touches_per_page, per_page)
+        base, pages, stride, kind = loop.base, loop.pages, loop.stride, loop.kind
+        write = kind == "write"
+        getrandbits = rng.getrandbits
+        bits_p, bits_o, bits_j = pages.bit_length(), per_page.bit_length(), span.bit_length()
+        spent = 0
+        while spent < quantum:
+            r = getrandbits(bits_p)
+            while r >= pages:
+                r = getrandbits(bits_p)
+            page_base = base + r * PAGE_SIZE
+            for _ in range(touches):
+                r = getrandbits(bits_o)
+                while r >= per_page:
+                    r = getrandbits(bits_o)
+                vaddr = page_base + r * stride
+                status, paddr, _, _, _ = lookup(vaddr, asid, vmid)
+                if status != "hit":
+                    if status == "fault":
+                        return spent, (vaddr, "non-canonical", None)
+                    walk, entry, cycles = self._walk(vm, vaddr)
+                    if entry is None:
+                        return spent, (vaddr, walk.fault, walk.fault_stage)
+                    spent += cycles
+                    paddr = walk.paddr & ~(PAGE_SIZE - 1) | vaddr & (PAGE_SIZE - 1)
+                    fill(entry)
+                event = access(paddr, kind, write_value(vaddr) if write else None)[0]
+                spent += price[event]
+                if event == EVENT_MISS and jitter:
+                    r = draw(bits_j)
+                    while r >= span:
+                        r = draw(bits_j)
+                    spent += r - jitter
+                if spent >= quantum:
+                    return spent, None
+        return spent, None
 
     # -- bookkeeping ---------------------------------------------------------
 

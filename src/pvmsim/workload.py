@@ -19,13 +19,13 @@ miss was inflicted from outside).
 
 An InterferenceLoop is open-ended instead: it visits uniformly random
 pages of its pool, a few line-granular touches per visit, until the cycle
-quantum the scheduler granted is used up.  Its page and offset draws are
-memsys.randbelow draws, the same values as the generator's randrange.
+quantum the scheduler granted is used up.  MemorySystem.run_loop runs it
+without building a per-access outcome; see memsys.py for its draw order.
 """
 
 from dataclasses import dataclass
 
-from .memsys import KINDS, randbelow
+from .memsys import KINDS, write_value
 from .sv39 import SIZE_4K
 
 ORDERS = ("forward", "reverse", "random")
@@ -111,12 +111,6 @@ class InterferenceLoop:
             raise ValueError("compute_cycles must be >= 0")
 
 
-def _write_value(vaddr):
-    # Any deterministic function of the address will do; this one makes
-    # memory contents recognizable in dumps.
-    return (vaddr >> 3) & 0xFFFF_FFFF
-
-
 def run_regions(sys, vm, regions, rng=None):
     """Execute a region list on behalf of vm; returns total cycles.
 
@@ -126,7 +120,7 @@ def run_regions(sys, vm, regions, rng=None):
     total = 0
     for region in regions:
         for vaddr in region.addresses(rng):
-            value = _write_value(vaddr) if region.kind == "write" else None
+            value = write_value(vaddr) if region.kind == "write" else None
             out = sys.virtual_access(vaddr, region.kind, vm, value=value)
             if out.fault is not None:
                 raise SimulationError(
@@ -138,29 +132,13 @@ def run_regions(sys, vm, regions, rng=None):
 
 
 def run_interference(sys, vm, loop, quantum, rng):
-    """Run the interference loop until `quantum` cycles are consumed.
+    """Run the interference loop until `quantum` cycles are consumed
+    (MemorySystem.run_loop); returns the cycles spent.
 
     The loop stops at the first access boundary past the quantum, so the
     overshoot is bounded by a single access (scheduler fairness).
     """
-    spent = 0
-    per_page = max(1, SIZE_4K // loop.stride)
-    touches = min(loop.touches_per_page, per_page)
-    base, pages, stride, kind = loop.base, loop.pages, loop.stride, loop.kind
-    write = kind == "write"
-    getrandbits = rng.getrandbits
-    while spent < quantum:
-        page_base = base + randbelow(getrandbits, pages) * SIZE_4K
-        for _ in range(touches):
-            vaddr = page_base + randbelow(getrandbits, per_page) * stride
-            value = _write_value(vaddr) if write else None
-            out = sys.virtual_access(vaddr, kind, vm, value)
-            if out.fault is not None:
-                raise SimulationError(
-                    "interference access 0x%x faulted (%s, stage %s)"
-                    % (vaddr, out.fault, out.fault_stage)
-                )
-            spent += out.total_cycles + loop.compute_cycles
-            if spent >= quantum:
-                break
+    spent, fault = sys.run_loop(vm, loop, quantum, rng)
+    if fault is not None:
+        raise SimulationError("interference access 0x%x faulted (%s, stage %s)" % fault)
     return spent

@@ -16,6 +16,7 @@ import os
 import re
 import tempfile
 import unittest
+import unittest.mock
 
 import pytest
 
@@ -682,6 +683,29 @@ class CliTest(unittest.TestCase):
                     self.run_rejected("backing", spm.replace(old, new)),
                     "configuration error: [vm.crit] prime: %s\n" % line,
                 )
+
+    def test_unusable_outdir_fails_fast(self):
+        # A path under a regular file, and the file itself: exit 2 on one
+        # line before any iteration runs.
+        with tempfile.TemporaryDirectory() as d:
+            blocker = os.path.join(d, "file")
+            with open(blocker, "w", encoding="utf-8") as handle:
+                handle.write("not a directory\n")
+            for outdir, reason in (
+                (os.path.join(blocker, "x"), "Not a directory"),
+                (blocker, "File exists"),
+            ):
+                out, err = io.StringIO(), io.StringIO()
+                with unittest.mock.patch.object(hypervisor, "run_iteration") as ran:
+                    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                        code = self.run_cli(
+                            ["run", "synthetic-nospm", "--iterations", "30", "--outdir", outdir]
+                        )
+                self.assertEqual(code, 2)
+                self.assertEqual(out.getvalue(), "")
+                self.assertEqual(err.getvalue(), "error: --outdir %s: %s\n" % (outdir, reason))
+                ran.assert_not_called()
+            self.assertEqual(os.listdir(d), ["file"])
 
     def test_progress_goes_to_stderr_and_quiet_silences_it(self):
         with tempfile.TemporaryDirectory() as d:

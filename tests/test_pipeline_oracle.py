@@ -13,6 +13,8 @@ converts cache ways to scratchpad and back (sometimes all of them, so
 cache fills drop too) and invalidates and restores a leaf PTE.  Every
 outcome field must match, and so must both TLBs, both caches, backing
 memory and the jitter generator, every few hundred steps and at the end.
+MemorySystem.run_loop, the lean interference path, must match the same
+reference run as a loop of accesses.
 """
 
 import dataclasses
@@ -40,6 +42,7 @@ from pvmsim.sv39 import (
     vpn_index,
 )
 from pvmsim.walker import AddressSpace
+from pvmsim.workload import InterferenceLoop
 
 GEOMETRY = dict(
     entries=8, partitions=4, lock_slots=2, ways=4, icache_sets=64, dcache_sets=64, line_bytes=16
@@ -180,16 +183,19 @@ def assert_same_state(sys_, ref, where):
         assert sys_.rng.getstate() == ref.rng.getstate(), where
 
 
-def make_pair(seed, jitter):
-    machine = MachineConfig(**GEOMETRY)
+def make_system(seed, jitter):
+    """A MemorySystem of GEOMETRY whose jitter generator is seeded `seed`."""
     latency = LatencyConfig(
         tlb_hit_cycles=2, cache_hit_cycles=3, spm_cycles=5, memory_cycles=40, jitter=jitter
     )
     memory = Memory([(TABLE_BASE, 1 << 20), (DATA_BASE, 16 << 20)])
-    sys_ = MemorySystem.build(
-        machine, memory, latency, ispm_base=ISPM_BASE, dspm_base=DSPM_BASE,
+    return MemorySystem.build(
+        MachineConfig(**GEOMETRY), memory, latency, ispm_base=ISPM_BASE, dspm_base=DSPM_BASE,
         rng=random.Random(seed) if jitter else None,
     )
+
+
+def make_pair(seed, jitter):
     ref = PipelineRef(
         tuple(GEOMETRY.values()),
         (2, 3, 5, 40, jitter),
@@ -197,7 +203,7 @@ def make_pair(seed, jitter):
         DSPM_BASE,
         random.Random(seed) if jitter else None,
     )
-    return sys_, ref
+    return make_system(seed, jitter), ref
 
 
 class Program:
@@ -313,3 +319,57 @@ def test_virtual_access_matches_reference_pipeline(seed, jitter):
             assert_same_state(sys_, ref, step)
     assert_same_state(sys_, ref, "end")
     assert all(seen.values()), seen
+
+
+def reference_loop(ref, vm, loop, quantum, rng):
+    """The interference loop over PipelineRef.access: (spent, None), or
+    (spent, (vaddr, fault, fault_stage)) at the first faulting access."""
+    per_page = max(1, SIZE_4K // loop.stride)
+    spent = 0
+    while spent < quantum:
+        page_base = loop.base + rng.randrange(loop.pages) * SIZE_4K
+        for _ in range(min(loop.touches_per_page, per_page)):
+            vaddr = page_base + rng.randrange(per_page) * loop.stride
+            value = (vaddr >> 3) & 0xFFFF_FFFF if loop.kind == "write" else None
+            out = ref.access(vm, vaddr, loop.kind, value)
+            if out[8] is not None:
+                return spent, (vaddr, out[8], out[9])
+            spent += out[3] + loop.compute_cycles
+            if spent >= quantum:
+                return spent, None
+    return spent, None
+
+
+@pytest.mark.parametrize("seed,jitter", [(5, 0), (6, 3)])
+def test_run_loop_matches_reference_pipeline(seed, jitter):
+    """Interference loops of every kind, stride and pool, faulting ones
+    included, between stretches of the random program."""
+    rng = random.Random(seed)
+    sys_, ref = make_pair(seed, jitter)
+    program = Program(rng, sys_, ref)
+    faults = 0
+    for round_ in range(60):
+        for _ in range(40):
+            if not program.step():
+                vm, vaddr, kind, value = program.access()
+                assert dataclasses.astuple(sys_.virtual_access(vaddr, kind, vm, value)) == (
+                    ref.access(vm, vaddr, kind, value)
+                )
+        vm, base, span, kinds = rng.choice(program.pools)
+        loop = InterferenceLoop(
+            base=base | (NON_CANONICAL if rng.random() < 0.03 else 0),
+            pages=span // SIZE_4K,
+            stride=rng.choice((8, 16, 64, 512, SIZE_4K)),
+            touches_per_page=rng.randint(1, 8),
+            kind=rng.choice(kinds),
+            compute_cycles=rng.choice((0, 0, 3)),
+        )
+        quantum = rng.randrange(100, 4000)
+        loop_seed = rng.getrandbits(32)
+        ours, theirs = random.Random(loop_seed), random.Random(loop_seed)
+        got = sys_.run_loop(vm, loop, quantum, ours)
+        assert got == reference_loop(ref, vm, loop, quantum, theirs), round_
+        assert ours.getstate() == theirs.getstate(), round_
+        faults += got[1] is not None
+        assert_same_state(sys_, ref, round_)
+    assert faults
