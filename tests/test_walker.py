@@ -12,19 +12,24 @@ from pvmsim.memsys import LatencyConfig, MemorySystem
 from pvmsim.sv39 import (
     PTE_A,
     PTE_D,
+    PTE_G,
     PTE_R,
+    PTE_U,
     PTE_V,
     PTE_W,
     PTE_X,
     SIZE_1G,
     SIZE_2M,
     SIZE_4K,
+    level_size,
     make_pte,
 )
 from pvmsim.walker import AddressSpace, walk_single, walk_two_stage
 
 from oracles import (
     analytic_two_stage_count,
+    nested_walk_ref,
+    radix_fetches_ref,
     radix_translate_ref,
     two_stage_count_ref,
 )
@@ -325,3 +330,135 @@ def test_fetch_count_bounds():
     assert 1 <= len(one.accesses) <= 3
     full = walk_two_stage(guest, host, gva)
     assert 2 <= len(full.accesses) <= 15
+
+
+# -- differential: both walkers against the reference walks ---------------------------
+
+FLAG_CHOICES = (RW, RWX, PTE_R | PTE_A, PTE_R | PTE_X | PTE_A | PTE_U, RW | PTE_U | PTE_G)
+SIZES = (SIZE_4K, SIZE_4K, SIZE_2M, SIZE_1G)
+
+
+def break_leaf(space, addr):
+    """Rewrite the leaf that translates `addr`: a superpage leaf gets a
+    misaligned frame, a 4 KiB leaf loses R/W/X and so becomes a pointer at
+    level 0, leaving its tree with no leaf."""
+    fetches, status = radix_fetches_ref(space.tables, space.root_ppn, addr)
+    if status[0] == "ok":
+        table, index = fetches[-1] >> 12, (fetches[-1] & 0xFFF) // 8
+        pte = space.pte_at(table, index)
+        space.set_pte(table, index, pte | 1 << 10 if status[2] else pte & ~(PTE_R | PTE_W | PTE_X))
+
+
+def random_guest(rng):
+    """A guest with 4 KiB, 2 MiB and 1 GiB pages clustered so that tables
+    are shared, and the probe addresses: one per mapping plus a few
+    unmapped ones."""
+    guest = AddressSpace(root_ppn=0x800, table_alloc_ppn=0x801)
+    probes = []
+    for _ in range(40):
+        size = rng.choice(SIZES)
+        gva = (rng.randrange(4) << 30 | rng.randrange(8) << 21 | rng.randrange(512) << 12) & ~(size - 1)
+        gpa = rng.randrange(1, 1 << 41 - 30) << 30 | rng.randrange(1 << 18) << 12
+        try:
+            guest.map_page(gva, gpa & ~(size - 1), size, rng.choice(FLAG_CHOICES))
+        except ValueError:
+            continue  # overlaps an earlier draw
+        probes.append(gva + rng.randrange(size))
+    probes += [rng.randrange(1 << 38) for _ in range(4)]
+    for addr in rng.sample(probes, 4):
+        break_leaf(guest, addr)
+    return guest, probes
+
+
+def random_host(rng, guest, probes, round_index):
+    """Host tables for `guest`: its table pages at 4 KiB (some left out,
+    the root in every fifth round) or under one superpage, the probes'
+    final guest-physical pages at random sizes (some left out), and a few
+    broken host leaves."""
+    host = AddressSpace(root_ppn=0x4000, table_alloc_ppn=0x4001, gpa_space=True)
+    tables = guest.table_ppns()
+    if rng.random() < 0.3:
+        size = rng.choice((SIZE_2M, SIZE_1G))
+        base = (tables[0] << 12) & ~(size - 1)
+        host.map_page(base, rng.randrange(1, 64) * SIZE_1G, size, RWX)
+    else:
+        for ppn in tables:
+            dropped = round_index % 5 == 0 if ppn == guest.root_ppn else rng.random() < 0.15
+            if not dropped:
+                host.map_page(ppn << 12, (0x10_0000 + ppn) << 12, SIZE_4K, RWX)
+    for addr in probes:
+        status = radix_translate_ref(guest.tables, guest.root_ppn, addr)
+        if status[0] != "ok" or rng.random() < 0.15:
+            continue
+        size = rng.choice(SIZES)
+        try:
+            host.map_page(status[1] & ~(size - 1), rng.randrange(64, 1 << 10) * SIZE_1G, size,
+                          rng.choice(FLAG_CHOICES))
+        except ValueError:
+            continue  # already covered
+    for addr in rng.sample(probes, 3):
+        status = radix_translate_ref(guest.tables, guest.root_ppn, addr)
+        if status[0] == "ok":
+            break_leaf(host, status[1])
+    return host
+
+
+def check_single(space, addr):
+    res = walk_single(space, addr)
+    fetches, status = radix_fetches_ref(space.tables, space.root_ppn, addr)
+    assert res.accesses == fetches, hex(addr)
+    if status[0] == "ok":
+        size = level_size(status[2])
+        assert (res.fault, res.paddr, res.page_size, res.pte) == (None, status[1], size, status[3])
+        assert res.vpn == (addr >> 12) % (1 << 27) & ~((size >> 12) - 1)
+    else:
+        assert (res.fault, res.fault_stage) == (status[1], None)
+    return status
+
+
+def host_fault_step(guest, host, gva):
+    """Which host walk of a two-stage walk faults: the index of the guest
+    level whose PTE it translates (0 for the root), or 'final'."""
+    gpas, status = radix_fetches_ref(guest.tables, guest.root_ppn, gva)
+    for step, gpa in enumerate(gpas):
+        if radix_translate_ref(host.tables, host.root_ppn, gpa)[0] != "ok":
+            return step
+    assert status[0] == "ok"
+    return "final"
+
+
+def test_walkers_match_reference_walks_fetch_by_fetch():
+    rng = random.Random(2504)
+    seen = set()
+    for round_index in range(30):
+        guest, probes = random_guest(rng)
+        host = random_host(rng, guest, probes, round_index)
+        for gva in probes:
+            guest_status = check_single(guest, gva)
+            for gpa in radix_fetches_ref(guest.tables, guest.root_ppn, gva)[0]:
+                check_single(host, gpa)
+            res = walk_two_stage(guest, host, gva)
+            fetches, outcome = nested_walk_ref(
+                guest.tables, guest.root_ppn, host.tables, host.root_ppn, gva
+            )
+            assert res.accesses == fetches, hex(gva)
+            if outcome[0] == "ok":
+                _, paddr, size, pte = outcome
+                assert (res.fault, res.fault_stage) == (None, None)
+                assert (res.paddr, res.page_size, res.pte) == (paddr, size, pte)
+                assert res.vpn == (gva >> 12) % (1 << 27) & ~((size >> 12) - 1)
+                host_status = check_single(host, guest_status[1])
+                seen.add(("ok", guest_status[2] > 0, host_status[2] > 0))
+            else:
+                assert (res.fault, res.fault_stage) == outcome[1:], hex(gva)
+                seen.add(outcome[1:])
+                if outcome[2] == "host":
+                    seen.add(("host at", host_fault_step(guest, host, gva)))
+    # Every kind of outcome the walkers distinguish was reached.
+    for want in (
+        ("ok", False, False), ("ok", True, False), ("ok", False, True), ("ok", True, True),
+        ("invalid", "guest"), ("misaligned", "guest"), ("no-leaf", "guest"),
+        ("invalid", "host"), ("misaligned", "host"), ("no-leaf", "host"),
+        ("host at", 0), ("host at", 1), ("host at", 2), ("host at", "final"),
+    ):
+        assert want in seen, want
