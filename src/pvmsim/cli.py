@@ -94,6 +94,24 @@ def _cmd_run(args):
     return 0
 
 
+def _is_summary(bundle, names):
+    """Whether `bundle` is shaped like a summary written by `run` where
+    compare reads it: a scenarios dict in which each entry named here, if
+    present, is a dict whose cycles, if present, hold a numeric mean and
+    std."""
+    scenarios = bundle.get("scenarios") if isinstance(bundle, dict) else None
+    if not isinstance(scenarios, dict):
+        return False
+    for name in names:
+        entry = scenarios.get(name, {})
+        cycles = entry.get("cycles", {"mean": 0, "std": 0}) if isinstance(entry, dict) else None
+        if not isinstance(cycles, dict):
+            return False
+        if any(type(cycles.get(key)) not in (int, float) for key in ("mean", "std")):
+            return False
+    return True
+
+
 def _cmd_compare(args):
     try:
         with open(args.bundle, "r", encoding="utf-8") as handle:
@@ -104,7 +122,7 @@ def _cmd_compare(args):
     except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
         print("error: %s is not JSON: %s" % (args.bundle, exc), file=sys.stderr)
         return 2
-    if not isinstance(bundle, dict) or not isinstance(bundle.get("scenarios"), dict):
+    if not _is_summary(bundle, (args.baseline, args.subject)):
         print("error: %s is not a summary written by `run`" % args.bundle, file=sys.stderr)
         return 2
     try:

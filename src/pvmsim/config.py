@@ -27,7 +27,9 @@ Integers accept 0x-prefixed hex.  Each section and each key=value list
 has one table below (key -> dataclass field, parser); only the keys
 present are passed on, so every default is the dataclass's own.  A
 sweep covers its whole region unless pages= says fewer, and its kind
-defaults to ifetch for executable regions.
+defaults to ifetch for executable regions.  The run name and the
+scenario names become output file names, so they may not hold a path
+separator.
 
 [tlb] and [cache] describe one MachineConfig, built and checked once per
 experiment (geometry and scratchpad windows, errors under [tlb] or
@@ -36,6 +38,7 @@ masks and spm_ways against it.
 """
 
 import configparser
+import os
 from dataclasses import dataclass, replace
 
 from .hypervisor import HypervisorConfig, MappedRegion, ScenarioDef, VmSpec, check_spm_windows
@@ -97,6 +100,12 @@ def _str(where, raw):
     return raw
 
 
+def _file_name(where, raw):
+    if any(sep and sep in raw for sep in (os.sep, os.altsep)):
+        _fail(where, "%r holds a path separator; it names output files" % raw)
+    return raw
+
+
 def _words(where, raw):
     return raw.split()
 
@@ -125,7 +134,7 @@ def _ints(*keys):
 
 # key -> (dataclass field, parser), one table per section and key=value list
 _RUN = {
-    "name": ("name", _str),
+    "name": ("name", _file_name),
     "scenarios": ("scenarios", _words),
     "iterations": ("iterations", _count),
 } | _ints("seed")
@@ -362,6 +371,7 @@ def load_experiment(path=None, *, text=None, seed=None, iterations=None, scenari
         if not section.startswith("scenario."):
             continue
         where = "[%s]" % section
+        sname = _file_name(where, section.split(".", 1)[1])
         values = _read(where, sections[section], _SCENARIO, required=("vms",))
         members = []
         for vm_name in values.pop("vms"):
@@ -369,7 +379,6 @@ def load_experiment(path=None, *, text=None, seed=None, iterations=None, scenari
                 _fail(where, "unknown vm %r (defined: %s)" % (vm_name, ", ".join(vms)))
             members.append(vms[vm_name])
         s_hyp = hyp
-        sname = section.split(".", 1)[1]
         with _located(where):
             if "hyp_mask" in values:
                 s_hyp = replace(hyp, partition_mask=values.pop("hyp_mask"))

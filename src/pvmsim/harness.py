@@ -194,14 +194,8 @@ def build_bundle(config, results):
         for name, entry in scenarios.items():
             if name == baseline or "cycles" not in entry:
                 continue
-            entry["vs_%s" % baseline] = {
-                "delta_mean_pct": _pct_delta(
-                    scenarios[baseline]["cycles"]["mean"], entry["cycles"]["mean"]
-                ),
-                "delta_std_pct": _pct_delta(
-                    scenarios[baseline]["cycles"]["std"], entry["cycles"]["std"]
-                ),
-            }
+            delta = compare(bundle, baseline, name)
+            entry["vs_%s" % baseline] = {k: delta[k] for k in ("delta_mean_pct", "delta_std_pct")}
     return bundle
 
 

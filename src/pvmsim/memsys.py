@@ -45,8 +45,8 @@ consult the generator, so a fully locked, SPM-resident access path stays
 cycle-constant even with jitter enabled.  Because each miss is exactly one
 draw, replay_jitter can advance the generator past a known number of
 misses without performing them (the hypervisor does so for the prefix it
-restores instead of re-running).  virtual_access pricing its final
-access, a walk and a replay sample through MemorySystem._jitter.
+restores instead of re-running).  virtual_access's final access, each
+walk it prices and replay_jitter all draw through MemorySystem._jitter.
 
 Untimed interference runs through run_loop, which does what a
 virtual_access per touch would do but builds no outcome: it prices the

@@ -40,12 +40,14 @@ Selection never modifies the tree; pairing a selection with a touch of
 the chosen leaf is what ``insert`` does.
 
 Every tree keeps its bits in that one format, whether it is a
-``PlruTree`` or one cache set's int, and there is one definition of a
-touch: ``touch_masks`` gives, per leaf, the AND/OR pair that points the
-leaf's root path away from it.  ``PlruTree.touch`` applies it and so do
-the caches.  ``victim_table`` gives the victim of ``select_victim`` for
-every packed state under one reachable-leaf mask, so a cache set can pick
-a victim by indexing with its bits.
+``PlruTree`` or one cache set's int, and there is one definition of each
+operation on them.  ``touch_masks`` gives, per leaf, the AND/OR pair that
+points the leaf's root path away from it; ``PlruTree.touch`` applies it
+and so do the caches.  ``victim_table`` holds the victim walk: under one
+reachable-leaf mask it maps each packed state to its victim, walked the
+first time that state is looked up.  ``PlruTree.select_victim`` indexes
+the table for its partition mask and locks with its bits, and a cache
+set indexes the table for its unlocked ways.
 """
 
 import functools
@@ -67,35 +69,17 @@ def check_tree(leaf_count, partition_count, leaves="leaf_count", parts="partitio
 
 
 @functools.cache
-def _geometry(leaf_count, partition_count):
-    """(subtree leaf bitmaps by heap node, leaf bitmap by partition, the
-    shared partition-mask expansion cache) of one tree shape."""
-    heap_base = leaf_count - 1
-    subtree = [0] * (2 * leaf_count - 1)
-    for i in range(leaf_count):
-        subtree[heap_base + i] = 1 << i
-    for n in range(heap_base - 1, -1, -1):
-        subtree[n] = subtree[2 * n + 1] | subtree[2 * n + 2]
+def _leaf_mask(leaf_count, partition_count, enabled):
+    """Bitmap of the leaves partition mask `enabled` enables; partition p
+    holds the p-th run of leaf_count // partition_count leaves."""
     per = leaf_count // partition_count
-    part_masks = tuple(((1 << per) - 1) << (p * per) for p in range(partition_count))
-    return tuple(subtree), part_masks, {}
+    return sum(((1 << per) - 1) << p * per for p in range(partition_count) if enabled >> p & 1)
 
 
 class PlruTree:
     """Replacement state for one fully associative structure or one cache set."""
 
-    __slots__ = (
-        "leaf_count",
-        "partition_count",
-        "bits",
-        "locked",
-        "_heap_base",
-        "_subtree",
-        "_part_masks",
-        "_expand_cache",
-        "_touch",
-        "full_mask",
-    )
+    __slots__ = ("leaf_count", "partition_count", "bits", "locked", "_touch", "full_mask")
 
     def __init__(self, leaf_count, partition_count=1):
         check_tree(leaf_count, partition_count)
@@ -103,13 +87,6 @@ class PlruTree:
         self.partition_count = partition_count
         self.bits = 0  # packed node bits, bit n = node n
         self.locked = 0  # bitmap over leaves
-        # Heap layout: internal nodes occupy [0, leaf_count-1), leaf i sits
-        # at heap index leaf_count-1+i.  _subtree maps heap node -> bitmap
-        # of the leaves underneath it.
-        self._heap_base = leaf_count - 1
-        self._subtree, self._part_masks, self._expand_cache = _geometry(
-            leaf_count, partition_count
-        )
         self._touch = touch_masks(leaf_count)
         self.full_mask = (1 << partition_count) - 1
 
@@ -129,14 +106,7 @@ class PlruTree:
             raise ValueError(
                 "partition mask 0x%x does not fit %d partitions" % (enabled, self.partition_count)
             )
-        leafmask = self._expand_cache.get(enabled)
-        if leafmask is None:
-            leafmask = 0
-            for p, pm in enumerate(self._part_masks):
-                if enabled >> p & 1:
-                    leafmask |= pm
-            self._expand_cache[enabled] = leafmask
-        return leafmask
+        return _leaf_mask(self.leaf_count, self.partition_count, enabled)
 
     # -- the three core operations ---------------------------------------
 
@@ -152,29 +122,10 @@ class PlruTree:
         self.bits = self.bits & ands[leaf] | ors[leaf]
 
     def select_victim(self, enabled):
-        """Walk the tree under `enabled`; return a leaf index, or None if
-        no leaf is reachable.  Does not modify any state."""
+        """The victim under `enabled`: a leaf index, or None if no leaf is
+        reachable.  Does not modify any state."""
         reach = self.enabled_leaves(enabled) & ~self.locked
-        if not reach:
-            return None
-        bits = self.bits
-        sub = self._subtree
-        base = self._heap_base
-        node = 0
-        while node < base:
-            bit = bits >> node & 1
-            chosen = 2 * node + 1 + bit
-            other = 2 * node + 2 - bit
-            if not sub[chosen] & reach:
-                node = other  # pointed-to side is completely dead
-                continue
-            if sub[other] & reach and chosen < base:
-                hop = 2 * chosen + 1 + (bits >> chosen & 1)
-                if hop >= base and not sub[hop] & reach:
-                    node = other  # next hop is a dead leaf: divert early
-                    continue
-            node = chosen
-        return node - base
+        return victim_table(self.leaf_count, reach)[self.bits]
 
     def insert(self, enabled):
         """Pick a victim under `enabled` and touch it; None means the fill
@@ -231,23 +182,44 @@ def touch_masks(leaf_count):
 
 class _VictimTable(dict):
     """Packed bits -> victim leaf (None when nothing is reachable) under
-    one fixed reachable-leaf mask, filled on first use of each state."""
+    one fixed reachable-leaf mask, each state filled on first use by the
+    victim walk of the module docstring."""
 
     def __init__(self, leaf_count, reach):
         super().__init__()
-        self._tree = PlruTree(leaf_count, leaf_count)
         self._reach = reach
+        # Heap layout: internal nodes occupy [0, leaf_count-1), leaf i sits
+        # at heap index leaf_count-1+i.  _subtree maps heap node -> bitmap
+        # of the leaves underneath it.
+        self._base = base = leaf_count - 1
+        self._subtree = sub = [0] * base + [1 << i for i in range(leaf_count)]
+        for n in range(base - 1, -1, -1):
+            sub[n] = sub[2 * n + 1] | sub[2 * n + 2]
 
-    def __missing__(self, packed):
-        tree = self._tree
-        tree.bits = packed
-        victim = self[packed] = tree.select_victim(self._reach)
+    def __missing__(self, bits):
+        reach, sub, base = self._reach, self._subtree, self._base
+        node = 0
+        while reach and node < base:
+            bit = bits >> node & 1
+            chosen = 2 * node + 1 + bit
+            other = 2 * node + 2 - bit
+            if not sub[chosen] & reach:
+                node = other  # pointed-to side is completely dead
+                continue
+            if sub[other] & reach and chosen < base:
+                hop = 2 * chosen + 1 + (bits >> chosen & 1)
+                if hop >= base and not sub[hop] & reach:
+                    node = other  # next hop is a dead leaf: divert early
+                    continue
+            node = chosen
+        victim = self[bits] = node - base if reach else None
         return victim
 
 
 @functools.cache
 def victim_table(leaf_count, reach):
-    """The victim of ``PlruTree.select_victim`` for every packed state of a
-    tree with one partition per leaf, where `reach` is the bitmap of
-    leaves that may be chosen.  Index it with the packed node bits."""
+    """The victim of every packed state of a tree with one partition per
+    leaf, where `reach` is the bitmap of leaves that may be chosen.  Index
+    it with the packed node bits; ``PlruTree.select_victim`` and every
+    cache set do."""
     return _VictimTable(leaf_count, reach)

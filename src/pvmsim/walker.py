@@ -5,10 +5,12 @@ translation together with the host-physical address of every PTE fetch,
 in order.  Pricing those fetches (through the data cache) is the memory
 system's job.
 
-Two-stage walks translate EVERY guest-physical access through a full
+Both stages share one radix descent.  A two-stage walk runs it over the
+guest tables and translates EVERY guest-physical access through a full
 host walk -- each guest PTE address and the final guest-physical
 address -- with no intermediate caching, so a 4 KiB guest page under
-4 KiB host pages costs 3 x (3 + 1) + 3 = 15 fetches.
+4 KiB host pages costs 3 x (3 + 1) + 3 = 15 fetches.  A two-stage fault
+names the stage, guest or host, whose walk stopped.
 
 Page tables live in an AddressSpace: a sparse map from physical page
 number to a 512-entry table.  The builder methods construct minimal
@@ -154,16 +156,41 @@ class AddressSpace:
             self.map_page(vaddr + off, paddr + off, page_size, flags)
 
 
-def _check_leaf(pte, level, vaddr):
-    """Common leaf decode: returns (fault-or-None, region fields)."""
-    span_pages = 1 << (INDEX_BITS * level)
-    ppn = pte_ppn(pte)
-    if ppn & (span_pages - 1):
-        return "misaligned", None
-    page_size = level_size(level)
-    vpn = (vaddr >> PAGE_SHIFT) & VPN_MASK & ~(span_pages - 1)
-    paddr = (ppn << PAGE_SHIFT) | (vaddr & (page_size - 1))
-    return None, (vpn, page_size, paddr)
+def _descend(space, vaddr, result, locate=None):
+    """The radix walk both stages share: fetch one PTE per level, root
+    first, appending each fetch address to result.accesses.  In a
+    two-stage walk `locate` host-walks each guest PTE's guest-physical
+    address and returns that walk, whose paddr is the address fetched, or
+    None when it faults.  Returns the leaf's (pte, page size, translated
+    address), or None with result.fault set when the walk stops short."""
+    table_ppn = space.root_ppn
+    for level in (2, 1, 0):
+        idx = vpn_index(vaddr, level)
+        addr = (table_ppn << PAGE_SHIFT) + idx * 8
+        if locate is not None:
+            host_walk = locate(addr)
+            if host_walk is None:
+                return None
+            addr = host_walk.paddr
+        result.accesses.append(addr)
+        pte = space.pte_at(table_ppn, idx)
+        if not pte & PTE_V:
+            result.fault = "invalid"
+            return None
+        if pte_is_leaf(pte):
+            page_size = level_size(level)
+            if pte_ppn(pte) & ((page_size >> PAGE_SHIFT) - 1):
+                result.fault = "misaligned"
+                return None
+            return pte, page_size, (pte_ppn(pte) << PAGE_SHIFT) | (vaddr & (page_size - 1))
+        table_ppn = pte_ppn(pte)
+    result.fault = "no-leaf"  # level 0 still pointed onward
+    return None
+
+
+def _page_vpn(vaddr, page_size):
+    """Virtual page number of the base of vaddr's `page_size` page."""
+    return (vaddr >> PAGE_SHIFT) & VPN_MASK & ~((page_size >> PAGE_SHIFT) - 1)
 
 
 def walk_single(space, vaddr):
@@ -172,24 +199,10 @@ def walk_single(space, vaddr):
     if not space.check_addr(vaddr):
         raise ValueError("address 0x%x violates the space's addressing rules" % vaddr)
     result = WalkResult()
-    table_ppn = space.root_ppn
-    for level in (2, 1, 0):
-        idx = vpn_index(vaddr, level)
-        result.accesses.append((table_ppn << PAGE_SHIFT) + idx * 8)
-        pte = space.pte_at(table_ppn, idx)
-        if not pte & PTE_V:
-            result.fault = "invalid"
-            return result
-        if pte_is_leaf(pte):
-            fault, decoded = _check_leaf(pte, level, vaddr)
-            if fault:
-                result.fault = fault
-                return result
-            result.vpn, result.page_size, result.paddr = decoded
-            result.pte = pte
-            return result
-        table_ppn = pte_ppn(pte)
-    result.fault = "no-leaf"  # level 0 still pointed onward
+    leaf = _descend(space, vaddr, result)
+    if leaf is not None:
+        result.pte, result.page_size, result.paddr = leaf
+        result.vpn = _page_vpn(vaddr, result.page_size)
     return result
 
 
@@ -213,39 +226,22 @@ def walk_two_stage(guest, host, gvaddr):
         sub = walk_single(host, gpa)
         result.accesses.extend(sub.accesses)
         if sub.fault:
-            result.fault = sub.fault
-            result.fault_stage = "host"
+            result.fault, result.fault_stage = sub.fault, "host"
             return None
         return sub
 
-    table_gppn = guest.root_ppn
-    for level in (2, 1, 0):
-        idx = vpn_index(gvaddr, level)
-        gpa_of_pte = (table_gppn << PAGE_SHIFT) + idx * 8
-        sub = nested(gpa_of_pte)
-        if sub is None:
-            return result
-        result.accesses.append(sub.paddr)  # the guest PTE fetch itself
-        pte = guest.pte_at(table_gppn, idx)
-        if not pte & PTE_V:
-            result.fault, result.fault_stage = "invalid", "guest"
-            return result
-        if pte_is_leaf(pte):
-            fault, decoded = _check_leaf(pte, level, gvaddr)
-            if fault:
-                result.fault, result.fault_stage = fault, "guest"
-                return result
-            gvpn, guest_size, gpa = decoded
-            final = nested(gpa)
-            if final is None:
-                return result
-            merged_size = min(guest_size, final.page_size)
-            result.vpn = (gvaddr >> PAGE_SHIFT) & VPN_MASK & ~((merged_size >> PAGE_SHIFT) - 1)
-            result.page_size = merged_size
-            result.paddr = final.paddr
-            base_ppn = (final.paddr & ~(merged_size - 1)) >> PAGE_SHIFT
-            result.pte = make_pte(base_ppn, _merge_flags(pte & 0xFF, final.pte & 0xFF))
-            return result
-        table_gppn = pte_ppn(pte)
-    result.fault, result.fault_stage = "no-leaf", "guest"
+    leaf = _descend(guest, gvaddr, result, nested)
+    if leaf is None:
+        result.fault_stage = result.fault_stage or "guest"
+        return result
+    pte, guest_size, gpa = leaf
+    final = nested(gpa)
+    if final is None:
+        return result
+    merged_size = min(guest_size, final.page_size)
+    result.vpn = _page_vpn(gvaddr, merged_size)
+    result.page_size = merged_size
+    result.paddr = final.paddr
+    base_ppn = (final.paddr & ~(merged_size - 1)) >> PAGE_SHIFT
+    result.pte = make_pte(base_ppn, _merge_flags(pte & 0xFF, final.pte & 0xFF))
     return result

@@ -739,6 +739,60 @@ class CliTest(unittest.TestCase):
                 self.assertIsNotNone(match, line)
                 self.assertGreater(float(match.group(2)), 0)
 
+    def test_name_with_a_path_separator_is_config_error_before_any_output(self):
+        # Both names become file names under --outdir; neither may leave it.
+        with tempfile.TemporaryDirectory() as elsewhere:
+            escaped = os.path.join(elsewhere, "escaped")
+            for text, line in (
+                (SMALL.replace("name = unit", "name = sub/x"),
+                 "[run] name: 'sub/x' holds a path separator; it names output files"),
+                (SMALL.replace("name = unit", "name = " + escaped),
+                 "[run] name: %r holds a path separator; it names output files" % escaped),
+                (SMALL.replace("[scenario.isolation]", "[scenario.iso/x]"),
+                 "[scenario.iso/x]: 'iso/x' holds a path separator; it names output files"),
+            ):
+                with self.subTest(line), unittest.mock.patch.object(
+                    hypervisor, "run_iteration"
+                ) as ran:
+                    got = self.run_rejected("unit", text)
+                    self.assertEqual(got, "configuration error: %s\n" % line)
+                    ran.assert_not_called()
+            self.assertEqual(os.listdir(elsewhere), [])
+
+    def test_compare_malformed_summary_fails_fast(self):
+        good = {"cycles": {"mean": 10.0, "std": 1.0}}
+        with tempfile.TemporaryDirectory() as d:
+            for name, scenarios in (
+                ("entry-not-a-dict", {"a": 1, "b": good}),
+                ("cycles-not-a-dict", {"a": {"cycles": [1, 2]}, "b": good}),
+                ("mean-a-string", {"a": good, "b": {"cycles": {"mean": "10", "std": 1.0}}}),
+                ("std-missing", {"a": good, "b": {"cycles": {"mean": 10.0}}}),
+            ):
+                with self.subTest(name):
+                    path = os.path.join(d, name + ".json")
+                    with open(path, "w", encoding="utf-8") as handle:
+                        json.dump({"scenarios": scenarios}, handle)
+                    out, err = io.StringIO(), io.StringIO()
+                    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                        code = self.run_cli(["compare", path, "a", "b"])
+                    self.assertEqual(code, 2)
+                    self.assertEqual(out.getvalue(), "")
+                    self.assertEqual(
+                        err.getvalue(), "error: %s is not a summary written by `run`\n" % path
+                    )
+            # A well-formed summary still compares, and an entry with no
+            # iterations is still a comparison error.
+            path = os.path.join(d, "ok.json")
+            with open(path, "w", encoding="utf-8") as handle:
+                json.dump({"scenarios": {"a": good, "b": good, "empty": {"iterations": 0}}}, handle)
+            with contextlib.redirect_stdout(io.StringIO()) as out:
+                self.assertEqual(self.run_cli(["compare", path, "a", "b"]), 0)
+            self.assertEqual(json.loads(out.getvalue())["delta_mean_pct"], 0.0)
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                self.assertEqual(self.run_cli(["compare", path, "a", "empty"]), 1)
+            self.assertEqual(err.getvalue(), "error: scenario 'empty' has no iterations to compare\n")
+
     def test_compare_missing_file_fails_fast(self):
         import tempfile
 
