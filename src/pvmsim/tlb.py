@@ -11,6 +11,13 @@ Layout per structure (one instance each for instruction and data sides):
   that leaf can never be chosen as a victim -- and serves lookups
   straight from the registers, taking precedence over the entry bank.
 
+The slot registers are the only record of lock state: after every
+register write and every restore, the active slots and the tree's
+locked leaves are derived from them again.  A write that would activate
+a slot onto a leaf another active slot already pins is rejected before
+it changes anything, so a rejected write leaves every register, the
+locked leaves and every lookup as they were.
+
 Replacement is steered by a pair of partition CSRs shared by both TLBs
 of a hart:
 
@@ -163,7 +170,7 @@ class Tlb:
         ]
         # Default placement: slot j shadows leaf j; steerable while inactive.
         self.slots = [LockSlot(target_leaf=j) for j in range(lock_slots)]
-        self._active = ()  # the active slots, in slot order; never snapshotted
+        self._active = ()  # derived by _refresh_active; never snapshotted
         # (vpn, asid, vmid, frame address, offset mask, page size, pte,
         # lock hit) of the last hit, or None; never snapshotted.
         self._memo = None
@@ -251,44 +258,45 @@ class Tlb:
         slot.target_leaf = leaf
 
     def program_lock_slot(self, index, which, **fields):
-        """Write one of a slot's three registers and re-evaluate activation."""
+        """Write one of a slot's three registers and derive the lock state
+        again; a write that would activate the slot onto a pinned leaf
+        raises ValueError and writes nothing."""
         slot = self.slots[index]
-        was_active = slot.active
-        self._memo = None
+        valid = fields.get("valid", True)
         if which == "vpn":
             page_size = fields.get("page_size", PAGE_SIZES[0])
             if page_size not in PAGE_SIZES:
                 raise ValueError("unsupported page size %r" % (page_size,))
             vpn = fields["vpn"]
-            if fields.get("valid", True) and vpn & (page_size // (1 << PAGE_SHIFT) - 1):
+            if valid and vpn & (page_size // (1 << PAGE_SHIFT) - 1):
                 raise ValueError(
                     "lock vpn 0x%x not naturally aligned to %s page"
                     % (vpn, _SIZE_NAMES[page_size])
                 )
-            slot.vpn = vpn
-            slot.page_size = page_size
-            slot.flags = fields.get("flags", 0)
-            slot.vpn_valid = fields.get("valid", True)
+            registers = {"vpn": vpn, "page_size": page_size, "flags": fields.get("flags", 0)}
         elif which == "pte":
-            slot.pte = fields["pte"]
-            slot.pte_valid = fields.get("valid", True)
+            registers = {"pte": fields["pte"]}
         elif which == "id":
-            slot.asid = fields["asid"]
-            slot.vmid = fields["vmid"]
-            slot.id_valid = fields.get("valid", True)
+            registers = {"asid": fields["asid"], "vmid": fields["vmid"]}
         else:
             raise ValueError("unknown lock-slot register %r" % (which,))
+        registers[which + "_valid"] = valid
+        if (
+            valid
+            and not slot.active
+            and all(getattr(slot, r + "_valid") for r in ("vpn", "pte", "id") if r != which)
+            and self.tree.locked >> slot.target_leaf & 1
+        ):
+            raise ValueError("two active lock slots share leaf %d" % slot.target_leaf)
+        vars(slot).update(registers)
         self._refresh_active()
-        if slot.active and not was_active:
-            for other in self.slots:
-                if other is not slot and other.active and other.target_leaf == slot.target_leaf:
-                    raise ValueError("two active lock slots share leaf %d" % slot.target_leaf)
-            self.tree.set_lock(slot.target_leaf, True)
-        elif was_active and not slot.active:
-            self.tree.set_lock(slot.target_leaf, False)
 
     def _refresh_active(self):
-        self._active = tuple(slot for slot in self.slots if slot.active)
+        """Derive the active slots, in slot order, and the leaves they pin
+        from the slot registers."""
+        active = self._active = tuple(slot for slot in self.slots if slot.active)
+        self.tree.locked = sum(1 << slot.target_leaf for slot in active)
+        self._memo = None
 
     # -- maintenance -----------------------------------------------------------
 
@@ -315,10 +323,10 @@ class Tlb:
     def snapshot(self):
         """Replacement bits, entries, lock-slot registers and counters, as
         copies that restore() only reads.  Entries are shared: they are
-        immutable."""
+        immutable.  The locked leaves are left out: restore() derives them
+        from the registers."""
         return (
             self.tree.bits,
-            self.tree.locked,
             tuple(self.entries),
             tuple(dict(vars(slot)) for slot in self.slots),
             (self.hits, self.misses, self.lock_hits, self.fills, self.dropped_fills),
@@ -326,12 +334,10 @@ class Tlb:
 
     def restore(self, state):
         """Return to a snapshot() of this TLB, copying it in place."""
-        bits, locked, entries, slots, counters = state
+        bits, entries, slots, counters = state
         self.tree.bits = bits
-        self.tree.locked = locked
         self.entries[:] = entries
         for slot, fields in zip(self.slots, slots):
             slot.__dict__.update(fields)
         self._refresh_active()
-        self._memo = None
         self.hits, self.misses, self.lock_hits, self.fills, self.dropped_fills = counters

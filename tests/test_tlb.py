@@ -280,6 +280,7 @@ def test_restore_brings_back_which_slots_serve_lookups(active_in_snapshot):
     assert tlb.lookup(0x700 << 12, asid=1, vmid=0).lock_hit is not active_in_snapshot
     tlb.restore(state)
     assert tlb.slots[2].active is active_in_snapshot
+    assert tlb.tree.locked == (1 << 2 if active_in_snapshot else 0)
     res = tlb.lookup(0x700 << 12, asid=1, vmid=0)
     assert (res.hit, res.lock_hit) == (active_in_snapshot, active_in_snapshot)
 
@@ -383,8 +384,16 @@ def test_shared_target_leaf_rejected():
     tlb.set_lock_target(1, 0)
     tlb.program_lock_slot(1, "vpn", vpn=0x800)
     tlb.program_lock_slot(1, "pte", pte=make_pte(0x1, FULL))
+    locked = tlb.tree.locked
     with pytest.raises(ValueError):
         tlb.program_lock_slot(1, "id", asid=1, vmid=0)
+    # The rejected write changed nothing: slot 1 stays idle and serves no
+    # lookup, and once slot 0 lets go no leaf is pinned.
+    assert tlb.slots[1].id_valid is False
+    assert tlb.tree.locked == locked
+    assert tlb.lookup(0x800 << 12, asid=1, vmid=0).status == "miss"
+    tlb.program_lock_slot(0, "id", asid=1, vmid=0, valid=False)
+    assert tlb.tree.locked == 0
 
 
 # -- flush filters -----------------------------------------------------------------
@@ -469,19 +478,29 @@ def tlb_state(tlb):
 def test_tlb_matches_naive_reference(seed):
     """Runs of lookups in one page, often with the same page number and
     ids as the lookup before, interleaved with fills under random CUR_PART
-    masks, every flush kind, lock-slot programming and retargeting, and
-    snapshot/restore: every lookup result, every fill's leaf, the
+    masks, every flush kind, lock-slot programming and retargeting, rejected
+    activations and snapshot/restore: every lookup result, every fill's leaf, the
     counters, the entries and the PLRU node bits must match TlbRef."""
     rng = random.Random(seed)
     n_entries, partitions, n_slots = REF_GEOMETRIES[seed % len(REF_GEOMETRIES)]
     tlb = make_tlb(n_entries, partitions, n_slots)
     ref = TlbRef(n_entries, partitions, n_slots)
     saved = []
-    seen = dict.fromkeys(("repeat", "lock_hit", "drop", "restore", "fault"), 0)
+    seen = dict.fromkeys(("repeat", "lock_hit", "drop", "restore", "fault", "reject"), 0)
     last = None  # (vaddr, asid, vmid) of the previous lookup
 
     def frame():
         return rng.randrange(1, 64) << 18  # a page number aligned for every page size
+
+    def program(index, which, value, valid=True):
+        """Write one slot register, its fields given as TlbRef.program takes them."""
+        if which == "vpn":
+            vpn, size, flags = value
+            tlb.program_lock_slot(index, "vpn", vpn=vpn, page_size=size, flags=flags, valid=valid)
+        elif which == "pte":
+            tlb.program_lock_slot(index, "pte", pte=value, valid=valid)
+        else:
+            tlb.program_lock_slot(index, "id", asid=value[0], vmid=value[1], valid=valid)
 
     for _ in range(600):
         op = rng.random()
@@ -541,18 +560,42 @@ def test_tlb_matches_naive_reference(seed):
                     vpn, size = rng.choice(REF_PAGES)
                     if follow:
                         vpn, size = (last[0] >> 12) & ((1 << 27) - 1), SIZE_4K
-                    flags = FULL | (PTE_G if rng.random() < 0.2 else 0)
-                    tlb.program_lock_slot(index, "vpn", vpn=vpn, page_size=size, flags=flags,
-                                          valid=valid)
-                    value = (vpn, size, flags)
+                    value = (vpn, size, FULL | (PTE_G if rng.random() < 0.2 else 0))
                 elif which == "pte":
                     value = make_pte(frame(), FULL)
-                    tlb.program_lock_slot(index, "pte", pte=value, valid=valid)
                 else:
                     value = last[1:] if follow else rng.choice(REF_IDS)
-                    tlb.program_lock_slot(index, "id", asid=value[0], vmid=value[1], valid=valid)
+                program(index, which, value, valid)
                 ref.program(index, which, value if valid else None)
                 assert tlb_state(tlb) == ref.state()
+        elif op < 0.87:
+            # An idle slot aimed at a leaf an active slot pins, then
+            # programmed in full: the write that would activate it is
+            # rejected and changes nothing, so TlbRef sees every write but
+            # that one.  The slot then goes back to its own leaf.
+            idle = [i for i, slot in enumerate(tlb.slots) if not slot.active]
+            pinned = [slot.target_leaf for slot in tlb.slots if slot.active]
+            if idle and pinned:
+                index = rng.choice(idle)
+                slot = tlb.slots[index]
+                home = slot.target_leaf
+                tlb.set_lock_target(index, rng.choice(pinned))
+                values = (rng.choice(REF_PAGES) + (FULL,), make_pte(frame(), FULL),
+                          rng.choice(REF_IDS))
+                rejected = 0
+                for which, value in zip(("vpn", "pte", "id"), values):
+                    if all(getattr(slot, other + "_valid") for other in ("vpn", "pte", "id")
+                           if other != which):
+                        with pytest.raises(ValueError, match="share leaf"):
+                            program(index, which, value)
+                        rejected += 1
+                    else:
+                        program(index, which, value)
+                        ref.program(index, which, value)
+                    assert tlb_state(tlb) == ref.state()
+                assert rejected == 1 and not slot.active
+                tlb.set_lock_target(index, home)
+                seen["reject"] += 1
         elif op < 0.90:
             idle = [i for i, slot in enumerate(tlb.slots) if not slot.active]
             if idle:
