@@ -11,12 +11,10 @@ Layout per structure (one instance each for instruction and data sides):
   that leaf can never be chosen as a victim -- and serves lookups
   straight from the registers, taking precedence over the entry bank.
 
-The slot registers are the only record of lock state: after every
-register write and every restore, the active slots and the tree's
-locked leaves are derived from them again.  A write that would activate
-a slot onto a leaf another active slot already pins is rejected before
-it changes anything, so a rejected write leaves every register, the
-locked leaves and every lookup as they were.
+The slot registers are the only record of lock state: the active slots
+and the tree's locked leaves are derived from them after every register
+write and restore.  A write that would activate a slot onto a leaf that
+another active slot pins is rejected, and a rejected write changes nothing.
 
 Replacement is steered by a pair of partition CSRs shared by both TLBs
 of a hart:
@@ -254,15 +252,16 @@ class Tlb:
         if slot.active:
             raise ValueError("cannot retarget an active lock slot")
         self.tree._check_leaf(leaf)
-        self._memo = None
         slot.target_leaf = leaf
 
     def program_lock_slot(self, index, which, **fields):
-        """Write one of a slot's three registers and derive the lock state
-        again; a write that would activate the slot onto a pinned leaf
-        raises ValueError and writes nothing."""
+        """Write one of a slot's three registers; a rejected write changes nothing."""
         slot = self.slots[index]
         valid = fields.get("valid", True)
+        # A valid write to the one register still invalid activates the slot.
+        invalid = [r for r in ("vpn", "pte", "id") if not getattr(slot, r + "_valid")]
+        if valid and invalid == [which] and self.tree.locked >> slot.target_leaf & 1:
+            raise ValueError("two active lock slots share leaf %d" % slot.target_leaf)
         if which == "vpn":
             page_size = fields.get("page_size", PAGE_SIZES[0])
             if page_size not in PAGE_SIZES:
@@ -273,27 +272,23 @@ class Tlb:
                     "lock vpn 0x%x not naturally aligned to %s page"
                     % (vpn, _SIZE_NAMES[page_size])
                 )
-            registers = {"vpn": vpn, "page_size": page_size, "flags": fields.get("flags", 0)}
+            slot.vpn = vpn
+            slot.page_size = page_size
+            slot.flags = fields.get("flags", 0)
+            slot.vpn_valid = valid
         elif which == "pte":
-            registers = {"pte": fields["pte"]}
+            slot.pte = fields["pte"]
+            slot.pte_valid = valid
         elif which == "id":
-            registers = {"asid": fields["asid"], "vmid": fields["vmid"]}
+            slot.asid = fields["asid"]
+            slot.vmid = fields["vmid"]
+            slot.id_valid = valid
         else:
             raise ValueError("unknown lock-slot register %r" % (which,))
-        registers[which + "_valid"] = valid
-        if (
-            valid
-            and not slot.active
-            and all(getattr(slot, r + "_valid") for r in ("vpn", "pte", "id") if r != which)
-            and self.tree.locked >> slot.target_leaf & 1
-        ):
-            raise ValueError("two active lock slots share leaf %d" % slot.target_leaf)
-        vars(slot).update(registers)
         self._refresh_active()
 
     def _refresh_active(self):
-        """Derive the active slots, in slot order, and the leaves they pin
-        from the slot registers."""
+        """Derive the active slots, in slot order, and the leaves they pin."""
         active = self._active = tuple(slot for slot in self.slots if slot.active)
         self.tree.locked = sum(1 << slot.target_leaf for slot in active)
         self._memo = None
@@ -323,8 +318,7 @@ class Tlb:
     def snapshot(self):
         """Replacement bits, entries, lock-slot registers and counters, as
         copies that restore() only reads.  Entries are shared: they are
-        immutable.  The locked leaves are left out: restore() derives them
-        from the registers."""
+        immutable.  restore() derives the locked leaves from the registers."""
         return (
             self.tree.bits,
             tuple(self.entries),
