@@ -241,10 +241,10 @@ class MemorySystem:
         would have: one draw each, nothing else."""
         self._jitter(misses)
 
-    def _walk(self, vm, vaddr):
-        """(walk, entry, cycles) for vaddr's page: entry is the TlbEntry
-        the walk fills, None on a fault.  The returned WalkResult is the
-        page's first walk: use its fields, not its paddr's page offset."""
+    def _refill(self, tlb, vm, vaddr):
+        """Serve a TLB miss: walk vaddr's page (remembered per VM), price the
+        walk and fill `tlb`.  Returns (walk, paddr, cycles), with paddr None
+        on a fault, which fills nothing."""
         guest, host = vm.guest_space, vm.host_space
         versions = (guest.version, None if host is None else host.version)
         key = (guest, host, vm.asid, vm.vmid)
@@ -279,7 +279,10 @@ class MemorySystem:
             + spm * price[EVENT_SPM]
             + self._jitter(misses)
         )
-        return walk, entry, cycles
+        if entry is None:
+            return walk, None, cycles
+        tlb.fill(entry)
+        return walk, walk.paddr & ~(PAGE_SIZE - 1) | vaddr & (PAGE_SIZE - 1), cycles
 
     # -- the pipeline -----------------------------------------------------------
 
@@ -301,15 +304,13 @@ class MemorySystem:
             walk_cycles = fetches = 0
             paddr = look.paddr
         else:
-            walk, entry, walk_cycles = self._walk(vm, vaddr)
+            walk, paddr, walk_cycles = self._refill(tlb, vm, vaddr)
             fetches = len(walk.accesses)
-            if not walk.ok:
+            if paddr is None:
                 return MemAccessOutcome(
                     translation, walk_cycles, 0, translation + walk_cycles, False, False,
                     fetches, None, walk.fault, walk.fault_stage,
                 )
-            paddr = walk.paddr & ~(PAGE_SIZE - 1) | vaddr & (PAGE_SIZE - 1)
-            tlb.fill(entry)
         event, read = cache.access(paddr, kind, value)
         cycles = self._price[event]
         if event == EVENT_MISS:
@@ -327,7 +328,7 @@ class MemorySystem:
         the first access that faults.  The page, offset and jitter draws
         are randbelow's rule written out, which saves a call per draw."""
         tlb, cache = self._sides[loop.kind]
-        lookup, fill, access = tlb.lookup, tlb.fill, cache.access
+        lookup, refill, access = tlb.lookup, self._refill, cache.access
         asid, vmid = vm.asid, vm.vmid
         step = self.latency.tlb_hit_cycles + loop.compute_cycles  # no walk, no jitter
         price = {event: step + cycles for event, cycles in self._price.items()}
@@ -354,12 +355,10 @@ class MemorySystem:
                 if status != "hit":
                     if status == "fault":
                         return spent, (vaddr, "non-canonical", None)
-                    walk, entry, cycles = self._walk(vm, vaddr)
-                    if entry is None:
+                    walk, paddr, cycles = refill(tlb, vm, vaddr)
+                    if paddr is None:
                         return spent, (vaddr, walk.fault, walk.fault_stage)
                     spent += cycles
-                    paddr = walk.paddr & ~(PAGE_SIZE - 1) | vaddr & (PAGE_SIZE - 1)
-                    fill(entry)
                 event = access(paddr, kind, write_value(vaddr) if write else None)[0]
                 spent += price[event]
                 if event == EVENT_MISS and jitter:
