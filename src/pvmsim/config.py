@@ -148,7 +148,7 @@ _FOOTPRINT = {"footprint_" + field: (field, _int) for field in ("base", "pages",
 _HYPERVISOR = {"mask": ("partition_mask", _int), "quantum": ("quantum_cycles", _int)} | _FOOTPRINT
 _VM = (
     {"mask": ("partition_mask", _int), "two_stage": ("two_stage", _bool)}
-    | _ints("vmid", "asid")
+    | {key: (key, _count) for key in ("vmid", "asid")}
     | {key: (key, _str) for key in ("role", "prime", "measure", "loop")}
 )
 _ROLES = {"measured": ("prime", "measure"), "interference": ("loop",)}

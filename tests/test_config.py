@@ -259,6 +259,12 @@ class RejectionTest(unittest.TestCase):
             r"\[hypervisor\] quantum: expected an integer",
         )
 
+    def test_negative_vmid(self):
+        self.check(BASE.replace("vmid = 2", "vmid = -5"), r"^\[vm.intf\] vmid: must be >= 0, got -5$")
+
+    def test_negative_asid(self):
+        self.check(BASE.replace("asid = 2", "asid = -1"), r"^\[vm.intf\] asid: must be >= 0, got -1$")
+
     def test_unknown_vm_key(self):
         self.check(BASE.replace("vmid = 2", "vmid = 2\npriority = 3"), r"\[vm.intf\].*priority")
 
