@@ -35,6 +35,24 @@ class SimulationError(RuntimeError):
     """A scenario is internally inconsistent (e.g. a workload faulted)."""
 
 
+def _check_sweep(sweep, what, count, counted):
+    """Raise ValueError unless a Region's or an InterferenceLoop's fields
+    are usable: `what` names the sweep, and `count` is its other count
+    (repeats, or touches per visit), which `counted` describes."""
+    if sweep.base % SIZE_4K or sweep.base < 0:
+        raise ValueError("%s base 0x%x is not page-aligned" % (what, sweep.base))
+    if sweep.pages < 1 or count < 1:
+        raise ValueError("%s needs at least one page and %s" % (what, counted))
+    if sweep.stride < 8 or sweep.stride % 8:
+        raise ValueError("stride must be a positive multiple of 8 bytes")
+    if getattr(sweep, "order", ORDERS[0]) not in ORDERS:
+        raise ValueError("order must be one of %r" % (ORDERS,))
+    if sweep.kind not in KINDS:
+        raise ValueError("kind must be one of %r" % (KINDS,))
+    if sweep.compute_cycles < 0:
+        raise ValueError("compute_cycles must be >= 0")
+
+
 @dataclass(frozen=True)
 class Region:
     base: int
@@ -46,18 +64,7 @@ class Region:
     compute_cycles: int = 0
 
     def __post_init__(self):
-        if self.base % SIZE_4K or self.base < 0:
-            raise ValueError("region base 0x%x is not page-aligned" % self.base)
-        if self.pages < 1 or self.repeats < 1:
-            raise ValueError("region needs at least one page and one repeat")
-        if self.stride < 8 or self.stride % 8:
-            raise ValueError("stride must be a positive multiple of 8 bytes")
-        if self.order not in ORDERS:
-            raise ValueError("order must be one of %r" % (ORDERS,))
-        if self.kind not in KINDS:
-            raise ValueError("kind must be one of %r" % (KINDS,))
-        if self.compute_cycles < 0:
-            raise ValueError("compute_cycles must be >= 0")
+        _check_sweep(self, "region", self.repeats, "one repeat")
 
     def addresses(self, rng=None):
         """Yield the access addresses of the full sweep (all repeats)."""
@@ -99,16 +106,7 @@ class InterferenceLoop:
     compute_cycles: int = 0
 
     def __post_init__(self):
-        if self.base % SIZE_4K or self.base < 0:
-            raise ValueError("loop base 0x%x is not page-aligned" % self.base)
-        if self.pages < 1 or self.touches_per_page < 1:
-            raise ValueError("loop needs at least one page and one touch per visit")
-        if self.stride < 8 or self.stride % 8:
-            raise ValueError("stride must be a positive multiple of 8 bytes")
-        if self.kind not in KINDS:
-            raise ValueError("kind must be one of %r" % (KINDS,))
-        if self.compute_cycles < 0:
-            raise ValueError("compute_cycles must be >= 0")
+        _check_sweep(self, "loop", self.touches_per_page, "one touch per visit")
 
 
 def run_regions(sys, vm, regions, rng=None):
