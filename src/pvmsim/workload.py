@@ -36,17 +36,15 @@ class SimulationError(RuntimeError):
 
 
 def _check_sweep(sweep, what, count, counted):
-    """Raise ValueError unless a Region's or an InterferenceLoop's fields
-    are usable: `what` names the sweep, and `count` is its other count
-    (repeats, or touches per visit), which `counted` describes."""
+    """Raise ValueError unless the fields a Region and an InterferenceLoop
+    share are usable: `what` names the sweep, and `count` is its other
+    count (repeats, or touches per visit), which `counted` describes."""
     if sweep.base % SIZE_4K or sweep.base < 0:
         raise ValueError("%s base 0x%x is not page-aligned" % (what, sweep.base))
     if sweep.pages < 1 or count < 1:
         raise ValueError("%s needs at least one page and %s" % (what, counted))
     if sweep.stride < 8 or sweep.stride % 8:
         raise ValueError("stride must be a positive multiple of 8 bytes")
-    if getattr(sweep, "order", ORDERS[0]) not in ORDERS:
-        raise ValueError("order must be one of %r" % (ORDERS,))
     if sweep.kind not in KINDS:
         raise ValueError("kind must be one of %r" % (KINDS,))
     if sweep.compute_cycles < 0:
@@ -65,6 +63,8 @@ class Region:
 
     def __post_init__(self):
         _check_sweep(self, "region", self.repeats, "one repeat")
+        if self.order not in ORDERS:
+            raise ValueError("order must be one of %r" % (ORDERS,))
 
     def addresses(self, rng=None):
         """Yield the access addresses of the full sweep (all repeats)."""
