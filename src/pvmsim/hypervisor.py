@@ -16,19 +16,20 @@ backing memory, CSRs at boot values -- and draws its random streams from
 iteration_seed(master, index, stream), so iteration i's record never
 depends on which worker executed it or what ran before it.  The immutable
 plan (page tables, physical layout, lock-chunk lists) is built once; the
-machine is built once per plan, on its first iteration, and every later
-iteration restores it in place from the plan's one snapshot.
+machine is built once per plan, on its first iteration, and every
+iteration, that first one included, restores it in place from the plan's
+one snapshot: plan.machine is the pair (MemorySystem, snapshot).
 
 Each iteration begins with a deterministic prefix: boot, the untimed
 prime and the first trap_enter.  Unless a prime region visits its pages
 in random order (drawn from the workload stream), the prefix leaves the
-same TLB, cache, CSR and memory state in every iteration; only the jitter
-stream differs, and it has moved by exactly one draw per cache miss the
-prefix took.  So the snapshot is taken after the prefix, together with
-that miss count k, and a later iteration restores it and advances its own
-jitter generator by k draws (MemorySystem.replay_jitter) instead of
-running the prefix again.  A plan with a random-order prime keeps the
-snapshot taken right after set-up and runs its prefix on every iteration.
+same TLB, cache, CSR and memory state in every iteration: jitter only
+prices cycles the prefix throws away.  So the snapshot is taken from the
+plan alone, after running the prefix once on a machine with a generator
+of its own, and MemorySystem.restore advances each iteration's jitter
+generator by the draws the prefix's cache misses stand for.  A plan with
+a random-order prime snapshots the machine right after set-up and runs
+its prefix on every iteration.
 
 The trap choreography follows the partition CSR protocol: entering the
 handler overwrites CUR_PART with the hypervisor's constant mask (which
@@ -249,17 +250,16 @@ class LockChunk:
 @dataclass
 class ScenarioPlan:
     """Shared, immutable-by-convention product of build_plan: page tables,
-    runtime VM contexts, lock chunks, and the memory region list.  Once an
-    iteration ran, machine holds (MemorySystem, snapshot, k): the snapshot
-    after the prefix and the prefix's cache-miss count k, or, when the
-    prime has a random-order region, the post-set-up snapshot and None."""
+    runtime VM contexts and lock chunks.  Once an iteration ran, machine
+    holds (MemorySystem, snapshot), the snapshot taken from the plan alone:
+    after the prefix, or, when the prime has a random-order region, right
+    after set-up."""
 
     defn: "ScenarioDef"
     measured: VmContext
     interference: tuple  # VmContext per interference VM, in defn.vms order
     hyp_context: VmContext
     lock_chunks: dict  # "i"/"d" -> list of (VmContext, LockChunk)
-    memory_regions: tuple
     machine: tuple = field(default=None, repr=False, compare=False)
 
 
@@ -378,19 +378,18 @@ def build_plan(defn):
         interference=tuple(interference),
         hyp_context=hyp_context,
         lock_chunks=lock_chunks,
-        memory_regions=MEMORY_REGIONS,
     )
 
 
 # -- per-iteration machine state -------------------------------------------------
 
 
-def build_system(defn, regions, jitter_rng):
-    """The one production MemorySystem: defn's machine over `regions`,
-    with the scratchpad windows at this layout's bases."""
+def build_system(defn, jitter_rng):
+    """The one production MemorySystem: defn's machine over this layout's
+    RAM, with the scratchpad windows at this layout's bases."""
     return MemorySystem.build(
         defn.machine,
-        Memory(regions),
+        Memory(MEMORY_REGIONS),
         defn.latency,
         ispm_base=ISPM_BASE,
         dspm_base=DSPM_BASE,
@@ -432,25 +431,22 @@ def run_prefix(plan, sys, work_rng):
 
 def restore_machine(plan, jitter_rng, work_rng):
     """The plan's memory system right after run_prefix, ready for the
-    iteration's first interference quantum.  Built and set up on the
-    plan's first iteration (so build_plan stays planning only), then
-    restored in place from the plan's snapshot, which no iteration can
-    reach.  See the module docstring for where that snapshot is taken."""
+    iteration's first interference quantum, with its jitter drawn from
+    `jitter_rng`.  Built and set up on the plan's first iteration (so
+    build_plan stays planning only), then restored in place from the
+    plan's snapshot, which no iteration can reach.  See the module
+    docstring for where that snapshot is taken."""
+    random_prime = any(region.order == "random" for region in plan.measured.workload.prime)
     if plan.machine is None:
-        sys = build_system(plan.defn, plan.memory_regions, jitter_rng)
+        sys = build_system(plan.defn, random.Random(0) if plan.defn.latency.jitter else None)
         setup_scenario(plan, sys)
-        if any(region.order == "random" for region in plan.measured.workload.prime):
-            plan.machine = (sys, sys.snapshot(), None)
-        else:
-            run_prefix(plan, sys, work_rng)
-            plan.machine = (sys, sys.snapshot(), sys.miss_counts()[1])
-            return sys
-    sys, state, misses = plan.machine
+        if not random_prime:
+            run_prefix(plan, sys, None)  # a fixed-order prime draws nothing
+        plan.machine = (sys, sys.snapshot())
+    sys, state = plan.machine
     sys.restore(state, jitter_rng)
-    if misses is None:
+    if random_prime:
         run_prefix(plan, sys, work_rng)
-    else:
-        sys.replay_jitter(misses)
     return sys
 
 

@@ -43,10 +43,10 @@ a fill-drop, the only events that reach backing memory) adds a uniform
 draw from [-j, +j].  Hits, SPM accesses and lock-slot translations never
 consult the generator, so a fully locked, SPM-resident access path stays
 cycle-constant even with jitter enabled.  Because each miss is exactly one
-draw, replay_jitter can advance the generator past a known number of
-misses without performing them (the hypervisor does so for the prefix it
-restores instead of re-running).  virtual_access's final access, each
-walk it prices and replay_jitter all draw through MemorySystem._jitter.
+draw, restore() draws once per miss its snapshot's caches count: the
+restored machine and generator stand where a machine built with that
+generator stood on reaching the snapshot.  virtual_access's final access,
+each walk it prices and restore all draw through MemorySystem._jitter.
 
 Untimed interference runs through run_loop, which does what a
 virtual_access per touch would do but builds no outcome: it prices the
@@ -236,11 +236,6 @@ class MemorySystem:
                 total += randbelow(getrandbits, span) - j
         return total
 
-    def replay_jitter(self, misses):
-        """Advance the jitter generator as `misses` priced cache misses
-        would have: one draw each, nothing else."""
-        self._jitter(misses)
-
     def _refill(self, tlb, vm, vaddr):
         """Serve a TLB miss: walk vaddr's page (remembered per VM), price the
         walk and fill `tlb`.  Returns (walk, paddr, cycles), with paddr None
@@ -392,10 +387,10 @@ class MemorySystem:
             self.memory.snapshot(),
         )
 
-    def restore(self, state, rng=None):
-        """Return to a snapshot() in place; jitter draws come from `rng`
-        from now on.  Remembered walks are kept: they depend only on the
-        page tables."""
+    def restore(self, state, rng):
+        """Return to a snapshot() in place, drawing jitter from `rng`, which
+        first draws once per cache miss the snapshot counts.  Remembered
+        walks are kept: they depend only on the page tables."""
         if self.latency.jitter and rng is None:
             raise ValueError("jitter is enabled but no seeded generator was supplied")
         itlb, dtlb, icache, dcache, csr, memory = state
@@ -406,3 +401,4 @@ class MemorySystem:
         self.csr.cur_part, self.csr.last_part = csr
         self.memory.restore(memory)
         self.rng = rng
+        self._jitter(self.miss_counts()[1])

@@ -13,8 +13,10 @@ Layout per structure (one instance each for instruction and data sides):
 
 The slot registers are the only record of lock state: the active slots
 and the tree's locked leaves are derived from them after every register
-write and restore.  A write that would activate a slot onto a leaf that
-another active slot pins is rejected, and a rejected write changes nothing.
+write and restore.  Slots are immutable records, like entries, so
+snapshots share them; a register write builds the slot's next record,
+checks it (a slot may not activate onto a leaf another active slot pins)
+and only then stores it, so a rejected write changes nothing.
 
 Replacement is steered by a pair of partition CSRs shared by both TLBs
 of a hart:
@@ -47,6 +49,7 @@ from typing import NamedTuple
 from .plru import PlruTree, check_tree
 from .sv39 import PAGE_SHIFT, PAGE_SIZES, PPN_SHIFT, PTE_G, VPN_MASK, is_canonical
 
+MAX_ENTRIES = 4096  # presets use 16; a far larger bank takes minutes or all memory to build
 _SIZE_NAMES = {PAGE_SIZES[0]: "4K", PAGE_SIZES[1]: "2M", PAGE_SIZES[2]: "1G"}
 
 
@@ -92,6 +95,7 @@ _FAULT = LookupResult("fault")
 _new_result = tuple.__new__
 
 
+@dataclass(frozen=True)
 class LockSlot:
     """Three CSR-backed registers pinning one translation.
 
@@ -101,17 +105,16 @@ class LockSlot:
       "id"  -- asid, vmid, valid
     """
 
-    def __init__(self, target_leaf):
-        self.target_leaf = target_leaf
-        self.vpn = 0
-        self.page_size = PAGE_SIZES[0]
-        self.flags = 0
-        self.vpn_valid = False
-        self.pte = 0
-        self.pte_valid = False
-        self.asid = 0
-        self.vmid = 0
-        self.id_valid = False
+    target_leaf: int
+    vpn: int = 0
+    page_size: int = PAGE_SIZES[0]
+    flags: int = 0
+    vpn_valid: bool = False
+    pte: int = 0
+    pte_valid: bool = False
+    asid: int = 0
+    vmid: int = 0
+    id_valid: bool = False
 
     @property
     def active(self):
@@ -121,6 +124,8 @@ class LockSlot:
 def check_geometry(entries, partition_count, lock_slots):
     """Raise ValueError unless a Tlb of this shape can be built."""
     check_tree(entries, partition_count, "entries", "partitions")
+    if entries > MAX_ENTRIES:
+        raise ValueError("entries must be at most %d, got %d" % (MAX_ENTRIES, entries))
     if not 0 <= lock_slots <= entries:
         raise ValueError("lock_slots must lie in [0, entries], got %r" % (lock_slots,))
 
@@ -252,16 +257,12 @@ class Tlb:
         if slot.active:
             raise ValueError("cannot retarget an active lock slot")
         self.tree._check_leaf(leaf)
-        slot.target_leaf = leaf
+        self.slots[index] = replace(slot, target_leaf=leaf)
 
     def program_lock_slot(self, index, which, **fields):
         """Write one of a slot's three registers; a rejected write changes nothing."""
         slot = self.slots[index]
         valid = fields.get("valid", True)
-        # A valid write to the one register still invalid activates the slot.
-        invalid = [r for r in ("vpn", "pte", "id") if not getattr(slot, r + "_valid")]
-        if valid and invalid == [which] and self.tree.locked >> slot.target_leaf & 1:
-            raise ValueError("two active lock slots share leaf %d" % slot.target_leaf)
         if which == "vpn":
             page_size = fields.get("page_size", PAGE_SIZES[0])
             if page_size not in PAGE_SIZES:
@@ -272,19 +273,17 @@ class Tlb:
                     "lock vpn 0x%x not naturally aligned to %s page"
                     % (vpn, _SIZE_NAMES[page_size])
                 )
-            slot.vpn = vpn
-            slot.page_size = page_size
-            slot.flags = fields.get("flags", 0)
-            slot.vpn_valid = valid
+            flags = fields.get("flags", 0)
+            new = replace(slot, vpn=vpn, page_size=page_size, flags=flags, vpn_valid=valid)
         elif which == "pte":
-            slot.pte = fields["pte"]
-            slot.pte_valid = valid
+            new = replace(slot, pte=fields["pte"], pte_valid=valid)
         elif which == "id":
-            slot.asid = fields["asid"]
-            slot.vmid = fields["vmid"]
-            slot.id_valid = valid
+            new = replace(slot, asid=fields["asid"], vmid=fields["vmid"], id_valid=valid)
         else:
             raise ValueError("unknown lock-slot register %r" % (which,))
+        if new.active and not slot.active and self.tree.locked >> slot.target_leaf & 1:
+            raise ValueError("two active lock slots share leaf %d" % slot.target_leaf)
+        self.slots[index] = new
         self._refresh_active()
 
     def _refresh_active(self):
@@ -297,6 +296,8 @@ class Tlb:
 
     def flush(self, kind="all", asid=None, vmid=None, vaddr=None):
         """Invalidate matching regular entries; lock slots are never affected."""
+        if kind not in ("all", "by-asid", "by-vmid", "by-vaddr"):
+            raise ValueError("unknown flush kind %r" % (kind,))
         self._memo = None
         for leaf, entry in enumerate(self.entries):
             if not entry.valid:
@@ -307,22 +308,20 @@ class Tlb:
                 hit = entry.asid == asid and not entry.global_flag
             elif kind == "by-vmid":
                 hit = entry.vmid == vmid
-            elif kind == "by-vaddr":
+            else:  # by-vaddr
                 span = entry.page_size >> PAGE_SHIFT
                 hit = (vaddr >> PAGE_SHIFT) & VPN_MASK & ~(span - 1) == entry.vpn
-            else:
-                raise ValueError("unknown flush kind %r" % (kind,))
             if hit:
                 self.entries[leaf] = replace(entry, valid=False)
 
     def snapshot(self):
-        """Replacement bits, entries, lock-slot registers and counters, as
-        copies that restore() only reads.  Entries are shared: they are
-        immutable.  restore() derives the locked leaves from the registers."""
+        """Replacement bits, entries, lock slots and counters, as copies
+        that restore() only reads.  Entries and slots are shared: they are
+        immutable.  restore() derives the locked leaves from the slots."""
         return (
             self.tree.bits,
             tuple(self.entries),
-            tuple(dict(vars(slot)) for slot in self.slots),
+            tuple(self.slots),
             (self.hits, self.misses, self.lock_hits, self.fills, self.dropped_fills),
         )
 
@@ -331,7 +330,6 @@ class Tlb:
         bits, entries, slots, counters = state
         self.tree.bits = bits
         self.entries[:] = entries
-        for slot, fields in zip(self.slots, slots):
-            slot.__dict__.update(fields)
+        self.slots[:] = slots
         self._refresh_active()
         self.hits, self.misses, self.lock_hits, self.fills, self.dropped_fills = counters

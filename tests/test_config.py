@@ -262,6 +262,15 @@ class RejectionTest(unittest.TestCase):
     def test_negative_vmid(self):
         self.check(BASE.replace("vmid = 2", "vmid = -5"), r"^\[vm.intf\] vmid: must be >= 0, got -5$")
 
+    def test_tlb_entries_have_an_upper_bound(self):
+        for raw, value in (("8192", 8192), ("0x40000000000", 1 << 42)):
+            self.check(
+                BASE.replace("entries = 16", "entries = " + raw),
+                r"^\[tlb\]: entries must be at most 4096, got %d$" % value,
+            )
+        cfg = load(BASE.replace("entries = 16", "entries = 4096"))
+        self.assertEqual({cfg.scenarios[n].machine.entries for n in cfg.scenario_names}, {4096})
+
     def test_negative_asid(self):
         self.check(BASE.replace("asid = 2", "asid = -1"), r"^\[vm.intf\] asid: must be >= 0, got -1$")
 

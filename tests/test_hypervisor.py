@@ -108,7 +108,7 @@ def scenario(vms, *, name="unit", iterations=10, seed=1, spm_ways=0, jitter=0, h
 def fresh_prefix(plan, jitter_rng=None, work_rng=None):
     """A freshly built machine taken through set-up and an iteration's
     deterministic prefix by hand: boot, prime, first trap_enter."""
-    sys = build_system(plan.defn, plan.memory_regions, jitter_rng)
+    sys = build_system(plan.defn, jitter_rng)
     setup_scenario(plan, sys)
     sys.csr.write_cur_part(plan.hyp_context.partition_mask)
     trap_exit(sys, plan.measured)
@@ -250,7 +250,7 @@ class PlanTest(unittest.TestCase):
     def test_two_stage_tables_are_walkable(self):
         defn = scenario((crit_vm(), intf_vm()))
         plan = build_plan(defn)
-        sys = build_system(defn, plan.memory_regions, None)
+        sys = build_system(defn, None)
         setup_scenario(plan, sys)
         out = sys.virtual_access(DATA_V, "read", plan.measured)
         self.assertTrue(out.ok)
@@ -292,7 +292,7 @@ class TrapProtocolTest(unittest.TestCase):
     def setUp(self):
         self.defn = scenario((crit_vm(), intf_vm()))
         self.plan = build_plan(self.defn)
-        self.sys = build_system(self.defn, self.plan.memory_regions, None)
+        self.sys = build_system(self.defn, None)
         setup_scenario(self.plan, self.sys)
         self.csr = self.sys.csr
 
@@ -330,7 +330,7 @@ class LockRuntimeTest(unittest.TestCase):
     def test_locked_pages_hit_from_slots_without_fills(self):
         defn = scenario((crit_vm(lock=True),))
         plan = build_plan(defn)
-        sys = build_system(defn, plan.memory_regions, None)
+        sys = build_system(defn, None)
         setup_scenario(plan, sys)
         crit = plan.measured
         out = sys.virtual_access(DATA_V + 8, "read", crit)
@@ -350,7 +350,7 @@ class LeafOwnershipTest(unittest.TestCase):
     def test_disjoint_masks_keep_fills_in_their_partitions(self):
         defn = scenario((crit_vm(), intf_vm()))
         plan = build_plan(defn)
-        sys = build_system(defn, plan.memory_regions, None)
+        sys = build_system(defn, None)
         setup_scenario(plan, sys)
         crit = plan.measured
         intf = plan.interference[0]
@@ -498,12 +498,26 @@ class SnapshotIsolationTest(unittest.TestCase):
         self.assertEqual(sys.dcache.spm_word(0, 0, 0), prime_word)
         self.assertEqual(sys.miss_counts(), want.miss_counts())
         # The restored machine draws from the generator it was handed,
-        # already past the prefix's k draws.
+        # already past the prefix's k draws, one per cache miss.
         self.assertIs(sys.rng, jitter)
         expected = random.Random(9)
-        for _ in range(plan.machine[2]):
+        for _ in range(want.miss_counts()[1]):
             expected.randint(-self.JITTER, self.JITTER)
         self.assertEqual(jitter.getstate(), expected.getstate())
+
+    def test_fixed_order_snapshot_comes_from_the_plan_alone(self):
+        # Neither the master seed nor the iteration that runs first
+        # changes the snapshot: its machine draws from a generator of its
+        # own, and jitter only prices cycles the prefix throws away.
+        snapshots = []
+        for seed in (1, 2):
+            for first in (0, 3):
+                plan = build_plan(replace(self.defn(), seed=seed))
+                run_iteration(plan, first)
+                self.assertEqual(len(plan.machine), 2)
+                snapshots.append(plan.machine[1])
+        for snapshot in snapshots[1:]:
+            self.assert_same_state(snapshot, snapshots[0])
 
 
 class PrefixSnapshotTest(unittest.TestCase):
@@ -538,23 +552,31 @@ class PrefixSnapshotTest(unittest.TestCase):
     def test_draw_count_is_the_prefix_jitter_draws(self):
         defn = scenario((crit_vm(), intf_vm()), jitter=3)
         plan = build_plan(defn)
-        run_iteration(plan, 0)
-        self.assertGreater(plan.machine[2], 0)
         jitter = random.Random(0)
-        fresh_prefix(plan, jitter)
+        k = fresh_prefix(plan, jitter).miss_counts()[1]
+        self.assertGreater(k, 0)
         # Every draw advances the generator, so the states agree only if
-        # the prefix drew exactly plan.machine[2] times.
+        # the prefix drew exactly k times, one per cache miss.
         expected = random.Random(0)
-        for _ in range(plan.machine[2]):
+        for _ in range(k):
             expected.randint(-3, 3)
         self.assertEqual(jitter.getstate(), expected.getstate())
+        # Restoring the snapshot moves an iteration's generator as far,
+        # on the plan's first iteration and on every later one.
+        for _ in range(2):
+            restored = random.Random(0)
+            restore_machine(plan, restored, random.Random(0))
+            self.assertEqual(restored.getstate(), expected.getstate())
 
     def test_random_order_prime_runs_on_every_iteration(self):
         defn = scenario((self.random_prime_vm(), intf_vm()), jitter=3)
         self.assertEqual(self.prime_runs(defn, 4), 4)
         plan = build_plan(defn)
         run_iteration(plan, 0)
-        self.assertIsNone(plan.machine[2])
+        # The snapshot is the machine right after set-up.
+        want = build_system(defn, random.Random(0))
+        setup_scenario(plan, want)
+        self.assertEqual(plan.machine[1], want.snapshot())
         # A fixed-order prime runs once per plan.
         self.assertEqual(self.prime_runs(scenario((crit_vm(), intf_vm()), jitter=3), 4), 1)
 
@@ -573,7 +595,7 @@ class PrefixSnapshotTest(unittest.TestCase):
         self.assertEqual(len(made), 6)  # the workload and interference streams
         # No jitter generator exists, so a jitter draw would have raised.
         self.assertIsNone(plan.machine[0].rng)
-        self.assertGreater(plan.machine[2], 0)  # misses to replay, but no draws
+        self.assertGreater(fresh_prefix(plan).miss_counts()[1], 0)  # misses, but no draws
 
 
 class InterferencePhysicsTest(unittest.TestCase):

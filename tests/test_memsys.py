@@ -436,6 +436,37 @@ def test_jitter_is_seed_deterministic_and_bounded():
     assert all(noisy == 2 for nominal, noisy in zip(base, j1) if nominal == 2)
 
 
+def test_restore_replays_one_draw_per_cache_miss_of_the_snapshot():
+    """restore(state, rng) leaves the machine and `rng` where a machine
+    built with `rng` stands on reaching `state`: past one jitter draw per
+    cache miss that state's caches count, and no other."""
+    vm = single_stage_vm()
+    built = build_system(jitter=5, seed=100)
+    trace_totals(built, vm, seed=5, n=60)
+    state, misses = built.snapshot(), built.miss_counts()[1]
+    assert misses > 0
+    expected = random.Random(100)
+    for _ in range(misses):
+        expected.randint(-5, 5)
+    assert built.rng.getstate() == expected.getstate()
+    trace_totals(built, vm, seed=6, n=60)  # moves the machine and its generator on
+    rng = random.Random(100)
+    built.restore(state, rng)
+    assert built.rng is rng and rng.getstate() == expected.getstate()
+    assert built.snapshot() == state
+    # Jitter off: restore draws nothing, and takes a None generator.
+    quiet = build_system()
+    trace_totals(quiet, vm, seed=5, n=60)
+    state = quiet.snapshot()
+    trace_totals(quiet, vm, seed=6, n=60)
+    untouched = random.Random(3)
+    before = untouched.getstate()
+    quiet.restore(state, untouched)
+    assert untouched.getstate() == before
+    quiet.restore(state, None)
+    assert quiet.rng is None and quiet.snapshot() == state
+
+
 def test_predictable_path_is_constant_under_any_interference():
     """Lock-covered translation + scratchpad-resident data: the probed
     access costs exactly 2 cycles no matter what ran before it, even with

@@ -279,6 +279,8 @@ def test_restore_brings_back_which_slots_serve_lookups(active_in_snapshot):
     tlb.program_lock_slot(2, "id", asid=1, vmid=0, valid=not active_in_snapshot)
     assert tlb.lookup(0x700 << 12, asid=1, vmid=0).lock_hit is not active_in_snapshot
     tlb.restore(state)
+    # The snapshot shares the immutable slot records with the live TLB.
+    assert all(tlb.snapshot()[2][i] is tlb.slots[i] for i in range(len(tlb.slots)))
     assert tlb.slots[2].active is active_in_snapshot
     assert tlb.tree.locked == (1 << 2 if active_in_snapshot else 0)
     res = tlb.lookup(0x700 << 12, asid=1, vmid=0)
@@ -338,10 +340,12 @@ def test_only_scan_hits_on_entries_touch_the_tree(monkeypatch):
 
 def test_misaligned_lock_vpn_rejected():
     tlb = make_tlb()
+    slot = tlb.slots[0]
     with pytest.raises(ValueError):
         tlb.program_lock_slot(0, "vpn", vpn=0x401, page_size=SIZE_2M)
     with pytest.raises(ValueError):
         tlb.program_lock_slot(0, "vpn", vpn=0x601, page_size=SIZE_1G)
+    assert tlb.slots[0] is slot  # a rejected write stores nothing
     # The same values are fine while the valid bit is clear.
     tlb.program_lock_slot(0, "vpn", vpn=0x401, page_size=SIZE_2M, valid=False)
 
@@ -384,11 +388,13 @@ def test_shared_target_leaf_rejected():
     tlb.set_lock_target(1, 0)
     tlb.program_lock_slot(1, "vpn", vpn=0x800)
     tlb.program_lock_slot(1, "pte", pte=make_pte(0x1, FULL))
-    locked = tlb.tree.locked
+    locked, idle = tlb.tree.locked, tlb.slots[1]
     with pytest.raises(ValueError):
         tlb.program_lock_slot(1, "id", asid=1, vmid=0)
-    # The rejected write changed nothing: slot 1 stays idle and serves no
-    # lookup, and once slot 0 lets go no leaf is pinned.
+    # The rejected write changed nothing: slot 1 keeps its very record,
+    # stays idle and serves no lookup, and once slot 0 lets go no leaf is
+    # pinned.
+    assert tlb.slots[1] is idle
     assert tlb.slots[1].id_valid is False
     assert tlb.tree.locked == locked
     assert tlb.lookup(0x800 << 12, asid=1, vmid=0).status == "miss"
@@ -425,6 +431,15 @@ def test_flush_empty_is_noop():
     before = copy.deepcopy(tlb.entries)
     tlb.flush("all")
     assert tlb.entries == before
+
+
+def test_unknown_flush_kind_rejected_with_no_valid_entry():
+    tlb = make_tlb()
+    with pytest.raises(ValueError, match="unknown flush kind 'bogus'"):
+        tlb.flush("bogus")
+    tlb.fill(entry(0x100))
+    with pytest.raises(ValueError, match="unknown flush kind 'bogus'"):
+        tlb.flush("bogus")
 
 
 # -- misc ---------------------------------------------------------------------------
@@ -577,13 +592,13 @@ def test_tlb_matches_naive_reference(seed):
             pinned = [slot.target_leaf for slot in tlb.slots if slot.active]
             if idle and pinned:
                 index = rng.choice(idle)
-                slot = tlb.slots[index]
-                home = slot.target_leaf
+                home = tlb.slots[index].target_leaf
                 tlb.set_lock_target(index, rng.choice(pinned))
                 values = (rng.choice(REF_PAGES) + (FULL,), make_pte(frame(), FULL),
                           rng.choice(REF_IDS))
                 rejected = 0
                 for which, value in zip(("vpn", "pte", "id"), values):
+                    slot = tlb.slots[index]  # a write stores a new record
                     if all(getattr(slot, other + "_valid") for other in ("vpn", "pte", "id")
                            if other != which):
                         with pytest.raises(ValueError, match="share leaf"):
@@ -593,7 +608,7 @@ def test_tlb_matches_naive_reference(seed):
                         program(index, which, value)
                         ref.program(index, which, value)
                     assert tlb_state(tlb) == ref.state()
-                assert rejected == 1 and not slot.active
+                assert rejected == 1 and not tlb.slots[index].active
                 tlb.set_lock_target(index, home)
                 seen["reject"] += 1
         elif op < 0.90:
