@@ -158,6 +158,10 @@ class Memory:
         for i, w in enumerate(words):
             self.write_word(base + i * WORD_BYTES, w)
 
+    def words(self):
+        """Every non-zero word as sorted (addr, word) pairs, however stored."""
+        return tuple(sorted((addr, w) for addr, w in self._words.items() if w))
+
     def snapshot(self):
         return tuple(self._words.items())
 
@@ -466,6 +470,10 @@ class Cache:
         if tag in row:
             return set_idx, row.index(tag)
         return None
+
+    def data_words(self):
+        """Every slot's line words, slot by slot, SPM ways included."""
+        return tuple(self._data)
 
     def spm_word(self, way, set_idx, word):
         """Directly read one SPM storage word (testing aid, not an access)."""

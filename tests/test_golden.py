@@ -169,11 +169,11 @@ def machine_state(system):
         for tlb in (system.itlb, system.dtlb)
     )
     caches = tuple(
-        (cache.tag_state(), tuple(cache._data), tuple(cache.modes), sorted(cache.stats.items()))
+        (cache.tag_state(), cache.data_words(), tuple(cache.modes), sorted(cache.stats.items()))
         for cache in (system.icache, system.dcache)
     )
     csr = system.csr
-    return tlbs, caches, (csr.cur_part, csr.last_part), system.memory.snapshot()
+    return tlbs, caches, (csr.cur_part, csr.last_part), system.memory.words()
 
 
 def machine_digest(preset):

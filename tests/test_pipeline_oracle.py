@@ -175,7 +175,7 @@ def assert_same_state(sys_, ref, where):
         assert tlb_view(getattr(sys_, side)) == tlb_ref_view(getattr(ref, side)), (where, side)
     for side in ("icache", "dcache"):
         assert cache_view(getattr(sys_, side)) == cache_ref_view(getattr(ref, side)), (where, side)
-    assert {a: v for a, v in sys_.memory.snapshot() if v} == {
+    assert dict(sys_.memory.words()) == {
         a: v for a, v in ref.mem.items() if v
     }, where
     assert (sys_.rng is None) == (ref.rng is None)
