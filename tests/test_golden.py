@@ -17,6 +17,14 @@ critical VM also primes an 8-page region in random order (a shuffle that
 draws from the workload stream and changes what the prime leaves behind),
 and its jitter = 0 twin, serially and with two workers.
 
+No preset ever writes backing memory either: every scenario of every
+preset ends with an empty memory and no write-back.  So the `writes`
+sections pin WRITES_TEXT, shaped like the benchmark's spm-writes-longq: a
+kind=write interference loop over one 2 MiB pool and the spm/lockspm
+ladder, with a quantum long enough that dirty lines are evicted and
+written back.  Its records are pinned serially and with two workers, and
+its machine state beside the presets'.
+
 Records cannot see most of the machine: cache evictions, write-backs and
 hit counts, PLRU bits, TLB entries and memory words.  MACHINE_PATH pins,
 per preset, SHA-256 over the repr of each scenario's machine_state()
@@ -129,6 +137,99 @@ PREFIX_VARIANTS = {
 }
 
 
+# One crit VM per mitigation and a writing interference guest whose pool
+# is one 2 MiB superpage: the cache write, eviction and write-back path
+# carries the run.
+WRITES_TEXT = """\
+[run]
+name = writes
+iterations = 4
+seed = 1
+scenarios = isolation unmitigated spm lockspm
+
+[latency]
+memory = 40
+jitter = 3
+
+[tlb]
+entries = 16
+partitions = 16
+lock_slots = 8
+
+[cache]
+ways = 8
+icache_sets = 128
+dcache_sets = 256
+line_bytes = 16
+
+[hypervisor]
+mask = 0x0100
+quantum = 24000
+footprint_base = 0x00700000
+footprint_pages = 2
+footprint_stride = 2048
+
+[vm.crit]
+vmid = 1
+asid = 1
+mask = 0xffff
+role = measured
+region.data0 = base=0x000100000 pages=1 flags=rw
+region.data1 = base=0x040100000 pages=1 flags=rw
+region.code = base=0x000600000 pages=2 flags=rx
+prime = data0 stride=2048; data1 stride=2048; code stride=512
+measure = data1 stride=2048; data0 stride=2048; code stride=512 order=reverse
+
+[vm.crit_spm]
+vmid = 1
+asid = 1
+mask = 0xffff
+role = measured
+region.data0 = base=0x000100000 pages=1 flags=rw backing=dspm
+region.data1 = base=0x040100000 pages=1 flags=rw backing=dspm
+region.code = base=0x000600000 pages=2 flags=rx backing=ispm
+prime = data0 stride=2048; data1 stride=2048; code stride=512
+measure = data1 stride=2048; data0 stride=2048; code stride=512 order=reverse
+
+[vm.crit_lockspm]
+vmid = 1
+asid = 1
+mask = 0xffff
+role = measured
+region.data0 = base=0x000100000 pages=1 flags=rw backing=dspm lock=true
+region.data1 = base=0x040100000 pages=1 flags=rw backing=dspm lock=true
+region.code = base=0x000600000 pages=2 flags=rx backing=ispm lock=true
+prime = data0 stride=2048; data1 stride=2048; code stride=512
+measure = data1 stride=2048; data0 stride=2048; code stride=512 order=reverse
+
+[vm.intf]
+vmid = 2
+asid = 2
+mask = 0xffff
+role = interference
+region.pool = base=0x40200000 pages=1 flags=rw page_size=2m
+loop = pool stride=64 touches=2 kind=write
+
+[scenario.isolation]
+vms = crit
+hyp_mask = 0xffff
+
+[scenario.unmitigated]
+vms = crit intf
+hyp_mask = 0xffff
+
+[scenario.spm]
+vms = crit_spm intf
+hyp_mask = 0xffff
+spm_ways = 4
+
+[scenario.lockspm]
+vms = crit_lockspm intf
+hyp_mask = 0xffff
+spm_ways = 4
+"""
+
+
 def records_digest(results):
     """SHA-256 over the sorted (scenario, index, cycles, tlb, cache) rows."""
     rows = sorted(
@@ -147,9 +248,13 @@ def run_digest(preset, seed, workers, iterations=ITERATIONS):
     return records_digest(run_experiment(cfg, workers=workers))
 
 
-def prefix_digest(variant, workers):
-    cfg = load_experiment(text=PREFIX_VARIANTS[variant])
+def text_digest(text, workers):
+    cfg = load_experiment(text=text)
     return records_digest(run_experiment(cfg, workers=workers))
+
+
+def prefix_digest(variant, workers):
+    return text_digest(PREFIX_VARIANTS[variant], workers)
 
 
 def machine_state(system):
@@ -176,14 +281,20 @@ def machine_state(system):
     return tlbs, caches, (csr.cur_part, csr.last_part), system.memory.words()
 
 
-def machine_digest(preset):
-    """SHA-256 over each scenario's machine state after its last iteration."""
-    cfg = load_experiment(text=preset_text(preset), seed=1, iterations=ITERATIONS)
-    h = hashlib.sha256()
+def final_machines(text):
+    """(scenario name, MemorySystem) after each scenario's last iteration."""
+    cfg = load_experiment(text=text, seed=1, iterations=ITERATIONS)
     for name in cfg.scenario_names:
         plan = build_plan(cfg.scenarios[name])
         run_range(plan, 0, ITERATIONS)
-        h.update(("%s\n%r\n" % (name, machine_state(plan.machine[0]))).encode())
+        yield name, plan.machine[0]
+
+
+def machine_digest(text):
+    """SHA-256 over each scenario's machine state after its last iteration."""
+    h = hashlib.sha256()
+    for name, system in final_machines(text):
+        h.update(("%s\n%r\n" % (name, machine_state(system))).encode())
     return h.hexdigest()
 
 
@@ -261,6 +372,7 @@ def test_golden_file_covers_every_preset():
     assert {k: v for k, v in golden["uneven"].items() if k != "digests"} == UNEVEN
     assert sorted(golden["uneven"]["digests"]) == preset_names()
     assert sorted(golden["prefix"]) == sorted(PREFIX_VARIANTS)
+    assert isinstance(golden["writes"], str)
 
 
 @pytest.mark.parametrize("workers", (1, 2, 3))
@@ -283,13 +395,31 @@ def test_random_order_prime_matches_golden_digest(variant, workers):
     assert prefix_digest(variant, workers) == load_golden()["prefix"][variant]
 
 
+@pytest.mark.parametrize("workers", (1, 2))
+def test_writes_records_match_golden_digest(workers):
+    assert text_digest(WRITES_TEXT, workers) == load_golden()["writes"]
+
+
+def test_writes_config_writes_back_memory():
+    """The gap the writes sections close: each scenario that runs the
+    writing guest ends with write-backs and non-zero memory words."""
+    for name, system in final_machines(WRITES_TEXT):
+        if name != "isolation":
+            assert system.dcache.stats["write_backs"] > 0, name
+            assert system.memory.words(), name
+
+
 def test_machine_file_covers_every_preset():
-    assert sorted(load_golden(MACHINE_PATH)) == preset_names()
+    assert sorted(load_golden(MACHINE_PATH)) == sorted(preset_names() + ["writes"])
 
 
 @pytest.mark.parametrize("preset", preset_names())
 def test_machine_state_matches_golden_digest(preset):
-    assert machine_digest(preset) == load_golden(MACHINE_PATH)[preset]
+    assert machine_digest(preset_text(preset)) == load_golden(MACHINE_PATH)[preset]
+
+
+def test_writes_machine_state_matches_golden_digest():
+    assert machine_digest(WRITES_TEXT) == load_golden(MACHINE_PATH)["writes"]
 
 
 def test_outputs_file_covers_every_preset():
@@ -320,9 +450,13 @@ def main():
     prefix = {variant: prefix_digest(variant, 1) for variant in PREFIX_VARIANTS}
     dump_golden(
         GOLDEN_PATH,
-        {"iterations": ITERATIONS, "digests": digests, "uneven": uneven, "prefix": prefix},
+        {
+            "iterations": ITERATIONS, "digests": digests, "uneven": uneven, "prefix": prefix,
+            "writes": text_digest(WRITES_TEXT, 1),
+        },
     )
-    dump_golden(MACHINE_PATH, {preset: machine_digest(preset) for preset in preset_names()})
+    machine = {preset: machine_digest(preset_text(preset)) for preset in preset_names()}
+    dump_golden(MACHINE_PATH, dict(machine, writes=machine_digest(WRITES_TEXT)))
     dump_golden(
         OUTPUTS_PATH,
         {
