@@ -379,14 +379,15 @@ class Cache:
         """Serve a miss on `paddr`, whose line, set and tag the caller has
         decoded and found in no way of the set."""
         # Reading the fill line first is the mapping check: an unmapped
-        # line raises before any tag, dirty or PLRU bit moves.  The victim
-        # holds another line, so its write-back cannot change what was read.
-        stats = self.stats
-        stats["misses"] += 1
+        # line raises before any tag, dirty bit, PLRU bit or statistic
+        # moves.  The victim holds another line, so its write-back cannot
+        # change what was read.
         wpl = self.words_per_line
         word = paddr >> 3 & (wpl - 1)
         memory = self.memory
         fill = memory.read_line(line << self._line_shift, wpl)
+        stats = self.stats
+        stats["misses"] += 1
         bits = self._plru[set_idx]
         victim = self._victims[bits]
         if victim is None:

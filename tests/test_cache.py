@@ -80,6 +80,34 @@ def test_unmapped_address_is_a_configuration_error():
         cache.access(0x4000_0000, "read")
 
 
+@pytest.mark.parametrize("all_spm", (False, True), ids=("victim", "fill-drop"))
+@pytest.mark.parametrize("where", ("unmapped", "cut"))
+@pytest.mark.parametrize("kind", ("read", "write"))
+def test_miss_outside_memory_changes_nothing(kind, where, all_spm):
+    """A miss on an unmapped line, or on a line that a region boundary
+    cuts, raises before any tag, dirty bit, PLRU bit, statistic, data word
+    or memory word moves: with a dirty victim waiting, and with every way
+    SPM, where the miss would go straight to memory."""
+    mem = Memory([(RAM_BASE, RAM_SIZE - 8)])  # the last line keeps one word
+    cache = Cache(mem, ways=4, sets=8, line_bytes=16, spm_base=SPM_BASE)
+    paddr = RAM_BASE + RAM_SIZE - 16 if where == "cut" else 0x4000_0000 + 5 * 16
+    set_idx = paddr // cache.line_bytes % cache.sets
+    for k in range(cache.ways):
+        cache.access(same_set_addr(cache, set_idx, k), "write", value=k + 1)
+    mem.write_word(RAM_BASE + RAM_SIZE - 16, 3)
+    if all_spm:
+        for way in range(cache.ways):
+            cache.configure_way(way, MODE_SPM)
+
+    def state():
+        return cache.tag_state(), dict(cache.stats), cache.data_words(), mem.words()
+
+    before = state()
+    with pytest.raises(UnmappedAddress):
+        cache.access(paddr, kind, 9 if kind == "write" else None)
+    assert state() == before
+
+
 def test_memory_reads_default_to_zero_inside_regions():
     mem = Memory([(RAM_BASE, RAM_SIZE)])
     assert mem.read_word(RAM_BASE + 0x100) == 0
