@@ -455,13 +455,22 @@ def test_entry_alignment_enforced():
 REF_GEOMETRIES = ((16, 16, 8), (16, 4, 8), (8, 2, 4), (4, 4, 2))
 REF_IDS = ((1, 0), (2, 0), (1, 1))  # (asid, vmid)
 # (vpn, page_size): 4 KiB pages, two 2 MiB pages, a 1 GiB page and the top
-# page of the canonical upper half.
+# page of the canonical upper half; then pages inside those superpages'
+# spans: 4 KiB pages in each 2 MiB span, a 4 KiB and a 2 MiB page in the
+# 1 GiB span, and a 4 KiB page inside that 2 MiB page.  An entry or lock
+# slot for an inner page competes with the superpage for its page.
 REF_PAGES = tuple((0x100 + i, SIZE_4K) for i in range(6)) + (
     (0x600, SIZE_2M),
     (0xA00, SIZE_2M),
     (1 << 18, SIZE_1G),
     ((1 << 27) - 1, SIZE_4K),
+    (0x603, SIZE_4K),
+    (0xBFF, SIZE_4K),
+    ((1 << 18) + 0x205, SIZE_4K),
+    ((1 << 18) + 0x400, SIZE_2M),
+    ((1 << 18) + 0x407, SIZE_4K),
 )
+SUPERPAGES = tuple((vpn, size) for vpn, size in REF_PAGES if size > SIZE_4K)
 FLUSH_KINDS = ("all", "by-asid", "by-vmid", "by-vaddr")
 
 
@@ -471,6 +480,20 @@ def page_vaddr(vpn):
     if vpn >> 26:
         vaddr |= ((1 << 64) - 1) ^ ((1 << 39) - 1)
     return vaddr
+
+
+def span_neighbour(rng, vaddr):
+    """A page in the span of a superpage of REF_PAGES that holds vaddr's
+    page, often a page of REF_PAGES inside that span; vaddr's own page when
+    no superpage holds it."""
+    vpn = vaddr >> 12 & ((1 << 27) - 1)
+    holders = [(base, size >> 12) for base, size in SUPERPAGES if base <= vpn < base + (size >> 12)]
+    if not holders:
+        return vaddr & ~(SIZE_4K - 1)
+    base, span = rng.choice(holders)
+    inner = [(v, size >> 12) for v, size in REF_PAGES if base <= v < base + span]
+    v, pages = rng.choice(inner)
+    return page_vaddr(v + rng.randrange(pages))
 
 
 def tlb_state(tlb):
@@ -492,20 +515,35 @@ def tlb_state(tlb):
 @pytest.mark.parametrize("seed", range(8))
 def test_tlb_matches_naive_reference(seed):
     """Runs of lookups in one page, often with the same page number and
-    ids as the lookup before, interleaved with fills under random CUR_PART
-    masks, every flush kind, lock-slot programming and retargeting, rejected
-    activations and snapshot/restore: every lookup result, every fill's leaf, the
-    counters, the entries and the PLRU node bits must match TlbRef."""
+    ids as the lookup before, or moving to another page of a superpage's
+    span, interleaved with fills under random CUR_PART masks, every flush
+    kind, lock-slot programming and retargeting, rejected activations and
+    snapshot/restore: every lookup result, every fill's leaf, the counters,
+    the entries and the PLRU node bits must match TlbRef.
+
+    Inside a span, a 4 KiB entry at a lower or a higher leaf than the
+    superpage's, an active lock slot or another asid's global entry may
+    serve a page before the superpage does.  `shadowed` counts lookups that
+    followed a superpage hit into its span and were served by something
+    else; `under` counts fills of an inner page below a superpage entry
+    that serves the same ids."""
     rng = random.Random(seed)
     n_entries, partitions, n_slots = REF_GEOMETRIES[seed % len(REF_GEOMETRIES)]
     tlb = make_tlb(n_entries, partitions, n_slots)
     ref = TlbRef(n_entries, partitions, n_slots)
     saved = []
-    seen = dict.fromkeys(("repeat", "lock_hit", "drop", "restore", "fault", "reject"), 0)
+    seen = dict.fromkeys(
+        ("repeat", "lock_hit", "drop", "restore", "fault", "reject", "shadowed", "under"), 0
+    )
     last = None  # (vaddr, asid, vmid) of the previous lookup
+    superhit = None  # (first vpn, pages, asid, vmid) of the previous lookup's superpage hit
 
     def frame():
         return rng.randrange(1, 64) << 18  # a page number aligned for every page size
+
+    def supers():
+        """The valid superpage entries."""
+        return [e for e in tlb.entries if e.valid and e.page_size > SIZE_4K]
 
     def program(index, which, value, valid=True):
         """Write one slot register, its fields given as TlbRef.program takes them."""
@@ -527,6 +565,10 @@ def test_tlb_matches_naive_reference(seed):
                 slot = rng.choice(active)
                 asid, vmid = slot.asid, slot.vmid
                 page = page_vaddr(slot.vpn) + rng.randrange(0, slot.page_size, SIZE_4K)
+            elif supers() and rng.random() < 0.5:
+                e = rng.choice(supers())
+                asid, vmid = e.asid, e.vmid
+                page = page_vaddr(e.vpn) + rng.randrange(0, e.page_size, SIZE_4K)
             else:
                 vpn, size = rng.choice(REF_PAGES)
                 asid, vmid = rng.choice(REF_IDS)
@@ -534,6 +576,8 @@ def test_tlb_matches_naive_reference(seed):
             for _ in range(rng.randint(1, 6)):
                 if rng.random() < 0.1:
                     asid, vmid = rng.choice(REF_IDS)
+                if rng.random() < (0.6 if superhit else 0.2):
+                    page = span_neighbour(rng, page)
                 vaddr = page + rng.randrange(SIZE_4K)
                 if rng.random() < 0.05:
                     vaddr ^= 1 << 40  # same page number bits, not canonical
@@ -543,6 +587,15 @@ def test_tlb_matches_naive_reference(seed):
                 got = tlb.lookup(vaddr, asid, vmid)
                 assert got == ref.lookup(vaddr, asid, vmid)
                 seen["lock_hit"] += got.lock_hit
+                vpn = vaddr >> 12 & ((1 << 27) - 1)
+                if superhit is not None and superhit[2:] == (asid, vmid):
+                    base, pages = superhit[:2]
+                    inside = base <= vpn < base + pages
+                    seen["shadowed"] += inside and got.hit and got.page_size < pages << 12
+                superhit = None
+                if got.hit and got.page_size > SIZE_4K:
+                    pages = got.page_size >> 12
+                    superhit = (vpn & -pages, pages, asid, vmid)
                 last = (vaddr & ~(SIZE_4K - 1), asid, vmid)
         elif op < 0.65:
             if rng.random() < 0.5:
@@ -550,10 +603,26 @@ def test_tlb_matches_naive_reference(seed):
             vpn, size = rng.choice(REF_PAGES)
             asid, vmid = rng.choice(REF_IDS)
             pte, global_flag = make_pte(frame(), FULL), rng.random() < 0.15
+            if supers() and rng.random() < 0.4:
+                # An inner page of a cached superpage, for its ids or as
+                # another asid's global entry.
+                e = rng.choice(supers())
+                vpn, size = rng.choice([
+                    (v, sz) for v, sz in REF_PAGES
+                    if sz < e.page_size and e.vpn <= v < e.vpn + (e.page_size >> 12)
+                ])
+                asid, vmid = e.asid, e.vmid
+                if global_flag:
+                    asid = rng.choice([a for a, v in REF_IDS if v == vmid and a != asid] or [asid])
             leaf = tlb.fill(TlbEntry(vpn=vpn, page_size=size, asid=asid, vmid=vmid, pte=pte,
                                      global_flag=global_flag))
             assert leaf == ref.fill(tlb.csr.cur_part, vpn, size, asid, vmid, pte, global_flag)
             seen["drop"] += leaf is None
+            seen["under"] += leaf is not None and any(
+                e.valid and e.page_size > size and e.vpn <= vpn < e.vpn + (e.page_size >> 12)
+                and e.vmid == vmid and (e.asid == asid or e.global_flag)
+                for e in tlb.entries[leaf + 1:]
+            )
         elif op < 0.73:
             kind = rng.choice(FLUSH_KINDS)
             asid, vmid = rng.choice(REF_IDS)
