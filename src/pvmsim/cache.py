@@ -35,10 +35,9 @@ immutable, so every write of one event returns one shared result.
 ``Cache.access`` serves a hit in its own frame; every miss, whether from
 ``access`` or from a walk's ``read_fetches``, goes through ``_miss``.
 
-All accesses are modeled at 64-bit word granularity, which is the unit
-everything else in the simulator uses (page-table entries, workload
-loads/stores).  Data is tracked for real so that write-back and SPM
-round-trip behavior can be checked against backing memory.
+Accesses are 64-bit words, the unit of page-table entries and workload
+loads and stores; memory moves whole lines.  Data is tracked for real so
+that write-back and SPM round trips can be checked against memory.
 
 The state is flat: slot ``set * ways + way`` indexes one list of tags
 (-1 marks a slot that holds no line), its words sit at
@@ -51,7 +50,6 @@ cache-wide locked-ways mask that selects the victim table; ``modes`` is
 read off it.  ``snapshot``/``restore`` copy this state wholesale.
 """
 
-from itertools import repeat
 from typing import NamedTuple
 
 from .plru import _is_pow2, check_tree, touch_masks, victim_table
@@ -97,76 +95,90 @@ class UnmappedAddress(ValueError):
 
 
 class Memory:
-    """Sparse backing memory: explicit regions, 64-bit words, default zero.
+    """Sparse backing memory: explicit regions, default zero, stored by line.
 
-    Regions must be declared up front (``add_region``); touching an
-    address outside all regions raises :class:`UnmappedAddress`, which
-    always indicates a simulator configuration mistake rather than a
-    modeled hardware fault.
+    Regions are declared up front (``add_region``); touching an address
+    outside all regions raises :class:`UnmappedAddress`, a configuration
+    mistake rather than a modeled hardware fault.
+
+    Each line is one immutable tuple of words keyed by its address, so a
+    cache fill is one ``read_line`` and a write-back one ``write_line``.
+    The line size is that of the caches sharing the memory: the first to
+    ``bind`` sets it and a cache of another size is refused; until then a
+    line is one word.  The word API serves the fill-drop path, where a
+    miss with every way SPM goes straight to memory.
     """
 
     def __init__(self, regions=()):
         self._regions = []
-        self._words = {}
+        self._lines = {}  # line address -> tuple of its words
+        self._bound = False
+        self.line_bytes, self._zero = WORD_BYTES, (0,)  # until a cache binds
         for base, size in regions:
             self.add_region(base, size)
+
+    def bind(self, line_bytes):
+        """Store lines of `line_bytes`, the line size of a cache sharing this
+        memory; the words already stored keep their values."""
+        if self._bound and line_bytes != self.line_bytes:
+            raise ValueError("a memory shared by %d-byte lines cannot serve %d-byte lines"
+                             % (self.line_bytes, line_bytes))
+        words, self._lines, self._bound = self.words(), {}, True
+        self.line_bytes, self._zero = line_bytes, (0,) * (line_bytes // WORD_BYTES)
+        for addr, w in words:
+            self.write_word(addr, w)
 
     def add_region(self, base, size):
         if base < 0 or size <= 0:
             raise ValueError("region base/size must be non-negative/positive")
         self._regions.append((base, base + size))
 
-    def contains(self, addr):
-        return any(lo <= addr < hi for lo, hi in self._regions)
-
     def overlaps(self, base, size):
         return any(lo < base + size and base < hi for lo, hi in self._regions)
 
     def check(self, addr):
-        if not self.contains(addr):
+        if not any(lo <= addr < hi for lo, hi in self._regions):
             raise UnmappedAddress("physical address 0x%x is outside every memory region" % addr)
 
     def read_word(self, addr):
         addr &= ~(WORD_BYTES - 1)
         self.check(addr)
-        return self._words.get(addr, 0)
+        return self._lines.get(addr & -self.line_bytes, self._zero)[addr % self.line_bytes >> 3]
 
     def write_word(self, addr, value):
         addr &= ~(WORD_BYTES - 1)
         self.check(addr)
-        self._words[addr] = value & _WORD_MASK
+        base = addr & -self.line_bytes
+        words = list(self._lines.get(base, self._zero))
+        words[(addr - base) >> 3] = value & _WORD_MASK
+        self._lines[base] = tuple(words)
 
-    def read_line(self, base, count):
-        """`count` consecutive words from word-aligned `base`.  The mapping
-        is checked once when one region holds them all, else word by word
-        (so an unmapped word raises exactly as read_word would)."""
-        top = base + count * WORD_BYTES
+    def read_line(self, base):
+        """The words of the line at `base`: one region test and one lookup.
+        A line that no one region holds whole raises."""
+        top = base + self.line_bytes
         for lo, hi in self._regions:
             if lo <= base and top <= hi:
-                return list(map(self._words.get, range(base, top, WORD_BYTES), repeat(0)))
-        return [self.read_word(base + i * WORD_BYTES) for i in range(count)]
+                return self._lines.get(base, self._zero)
+        raise UnmappedAddress("line 0x%x is not inside one memory region" % base)
 
     def write_line(self, base, words):
-        """Store consecutive words from word-aligned `base`; see read_line."""
-        top = base + len(words) * WORD_BYTES
-        for lo, hi in self._regions:
-            if lo <= base and top <= hi:
-                store = self._words
-                for addr, w in zip(range(base, top, WORD_BYTES), words):
-                    store[addr] = w & _WORD_MASK
-                return
-        for i, w in enumerate(words):
-            self.write_word(base + i * WORD_BYTES, w)
+        """Store a line's words at `base`.  A cache writes back only lines
+        that read_line filled, so the mapping is already checked."""
+        self._lines[base] = tuple(words)
 
     def words(self):
         """Every non-zero word as sorted (addr, word) pairs, however stored."""
-        return tuple(sorted((addr, w) for addr, w in self._words.items() if w))
+        return tuple(
+            (base + i * WORD_BYTES, w)
+            for base, line in sorted(self._lines.items()) for i, w in enumerate(line) if w
+        )
 
     def snapshot(self):
-        return tuple(self._words.items())
+        return tuple(self._lines.items())
 
     def restore(self, state):
-        self._words = dict(state)
+        self._lines = dict(state)
 
 
 class AccessResult(NamedTuple):
@@ -185,16 +197,8 @@ _MISCONFIG_READ = AccessResult(EVENT_SPM_MISCONFIG, 0)
 _new_result = tuple.__new__
 
 
-def _stats_zero():
-    return {
-        "hits": 0,
-        "misses": 0,
-        "evictions": 0,
-        "write_backs": 0,
-        "fill_drops": 0,
-        "spm_accesses": 0,
-        "spm_misconfigs": 0,
-    }
+_STATS = ("hits", "misses", "evictions", "write_backs", "fill_drops", "spm_accesses",
+          "spm_misconfigs")
 
 
 class Cache:
@@ -214,6 +218,7 @@ class Cache:
         spm_base=None,
     ):
         check_geometry(ways, sets, line_bytes)
+        memory.bind(line_bytes)
         self.memory = memory
         self.ways = ways
         self.sets = sets
@@ -236,7 +241,7 @@ class Cache:
         self._and, self._or = touch_masks(ways)
         self._all_ways_mask = (1 << ways) - 1
         self._set_locked(0)
-        self.stats = _stats_zero()
+        self.stats = dict.fromkeys(_STATS, 0)
 
     # -- mode management ----------------------------------------------------
 
@@ -280,12 +285,9 @@ class Cache:
 
     # -- address decode -------------------------------------------------------
 
-    def in_spm_window(self, paddr):
-        return self.spm_base is not None and self.spm_base <= paddr < self.spm_base + self.size
-
     def spm_decode(self, paddr):
         """Map a window address to (way, set, word); None outside the window."""
-        if not self.in_spm_window(paddr):
+        if self.spm_base is None or not self.spm_base <= paddr < self.spm_base + self.size:
             return None
         offset = paddr - self.spm_base
         way = offset // self.way_bytes
@@ -385,7 +387,7 @@ class Cache:
         wpl = self.words_per_line
         word = paddr >> 3 & (wpl - 1)
         memory = self.memory
-        fill = memory.read_line(line << self._line_shift, wpl)
+        fill = memory.read_line(line << self._line_shift)
         stats = self.stats
         stats["misses"] += 1
         bits = self._plru[set_idx]
@@ -428,27 +430,17 @@ class Cache:
 
     def flush(self):
         """Write back every dirty line and invalidate all CACHE-mode ways."""
-        for s in range(self.sets):
-            dirty = self._dirty[s]
-            way = 0
-            while dirty:
-                if dirty & 1:
+        for s, dirty in enumerate(self._dirty):
+            for way in range(self.ways):
+                if dirty >> way & 1:
                     self._write_back(s, way)
-                dirty >>= 1
-                way += 1
         # SPM ways never hold tags, so this only drops CACHE lines.
         self._tags[:] = [_NO_LINE] * len(self._tags)
 
     def snapshot(self):
         """Every piece of mutable state, as immutable copies for restore()."""
-        return (
-            tuple(self._tags),
-            tuple(self._dirty),
-            tuple(self._data),
-            tuple(self._plru),
-            self._locked,
-            tuple(self.stats.items()),
-        )
+        return (tuple(self._tags), tuple(self._dirty), tuple(self._data), tuple(self._plru),
+                self._locked, tuple(self.stats.items()))
 
     def restore(self, state):
         """Return to a snapshot() of this cache, copying it in place."""
@@ -468,9 +460,7 @@ class Cache:
         set_idx = line & self._set_mask
         tag = line >> self._set_shift
         row = self._tags[set_idx * self.ways:(set_idx + 1) * self.ways]
-        if tag in row:
-            return set_idx, row.index(tag)
-        return None
+        return (set_idx, row.index(tag)) if tag in row else None
 
     def data_words(self):
         """Every slot's line words, slot by slot, SPM ways included."""

@@ -117,6 +117,20 @@ def test_memory_reads_default_to_zero_inside_regions():
         mem.read_word(RAM_BASE - 8)
 
 
+def test_memory_takes_the_line_size_of_its_caches():
+    """The first cache to share a memory sets its line size, and the words
+    written before keep their values; a cache of another size is refused."""
+    mem = Memory([(RAM_BASE, RAM_SIZE)])
+    mem.write_word(RAM_BASE + 0x48, 5)
+    Cache(mem, ways=4, sets=8, line_bytes=32)
+    assert mem.line_bytes == 32 and mem.words() == ((RAM_BASE + 0x48, 5),)
+    assert mem.read_line(RAM_BASE + 0x40) == (0, 5, 0, 0)
+    Cache(mem, ways=2, sets=4, line_bytes=32)
+    with pytest.raises(ValueError, match="32-byte lines cannot serve 16-byte lines"):
+        Cache(mem, ways=4, sets=8, line_bytes=16)
+    assert mem.line_bytes == 32 and mem.read_word(RAM_BASE + 0x48) == 5
+
+
 # -- plain cache behavior ------------------------------------------------------
 
 
