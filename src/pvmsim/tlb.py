@@ -34,20 +34,26 @@ A lookup reports what it found, not what it cost: memsys.MemorySystem
 prices every lookup at LatencyConfig.tlb_hit_cycles.
 
 A hit on a regular entry touches its leaf through PlruTree.touch; a
-lock-slot hit touches nothing.  The TLB remembers its last hit exactly:
-a lookup with the same page number, asid and vmid as the previous hit is
-served from that memo without a scan or a touch.  Between the two
-nothing has changed -- every fill, flush, restore and lock-slot write
-clears the memo -- so the scan would find the same slot or leaf first,
-and touching that leaf again would change no bit.  The memo is derived
-state and never goes into a snapshot.
+lock-slot hit touches nothing.  The TLB remembers its last hit: a lookup
+with the same asid and vmid whose page lies in the memo's span is served
+from the memo without a scan or a touch.  The span is the hit's page, or
+the whole span of a superpage entry when nothing else could serve a page
+of it first: no active lock slot and no valid entry at a lower leaf
+overlaps the span for these ids (or globally).  That is checked once,
+when the memo is set; slots win over entries and lower leaves over
+higher ones, so the scan of any page in the span would then find the
+same leaf.  Between the hit and the lookup nothing has changed -- every
+fill, flush, restore and lock-slot write clears the memo -- and touching
+the leaf last touched again would change no bit.  The memo holds the
+address bits above the span, sign extension included, so a memo hit is
+canonical.  It is derived state and never goes into a snapshot.
 """
 
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 from .plru import PlruTree, check_tree
-from .sv39 import PAGE_SHIFT, PAGE_SIZES, PPN_SHIFT, PTE_G, VPN_MASK, is_canonical
+from .sv39 import PAGE_SHIFT, PAGE_SIZE, PAGE_SIZES, PPN_SHIFT, PTE_G, VPN_MASK, is_canonical
 
 MAX_ENTRIES = 4096  # presets use 16; a far larger bank takes minutes or all memory to build
 _SIZE_NAMES = {PAGE_SIZES[0]: "4K", PAGE_SIZES[1]: "2M", PAGE_SIZES[2]: "1G"}
@@ -174,8 +180,8 @@ class Tlb:
         # Default placement: slot j shadows leaf j; steerable while inactive.
         self.slots = [LockSlot(target_leaf=j) for j in range(lock_slots)]
         self._active = ()  # derived by _refresh_active; never snapshotted
-        # (vpn, asid, vmid, frame address, offset mask, page size, pte,
-        # lock hit) of the last hit, or None; never snapshotted.
+        # (span mask, vaddr & span mask, asid, vmid, frame address, offset
+        # mask, page size, pte, lock hit) of the last hit, or None.
         self._memo = None
         self.hits = 0
         self.misses = 0
@@ -186,26 +192,26 @@ class Tlb:
     # -- lookup / fill -----------------------------------------------------
 
     def lookup(self, vaddr, asid, vmid):
-        if not is_canonical(vaddr):
-            return _FAULT
-        vpn = vaddr >> PAGE_SHIFT & VPN_MASK
         memo = self._memo
-        if memo is None or memo[0] != vpn or memo[1] != asid or memo[2] != vmid:
-            memo = self._scan(vpn, asid, vmid)
+        if memo is None or vaddr & memo[0] != memo[1] or memo[2] != asid or memo[3] != vmid:
+            if not is_canonical(vaddr):
+                return _FAULT
+            memo = self._scan(vaddr, asid, vmid)
             if memo is None:
                 self.misses += 1
                 return _MISS
         self.hits += 1
-        lock_hit = memo[7]
+        lock_hit = memo[8]
         if lock_hit:
             self.lock_hits += 1
         return _new_result(
-            LookupResult, ("hit", memo[3] | vaddr & memo[4], memo[5], memo[6], lock_hit)
+            LookupResult, ("hit", memo[4] | vaddr & memo[5], memo[6], memo[7], lock_hit)
         )
 
-    def _scan(self, vpn, asid, vmid):
-        """Find the slot or entry serving a page, touch an entry's leaf, and
-        return the new memo; None on a miss."""
+    def _scan(self, vaddr, asid, vmid):
+        """Find the slot or entry serving a canonical address's page, touch
+        an entry's leaf, and return the new memo; None on a miss."""
+        vpn = vaddr >> PAGE_SHIFT & VPN_MASK
         # A slot or entry matches on vmid, on asid unless it is global, and
         # on the page number with the bits below its page size cleared
         # (vpn & -span for a page of span base pages).
@@ -231,10 +237,31 @@ class Tlb:
                     break
             else:
                 return None
+        span = PAGE_SIZE
+        if size > PAGE_SIZE and not lock_hit and self._serves_alone(leaf, entry, asid, vmid):
+            span = size
         memo = self._memo = (
-            vpn, asid, vmid, pte >> PPN_SHIFT << PAGE_SHIFT, size - 1, size, pte, lock_hit
+            -span, vaddr & -span, asid, vmid, pte >> PPN_SHIFT << PAGE_SHIFT, size - 1, size,
+            pte, lock_hit,
         )
         return memo
+
+    def _serves_alone(self, leaf, entry, asid, vmid):
+        """Whether `entry`, at `leaf`, serves every page of its span for these
+        ids: no active slot and no valid entry at a lower leaf overlaps it."""
+        lo, hi = entry.vpn, entry.vpn + (entry.page_size >> PAGE_SHIFT)
+        return not any(
+            slot.vmid == vmid
+            and (slot.asid == asid or slot.flags & PTE_G)
+            and slot.vpn < hi and lo < slot.vpn + (slot.page_size >> PAGE_SHIFT)
+            for slot in self._active
+        ) and not any(
+            other.valid
+            and other.vmid == vmid
+            and (other.asid == asid or other.global_flag)
+            and other.vpn < hi and lo < other.vpn + (other.page_size >> PAGE_SHIFT)
+            for other in self.entries[:leaf]
+        )
 
     def fill(self, entry):
         """Install a walked translation; returns the leaf used, or None when
