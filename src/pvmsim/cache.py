@@ -36,8 +36,9 @@ immutable, so every write of one event returns one shared result.
 ``access`` or from a walk's ``read_fetches``, goes through ``_miss``.
 
 Accesses are 64-bit words, the unit of page-table entries and workload
-loads and stores; memory moves whole lines.  Data is tracked for real so
-that write-back and SPM round trips can be checked against memory.
+loads and stores; backing memory is stored and moved by the line.  Data
+is tracked for real so that write-back and SPM round trips can be
+checked against memory.
 
 The state is flat: slot ``set * ways + way`` indexes one list of tags
 (-1 marks a slot that holds no line), its words sit at
