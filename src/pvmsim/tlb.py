@@ -180,8 +180,9 @@ class Tlb:
         # Default placement: slot j shadows leaf j; steerable while inactive.
         self.slots = [LockSlot(target_leaf=j) for j in range(lock_slots)]
         self._active = ()  # derived by _refresh_active; never snapshotted
-        # (span mask, vaddr & span mask, asid, vmid, frame address, offset
-        # mask, page size, pte, lock hit) of the last hit, or None.
+        # (cover mask, vaddr & cover mask, asid, vmid, frame address, offset
+        # mask, page size, pte, lock hit) of the last hit, or None; the
+        # cover is the page or the whole superpage the memo serves.
         self._memo = None
         self.hits = 0
         self.misses = 0
@@ -237,11 +238,11 @@ class Tlb:
                     break
             else:
                 return None
-        span = PAGE_SIZE
+        cover = PAGE_SIZE
         if size > PAGE_SIZE and not lock_hit and self._serves_alone(leaf, entry, asid, vmid):
-            span = size
+            cover = size
         memo = self._memo = (
-            -span, vaddr & -span, asid, vmid, pte >> PPN_SHIFT << PAGE_SHIFT, size - 1, size,
+            -cover, vaddr & -cover, asid, vmid, pte >> PPN_SHIFT << PAGE_SHIFT, size - 1, size,
             pte, lock_hit,
         )
         return memo
