@@ -188,6 +188,27 @@ class ScenarioDef:
         ids = [(vm.vmid, vm.asid) for vm in self.vms]
         if len(set(ids)) != len(ids):
             raise ValueError("duplicate vmid/asid pair")
+        lat = self.latency
+        for vm in self.vms:
+            loop = vm.workload
+            if not isinstance(loop, InterferenceLoop):
+                continue
+            # The cheapest touch is a TLB hit, its compute charge and the
+            # cheapest final access: a cache hit, a miss at its lowest jitter,
+            # or a scratchpad access if the pool lives there.  At 0 cycles
+            # the quantum would never end.
+            spm = any(
+                r.backing != "ram" and r.gvaddr <= loop.base < r.gvaddr + r.size
+                for r in vm.regions
+            )
+            final = lat.spm_cycles if spm else min(
+                lat.cache_hit_cycles, lat.memory_cycles - lat.jitter
+            )
+            if lat.tlb_hit_cycles + loop.compute_cycles + final == 0:
+                raise ValueError(
+                    "vm %r: an interference touch can cost 0 cycles, so its quantum "
+                    "would never end" % vm.name
+                )
 
 
 def check_spm_windows(machine):

@@ -49,16 +49,14 @@ generator stood on reaching the snapshot.  virtual_access's final access,
 each walk it prices and restore all draw through MemorySystem._jitter.
 
 Untimed interference runs through run_loop, which does what a
-virtual_access per touch would do but builds no outcome: it prices the
+virtual_access per address would do but builds no outcome: it prices the
 cache event from a table fixed once per call, with the lookup and compute
-cycles folded in.  Its draw order: per visit a page and per touch an
-offset from the loop's generator, then the access's jitter draws, its
-walk's misses first and then one for a final miss.
+cycles folded in.
 
 Draws go straight to the generator's getrandbits through randbelow (which
 run_loop writes out), applying CPython's own rejection rule, so a draw
 gives the same value and leaves the generator in the same state as
-random.Random.randint(-j, j) (and a page or offset draw as randrange(n)).
+random.Random.randint(-j, j).
 """
 
 from dataclasses import dataclass, fields
@@ -315,54 +313,41 @@ class MemorySystem:
             status == "hit", look.lock_hit, fetches, event, None, None, read, paddr,
         )
 
-    def run_loop(self, vm, loop, quantum, rng):
-        """Run an interference loop on behalf of `vm` until `quantum` cycles
-        are spent, stopping at the first access boundary past it; each touch
-        costs virtual_access's cycles plus the loop's compute charge.
-        Returns (spent, None), or (spent, (vaddr, fault, fault_stage)) at
-        the first access that faults.  The page, offset and jitter draws
-        are randbelow's rule written out, which saves a call per draw."""
-        tlb, cache = self._sides[loop.kind]
+    def run_loop(self, vm, kind, addresses, compute_cycles, quantum):
+        """Perform `kind` accesses at `addresses` on behalf of `vm` until a
+        positive `quantum` of cycles is spent, stopping at the first access
+        boundary at or past it; each costs virtual_access's cycles plus
+        `compute_cycles`.  Returns (spent, None), or (spent, (vaddr, fault,
+        fault_stage)) at the first access that faults.  The jitter draw is
+        randbelow's rule written out, which saves a call per draw."""
+        tlb, cache = self._sides[kind]
         lookup, refill, access = tlb.lookup, self._refill, cache.access
         asid, vmid = vm.asid, vm.vmid
-        step = self.latency.tlb_hit_cycles + loop.compute_cycles  # no walk, no jitter
+        step = self.latency.tlb_hit_cycles + compute_cycles  # no walk, no jitter
         price = {event: step + cycles for event, cycles in self._price.items()}
         jitter = self.latency.jitter
         draw, span = self.rng.getrandbits if jitter else None, 2 * jitter + 1
-        per_page = max(1, PAGE_SIZE // loop.stride)
-        touches = min(loop.touches_per_page, per_page)
-        base, pages, stride, kind = loop.base, loop.pages, loop.stride, loop.kind
+        bits_j = span.bit_length()
         write = kind == "write"
-        getrandbits = rng.getrandbits
-        bits_p, bits_o, bits_j = pages.bit_length(), per_page.bit_length(), span.bit_length()
         spent = 0
-        while spent < quantum:
-            r = getrandbits(bits_p)
-            while r >= pages:
-                r = getrandbits(bits_p)
-            page_base = base + r * PAGE_SIZE
-            for _ in range(touches):
-                r = getrandbits(bits_o)
-                while r >= per_page:
-                    r = getrandbits(bits_o)
-                vaddr = page_base + r * stride
-                status, paddr, _, _, _ = lookup(vaddr, asid, vmid)
-                if status != "hit":
-                    if status == "fault":
-                        return spent, (vaddr, "non-canonical", None)
-                    walk, paddr, cycles = refill(tlb, vm, vaddr)
-                    if paddr is None:
-                        return spent, (vaddr, walk.fault, walk.fault_stage)
-                    spent += cycles
-                event = access(paddr, kind, write_value(vaddr) if write else None)[0]
-                spent += price[event]
-                if event == EVENT_MISS and jitter:
+        for vaddr in addresses:
+            status, paddr, _, _, _ = lookup(vaddr, asid, vmid)
+            if status != "hit":
+                if status == "fault":
+                    return spent, (vaddr, "non-canonical", None)
+                walk, paddr, cycles = refill(tlb, vm, vaddr)
+                if paddr is None:
+                    return spent, (vaddr, walk.fault, walk.fault_stage)
+                spent += cycles
+            event = access(paddr, kind, write_value(vaddr) if write else None)[0]
+            spent += price[event]
+            if event == EVENT_MISS and jitter:
+                r = draw(bits_j)
+                while r >= span:
                     r = draw(bits_j)
-                    while r >= span:
-                        r = draw(bits_j)
-                    spent += r - jitter
-                if spent >= quantum:
-                    return spent, None
+                spent += r - jitter
+            if spent >= quantum:
+                break
         return spent, None
 
     # -- bookkeeping ---------------------------------------------------------

@@ -19,8 +19,9 @@ miss was inflicted from outside).
 
 An InterferenceLoop is open-ended instead: it visits uniformly random
 pages of its pool, a few line-granular touches per visit, until the cycle
-quantum the scheduler granted is used up.  MemorySystem.run_loop runs it
-without building a per-access outcome; see memsys.py for its draw order.
+quantum the scheduler granted is used up.  Per visit it draws a page and
+then per touch an offset, each as randrange(n) would draw it, and
+MemorySystem.run_loop prices those addresses without per-access outcomes.
 """
 
 from dataclasses import dataclass
@@ -108,6 +109,24 @@ class InterferenceLoop:
     def __post_init__(self):
         _check_sweep(self, "loop", self.touches_per_page, "one touch per visit")
 
+    def addresses(self, rng):
+        """Yield touch addresses forever, each draw memsys.randbelow written out."""
+        per_page = max(1, SIZE_4K // self.stride)
+        touches = min(self.touches_per_page, per_page)
+        base, pages, stride = self.base, self.pages, self.stride
+        getrandbits = rng.getrandbits
+        bits_p, bits_o = pages.bit_length(), per_page.bit_length()
+        while True:
+            r = getrandbits(bits_p)
+            while r >= pages:
+                r = getrandbits(bits_p)
+            page_base = base + r * SIZE_4K
+            for _ in range(touches):
+                r = getrandbits(bits_o)
+                while r >= per_page:
+                    r = getrandbits(bits_o)
+                yield page_base + r * stride
+
 
 def run_regions(sys, vm, regions, rng=None):
     """Execute a region list on behalf of vm; returns total cycles.
@@ -130,13 +149,9 @@ def run_regions(sys, vm, regions, rng=None):
 
 
 def run_interference(sys, vm, loop, quantum, rng):
-    """Run the interference loop until `quantum` cycles are consumed
-    (MemorySystem.run_loop); returns the cycles spent.
-
-    The loop stops at the first access boundary past the quantum, so the
-    overshoot is bounded by a single access (scheduler fairness).
-    """
-    spent, fault = sys.run_loop(vm, loop, quantum, rng)
+    """Run `loop` on behalf of vm until `quantum` cycles are spent; returns
+    them.  The overshoot is at most one access (scheduler fairness)."""
+    spent, fault = sys.run_loop(vm, loop.kind, loop.addresses(rng), loop.compute_cycles, quantum)
     if fault is not None:
         raise SimulationError("interference access 0x%x faulted (%s, stage %s)" % fault)
     return spent

@@ -372,6 +372,32 @@ class RejectionTest(unittest.TestCase):
             r"\[scenario.quiet\]: hypervisor partition mask",
         )
 
+    def test_interference_touch_that_costs_nothing(self):
+        # The cheapest touch hits in the TLB and then costs the cheaper of a
+        # cache hit and a miss less its jitter, or the scratchpad price if
+        # the pool lives there.  At 0 cycles the quantum would never end.
+        free = BASE.replace("memory = 40", "tlb_hit = 0\ncache_hit = 0\nspm = 0\nmemory = 40")
+        hit = free.replace("cache_hit = 0", "cache_hit = 1")
+        dspm = hit.replace("pages=8 flags=rw", "pages=1 flags=rw backing=dspm")
+        for case, text, rejected in (
+            ("all free", free, True),
+            ("free misses", hit.replace("memory = 40\njitter = 3", "memory = 0\njitter = 0"), True),
+            ("free scratchpad", dspm, True),
+            ("priced hit", hit, False),
+            ("priced lookup", free.replace("tlb_hit = 0", "tlb_hit = 1"), False),
+            ("compute", free.replace("touches=2", "touches=2 compute=1"), False),
+            ("priced scratchpad", dspm.replace("spm = 0", "spm = 1"), False),
+        ):
+            with self.subTest(case):
+                if rejected:
+                    self.check(
+                        text,
+                        r"^\[scenario.noisy\]: vm 'intf': an interference touch can cost 0 "
+                        r"cycles, so its quantum would never end$",
+                    )
+                else:
+                    self.assertEqual(load(text).scenario_names, ("quiet", "noisy"))
+
     def test_run_lists_repeated_scenario(self):
         self.check(
             BASE.replace("scenarios = quiet noisy", "scenarios = quiet noisy quiet"),

@@ -668,6 +668,23 @@ class CliTest(unittest.TestCase):
             "configuration error: [run] iterations: must be >= 0, got -1\n",
         )
 
+    def test_interference_that_costs_nothing_is_config_error_before_any_output(self):
+        # Once its one-page pool is cached, every touch would cost 0 cycles
+        # and the 100,000-cycle quantum would never end.
+        text = preset_text("synthetic-spm")
+        for old, new in (
+            ("memory = 40", "tlb_hit = 0\ncache_hit = 0\nspm = 0\nmemory = 40"),
+            ("quantum = 2400", "quantum = 100000"),
+            ("base=0x40080000 pages=64", "base=0x40080000 pages=1"),
+        ):
+            self.assertIn(old, text)
+            text = text.replace(old, new)
+        self.assertEqual(
+            self.run_rejected("free", text, ["--scenario", "unmitigated", "--iterations", "0"]),
+            "configuration error: [scenario.unmitigated]: vm 'intf': an interference touch "
+            "can cost 0 cycles, so its quantum would never end\n",
+        )
+
     def test_scratchpad_the_access_cannot_reach_is_config_error_before_any_output(self):
         # Each cache decodes only its own scratchpad window.  Four converted
         # ways hold either region, so only the access kind is wrong.

@@ -367,7 +367,7 @@ def test_run_loop_matches_reference_pipeline(seed, jitter):
         quantum = rng.randrange(100, 4000)
         loop_seed = rng.getrandbits(32)
         ours, theirs = random.Random(loop_seed), random.Random(loop_seed)
-        got = sys_.run_loop(vm, loop, quantum, ours)
+        got = sys_.run_loop(vm, loop.kind, loop.addresses(ours), loop.compute_cycles, quantum)
         assert got == reference_loop(ref, vm, loop, quantum, theirs), round_
         assert ours.getstate() == theirs.getstate(), round_
         faults += got[1] is not None

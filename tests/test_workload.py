@@ -1,5 +1,6 @@
 """Tests for the workload descriptors and their executors."""
 
+import itertools
 import random
 import unittest
 from types import SimpleNamespace
@@ -154,6 +155,28 @@ class RunInterferenceTest(unittest.TestCase):
             InterferenceLoop(base=0, pages=1, stride=10)
         with self.assertRaises(ValueError):
             InterferenceLoop(base=0, pages=1, kind="flush")
+
+    def test_addresses_draw_pages_and_offsets_as_randrange(self):
+        # Per visit a page, then per touch an offset, each drawn as
+        # randrange draws it; touches clamp at the offsets a page holds.
+        def reference(loop, rng, count):
+            per_page = max(1, SIZE_4K // loop.stride)
+            want = []
+            while True:
+                page_base = loop.base + rng.randrange(loop.pages) * SIZE_4K
+                for _ in range(min(loop.touches_per_page, per_page)):
+                    want.append(page_base + rng.randrange(per_page) * loop.stride)
+                    if len(want) == count:
+                        return want
+
+        cases = itertools.product((8, 64, SIZE_4K, 2 * SIZE_4K), range(1, 10), (1, 3, 512))
+        for seed, (stride, touches, pages) in enumerate(cases):
+            loop = InterferenceLoop(base=VBASE, pages=pages, stride=stride, touches_per_page=touches)
+            ours, theirs = random.Random(seed), random.Random(seed)
+            got = list(itertools.islice(loop.addresses(ours), 200))
+            case = (stride, touches, pages)
+            self.assertEqual(got, reference(loop, theirs, 200), case)
+            self.assertEqual(ours.getstate(), theirs.getstate(), case)
 
     def test_quantum_respected_with_bounded_overshoot(self):
         sys, vm, _ = build_vm()
