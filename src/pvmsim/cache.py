@@ -32,8 +32,10 @@ any SPM access and never stall on the mistake.
 An access reports its event (hit, miss, spm, spm-misconfig) and the
 value read; memsys.MemorySystem turns events into cycles.  Results are
 immutable, so every write of one event returns one shared result.
-``Cache.access`` serves a hit in its own frame; every miss, whether from
-``access`` or from a walk's ``read_fetches``, goes through ``_miss``.
+``Cache.access`` serves a hit in its own frame, and so do a walk's
+``read_fetches`` and ``MemorySystem.run_loop``, which reads the flat
+state below directly; every miss goes through ``_miss`` and every window
+address through ``_spm_access``.
 
 Accesses are 64-bit words, the unit of page-table entries and workload
 loads and stores; backing memory is stored and moved by the line.  Data
@@ -56,7 +58,7 @@ from typing import NamedTuple
 from .plru import _is_pow2, check_tree, touch_masks, victim_table
 
 WORD_BYTES = 8
-_WORD_MASK = (1 << 64) - 1
+WORD_MASK = (1 << 64) - 1
 _NO_LINE = -1  # tag of a slot that holds no line
 
 MODE_CACHE = "cache"
@@ -151,7 +153,7 @@ class Memory:
         self.check(addr)
         base = addr & -self.line_bytes
         words = list(self._lines.get(base, self._zero))
-        words[(addr - base) >> 3] = value & _WORD_MASK
+        words[(addr - base) >> 3] = value & WORD_MASK
         self._lines[base] = tuple(words)
 
     def read_line(self, base):
@@ -324,7 +326,7 @@ class Cache:
         wpl = self.words_per_line
         idx = (base + way) * wpl + (paddr >> 3 & (wpl - 1))
         if kind == "write":
-            self._data[idx] = value & _WORD_MASK
+            self._data[idx] = value & WORD_MASK
             self._dirty[set_idx] |= 1 << way
             return _WRITTEN[EVENT_HIT]
         return _new_result(AccessResult, (EVENT_HIT, self._data[idx]))
@@ -374,7 +376,7 @@ class Cache:
         self.stats["spm_accesses"] += 1
         idx = (set_idx * self.ways + way) * self.words_per_line + word
         if kind == "write":
-            self._data[idx] = value & _WORD_MASK
+            self._data[idx] = value & WORD_MASK
             return _WRITTEN[EVENT_SPM]
         return AccessResult(EVENT_SPM, self._data[idx])
 
@@ -413,7 +415,7 @@ class Cache:
         self._data[start:start + wpl] = fill
         tags[slot] = tag
         if kind == "write":
-            self._data[start + word] = value & _WORD_MASK
+            self._data[start + word] = value & WORD_MASK
             self._dirty[set_idx] |= bit
             return _WRITTEN[EVENT_MISS]
         self._dirty[set_idx] &= ~bit

@@ -182,7 +182,9 @@ class Tlb:
         self._active = ()  # derived by _refresh_active; never snapshotted
         # (cover mask, vaddr & cover mask, asid, vmid, frame address, offset
         # mask, page size, pte, lock hit) of the last hit, or None; the
-        # cover is the page or the whole superpage the memo serves.
+        # cover is the page or the whole superpage the memo serves.  Read
+        # by lookup and by MemorySystem.run_loop, which serves a memo hit
+        # itself: a change to this layout changes both.
         self._memo = None
         self.hits = 0
         self.misses = 0

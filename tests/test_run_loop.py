@@ -9,6 +9,17 @@ checked on every interference quantum of every shipped preset's scenarios,
 and on synthetic loops: each kind, jitter on and off, writes that hit
 clean lines, a 2 MiB pool, a two-stage pool, a pool in a converted scratchpad and one in an unconverted
 window slice, lock-slot hits, and CUR_PART = 0 so that every TLB fill drops.
+
+run_loop serves a hit on the TLB's last-hit memo itself, so some synthetic
+loops enter their first quantum with a D-TLB memo that must not serve
+them: one left by another VM at the same addresses (another asid, or
+another vmid), one covering a whole 2 MiB superpage, and one left by a
+lock-slot hit.
+
+Because the loop serves hits without calling Tlb.lookup or Cache.access,
+a counting test checks that the simulator's own counters still see
+every touch: one TLB lookup per address the loop consumed, and one cache
+event per touch and per walk fetch.
 """
 
 import random
@@ -20,9 +31,9 @@ from pvmsim.cli import preset_names, preset_text
 from pvmsim.config import load_experiment
 from pvmsim.hypervisor import build_plan, iteration_seed, restore_machine, trap_enter, trap_exit
 from pvmsim.memsys import randbelow, write_value
-from pvmsim.sv39 import PTE_A, PTE_D, PTE_R, PTE_V, PTE_W, SIZE_4K, make_pte
+from pvmsim.sv39 import PTE_A, PTE_D, PTE_R, PTE_V, PTE_W, SIZE_2M, SIZE_4K, make_pte
 from pvmsim.workload import InterferenceLoop, SimulationError, run_interference
-from test_golden import machine_state
+from test_golden import WRITES_TEXT, machine_state
 from test_pipeline_oracle import DATA_BASE, GEOMETRY, build_vms, make_system
 
 ITERATIONS = 3
@@ -121,8 +132,36 @@ def read_pool(sys, vms):
         sys.virtual_access(0x40_0000 + offset, "read", vms[0])
 
 
+def warm_memo(vm_index, vaddr, cover):
+    """Leave the D-TLB memo to VM `vm_index`'s translation of vaddr: a miss
+    fills the entry, and the next lookup's scan hit sets the memo, whose
+    cover must be `cover` bytes."""
+
+    def setup(sys, vms):
+        for _ in range(2):
+            sys.virtual_access(vaddr, "read", vms[vm_index])
+        memo = sys.dtlb._memo
+        assert memo is not None and memo[2:4] == (vms[vm_index].asid, vms[vm_index].vmid)
+        assert memo[0] == -cover
+
+    return setup
+
+
+def warm_lock_memo(sys, vms):
+    """Leave the D-TLB memo to a lock-slot hit of VM a on its first data page."""
+    lock_pool_page(sys, vms)
+    sys.virtual_access(0x40_0000, "read", vms[0])
+    assert sys.dtlb._memo[8] and sys.dtlb.lock_hits == 1
+
+
 def hits(side):
     return lambda sys: getattr(sys, side).stats["hits"] > 0
+
+
+def entries_for(vpn, count):
+    """Whether the D-TLB holds `count` valid entries for vpn: the loop's
+    VM filled its own beside the one the warm memo came from."""
+    return lambda sys: sum(e.valid and e.vpn == vpn for e in sys.dtlb.entries) == count
 
 
 # name -> (VM index, loop, set-up, what the loop must have shown on its
@@ -172,6 +211,25 @@ CASES = {
         2, InterferenceLoop(base=0x40_0000, pages=8), drop_every_fill,
         lambda sys: sys.dtlb.dropped_fills and not sys.dtlb.fills,
     ),
+    # Each loop enters on a memo it must not use.  VM a is asid 1, vmid 0;
+    # VM b (asid 2, vmid 0) shares a's tables, and VM c (asid 1, vmid 3)
+    # maps the same guest addresses elsewhere.
+    "memo-of-another-asid": (
+        0, InterferenceLoop(base=0x40_0000, pages=1, kind="write"),
+        warm_memo(1, 0x40_0000, SIZE_4K), entries_for(0x400, 2),
+    ),
+    "memo-of-another-vmid": (
+        0, InterferenceLoop(base=0x40_0000, pages=1, kind="write"),
+        warm_memo(2, 0x40_0000, SIZE_4K), entries_for(0x400, 2),
+    ),
+    "superpage-memo-of-another-asid": (
+        0, InterferenceLoop(base=0x4000_0000, pages=16, kind="write"),
+        warm_memo(1, 0x4000_0000, SIZE_2M), entries_for(0x4000_0000 >> 12, 2),
+    ),
+    "lock-slot-memo-of-another-asid": (
+        1, InterferenceLoop(base=0x40_0000, pages=1, kind="write"), warm_lock_memo,
+        lambda sys: sys.dtlb.lock_hits == 1 and entries_for(0x400, 1)(sys),
+    ),
 }
 
 
@@ -194,3 +252,75 @@ def test_kernel_matches_rich_path_on_synthetic_loops(case, jitter):
     assert spent == want_spent
     assert state == want_state
     assert gens == want_gens
+
+
+class CountingStream:
+    """An address stream that counts the addresses taken from it."""
+
+    def __init__(self, addresses):
+        self.addresses = addresses
+        self.taken = 0
+
+    def __iter__(self):
+        return self
+
+    def __next__(self):
+        vaddr = next(self.addresses)
+        self.taken += 1
+        return vaddr
+
+
+def cache_events(cache):
+    stats = cache.stats
+    return stats["hits"] + stats["misses"] + stats["spm_accesses"] + stats["spm_misconfigs"]
+
+
+def counted_loop(seen):
+    """A run for interference_quanta that checks one quantum's counters:
+    one lookup per address taken, and on the loop's side of the machine
+    one cache event per touch, plus one D-cache event per walk fetch.
+    Appends (touches, walk fetches) to `seen`."""
+
+    def run(sys, vm, loop, quantum, rng):
+        ifetch = loop.kind == "ifetch"
+        tlb, cache = (sys.itlb, sys.icache) if ifetch else (sys.dtlb, sys.dcache)
+        fetches = []
+        read_fetches = sys.dcache.read_fetches
+
+        def spy(paddrs):
+            fetches.append(len(paddrs))
+            return read_fetches(paddrs)
+
+        lookups, events = tlb.hits + tlb.misses, cache_events(cache)
+        data_events = cache_events(sys.dcache)
+        stream = CountingStream(loop.addresses(rng))
+        sys.dcache.read_fetches = spy
+        try:
+            spent, fault = sys.run_loop(vm, loop.kind, stream, loop.compute_cycles, quantum)
+        finally:
+            del sys.dcache.read_fetches
+        assert fault is None
+        touches, walked = stream.taken, sum(fetches)
+        assert tlb.hits + tlb.misses - lookups == touches
+        if ifetch:
+            assert cache_events(cache) - events == touches
+            assert cache_events(sys.dcache) - data_events == walked
+        else:
+            assert cache_events(cache) - events == touches + walked
+        seen.append((touches, walked))
+        return spent
+
+    return run
+
+
+@pytest.mark.parametrize("text", preset_names() + ["writes"])
+def test_counters_see_every_touch(text):
+    config = WRITES_TEXT if text == "writes" else preset_text(text)
+    cfg = load_experiment(text=config, seed=1, iterations=ITERATIONS)
+    seen = []
+    for name in cfg.scenario_names:
+        plan = build_plan(cfg.scenarios[name])
+        for index in range(ITERATIONS):
+            interference_quanta(plan, index, counted_loop(seen))
+    assert any(touches for touches, _ in seen)
+    assert any(walked for _, walked in seen)
