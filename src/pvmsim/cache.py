@@ -30,12 +30,12 @@ zeros, reported as their own event so the pipeline can price them like
 any SPM access and never stall on the mistake.
 
 An access reports its event (hit, miss, spm, spm-misconfig) and the
-value read; memsys.MemorySystem turns events into cycles.  Results are
-immutable, so every write of one event returns one shared result.
-``Cache.access`` serves a hit in its own frame, and so do a walk's
-``read_fetches`` and ``MemorySystem.run_loop``, which reads the flat
-state below directly; every miss goes through ``_miss`` and every window
-address through ``_spm_access``.
+value read; memsys.MemorySystem turns events into cycles.  Each cache
+has one access step, ``Cache.step``, built over the flat state below:
+it serves a hit and a miss and sends a window address to
+``_spm_access``.  ``access`` checks its arguments and wraps the step's
+event in a result (every write of one event shares one), a walk's
+``read_fetches`` and ``MemorySystem.run_loop`` call the step directly.
 
 Accesses are 64-bit words, the unit of page-table entries and workload
 loads and stores; backing memory is stored and moved by the line.  Data
@@ -58,7 +58,7 @@ from typing import NamedTuple
 from .plru import _is_pow2, check_tree, touch_masks, victim_table
 
 WORD_BYTES = 8
-WORD_MASK = (1 << 64) - 1
+_WORD_MASK = (1 << 64) - 1
 _NO_LINE = -1  # tag of a slot that holds no line
 
 MODE_CACHE = "cache"
@@ -153,7 +153,7 @@ class Memory:
         self.check(addr)
         base = addr & -self.line_bytes
         words = list(self._lines.get(base, self._zero))
-        words[(addr - base) >> 3] = value & WORD_MASK
+        words[(addr - base) >> 3] = value & _WORD_MASK
         self._lines[base] = tuple(words)
 
     def read_line(self, base):
@@ -192,11 +192,10 @@ class AccessResult(NamedTuple):
     value: int = None
 
 
-# Every write of one event shares its result, and so does a misconfigured
-# read.  tuple.__new__ builds a read result without the named tuple's
-# Python-level __new__ (what AccessResult._make does inside).
+# Every write of one event shares its result.  tuple.__new__ builds a
+# read result without the named tuple's Python-level __new__ (what
+# AccessResult._make does inside).
 _WRITTEN = {e: AccessResult(e) for e in (EVENT_HIT, EVENT_MISS, EVENT_SPM, EVENT_SPM_MISCONFIG)}
-_MISCONFIG_READ = AccessResult(EVENT_SPM_MISCONFIG, 0)
 _new_result = tuple.__new__
 
 
@@ -209,6 +208,12 @@ class Cache:
 
     The same object serves both personalities; instruction caches simply
     receive kind="ifetch" accesses and never see writes.
+
+    ``step`` is a closure over this cache's lists and ``stats``, so every
+    method changes them in place.  It also bars copies: pickling a Cache
+    raises, and a deep copy would keep a step that serves the original's
+    state.  Save the state with snapshot() and bring it back with
+    restore() instead.
     """
 
     def __init__(
@@ -245,6 +250,8 @@ class Cache:
         self._all_ways_mask = (1 << ways) - 1
         self._set_locked(0)
         self.stats = dict.fromkeys(_STATS, 0)
+        self._read = [None]  # the word the last read step returned
+        self.step = self._access_step()
 
     # -- mode management ----------------------------------------------------
 
@@ -305,66 +312,102 @@ class Cache:
         if kind == "write":
             if value is None:
                 raise ValueError("write access needs a value")
-        elif kind != "read" and kind != "ifetch":
+            return _WRITTEN[self.step(paddr, kind, value)]
+        if kind != "read" and kind != "ifetch":
             raise ValueError("kind must be read/write/ifetch, got %r" % (kind,))
-        paddr &= ~(WORD_BYTES - 1)
-        spm = self.spm_base
-        if spm is not None and spm <= paddr < spm + self.size:
-            return self._spm_access(paddr, kind, value)
-        line = paddr >> self._line_shift
-        set_idx = line & self._set_mask
-        tag = line >> self._set_shift
-        ways = self.ways
-        base = set_idx * ways
-        row = self._tags[base:base + ways]
-        if tag not in row:
-            return self._miss(paddr, line, set_idx, tag, kind, value)
-        way = row.index(tag)
-        plru = self._plru
-        plru[set_idx] = plru[set_idx] & self._and[way] | self._or[way]
-        self.stats["hits"] += 1
-        wpl = self.words_per_line
-        idx = (base + way) * wpl + (paddr >> 3 & (wpl - 1))
-        if kind == "write":
-            self._data[idx] = value & WORD_MASK
-            self._dirty[set_idx] |= 1 << way
-            return _WRITTEN[EVENT_HIT]
-        return _new_result(AccessResult, (EVENT_HIT, self._data[idx]))
+        event = self.step(paddr, kind, None)
+        return _new_result(AccessResult, (event, self._read[0]))
 
     def read_fetches(self, paddrs):
         """Read every address of a page walk's fetch list, in order, exactly
         as access(paddr, "read") one by one would; return the counts of
         (hits, misses, spm) events, spm covering misconfigured-window reads
-        too.  Hits are served here; misses and window addresses go through
-        the same paths as access."""
-        hits = misses = spm = 0
-        ways = self.ways
-        set_mask = self._set_mask
-        line_shift, set_shift = self._line_shift, self._set_shift
-        tags, plru, and_, or_ = self._tags, self._plru, self._and, self._or
-        stats = self.stats
+        too."""
+        stats, step = self.stats, self.step
+        hits, misses = stats["hits"], stats["misses"]
+        spm = stats["spm_accesses"] + stats["spm_misconfigs"]
+        for paddr in paddrs:
+            step(paddr, "read", None)
+        return (
+            stats["hits"] - hits,
+            stats["misses"] - misses,
+            stats["spm_accesses"] + stats["spm_misconfigs"] - spm,
+        )
+
+    def _access_step(self):
+        """Build ``step(paddr, kind, value) -> event``, the one access path:
+        `kind` is unchecked, `value` is the word a write stores, and a read
+        leaves its word in ``_read[0]``.  The step holds this cache's lists
+        and ``stats`` in its own frame, so they are only ever changed in
+        place; configure_way and restore rebind the victim table and the
+        locked-ways mask, so those are read off the cache at each use."""
+        ways, wpl = self.ways, self.words_per_line
+        line_shift, set_shift, set_mask = self._line_shift, self._set_shift, self._set_mask
+        word_mask, align = wpl - 1, -WORD_BYTES
+        tags, plru, data, dirty = self._tags, self._plru, self._data, self._dirty
+        and_, or_, stats, read = self._and, self._or, self.stats, self._read
+        memory = self.memory
+        read_line = memory.read_line
         spm_lo = self.spm_base
         spm_hi = None if spm_lo is None else spm_lo + self.size
-        for paddr in paddrs:
-            paddr &= ~(WORD_BYTES - 1)
+
+        def step(paddr, kind, value):
+            paddr &= align
             if spm_lo is not None and spm_lo <= paddr < spm_hi:
-                self._spm_access(paddr, "read", None)
-                spm += 1
-                continue
+                return self._spm_access(paddr, kind, value)
             line = paddr >> line_shift
             set_idx = line & set_mask
             base = set_idx * ways
             row = tags[base:base + ways]
             tag = line >> set_shift
+            word = paddr >> 3 & word_mask
             if tag in row:
                 way = row.index(tag)
                 plru[set_idx] = plru[set_idx] & and_[way] | or_[way]
                 stats["hits"] += 1
-                hits += 1
+                idx = (base + way) * wpl + word
+                if kind == "write":
+                    data[idx] = value & _WORD_MASK
+                    dirty[set_idx] |= 1 << way
+                else:
+                    read[0] = data[idx]
+                return EVENT_HIT
+            # Reading the fill line first is the mapping check: an unmapped
+            # line raises before any tag, dirty bit, PLRU bit or statistic
+            # moves.  The victim holds another line, so its write-back
+            # cannot change what was read.
+            fill = read_line(line << line_shift)
+            stats["misses"] += 1
+            bits = plru[set_idx]
+            victim = self._victims[bits]
+            if victim is None:
+                # Every way is SPM: nothing can be allocated, so the access
+                # is serviced straight from memory and nothing is cached.
+                stats["fill_drops"] += 1
+                if kind == "write":
+                    memory.write_word(paddr, value)
+                else:
+                    read[0] = fill[word]
+                return EVENT_MISS
+            plru[set_idx] = bits & and_[victim] | or_[victim]
+            slot = base + victim
+            bit = 1 << victim
+            if tags[slot] != _NO_LINE:
+                stats["evictions"] += 1
+                if dirty[set_idx] & bit:
+                    self._write_back(set_idx, victim)
+            start = slot * wpl
+            data[start:start + wpl] = fill
+            tags[slot] = tag
+            if kind == "write":
+                data[start + word] = value & _WORD_MASK
+                dirty[set_idx] |= bit
             else:
-                self._miss(paddr, line, set_idx, tag, "read", None)
-                misses += 1
-        return hits, misses, spm
+                dirty[set_idx] &= ~bit
+                read[0] = fill[word]
+            return EVENT_MISS
+
+        return step
 
     def _spm_access(self, paddr, kind, value):
         way, set_idx, word = self.spm_decode(paddr)
@@ -372,54 +415,15 @@ class Cache:
             # The window slice exists but its way was never converted:
             # behave like a black hole instead of stalling the core.
             self.stats["spm_misconfigs"] += 1
-            return _WRITTEN[EVENT_SPM_MISCONFIG] if kind == "write" else _MISCONFIG_READ
+            self._read[0] = 0
+            return EVENT_SPM_MISCONFIG
         self.stats["spm_accesses"] += 1
         idx = (set_idx * self.ways + way) * self.words_per_line + word
         if kind == "write":
-            self._data[idx] = value & WORD_MASK
-            return _WRITTEN[EVENT_SPM]
-        return AccessResult(EVENT_SPM, self._data[idx])
-
-    def _miss(self, paddr, line, set_idx, tag, kind, value):
-        """Serve a miss on `paddr`, whose line, set and tag the caller has
-        decoded and found in no way of the set."""
-        # Reading the fill line first is the mapping check: an unmapped
-        # line raises before any tag, dirty bit, PLRU bit or statistic
-        # moves.  The victim holds another line, so its write-back cannot
-        # change what was read.
-        wpl = self.words_per_line
-        word = paddr >> 3 & (wpl - 1)
-        memory = self.memory
-        fill = memory.read_line(line << self._line_shift)
-        stats = self.stats
-        stats["misses"] += 1
-        bits = self._plru[set_idx]
-        victim = self._victims[bits]
-        if victim is None:
-            # Every way is SPM: nothing can be allocated, so the access
-            # is serviced straight from memory and nothing is cached.
-            stats["fill_drops"] += 1
-            if kind == "write":
-                memory.write_word(paddr, value)
-                return _WRITTEN[EVENT_MISS]
-            return _new_result(AccessResult, (EVENT_MISS, fill[word]))
-        self._plru[set_idx] = bits & self._and[victim] | self._or[victim]
-        slot = set_idx * self.ways + victim
-        bit = 1 << victim
-        tags = self._tags
-        if tags[slot] != _NO_LINE:
-            stats["evictions"] += 1
-            if self._dirty[set_idx] & bit:
-                self._write_back(set_idx, victim)
-        start = slot * wpl
-        self._data[start:start + wpl] = fill
-        tags[slot] = tag
-        if kind == "write":
-            self._data[start + word] = value & WORD_MASK
-            self._dirty[set_idx] |= bit
-            return _WRITTEN[EVENT_MISS]
-        self._dirty[set_idx] &= ~bit
-        return _new_result(AccessResult, (EVENT_MISS, fill[word]))
+            self._data[idx] = value & _WORD_MASK
+        else:
+            self._read[0] = self._data[idx]
+        return EVENT_SPM
 
     def _write_back(self, set_idx, way):
         slot = set_idx * self.ways + way
@@ -453,7 +457,7 @@ class Cache:
         self._data[:] = data
         self._plru[:] = plru
         self._set_locked(locked)
-        self.stats = dict(stats)
+        self.stats.update(stats)
 
     # -- introspection (tests) --------------------------------------------------
 

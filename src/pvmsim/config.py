@@ -358,7 +358,7 @@ def load_experiment(path=None, *, text=None, seed=None, iterations=None, scenari
     footprint = {f: hyp_values.pop(f) for f, _ in _FOOTPRINT.values() if f in hyp_values}
     hyp = HypervisorConfig()
     with _located("[hypervisor]"):
-        hyp = replace(hyp, footprint=(replace(hyp.footprint[0], **footprint),), **hyp_values)
+        hyp = replace(hyp, footprint=replace(hyp.footprint, **footprint), **hyp_values)
 
     vms = {}
     for section in sections:

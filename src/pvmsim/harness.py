@@ -12,9 +12,10 @@ experiment opens one process pool.  Each scenario of at least 2 * workers
 iterations is cut into contiguous iteration ranges of ceil(iterations /
 workers), one per worker, and every range of every scenario is submitted
 up front with a pickled copy of its plan, so a worker builds each set-up
-machine once per range.  Smaller scenarios run in this process.  Results
-are collected in submission order; because every iteration reseeds from
-(master seed, iteration index), any split yields the same records.
+machine once per range (a built machine cannot be pickled: see Cache).
+Smaller scenarios run in this process.  Results are collected in
+submission order; because every iteration reseeds from (master seed,
+iteration index), any split yields the same records.
 """
 
 import concurrent.futures

@@ -149,10 +149,9 @@ class VmSpec:
 class HypervisorConfig:
     partition_mask: int = 1 << 8  # one entry, next to the critical half
     quantum_cycles: int = 10_000
-    footprint: tuple = (Region(base=0x0070_0000, pages=2, stride=512),)
+    footprint: Region = Region(base=0x0070_0000, pages=2, stride=512)
 
     def __post_init__(self):
-        object.__setattr__(self, "footprint", tuple(self.footprint))
         if self.quantum_cycles <= 0:
             raise ValueError("quantum must be positive")
         if self.partition_mask <= 0:
@@ -188,23 +187,16 @@ class ScenarioDef:
         ids = [(vm.vmid, vm.asid) for vm in self.vms]
         if len(set(ids)) != len(ids):
             raise ValueError("duplicate vmid/asid pair")
-        lat = self.latency
         for vm in self.vms:
             loop = vm.workload
             if not isinstance(loop, InterferenceLoop):
                 continue
-            # The cheapest touch is a TLB hit, its compute charge and the
-            # cheapest final access: a cache hit, a miss at its lowest jitter,
-            # or a scratchpad access if the pool lives there.  At 0 cycles
-            # the quantum would never end.
+            # At 0 cycles a touch would never end the quantum.
             spm = any(
                 r.backing != "ram" and r.gvaddr <= loop.base < r.gvaddr + r.size
                 for r in vm.regions
             )
-            final = lat.spm_cycles if spm else min(
-                lat.cache_hit_cycles, lat.memory_cycles - lat.jitter
-            )
-            if lat.tlb_hit_cycles + loop.compute_cycles + final == 0:
+            if self.latency.cheapest_touch(loop.compute_cycles, spm) == 0:
                 raise ValueError(
                     "vm %r: an interference touch can cost 0 cycles, so its quantum "
                     "would never end" % vm.name
@@ -380,15 +372,15 @@ def build_plan(defn):
     hyp_root = table_area.take(TABLE_STRIDE, TABLE_STRIDE, "the hypervisor")
     hyp_space = AddressSpace(root_ppn=hyp_root >> PAGE_SHIFT)
     owner = "the hypervisor footprint"
-    for region in defn.hyp.footprint:
-        for i in range(region.pages):
-            frame = frames.take(SIZE_4K, SIZE_4K, owner)
-            try:
-                hyp_space.map_page(
-                    region.base + i * SIZE_4K, frame, SIZE_4K, PTE_R | PTE_W | PTE_A | PTE_D
-                )
-            except ValueError as exc:  # outside the address space
-                raise SetupError("%s: %s" % (owner, exc)) from exc
+    footprint = defn.hyp.footprint
+    for i in range(footprint.pages):
+        frame = frames.take(SIZE_4K, SIZE_4K, owner)
+        try:
+            hyp_space.map_page(
+                footprint.base + i * SIZE_4K, frame, SIZE_4K, PTE_R | PTE_W | PTE_A | PTE_D
+            )
+        except ValueError as exc:  # outside the address space
+            raise SetupError("%s: %s" % (owner, exc)) from exc
     hyp_context = VmContext(
         "hypervisor", HYP_VMID, HYP_ASID, defn.hyp.partition_mask, hyp_space, None, None
     )
@@ -479,7 +471,7 @@ def trap_enter(plan, sys):
     else (hardware saves the interrupted mask in LAST_PART), then run the
     handler's own memory footprint under the hypervisor mask."""
     sys.csr.write_cur_part(plan.hyp_context.partition_mask)
-    run_regions(sys, plan.hyp_context, plan.defn.hyp.footprint)
+    run_regions(sys, plan.hyp_context, (plan.defn.hyp.footprint,))
 
 
 def trap_exit(sys, next_ctx=None):

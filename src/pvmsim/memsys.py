@@ -49,14 +49,12 @@ generator stood on reaching the snapshot.  virtual_access's final access,
 each walk it prices and restore all draw through MemorySystem._jitter.
 
 Untimed interference runs through run_loop, which does what a
-virtual_access per address would do but builds no outcome: it prices the
-cache event from a table fixed once per call, with the lookup and compute
-cycles folded in.  Hits are served in the loop's own frame: a touch that
-the TLB's last-hit memo serves composes its paddr as Tlb.lookup does,
-and a cache hit touches the set's PLRU bits and, on a write, stores the
-word and marks the line dirty as Cache.access does.  Everything else --
-a scan, a walk, a window access, a miss -- calls the one definition the
-rich path calls.
+virtual_access per address would do but builds no outcome: a touch that
+the TLB's last-hit memo serves composes its paddr in the loop's own
+frame, as Tlb.lookup does, and every touch is one call of the cache's
+access step (Cache.step, the path Cache.access takes), its event priced
+from a table fixed once per call with the lookup and compute cycles
+folded in.  This module reads nothing of a cache's storage.
 
 Draws go straight to the generator's getrandbits through randbelow (which
 run_loop writes out), applying CPython's own rejection rule, so a draw
@@ -66,9 +64,7 @@ random.Random.randint(-j, j).
 
 from dataclasses import dataclass, fields
 
-from .cache import (
-    EVENT_HIT, EVENT_MISS, EVENT_SPM, EVENT_SPM_MISCONFIG, WORD_BYTES, WORD_MASK, Cache, Memory,
-)
+from .cache import EVENT_HIT, EVENT_MISS, EVENT_SPM, EVENT_SPM_MISCONFIG, Cache, Memory
 from .cache import check_geometry as check_cache_geometry
 from .sv39 import PAGE_SHIFT, PAGE_SIZE, PTE_G
 from .tlb import PartitionCsrFile, Tlb, TlbEntry, check_geometry as check_tlb_geometry
@@ -116,6 +112,15 @@ class LatencyConfig:
                 "jitter bound %d must stay below memory_cycles %d"
                 % (self.jitter, self.memory_cycles)
             )
+
+    def cheapest_touch(self, compute_cycles, spm):
+        """The fewest cycles a run_loop touch can cost: a TLB hit, its
+        compute charge and the cheapest final access, which is a cache hit
+        or a miss at its lowest jitter, or a scratchpad access if `spm`."""
+        final = self.spm_cycles if spm else min(
+            self.cache_hit_cycles, self.memory_cycles - self.jitter
+        )
+        return self.tlb_hit_cycles + compute_cycles + final
 
 
 @dataclass(frozen=True)
@@ -327,33 +332,21 @@ class MemorySystem:
         `compute_cycles`.  Returns (spent, None), or (spent, (vaddr, fault,
         fault_stage)) at the first access that faults.
 
-        A touch that hits is served in this frame: a hit on the TLB's
-        memo as Tlb.lookup serves it, and a cache hit as Cache.access
-        serves it.  Every other lookup goes through Tlb.lookup and
-        _refill, a window address through Cache._spm_access and a cache
-        miss through Cache._miss.  The cache's lists are mutated in place
-        by every path, so they are read once; the memo is replaced by
-        every fill and scan, so it is read per touch.  The jitter draw is
-        randbelow's rule written out, which saves a call per draw."""
+        A hit on the TLB's memo is served in this frame, as Tlb.lookup
+        serves it; every other lookup goes through Tlb.lookup and _refill.
+        Each touch is one Cache.step, priced from a table fixed once per
+        call.  The memo is replaced by every fill and scan, so it is read
+        per touch.  The jitter draw is randbelow's rule written out, which
+        saves a call per draw."""
         tlb, cache = self._sides[kind]
-        lookup, refill = tlb.lookup, self._refill
+        lookup, refill, step = tlb.lookup, self._refill, cache.step
         asid, vmid = vm.asid, vm.vmid
-        step = self.latency.tlb_hit_cycles + compute_cycles  # no walk, no jitter
-        price = {event: step + cycles for event, cycles in self._price.items()}
-        hit_price, miss_price = price[EVENT_HIT], price[EVENT_MISS]
+        touch = self.latency.tlb_hit_cycles + compute_cycles  # no walk, no jitter
+        price = {event: touch + cycles for event, cycles in self._price.items()}
         jitter = self.latency.jitter
         draw, span = self.rng.getrandbits if jitter else None, 2 * jitter + 1
         bits_j = span.bit_length()
         write = kind == "write"
-        spm_access, miss = cache._spm_access, cache._miss
-        tags, plru, data, dirty = cache._tags, cache._plru, cache._data, cache._dirty
-        and_, or_, stats = cache._and, cache._or, cache.stats
-        ways, set_mask = cache.ways, cache._set_mask
-        line_shift, set_shift = cache._line_shift, cache._set_shift
-        wpl = cache.words_per_line
-        word_mask, align = wpl - 1, -WORD_BYTES
-        spm_lo = cache.spm_base
-        spm_hi = None if spm_lo is None else spm_lo + cache.size
         spent = 0
         for vaddr in addresses:
             memo = tlb._memo
@@ -374,32 +367,13 @@ class MemorySystem:
                     if paddr is None:
                         return spent, (vaddr, walk.fault, walk.fault_stage)
                     spent += cycles
-            paddr &= align
-            value = write_value(vaddr) if write else None
-            if spm_lo is not None and spm_lo <= paddr < spm_hi:
-                spent += price[spm_access(paddr, kind, value)[0]]
-            else:
-                line = paddr >> line_shift
-                set_idx = line & set_mask
-                base = set_idx * ways
-                row = tags[base:base + ways]
-                tag = line >> set_shift
-                if tag in row:
-                    way = row.index(tag)
-                    plru[set_idx] = plru[set_idx] & and_[way] | or_[way]
-                    stats["hits"] += 1
-                    if write:
-                        data[(base + way) * wpl + (paddr >> 3 & word_mask)] = value & WORD_MASK
-                        dirty[set_idx] |= 1 << way
-                    spent += hit_price
-                else:
-                    miss(paddr, line, set_idx, tag, kind, value)
-                    spent += miss_price
-                    if jitter:
-                        r = draw(bits_j)
-                        while r >= span:
-                            r = draw(bits_j)
-                        spent += r - jitter
+            event = step(paddr, kind, write_value(vaddr) if write else None)
+            spent += price[event]
+            if jitter and event == EVENT_MISS:
+                r = draw(bits_j)
+                while r >= span:
+                    r = draw(bits_j)
+                spent += r - jitter
             if spent >= quantum:
                 break
         return spent, None

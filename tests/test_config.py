@@ -101,7 +101,7 @@ class ParseShapeTest(unittest.TestCase):
         self.assertEqual(defn.latency.memory_cycles, 40)
         self.assertEqual(defn.latency.jitter, 3)
         self.assertEqual(defn.hyp.quantum_cycles, 1500)
-        self.assertEqual(defn.hyp.footprint[0].pages, 2)
+        self.assertEqual(defn.hyp.footprint.pages, 2)
         self.assertEqual(defn.iterations, 12)
         self.assertEqual(defn.seed, 7)
 
@@ -127,7 +127,7 @@ class ParseShapeTest(unittest.TestCase):
         # A partial footprint keeps the default of each key left out.
         text = BASE.replace("footprint_pages = 2\nfootprint_stride = 2048\n", "")
         footprint = load(text).scenarios["noisy"].hyp.footprint
-        self.assertEqual(footprint, (Region(base=0x00700000, pages=2, stride=512),))
+        self.assertEqual(footprint, Region(base=0x00700000, pages=2, stride=512))
 
     def test_benchmark_workload_loads(self):
         # The benchmark's own workload file must keep parsing under the schema.

@@ -346,6 +346,9 @@ def test_one_contiguous_range_per_worker_per_scenario(pools):
     assert list(ranges) == ["unmitigated", "isolation"]
     assert ranges["unmitigated"] == [(0, 3), (3, 6), (6, 8)]
     assert ranges["isolation"] == [(0, 3), (3, 6), (6, 7)]
+    # A built machine holds each cache's access step, a closure that cannot
+    # be pickled: every plan goes to the pool before any iteration runs.
+    assert all(plan.machine is None for plan, _, _ in pools[0].jobs)
 
 
 def test_plans_are_built_once_per_scenario_in_the_calling_process(monkeypatch):
