@@ -210,9 +210,9 @@ class Cache:
     receive kind="ifetch" accesses and never see writes.
 
     ``step`` is a closure over this cache's lists and ``stats``, so every
-    method changes them in place.  It also bars copies: pickling a Cache
-    raises, and a deep copy would keep a step that serves the original's
-    state.  Save the state with snapshot() and bring it back with
+    method changes them in place.  It also bars copies: pickling or
+    deep-copying a Cache raises (a copied step would serve the original's
+    state).  Save the state with snapshot() and bring it back with
     restore() instead.
     """
 
@@ -252,6 +252,9 @@ class Cache:
         self.stats = dict.fromkeys(_STATS, 0)
         self._read = [None]  # the word the last read step returned
         self.step = self._access_step()
+
+    def __deepcopy__(self, memo):
+        raise TypeError("a Cache cannot be deep-copied; use snapshot() and restore()")
 
     # -- mode management ----------------------------------------------------
 

@@ -2,6 +2,8 @@
 window decode, misconfiguration semantics, and the textbook-oracle
 equivalence on random traces."""
 
+import copy
+import pickle
 import random
 
 import pytest
@@ -492,6 +494,16 @@ def test_stats_add_up_on_random_trace():
     assert cache.stats["hits"] + cache.stats["misses"] == n
     assert cache.stats["evictions"] <= cache.stats["misses"]
     assert cache.stats["write_backs"] <= cache.stats["evictions"]
+
+
+def test_a_cache_cannot_be_copied():
+    # Its access step is a closure over its own lists: a copy would keep
+    # serving the original's state.
+    cache, _ = make_cache()
+    with pytest.raises(TypeError):
+        copy.deepcopy(cache)
+    with pytest.raises((AttributeError, pickle.PicklingError)):
+        pickle.dumps(cache)
 
 
 # -- batched walk fetches ------------------------------------------------------------
