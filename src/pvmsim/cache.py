@@ -31,11 +31,13 @@ any SPM access and never stall on the mistake.
 
 An access reports its event (hit, miss, spm, spm-misconfig) and the
 value read; memsys.MemorySystem turns events into cycles.  Each cache
-has one access step, ``Cache.step``, built over the flat state below:
-it serves a hit and a miss and sends a window address to
-``_spm_access``.  ``access`` checks its arguments and wraps the step's
-event in a result (every write of one event shares one), a walk's
-``read_fetches`` and ``MemorySystem.run_loop`` call the step directly.
+has one access step, ``Cache.step``, built over the flat state below
+and the backing memory's line dict: it serves a hit, a window address
+and a whole miss (fill, eviction, write-back, fill-drop) in its own
+frame, window decode included.  ``access`` checks its arguments and
+wraps the step's event in a result (every write of one event shares
+one), a walk's ``read_fetches`` and ``MemorySystem.run_loop`` call the
+step directly.
 
 Accesses are 64-bit words, the unit of page-table entries and workload
 loads and stores; backing memory is stored and moved by the line.  Data
@@ -104,17 +106,19 @@ class Memory:
     outside all regions raises :class:`UnmappedAddress`, a configuration
     mistake rather than a modeled hardware fault.
 
-    Each line is one immutable tuple of words keyed by its address, so a
-    cache fill is one ``read_line`` and a write-back one ``write_line``.
-    The line size is that of the caches sharing the memory: the first to
-    ``bind`` sets it and a cache of another size is refused; until then a
-    line is one word.  The word API serves the fill-drop path, where a
-    miss with every way SPM goes straight to memory.
+    Each line is one immutable tuple of words keyed by its address.  A
+    cache's step fills a line with one region test and one lookup in that
+    dict and writes a dirty victim back as one entry, so the memory keeps
+    one line dict for its whole life: ``bind`` and ``restore`` refill it
+    in place.  The line size is that of the caches sharing the memory: the
+    first to ``bind`` sets it and a cache of another size is refused;
+    until then a line is one word.  The word API serves the fill-drop
+    path, where a miss with every way SPM goes straight to memory.
     """
 
     def __init__(self, regions=()):
         self._regions = []
-        self._lines = {}  # line address -> tuple of its words
+        self._lines = {}  # line address -> tuple of its words; never rebound
         self._bound = False
         self.line_bytes, self._zero = WORD_BYTES, (0,)  # until a cache binds
         for base, size in regions:
@@ -126,7 +130,8 @@ class Memory:
         if self._bound and line_bytes != self.line_bytes:
             raise ValueError("a memory shared by %d-byte lines cannot serve %d-byte lines"
                              % (self.line_bytes, line_bytes))
-        words, self._lines, self._bound = self.words(), {}, True
+        words, self._bound = self.words(), True
+        self._lines.clear()
         self.line_bytes, self._zero = line_bytes, (0,) * (line_bytes // WORD_BYTES)
         for addr, w in words:
             self.write_word(addr, w)
@@ -156,18 +161,9 @@ class Memory:
         words[(addr - base) >> 3] = value & _WORD_MASK
         self._lines[base] = tuple(words)
 
-    def read_line(self, base):
-        """The words of the line at `base`: one region test and one lookup.
-        A line that no one region holds whole raises."""
-        top = base + self.line_bytes
-        for lo, hi in self._regions:
-            if lo <= base and top <= hi:
-                return self._lines.get(base, self._zero)
-        raise UnmappedAddress("line 0x%x is not inside one memory region" % base)
-
     def write_line(self, base, words):
         """Store a line's words at `base`.  A cache writes back only lines
-        that read_line filled, so the mapping is already checked."""
+        it filled, so the mapping is already checked."""
         self._lines[base] = tuple(words)
 
     def words(self):
@@ -181,7 +177,8 @@ class Memory:
         return tuple(self._lines.items())
 
     def restore(self, state):
-        self._lines = dict(state)
+        self._lines.clear()
+        self._lines.update(state)
 
 
 class AccessResult(NamedTuple):
@@ -209,11 +206,11 @@ class Cache:
     The same object serves both personalities; instruction caches simply
     receive kind="ifetch" accesses and never see writes.
 
-    ``step`` is a closure over this cache's lists and ``stats``, so every
-    method changes them in place.  It also bars copies: pickling or
-    deep-copying a Cache raises (a copied step would serve the original's
-    state).  Save the state with snapshot() and bring it back with
-    restore() instead.
+    ``step`` is a closure over this cache's lists, ``stats`` and its
+    memory's line dict, so every method changes them in place.  It also
+    bars copies: pickling or deep-copying a Cache raises (a copied step
+    would serve the original's state).  Save the state with snapshot()
+    and bring it back with restore() instead.
     """
 
     def __init__(
@@ -285,28 +282,19 @@ class Cache:
         if bool(self._locked & bit) == (mode == MODE_SPM):
             return
         if mode == MODE_SPM:
-            wpl = self.words_per_line
-            for s in range(self.sets):
-                if self._dirty[s] & bit:
+            for s, dirty in enumerate(self._dirty):
+                if dirty & bit:
                     self._write_back(s, way)
-                slot = s * self.ways + way
-                self._tags[slot] = _NO_LINE
-                self._data[slot * wpl:(slot + 1) * wpl] = [0] * wpl
+            # The way's slots sit every `ways` slots apart, so each of its
+            # tags, and each word position of its lines, is one stride.
+            ways, wpl = self.ways, self.words_per_line
+            self._tags[way::ways] = [_NO_LINE] * self.sets
+            zeros = [0] * self.sets
+            for i in range(way * wpl, (way + 1) * wpl):
+                self._data[i::ways * wpl] = zeros
             self._set_locked(self._locked | bit)
         else:
             self._set_locked(self._locked & ~bit)
-
-    # -- address decode -------------------------------------------------------
-
-    def spm_decode(self, paddr):
-        """Map a window address to (way, set, word); None outside the window."""
-        if self.spm_base is None or not self.spm_base <= paddr < self.spm_base + self.size:
-            return None
-        offset = paddr - self.spm_base
-        way = offset // self.way_bytes
-        set_idx = offset % self.way_bytes // self.line_bytes
-        word = offset % self.line_bytes // WORD_BYTES
-        return way, set_idx, word
 
     # -- the access path ------------------------------------------------------
 
@@ -340,30 +328,48 @@ class Cache:
     def _access_step(self):
         """Build ``step(paddr, kind, value) -> event``, the one access path:
         `kind` is unchecked, `value` is the word a write stores, and a read
-        leaves its word in ``_read[0]``.  The step holds this cache's lists
-        and ``stats`` in its own frame, so they are only ever changed in
-        place; configure_way and restore rebind the victim table and the
-        locked-ways mask, so those are read off the cache at each use."""
-        ways, wpl = self.ways, self.words_per_line
+        leaves its word in ``_read[0]``.  The step holds this cache's lists,
+        ``stats`` and the memory's regions and line dict in its own frame,
+        so those are only ever changed in place; configure_way and restore
+        rebind the victim table and the locked-ways mask, so those are read
+        off the cache at each use."""
+        ways, wpl, line_bytes = self.ways, self.words_per_line, self.line_bytes
         line_shift, set_shift, set_mask = self._line_shift, self._set_shift, self._set_mask
+        way_shift = line_shift + set_shift
         word_mask, align = wpl - 1, -WORD_BYTES
         tags, plru, data, dirty = self._tags, self._plru, self._data, self._dirty
         and_, or_, stats, read = self._and, self._or, self.stats, self._read
         memory = self.memory
-        read_line = memory.read_line
-        spm_lo = self.spm_base
-        spm_hi = None if spm_lo is None else spm_lo + self.size
+        regions, lines, zero = memory._regions, memory._lines, memory._zero
+        # Without a window, an empty range that no address falls in.
+        spm_lo = 0 if self.spm_base is None else self.spm_base
+        spm_hi = spm_lo if self.spm_base is None else spm_lo + self.size
 
         def step(paddr, kind, value):
             paddr &= align
-            if spm_lo is not None and spm_lo <= paddr < spm_hi:
-                return self._spm_access(paddr, kind, value)
+            word = paddr >> 3 & word_mask
+            if spm_lo <= paddr < spm_hi:
+                offset = paddr - spm_lo
+                way = offset >> way_shift
+                if not self._locked >> way & 1:
+                    # The window slice exists but its way was never
+                    # converted: behave like a black hole instead of
+                    # stalling the core.
+                    stats["spm_misconfigs"] += 1
+                    read[0] = 0
+                    return EVENT_SPM_MISCONFIG
+                stats["spm_accesses"] += 1
+                idx = ((offset >> line_shift & set_mask) * ways + way) * wpl + word
+                if kind == "write":
+                    data[idx] = value & _WORD_MASK
+                else:
+                    read[0] = data[idx]
+                return EVENT_SPM
             line = paddr >> line_shift
             set_idx = line & set_mask
             base = set_idx * ways
             row = tags[base:base + ways]
             tag = line >> set_shift
-            word = paddr >> 3 & word_mask
             if tag in row:
                 way = row.index(tag)
                 plru[set_idx] = plru[set_idx] & and_[way] | or_[way]
@@ -375,11 +381,18 @@ class Cache:
                 else:
                     read[0] = data[idx]
                 return EVENT_HIT
-            # Reading the fill line first is the mapping check: an unmapped
-            # line raises before any tag, dirty bit, PLRU bit or statistic
-            # moves.  The victim holds another line, so its write-back
-            # cannot change what was read.
-            fill = read_line(line << line_shift)
+            # Reading the fill line first is the mapping check: a line that
+            # no one region holds whole raises before any tag, dirty bit,
+            # PLRU bit or statistic moves.  The victim holds another line,
+            # so its write-back cannot change what was read.
+            addr = line << line_shift
+            top = addr + line_bytes
+            for lo, hi in regions:
+                if lo <= addr and top <= hi:
+                    break
+            else:
+                raise UnmappedAddress("line 0x%x is not inside one memory region" % addr)
+            fill = lines.get(addr, zero)
             stats["misses"] += 1
             bits = plru[set_idx]
             victim = self._victims[bits]
@@ -395,11 +408,15 @@ class Cache:
             plru[set_idx] = bits & and_[victim] | or_[victim]
             slot = base + victim
             bit = 1 << victim
-            if tags[slot] != _NO_LINE:
+            start = slot * wpl
+            old = tags[slot]
+            if old != _NO_LINE:
                 stats["evictions"] += 1
                 if dirty[set_idx] & bit:
-                    self._write_back(set_idx, victim)
-            start = slot * wpl
+                    lines[(old << set_shift | set_idx) << line_shift] = tuple(
+                        data[start:start + wpl]
+                    )
+                    stats["write_backs"] += 1
             data[start:start + wpl] = fill
             tags[slot] = tag
             if kind == "write":
@@ -411,22 +428,6 @@ class Cache:
             return EVENT_MISS
 
         return step
-
-    def _spm_access(self, paddr, kind, value):
-        way, set_idx, word = self.spm_decode(paddr)
-        if not self._locked >> way & 1:
-            # The window slice exists but its way was never converted:
-            # behave like a black hole instead of stalling the core.
-            self.stats["spm_misconfigs"] += 1
-            self._read[0] = 0
-            return EVENT_SPM_MISCONFIG
-        self.stats["spm_accesses"] += 1
-        idx = (set_idx * self.ways + way) * self.words_per_line + word
-        if kind == "write":
-            self._data[idx] = value & _WORD_MASK
-        else:
-            self._read[0] = self._data[idx]
-        return EVENT_SPM
 
     def _write_back(self, set_idx, way):
         slot = set_idx * self.ways + way

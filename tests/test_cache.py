@@ -126,11 +126,31 @@ def test_memory_takes_the_line_size_of_its_caches():
     mem.write_word(RAM_BASE + 0x48, 5)
     Cache(mem, ways=4, sets=8, line_bytes=32)
     assert mem.line_bytes == 32 and mem.words() == ((RAM_BASE + 0x48, 5),)
-    assert mem.read_line(RAM_BASE + 0x40) == (0, 5, 0, 0)
+    assert [mem.read_word(RAM_BASE + 0x40 + 8 * i) for i in range(4)] == [0, 5, 0, 0]
     Cache(mem, ways=2, sets=4, line_bytes=32)
     with pytest.raises(ValueError, match="32-byte lines cannot serve 16-byte lines"):
         Cache(mem, ways=4, sets=8, line_bytes=16)
     assert mem.line_bytes == 32 and mem.read_word(RAM_BASE + 0x48) == 5
+
+
+def test_memory_keeps_one_line_dict_for_life():
+    """A cache's step holds its memory's line dict, so binding another
+    cache and restoring a snapshot must refill that dict, not replace it:
+    cache A's later fill reads the restored word, and its dirty eviction
+    lands where memory.words() sees it."""
+    mem = Memory([(RAM_BASE, RAM_SIZE)])
+    a = Cache(mem, ways=2, sets=4, line_bytes=16)
+    Cache(mem, ways=2, sets=4, line_bytes=16)  # binds the memory again
+    mem.write_word(RAM_BASE + 0x08, 1)
+    state = mem.snapshot()
+    mem.write_word(RAM_BASE + 0x08, 2)
+    mem.restore(state)
+    assert tuple(a.access(RAM_BASE + 0x08, "read")) == (EVENT_MISS, 1)
+    a.access(RAM_BASE + 0x08, "write", value=7)
+    for k in (1, 2):  # two more lines of set 0 evict the dirty one
+        a.access(same_set_addr(a, 0, k), "read")
+    assert a.probe(RAM_BASE) is None and a.stats["write_backs"] == 1
+    assert mem.words() == ((RAM_BASE + 0x08, 7),)
 
 
 # -- plain cache behavior ------------------------------------------------------
@@ -217,27 +237,47 @@ def test_flush_spills_everything_and_invalidates():
 # -- SPM window decode ---------------------------------------------------------
 
 
+def all_spm(cache):
+    for way in range(cache.ways):
+        cache.configure_way(way, MODE_SPM)
+    return cache
+
+
 def test_spm_decode_contiguous_way_mapping():
     cache, _ = make_cache()  # way span = 8 sets * 16 B = 128 B
-    assert cache.spm_decode(SPM_BASE + 3 * 128 + 64) == (3, 4, 0)
-    assert cache.spm_decode(SPM_BASE) == (0, 0, 0)
-    assert cache.spm_decode(SPM_BASE + cache.size - 8) == (
-        cache.ways - 1,
-        cache.sets - 1,
-        cache.words_per_line - 1,
-    )
-    assert cache.spm_decode(SPM_BASE - 8) is None
-    assert cache.spm_decode(SPM_BASE + cache.size) is None
+    all_spm(cache)
+    for k, (paddr, where) in enumerate((
+        (SPM_BASE + 3 * 128 + 64, (3, 4, 0)),
+        (SPM_BASE, (0, 0, 0)),
+        (SPM_BASE + cache.size - 8, (cache.ways - 1, cache.sets - 1, cache.words_per_line - 1)),
+    )):
+        assert cache.access(paddr, "write", value=k + 1).event == EVENT_SPM
+        assert cache.spm_word(*where) == k + 1
+    # Just outside the window is an ordinary, here unmapped, address.
+    for paddr in (SPM_BASE - 8, SPM_BASE + cache.size):
+        with pytest.raises(UnmappedAddress):
+            cache.access(paddr, "read")
 
 
 def test_spm_decode_matches_range_scan_reference():
     cache, _ = make_cache(ways=8, sets=16, line_bytes=32)
+    all_spm(cache)
     rng = random.Random(1009)
-    for _ in range(10_000):
+    shadow = {}
+    for value in range(1, 10_001):
         paddr = SPM_BASE + rng.randrange(-64, cache.size + 64, 8)
-        assert cache.spm_decode(paddr) == spm_decode_ref(
-            SPM_BASE, cache.ways, cache.sets, cache.line_bytes, paddr
-        )
+        where = spm_decode_ref(SPM_BASE, cache.ways, cache.sets, cache.line_bytes, paddr)
+        if where is None:
+            with pytest.raises(UnmappedAddress):
+                cache.access(paddr, "write", value=value)
+            continue
+        assert cache.access(paddr, "write", value=value).event == EVENT_SPM
+        shadow[where] = value
+    # Every word holds the last value written to its reference address.
+    for way in range(cache.ways):
+        for s in range(cache.sets):
+            for w in range(cache.words_per_line):
+                assert cache.spm_word(way, s, w) == shadow.get((way, s, w), 0)
 
 
 # -- SPM access semantics --------------------------------------------------------
@@ -297,6 +337,49 @@ def test_conversion_writes_back_dirty_lines():
     cache.configure_way(way, MODE_SPM)
     assert mem.read_word(RAM_BASE + 0x40) == 0xC0FFEE
     assert cache.stats["write_backs"] == 1
+
+
+@pytest.mark.parametrize("ways,line_bytes", ((4, 16), (16, 32)))
+def test_conversion_touches_only_its_own_way(ways, line_bytes):
+    """With every slot holding a dirty line, converting a middle way
+    writes back exactly that way's lines and empties and zeroes exactly
+    its slots; every other way's tags, words and dirty bits and every
+    set's PLRU bits stay as they were."""
+    cache, mem = make_cache(ways=ways, sets=8, line_bytes=line_bytes)
+    wpl = cache.words_per_line
+    for s in range(cache.sets):
+        for k in range(ways):
+            for i in range(wpl):
+                addr = same_set_addr(cache, s, k, i)
+                cache.access(addr, "write", value=addr >> 3)
+    assert all(cache.probe(same_set_addr(cache, s, k)) for s in range(cache.sets)
+               for k in range(ways))
+    way = ways // 2
+    tags, dirty, plru, _ = cache.tag_state()
+    data = cache.data_words()
+    assert all(d == (1 << ways) - 1 for d in dirty)
+    evicted = sorted(
+        (addr, addr >> 3)
+        for s in range(cache.sets) for k in range(ways) for i in range(wpl)
+        for addr in (same_set_addr(cache, s, k, i),)
+        if cache.probe(addr) == (s, way)
+    )
+    assert len(evicted) == cache.sets * wpl
+
+    cache.configure_way(way, MODE_SPM)
+
+    new_tags, new_dirty, new_plru, locked = cache.tag_state()
+    new_data = cache.data_words()
+    assert locked == 1 << way and new_plru == plru
+    assert new_dirty == tuple(d & ~(1 << way) for d in dirty)
+    for slot, tag in enumerate(new_tags):
+        words = new_data[slot * wpl:(slot + 1) * wpl]
+        if slot % ways == way:
+            assert tag == -1 and words == (0,) * wpl
+        else:
+            assert tag == tags[slot] and words == data[slot * wpl:(slot + 1) * wpl]
+    assert list(mem.words()) == evicted
+    assert cache.stats["write_backs"] == cache.sets
 
 
 def test_conversion_zeroes_spm_storage():
