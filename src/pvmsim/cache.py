@@ -71,6 +71,15 @@ EVENT_MISS = "miss"
 EVENT_SPM = "spm"
 EVENT_SPM_MISCONFIG = "spm-misconfig"
 
+# Bounds on what one cache may ask for; presets use 8 ways of 16-byte lines
+# and 32 KiB arrays.  A set's PLRU state is one (ways - 1)-bit int and
+# touch_masks builds `ways` of them, so ways is bounded as tlb.MAX_ENTRIES
+# bounds the TLB; a line is at most a page; and every iteration restores
+# the whole data array.
+MAX_WAYS = 4096
+MAX_LINE_BYTES = 4096
+MAX_ARRAY_BYTES = 1 << 22
+
 
 def check_geometry(ways, sets, line_bytes, sets_name="sets"):
     """Raise ValueError unless a Cache of this shape can be built (each
@@ -81,6 +90,9 @@ def check_geometry(ways, sets, line_bytes, sets_name="sets"):
             raise ValueError("%s must be a power of two, got %r" % (label, n))
     if line_bytes < WORD_BYTES:
         raise ValueError("line_bytes must be at least %d, got %r" % (WORD_BYTES, line_bytes))
+    for label, n, most in (("ways", ways, MAX_WAYS), ("line_bytes", line_bytes, MAX_LINE_BYTES)):
+        if n > most:
+            raise ValueError("%s must be at most %d, got %d" % (label, most, n))
 
 
 def check_spm_window(base, size, memory, name="SPM window"):

@@ -327,7 +327,9 @@ def load_experiment(path=None, *, text=None, seed=None, iterations=None, scenari
     try:
         cp.read_string(text)
     except configparser.Error as exc:
-        raise ConfigError("configuration does not parse: %s" % exc) from None
+        # configparser's messages span lines; an error is reported in one.
+        message = " ".join(str(exc).splitlines())
+        raise ConfigError("configuration does not parse: %s" % message) from None
 
     sections = {name: dict(cp[name]) for name in cp.sections()}
     for section in sections:

@@ -31,6 +31,17 @@ generator by the draws the prefix's cache misses stand for.  A plan with
 a random-order prime snapshots the machine right after set-up and runs
 its prefix on every iteration.
 
+A plan with no interference VM and no random-order region in its prime
+or measure goes further: every iteration restores the same machine and
+then takes the same events, so its record is a fixed base plus the sum
+of its k measured misses' jitter draws, where k is the record's
+cache_misses.  The first iteration such a plan runs (in each process) is
+simulated in full and leaves plan.fixed behind; every later one is drawn
+without touching the machine: skip the draws the snapshot's misses stand
+for, then sum the next k (memsys.jitter_sum).  Both counts rest on the
+rule restore relies on, one draw per counted miss, so a drawn record
+equals the simulated one.
+
 The trap choreography follows the partition CSR protocol: entering the
 handler overwrites CUR_PART with the hypervisor's constant mask (which
 hardware-saves the interrupted mask into LAST_PART); leaving it either
@@ -47,8 +58,8 @@ import hashlib
 import random
 from dataclasses import dataclass, field
 
-from .cache import MODE_SPM, Memory, check_spm_window
-from .memsys import LatencyConfig, MachineConfig, MemorySystem
+from .cache import MAX_ARRAY_BYTES, MODE_SPM, Memory, check_spm_window
+from .memsys import LatencyConfig, MachineConfig, MemorySystem, jitter_sum
 from .sv39 import (
     PAGE_SHIFT,
     PAGE_SIZES,
@@ -75,6 +86,10 @@ DSPM_BASE = 0x1000_0000  # data-cache scratchpad window
 ISPM_BASE = 0x2000_0000  # instruction-cache scratchpad window
 GPA_TABLE_BASE = 0x0100_0000  # guest-physical home of guest page tables
 GPA_DATA_BASE = 0x4000_0000  # guest-physical home of data pages
+
+# The most touches one interference quantum may ask for: its cycles over
+# the cheapest touch's.  Presets ask for at most 12,000.
+MAX_QUANTUM_TOUCHES = 1 << 20
 
 HYP_VMID = 0
 HYP_ASID = 0
@@ -191,23 +206,33 @@ class ScenarioDef:
             loop = vm.workload
             if not isinstance(loop, InterferenceLoop):
                 continue
-            # At 0 cycles a touch would never end the quantum.
+            # The quantum must end, and soon: at 0 cycles a touch never
+            # ends it, and a huge quantum asks for more touches than a run
+            # can take.
             spm = any(
                 r.backing != "ram" and r.gvaddr <= loop.base < r.gvaddr + r.size
                 for r in vm.regions
             )
-            if self.latency.cheapest_touch(loop.compute_cycles, spm) == 0:
+            cheapest = self.latency.cheapest_touch(loop.compute_cycles, spm)
+            if cheapest == 0:
                 raise ValueError(
                     "vm %r: an interference touch can cost 0 cycles, so its quantum "
                     "would never end" % vm.name
                 )
+            touches = self.hyp.quantum_cycles // cheapest
+            if touches > MAX_QUANTUM_TOUCHES:
+                raise ValueError(
+                    "vm %r: one quantum may take %d touches of %d cycles, more than %d"
+                    % (vm.name, touches, cheapest, MAX_QUANTUM_TOUCHES)
+                )
 
 
 def check_spm_windows(machine):
-    """Raise ValueError unless both scratchpad windows of `machine` fit this
-    layout: each aligned to its whole array and clear of RAM.  Run once
-    per MachineConfig, so a shape that cannot be built fails at load time,
-    not in its first iteration."""
+    """Raise ValueError unless both data arrays of `machine` fit this
+    layout: each scratchpad window aligned to its whole array and clear of
+    RAM, and each array at most cache.MAX_ARRAY_BYTES.  Run once per
+    MachineConfig, so a shape that cannot be built, or would take long to
+    build and restore, fails at load time, not in its first iteration."""
     memory = Memory(MEMORY_REGIONS)
     for sets, base, side in (
         (machine.icache_sets, ISPM_BASE, "instruction"),
@@ -215,6 +240,10 @@ def check_spm_windows(machine):
     ):
         size = machine.ways * sets * machine.line_bytes
         check_spm_window(base, size, memory, "%s scratchpad window" % side)
+        if size > MAX_ARRAY_BYTES:
+            raise ValueError(
+                "the %s cache's array of 0x%x bytes exceeds 0x%x" % (side, size, MAX_ARRAY_BYTES)
+            )
 
 
 @dataclass(frozen=True)
@@ -266,7 +295,10 @@ class ScenarioPlan:
     runtime VM contexts and lock chunks.  Once an iteration ran, machine
     holds (MemorySystem, snapshot), the snapshot taken from the plan alone:
     after the prefix, or, when the prime has a random-order region, right
-    after set-up."""
+    after set-up.  Once an iteration of an interference-free plan ran,
+    fixed holds what every iteration of it shares: (base cycles, the
+    misses counted before the measured phase, its TLB misses, its cache
+    misses)."""
 
     defn: "ScenarioDef"
     measured: VmContext
@@ -274,6 +306,18 @@ class ScenarioPlan:
     hyp_context: VmContext
     lock_chunks: dict  # "i"/"d" -> list of (VmContext, LockChunk)
     machine: tuple = field(default=None, repr=False, compare=False)
+    fixed: tuple = field(default=None, repr=False, compare=False)
+
+    @property
+    def interference_free(self):
+        """Whether every iteration takes the same events: no interference
+        VM, and no random-order region in the prime or the measure.  Only
+        the jitter draws then differ between iterations, and they price
+        cycles without steering any event."""
+        workload = self.measured.workload
+        return not self.interference and all(
+            region.order != "random" for region in workload.prime + workload.measure
+        )
 
 
 class _Allocator:
@@ -486,14 +530,27 @@ def trap_exit(sys, next_ctx=None):
 # -- the iteration loop ---------------------------------------------------------------
 
 
+def _jitter_rng(defn, index):
+    """Iteration `index`'s jitter generator; None without jitter."""
+    if defn.latency.jitter:
+        return random.Random(iteration_seed(defn.seed, index, "jitter"))
+    return None
+
+
 def run_iteration(plan, index):
     """One scheduling round: boot and prime (untimed), deschedule,
     interference quantum per interference VM, reschedule, timed measured
-    phase."""
+    phase.  An interference-free plan simulates its first iteration only;
+    every later one is drawn: plan.fixed's base plus the jitter its cache
+    misses draw from the iteration's own generator (see the module
+    docstring)."""
     defn = plan.defn
-    jitter_rng = (
-        random.Random(iteration_seed(defn.seed, index, "jitter")) if defn.latency.jitter else None
-    )
+    jitter = defn.latency.jitter
+    jitter_rng = _jitter_rng(defn, index)
+    if plan.fixed is not None:
+        base, before, tlb_misses, cache_misses = plan.fixed
+        cycles = base + jitter_sum(jitter_rng, jitter, cache_misses, after=before)
+        return IterationRecord(index, cycles, tlb_misses, cache_misses)
     work_rng = random.Random(iteration_seed(defn.seed, index, "workload"))
     intf_rng = random.Random(iteration_seed(defn.seed, index, "interference"))
     sys = restore_machine(plan, jitter_rng, work_rng)
@@ -508,9 +565,14 @@ def run_iteration(plan, index):
     tlb0, cache0 = sys.miss_counts()
     cycles = run_regions(sys, crit, crit.workload.measure, work_rng)
     tlb1, cache1 = sys.miss_counts()
-    return IterationRecord(
+    record = IterationRecord(
         index=index, cycles=cycles, tlb_misses=tlb1 - tlb0, cache_misses=cache1 - cache0
     )
+    if plan.interference_free:
+        # No interference ran, so cache0 is the snapshot's miss count.
+        drawn = jitter_sum(_jitter_rng(defn, index), jitter, record.cache_misses, after=cache0)
+        plan.fixed = (cycles - drawn, cache0, record.tlb_misses, record.cache_misses)
+    return record
 
 
 def run_range(plan, start, stop):

@@ -46,7 +46,10 @@ cycle-constant even with jitter enabled.  Because each miss is exactly one
 draw, restore() draws once per miss its snapshot's caches count: the
 restored machine and generator stand where a machine built with that
 generator stood on reaching the snapshot.  virtual_access's final access,
-each walk it prices and restore all draw through MemorySystem._jitter.
+each walk it prices and restore all draw through jitter_sum, and so does
+a caller that knows a phase's miss count without simulating it: after a
+restore, a phase of k misses adds jitter_sum(rng, j, k, after=the
+snapshot's misses).
 
 Untimed interference runs through run_loop, which does what a
 virtual_access per address would do but builds no outcome: a touch that
@@ -82,6 +85,23 @@ def randbelow(getrandbits, n):
     while r >= n:
         r = getrandbits(k)
     return r
+
+
+def jitter_sum(rng, jitter, misses, after=0):
+    """The jitter `misses` cache misses add after `after` earlier misses
+    drew from the same generator `rng`: each miss draws once, as
+    randint(-jitter, jitter) would.  On a machine restored with `rng`,
+    `after` is its miss count, the snapshot's included.  0, and `rng`
+    untouched, when jitter is 0."""
+    total = 0
+    if jitter:
+        getrandbits = rng.getrandbits
+        span = 2 * jitter + 1
+        for _ in range(after):
+            randbelow(getrandbits, span)
+        for _ in range(misses):
+            total += randbelow(getrandbits, span) - jitter
+    return total
 
 
 def write_value(vaddr):
@@ -234,17 +254,8 @@ class MemorySystem:
     # -- pricing helpers ------------------------------------------------------
 
     def _jitter(self, misses):
-        """The sum of `misses` jitter draws, one per cache miss, each as
-        randint(-j, j) would draw it; 0 without touching the generator
-        when jitter is off."""
-        j = self.latency.jitter
-        total = 0
-        if j:
-            getrandbits = self.rng.getrandbits
-            span = 2 * j + 1
-            for _ in range(misses):
-                total += randbelow(getrandbits, span) - j
-        return total
+        """The sum of `misses` jitter draws from this machine's generator."""
+        return jitter_sum(self.rng, self.latency.jitter, misses)
 
     def _refill(self, tlb, vm, vaddr):
         """Serve a TLB miss: walk vaddr's page (remembered per VM), price the
@@ -414,4 +425,4 @@ class MemorySystem:
         self.csr.cur_part, self.csr.last_part = csr
         self.memory.restore(memory)
         self.rng = rng
-        self._jitter(self.miss_counts()[1])
+        jitter_sum(rng, self.latency.jitter, 0, after=self.miss_counts()[1])

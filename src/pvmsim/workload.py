@@ -30,6 +30,8 @@ from .memsys import KINDS, write_value
 from .sv39 import SIZE_4K
 
 ORDERS = ("forward", "reverse", "random")
+# The most accesses one sweep may ask for; presets' sweeps take at most 16.
+MAX_SWEEP_ACCESSES = 1 << 18
 
 
 class SimulationError(RuntimeError):
@@ -66,6 +68,12 @@ class Region:
         _check_sweep(self, "region", self.repeats, "one repeat")
         if self.order not in ORDERS:
             raise ValueError("order must be one of %r" % (ORDERS,))
+        per_page = -(-SIZE_4K // self.stride)  # the offsets addresses() visits in a page
+        accesses = self.pages * per_page * self.repeats
+        if accesses > MAX_SWEEP_ACCESSES:
+            raise ValueError(
+                "region sweep takes %d accesses, more than %d" % (accesses, MAX_SWEEP_ACCESSES)
+            )
 
     def addresses(self, rng=None):
         """Yield the access addresses of the full sweep (all repeats)."""

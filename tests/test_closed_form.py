@@ -1,0 +1,95 @@
+"""Interference-free plans draw their iterations instead of simulating them.
+
+An isolation scenario with no random-order region takes the same events
+in every iteration, so after its first simulated iteration run_iteration
+returns a fixed base plus the jitter draws of the record's cache misses
+(hypervisor module docstring).  These tests hold that closed form to full
+simulation: every drawn record must equal the same iteration run as the
+first iteration of a fresh plan, on every preset and on WRITES_TEXT, with
+and without jitter, serially and through the process pool.  A plan with
+an interference VM, or with a random-order prime or measure region, must
+still simulate its measured phase on every iteration.
+"""
+
+from dataclasses import replace
+from unittest import mock
+
+import pytest
+
+from pvmsim import hypervisor
+from pvmsim.cli import preset_names, preset_text
+from pvmsim.config import load_experiment
+from pvmsim.harness import run_experiment
+from pvmsim.hypervisor import build_plan, run_iteration, run_range
+from pvmsim.workload import Workload, run_regions
+
+from test_golden import WRITES_TEXT
+
+ITERATIONS = 30
+TEXTS = {name: preset_text(name) for name in preset_names()} | {"writes": WRITES_TEXT}
+
+
+def config(name, jitter, scenario="isolation", seed=1):
+    """The experiment `name` reduced to `scenario`, at jitter bound `jitter`."""
+    cfg = load_experiment(text=TEXTS[name], seed=seed, iterations=ITERATIONS, scenarios=[scenario])
+    defn = cfg.scenarios[scenario]
+    defn = replace(defn, latency=replace(defn.latency, jitter=jitter))
+    return replace(cfg, scenarios={scenario: defn})
+
+
+def first_iterations(defn):
+    """Each iteration of defn run as the first iteration of a fresh plan."""
+    return [run_iteration(build_plan(defn), i) for i in range(defn.iterations)]
+
+
+def measure_runs(defn, stop=ITERATIONS):
+    """(records of iterations [0, stop) of one plan, how many times its
+    measured phase ran)."""
+    plan = build_plan(defn)
+    measure = plan.measured.workload.measure
+    with mock.patch.object(hypervisor, "run_regions", wraps=run_regions) as spy:
+        records = run_range(plan, 0, stop)
+    return records, sum(1 for call in spy.call_args_list if call.args[2] is measure)
+
+
+def with_random_order(defn, phase):
+    """defn with every region of its measured VM's `phase` in random order."""
+    vms = []
+    for vm in defn.vms:
+        if isinstance(vm.workload, Workload):
+            regions = tuple(replace(r, order="random") for r in getattr(vm.workload, phase))
+            vm = replace(vm, workload=replace(vm.workload, **{phase: regions}))
+        vms.append(vm)
+    return replace(defn, vms=tuple(vms))
+
+
+@pytest.mark.parametrize("jitter", (3, 0))
+@pytest.mark.parametrize("name", sorted(TEXTS))
+def test_drawn_records_equal_fresh_first_iterations(name, jitter):
+    cfg = config(name, jitter)
+    defn = cfg.scenarios["isolation"]
+    fresh = first_iterations(defn)
+    if jitter:
+        assert len({r.cycles for r in fresh}) > 1  # the draws matter
+    records, runs = measure_runs(defn)
+    assert runs == 1  # simulated once, drawn ever after
+    assert records == fresh
+    # Through the pool each worker simulates the first iteration of its
+    # range and draws the rest.
+    assert run_experiment(cfg, workers=2)["isolation"] == fresh
+
+
+@pytest.mark.parametrize("name", sorted(TEXTS))
+def test_plans_that_vary_simulate_every_iteration(name):
+    stop = 6
+    interfered = config(name, 3, scenario="unmitigated").scenarios["unmitigated"]
+    isolated = config(name, 3).scenarios["isolation"]
+    for defn in (
+        interfered,
+        with_random_order(isolated, "prime"),
+        with_random_order(isolated, "measure"),
+    ):
+        assert not build_plan(defn).interference_free
+        records, runs = measure_runs(defn, stop)
+        assert runs == stop
+        assert records == first_iterations(replace(defn, iterations=stop))

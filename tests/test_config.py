@@ -493,6 +493,65 @@ class RejectionTest(unittest.TestCase):
                 self.assertNotEqual(text, BASE)
                 self.check(text, "^" + where + ": " + pattern)
 
+    def test_cache_geometry_is_bounded_at_load(self):
+        # Each of these stalled or took seconds to build before its first
+        # iteration; load builds no cache, so the bound alone stops them.
+        for old, new, pattern in (
+            ("ways = 8", "ways = 65536", r"ways must be at most 4096, got 65536$"),
+            ("line_bytes = 16", "line_bytes = 65536", r"line_bytes must be at most 4096, got 65536$"),
+            (
+                "dcache_sets = 256",
+                "dcache_sets = 262144",
+                r"the data cache's array of 0x2000000 bytes exceeds 0x400000$",
+            ),
+            (
+                "ways = 8",
+                "ways = 4096",
+                r"the instruction cache's array of 0x800000 bytes exceeds 0x400000$",
+            ),
+        ):
+            with self.subTest(new=new):
+                self.check(BASE.replace(old, new), r"^\[cache\]: " + pattern)
+        # The largest shapes the bounds admit: 4096 ways, 4 KiB lines and
+        # 4 MiB arrays.
+        for old, new in (
+            ("ways = 8\nicache_sets = 128\ndcache_sets = 256",
+             "ways = 4096\nicache_sets = 64\ndcache_sets = 64"),
+            ("icache_sets = 128\ndcache_sets = 256\nline_bytes = 16",
+             "icache_sets = 64\ndcache_sets = 128\nline_bytes = 4096"),
+        ):
+            self.assertEqual(load(BASE.replace(old, new)).scenario_names, ("quiet", "noisy"))
+
+    def test_touches_per_quantum_are_bounded_at_load(self):
+        # The cheapest touch is a TLB hit and a cache hit, 2 cycles, so a
+        # quantum asks for at most quantum // 2 touches.
+        for quantum in ("0x7fffffffffff", "10000000000000000000000000", "2097154"):
+            with self.subTest(quantum=quantum):
+                self.check(
+                    BASE.replace("quantum = 1500", "quantum = " + quantum),
+                    r"^\[scenario.noisy\]: vm 'intf': one quantum may take \d+ touches of 2 "
+                    r"cycles, more than 1048576$",
+                )
+        limit = BASE.replace("quantum = 1500", "quantum = 2097153")
+        self.assertEqual(load(limit).scenario_names, ("quiet", "noisy"))
+        # A compute charge makes every touch dearer, so fewer fit.
+        dear = BASE.replace("quantum = 1500", "quantum = 0x7fffffffffff").replace(
+            "touches=2", "touches=2 compute=0x100000000"
+        )
+        self.assertEqual(load(dear).scenario_names, ("quiet", "noisy"))
+
+    def test_accesses_per_sweep_are_bounded_at_load(self):
+        # pages * ceil(4096 / stride) * repeats, here 2 * 4 * repeats.
+        big = BASE.replace("measure = data stride=1024", "measure = data stride=1024 repeats=32769")
+        self.check(
+            big, r"^\[vm.crit\] measure: region sweep takes 262152 accesses, more than 262144$"
+        )
+        self.assertEqual(len(load(big.replace("repeats=32769", "repeats=32768")).scenarios), 2)
+        self.check(
+            BASE.replace("footprint_pages = 2", "footprint_pages = 0x7fffffffffff"),
+            r"^\[hypervisor\]: region sweep takes \d+ accesses, more than 262144$",
+        )
+
     def test_duplicate_kv_in_region(self):
         self.check(
             BASE.replace("pages=8 flags=rw", "pages=8 pages=9 flags=rw"),
@@ -500,7 +559,8 @@ class RejectionTest(unittest.TestCase):
         )
 
     def test_garbage_ini_syntax(self):
-        self.check("just some words\n", r"configuration does not parse")
+        # configparser's message spans three lines; the error is one.
+        self.check("just some words\n", r"^configuration does not parse: [^\n]*words[^\n]*\Z")
 
 
 if __name__ == "__main__":
