@@ -232,6 +232,64 @@ def nested_walk_ref(guest_tables, guest_root, host_tables, host_root, gvaddr):
     return fetches, ("fault", "no-leaf", "guest")
 
 
+class PageTablesRef:
+    """The table builder as a plain dict of 512-entry lists, growing one
+    leaf at a time.
+
+    map_page() checks, in order: the page size (4 KiB, 2 MiB or 1 GiB),
+    the alignment of both addresses, and the address range (a sign-extended
+    39-bit virtual address, or a zero-extended 41-bit guest-physical one
+    with `gpa_space`).  A call that passes them counts one mutation; the
+    descent then creates each missing table (one more mutation each, the
+    lowest free page at or above `next_ppn`) before writing the pointer to
+    it, and stops on a superpage leaf in the way or an occupied slot.
+    Like the builder, a guest-physical root indexes bits 38..30 only.
+    """
+
+    def __init__(self, root_ppn, next_ppn, gpa_space):
+        self.tables = {root_ppn: [0] * 512}
+        self.root_ppn = root_ppn
+        self.next_ppn = next_ppn
+        self.gpa_space = gpa_space
+        self.version = 0
+
+    def map_page(self, vaddr, paddr, page_size, flags):
+        """Returns the builder's ValueError message, or None once mapped."""
+        depth = {1 << 30: 1, 1 << 21: 2, 1 << 12: 3}.get(page_size)
+        if depth is None:
+            return "unsupported page size %r" % (page_size,)
+        if vaddr % page_size or paddr % page_size:
+            return "mapping 0x%x -> 0x%x not aligned to page size 0x%x" % (vaddr, paddr, page_size)
+        if self.gpa_space:
+            inside = 0 <= vaddr < 1 << 41
+        else:
+            inside = 0 <= vaddr < 1 << 38 or (1 << 64) - (1 << 38) <= vaddr < 1 << 64
+        if not inside:
+            return "address 0x%x outside this space" % vaddr
+        self.version += 1
+        digits = [(vaddr >> 30) % 512, (vaddr >> 21) % 512, (vaddr >> 12) % 512][:depth]
+        node = self.root_ppn
+        for index in digits[:-1]:
+            pte = self.tables[node][index]
+            if pte % 2 == 0:
+                child = self.next_ppn
+                while child in self.tables:
+                    child += 1
+                self.next_ppn = child + 1
+                self.tables[child] = [0] * 512
+                self.version += 1
+                self.tables[node][index] = child * 1024 + 1
+                node = child
+            elif pte & 0b1110:
+                return "0x%x already covered by a superpage leaf" % vaddr
+            else:
+                node = pte >> 10
+        if self.tables[node][digits[-1]] % 2:
+            return "0x%x mapped twice" % vaddr
+        self.tables[node][digits[-1]] = (paddr >> 12) * 1024 + (flags | 1)
+        return None
+
+
 def analytic_two_stage_count(guest_leaf_level, host_leaf_level):
     """Closed-form fetch count when every host walk stops at the same level:
     G guest fetches, each preceded by an H-fetch host walk, plus the final

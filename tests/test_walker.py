@@ -27,6 +27,7 @@ from pvmsim.sv39 import (
 from pvmsim.walker import AddressSpace, walk_single, walk_two_stage
 
 from oracles import (
+    PageTablesRef,
     analytic_two_stage_count,
     nested_walk_ref,
     radix_fetches_ref,
@@ -462,3 +463,63 @@ def test_walkers_match_reference_walks_fetch_by_fetch():
         ("host at", 0), ("host at", 1), ("host at", 2), ("host at", "final"),
     ):
         assert want in seen, want
+
+
+# -- differential: the table builder against the reference builder ------------------
+
+
+def builder_call(rng, gpa_space):
+    """One map_page argument tuple, clustered so that pages share tables
+    and land on each other, with some misaligned, unsupported-size and
+    out-of-space inputs mixed in."""
+    size = rng.choice(SIZES + (SIZE_2M, SIZE_1G))
+    draw = rng.random()
+    if draw < 0.05:
+        size = rng.choice((0, 8192, 1 << 20, 3 * SIZE_4K, 1 << 39, -SIZE_4K))
+    # A few root slots, a few 2 MiB slots under each, a few 4 KiB pages under those.
+    vaddr = rng.randrange(3) << 30 | rng.randrange(4) << 21 | rng.randrange(16) << 12
+    if gpa_space and rng.random() < 0.1:
+        vaddr |= rng.randrange(1, 4) << 39  # the bits a 9-bit host root drops
+    elif not gpa_space and rng.random() < 0.1:
+        vaddr |= (1 << 64) - (1 << 38)  # the upper canonical half
+    if size > 0:
+        vaddr &= ~(size - 1)
+    paddr = rng.randrange(1 << 16) << 30
+    if 0.05 <= draw < 0.1:
+        vaddr += rng.choice((8, SIZE_4K, SIZE_2M))  # misaligned unless size is 4 KiB
+    elif 0.1 <= draw < 0.15:
+        paddr += rng.choice((8, SIZE_4K, SIZE_2M))
+    elif 0.15 <= draw < 0.2:
+        vaddr = rng.choice((1 << 41, 1 << 38, -SIZE_4K, 1 << 40 if not gpa_space else 1 << 42))
+    return vaddr, paddr, size, rng.choice(FLAG_CHOICES)
+
+
+BUILDER_OUTCOMES = ("unsupported page size", "not aligned", "outside this space",
+                    "superpage leaf", "mapped twice")
+
+
+def test_builder_matches_reference_builder_call_by_call():
+    rng = random.Random(2207)
+    seen = set()
+    for round_index in range(40):
+        gpa_space = round_index % 2 == 1
+        root = 0x800 + round_index
+        # Every fourth space allocates from just below its root, so the
+        # allocator has to step over it.
+        alloc = root - 2 if round_index % 4 == 0 else root + 1
+        space = AddressSpace(root_ppn=root, table_alloc_ppn=alloc, gpa_space=gpa_space)
+        ref = PageTablesRef(root, alloc, gpa_space)
+        for _ in range(80):
+            args = builder_call(rng, gpa_space)
+            version, ref_version = space.version, ref.version
+            try:
+                space.map_page(*args)
+                error = None
+            except ValueError as exc:
+                error = str(exc)
+            assert error == ref.map_page(*args), [hex(a) for a in args]
+            assert space.tables == ref.tables
+            assert space._next_table_ppn == ref.next_ppn
+            assert space.version - version == ref.version - ref_version, [hex(a) for a in args]
+            seen.add(next(kind for kind in BUILDER_OUTCOMES if kind in error) if error else "ok")
+    assert seen == {"ok", *BUILDER_OUTCOMES}
