@@ -20,14 +20,10 @@ LEVELS = 3
 INDEX_BITS = 9
 VA_BITS = PAGE_SHIFT + LEVELS * INDEX_BITS  # 39
 
-# Leaf page size when the walk stops at `level` (level 2 = root).
-def level_size(level):
-    return 1 << (PAGE_SHIFT + INDEX_BITS * level)
-
-
-SIZE_4K = level_size(0)
-SIZE_2M = level_size(1)
-SIZE_1G = level_size(2)
+# Leaf page sizes when the walk stops at level 0, 1 or 2 (the root).
+SIZE_4K = 1 << PAGE_SHIFT
+SIZE_2M = SIZE_4K << INDEX_BITS
+SIZE_1G = SIZE_2M << INDEX_BITS
 PAGE_SIZES = (SIZE_4K, SIZE_2M, SIZE_1G)
 
 PTE_V = 1 << 0
@@ -53,18 +49,5 @@ def is_canonical(vaddr):
     return upper == 0 or upper == (1 << (64 - VA_BITS + 1)) - 1
 
 
-def vpn_index(vaddr, level):
-    """9-bit table index used at `level` of the walk."""
-    return (vaddr >> (PAGE_SHIFT + INDEX_BITS * level)) & ((1 << INDEX_BITS) - 1)
-
-
 def make_pte(ppn, flags):
     return (ppn << PPN_SHIFT) | flags
-
-
-def pte_ppn(pte):
-    return pte >> PPN_SHIFT
-
-
-def pte_is_leaf(pte):
-    return bool(pte & PTE_LEAF_MASK)

@@ -5,17 +5,20 @@ translation together with the host-physical address of every PTE fetch,
 in order.  Pricing those fetches (through the data cache) is the memory
 system's job.
 
-Both stages share one radix descent.  A two-stage walk runs it over the
-guest tables and translates EVERY guest-physical access through a full
-host walk -- each guest PTE address and the final guest-physical
-address -- with no intermediate caching, so a 4 KiB guest page under
-4 KiB host pages costs 3 x (3 + 1) + 3 = 15 fetches.  A two-stage fault
-names the stage, guest or host, whose walk stopped.
+Both stages are walked by one radix descent, a loop over the levels'
+index shifts that reads the tables directly.  A two-stage walk runs it
+over the guest tables and again over the host tables for EVERY
+guest-physical access -- each guest PTE address and the final
+guest-physical address -- with no intermediate caching, so a 4 KiB guest
+page under 4 KiB host pages costs 3 x (3 + 1) + 3 = 15 fetches, all in
+one list.  A two-stage fault names the stage, guest or host, whose walk
+stopped.
 
 Page tables live in an AddressSpace: a sparse map from physical page
-number to a 512-entry table.  The builder methods construct minimal
-radix trees for {vaddr, paddr, size, flags} regions; intermediate
-tables come from a bump allocator so table placement is deterministic.
+number to a 512-entry table.  Its builder, on the same level loop,
+constructs minimal radix trees for {vaddr, paddr, size, flags} regions;
+intermediate tables come from a bump allocator so table placement is
+deterministic.
 """
 
 from dataclasses import dataclass, field
@@ -24,9 +27,11 @@ from .sv39 import (
     INDEX_BITS,
     PAGE_SHIFT,
     PAGE_SIZE,
+    PPN_SHIFT,
     PTE_A,
     PTE_D,
     PTE_G,
+    PTE_LEAF_MASK,
     PTE_R,
     PTE_U,
     PTE_V,
@@ -34,17 +39,18 @@ from .sv39 import (
     PTE_X,
     VPN_MASK,
     is_canonical,
-    level_size,
     make_pte,
-    pte_is_leaf,
-    pte_ppn,
-    vpn_index,
 )
 
 # Guest-physical addresses get two extra bits over the 39 virtual ones.
 GPA_BITS = 41
 
 _ENTRIES_PER_TABLE = 1 << INDEX_BITS
+_INDEX_MASK = _ENTRIES_PER_TABLE - 1
+_EMPTY_TABLE = (0,) * _ENTRIES_PER_TABLE  # what a fetch from an absent table reads
+_SHIFTS = (30, 21, 12)  # where each level's index sits, root level first
+_LEAF_SHIFT = {1 << shift: shift for shift in _SHIFTS}  # page size -> its leaf's shift
+_OUTSIDE = "address 0x%x violates the space's addressing rules"
 
 
 @dataclass
@@ -85,12 +91,6 @@ class AddressSpace:
 
     # -- raw table access ---------------------------------------------------
 
-    def pte_at(self, table_ppn, index):
-        """Value a hardware fetch of (table, index) would see; absent tables
-        read as zero (an invalid PTE) rather than failing."""
-        table = self.tables.get(table_ppn)
-        return 0 if table is None else table[index]
-
     def set_pte(self, table_ppn, index, value):
         self.tables[table_ppn][index] = value
         self.version += 1
@@ -121,8 +121,8 @@ class AddressSpace:
 
     def map_page(self, vaddr, paddr, page_size, flags):
         """Install one leaf mapping, creating intermediate tables as needed."""
-        target_level = {level_size(l): l for l in range(3)}.get(page_size)
-        if target_level is None:
+        leaf_shift = _LEAF_SHIFT.get(page_size)
+        if leaf_shift is None:
             raise ValueError("unsupported page size %r" % (page_size,))
         if vaddr & (page_size - 1) or paddr & (page_size - 1):
             raise ValueError(
@@ -131,22 +131,23 @@ class AddressSpace:
         if not self.check_addr(vaddr):
             raise ValueError("address 0x%x outside this space" % vaddr)
         self.version += 1
-        table_ppn = self.root_ppn
-        for level in range(2, target_level, -1):
-            idx = vpn_index(vaddr, level)
-            pte = self.tables[table_ppn][idx]
+        table = self.tables[self.root_ppn]
+        for shift in _SHIFTS:
+            index = vaddr >> shift & _INDEX_MASK
+            if shift == leaf_shift:
+                break
+            pte = table[index]
             if not pte & PTE_V:
                 child = self._alloc_table()
-                self.tables[table_ppn][idx] = make_pte(child, PTE_V)  # pointer PTE
-                table_ppn = child
-            elif pte_is_leaf(pte):
+                table[index] = child << PPN_SHIFT | PTE_V  # pointer PTE
+                table = self.tables[child]
+            elif pte & PTE_LEAF_MASK:
                 raise ValueError("0x%x already covered by a superpage leaf" % vaddr)
             else:
-                table_ppn = pte_ppn(pte)
-        idx = vpn_index(vaddr, target_level)
-        if self.tables[table_ppn][idx] & PTE_V:
+                table = self.tables[pte >> PPN_SHIFT]
+        if table[index] & PTE_V:
             raise ValueError("0x%x mapped twice" % vaddr)
-        self.tables[table_ppn][idx] = make_pte(paddr >> PAGE_SHIFT, flags | PTE_V)
+        table[index] = make_pte(paddr >> PAGE_SHIFT, flags | PTE_V)
 
     def map_region(self, vaddr, paddr, size, flags, page_size=PAGE_SIZE):
         """Map a linear region at a fixed granularity."""
@@ -156,34 +157,39 @@ class AddressSpace:
             self.map_page(vaddr + off, paddr + off, page_size, flags)
 
 
-def _descend(space, vaddr, result, locate=None):
-    """The radix walk both stages share: fetch one PTE per level, root
-    first, appending each fetch address to result.accesses.  In a
-    two-stage walk `locate` host-walks each guest PTE's guest-physical
-    address and returns that walk, whose paddr is the address fetched, or
-    None when it faults.  Returns the leaf's (pte, page size, translated
-    address), or None with result.fault set when the walk stops short."""
+def _descend(space, vaddr, result, host=None):
+    """The radix walk of both stages: one PTE fetch per level, root first,
+    appended to result.accesses.  Given `host`, each PTE's guest-physical
+    address is first walked through the host tables by this function, into
+    the same list, and the host leaf gives the address fetched.  Returns the
+    leaf's (pte, page size, translated address), or None with result.fault
+    set (and fault_stage "host" if a host walk stopped short)."""
+    tables = space.tables
     table_ppn = space.root_ppn
-    for level in (2, 1, 0):
-        idx = vpn_index(vaddr, level)
-        addr = (table_ppn << PAGE_SHIFT) + idx * 8
-        if locate is not None:
-            host_walk = locate(addr)
-            if host_walk is None:
+    for shift in _SHIFTS:
+        index = vaddr >> shift & _INDEX_MASK
+        addr = (table_ppn << PAGE_SHIFT) + index * 8
+        if host is not None:
+            if addr >> GPA_BITS:
+                raise ValueError(_OUTSIDE % addr)
+            host_leaf = _descend(host, addr, result)
+            if host_leaf is None:
+                result.fault_stage = "host"
                 return None
-            addr = host_walk.paddr
+            addr = host_leaf[2]
         result.accesses.append(addr)
-        pte = space.pte_at(table_ppn, idx)
+        pte = tables.get(table_ppn, _EMPTY_TABLE)[index]
         if not pte & PTE_V:
             result.fault = "invalid"
             return None
-        if pte_is_leaf(pte):
-            page_size = level_size(level)
-            if pte_ppn(pte) & ((page_size >> PAGE_SHIFT) - 1):
+        if pte & PTE_LEAF_MASK:
+            size = 1 << shift
+            ppn = pte >> PPN_SHIFT
+            if ppn & ((size >> PAGE_SHIFT) - 1):
                 result.fault = "misaligned"
                 return None
-            return pte, page_size, (pte_ppn(pte) << PAGE_SHIFT) | (vaddr & (page_size - 1))
-        table_ppn = pte_ppn(pte)
+            return pte, size, (ppn << PAGE_SHIFT) | (vaddr & (size - 1))
+        table_ppn = pte >> PPN_SHIFT
     result.fault = "no-leaf"  # level 0 still pointed onward
     return None
 
@@ -197,7 +203,7 @@ def walk_single(space, vaddr):
     """Standard three-level radix walk; the PTE fetches are recorded in
     root-to-leaf order."""
     if not space.check_addr(vaddr):
-        raise ValueError("address 0x%x violates the space's addressing rules" % vaddr)
+        raise ValueError(_OUTSIDE % vaddr)
     result = WalkResult()
     leaf = _descend(space, vaddr, result)
     if leaf is not None:
@@ -216,32 +222,26 @@ def _merge_flags(guest_flags, host_flags):
 def walk_two_stage(guest, host, gvaddr):
     """SV39x4-style nested walk: the guest walk where every guest-physical
     access (guest PTE addresses and the final translated address) is first
-    translated by a full host walk.  The access list interleaves host-walk
-    fetches with the guest PTE fetches in true order."""
+    translated by a full walk of the guest-physical space `host`.  The
+    access list interleaves host and guest PTE fetches in true order."""
     if not guest.check_addr(gvaddr):
         raise ValueError("address 0x%x violates the guest space's addressing rules" % gvaddr)
     result = WalkResult()
-
-    def nested(gpa):
-        sub = walk_single(host, gpa)
-        result.accesses.extend(sub.accesses)
-        if sub.fault:
-            result.fault, result.fault_stage = sub.fault, "host"
-            return None
-        return sub
-
-    leaf = _descend(guest, gvaddr, result, nested)
+    leaf = _descend(guest, gvaddr, result, host)
     if leaf is None:
         result.fault_stage = result.fault_stage or "guest"
         return result
     pte, guest_size, gpa = leaf
-    final = nested(gpa)
+    if gpa >> GPA_BITS:
+        raise ValueError(_OUTSIDE % gpa)
+    final = _descend(host, gpa, result)
     if final is None:
+        result.fault_stage = "host"
         return result
-    merged_size = min(guest_size, final.page_size)
+    host_pte, host_size, result.paddr = final
+    merged_size = min(guest_size, host_size)
     result.vpn = _page_vpn(gvaddr, merged_size)
     result.page_size = merged_size
-    result.paddr = final.paddr
-    base_ppn = (final.paddr & ~(merged_size - 1)) >> PAGE_SHIFT
-    result.pte = make_pte(base_ppn, _merge_flags(pte & 0xFF, final.pte & 0xFF))
+    base_ppn = (result.paddr & ~(merged_size - 1)) >> PAGE_SHIFT
+    result.pte = make_pte(base_ppn, _merge_flags(pte & 0xFF, host_pte & 0xFF))
     return result

@@ -20,8 +20,6 @@ from pvmsim.sv39 import (
     PTE_X,
     SIZE_4K,
     make_pte,
-    pte_ppn,
-    vpn_index,
 )
 from pvmsim.walker import AddressSpace
 
@@ -232,15 +230,15 @@ def test_remapped_guest_page_is_walked_again():
     assert sys_.virtual_access(VBASE, "read", vm).paddr == DATA_BASE
     # Point VBASE's level-1 entry at a new leaf table mapping another frame.
     guest = vm.guest_space
-    mid = pte_ppn(guest.pte_at(guest.root_ppn, vpn_index(VBASE, 2)))
+    mid = guest.tables[guest.root_ppn][VBASE >> 30 & 0x1FF] >> 10
     leaf = guest.add_table(guest.root_ppn + 0x40)
-    guest.set_pte(leaf, vpn_index(VBASE, 0), make_pte((DATA_BASE >> 12) + 0x20, RWX | PTE_V))
-    guest.set_pte(mid, vpn_index(VBASE, 1), make_pte(leaf, PTE_V))
+    guest.set_pte(leaf, VBASE >> 12 & 0x1FF, make_pte((DATA_BASE >> 12) + 0x20, RWX | PTE_V))
+    guest.set_pte(mid, VBASE >> 21 & 0x1FF, make_pte(leaf, PTE_V))
     sys_.dtlb.flush()
     out = sys_.virtual_access(VBASE + 8, "read", vm)
     assert out.paddr == DATA_BASE + 0x20 * SIZE_4K + 8
     assert out.walk_fetches == 3
-    assert sys_.dcache.probe((leaf << 12) + vpn_index(VBASE, 0) * 8) is not None
+    assert sys_.dcache.probe((leaf << 12) + (VBASE >> 12 & 0x1FF) * 8) is not None
 
 
 def test_remapped_host_page_is_walked_again():
@@ -250,7 +248,7 @@ def test_remapped_host_page_is_walked_again():
     host = vm.host_space
     gpa = 0x40 << 30  # scattered_two_stage's guest-physical data page
     old_tables = set(host.tables)
-    host.set_pte(host.root_ppn, vpn_index(gpa, 2), 0)
+    host.set_pte(host.root_ppn, gpa >> 30 & 0x1FF, 0)
     host.map_page(gpa, DATA_BASE + 0x30 * SIZE_4K, SIZE_4K, RW)
     sys_.dtlb.flush()
     out = sys_.virtual_access(vaddr, "read", vm)

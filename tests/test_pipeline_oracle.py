@@ -37,9 +37,6 @@ from pvmsim.sv39 import (
     SIZE_2M,
     SIZE_4K,
     make_pte,
-    pte_is_leaf,
-    pte_ppn,
-    vpn_index,
 )
 from pvmsim.walker import AddressSpace
 from pvmsim.workload import InterferenceLoop
@@ -109,10 +106,11 @@ def leaf_slot(space, vaddr):
     """(table ppn, index) of the leaf PTE that maps vaddr."""
     table = space.root_ppn
     for level in (2, 1, 0):
-        pte = space.pte_at(table, vpn_index(vaddr, level))
-        if pte_is_leaf(pte):
-            return table, vpn_index(vaddr, level)
-        table = pte_ppn(pte)
+        index = vaddr >> (12 + 9 * level) & 0x1FF
+        pte = space.tables[table][index]
+        if pte & (PTE_R | PTE_W | PTE_X):
+            return table, index
+        table = pte >> 10
     raise AssertionError("0x%x is not mapped" % vaddr)
 
 
@@ -215,7 +213,7 @@ class Program:
         self.vms, self.pools, self.locks = build_vms()
         a = self.vms[0]
         self.victim = (a.guest_space,) + leaf_slot(a.guest_space, 0x40_5000)
-        self.victim_pte = a.guest_space.pte_at(*self.victim[1:])
+        self.victim_pte = a.guest_space.tables[self.victim[1]][self.victim[2]]
         self.last = None
 
     def step(self):
@@ -257,7 +255,7 @@ class Program:
                 getattr(ref, side).convert(way, to_spm)
         elif op < 0.09:
             space, table, index = self.victim
-            valid = space.pte_at(table, index) != 0
+            valid = space.tables[table][index] != 0
             space.set_pte(table, index, 0 if valid else self.victim_pte)
         else:
             return False

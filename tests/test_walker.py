@@ -21,7 +21,6 @@ from pvmsim.sv39 import (
     SIZE_1G,
     SIZE_2M,
     SIZE_4K,
-    level_size,
     make_pte,
 )
 from pvmsim.walker import AddressSpace, walk_single, walk_two_stage
@@ -113,6 +112,14 @@ def test_depth_exhaustion_faults():
     space.set_pte(0x102, 0, make_pte(0x103, PTE_V))  # level-0 pointer: invalid
     res = walk_single(space, 0)
     assert res.fault == "no-leaf" and len(res.accesses) == 3
+
+
+def test_pointer_to_an_absent_table_reads_as_invalid():
+    space = AddressSpace(root_ppn=0x100)
+    space.set_pte(0x100, 1, make_pte(0x555, PTE_V))  # no table 0x555 was added
+    res = walk_single(space, (1 << 30) + (3 << 21))
+    assert res.fault == "invalid"
+    assert res.accesses == [(0x100 << 12) + 8, (0x555 << 12) + 3 * 8]
 
 
 def test_non_canonical_vaddr_is_a_usage_error():
@@ -346,7 +353,7 @@ def break_leaf(space, addr):
     fetches, status = radix_fetches_ref(space.tables, space.root_ppn, addr)
     if status[0] == "ok":
         table, index = fetches[-1] >> 12, (fetches[-1] & 0xFFF) // 8
-        pte = space.pte_at(table, index)
+        pte = space.tables[table][index]
         space.set_pte(table, index, pte | 1 << 10 if status[2] else pte & ~(PTE_R | PTE_W | PTE_X))
 
 
@@ -409,7 +416,7 @@ def check_single(space, addr):
     fetches, status = radix_fetches_ref(space.tables, space.root_ppn, addr)
     assert res.accesses == fetches, hex(addr)
     if status[0] == "ok":
-        size = level_size(status[2])
+        size = 1 << 12 + 9 * status[2]
         assert (res.fault, res.paddr, res.page_size, res.pte) == (None, status[1], size, status[3])
         assert res.vpn == (addr >> 12) % (1 << 27) & ~((size >> 12) - 1)
     else:
@@ -523,3 +530,14 @@ def test_builder_matches_reference_builder_call_by_call():
             assert space.version - version == ref.version - ref_version, [hex(a) for a in args]
             seen.add(next(kind for kind in BUILDER_OUTCOMES if kind in error) if error else "ok")
     assert seen == {"ok", *BUILDER_OUTCOMES}
+
+
+def test_guest_physical_address_beyond_41_bits_is_a_usage_error():
+    guest, host, gva = nested_setup()
+    leaf = radix_fetches_ref(guest.tables, guest.root_ppn, gva)[0][-1]
+    guest.set_pte(leaf >> 12, (leaf & 0xFFF) // 8, make_pte(1 << 29, PTE_V | RW))  # GPA 2^41
+    with pytest.raises(ValueError, match="^address 0x20000000000 violates"):
+        walk_two_stage(guest, host, gva)
+    guest.set_pte(guest.root_ppn, gva >> 30 & 0x1FF, make_pte(1 << 29, PTE_V))  # a table there
+    with pytest.raises(ValueError, match="^address 0x20000000000 violates"):
+        walk_two_stage(guest, host, gva)

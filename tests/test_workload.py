@@ -210,7 +210,7 @@ class RunInterferenceTest(unittest.TestCase):
         space = vm.guest_space
         table = space.root_ppn
         for level in (2, 1):
-            table = space.pte_at(table, VBASE >> (12 + 9 * level) & 0x1FF) >> 10
+            table = space.tables[table][VBASE >> (12 + 9 * level) & 0x1FF] >> 10
         space.set_pte(table, VBASE >> 12 & 0x1FF, 0)
         sys.dtlb.flush()
         with self.assertRaisesRegex(
