@@ -29,7 +29,8 @@ plan alone, after running the prefix once on a machine with a generator
 of its own, and MemorySystem.restore advances each iteration's jitter
 generator by the draws the prefix's cache misses stand for.  A plan with
 a random-order prime snapshots the machine right after set-up and runs
-its prefix on every iteration.
+its prefix on every iteration.  Only a random-order region draws from
+the workload stream, so an iteration seeds it only when its plan has one.
 
 A plan with no interference VM and no random-order region in its prime
 or measure goes further: every iteration restores the same machine and
@@ -305,6 +306,8 @@ class ScenarioPlan:
     interference: tuple  # VmContext per interference VM, in defn.vms order
     hyp_context: VmContext
     lock_chunks: dict  # "i"/"d" -> list of (VmContext, LockChunk)
+    random_prime: bool  # a prime region is order=random, so the prefix draws
+    random_order: bool  # a prime or measure region is, so the iteration draws
     machine: tuple = field(default=None, repr=False, compare=False)
     fixed: tuple = field(default=None, repr=False, compare=False)
 
@@ -314,10 +317,7 @@ class ScenarioPlan:
         VM, and no random-order region in the prime or the measure.  Only
         the jitter draws then differ between iterations, and they price
         cycles without steering any event."""
-        workload = self.measured.workload
-        return not self.interference and all(
-            region.order != "random" for region in workload.prime + workload.measure
-        )
+        return not self.interference and not self.random_order
 
 
 class _Allocator:
@@ -429,12 +429,17 @@ def build_plan(defn):
         "hypervisor", HYP_VMID, HYP_ASID, defn.hyp.partition_mask, hyp_space, None, None
     )
 
+    workload = measured.workload
+    random_prime = any(region.order == "random" for region in workload.prime)
+    random_measure = any(region.order == "random" for region in workload.measure)
     return ScenarioPlan(
         defn=defn,
         measured=measured,
         interference=tuple(interference),
         hyp_context=hyp_context,
         lock_chunks=lock_chunks,
+        random_prime=random_prime,
+        random_order=random_prime or random_measure,
     )
 
 
@@ -493,16 +498,15 @@ def restore_machine(plan, jitter_rng, work_rng):
     build_plan stays planning only), then restored in place from the
     plan's snapshot, which no iteration can reach.  See the module
     docstring for where that snapshot is taken."""
-    random_prime = any(region.order == "random" for region in plan.measured.workload.prime)
     if plan.machine is None:
         sys = build_system(plan.defn, random.Random(0) if plan.defn.latency.jitter else None)
         setup_scenario(plan, sys)
-        if not random_prime:
+        if not plan.random_prime:
             run_prefix(plan, sys, None)  # a fixed-order prime draws nothing
         plan.machine = (sys, sys.snapshot())
     sys, state = plan.machine
     sys.restore(state, jitter_rng)
-    if random_prime:
+    if plan.random_prime:
         run_prefix(plan, sys, work_rng)
     return sys
 
@@ -551,7 +555,9 @@ def run_iteration(plan, index):
         base, before, tlb_misses, cache_misses = plan.fixed
         cycles = base + jitter_sum(jitter_rng, jitter, cache_misses, after=before)
         return IterationRecord(index, cycles, tlb_misses, cache_misses)
-    work_rng = random.Random(iteration_seed(defn.seed, index, "workload"))
+    work_rng = None  # drawn from only by a random-order region
+    if plan.random_order:
+        work_rng = random.Random(iteration_seed(defn.seed, index, "workload"))
     intf_rng = random.Random(iteration_seed(defn.seed, index, "interference"))
     sys = restore_machine(plan, jitter_rng, work_rng)
     crit = plan.measured
