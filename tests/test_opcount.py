@@ -45,3 +45,9 @@ def test_main_prints_one_row_per_module_and_the_total(capsys):
     assert lines[0].split() == ["module", "bytecodes", "calls"]
     assert lines[-1].split()[0] == "total"
     assert any(line.split()[0] == "pvmsim.walker" for line in lines)
+
+
+def test_an_unknown_config_exits_2_with_one_line(capsys):
+    assert opcount.main(["no-such-preset"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: no preset 'no-such-preset'") and err.count("\n") == 1

@@ -9,7 +9,8 @@ entered or a generator resumed), per module and in total.  Only
 run_experiment is counted: plans, iterations and records, not the config
 load or the outputs.  The package's memos are emptied first, so the counts
 repeat exactly for the same source, interpreter, config and seed, and a
-change in them is a change in the work.
+change in them is a change in the work.  They depend on the interpreter,
+so compare them only within one Python version.
 """
 
 import argparse
@@ -20,7 +21,7 @@ from collections import Counter
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src"))
 
 from pvmsim.cli import _resolve_config  # noqa: E402
-from pvmsim.config import load_experiment  # noqa: E402
+from pvmsim.config import ConfigError, load_experiment  # noqa: E402
 from pvmsim.harness import run_experiment  # noqa: E402
 
 
@@ -90,7 +91,15 @@ def main(argv=None):
                         help="override every scenario's iteration count")
     parser.add_argument("--seed", type=int, default=None, help="override the master seed")
     args = parser.parse_args(argv)
-    rows = table(*count_run(args.config, args.iterations, args.seed))
+    try:
+        rows = table(*count_run(args.config, args.iterations, args.seed))
+    except ConfigError as exc:
+        print("error: %s" % exc, file=sys.stderr)
+        return 2
+    if rows[-1][2] and not rows[-1][1]:
+        # CPython 3.12.1, for one, honours f_trace_opcodes for no frame.
+        print("error: %s delivered no opcode trace events" % sys.executable, file=sys.stderr)
+        return 2
     print("%-28s %14s %10s" % ("module", "bytecodes", "calls"))
     for module, ops, n in rows:
         print("%-28s %14s %10s" % (module, format(ops, ","), format(n, ",")))
