@@ -15,7 +15,11 @@ No preset primes in random order, and every preset has jitter, so the
 `prefix` section pins PREFIX_TEXT, a cut-down synthetic-nospm whose
 critical VM also primes an 8-page region in random order (a shuffle that
 draws from the workload stream and changes what the prime leaves behind),
-and its jitter = 0 twin, serially and with two workers.
+and its jitter = 0 twin, serially and with two workers.  The
+`measure-random` section pins the same configuration with the shuffle
+moved from the prime to the measured phase (MEASURE_RANDOM_TEXT): its
+prime draws nothing, so the prefix runs once, before the snapshot, while
+every iteration still seeds a workload generator for its measure.
 
 No preset ever writes backing memory either: every scenario of every
 preset ends with an empty memory and no write-back.  So the `writes`
@@ -134,6 +138,18 @@ hyp_mask = 0xffff
 PREFIX_VARIANTS = {
     "jitter": PREFIX_TEXT,
     "no-jitter": PREFIX_TEXT.replace("jitter = 3", "jitter = 0"),
+}
+
+# PREFIX_TEXT with its prime in fixed order and its last measured region
+# in random order.
+MEASURE_RANDOM_TEXT = (
+    PREFIX_TEXT.replace("name = prefix-random", "name = measure-random")
+    .replace("prime = bulk stride=2048 order=random;", "prime = bulk stride=2048;")
+    .replace("order=reverse; bulk stride=2048\n", "order=reverse; bulk stride=2048 order=random\n")
+)
+MEASURE_RANDOM_VARIANTS = {
+    "jitter": MEASURE_RANDOM_TEXT,
+    "no-jitter": MEASURE_RANDOM_TEXT.replace("jitter = 3", "jitter = 0"),
 }
 
 
@@ -372,6 +388,7 @@ def test_golden_file_covers_every_preset():
     assert {k: v for k, v in golden["uneven"].items() if k != "digests"} == UNEVEN
     assert sorted(golden["uneven"]["digests"]) == preset_names()
     assert sorted(golden["prefix"]) == sorted(PREFIX_VARIANTS)
+    assert sorted(golden["measure-random"]) == sorted(MEASURE_RANDOM_VARIANTS)
     assert isinstance(golden["writes"], str)
 
 
@@ -393,6 +410,13 @@ def test_uneven_ranges_match_golden_digest(preset):
 @pytest.mark.parametrize("variant", sorted(PREFIX_VARIANTS))
 def test_random_order_prime_matches_golden_digest(variant, workers):
     assert prefix_digest(variant, workers) == load_golden()["prefix"][variant]
+
+
+@pytest.mark.parametrize("workers", (1, 2))
+@pytest.mark.parametrize("variant", sorted(MEASURE_RANDOM_VARIANTS))
+def test_random_order_measure_matches_golden_digest(variant, workers):
+    text = MEASURE_RANDOM_VARIANTS[variant]
+    assert text_digest(text, workers) == load_golden()["measure-random"][variant]
 
 
 @pytest.mark.parametrize("workers", (1, 2))
@@ -448,11 +472,14 @@ def main():
         },
     )
     prefix = {variant: prefix_digest(variant, 1) for variant in PREFIX_VARIANTS}
+    measure_random = {
+        variant: text_digest(text, 1) for variant, text in MEASURE_RANDOM_VARIANTS.items()
+    }
     dump_golden(
         GOLDEN_PATH,
         {
             "iterations": ITERATIONS, "digests": digests, "uneven": uneven, "prefix": prefix,
-            "writes": text_digest(WRITES_TEXT, 1),
+            "measure-random": measure_random, "writes": text_digest(WRITES_TEXT, 1),
         },
     )
     machine = {preset: machine_digest(preset_text(preset)) for preset in preset_names()}
