@@ -52,16 +52,16 @@ restore, a phase of k misses adds jitter_sum(rng, j, k, after=the
 snapshot's misses).
 
 Untimed interference runs through run_loop, which does what a
-virtual_access per address would do but builds no outcome: a touch that
-the TLB's last-hit memo serves composes its paddr in the loop's own
-frame, as Tlb.lookup does, and every touch is one call of the cache's
-access step (Cache.step, the path Cache.access takes), its event priced
-from a table fixed once per call with the lookup and compute cycles
-folded in.  This module reads nothing of a cache's storage.
+virtual_access per address would do but builds no outcome: each touch is
+one Tlb.translate (the path Tlb.lookup takes) and one call of the
+cache's access step (Cache.step, the path Cache.access takes), its event
+priced from a table fixed once per call with the lookup and compute
+cycles folded in.  This module reads nothing of a TLB's or a cache's
+storage.
 
-Draws go straight to the generator's getrandbits through randbelow (which
-run_loop writes out), applying CPython's own rejection rule, so a draw
-gives the same value and leaves the generator in the same state as
+Every draw goes straight to the generator's getrandbits through
+randbelow, applying CPython's own rejection rule, so a draw gives the
+same value and leaves the generator in the same state as
 random.Random.randint(-j, j).
 """
 
@@ -70,7 +70,8 @@ from dataclasses import dataclass, fields
 from .cache import EVENT_HIT, EVENT_MISS, EVENT_SPM, EVENT_SPM_MISCONFIG, Cache, Memory
 from .cache import check_geometry as check_cache_geometry
 from .sv39 import PAGE_SHIFT, PAGE_SIZE, PTE_G
-from .tlb import PartitionCsrFile, Tlb, TlbEntry, check_geometry as check_tlb_geometry
+from .tlb import NON_CANONICAL, PartitionCsrFile, Tlb, TlbEntry
+from .tlb import check_geometry as check_tlb_geometry
 from .walker import walk_single, walk_two_stage
 
 KINDS = ("read", "write", "ifetch")
@@ -343,48 +344,30 @@ class MemorySystem:
         `compute_cycles`.  Returns (spent, None), or (spent, (vaddr, fault,
         fault_stage)) at the first access that faults.
 
-        A hit on the TLB's memo is served in this frame, as Tlb.lookup
-        serves it; every other lookup goes through Tlb.lookup and _refill.
-        Each touch is one Cache.step, priced from a table fixed once per
-        call.  The memo is replaced by every fill and scan, so it is read
-        per touch.  The jitter draw is randbelow's rule written out, which
-        saves a call per draw."""
+        Each touch is one Tlb.translate (a miss goes on to _refill) and one
+        Cache.step, priced from a table fixed once per call."""
         tlb, cache = self._sides[kind]
-        lookup, refill, step = tlb.lookup, self._refill, cache.step
+        translate, refill, step = tlb.translate, self._refill, cache.step
         asid, vmid = vm.asid, vm.vmid
         touch = self.latency.tlb_hit_cycles + compute_cycles  # no walk, no jitter
         price = {event: touch + cycles for event, cycles in self._price.items()}
         jitter = self.latency.jitter
         draw, span = self.rng.getrandbits if jitter else None, 2 * jitter + 1
-        bits_j = span.bit_length()
         write = kind == "write"
         spent = 0
         for vaddr in addresses:
-            memo = tlb._memo
-            if (
-                memo is not None and vaddr & memo[0] == memo[1]
-                and memo[2] == asid and memo[3] == vmid
-            ):
-                tlb.hits += 1
-                if memo[8]:
-                    tlb.lock_hits += 1
-                paddr = memo[4] | vaddr & memo[5]
-            else:
-                status, paddr, _, _, _ = lookup(vaddr, asid, vmid)
-                if status != "hit":
-                    if status == "fault":
-                        return spent, (vaddr, "non-canonical", None)
-                    walk, paddr, cycles = refill(tlb, vm, vaddr)
-                    if paddr is None:
-                        return spent, (vaddr, walk.fault, walk.fault_stage)
-                    spent += cycles
+            paddr = translate(vaddr, asid, vmid)
+            if paddr is None:
+                walk, paddr, cycles = refill(tlb, vm, vaddr)
+                if paddr is None:
+                    return spent, (vaddr, walk.fault, walk.fault_stage)
+                spent += cycles
+            elif paddr == NON_CANONICAL:
+                return spent, (vaddr, "non-canonical", None)
             event = step(paddr, kind, write_value(vaddr) if write else None)
             spent += price[event]
             if jitter and event == EVENT_MISS:
-                r = draw(bits_j)
-                while r >= span:
-                    r = draw(bits_j)
-                spent += r - jitter
+                spent += randbelow(draw, span) - jitter
             if spent >= quantum:
                 break
         return spent, None

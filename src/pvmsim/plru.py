@@ -94,7 +94,7 @@ class PlruTree:
 
     def set_lock(self, leaf, locked=True):
         """Mark `leaf` (un)available for victim selection, independent of partitions."""
-        self._check_leaf(leaf)
+        self.check_leaf(leaf)
         if locked:
             self.locked |= 1 << leaf
         else:
@@ -117,7 +117,7 @@ class PlruTree:
         disabled partitions; isolation is enforced purely by reachability
         at selection time.
         """
-        self._check_leaf(leaf)
+        self.check_leaf(leaf)
         ands, ors = self._touch
         self.bits = self.bits & ands[leaf] | ors[leaf]
 
@@ -137,7 +137,8 @@ class PlruTree:
 
     # -- helpers -----------------------------------------------------------
 
-    def _check_leaf(self, leaf):
+    def check_leaf(self, leaf):
+        """Raise ValueError unless `leaf` indexes one of this tree's leaves."""
         if not 0 <= leaf < self.leaf_count:
             raise ValueError("leaf index %r out of range [0, %d)" % (leaf, self.leaf_count))
 

@@ -31,7 +31,11 @@ to the consumer, just not cached).  Partitioning constrains replacement
 only -- lookups hit entries of disabled partitions just fine.
 
 A lookup reports what it found, not what it cost: memsys.MemorySystem
-prices every lookup at LatencyConfig.tlb_hit_cycles.
+prices every lookup at LatencyConfig.tlb_hit_cycles.  Tlb.translate is
+the one lookup path: it serves the memo, scans on a memo miss, keeps the
+hit, miss and lock-hit counts, and returns the physical address, None on
+a miss or NON_CANONICAL.  Tlb.lookup is translate plus a LookupResult
+read from the memo translate just served.
 
 A hit on a regular entry touches its leaf through PlruTree.touch; a
 lock-slot hit touches nothing.  The TLB remembers its last hit: a lookup
@@ -96,6 +100,7 @@ class LookupResult(NamedTuple):
 
 _MISS = LookupResult("miss")
 _FAULT = LookupResult("fault")
+NON_CANONICAL = -1  # what translate returns for a non-canonical address
 # tuple.__new__ builds a hit without the named tuple's Python-level __new__
 # (what LookupResult._make does inside).
 _new_result = tuple.__new__
@@ -183,8 +188,7 @@ class Tlb:
         # (cover mask, vaddr & cover mask, asid, vmid, frame address, offset
         # mask, page size, pte, lock hit) of the last hit, or None; the
         # cover is the page or the whole superpage the memo serves.  Read
-        # by lookup and by MemorySystem.run_loop, which serves a memo hit
-        # itself: a change to this layout changes both.
+        # by translate, and by lookup after translate has served it.
         self._memo = None
         self.hits = 0
         self.misses = 0
@@ -194,22 +198,33 @@ class Tlb:
 
     # -- lookup / fill -----------------------------------------------------
 
-    def lookup(self, vaddr, asid, vmid):
+    def translate(self, vaddr, asid, vmid):
+        """The physical address vaddr maps to for these ids on a hit, None
+        on a miss, NON_CANONICAL for a non-canonical address (which counts
+        as neither)."""
         memo = self._memo
         if memo is None or vaddr & memo[0] != memo[1] or memo[2] != asid or memo[3] != vmid:
             if not is_canonical(vaddr):
-                return _FAULT
+                return NON_CANONICAL
             memo = self._scan(vaddr, asid, vmid)
             if memo is None:
                 self.misses += 1
-                return _MISS
+                return None
         self.hits += 1
-        lock_hit = memo[8]
-        if lock_hit:
+        if memo[8]:
             self.lock_hits += 1
-        return _new_result(
-            LookupResult, ("hit", memo[4] | vaddr & memo[5], memo[6], memo[7], lock_hit)
-        )
+        return memo[4] | vaddr & memo[5]
+
+    def lookup(self, vaddr, asid, vmid):
+        """translate's answer as a LookupResult; a hit's page size, PTE and
+        lock bit come from the memo that served it."""
+        paddr = self.translate(vaddr, asid, vmid)
+        if paddr is None:
+            return _MISS
+        if paddr == NON_CANONICAL:
+            return _FAULT
+        memo = self._memo
+        return _new_result(LookupResult, ("hit", paddr, memo[6], memo[7], memo[8]))
 
     def _scan(self, vaddr, asid, vmid):
         """Find the slot or entry serving a canonical address's page, touch
@@ -286,7 +301,7 @@ class Tlb:
         slot = self.slots[index]
         if slot.active:
             raise ValueError("cannot retarget an active lock slot")
-        self.tree._check_leaf(leaf)
+        self.tree.check_leaf(leaf)
         self.slots[index] = replace(slot, target_leaf=leaf)
 
     def program_lock_slot(self, index, which, **fields):

@@ -20,7 +20,7 @@ from pvmsim.sv39 import (
     SIZE_4K,
     make_pte,
 )
-from pvmsim.tlb import LockSlot, PartitionCsrFile, Tlb, TlbEntry
+from pvmsim.tlb import NON_CANONICAL, LockSlot, LookupResult, PartitionCsrFile, Tlb, TlbEntry
 
 from oracles import CsrPairRef, TlbRef
 
@@ -519,7 +519,11 @@ def test_tlb_matches_naive_reference(seed):
     span, interleaved with fills under random CUR_PART masks, every flush
     kind, lock-slot programming and retargeting, rejected activations and
     snapshot/restore: every lookup result, every fill's leaf, the counters,
-    the entries and the PLRU node bits must match TlbRef.
+    the entries and the PLRU node bits must match TlbRef.  A seeded share
+    of the lookups goes through Tlb.translate instead of Tlb.lookup, from a
+    generator of its own so that the operations stay the same: its
+    address, None or NON_CANONICAL must match TlbRef's hit, miss or fault,
+    and the five counters must match right after it.
 
     Inside a span, a 4 KiB entry at a lower or a higher leaf than the
     superpage's, an active lock slot or another asid's global entry may
@@ -528,12 +532,15 @@ def test_tlb_matches_naive_reference(seed):
     else; `under` counts fills of an inner page below a superpage entry
     that serves the same ids."""
     rng = random.Random(seed)
+    route = random.Random(-1 - seed)  # picks translate or lookup
     n_entries, partitions, n_slots = REF_GEOMETRIES[seed % len(REF_GEOMETRIES)]
     tlb = make_tlb(n_entries, partitions, n_slots)
     ref = TlbRef(n_entries, partitions, n_slots)
     saved = []
     seen = dict.fromkeys(
-        ("repeat", "lock_hit", "drop", "restore", "fault", "reject", "shadowed", "under"), 0
+        ("repeat", "lock_hit", "drop", "restore", "fault", "reject", "shadowed", "under",
+         "translate"),
+        0,
     )
     last = None  # (vaddr, asid, vmid) of the previous lookup
     superhit = None  # (first vpn, pages, asid, vmid) of the previous lookup's superpage hit
@@ -584,8 +591,15 @@ def test_tlb_matches_naive_reference(seed):
                     seen["fault"] += 1
                 elif last == (vaddr & ~(SIZE_4K - 1), asid, vmid):
                     seen["repeat"] += 1
-                got = tlb.lookup(vaddr, asid, vmid)
-                assert got == ref.lookup(vaddr, asid, vmid)
+                if route.random() < 0.5:
+                    got = LookupResult(*ref.lookup(vaddr, asid, vmid))
+                    expected = {"hit": got.paddr, "miss": None, "fault": NON_CANONICAL}
+                    assert tlb.translate(vaddr, asid, vmid) == expected[got.status]
+                    assert tlb_state(tlb)[3] == tuple(ref.counters)
+                    seen["translate"] += 1
+                else:
+                    got = tlb.lookup(vaddr, asid, vmid)
+                    assert got == ref.lookup(vaddr, asid, vmid)
                 seen["lock_hit"] += got.lock_hit
                 vpn = vaddr >> 12 & ((1 << 27) - 1)
                 if superhit is not None and superhit[2:] == (asid, vmid):
