@@ -21,6 +21,11 @@ moved from the prime to the measured phase (MEASURE_RANDOM_TEXT): its
 prime draws nothing, so the prefix runs once, before the snapshot, while
 every iteration still seeds a workload generator for its measure.
 
+Every VM of every preset, and of the texts above, translates in two
+stages.  The `single-stage` section pins SINGLE_STAGE_TEXT, whose
+measured and interference VMs are all `two_stage = false`, one of them
+with a locked lower-half region, serially and with two workers.
+
 No preset ever writes backing memory either: every scenario of every
 preset ends with an empty memory and no write-back.  So the `writes`
 sections pin WRITES_TEXT, shaped like the benchmark's spm-writes-longq: a
@@ -151,6 +156,84 @@ MEASURE_RANDOM_VARIANTS = {
     "jitter": MEASURE_RANDOM_TEXT,
     "no-jitter": MEASURE_RANDOM_TEXT.replace("jitter = 3", "jitter = 0"),
 }
+
+
+# Single-stage VMs only: the measured VM plain and with its data0 region
+# locked, and an interference guest over a 64-page pool.
+SINGLE_STAGE_TEXT = """\
+[run]
+name = single-stage
+iterations = 6
+seed = 1
+scenarios = isolation unmitigated lock
+
+[latency]
+memory = 40
+jitter = 3
+
+[tlb]
+entries = 16
+partitions = 16
+lock_slots = 8
+
+[cache]
+ways = 8
+icache_sets = 128
+dcache_sets = 256
+line_bytes = 16
+
+[hypervisor]
+mask = 0x0100
+quantum = 2000
+footprint_base = 0x00700000
+footprint_pages = 2
+footprint_stride = 2048
+
+[vm.crit]
+vmid = 1
+asid = 1
+mask = 0xffff
+two_stage = false
+role = measured
+region.data0 = base=0x000100000 pages=2 flags=rw
+region.data1 = base=0x040100000 pages=1 flags=rw
+region.code = base=0x000600000 pages=2 flags=rx
+prime = data0 stride=2048; data1 stride=2048; code stride=512
+measure = data1 stride=2048; data0 stride=2048; code stride=512 order=reverse
+
+[vm.crit_lock]
+vmid = 1
+asid = 1
+mask = 0xffff
+two_stage = false
+role = measured
+region.data0 = base=0x000100000 pages=2 flags=rw lock=true
+region.data1 = base=0x040100000 pages=1 flags=rw
+region.code = base=0x000600000 pages=2 flags=rx
+prime = data0 stride=2048; data1 stride=2048; code stride=512
+measure = data1 stride=2048; data0 stride=2048; code stride=512 order=reverse
+
+[vm.intf]
+vmid = 2
+asid = 2
+mask = 0xffff
+two_stage = false
+role = interference
+region.pool = base=0x40080000 pages=64 flags=rw
+loop = pool stride=64 touches=2
+
+[scenario.isolation]
+vms = crit
+hyp_mask = 0xffff
+
+[scenario.unmitigated]
+vms = crit intf
+hyp_mask = 0xffff
+
+[scenario.lock]
+vms = crit_lock intf
+hyp_mask = 0xffff
+"""
 
 
 # One crit VM per mitigation and a writing interference guest whose pool
@@ -389,6 +472,7 @@ def test_golden_file_covers_every_preset():
     assert sorted(golden["uneven"]["digests"]) == preset_names()
     assert sorted(golden["prefix"]) == sorted(PREFIX_VARIANTS)
     assert sorted(golden["measure-random"]) == sorted(MEASURE_RANDOM_VARIANTS)
+    assert isinstance(golden["single-stage"], str)
     assert isinstance(golden["writes"], str)
 
 
@@ -417,6 +501,22 @@ def test_random_order_prime_matches_golden_digest(variant, workers):
 def test_random_order_measure_matches_golden_digest(variant, workers):
     text = MEASURE_RANDOM_VARIANTS[variant]
     assert text_digest(text, workers) == load_golden()["measure-random"][variant]
+
+
+@pytest.mark.parametrize("workers", (1, 2))
+def test_single_stage_records_match_golden_digest(workers):
+    assert text_digest(SINGLE_STAGE_TEXT, workers) == load_golden()["single-stage"]
+
+
+def test_single_stage_config_maps_no_host_space():
+    """The gap the single-stage section closes: every VM of every plan is
+    mapped without a host space, and the lock scenario hits its slots."""
+    cfg = load_experiment(text=SINGLE_STAGE_TEXT)
+    for name in cfg.scenario_names:
+        plan = build_plan(cfg.scenarios[name])
+        assert all(ctx.host_space is None for ctx in (plan.measured,) + plan.interference)
+        run_range(plan, 0, 1)
+        assert (plan.machine[0].dtlb.lock_hits > 0) == (name == "lock"), name
 
 
 @pytest.mark.parametrize("workers", (1, 2))
@@ -479,7 +579,8 @@ def main():
         GOLDEN_PATH,
         {
             "iterations": ITERATIONS, "digests": digests, "uneven": uneven, "prefix": prefix,
-            "measure-random": measure_random, "writes": text_digest(WRITES_TEXT, 1),
+            "measure-random": measure_random, "single-stage": text_digest(SINGLE_STAGE_TEXT, 1),
+            "writes": text_digest(WRITES_TEXT, 1),
         },
     )
     machine = {preset: machine_digest(preset_text(preset)) for preset in preset_names()}
