@@ -121,32 +121,18 @@ class Memory:
     Each line is one immutable tuple of words keyed by its address.  A
     cache's step fills a line with one region test and one lookup in that
     dict and writes a dirty victim back as one entry, so the memory keeps
-    one line dict for its whole life: ``bind`` and ``restore`` refill it
-    in place.  The line size is that of the caches sharing the memory: the
-    first to ``bind`` sets it and a cache of another size is refused;
-    until then a line is one word.  The word API serves the fill-drop
+    one line dict for its whole life: ``restore`` refills it in place.
+    The line size is fixed when the memory is made, and every cache
+    sharing it must use the same.  The word API serves the fill-drop
     path, where a miss with every way SPM goes straight to memory.
     """
 
-    def __init__(self, regions=()):
+    def __init__(self, regions, line_bytes):
         self._regions = []
         self._lines = {}  # line address -> tuple of its words; never rebound
-        self._bound = False
-        self.line_bytes, self._zero = WORD_BYTES, (0,)  # until a cache binds
+        self.line_bytes, self._zero = line_bytes, (0,) * (line_bytes // WORD_BYTES)
         for base, size in regions:
             self.add_region(base, size)
-
-    def bind(self, line_bytes):
-        """Store lines of `line_bytes`, the line size of a cache sharing this
-        memory; the words already stored keep their values."""
-        if self._bound and line_bytes != self.line_bytes:
-            raise ValueError("a memory shared by %d-byte lines cannot serve %d-byte lines"
-                             % (self.line_bytes, line_bytes))
-        words, self._bound = self.words(), True
-        self._lines.clear()
-        self.line_bytes, self._zero = line_bytes, (0,) * (line_bytes // WORD_BYTES)
-        for addr, w in words:
-            self.write_word(addr, w)
 
     def add_region(self, base, size):
         if base < 0 or size <= 0:
@@ -235,7 +221,9 @@ class Cache:
         spm_base=None,
     ):
         check_geometry(ways, sets, line_bytes)
-        memory.bind(line_bytes)
+        if memory.line_bytes != line_bytes:
+            raise ValueError("a memory of %d-byte lines cannot serve %d-byte lines"
+                             % (memory.line_bytes, line_bytes))
         self.memory = memory
         self.ways = ways
         self.sets = sets

@@ -234,7 +234,7 @@ def check_spm_windows(machine):
     RAM, and each array at most cache.MAX_ARRAY_BYTES.  Run once per
     MachineConfig, so a shape that cannot be built, or would take long to
     build and restore, fails at load time, not in its first iteration."""
-    memory = Memory(MEMORY_REGIONS)
+    memory = Memory(MEMORY_REGIONS, machine.line_bytes)
     for sets, base, side in (
         (machine.icache_sets, ISPM_BASE, "instruction"),
         (machine.dcache_sets, DSPM_BASE, "data"),
@@ -451,7 +451,7 @@ def build_system(defn, jitter_rng):
     RAM, with the scratchpad windows at this layout's bases."""
     return MemorySystem.build(
         defn.machine,
-        Memory(MEMORY_REGIONS),
+        Memory(MEMORY_REGIONS, defn.machine.line_bytes),
         defn.latency,
         ispm_base=ISPM_BASE,
         dspm_base=DSPM_BASE,

@@ -231,7 +231,7 @@ class MemorySystem:
         """Convenience constructor: two TLBs sharing one CSR file and two
         caches sharing `memory`, all of `machine`'s shape."""
         m = machine or MachineConfig()
-        memory = Memory() if memory is None else memory
+        memory = Memory((), m.line_bytes) if memory is None else memory
         csr = PartitionCsrFile(m.partitions)
         itlb, dtlb = (
             Tlb(csr, entries=m.entries, partition_count=m.partitions, lock_slots=m.lock_slots)

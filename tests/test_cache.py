@@ -28,7 +28,7 @@ SPM_BASE = 0x1000_0000  # aligned to any power-of-two array size used here
 
 
 def make_cache(ways=4, sets=8, line_bytes=16, window=True, **kw):
-    mem = Memory([(RAM_BASE, RAM_SIZE)])
+    mem = Memory([(RAM_BASE, RAM_SIZE)], line_bytes)
     cache = Cache(
         mem,
         ways=ways,
@@ -49,7 +49,7 @@ def same_set_addr(cache, set_idx, k, word=0):
 
 
 def test_geometry_must_be_powers_of_two():
-    mem = Memory([(RAM_BASE, RAM_SIZE)])
+    mem = Memory([(RAM_BASE, RAM_SIZE)], 16)
     with pytest.raises(ValueError):
         Cache(mem, ways=3, sets=8, line_bytes=16)
     with pytest.raises(ValueError):
@@ -61,19 +61,19 @@ def test_geometry_must_be_powers_of_two():
 
 
 def test_spm_base_must_be_size_aligned():
-    mem = Memory([(RAM_BASE, RAM_SIZE)])
+    mem = Memory([(RAM_BASE, RAM_SIZE)], 16)
     size = 4 * 8 * 16
     with pytest.raises(ValueError):
         Cache(mem, ways=4, sets=8, line_bytes=16, spm_base=SPM_BASE + size // 2)
 
 
 def test_spm_window_may_not_overlap_memory():
-    mem = Memory([(RAM_BASE, RAM_SIZE)])
+    mem = Memory([(RAM_BASE, RAM_SIZE)], 16)
     with pytest.raises(ValueError):
         Cache(mem, ways=4, sets=8, line_bytes=16, spm_base=RAM_BASE)
     # A region strictly inside the window holds neither of its ends.
     with pytest.raises(ValueError, match="overlaps a backing-memory region"):
-        check_spm_window(0x1000_0000, 0x1000_0000, Memory([(0x1800_0000, 0x1000)]))
+        check_spm_window(0x1000_0000, 0x1000_0000, Memory([(0x1800_0000, 0x1000)], 16))
 
 
 def test_unmapped_address_is_a_configuration_error():
@@ -90,7 +90,7 @@ def test_miss_outside_memory_changes_nothing(kind, where, all_spm):
     cuts, raises before any tag, dirty bit, PLRU bit, statistic, data word
     or memory word moves: with a dirty victim waiting, and with every way
     SPM, where the miss would go straight to memory."""
-    mem = Memory([(RAM_BASE, RAM_SIZE - 8)])  # the last line keeps one word
+    mem = Memory([(RAM_BASE, RAM_SIZE - 8)], 16)  # the last line keeps one word
     cache = Cache(mem, ways=4, sets=8, line_bytes=16, spm_base=SPM_BASE)
     paddr = RAM_BASE + RAM_SIZE - 16 if where == "cut" else 0x4000_0000 + 5 * 16
     set_idx = paddr // cache.line_bytes % cache.sets
@@ -111,7 +111,7 @@ def test_miss_outside_memory_changes_nothing(kind, where, all_spm):
 
 
 def test_memory_reads_default_to_zero_inside_regions():
-    mem = Memory([(RAM_BASE, RAM_SIZE)])
+    mem = Memory([(RAM_BASE, RAM_SIZE)], 16)
     assert mem.read_word(RAM_BASE + 0x100) == 0
     mem.write_word(RAM_BASE + 0x100, 7)
     assert mem.read_word(RAM_BASE + 0x100) == 7
@@ -119,28 +119,26 @@ def test_memory_reads_default_to_zero_inside_regions():
         mem.read_word(RAM_BASE - 8)
 
 
-def test_memory_takes_the_line_size_of_its_caches():
-    """The first cache to share a memory sets its line size, and the words
-    written before keep their values; a cache of another size is refused."""
-    mem = Memory([(RAM_BASE, RAM_SIZE)])
+def test_caches_take_the_line_size_of_their_memory():
+    """A memory stores lines of the size it is made with: caches of that
+    size share it, and a cache of another size is refused."""
+    mem = Memory([(RAM_BASE, RAM_SIZE)], 32)
     mem.write_word(RAM_BASE + 0x48, 5)
+    assert mem.snapshot() == ((RAM_BASE + 0x40, (0, 5, 0, 0)),)
     Cache(mem, ways=4, sets=8, line_bytes=32)
-    assert mem.line_bytes == 32 and mem.words() == ((RAM_BASE + 0x48, 5),)
-    assert [mem.read_word(RAM_BASE + 0x40 + 8 * i) for i in range(4)] == [0, 5, 0, 0]
     Cache(mem, ways=2, sets=4, line_bytes=32)
-    with pytest.raises(ValueError, match="32-byte lines cannot serve 16-byte lines"):
+    with pytest.raises(ValueError, match="^a memory of 32-byte lines cannot serve 16-byte lines$"):
         Cache(mem, ways=4, sets=8, line_bytes=16)
-    assert mem.line_bytes == 32 and mem.read_word(RAM_BASE + 0x48) == 5
+    assert mem.words() == ((RAM_BASE + 0x48, 5),)
 
 
 def test_memory_keeps_one_line_dict_for_life():
-    """A cache's step holds its memory's line dict, so binding another
-    cache and restoring a snapshot must refill that dict, not replace it:
-    cache A's later fill reads the restored word, and its dirty eviction
-    lands where memory.words() sees it."""
-    mem = Memory([(RAM_BASE, RAM_SIZE)])
+    """A cache's step holds its memory's line dict, so restoring a
+    snapshot must refill that dict, not replace it: the cache's later fill
+    reads the restored word, and its dirty eviction lands where
+    memory.words() sees it."""
+    mem = Memory([(RAM_BASE, RAM_SIZE)], 16)
     a = Cache(mem, ways=2, sets=4, line_bytes=16)
-    Cache(mem, ways=2, sets=4, line_bytes=16)  # binds the memory again
     mem.write_word(RAM_BASE + 0x08, 1)
     state = mem.snapshot()
     mem.write_word(RAM_BASE + 0x08, 2)

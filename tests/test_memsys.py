@@ -34,7 +34,7 @@ VBASE = 0x40_0000
 
 
 def build_system(jitter=0, seed=0, **kw):
-    mem = Memory([(TABLE_BASE, 1 << 20), (DATA_BASE, 1 << 20)])
+    mem = Memory([(TABLE_BASE, 1 << 20), (DATA_BASE, 1 << 20)], 16)
     latency = LatencyConfig(jitter=jitter)
     rng = random.Random(seed) if jitter else None
     return MemorySystem.build(
@@ -137,7 +137,7 @@ def test_cold_two_stage_miss_prices_fifteen_fetches():
 def test_every_event_is_priced_from_the_latency_config():
     """Distinct non-default prices, so a component priced from the wrong
     entry (or from a default) shows up as a wrong number."""
-    mem = Memory([(TABLE_BASE, 1 << 20), (DATA_BASE, 1 << 20)])
+    mem = Memory([(TABLE_BASE, 1 << 20), (DATA_BASE, 1 << 20)], 16)
     latency = LatencyConfig(tlb_hit_cycles=2, cache_hit_cycles=3, spm_cycles=5, memory_cycles=50)
     sys_ = MemorySystem.build(memory=mem, latency=latency, dspm_base=DSPM_BASE)
     vm = single_stage_vm()
@@ -360,7 +360,7 @@ def test_jitter_must_stay_below_memory_cycles():
 def test_jitter_requires_a_generator():
     with pytest.raises(ValueError):
         MemorySystem.build(
-            memory=Memory([(DATA_BASE, 1 << 20)]),
+            memory=Memory([(DATA_BASE, 1 << 20)], 16),
             latency=LatencyConfig(jitter=3),
             rng=None,
         )
@@ -541,7 +541,7 @@ def test_build_takes_its_shape_from_the_machine_config():
     machine = MachineConfig(
         entries=8, partitions=4, lock_slots=3, ways=4, icache_sets=16, dcache_sets=32, line_bytes=32
     )
-    sys_ = MemorySystem.build(machine, Memory([(DATA_BASE, 1 << 20)]), dspm_base=DSPM_BASE)
+    sys_ = MemorySystem.build(machine, Memory([(DATA_BASE, 1 << 20)], 32), dspm_base=DSPM_BASE)
     assert sys_.csr.width == 4
     for tlb in (sys_.itlb, sys_.dtlb):
         assert len(tlb.entries) == 8 and len(tlb.slots) == 3

@@ -134,7 +134,7 @@ def test_latency_additivity_with_variable_costs():
     space = AddressSpace(root_ppn=0x100)
     space.map_page(0x8000_0000, 0x4000_0000, SIZE_4K, RW)
     sys_ = MemorySystem.build(
-        memory=Memory([(0x100 << 12, 3 * SIZE_4K), (0x4000_0000, SIZE_4K)]),
+        memory=Memory([(0x100 << 12, 3 * SIZE_4K), (0x4000_0000, SIZE_4K)], 16),
         latency=LatencyConfig(cache_hit_cycles=7, memory_cycles=41),
     )
     sys_.dcache.access(walk_single(space, 0x8000_0000).accesses[1], "read")
