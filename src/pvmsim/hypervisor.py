@@ -70,6 +70,7 @@ from .sv39 import (
     PTE_W,
     PTE_X,
     SIZE_4K,
+    VPN_MASK,
     make_pte,
 )
 from .tlb import check_mask
@@ -472,7 +473,7 @@ def setup_scenario(plan, sys):
             tlb.program_lock_slot(
                 index,
                 "vpn",
-                vpn=chunk.gvaddr >> PAGE_SHIFT,
+                vpn=chunk.gvaddr >> PAGE_SHIFT & VPN_MASK,
                 page_size=chunk.page_size,
                 flags=chunk.flags,
             )

@@ -313,6 +313,8 @@ class Tlb:
             if page_size not in PAGE_SIZES:
                 raise ValueError("unsupported page size %r" % (page_size,))
             vpn = fields["vpn"]
+            if vpn & ~VPN_MASK:
+                raise ValueError("lock vpn 0x%x is wider than 27 bits" % vpn)
             if valid and vpn & (page_size // (1 << PAGE_SHIFT) - 1):
                 raise ValueError(
                     "lock vpn 0x%x not naturally aligned to %s page"

@@ -22,6 +22,7 @@ from pvmsim.hypervisor import (
     restore_machine,
     run_interference,
     run_iteration,
+    run_range,
     run_regions,
     run_scenario,
     setup_scenario,
@@ -40,6 +41,7 @@ RX = PTE_R | PTE_X | PTE_A | PTE_D
 DATA_V = 0x0040_0000
 CODE_V = 0x0060_0000
 POOL_V = 0x00A0_0000
+UPPER_HALF = 0xFFFF_FFC0_0000_0000  # the first canonical address above the hole
 
 FULL = 0xFFFF
 CRIT_MASK = 0x00FF
@@ -47,17 +49,18 @@ HYP_MASK = 0x0100
 INTF_MASK = 0xFE00
 
 
-def crit_vm(lock=False, spm=False, mask=CRIT_MASK, pages=4):
+def crit_vm(lock=False, spm=False, mask=CRIT_MASK, pages=4, half=0):
+    data_v, code_v = half + DATA_V, half + CODE_V
     regions = (
         MappedRegion(
-            gvaddr=DATA_V,
+            gvaddr=data_v,
             size=pages * SIZE_4K,
             flags=RW,
             lock=lock,
             backing="dspm" if spm else "ram",
         ),
         MappedRegion(
-            gvaddr=CODE_V,
+            gvaddr=code_v,
             size=2 * SIZE_4K,
             flags=RX,
             lock=lock,
@@ -65,8 +68,8 @@ def crit_vm(lock=False, spm=False, mask=CRIT_MASK, pages=4):
         ),
     )
     sweep = (
-        Region(base=DATA_V, pages=pages, stride=512),
-        Region(base=CODE_V, pages=2, stride=512, kind="ifetch"),
+        Region(base=data_v, pages=pages, stride=512),
+        Region(base=code_v, pages=2, stride=512, kind="ifetch"),
     )
     reverse = tuple(
         Region(base=r.base, pages=r.pages, stride=r.stride, order="reverse", kind=r.kind)
@@ -344,6 +347,22 @@ class LockRuntimeTest(unittest.TestCase):
         defn = scenario((crit_vm(lock=True), intf_vm()), iterations=6)
         for rec in run_scenario(defn):
             self.assertEqual(rec.tlb_misses, 0)
+
+    def test_upper_half_lock_regions_hit_their_slots(self):
+        """A slot holds the 27-bit page number a lookup compares, so a
+        locked VM moved to the upper canonical half gives the same records
+        and the same lock hits as in the lower half."""
+        for two_stage in (True, False):
+            runs = []
+            for half in (0, UPPER_HALF):
+                crit = replace(crit_vm(lock=True, half=half), two_stage=two_stage)
+                plan = build_plan(scenario((crit, intf_vm()), iterations=4, jitter=3))
+                records = run_range(plan, 0, 4)
+                sys = plan.machine[0]
+                runs.append((records, sys.itlb.lock_hits, sys.dtlb.lock_hits))
+            self.assertEqual(runs[0], runs[1], "two_stage=%s" % two_stage)
+            self.assertTrue(all(hits > 0 for hits in runs[1][1:]))
+            self.assertTrue(all(rec.tlb_misses == 0 for rec in runs[1][0]))
 
 
 class LeafOwnershipTest(unittest.TestCase):

@@ -350,6 +350,38 @@ def test_misaligned_lock_vpn_rejected():
     tlb.program_lock_slot(0, "vpn", vpn=0x401, page_size=SIZE_2M, valid=False)
 
 
+def test_lock_vpn_wider_than_27_bits_rejected():
+    """A lookup compares the 27-bit page number, so a slot holding a
+    sign-extended upper-half one could never match."""
+    tlb = make_tlb()
+    slot = tlb.slots[0]
+    for valid in (True, False):
+        with pytest.raises(ValueError, match="^lock vpn 0xffffffc000100 is wider than 27 bits$"):
+            tlb.program_lock_slot(0, "vpn", vpn=0xFFFF_FFC0_0010_0000 >> 12, valid=valid)
+    assert tlb.slots[0] is slot
+    tlb.program_lock_slot(0, "vpn", vpn=0xFFFF_FFC0_0010_0000 >> 12 & (1 << 27) - 1)
+
+
+def test_unsupported_page_size_and_register_rejected():
+    with pytest.raises(ValueError, match="^unsupported page size 8192$"):
+        TlbEntry(vpn=0x100, page_size=8192, asid=1, vmid=0, pte=0)
+    tlb = make_tlb()
+    slot = tlb.slots[0]
+    with pytest.raises(ValueError, match="^unsupported page size 8192$"):
+        tlb.program_lock_slot(0, "vpn", vpn=0x100, page_size=8192)
+    with pytest.raises(ValueError, match="^unknown lock-slot register 'ppn'$"):
+        tlb.program_lock_slot(0, "ppn", ppn=0x100)
+    assert tlb.slots[0] is slot
+
+
+def test_fill_of_an_invalid_entry_rejected():
+    tlb = make_tlb()
+    before = tlb.snapshot()
+    with pytest.raises(ValueError, match="^refusing to fill an invalid entry$"):
+        tlb.fill(TlbEntry(vpn=0x100, page_size=SIZE_4K, asid=1, vmid=0, pte=0, valid=False))
+    assert tlb.snapshot() == before
+
+
 def test_superpage_slot_matches_whole_region():
     tlb = make_tlb()
     program_full_slot(tlb, 0, 0x600, size=SIZE_2M, ppn=0x80000 & ~0x1FF)
