@@ -110,6 +110,14 @@ def test_miss_outside_memory_changes_nothing(kind, where, all_spm):
     assert state() == before
 
 
+def test_memory_region_needs_a_base_and_a_size():
+    mem = Memory([(RAM_BASE, RAM_SIZE)], 16)
+    for base, size in ((RAM_BASE + RAM_SIZE, 0), (RAM_BASE + RAM_SIZE, -16), (-16, 16)):
+        with pytest.raises(ValueError, match="^region base/size must be non-negative/positive$"):
+            mem.add_region(base, size)
+    assert not mem.overlaps(RAM_BASE + RAM_SIZE, 1) and not mem.overlaps(-16, 16)
+
+
 def test_memory_reads_default_to_zero_inside_regions():
     mem = Memory([(RAM_BASE, RAM_SIZE)], 16)
     assert mem.read_word(RAM_BASE + 0x100) == 0
@@ -668,3 +676,11 @@ def test_read_fetches_stops_at_an_unmapped_line_without_touching_the_set():
     with pytest.raises(UnmappedAddress):
         a[0].read_fetches(fetches)
     assert_twins_equal(a, b)
+
+
+def test_spm_word_reads_scratchpad_ways_only():
+    cache, _ = make_cache()
+    cache.configure_way(1, MODE_SPM)
+    assert cache.spm_word(1, 0, 0) == 0
+    with pytest.raises(ValueError, match="^way 0 is not in SPM mode$"):
+        cache.spm_word(0, 0, 0)

@@ -5,11 +5,14 @@ in a long experiment file is a one-glance fix; the acceptance on that
 promise is string-matching the error text here.
 """
 
+import contextlib
+import io
 import os
 import unittest
 
 import pytest
 
+from pvmsim import cli
 from pvmsim.config import ConfigError, load_experiment
 from pvmsim.hypervisor import HypervisorConfig
 from pvmsim.memsys import MachineConfig
@@ -561,6 +564,39 @@ class RejectionTest(unittest.TestCase):
     def test_garbage_ini_syntax(self):
         # configparser's message spans three lines; the error is one.
         self.check("just some words\n", r"^configuration does not parse: [^\n]*words[^\n]*\Z")
+
+
+# (id, text in BASE, its replacement, the error after "configuration error: ")
+CLI_REJECTIONS = (
+    ("two-stage-not-a-boolean", "mask = 0x00ff\n", "mask = 0x00ff\ntwo_stage = maybe\n",
+     "[vm.crit] two_stage: expected a boolean, got 'maybe'"),
+    ("sweep-without-region", "prime = data stride=1024; code", "prime = stride=1024; code",
+     "[vm.crit] prime: expected a region name first in 'stride=1024'"),
+    ("empty-prime", "prime = data stride=1024; code", "prime = ;",
+     "[vm.crit] prime: needs at least one sweep"),
+    ("vm-without-region", "region.pool = base=0x40000000 pages=8 flags=rw\n", "",
+     "[vm.intf]: needs at least one region.<name>"),
+    ("shared-vmid-and-asid", "vmid = 2\nasid = 2\n", "vmid = 1\nasid = 1\n",
+     "[scenario.noisy]: duplicate vmid/asid pair"),
+    ("negative-scenario-iterations", "vms = crit intf\n", "vms = crit intf\niterations = -1\n",
+     "[scenario.noisy]: iterations must be >= 0"),
+)
+
+
+@pytest.mark.parametrize(
+    "old, new, message", [pytest.param(*case[1:], id=case[0]) for case in CLI_REJECTIONS]
+)
+def test_cli_exits_2_with_one_line(tmp_path, old, new, message):
+    """`pvmsim run` on each bad edit of BASE exits 2 with the one error
+    line on stderr, before any output."""
+    assert BASE.count(old) == 1
+    path = tmp_path / "bad.ini"
+    path.write_text(BASE.replace(old, new), encoding="utf-8")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(["run", str(path), "--outdir", str(tmp_path), "--quiet"])
+    assert (code, out.getvalue(), err.getvalue()) == (2, "", "configuration error: %s\n" % message)
+    assert os.listdir(tmp_path) == ["bad.ini"]
 
 
 if __name__ == "__main__":

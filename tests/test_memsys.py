@@ -465,6 +465,14 @@ def test_restore_replays_one_draw_per_cache_miss_of_the_snapshot():
     assert quiet.rng is None and quiet.snapshot() == state
 
 
+def test_restore_under_jitter_needs_a_generator():
+    sys_ = build_system(jitter=3, seed=1)
+    rng, state = sys_.rng, sys_.snapshot()
+    with pytest.raises(ValueError, match="^jitter is enabled but no seeded generator was supplied$"):
+        sys_.restore(state, None)
+    assert sys_.rng is rng
+
+
 def test_predictable_path_is_constant_under_any_interference():
     """Lock-covered translation + scratchpad-resident data: the probed
     access costs exactly 2 cycles no matter what ran before it, even with

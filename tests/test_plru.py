@@ -313,3 +313,11 @@ def test_packed_tables_match_tree_16_ways():
     check_packed_victims(16, (1 << 16) - 1, states)
     for reach in [0, 1 << 15] + [rng.getrandbits(16) for _ in range(62)]:
         check_packed_victims(16, reach, sample)
+
+
+def test_load_bits_takes_one_bit_per_node():
+    tree = PlruTree(8, 1)
+    for bits in ([0] * 6, [0] * 8, [0] * 6 + [2]):
+        with pytest.raises(ValueError, match="^need 7 node bits of 0/1$"):
+            tree.load_bits(bits)
+    assert tree.bits == 0

@@ -541,3 +541,20 @@ def test_guest_physical_address_beyond_41_bits_is_a_usage_error():
     guest.set_pte(guest.root_ppn, gva >> 30 & 0x1FF, make_pte(1 << 29, PTE_V))  # a table there
     with pytest.raises(ValueError, match="^address 0x20000000000 violates"):
         walk_two_stage(guest, host, gva)
+
+
+def test_a_table_page_is_added_once():
+    space = AddressSpace(root_ppn=0x100)
+    for ppn in (0x100, 0x101):
+        if ppn != space.root_ppn:
+            space.add_table(ppn)
+        version = space.version
+        with pytest.raises(ValueError, match="^table page 0x%x already exists$" % ppn):
+            space.add_table(ppn)
+        assert space.version == version
+
+
+def test_two_stage_walk_of_a_non_canonical_address_is_a_usage_error():
+    guest, host, gva = nested_setup()
+    with pytest.raises(ValueError, match="^address 0x%x violates the guest space's" % (gva | 1 << 39)):
+        walk_two_stage(guest, host, gva | 1 << 39)
