@@ -42,6 +42,15 @@ def test_a_differing_interpreter_exits_1_naming_the_file(monkeypatch, capsys):
         write_tree(outdir, {"p/p-summary.json": python.encode()})
 
     monkeypatch.setattr(cross_version, "run_presets", fake_run)
+    monkeypatch.setattr(cross_version.shutil, "which", lambda python: python)
     assert cross_version.main([sys.executable, "other-python"]) == 1
     last = capsys.readouterr().out.splitlines()[-1]
     assert last.startswith(os.path.join("p", "p-summary.json") + " differs under other-python")
+
+
+def test_an_interpreter_that_cannot_start_exits_2_before_any_run(monkeypatch, capsys):
+    ran = []
+    monkeypatch.setattr(cross_version, "run_presets", lambda python, outdir: ran.append(python))
+    assert cross_version.main([sys.executable, "/nonexistent/python3"]) == 2
+    assert ran == []
+    assert capsys.readouterr() == ("", "cannot start /nonexistent/python3: no such executable\n")

@@ -8,11 +8,13 @@ PYTHON given, with PYTHONPATH pointing at this checkout's src/.  Every
 CSV and summary written under a given PYTHON must equal the running
 interpreter's byte for byte.  Exits 0 when they all do; 1 naming the first file that
 differs or is missing (interpreters in the order given, files in name
-order); 2 when a run fails.
+order); 2 when a run fails, or, before any run, when a PYTHON is not an
+executable on PATH or at its path.
 """
 
 import argparse
 import os
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -68,6 +70,10 @@ def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("pythons", nargs="+", metavar="PYTHON", help="interpreter to compare")
     args = parser.parse_args(argv)
+    for python in args.pythons:
+        if shutil.which(python) is None:
+            print("cannot start %s: no such executable" % python, file=sys.stderr)
+            return 2
     with tempfile.TemporaryDirectory() as scratch:
         want_dir = os.path.join(scratch, "reference")
         failed = run_presets(sys.executable, want_dir)
