@@ -57,7 +57,7 @@ read off it.  ``snapshot``/``restore`` copy this state wholesale.
 
 from typing import NamedTuple
 
-from .plru import _is_pow2, check_tree, touch_masks, victim_table
+from .plru import check_tree, is_pow2, touch_masks, victim_table
 
 WORD_BYTES = 8
 _WORD_MASK = (1 << 64) - 1
@@ -86,7 +86,7 @@ def check_geometry(ways, sets, line_bytes, sets_name="sets"):
     set is a tree-PLRU over its ways)."""
     check_tree(ways, 1, "ways")
     for label, n in ((sets_name, sets), ("line_bytes", line_bytes)):
-        if not _is_pow2(n):
+        if not is_pow2(n):
             raise ValueError("%s must be a power of two, got %r" % (label, n))
     if line_bytes < WORD_BYTES:
         raise ValueError("line_bytes must be at least %d, got %r" % (WORD_BYTES, line_bytes))
@@ -303,10 +303,10 @@ class Cache:
         if kind == "write":
             if value is None:
                 raise ValueError("write access needs a value")
-            return _WRITTEN[self.step(paddr, kind, value)]
+            return _WRITTEN[self.step(paddr, value)]
         if kind != "read" and kind != "ifetch":
             raise ValueError("kind must be read/write/ifetch, got %r" % (kind,))
-        event = self.step(paddr, kind, None)
+        event = self.step(paddr, None)
         return _new_result(AccessResult, (event, self._read[0]))
 
     def read_fetches(self, paddrs):
@@ -318,7 +318,7 @@ class Cache:
         hits, misses = stats["hits"], stats["misses"]
         spm = stats["spm_accesses"] + stats["spm_misconfigs"]
         for paddr in paddrs:
-            step(paddr, "read", None)
+            step(paddr, None)
         return (
             stats["hits"] - hits,
             stats["misses"] - misses,
@@ -326,13 +326,13 @@ class Cache:
         )
 
     def _access_step(self):
-        """Build ``step(paddr, kind, value) -> event``, the one access path:
-        `kind` is unchecked, `value` is the word a write stores, and a read
-        leaves its word in ``_read[0]``.  The step holds this cache's lists,
-        ``stats`` and the memory's regions and line dict in its own frame,
-        so those are only ever changed in place; configure_way and restore
-        rebind the victim table and the locked-ways mask, so those are read
-        off the cache at each use."""
+        """Build ``step(paddr, value) -> event``, the one access path:
+        `value` is the word a write stores and None for a read (a store of
+        0 is a write); a read leaves its word in ``_read[0]``.  The step
+        holds this cache's lists, ``stats`` and the memory's regions and
+        line dict in its own frame, so those are only ever changed in
+        place; configure_way and restore rebind the victim table and the
+        locked-ways mask, so those are read off the cache at each use."""
         ways, wpl, line_bytes = self.ways, self.words_per_line, self.line_bytes
         line_shift, set_shift, set_mask = self._line_shift, self._set_shift, self._set_mask
         way_shift = line_shift + set_shift
@@ -345,7 +345,7 @@ class Cache:
         spm_lo = 0 if self.spm_base is None else self.spm_base
         spm_hi = spm_lo if self.spm_base is None else spm_lo + self.size
 
-        def step(paddr, kind, value):
+        def step(paddr, value):
             paddr &= align
             word = paddr >> 3 & word_mask
             if spm_lo <= paddr < spm_hi:
@@ -360,7 +360,7 @@ class Cache:
                     return EVENT_SPM_MISCONFIG
                 stats["spm_accesses"] += 1
                 idx = ((offset >> line_shift & set_mask) * ways + way) * wpl + word
-                if kind == "write":
+                if value is not None:
                     data[idx] = value & _WORD_MASK
                 else:
                     read[0] = data[idx]
@@ -375,7 +375,7 @@ class Cache:
                 plru[set_idx] = plru[set_idx] & and_[way] | or_[way]
                 stats["hits"] += 1
                 idx = (base + way) * wpl + word
-                if kind == "write":
+                if value is not None:
                     data[idx] = value & _WORD_MASK
                     dirty[set_idx] |= 1 << way
                 else:
@@ -400,7 +400,7 @@ class Cache:
                 # Every way is SPM: nothing can be allocated, so the access
                 # is serviced straight from memory and nothing is cached.
                 stats["fill_drops"] += 1
-                if kind == "write":
+                if value is not None:
                     memory.write_word(paddr, value)
                 else:
                     read[0] = fill[word]
@@ -419,7 +419,7 @@ class Cache:
                     stats["write_backs"] += 1
             data[start:start + wpl] = fill
             tags[slot] = tag
-            if kind == "write":
+            if value is not None:
                 data[start + word] = value & _WORD_MASK
                 dirty[set_idx] |= bit
             else:

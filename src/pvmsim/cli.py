@@ -44,7 +44,8 @@ def preset_text(name):
     return entry.read_text(encoding="utf-8")
 
 
-def _resolve_config(token):
+def resolve_config(token):
+    """The configuration text `token` names: a file, else a preset."""
     if os.path.exists(token):
         with open(token, "r", encoding="utf-8") as handle:
             return handle.read()
@@ -61,7 +62,7 @@ def _cmd_run(args):
             print(message, file=sys.stderr)
             return 2
     config = load_experiment(
-        text=_resolve_config(args.config),
+        text=resolve_config(args.config),
         seed=args.seed,
         iterations=args.iterations,
         scenarios=args.scenarios,

@@ -310,18 +310,13 @@ def _select(defined, names):
     return {name: defined[name] for name in names}
 
 
-def load_experiment(path=None, *, text=None, seed=None, iterations=None, scenarios=None):
-    """Parse and validate a configuration; returns an ExperimentConfig.
+def load_experiment(*, text, seed=None, iterations=None, scenarios=None):
+    """Parse and validate a configuration's text; returns an ExperimentConfig.
 
     seed/iterations, when given, override the file's run- and
     scenario-level values; scenarios, when given, replaces [run]
     scenarios and may name any defined scenario.
     """
-    if text is None:
-        if path is None:
-            raise ValueError("need a path or text")
-        with open(path, "r", encoding="utf-8") as handle:
-            text = handle.read()
     cp = configparser.ConfigParser(interpolation=None, delimiters=("=",))
     cp.optionxform = str  # keep key case; region names may be case-sensitive
     try:

@@ -337,12 +337,20 @@ class _Allocator:
         return addr
 
 
+def _check_table_area(space, owner):
+    """Raise SetupError unless `space`'s tables fit the TABLE_STRIDE bytes at its root."""
+    if max(space.tables) - space.root_ppn >= TABLE_STRIDE >> PAGE_SHIFT:
+        raise SetupError("%s: %d page-table pages outgrow the %d of its table area"
+                         % (owner, len(space.tables), TABLE_STRIDE >> PAGE_SHIFT))
+
+
 def build_plan(defn):
     """Build page tables and physical placement for every VM, decompose
     lock regions into per-PTE chunks, and fail fast, naming the VM and
     region, on anything the per-iteration setup could not realize: a
     region mapped twice or outside its address space, a frame or table
-    outside RAM, and the lock-slot and scratchpad budgets."""
+    outside RAM, page tables past their table area, and the lock-slot and
+    scratchpad budgets."""
     machine = defn.machine
     frames = _Allocator(FRAME_BASE, RAM_BASE + RAM_SIZE, "the 128 MiB of RAM for data frames")
     table_area = _Allocator(RAM_BASE, FRAME_BASE, "the 64 page-table areas of RAM")
@@ -401,6 +409,7 @@ def build_plan(defn):
             for tppn in guest.table_ppns():
                 frame = frames.take(SIZE_4K, SIZE_4K, owner)
                 host.map_page(tppn << PAGE_SHIFT, frame, SIZE_4K, _HOST_FULL)
+        _check_table_area(guest if host is None else host, "vm %r" % vm.name)
         if isinstance(vm.workload, Workload):
             measured = ctx
         elif isinstance(vm.workload, InterferenceLoop):
@@ -426,6 +435,7 @@ def build_plan(defn):
             )
         except ValueError as exc:  # outside the address space
             raise SetupError("%s: %s" % (owner, exc)) from exc
+    _check_table_area(hyp_space, "the hypervisor")
     hyp_context = VmContext(
         "hypervisor", HYP_VMID, HYP_ASID, defn.hyp.partition_mask, hyp_space, None, None
     )
@@ -587,9 +597,3 @@ def run_range(plan, start, stop):
     scenario into ranges yields the same records: each depends only on
     (defn, index), and every iteration restores the same set-up machine."""
     return [run_iteration(plan, i) for i in range(start, stop)]
-
-
-def run_scenario(defn, start=0, stop=None):
-    """Run iterations [start, stop) of a freshly built plan; the default
-    runs them all."""
-    return run_range(build_plan(defn), start, defn.iterations if stop is None else stop)

@@ -364,7 +364,7 @@ class MemorySystem:
                 spent += cycles
             elif paddr == NON_CANONICAL:
                 return spent, (vaddr, "non-canonical", None)
-            event = step(paddr, kind, write_value(vaddr) if write else None)
+            event = step(paddr, write_value(vaddr) if write else None)
             spent += price[event]
             if jitter and event == EVENT_MISS:
                 spent += randbelow(draw, span) - jitter

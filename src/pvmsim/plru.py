@@ -53,16 +53,16 @@ set indexes the table for its unlocked ways.
 import functools
 
 
-def _is_pow2(n):
+def is_pow2(n):
     return n >= 1 and (n & (n - 1)) == 0
 
 
 def check_tree(leaf_count, partition_count, leaves="leaf_count", parts="partition_count"):
     """Raise ValueError unless a tree of this shape can be built; `leaves`
     and `parts` name the two numbers in the message."""
-    if leaf_count < 2 or not _is_pow2(leaf_count):
+    if leaf_count < 2 or not is_pow2(leaf_count):
         raise ValueError("%s must be a power of two >= 2, got %r" % (leaves, leaf_count))
-    if not _is_pow2(partition_count) or partition_count > leaf_count:
+    if not is_pow2(partition_count) or partition_count > leaf_count:
         raise ValueError(
             "%s must be a power of two <= %s, got %r" % (parts, leaves, partition_count)
         )

@@ -341,24 +341,11 @@ class Tlb:
 
     # -- maintenance -----------------------------------------------------------
 
-    def flush(self, kind="all", asid=None, vmid=None, vaddr=None):
-        """Invalidate matching regular entries; lock slots are never affected."""
-        if kind not in ("all", "by-asid", "by-vmid", "by-vaddr"):
-            raise ValueError("unknown flush kind %r" % (kind,))
+    def flush(self):
+        """Invalidate every regular entry; lock slots are never affected."""
         self._memo = None
         for leaf, entry in enumerate(self.entries):
-            if not entry.valid:
-                continue
-            if kind == "all":
-                hit = True
-            elif kind == "by-asid":
-                hit = entry.asid == asid and not entry.global_flag
-            elif kind == "by-vmid":
-                hit = entry.vmid == vmid
-            else:  # by-vaddr
-                span = entry.page_size >> PAGE_SHIFT
-                hit = (vaddr >> PAGE_SHIFT) & VPN_MASK & ~(span - 1) == entry.vpn
-            if hit:
+            if entry.valid:
                 self.entries[leaf] = replace(entry, valid=False)
 
     def snapshot(self):

@@ -26,7 +26,6 @@ from dataclasses import dataclass, field
 from .sv39 import (
     INDEX_BITS,
     PAGE_SHIFT,
-    PAGE_SIZE,
     PPN_SHIFT,
     PTE_A,
     PTE_D,
@@ -148,13 +147,6 @@ class AddressSpace:
         if table[index] & PTE_V:
             raise ValueError("0x%x mapped twice" % vaddr)
         table[index] = make_pte(paddr >> PAGE_SHIFT, flags | PTE_V)
-
-    def map_region(self, vaddr, paddr, size, flags, page_size=PAGE_SIZE):
-        """Map a linear region at a fixed granularity."""
-        if size % page_size:
-            raise ValueError("region size 0x%x not a multiple of page size" % size)
-        for off in range(0, size, page_size):
-            self.map_page(vaddr + off, paddr + off, page_size, flags)
 
 
 def _descend(space, vaddr, result, host=None):

@@ -530,17 +530,8 @@ class TlbRef:
         self.counters[3] += 1
         return victim
 
-    def flush(self, kind, asid=None, vmid=None, vaddr=None):
-        for leaf, entry in enumerate(self.entries):
-            if entry is None:
-                continue
-            if (
-                kind == "all"
-                or kind == "by-asid" and entry["asid"] == asid and not entry["global"]
-                or kind == "by-vmid" and entry["vmid"] == vmid
-                or kind == "by-vaddr" and self._covers(entry["vpn"], entry["page_size"], vaddr)
-            ):
-                self.entries[leaf] = None
+    def flush(self):
+        self.entries = [None] * len(self.entries)
 
     def program(self, index, which, value):
         """Write one slot register: `value` is the register's fields, or

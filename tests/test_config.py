@@ -134,7 +134,7 @@ class ParseShapeTest(unittest.TestCase):
 
     def test_benchmark_workload_loads(self):
         # The benchmark's own workload file must keep parsing under the schema.
-        cfg = load_experiment(BENCH_WORKLOAD)
+        cfg = load_experiment(text=cli.resolve_config(BENCH_WORKLOAD))
         self.assertEqual(cfg.scenario_names, ("isolation", "unmitigated", "spm", "lockspm"))
         for defn in cfg.scenarios.values():
             self.assertEqual(defn.hyp.quantum_cycles, 24000)

@@ -567,6 +567,38 @@ class CliTest(unittest.TestCase):
                     )
                 self.assertEqual(os.listdir(d), [name + ".ini"])  # nothing written
 
+    def test_page_tables_past_their_area_are_config_error_before_any_output(self):
+        # A single-stage crit with one page in each of n 2 MiB spans of its
+        # second GiB: a root, two mid-level tables and the leaf tables of
+        # its two own regions make 5 + n table pages, and its area holds 512.
+        def sparse(n):
+            regions = "".join(
+                "region.s%d = base=0x%x pages=1 flags=rw\n" % (i, 0x4000_0000 + i * 0x20_0000)
+                for i in range(n)
+            )
+            return SMALL.replace("role = measured\n", "two_stage = false\nrole = measured\n" + regions)
+
+        with tempfile.TemporaryDirectory() as d:
+            argv = {}
+            for n, name in ((507, "fits"), (508, "past")):
+                cfg_path = os.path.join(d, name + ".ini")
+                with open(cfg_path, "w", encoding="utf-8") as handle:
+                    handle.write(sparse(n))
+                argv[name] = ["run", cfg_path, "--outdir", os.path.join(d, name), "--iterations", "1"]
+            with contextlib.redirect_stdout(io.StringIO()):
+                self.assertEqual(self.run_cli(argv["fits"] + ["--quiet"]), 0)
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = self.run_cli(argv["past"])
+            self.assertEqual(code, 2)
+            self.assertEqual(out.getvalue(), "")
+            self.assertEqual(
+                err.getvalue(),
+                "configuration error: scenario 'isolation': vm 'crit': 513 page-table pages "
+                "outgrow the 512 of its table area\n",
+            )
+            self.assertEqual(os.listdir(os.path.join(d, "past")), [])  # nothing written
+
     def test_repeated_scenario_is_config_error_before_any_output(self):
         with tempfile.TemporaryDirectory() as d:
             cfg_path = os.path.join(d, "unit.ini")

@@ -24,7 +24,6 @@ from pvmsim.hypervisor import (
     run_iteration,
     run_range,
     run_regions,
-    run_scenario,
     setup_scenario,
     trap_enter,
     trap_exit,
@@ -283,7 +282,7 @@ class PlanTest(unittest.TestCase):
         self.assertEqual([ctx.name for ctx in plan.interference], ["intf", "intf2"])
 
     def test_iteration_records_are_plain_data(self):
-        rec = run_scenario(scenario((crit_vm(),), iterations=1))[0]
+        rec = run_range(build_plan(scenario((crit_vm(),), iterations=1)), 0, 1)[0]
         self.assertIsInstance(rec, IterationRecord)
         self.assertEqual(rec.index, 0)
         self.assertGreater(rec.cycles, 0)
@@ -345,7 +344,7 @@ class LockRuntimeTest(unittest.TestCase):
 
     def test_full_lock_coverage_means_zero_measured_tlb_misses(self):
         defn = scenario((crit_vm(lock=True), intf_vm()), iterations=6)
-        for rec in run_scenario(defn):
+        for rec in run_range(build_plan(defn), 0, 6):
             self.assertEqual(rec.tlb_misses, 0)
 
     def test_upper_half_lock_regions_hit_their_slots(self):
@@ -401,23 +400,25 @@ class LeafOwnershipTest(unittest.TestCase):
 class ReproducibilityTest(unittest.TestCase):
     def test_identical_runs(self):
         defn = scenario((crit_vm(), intf_vm()), iterations=5, jitter=5)
-        self.assertEqual(run_scenario(defn), run_scenario(defn))
+        self.assertEqual(run_range(build_plan(defn), 0, 5), run_range(build_plan(defn), 0, 5))
 
     def test_chunked_equals_serial(self):
         defn = scenario((crit_vm(), intf_vm()), iterations=6, jitter=5)
-        serial = run_scenario(defn)
-        chunked = run_scenario(defn, 0, 2) + run_scenario(defn, 2, 5) + run_scenario(defn, 5, 6)
+        serial = run_range(build_plan(defn), 0, 6)
+        chunked = []
+        for start, stop in ((0, 2), (2, 5), (5, 6)):
+            chunked += run_range(build_plan(defn), start, stop)
         self.assertEqual(serial, chunked)
 
     def test_single_iteration_matches_batch(self):
         defn = scenario((crit_vm(), intf_vm()), iterations=4)
         plan = build_plan(defn)
-        batch = run_scenario(defn)
+        batch = run_range(build_plan(defn), 0, 4)
         self.assertEqual(run_iteration(plan, 2), batch[2])
 
     def test_seed_changes_interference_outcomes(self):
-        a = run_scenario(scenario((crit_vm(), intf_vm()), iterations=4, seed=1))
-        b = run_scenario(scenario((crit_vm(), intf_vm()), iterations=4, seed=2))
+        a = run_range(build_plan(scenario((crit_vm(), intf_vm()), iterations=4, seed=1)), 0, 4)
+        b = run_range(build_plan(scenario((crit_vm(), intf_vm()), iterations=4, seed=2)), 0, 4)
         self.assertNotEqual(a, b)
 
 
@@ -478,7 +479,7 @@ class SnapshotIsolationTest(unittest.TestCase):
 
     def test_out_of_order_iterations_match_fresh_plans(self):
         defn = self.defn()
-        fresh = run_scenario(defn)
+        fresh = run_range(build_plan(defn), 0, defn.iterations)
         self.assertGreater(len({r.cycles for r in fresh}), 1)
         plan = build_plan(defn)
         for index in (3, 0, 3, 1, 3):
@@ -622,32 +623,30 @@ class InterferencePhysicsTest(unittest.TestCase):
     reproduces them at full scale."""
 
     def test_isolation_is_cycle_identical_without_jitter(self):
-        records = run_scenario(scenario((crit_vm(),), iterations=8))
+        records = run_range(build_plan(scenario((crit_vm(),), iterations=8)), 0, 8)
         self.assertEqual(len({r.cycles for r in records}), 1)
 
     def test_interference_raises_mean_and_spread(self):
-        iso = run_scenario(scenario((crit_vm(mask=FULL),), iterations=12))
-        noisy = run_scenario(
-            scenario(
-                (crit_vm(mask=FULL), intf_vm(mask=FULL)),
-                iterations=12,
-                hyp=HypervisorConfig(partition_mask=FULL),
-            )
+        iso = run_range(build_plan(scenario((crit_vm(mask=FULL),), iterations=12)), 0, 12)
+        noisy_defn = scenario(
+            (crit_vm(mask=FULL), intf_vm(mask=FULL)),
+            iterations=12,
+            hyp=HypervisorConfig(partition_mask=FULL),
         )
+        noisy = run_range(build_plan(noisy_defn), 0, 12)
         self.assertGreater(statistics.mean(r.cycles for r in noisy),
                            statistics.mean(r.cycles for r in iso))
         self.assertGreater(statistics.pstdev(r.cycles for r in noisy), 0)
         self.assertEqual(statistics.pstdev(r.cycles for r in iso), 0)
 
     def test_partitioning_reduces_measured_tlb_misses(self):
-        shared = run_scenario(
-            scenario(
-                (crit_vm(mask=FULL), intf_vm(mask=FULL)),
-                iterations=12,
-                hyp=HypervisorConfig(partition_mask=FULL),
-            )
+        shared_defn = scenario(
+            (crit_vm(mask=FULL), intf_vm(mask=FULL)),
+            iterations=12,
+            hyp=HypervisorConfig(partition_mask=FULL),
         )
-        parted = run_scenario(scenario((crit_vm(), intf_vm()), iterations=12))
+        shared = run_range(build_plan(shared_defn), 0, 12)
+        parted = run_range(build_plan(scenario((crit_vm(), intf_vm()), iterations=12)), 0, 12)
         self.assertLess(
             statistics.mean(r.tlb_misses for r in parted),
             statistics.mean(r.tlb_misses for r in shared),
@@ -661,7 +660,7 @@ class InterferencePhysicsTest(unittest.TestCase):
             jitter=6,
             hyp=HypervisorConfig(partition_mask=FULL),
         )
-        records = run_scenario(defn)
+        records = run_range(build_plan(defn), 0, 8)
         self.assertEqual(len({r.cycles for r in records}), 1)
         for rec in records:
             self.assertEqual(rec.tlb_misses, 0)

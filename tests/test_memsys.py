@@ -344,6 +344,35 @@ def test_write_value_round_trips_through_pipeline():
     assert out.value == 0xABCD
 
 
+@pytest.mark.parametrize("path", ["access", "run_loop"])
+def test_a_store_of_zero_is_a_write(path):
+    """A cache step reads on a value of None alone: a store of 0, which a
+    workload makes at vaddr 0-7, dirties its line, and the eviction that
+    follows writes the 0 over what memory held."""
+    sys_ = build_system()
+    guest = AddressSpace(root_ppn=TABLE_BASE >> 12)
+    guest.map_page(0, DATA_BASE, SIZE_4K, RW)
+    vm = SimpleNamespace(asid=1, vmid=0, guest_space=guest, host_space=None)
+    cache = sys_.dcache
+    sys_.memory.write_word(DATA_BASE, 0xDEAD)
+    if path == "access":
+        cache.access(DATA_BASE, "write", value=0)
+    else:
+        assert memsys.write_value(0) == 0
+        assert sys_.run_loop(vm, "write", [0], 0, 1)[1] is None
+    set_idx, way = cache.probe(DATA_BASE)
+    assert cache.tag_state()[1][set_idx] >> way & 1  # dirty
+    assert cache.access(DATA_BASE, "read").value == 0
+    write_backs = cache.stats["write_backs"]
+    for k in range(1, 4 * cache.ways):  # other lines of its set, until it leaves
+        if cache.probe(DATA_BASE) is None:
+            break
+        cache.access(DATA_BASE + k * cache.sets * cache.line_bytes, "read")
+    assert cache.probe(DATA_BASE) is None
+    assert cache.stats["write_backs"] == write_backs + 1
+    assert sys_.memory.read_word(DATA_BASE) == 0
+
+
 # -- latency configuration guard rails -----------------------------------------------
 
 

@@ -40,6 +40,7 @@ from pvmsim.sv39 import (
 )
 from pvmsim.walker import AddressSpace
 from pvmsim.workload import InterferenceLoop
+from test_walker import map_region
 
 GEOMETRY = dict(
     entries=8, partitions=4, lock_slots=2, ways=4, icache_sets=64, dcache_sets=64, line_bytes=16
@@ -56,8 +57,8 @@ NON_CANONICAL = 1 << 45
 def build_vms():
     """Three VMs and their access pools: (vm, base, span, kinds)."""
     guest = AddressSpace(root_ppn=TABLE_BASE >> 12)
-    guest.map_region(0x40_0000, DATA_BASE, 12 * SIZE_4K, RW)
-    guest.map_region(0x60_0000, DATA_BASE + 0x10_0000, 4 * SIZE_4K, RX | PTE_G)
+    map_region(guest, 0x40_0000, DATA_BASE, 12 * SIZE_4K, RW)
+    map_region(guest, 0x60_0000, DATA_BASE + 0x10_0000, 4 * SIZE_4K, RX | PTE_G)
     guest.map_page(0x4000_0000, DATA_BASE + 0x20_0000, SIZE_2M, RW)
     guest.map_page(0x10_0000, DSPM_BASE, SIZE_4K, RW)
     guest.map_page(0x20_0000, ISPM_BASE, SIZE_4K, RX)
@@ -65,11 +66,11 @@ def build_vms():
     b = SimpleNamespace(asid=2, vmid=0, guest_space=guest, host_space=None)
 
     host = AddressSpace(root_ppn=(TABLE_BASE >> 12) + 0x80, gpa_space=True)
-    host.map_region(0, DATA_BASE + 0x40_0000, 3 * SIZE_2M, RW | PTE_X, page_size=SIZE_2M)
-    host.map_region(0x60_0000, DATA_BASE + 0xA0_0000, 8 * SIZE_4K, RW | PTE_X)
+    map_region(host, 0, DATA_BASE + 0x40_0000, 3 * SIZE_2M, RW | PTE_X, page_size=SIZE_2M)
+    map_region(host, 0x60_0000, DATA_BASE + 0xA0_0000, 8 * SIZE_4K, RW | PTE_X)
     nested = AddressSpace(root_ppn=0x10)
-    nested.map_region(0x40_0000, 0x60_0000, 8 * SIZE_4K, RW)  # 4 KiB host pages
-    nested.map_region(0x80_0000, 0x20_0000, 8 * SIZE_4K, RW | PTE_X)  # inside a 2 MiB host page
+    map_region(nested, 0x40_0000, 0x60_0000, 8 * SIZE_4K, RW)  # 4 KiB host pages
+    map_region(nested, 0x80_0000, 0x20_0000, 8 * SIZE_4K, RW | PTE_X)  # inside a 2 MiB host page
     nested.map_page(0x4000_0000, 0x40_0000, SIZE_2M, RW)  # 2 MiB at both stages
     c = SimpleNamespace(asid=1, vmid=3, guest_space=nested, host_space=host)
 

@@ -291,7 +291,7 @@ def test_lock_slot_survives_flush_all():
     tlb = make_tlb()
     program_full_slot(tlb, 0, 0x400, size=SIZE_2M, ppn=0x80000 & ~0x1FF)
     tlb.fill(entry(vpn=0x900))
-    tlb.flush("all")
+    tlb.flush()
     assert tlb.lookup(0x900 << 12, asid=1, vmid=0).status == "miss"
     res = tlb.lookup((0x400 << 12) + 0x12345, asid=1, vmid=0)
     assert res.hit and res.lock_hit
@@ -434,44 +434,25 @@ def test_shared_target_leaf_rejected():
     assert tlb.tree.locked == 0
 
 
-# -- flush filters -----------------------------------------------------------------
+# -- flush ---------------------------------------------------------------------------
 
-def test_flush_by_asid_spares_globals_and_other_asids():
+def test_flush_invalidates_every_entry():
     tlb = make_tlb()
     tlb.fill(entry(vpn=0x100, asid=1))
-    tlb.fill(entry(vpn=0x200, asid=2))
+    tlb.fill(entry(vpn=0x200, asid=2, vmid=1))
     tlb.fill(entry(vpn=0x300, asid=1, global_flag=True))
-    tlb.flush("by-asid", asid=1)
-    assert tlb.lookup(0x100 << 12, asid=1, vmid=0).status == "miss"
-    assert tlb.lookup(0x200 << 12, asid=2, vmid=0).hit
-    assert tlb.lookup(0x300 << 12, asid=1, vmid=0).hit
-
-
-def test_flush_by_vmid_and_by_vaddr():
-    tlb = make_tlb()
-    tlb.fill(entry(vpn=0x100, vmid=1))
-    tlb.fill(entry(vpn=0x200, vmid=2))
-    tlb.flush("by-vmid", vmid=1)
-    assert tlb.lookup(0x100 << 12, asid=1, vmid=1).status == "miss"
-    assert tlb.lookup(0x200 << 12, asid=1, vmid=2).hit
-    tlb.flush("by-vaddr", vaddr=0x200 << 12)
-    assert tlb.lookup(0x200 << 12, asid=1, vmid=2).status == "miss"
+    tlb.fill(entry(vpn=0x400, size=SIZE_2M))
+    tlb.flush()
+    assert not any(e.valid for e in tlb.entries)
+    for vpn, asid, vmid in ((0x100, 1, 0), (0x200, 2, 1), (0x300, 3, 0), (0x401, 1, 0)):
+        assert tlb.lookup(vpn << 12, asid=asid, vmid=vmid).status == "miss"
 
 
 def test_flush_empty_is_noop():
     tlb = make_tlb()
     before = copy.deepcopy(tlb.entries)
-    tlb.flush("all")
+    tlb.flush()
     assert tlb.entries == before
-
-
-def test_unknown_flush_kind_rejected_with_no_valid_entry():
-    tlb = make_tlb()
-    with pytest.raises(ValueError, match="unknown flush kind 'bogus'"):
-        tlb.flush("bogus")
-    tlb.fill(entry(0x100))
-    with pytest.raises(ValueError, match="unknown flush kind 'bogus'"):
-        tlb.flush("bogus")
 
 
 # -- misc ---------------------------------------------------------------------------
@@ -503,7 +484,6 @@ REF_PAGES = tuple((0x100 + i, SIZE_4K) for i in range(6)) + (
     ((1 << 18) + 0x407, SIZE_4K),
 )
 SUPERPAGES = tuple((vpn, size) for vpn, size in REF_PAGES if size > SIZE_4K)
-FLUSH_KINDS = ("all", "by-asid", "by-vmid", "by-vaddr")
 
 
 def page_vaddr(vpn):
@@ -548,8 +528,8 @@ def tlb_state(tlb):
 def test_tlb_matches_naive_reference(seed):
     """Runs of lookups in one page, often with the same page number and
     ids as the lookup before, or moving to another page of a superpage's
-    span, interleaved with fills under random CUR_PART masks, every flush
-    kind, lock-slot programming and retargeting, rejected activations and
+    span, interleaved with fills under random CUR_PART masks, flushes,
+    lock-slot programming and retargeting, rejected activations and
     snapshot/restore: every lookup result, every fill's leaf, the counters,
     the entries and the PLRU node bits must match TlbRef.  A seeded share
     of the lookups goes through Tlb.translate instead of Tlb.lookup, from a
@@ -643,7 +623,7 @@ def test_tlb_matches_naive_reference(seed):
                     pages = got.page_size >> 12
                     superhit = (vpn & -pages, pages, asid, vmid)
                 last = (vaddr & ~(SIZE_4K - 1), asid, vmid)
-        elif op < 0.65:
+        elif op < 0.71:
             if rng.random() < 0.5:
                 tlb.csr.write_cur_part(0 if rng.random() < 0.1 else rng.randrange(1 << partitions))
             vpn, size = rng.choice(REF_PAGES)
@@ -670,11 +650,8 @@ def test_tlb_matches_naive_reference(seed):
                 for e in tlb.entries[leaf + 1:]
             )
         elif op < 0.73:
-            kind = rng.choice(FLUSH_KINDS)
-            asid, vmid = rng.choice(REF_IDS)
-            vaddr = page_vaddr(rng.choice(REF_PAGES)[0])
-            tlb.flush(kind, asid=asid, vmid=vmid, vaddr=vaddr)
-            ref.flush(kind, asid=asid, vmid=vmid, vaddr=vaddr)
+            tlb.flush()
+            ref.flush()
         elif op < 0.85:
             # Mostly the first two slots, so that some become active; often
             # the previous lookup's page and ids, so that a lookup repeating

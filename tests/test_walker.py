@@ -38,6 +38,12 @@ RW = PTE_R | PTE_W | PTE_A | PTE_D
 RWX = RW | PTE_X
 
 
+def map_region(space, vaddr, paddr, size, flags, page_size=SIZE_4K):
+    """Map `size` bytes at `vaddr` to `paddr`, one map_page per page."""
+    for off in range(0, size, page_size):
+        space.map_page(vaddr + off, paddr + off, page_size, flags)
+
+
 # -- single stage ----------------------------------------------------------------
 
 def test_4k_walk_costs_three_fetches():
@@ -145,7 +151,7 @@ def test_latency_additivity_with_variable_costs():
 
 def test_walks_never_mutate_tables():
     space = AddressSpace(root_ppn=0x100)
-    space.map_region(0x8000_0000, 0x4000_0000, 16 * SIZE_4K, RW)
+    map_region(space, 0x8000_0000, 0x4000_0000, 16 * SIZE_4K, RW)
     before = copy.deepcopy(space.tables)
     walk_single(space, 0x8000_2000)
     walk_single(space, 0x9000_0000)  # faulting walk
@@ -193,7 +199,7 @@ def test_builder_rejects_misaligned_and_double_maps():
 def test_builder_table_allocation_is_deterministic():
     def build():
         space = AddressSpace(root_ppn=0x100, table_alloc_ppn=0x200)
-        space.map_region(0x8000_0000, 0x4000_0000, 4 * SIZE_4K, RW)
+        map_region(space, 0x8000_0000, 0x4000_0000, 4 * SIZE_4K, RW)
         space.map_page(0x1_0000_0000, 0xC000_0000, SIZE_2M, RW)
         return space
 
@@ -219,7 +225,7 @@ def nested_setup(guest_size=SIZE_4K, host_size=SIZE_4K):
     else:
         for table_ppn in guest.table_ppns():
             host.map_page(table_ppn << 12, table_ppn << 12, host_size, RWX)
-        host.map_region(gpa, gpa, max(guest_size, host_size), RWX, page_size=host_size)
+        map_region(host, gpa, gpa, max(guest_size, host_size), RWX, page_size=host_size)
     return guest, host, gva
 
 
@@ -237,7 +243,7 @@ def test_two_stage_guest_giga_is_seven_fetches():
     host = AddressSpace(root_ppn=0x1000, gpa_space=True)
     guest.map_page(0x4000_0000, 0x8000_0000, SIZE_1G, RW)
     host.map_page(0x800 << 12, 0x800 << 12, SIZE_4K, RWX)  # guest root table
-    host.map_region(0x8000_0000, 0x8000_0000, SIZE_4K, RWX)  # the accessed page
+    map_region(host, 0x8000_0000, 0x8000_0000, SIZE_4K, RWX)  # the accessed page
     res = walk_two_stage(guest, host, 0x4000_0000)
     assert res.ok and len(res.accesses) == 7
     assert res.page_size == SIZE_4K  # merged granularity: min(1G, 4K)

@@ -20,7 +20,7 @@ from collections import Counter
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src"))
 
-from pvmsim.cli import _resolve_config  # noqa: E402
+from pvmsim.cli import resolve_config  # noqa: E402
 from pvmsim.config import ConfigError, load_experiment  # noqa: E402
 from pvmsim.harness import run_experiment  # noqa: E402
 
@@ -71,7 +71,7 @@ def clear_memos():
 def count_run(config, iterations, seed):
     """count() over one serial run_experiment of config (a file or preset),
     from empty memos."""
-    experiment = load_experiment(text=_resolve_config(config), seed=seed, iterations=iterations)
+    experiment = load_experiment(text=resolve_config(config), seed=seed, iterations=iterations)
     clear_memos()
     return count(run_experiment, experiment, 1)
 
