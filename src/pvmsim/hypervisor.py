@@ -43,6 +43,19 @@ for, then sum the next k (memsys.jitter_sum).  Both counts rest on the
 rule restore relies on, one draw per counted miss, so a drawn record
 equals the simulated one.
 
+A plan whose measured phase is fully guaranteed is drawn the same way,
+interference or not: on the first iteration it simulates in a process,
+every measured access was a lock-slot hit and a scratchpad access, as
+MemorySystem.guaranteed_counts shows it.  Such an access costs the same
+in any machine state: lock slots and way modes are written only by
+setup_scenario, a lock-slot hit and a scratchpad access read no
+replacement state and draw no jitter, and a random-order measure only
+permutes a fixed multiset of pages.  So every iteration's record is that
+first one's, with no miss to price, and later iterations run neither the
+restore nor the interference quanta, which no record can see (an
+interference loop is bound to a mapped region at load, so skipping it
+hides no fault).
+
 The trap choreography follows the partition CSR protocol: entering the
 handler overwrites CUR_PART with the hypervisor's constant mask (which
 hardware-saves the interrupted mask into LAST_PART); leaving it either
@@ -297,10 +310,11 @@ class ScenarioPlan:
     runtime VM contexts and lock chunks.  Once an iteration ran, machine
     holds (MemorySystem, snapshot), the snapshot taken from the plan alone:
     after the prefix, or, when the prime has a random-order region, right
-    after set-up.  Once an iteration of an interference-free plan ran,
-    fixed holds what every iteration of it shares: (base cycles, the
-    misses counted before the measured phase, its TLB misses, its cache
-    misses)."""
+    after set-up.  Once an iteration of an interference-free plan ran, or
+    the first iteration of a plan whose measured phase it found fully
+    guaranteed, fixed holds what every iteration of it shares: (base
+    cycles, the misses counted before the measured phase, its TLB misses,
+    its cache misses); a guaranteed plan's three counts are 0."""
 
     defn: "ScenarioDef"
     measured: VmContext
@@ -555,22 +569,23 @@ def _jitter_rng(defn, index):
 def run_iteration(plan, index):
     """One scheduling round: boot and prime (untimed), deschedule,
     interference quantum per interference VM, reschedule, timed measured
-    phase.  An interference-free plan simulates its first iteration only;
-    every later one is drawn: plan.fixed's base plus the jitter its cache
-    misses draw from the iteration's own generator (see the module
-    docstring)."""
+    phase.  A plan that is interference-free, or whose measured phase is
+    fully guaranteed, simulates its first iteration only; every later one
+    is drawn: plan.fixed's base plus the jitter its cache misses draw from
+    the iteration's own generator (see the module docstring)."""
     defn = plan.defn
     jitter = defn.latency.jitter
-    jitter_rng = _jitter_rng(defn, index)
     if plan.fixed is not None:
         base, before, tlb_misses, cache_misses = plan.fixed
-        cycles = base + jitter_sum(jitter_rng, jitter, cache_misses, after=before)
-        return IterationRecord(index, cycles, tlb_misses, cache_misses)
+        if cache_misses:
+            base += jitter_sum(_jitter_rng(defn, index), jitter, cache_misses, after=before)
+        return IterationRecord(index, base, tlb_misses, cache_misses)
     work_rng = None  # drawn from only by a random-order region
     if plan.random_order:
         work_rng = random.Random(iteration_seed(defn.seed, index, "workload"))
     intf_rng = random.Random(iteration_seed(defn.seed, index, "interference"))
-    sys = restore_machine(plan, jitter_rng, work_rng)
+    first = plan.machine is None
+    sys = restore_machine(plan, _jitter_rng(defn, index), work_rng)
     crit = plan.measured
     for intf in plan.interference:
         trap_exit(sys, intf)
@@ -579,12 +594,20 @@ def run_iteration(plan, index):
     # Switch back if another VM ran; otherwise the critical VM just resumes.
     trap_exit(sys, crit if plan.interference else None)
 
+    if first:
+        served0 = sys.guaranteed_counts()
     tlb0, cache0 = sys.miss_counts()
     cycles = run_regions(sys, crit, crit.workload.measure, work_rng)
     tlb1, cache1 = sys.miss_counts()
     record = IterationRecord(
         index=index, cycles=cycles, tlb_misses=tlb1 - tlb0, cache_misses=cache1 - cache0
     )
+    if first:
+        lookups, lock_hits, spm = (b - a for a, b in zip(served0, sys.guaranteed_counts()))
+        if lookups == lock_hits == spm:
+            # Fully guaranteed: no miss, so nothing for a draw to price.
+            plan.fixed = (cycles, 0, record.tlb_misses, record.cache_misses)
+            return record
     if plan.interference_free:
         # No interference ran, so cache0 is the snapshot's miss count.
         drawn = jitter_sum(_jitter_rng(defn, index), jitter, record.cache_misses, after=cache0)

@@ -42,7 +42,9 @@ The optional jitter models memory-controller noise: a miss (a refill or
 a fill-drop, the only events that reach backing memory) adds a uniform
 draw from [-j, +j].  Hits, SPM accesses and lock-slot translations never
 consult the generator, so a fully locked, SPM-resident access path stays
-cycle-constant even with jitter enabled.  Because each miss is exactly one
+cycle-constant even with jitter enabled; hypervisor.run_iteration draws
+the records of a plan whose measured phase takes only that path, as
+guaranteed_counts shows it.  Because each miss is exactly one
 draw, restore() draws once per miss its snapshot's caches count: the
 restored machine and generator stand where a machine built with that
 generator stood on reaching the snapshot.  virtual_access's final access,
@@ -379,6 +381,19 @@ class MemorySystem:
         tlb = self.itlb.misses + self.dtlb.misses
         cache = self.icache.stats["misses"] + self.dcache.stats["misses"]
         return tlb, cache
+
+    def guaranteed_counts(self):
+        """(TLB lookups, lock-slot hits, scratchpad events) across both
+        sides.  A phase whose three deltas are equal took a lock-slot hit
+        and a scratchpad access on every access: no walk, no cache miss and
+        no jitter draw, and no event that reads replacement state."""
+        itlb, dtlb, icache, dcache = self.itlb, self.dtlb, self.icache.stats, self.dcache.stats
+        return (
+            itlb.hits + itlb.misses + dtlb.hits + dtlb.misses,
+            itlb.lock_hits + dtlb.lock_hits,
+            icache["spm_accesses"] + icache["spm_misconfigs"]
+            + dcache["spm_accesses"] + dcache["spm_misconfigs"],
+        )
 
     def snapshot(self):
         """The machine state -- both TLBs, both caches, the partition CSRs

@@ -1,14 +1,20 @@
-"""Interference-free plans draw their iterations instead of simulating them.
+"""Plans whose iterations take fixed events draw them instead of simulating them.
 
 An isolation scenario with no random-order region takes the same events
 in every iteration, so after its first simulated iteration run_iteration
 returns a fixed base plus the jitter draws of the record's cache misses
-(hypervisor module docstring).  These tests hold that closed form to full
-simulation: every drawn record must equal the same iteration run as the
-first iteration of a fresh plan, on every preset and on WRITES_TEXT, with
-and without jitter, serially and through the process pool.  A plan with
-an interference VM, or with a random-order prime or measure region, must
-still simulate its measured phase on every iteration.
+(hypervisor module docstring).  A plan whose measured phase is fully
+guaranteed -- a lock-slot hit and a scratchpad access on every access, as
+in every shipped lockspm and partlockspm scenario -- is drawn the same way
+whatever interference it runs: its records are one constant.  These tests
+hold both closed forms to full simulation: every drawn record must equal
+the same iteration run as the first iteration of a fresh plan, on every
+preset and on WRITES_TEXT, with and without jitter, serially and through
+the process pool.  A plan with an interference VM whose measured phase is
+only partly guaranteed (translations locked but the cache exposed, the
+scratchpad without locks, one region left unlocked), or an isolation plan
+with a random-order prime or measure region, must still simulate its
+measured phase on every iteration.
 """
 
 from dataclasses import replace
@@ -93,3 +99,64 @@ def test_plans_that_vary_simulate_every_iteration(name):
         records, runs = measure_runs(defn, stop)
         assert runs == stop
         assert records == first_iterations(replace(defn, iterations=stop))
+
+
+# Every shipped scenario whose measured phase is fully guaranteed.
+GUARANTEED = (
+    ("powerwindow-like", "lockspm"),
+    ("powerwindow-like", "partlockspm"),
+    ("synthetic-spm", "lockspm"),
+    ("writes", "lockspm"),
+)
+
+
+def with_one_region_unlocked(defn):
+    """defn with the first locked region of its measured VM no longer locked."""
+    vms = []
+    for vm in defn.vms:
+        if isinstance(vm.workload, Workload):
+            regions = list(vm.regions)
+            first = next(i for i, r in enumerate(regions) if r.lock)
+            regions[first] = replace(regions[first], lock=False)
+            vm = replace(vm, regions=tuple(regions))
+        vms.append(vm)
+    return replace(defn, vms=tuple(vms))
+
+
+@pytest.mark.parametrize("jitter", (3, 0))
+@pytest.mark.parametrize("name, scenario", GUARANTEED)
+def test_guaranteed_records_equal_fresh_first_iterations(name, scenario, jitter):
+    cfg = config(name, jitter, scenario)
+    defn = cfg.scenarios[scenario]
+    assert not build_plan(defn).interference_free  # drawn for another reason
+    fresh = first_iterations(defn)
+    assert len({r.cycles for r in fresh}) == 1  # no draw prices a guaranteed access
+    assert {(r.tlb_misses, r.cache_misses) for r in fresh} == {(0, 0)}
+    records, runs = measure_runs(defn)
+    assert runs == 1
+    assert records == fresh
+    assert run_experiment(cfg, workers=2)[scenario] == fresh
+    # A random-order measure only permutes the guaranteed accesses.
+    shuffled = with_random_order(defn, "measure")
+    records, runs = measure_runs(shuffled)
+    assert runs == 1
+    assert records == fresh
+
+
+@pytest.mark.parametrize(
+    "name, scenario, vary",
+    (
+        ("powerwindow-like", "locking", None),  # translations locked, cache exposed
+        ("synthetic-spm", "spm", None),  # scratchpad, translations exposed
+        ("synthetic-spm", "lockspm", with_one_region_unlocked),
+        ("powerwindow-like", "partlockspm", with_one_region_unlocked),
+    ),
+)
+def test_partly_guaranteed_plans_simulate_every_iteration(name, scenario, vary):
+    stop = 6
+    defn = config(name, 3, scenario).scenarios[scenario]
+    if vary is not None:
+        defn = vary(defn)
+    records, runs = measure_runs(defn, stop)
+    assert runs == stop
+    assert records == first_iterations(replace(defn, iterations=stop))

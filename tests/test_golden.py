@@ -39,6 +39,11 @@ hit counts, PLRU bits, TLB entries and memory words.  MACHINE_PATH pins,
 per preset, SHA-256 over the repr of each scenario's machine_state()
 after its last iteration (seed 1, serial, ITERATIONS iterations), so a
 speed-up that moves any of that state shows even when the records hold.
+The last iteration runs as the first iteration of a fresh plan, so the
+pin does not depend on whether a plan simulates or draws its later
+iterations; test_restoring_a_dirty_machine_leaves_the_fresh_state holds
+the machine that every iteration of an `unmitigated` plan restored in
+place to that fresh one.
 machine_state() reads the state through accessors rather than
 MemorySystem.snapshot(), so a change to how the state is stored, which
 changes the snapshot's repr, leaves the pin alone.
@@ -381,11 +386,14 @@ def machine_state(system):
 
 
 def final_machines(text):
-    """(scenario name, MemorySystem) after each scenario's last iteration."""
+    """(scenario name, MemorySystem) after each scenario's last iteration,
+    run as the first iteration of a fresh plan: a record depends only on
+    (defn, index), and a plan whose later iterations are drawn leaves its
+    machine where its first iteration left it."""
     cfg = load_experiment(text=text, seed=1, iterations=ITERATIONS)
     for name in cfg.scenario_names:
         plan = build_plan(cfg.scenarios[name])
-        run_range(plan, 0, ITERATIONS)
+        run_range(plan, ITERATIONS - 1, ITERATIONS)
         yield name, plan.machine[0]
 
 
@@ -395,6 +403,22 @@ def machine_digest(text):
     for name, system in final_machines(text):
         h.update(("%s\n%r\n" % (name, machine_state(system))).encode())
     return h.hexdigest()
+
+
+@pytest.mark.parametrize("preset", preset_names() + ["writes"])
+def test_restoring_a_dirty_machine_leaves_the_fresh_state(preset):
+    """An `unmitigated` plan simulates every iteration, each restoring the
+    machine its previous one left dirty; after the last, the machine must
+    equal the one the last iteration leaves as a fresh plan's first."""
+    text = WRITES_TEXT if preset == "writes" else preset_text(preset)
+    cfg = load_experiment(text=text, seed=1, iterations=ITERATIONS)
+    defn = cfg.scenarios["unmitigated"]
+    plan = build_plan(defn)
+    run_range(plan, 0, ITERATIONS)
+    assert plan.fixed is None  # every iteration was simulated
+    fresh = build_plan(defn)
+    run_range(fresh, ITERATIONS - 1, ITERATIONS)
+    assert repr(machine_state(plan.machine[0])) == repr(machine_state(fresh.machine[0]))
 
 
 def flip(system, what):
