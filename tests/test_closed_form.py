@@ -58,15 +58,19 @@ def measure_runs(defn, stop=ITERATIONS):
     return records, sum(1 for call in spy.call_args_list if call.args[2] is measure)
 
 
+def with_measured(defn, change):
+    """defn with its measured VM replaced by change(vm)."""
+    return replace(defn, vms=tuple(
+        change(vm) if isinstance(vm.workload, Workload) else vm for vm in defn.vms
+    ))
+
+
 def with_random_order(defn, phase):
     """defn with every region of its measured VM's `phase` in random order."""
-    vms = []
-    for vm in defn.vms:
-        if isinstance(vm.workload, Workload):
-            regions = tuple(replace(r, order="random") for r in getattr(vm.workload, phase))
-            vm = replace(vm, workload=replace(vm.workload, **{phase: regions}))
-        vms.append(vm)
-    return replace(defn, vms=tuple(vms))
+    def shuffle(vm):
+        regions = tuple(replace(r, order="random") for r in getattr(vm.workload, phase))
+        return replace(vm, workload=replace(vm.workload, **{phase: regions}))
+    return with_measured(defn, shuffle)
 
 
 @pytest.mark.parametrize("jitter", (3, 0))
@@ -112,15 +116,12 @@ GUARANTEED = (
 
 def with_one_region_unlocked(defn):
     """defn with the first locked region of its measured VM no longer locked."""
-    vms = []
-    for vm in defn.vms:
-        if isinstance(vm.workload, Workload):
-            regions = list(vm.regions)
-            first = next(i for i, r in enumerate(regions) if r.lock)
-            regions[first] = replace(regions[first], lock=False)
-            vm = replace(vm, regions=tuple(regions))
-        vms.append(vm)
-    return replace(defn, vms=tuple(vms))
+    def unlock(vm):
+        regions = list(vm.regions)
+        first = next(i for i, r in enumerate(regions) if r.lock)
+        regions[first] = replace(regions[first], lock=False)
+        return replace(vm, regions=tuple(regions))
+    return with_measured(defn, unlock)
 
 
 @pytest.mark.parametrize("jitter", (3, 0))
