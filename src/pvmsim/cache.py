@@ -51,8 +51,8 @@ bitmap over its ways and its tree-PLRU node bits packed into one int,
 the format every ``PlruTree`` uses.  A set is touched with the same
 ``touch_masks`` pair as a tree and picks its victim from a
 ``victim_table`` (see plru.py).  The SPM ways are recorded once, as one
-cache-wide locked-ways mask that selects the victim table; ``modes`` is
-read off it.  ``snapshot``/``restore`` copy this state wholesale.
+cache-wide locked-ways mask that selects the victim table.
+``snapshot``/``restore`` copy this state wholesale.
 """
 
 from typing import NamedTuple
@@ -164,13 +164,6 @@ class Memory:
         it filled, so the mapping is already checked."""
         self._lines[base] = tuple(words)
 
-    def words(self):
-        """Every non-zero word as sorted (addr, word) pairs, however stored."""
-        return tuple(
-            (base + i * WORD_BYTES, w)
-            for base, line in sorted(self._lines.items()) for i, w in enumerate(line) if w
-        )
-
     def snapshot(self):
         return tuple(self._lines.items())
 
@@ -259,19 +252,14 @@ class Cache:
         self._locked = locked
         self._victims = victim_table(self.ways, self._all_ways_mask & ~locked)
 
-    @property
-    def modes(self):
-        """Each way's mode, read off the locked-ways mask."""
-        return [MODE_SPM if self._locked >> w & 1 else MODE_CACHE for w in range(self.ways)]
-
     def configure_way(self, way, mode):
         """Switch one way between CACHE and SPM mode.
 
         CACHE -> SPM: dirty lines in the way are written back first (the
-        array becomes invisible to lookups, so anything not flushed now
-        would be lost), then its tags and dirty bits are cleared, the way
-        is locked against replacement, and the storage is zeroed for its
-        new life as scratchpad.  SPM -> CACHE: the way is simply unlocked;
+        array becomes invisible to lookups, so anything not written back
+        now would be lost), then its tags and dirty bits are cleared, the
+        way is locked against replacement, and the storage is zeroed for
+        its new life as scratchpad.  SPM -> CACHE: the way is simply unlocked;
         tags are already invalid, and fills overwrite the stale storage.
         """
         if not 0 <= way < self.ways:
@@ -437,19 +425,12 @@ class Cache:
         self._dirty[set_idx] &= ~(1 << way)
         self.stats["write_backs"] += 1
 
-    # -- maintenance ----------------------------------------------------------
-
-    def flush(self):
-        """Write back every dirty line and invalidate all CACHE-mode ways."""
-        for s, dirty in enumerate(self._dirty):
-            for way in range(self.ways):
-                if dirty >> way & 1:
-                    self._write_back(s, way)
-        # SPM ways never hold tags, so this only drops CACHE lines.
-        self._tags[:] = [_NO_LINE] * len(self._tags)
+    # -- snapshot / restore ------------------------------------------------------
 
     def snapshot(self):
-        """Every piece of mutable state, as immutable copies for restore()."""
+        """Every piece of mutable state -- tags, dirty bitmaps, data words,
+        PLRU bits, the locked-ways mask and the statistics -- as immutable
+        copies for restore()."""
         return (tuple(self._tags), tuple(self._dirty), tuple(self._data), tuple(self._plru),
                 self._locked, tuple(self.stats.items()))
 
@@ -462,29 +443,3 @@ class Cache:
         self._plru[:] = plru
         self._set_locked(locked)
         self.stats.update(stats)
-
-    # -- introspection (tests) --------------------------------------------------
-
-    def probe(self, paddr):
-        """Return the (set, way) currently holding paddr's line, else None."""
-        line = paddr >> self._line_shift
-        set_idx = line & self._set_mask
-        tag = line >> self._set_shift
-        row = self._tags[set_idx * self.ways:(set_idx + 1) * self.ways]
-        return (set_idx, row.index(tag)) if tag in row else None
-
-    def data_words(self):
-        """Every slot's line words, slot by slot, SPM ways included."""
-        return tuple(self._data)
-
-    def spm_word(self, way, set_idx, word):
-        """Directly read one SPM storage word (testing aid, not an access)."""
-        if not self._locked >> way & 1:
-            raise ValueError("way %d is not in SPM mode" % way)
-        return self._data[(set_idx * self.ways + way) * self.words_per_line + word]
-
-    def tag_state(self):
-        """Deterministic fingerprint of tags, dirty bits, the per-set
-        replacement bits and the locked-ways mask, for before/after
-        comparisons."""
-        return tuple(self._tags), tuple(self._dirty), tuple(self._plru), self._locked

@@ -7,7 +7,7 @@ Layout per structure (one instance each for instruction and data sides):
 * a PLRU tree over the entries (see plru.py) consulted on refills;
 * a bank of lock slots.  Each slot is three software-visible registers
   (mapping, leaf PTE, address-space ids) and becomes ACTIVE once all
-  three carry a set valid bit.  An active slot pins one tree leaf --
+  three carry a set valid bit.  An active slot j pins tree leaf j --
   that leaf can never be chosen as a victim -- and serves lookups
   straight from the registers, taking precedence over the entry bank.
 
@@ -15,8 +15,7 @@ The slot registers are the only record of lock state: the active slots
 and the tree's locked leaves are derived from them after every register
 write and restore.  Slots are immutable records, like entries, so
 snapshots share them; a register write builds the slot's next record,
-checks it (a slot may not activate onto a leaf another active slot pins)
-and only then stores it, so a rejected write changes nothing.
+checks it and only then stores it, so a rejected write changes nothing.
 
 Replacement is steered by a pair of partition CSRs shared by both TLBs
 of a hart:
@@ -47,7 +46,7 @@ overlaps the span for these ids (or globally).  That is checked once,
 when the memo is set; slots win over entries and lower leaves over
 higher ones, so the scan of any page in the span would then find the
 same leaf.  Between the hit and the lookup nothing has changed -- every
-fill, flush, restore and lock-slot write clears the memo -- and touching
+fill, restore and lock-slot write clears the memo -- and touching
 the leaf last touched again would change no bit.  The memo holds the
 address bits above the span, sign extension included, so a memo hit is
 canonical.  It is derived state and never goes into a snapshot.
@@ -182,7 +181,7 @@ class Tlb:
             TlbEntry(vpn=0, page_size=PAGE_SIZES[0], asid=0, vmid=0, pte=0, valid=False)
             for _ in range(entries)
         ]
-        # Default placement: slot j shadows leaf j; steerable while inactive.
+        # Slot j pins leaf j while it is active.
         self.slots = [LockSlot(target_leaf=j) for j in range(lock_slots)]
         self._active = ()  # derived by _refresh_active; never snapshotted
         # (cover mask, vaddr & cover mask, asid, vmid, frame address, offset
@@ -297,13 +296,6 @@ class Tlb:
 
     # -- lock slots ----------------------------------------------------------
 
-    def set_lock_target(self, index, leaf):
-        slot = self.slots[index]
-        if slot.active:
-            raise ValueError("cannot retarget an active lock slot")
-        self.tree.check_leaf(leaf)
-        self.slots[index] = replace(slot, target_leaf=leaf)
-
     def program_lock_slot(self, index, which, **fields):
         """Write one of a slot's three registers; a rejected write changes nothing."""
         slot = self.slots[index]
@@ -328,8 +320,6 @@ class Tlb:
             new = replace(slot, asid=fields["asid"], vmid=fields["vmid"], id_valid=valid)
         else:
             raise ValueError("unknown lock-slot register %r" % (which,))
-        if new.active and not slot.active and self.tree.locked >> slot.target_leaf & 1:
-            raise ValueError("two active lock slots share leaf %d" % slot.target_leaf)
         self.slots[index] = new
         self._refresh_active()
 
@@ -339,14 +329,7 @@ class Tlb:
         self.tree.locked = sum(1 << slot.target_leaf for slot in active)
         self._memo = None
 
-    # -- maintenance -----------------------------------------------------------
-
-    def flush(self):
-        """Invalidate every regular entry; lock slots are never affected."""
-        self._memo = None
-        for leaf, entry in enumerate(self.entries):
-            if entry.valid:
-                self.entries[leaf] = replace(entry, valid=False)
+    # -- snapshot / restore ----------------------------------------------------
 
     def snapshot(self):
         """Replacement bits, entries, lock slots and counters, as copies

@@ -463,9 +463,7 @@ class TlbRef:
         self.bits = [0] * (entries - 1)
         self.locked = set()
         self.entries = [None] * entries  # leaf -> dict, None once invalid
-        self.slots = [
-            {"target": j, "vpn": None, "pte": None, "id": None} for j in range(slots)
-        ]
+        self.slots = [{"vpn": None, "pte": None, "id": None} for _ in range(slots)]
         self.counters = [0, 0, 0, 0, 0]
 
     @staticmethod
@@ -530,23 +528,17 @@ class TlbRef:
         self.counters[3] += 1
         return victim
 
-    def flush(self):
-        self.entries = [None] * len(self.entries)
-
     def program(self, index, which, value):
         """Write one slot register: `value` is the register's fields, or
         None for a cleared valid bit.  vpn = (vpn, page_size, flags),
-        pte = pte, id = (asid, vmid)."""
+        pte = pte, id = (asid, vmid).  Slot j pins leaf j while active."""
         slot = self.slots[index]
         was_active = self._active(slot)
         slot[which] = value
         if self._active(slot) and not was_active:
-            self.locked.add(slot["target"])
+            self.locked.add(index)
         elif was_active and not self._active(slot):
-            self.locked.discard(slot["target"])
-
-    def retarget(self, index, leaf):
-        self.slots[index]["target"] = leaf
+            self.locked.discard(index)
 
     def state(self):
         """Comparable view: (node bits, locked leaves, entries, counters)."""

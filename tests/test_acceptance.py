@@ -46,6 +46,7 @@ from oracles import (
     spm_decode_ref,
     two_stage_count_ref,
 )
+from state_views import probe, spm_word, way_modes
 from test_tlb import entry, make_tlb
 
 RW = PTE_R | PTE_W | PTE_A | PTE_D
@@ -348,7 +349,7 @@ def test_criterion_08_scratchpad_semantics():
     for step in range(10_000):
         if step % 251 == 250:
             way = rng.randrange(4)
-            mode = MODE_SPM if cache.modes[way] == MODE_CACHE else MODE_CACHE
+            mode = MODE_SPM if way_modes(cache)[way] == MODE_CACHE else MODE_CACHE
             cache.configure_way(way, mode)
             for key in [k for k in shadow if k[0] == way]:
                 del shadow[key]
@@ -358,7 +359,7 @@ def test_criterion_08_scratchpad_semantics():
         value = rng.randrange(1 << 66)  # oversized on purpose: must be masked
         res = cache.access(paddr, "write" if writing else "read",
                            value if writing else None)
-        if cache.modes[way] == MODE_SPM:
+        if way_modes(cache)[way] == MODE_SPM:
             if writing:
                 shadow[(way, set_idx, word)] = value & WORD_MASK
                 if res.event != EVENT_SPM:
@@ -383,15 +384,15 @@ def test_criterion_08_scratchpad_semantics():
     for step in range(10_000):
         if step % 67 == 66:
             way = rng.randrange(4)
-            mode = MODE_SPM if cache.modes[way] == MODE_CACHE else MODE_CACHE
+            mode = MODE_SPM if way_modes(cache)[way] == MODE_CACHE else MODE_CACHE
             cache.configure_way(way, mode)
             if mode == MODE_SPM:
                 for s in range(8):
                     for w in range(2):
-                        if cache.spm_word(way, s, w) != 0:
+                        if spm_word(cache, way, s, w) != 0:
                             mis_b += 1
             for addr, value in last_written.items():
-                loc = cache.probe(addr)
+                loc = probe(cache, addr)
                 if loc is not None and loc[1] == way:
                     mis_b += 1  # converted way must hold no lookup-visible line
                 if loc is None and mem.read_word(addr) != value:
@@ -408,9 +409,9 @@ def test_criterion_08_scratchpad_semantics():
             if want is not None and res.value != want:
                 mis_b += 1
         if res.event == EVENT_MISS:
-            loc = cache.probe(addr)
-            if MODE_CACHE in cache.modes:
-                if loc is None or cache.modes[loc[1]] != MODE_CACHE:
+            loc = probe(cache, addr)
+            if MODE_CACHE in way_modes(cache):
+                if loc is None or way_modes(cache)[loc[1]] != MODE_CACHE:
                     mis_b += 1  # refill must land in a cache-mode way
             elif loc is not None:
                 mis_b += 1  # fully converted: misses bypass, never allocate

@@ -21,6 +21,7 @@ from pvmsim.cache import (
     check_spm_window,
 )
 from oracles import CacheRef, spm_decode_ref
+from state_views import data_words, memory_words, probe, spm_word, tag_state
 
 RAM_BASE = 0x8000_0000
 RAM_SIZE = 1 << 20
@@ -102,7 +103,7 @@ def test_miss_outside_memory_changes_nothing(kind, where, all_spm):
             cache.configure_way(way, MODE_SPM)
 
     def state():
-        return cache.tag_state(), dict(cache.stats), cache.data_words(), mem.words()
+        return tag_state(cache), dict(cache.stats), data_words(cache), memory_words(mem)
 
     before = state()
     with pytest.raises(UnmappedAddress):
@@ -137,14 +138,14 @@ def test_caches_take_the_line_size_of_their_memory():
     Cache(mem, ways=2, sets=4, line_bytes=32)
     with pytest.raises(ValueError, match="^a memory of 32-byte lines cannot serve 16-byte lines$"):
         Cache(mem, ways=4, sets=8, line_bytes=16)
-    assert mem.words() == ((RAM_BASE + 0x48, 5),)
+    assert memory_words(mem) == ((RAM_BASE + 0x48, 5),)
 
 
 def test_memory_keeps_one_line_dict_for_life():
     """A cache's step holds its memory's line dict, so restoring a
     snapshot must refill that dict, not replace it: the cache's later fill
-    reads the restored word, and its dirty eviction lands where
-    memory.words() sees it."""
+    reads the restored word, and its dirty eviction lands where the
+    memory's snapshot sees it."""
     mem = Memory([(RAM_BASE, RAM_SIZE)], 16)
     a = Cache(mem, ways=2, sets=4, line_bytes=16)
     mem.write_word(RAM_BASE + 0x08, 1)
@@ -155,8 +156,8 @@ def test_memory_keeps_one_line_dict_for_life():
     a.access(RAM_BASE + 0x08, "write", value=7)
     for k in (1, 2):  # two more lines of set 0 evict the dirty one
         a.access(same_set_addr(a, 0, k), "read")
-    assert a.probe(RAM_BASE) is None and a.stats["write_backs"] == 1
-    assert mem.words() == ((RAM_BASE + 0x08, 7),)
+    assert probe(a, RAM_BASE) is None and a.stats["write_backs"] == 1
+    assert memory_words(mem) == ((RAM_BASE + 0x08, 7),)
 
 
 # -- plain cache behavior ------------------------------------------------------
@@ -176,7 +177,7 @@ def test_write_allocate_installs_dirty_line():
     cache, mem = make_cache()
     res = cache.access(RAM_BASE + 0x80, "write", value=0x1234)
     assert res.event == EVENT_MISS
-    assert cache.probe(RAM_BASE + 0x80) is not None
+    assert probe(cache, RAM_BASE + 0x80) is not None
     # Write-back policy: the store is not yet visible in memory.
     assert mem.read_word(RAM_BASE + 0x80) == 0
     assert cache.access(RAM_BASE + 0x80, "read").value == 0x1234
@@ -229,17 +230,6 @@ def test_access_kind_is_validated(kind):
         cache.access(RAM_BASE, kind, value=1)
 
 
-def test_flush_spills_everything_and_invalidates():
-    cache, mem = make_cache()
-    addrs = [RAM_BASE + 0x10 * k for k in range(6)]
-    for i, a in enumerate(addrs):
-        cache.access(a, "write", value=i + 1)
-    cache.flush()
-    for i, a in enumerate(addrs):
-        assert mem.read_word(a) == i + 1
-        assert cache.probe(a) is None
-
-
 # -- SPM window decode ---------------------------------------------------------
 
 
@@ -258,7 +248,7 @@ def test_spm_decode_contiguous_way_mapping():
         (SPM_BASE + cache.size - 8, (cache.ways - 1, cache.sets - 1, cache.words_per_line - 1)),
     )):
         assert cache.access(paddr, "write", value=k + 1).event == EVENT_SPM
-        assert cache.spm_word(*where) == k + 1
+        assert spm_word(cache, *where) == k + 1
     # Just outside the window is an ordinary, here unmapped, address.
     for paddr in (SPM_BASE - 8, SPM_BASE + cache.size):
         with pytest.raises(UnmappedAddress):
@@ -283,7 +273,7 @@ def test_spm_decode_matches_range_scan_reference():
     for way in range(cache.ways):
         for s in range(cache.sets):
             for w in range(cache.words_per_line):
-                assert cache.spm_word(way, s, w) == shadow.get((way, s, w), 0)
+                assert spm_word(cache, way, s, w) == shadow.get((way, s, w), 0)
 
 
 # -- SPM access semantics --------------------------------------------------------
@@ -302,12 +292,12 @@ def test_spm_write_read_round_trip():
 def test_misconfigured_window_slice_drops_writes_and_reads_dummy():
     cache, mem = make_cache()
     # No way converted: the whole window is misconfigured territory.
-    before = cache.tag_state()
+    before = tag_state(cache)
     w = cache.access(SPM_BASE + 0x10, "write", value=0xAB)
     r = cache.access(SPM_BASE + 0x10, "read")
     assert (w.event, w.value) == (EVENT_SPM_MISCONFIG, None)
     assert (r.event, r.value) == (EVENT_SPM_MISCONFIG, 0)
-    assert cache.tag_state() == before
+    assert tag_state(cache) == before
     assert cache.stats["spm_misconfigs"] == 2
     assert cache.stats["spm_accesses"] == 0
 
@@ -325,20 +315,20 @@ def test_conversion_evicts_resident_line():
     cache, mem = make_cache()
     mem.write_word(RAM_BASE + 0x40, 77)
     cache.access(RAM_BASE + 0x40, "read")
-    set_idx, way = cache.probe(RAM_BASE + 0x40)
+    set_idx, way = probe(cache, RAM_BASE + 0x40)
     cache.configure_way(way, MODE_SPM)
-    assert cache.probe(RAM_BASE + 0x40) is None
+    assert probe(cache, RAM_BASE + 0x40) is None
     res = cache.access(RAM_BASE + 0x40, "read")
     assert (res.event, res.value) == (EVENT_MISS, 77)
     # The refill went to a different way; the converted one stays clean.
-    new_set, new_way = cache.probe(RAM_BASE + 0x40)
+    new_set, new_way = probe(cache, RAM_BASE + 0x40)
     assert new_set == set_idx and new_way != way
 
 
 def test_conversion_writes_back_dirty_lines():
     cache, mem = make_cache()
     cache.access(RAM_BASE + 0x40, "write", value=0xC0FFEE)
-    _, way = cache.probe(RAM_BASE + 0x40)
+    _, way = probe(cache, RAM_BASE + 0x40)
     assert mem.read_word(RAM_BASE + 0x40) == 0  # not yet written back
     cache.configure_way(way, MODE_SPM)
     assert mem.read_word(RAM_BASE + 0x40) == 0xC0FFEE
@@ -358,24 +348,24 @@ def test_conversion_touches_only_its_own_way(ways, line_bytes):
             for i in range(wpl):
                 addr = same_set_addr(cache, s, k, i)
                 cache.access(addr, "write", value=addr >> 3)
-    assert all(cache.probe(same_set_addr(cache, s, k)) for s in range(cache.sets)
+    assert all(probe(cache, same_set_addr(cache, s, k)) for s in range(cache.sets)
                for k in range(ways))
     way = ways // 2
-    tags, dirty, plru, _ = cache.tag_state()
-    data = cache.data_words()
+    tags, dirty, plru, _ = tag_state(cache)
+    data = data_words(cache)
     assert all(d == (1 << ways) - 1 for d in dirty)
     evicted = sorted(
         (addr, addr >> 3)
         for s in range(cache.sets) for k in range(ways) for i in range(wpl)
         for addr in (same_set_addr(cache, s, k, i),)
-        if cache.probe(addr) == (s, way)
+        if probe(cache, addr) == (s, way)
     )
     assert len(evicted) == cache.sets * wpl
 
     cache.configure_way(way, MODE_SPM)
 
-    new_tags, new_dirty, new_plru, locked = cache.tag_state()
-    new_data = cache.data_words()
+    new_tags, new_dirty, new_plru, locked = tag_state(cache)
+    new_data = data_words(cache)
     assert locked == 1 << way and new_plru == plru
     assert new_dirty == tuple(d & ~(1 << way) for d in dirty)
     for slot, tag in enumerate(new_tags):
@@ -384,7 +374,7 @@ def test_conversion_touches_only_its_own_way(ways, line_bytes):
             assert tag == -1 and words == (0,) * wpl
         else:
             assert tag == tags[slot] and words == data[slot * wpl:(slot + 1) * wpl]
-    assert list(mem.words()) == evicted
+    assert list(memory_words(mem)) == evicted
     assert cache.stats["write_backs"] == cache.sets
 
 
@@ -421,7 +411,7 @@ def test_all_ways_spm_turns_every_cached_access_into_fill_drop():
     second = cache.access(RAM_BASE + 0x40, "read")
     assert first.event == second.event == EVENT_MISS
     assert first.value == second.value == 9
-    assert cache.probe(RAM_BASE + 0x40) is None
+    assert probe(cache, RAM_BASE + 0x40) is None
     assert cache.stats["fill_drops"] == 2
     # Writes still take effect, straight through to memory.
     cache.access(RAM_BASE + 0x48, "write", value=4)
@@ -441,7 +431,7 @@ def test_way_and_mode_arguments_validated():
 
 def spm_snapshot(cache, ways):
     return [
-        [cache.spm_word(w, s, i) for s in range(cache.sets) for i in range(cache.words_per_line)]
+        [spm_word(cache, w, s, i) for s in range(cache.sets) for i in range(cache.words_per_line)]
         for w in ways
     ]
 
@@ -472,7 +462,7 @@ def test_spm_traffic_never_touches_cache_state_or_memory():
     for a in ram_addrs:
         mem.write_word(a, rng.getrandbits(32))
         cache.access(a, "read")
-    before_cache = cache.tag_state()
+    before_cache = tag_state(cache)
     before_mem = [mem.read_word(a) for a in ram_addrs]
     for _ in range(3000):
         addr = SPM_BASE + rng.randrange(0, cache.size, 8)  # both modes hit here
@@ -480,7 +470,7 @@ def test_spm_traffic_never_touches_cache_state_or_memory():
             cache.access(addr, "write", value=rng.getrandbits(16))
         else:
             cache.access(addr, "read")
-    assert cache.tag_state() == before_cache
+    assert tag_state(cache) == before_cache
     assert [mem.read_word(a) for a in ram_addrs] == before_mem
 
 
@@ -513,23 +503,22 @@ def test_spm_latency_is_constant_whatever_the_history():
 
 
 def test_conversion_write_back_matches_flush_semantics():
-    # Two identical caches see the same dirty traffic; converting every way
-    # on one and flushing the other must leave backing memory identical.
-    convert, mem_a = make_cache()
-    flush, mem_b = make_cache()
+    # A cache and the textbook reference see the same dirty traffic;
+    # converting every way of the cache must leave backing memory as the
+    # reference's drain (a flush) leaves its word store.
+    cache, mem = make_cache()
+    ref = CacheRef(cache.ways, cache.sets, cache.line_bytes)
     rng = random.Random(44)
     for _ in range(500):
-        addr = RAM_BASE + rng.randrange(0, 32 * convert.line_bytes, 8)
+        addr = RAM_BASE + rng.randrange(0, 32 * cache.line_bytes, 8)
         value = rng.getrandbits(32)
-        convert.access(addr, "write", value=value)
-        flush.access(addr, "write", value=value)
-    for w in range(convert.ways):
-        convert.configure_way(w, MODE_SPM)
-    flush.flush()
-    span = 32 * convert.line_bytes
-    words_a = [mem_a.read_word(RAM_BASE + off) for off in range(0, span, 8)]
-    words_b = [mem_b.read_word(RAM_BASE + off) for off in range(0, span, 8)]
-    assert words_a == words_b
+        cache.access(addr, "write", value=value)
+        ref.access(addr, "write", value)
+    all_spm(cache)
+    ref.drain()
+    span = 32 * cache.line_bytes
+    words = [mem.read_word(RAM_BASE + off) for off in range(0, span, 8)]
+    assert words == [ref.mem.get(RAM_BASE + off, 0) for off in range(0, span, 8)]
 
 
 # -- textbook oracle equivalence ---------------------------------------------------
@@ -555,7 +544,7 @@ def run_against_oracle(ways, sets, line_bytes, ops, seed):
             assert (got.event, got.value) == (want_event, want_value), (
                 "step %d: read diverged" % step
             )
-    cache.flush()
+    all_spm(cache)  # writes back every dirty line, as the drain does
     ref.drain()
     for line in pool:
         for i in range(line_bytes // 8):
@@ -610,7 +599,7 @@ def twin_caches(ways, sets, line_bytes, spm_ways):
 
 def assert_twins_equal(a, b):
     (ca, ma), (cb, mb) = a, b
-    assert ca.tag_state() == cb.tag_state()
+    assert tag_state(ca) == tag_state(cb)
     assert ca.stats == cb.stats
     assert ca.snapshot() == cb.snapshot()
     assert ma.snapshot() == mb.snapshot()
@@ -669,18 +658,11 @@ def test_read_fetches_stops_at_an_unmapped_line_without_touching_the_set():
             twin.access(same_set_addr(twin, 5, k), "write", value=k + 1)
     fetches = [same_set_addr(cache, 5, 0), same_set_addr(cache, 2, 9), unmapped, RAM_BASE]
     read_one_by_one(cache, fetches[:2])
-    tags, memory = cache.tag_state(), b[1].snapshot()
+    tags, memory = tag_state(cache), b[1].snapshot()
     with pytest.raises(UnmappedAddress):
         cache.access(unmapped, "read")
-    assert (cache.tag_state(), b[1].snapshot()) == (tags, memory)
+    assert (tag_state(cache), b[1].snapshot()) == (tags, memory)
     with pytest.raises(UnmappedAddress):
         a[0].read_fetches(fetches)
     assert_twins_equal(a, b)
 
-
-def test_spm_word_reads_scratchpad_ways_only():
-    cache, _ = make_cache()
-    cache.configure_way(1, MODE_SPM)
-    assert cache.spm_word(1, 0, 0) == 0
-    with pytest.raises(ValueError, match="^way 0 is not in SPM mode$"):
-        cache.spm_word(0, 0, 0)

@@ -72,6 +72,7 @@ from pvmsim.cli import preset_names, preset_text
 from pvmsim.config import load_experiment
 from pvmsim.harness import run_experiment, write_outputs
 from pvmsim.hypervisor import build_plan, run_range
+from state_views import data_words, memory_words, tag_state, way_modes
 
 GOLDEN_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
 GOLDEN_PATH = os.path.join(GOLDEN_DIR, "records.json")
@@ -365,8 +366,8 @@ def machine_state(system):
     """Every piece of a MemorySystem's state, read through accessors that
     do not depend on how the state is stored: per TLB its PLRU node bits,
     locked leaves, entries, lock-slot registers and counters; per cache its
-    tag state, data words, way modes and statistics; the partition CSRs and
-    the backing memory."""
+    tag state, data words, way modes and statistics (read off its
+    snapshot); the partition CSRs and the backing memory's words."""
     tlbs = tuple(
         (
             tlb.tree.snapshot_bits(),
@@ -378,11 +379,11 @@ def machine_state(system):
         for tlb in (system.itlb, system.dtlb)
     )
     caches = tuple(
-        (cache.tag_state(), cache.data_words(), tuple(cache.modes), sorted(cache.stats.items()))
+        (tag_state(cache), data_words(cache), way_modes(cache), sorted(cache.stats.items()))
         for cache in (system.icache, system.dcache)
     )
     csr = system.csr
-    return tlbs, caches, (csr.cur_part, csr.last_part), system.memory.words()
+    return tlbs, caches, (csr.cur_part, csr.last_part), memory_words(system.memory)
 
 
 def final_machines(text):
@@ -554,7 +555,7 @@ def test_writes_config_writes_back_memory():
     for name, system in final_machines(WRITES_TEXT):
         if name != "isolation":
             assert system.dcache.stats["write_backs"] > 0, name
-            assert system.memory.words(), name
+            assert memory_words(system.memory), name
 
 
 def test_machine_file_covers_every_preset():

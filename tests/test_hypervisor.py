@@ -33,6 +33,7 @@ from pvmsim.sv39 import PTE_A, PTE_D, PTE_R, PTE_W, PTE_X, SIZE_1G, SIZE_2M, SIZ
 from pvmsim.workload import InterferenceLoop, Region, Workload
 
 from oracles import partition_leaves_ref
+from state_views import spm_word
 
 RW = PTE_R | PTE_W | PTE_A | PTE_D
 RX = PTE_R | PTE_X | PTE_A | PTE_D
@@ -506,7 +507,7 @@ class SnapshotIsolationTest(unittest.TestCase):
         self.assertTrue(intf_entries())
         self.assertGreater(len(sys.memory.snapshot()), len(want.memory.snapshot()))
         self.assertNotEqual(sys.miss_counts(), want.miss_counts())
-        prime_word = sys.dcache.spm_word(0, 0, 0)
+        prime_word = spm_word(sys.dcache, 0, 0, 0)
         self.assertNotEqual(prime_word, 0)  # written by the prime
         sys.dcache.access(spm, "write", ~prime_word)
         sys.csr.write_cur_part(INTF_MASK)
@@ -515,7 +516,7 @@ class SnapshotIsolationTest(unittest.TestCase):
         self.assertIs(restore_machine(plan, jitter, random.Random(0)), sys)
         self.assert_same_state(sys.snapshot(), want.snapshot())
         self.assertEqual(intf_entries(), [])
-        self.assertEqual(sys.dcache.spm_word(0, 0, 0), prime_word)
+        self.assertEqual(spm_word(sys.dcache, 0, 0, 0), prime_word)
         self.assertEqual(sys.miss_counts(), want.miss_counts())
         # The restored machine draws from the generator it was handed,
         # already past the prefix's k draws, one per cache miss.

@@ -14,7 +14,7 @@ import glob
 import os
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-WRITERS = ("program_lock_slot", "set_lock_target", "configure_way")
+WRITERS = ("program_lock_slot", "configure_way")
 ALLOWED = {"hypervisor.setup_scenario"}
 
 
@@ -63,12 +63,12 @@ def test_the_check_sees_every_call_form(tmp_path):
         "        def later():\n"
         "            tlb.program_lock_slot(0, 'id', asid=1, vmid=1)\n"
         "        return later\n"
-        "set_lock_target(0, 3)\n"
+        "program_lock_slot(0, 'vpn', vpn=3)\n"
         "tlb.lookup(0, 1, 1)\n",
         encoding="utf-8",
     )
     assert writer_calls(str(path), "probe") == [
         (2, "probe.setup", "configure_way"),
         (6, "probe.Handler.trap.later", "program_lock_slot"),
-        (8, "probe", "set_lock_target"),
+        (8, "probe", "program_lock_slot"),
     ]

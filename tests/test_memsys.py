@@ -22,6 +22,7 @@ from pvmsim.sv39 import (
     make_pte,
 )
 from pvmsim.walker import AddressSpace
+from state_views import probe, tag_state
 
 RW = PTE_R | PTE_W | PTE_A | PTE_D
 RWX = RW | PTE_X
@@ -153,6 +154,7 @@ def test_every_event_is_priced_from_the_latency_config():
         sys_.dtlb.program_lock_slot(slot, "vpn", vpn=vaddr >> 12, page_size=SIZE_4K)
         sys_.dtlb.program_lock_slot(slot, "pte", pte=make_pte(paddr >> 12, RW | PTE_V))
         sys_.dtlb.program_lock_slot(slot, "id", asid=vm.asid, vmid=vm.vmid)
+    cold_dtlb = sys_.dtlb.snapshot()
 
     def cycles(vaddr, kind="read", value=None, on=vm):
         out = sys_.virtual_access(vaddr, kind, on, value=value)
@@ -165,8 +167,9 @@ def test_every_event_is_priced_from_the_latency_config():
     # Main-array TLB hit; the same line hits, another line misses.
     assert cycles(VBASE + 8) == ((2, 0, 3), "hit")
     assert cycles(VBASE + 0x100) == ((2, 0, 50), "miss")
-    # The same walk remembered after a flush: its PTE lines now hit.
-    sys_.dtlb.flush()
+    # The same walk remembered once the TLB is cold again: its PTE lines
+    # now hit.
+    sys_.dtlb.restore(cold_dtlb)
     assert cycles(VBASE + 8) == ((2, 9, 3), "hit")
     # A lock-slot hit never walks; its data line is cold, then warm.
     assert cycles(0x70_0000) == ((2, 0, 50), "miss")
@@ -183,12 +186,13 @@ def test_walk_fetches_are_priced_through_the_data_cache():
     sys_ = build_system()
     vm = single_stage_vm()
     before = sys_.dcache.stats["misses"]
+    cold_itlb = sys_.itlb.snapshot()
     out = sys_.virtual_access(VBASE, "ifetch", vm)  # instruction side
     assert out.walk_fetches == 3
     assert sys_.dcache.stats["misses"] == before + 3 + 0  # 3 PTE fetches, no data
     assert sys_.icache.stats["misses"] == 1  # the fetch itself
     # A rerun of the same walk hits the PTE lines in the data cache.
-    sys_.itlb.flush()
+    sys_.itlb.restore(cold_itlb)
     again = sys_.virtual_access(VBASE, "ifetch", vm)
     assert again.walk_fetches == 3
     assert again.walk_cycles == 3 * sys_.latency.cache_hit_cycles
@@ -214,19 +218,21 @@ def test_repeat_miss_replays_the_remembered_walk(monkeypatch):
     sys_ = build_system()
     vm, vaddr = scattered_two_stage()
     mc = sys_.latency.memory_cycles
+    cold = sys_.dtlb.snapshot(), sys_.dcache.snapshot()
     first = sys_.virtual_access(vaddr, "read", vm)
-    sys_.dtlb.flush()
-    sys_.dcache.flush()
+    sys_.dtlb.restore(cold[0])
+    sys_.dcache.restore(cold[1])
     again = sys_.virtual_access(vaddr + 8, "read", vm)
     assert len(calls) == 1
     assert again.walk_fetches == first.walk_fetches == 15
-    assert again.walk_cycles == 15 * mc  # every fetch missed the flushed cache again
+    assert again.walk_cycles == 15 * mc  # every fetch missed the cold cache again
     assert again.paddr == first.paddr + 8
 
 
 def test_remapped_guest_page_is_walked_again():
     sys_ = build_system()
     vm = single_stage_vm()
+    cold_dtlb = sys_.dtlb.snapshot()
     assert sys_.virtual_access(VBASE, "read", vm).paddr == DATA_BASE
     # Point VBASE's level-1 entry at a new leaf table mapping another frame.
     guest = vm.guest_space
@@ -234,30 +240,31 @@ def test_remapped_guest_page_is_walked_again():
     leaf = guest.add_table(guest.root_ppn + 0x40)
     guest.set_pte(leaf, VBASE >> 12 & 0x1FF, make_pte((DATA_BASE >> 12) + 0x20, RWX | PTE_V))
     guest.set_pte(mid, VBASE >> 21 & 0x1FF, make_pte(leaf, PTE_V))
-    sys_.dtlb.flush()
+    sys_.dtlb.restore(cold_dtlb)
     out = sys_.virtual_access(VBASE + 8, "read", vm)
     assert out.paddr == DATA_BASE + 0x20 * SIZE_4K + 8
     assert out.walk_fetches == 3
-    assert sys_.dcache.probe((leaf << 12) + (VBASE >> 12 & 0x1FF) * 8) is not None
+    assert probe(sys_.dcache, (leaf << 12) + (VBASE >> 12 & 0x1FF) * 8) is not None
 
 
 def test_remapped_host_page_is_walked_again():
     sys_ = build_system()
     vm, vaddr = scattered_two_stage()
+    cold_dtlb = sys_.dtlb.snapshot()
     first = sys_.virtual_access(vaddr, "read", vm)
     host = vm.host_space
     gpa = 0x40 << 30  # scattered_two_stage's guest-physical data page
     old_tables = set(host.tables)
     host.set_pte(host.root_ppn, gpa >> 30 & 0x1FF, 0)
     host.map_page(gpa, DATA_BASE + 0x30 * SIZE_4K, SIZE_4K, RW)
-    sys_.dtlb.flush()
+    sys_.dtlb.restore(cold_dtlb)
     out = sys_.virtual_access(vaddr, "read", vm)
     assert out.ok and out.walk_fetches == 15
     assert out.paddr == DATA_BASE + 0x30 * SIZE_4K
     new_tables = set(host.tables) - old_tables
     assert len(new_tables) == 2
     for table in new_tables:  # the new walk fetched entry 0 of each new table
-        assert sys_.dcache.probe(table << 12) is not None
+        assert probe(sys_.dcache, table << 12) is not None
 
 
 # -- faults ---------------------------------------------------------------------
@@ -360,15 +367,15 @@ def test_a_store_of_zero_is_a_write(path):
     else:
         assert memsys.write_value(0) == 0
         assert sys_.run_loop(vm, "write", [0], 0, 1)[1] is None
-    set_idx, way = cache.probe(DATA_BASE)
-    assert cache.tag_state()[1][set_idx] >> way & 1  # dirty
+    set_idx, way = probe(cache, DATA_BASE)
+    assert tag_state(cache)[1][set_idx] >> way & 1  # dirty
     assert cache.access(DATA_BASE, "read").value == 0
     write_backs = cache.stats["write_backs"]
     for k in range(1, 4 * cache.ways):  # other lines of its set, until it leaves
-        if cache.probe(DATA_BASE) is None:
+        if probe(cache, DATA_BASE) is None:
             break
         cache.access(DATA_BASE + k * cache.sets * cache.line_bytes, "read")
-    assert cache.probe(DATA_BASE) is None
+    assert probe(cache, DATA_BASE) is None
     assert cache.stats["write_backs"] == write_backs + 1
     assert sys_.memory.read_word(DATA_BASE) == 0
 

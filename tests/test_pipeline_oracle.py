@@ -39,6 +39,7 @@ from pvmsim.sv39 import (
     make_pte,
 )
 from pvmsim.walker import AddressSpace
+from state_views import data_words, memory_words, tag_state
 from pvmsim.workload import InterferenceLoop
 from test_walker import map_region
 
@@ -136,21 +137,22 @@ def tlb_ref_view(ref):
 
 
 def cache_view(cache):
-    tags, dirty, plru, locked = cache.tag_state()
+    tags, dirty, plru, locked = tag_state(cache)
+    data = data_words(cache)
     wpl = cache.words_per_line
     lines = {}
     for s in range(cache.sets):
         for w in range(cache.ways):
             slot = s * cache.ways + w
             if tags[slot] != -1:
-                words = list(cache._data[slot * wpl:(slot + 1) * wpl])
+                words = list(data[slot * wpl:(slot + 1) * wpl])
                 lines[s, w] = (tags[slot], words, bool(dirty[s] >> w & 1))
     spm = {
         w: {
-            (s, k): cache.spm_word(w, s, k)
+            (s, k): data[(s * cache.ways + w) * wpl + k]
             for s in range(cache.sets)
             for k in range(wpl)
-            if cache.spm_word(w, s, k)
+            if data[(s * cache.ways + w) * wpl + k]
         }
         for w in range(cache.ways)
         if locked >> w & 1
@@ -174,7 +176,7 @@ def assert_same_state(sys_, ref, where):
         assert tlb_view(getattr(sys_, side)) == tlb_ref_view(getattr(ref, side)), (where, side)
     for side in ("icache", "dcache"):
         assert cache_view(getattr(sys_, side)) == cache_ref_view(getattr(ref, side)), (where, side)
-    assert dict(sys_.memory.words()) == {
+    assert dict(memory_words(sys_.memory)) == {
         a: v for a, v in ref.mem.items() if v
     }, where
     assert (sys_.rng is None) == (ref.rng is None)

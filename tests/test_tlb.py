@@ -1,5 +1,5 @@
 """TLB tests: tagged lookup, partition-steered fills, the CSR protocol,
-lock slots, flush filters, and the state dump."""
+lock slots, snapshot/restore, and the state dump."""
 
 import copy
 import random
@@ -287,16 +287,6 @@ def test_restore_brings_back_which_slots_serve_lookups(active_in_snapshot):
     assert (res.hit, res.lock_hit) == (active_in_snapshot, active_in_snapshot)
 
 
-def test_lock_slot_survives_flush_all():
-    tlb = make_tlb()
-    program_full_slot(tlb, 0, 0x400, size=SIZE_2M, ppn=0x80000 & ~0x1FF)
-    tlb.fill(entry(vpn=0x900))
-    tlb.flush()
-    assert tlb.lookup(0x900 << 12, asid=1, vmid=0).status == "miss"
-    res = tlb.lookup((0x400 << 12) + 0x12345, asid=1, vmid=0)
-    assert res.hit and res.lock_hit
-
-
 def test_lock_slot_precedence_over_aliased_entry():
     tlb = make_tlb()
     tlb.fill(entry(vpn=0x700, ppn=0x11111))
@@ -392,67 +382,23 @@ def test_superpage_slot_matches_whole_region():
 
 
 def test_fills_avoid_active_lock_leaves():
+    """Slot j pins leaf j: while it is active, tree.locked holds bit j and
+    no fill picks leaf j; once it is idle again, a round of fills reaches
+    leaf j."""
     rng = random.Random(53)
     for _ in range(200):
         tlb = make_tlb()
-        locked_leaves = set()
-        for index in rng.sample(range(8), rng.randrange(1, 5)):
-            tlb.set_lock_target(index, index)  # explicit, though it's the default
+        active = rng.sample(range(8), rng.randrange(1, 5))
+        for index in active:
             program_full_slot(tlb, index, 0x7000 + index * 8)
-            locked_leaves.add(index)
+        assert tlb.tree.locked == sum(1 << index for index in active)
         for i in range(64):
-            leaf = tlb.fill(entry(vpn=0x100 + i))
-            assert leaf not in locked_leaves
-
-
-def test_retarget_only_while_inactive():
-    tlb = make_tlb()
-    tlb.set_lock_target(0, 9)
-    program_full_slot(tlb, 0, 0x700)
-    assert tlb.tree.locked >> 9 & 1
-    with pytest.raises(ValueError):
-        tlb.set_lock_target(0, 5)
-
-
-def test_shared_target_leaf_rejected():
-    tlb = make_tlb()
-    program_full_slot(tlb, 0, 0x700)
-    tlb.set_lock_target(1, 0)
-    tlb.program_lock_slot(1, "vpn", vpn=0x800)
-    tlb.program_lock_slot(1, "pte", pte=make_pte(0x1, FULL))
-    locked, idle = tlb.tree.locked, tlb.slots[1]
-    with pytest.raises(ValueError):
-        tlb.program_lock_slot(1, "id", asid=1, vmid=0)
-    # The rejected write changed nothing: slot 1 keeps its very record,
-    # stays idle and serves no lookup, and once slot 0 lets go no leaf is
-    # pinned.
-    assert tlb.slots[1] is idle
-    assert tlb.slots[1].id_valid is False
-    assert tlb.tree.locked == locked
-    assert tlb.lookup(0x800 << 12, asid=1, vmid=0).status == "miss"
-    tlb.program_lock_slot(0, "id", asid=1, vmid=0, valid=False)
-    assert tlb.tree.locked == 0
-
-
-# -- flush ---------------------------------------------------------------------------
-
-def test_flush_invalidates_every_entry():
-    tlb = make_tlb()
-    tlb.fill(entry(vpn=0x100, asid=1))
-    tlb.fill(entry(vpn=0x200, asid=2, vmid=1))
-    tlb.fill(entry(vpn=0x300, asid=1, global_flag=True))
-    tlb.fill(entry(vpn=0x400, size=SIZE_2M))
-    tlb.flush()
-    assert not any(e.valid for e in tlb.entries)
-    for vpn, asid, vmid in ((0x100, 1, 0), (0x200, 2, 1), (0x300, 3, 0), (0x401, 1, 0)):
-        assert tlb.lookup(vpn << 12, asid=asid, vmid=vmid).status == "miss"
-
-
-def test_flush_empty_is_noop():
-    tlb = make_tlb()
-    before = copy.deepcopy(tlb.entries)
-    tlb.flush()
-    assert tlb.entries == before
+            assert tlb.fill(entry(vpn=0x100 + i)) not in active
+        for index in active:
+            tlb.program_lock_slot(index, "id", asid=1, vmid=0, valid=False)
+        assert tlb.tree.locked == 0
+        leaves = {tlb.fill(entry(vpn=0x200 + i)) for i in range(len(tlb.entries))}
+        assert leaves == set(range(len(tlb.entries)))
 
 
 # -- misc ---------------------------------------------------------------------------
@@ -528,9 +474,8 @@ def tlb_state(tlb):
 def test_tlb_matches_naive_reference(seed):
     """Runs of lookups in one page, often with the same page number and
     ids as the lookup before, or moving to another page of a superpage's
-    span, interleaved with fills under random CUR_PART masks, flushes,
-    lock-slot programming and retargeting, rejected activations and
-    snapshot/restore: every lookup result, every fill's leaf, the counters,
+    span, interleaved with fills under random CUR_PART masks, lock-slot
+    programming and snapshot/restore: every lookup result, every fill's leaf, the counters,
     the entries and the PLRU node bits must match TlbRef.  A seeded share
     of the lookups goes through Tlb.translate instead of Tlb.lookup, from a
     generator of its own so that the operations stay the same: its
@@ -546,10 +491,8 @@ def test_tlb_matches_naive_reference(seed):
 
     Coverage holds by construction rather than by the draw: every 20th
     operation fills a superpage and then its inner page until a copy lands
-    below it, and looks both up, and every 20th (another phase) is a
-    rejected slot activation.  So `reject` reads 30 on every seed, and
-    `shadowed` and `under` read at least 22 on these 8 seeds (at least 11
-    on seeds 0-63)."""
+    below it, and looks both up.  So `shadowed` and `under` read at least
+    22 and 27 on these 8 seeds (at least 18 and 15 on seeds 0-63)."""
     rng = random.Random(seed)
     route = random.Random(-1 - seed)  # picks translate or lookup
     n_entries, partitions, n_slots = REF_GEOMETRIES[seed % len(REF_GEOMETRIES)]
@@ -557,8 +500,7 @@ def test_tlb_matches_naive_reference(seed):
     ref = TlbRef(n_entries, partitions, n_slots)
     saved = []
     seen = dict.fromkeys(
-        ("repeat", "lock_hit", "drop", "restore", "fault", "reject", "shadowed", "under",
-         "translate"),
+        ("repeat", "lock_hit", "drop", "restore", "fault", "shadowed", "under", "translate"),
         0,
     )
     last = None  # (vaddr, asid, vmid) of the previous lookup
@@ -641,47 +583,6 @@ def test_tlb_matches_naive_reference(seed):
                     break
             look(page_vaddr(vpn) + rng.randrange(SIZE_4K), asid, vmid)
             look(page_vaddr(inner[0]) + rng.randrange(SIZE_4K), asid, vmid)
-        elif step % 20 == 15:
-            # An idle slot aimed at a leaf an active slot pins, then
-            # programmed in full: the write that would activate it is
-            # rejected and changes nothing, so TlbRef sees every write but
-            # that one.  The slot then goes back to its own leaf.  A slot
-            # is activated or idled first when none is active or idle.
-            active = [i for i, slot in enumerate(tlb.slots) if slot.active]
-            if not active:
-                index = rng.randrange(n_slots)
-                values = (rng.choice(REF_PAGES) + (FULL,), make_pte(frame(), FULL),
-                          rng.choice(REF_IDS))
-                for which, value in zip(("vpn", "pte", "id"), values):
-                    program(index, which, value)
-                    ref.program(index, which, value)
-            elif len(active) == n_slots:
-                index = rng.choice(active)
-                program(index, "id", rng.choice(REF_IDS), valid=False)
-                ref.program(index, "id", None)
-            assert tlb_state(tlb) == ref.state()
-            idle = [i for i, slot in enumerate(tlb.slots) if not slot.active]
-            pinned = [slot.target_leaf for slot in tlb.slots if slot.active]
-            index = rng.choice(idle)
-            home = tlb.slots[index].target_leaf
-            tlb.set_lock_target(index, rng.choice(pinned))
-            values = (rng.choice(REF_PAGES) + (FULL,), make_pte(frame(), FULL),
-                      rng.choice(REF_IDS))
-            rejected = 0
-            for which, value in zip(("vpn", "pte", "id"), values):
-                slot = tlb.slots[index]  # a write stores a new record
-                if all(getattr(slot, other + "_valid") for other in ("vpn", "pte", "id")
-                       if other != which):
-                    with pytest.raises(ValueError, match="share leaf"):
-                        program(index, which, value)
-                    rejected += 1
-                else:
-                    program(index, which, value)
-                    ref.program(index, which, value)
-                assert tlb_state(tlb) == ref.state()
-            assert rejected == 1 and not tlb.slots[index].active
-            tlb.set_lock_target(index, home)
-            seen["reject"] += 1
         elif op < 0.45:
             active = [slot for slot in tlb.slots if slot.active]
             if last is not None and rng.random() < 0.5:
@@ -728,9 +629,6 @@ def test_tlb_matches_naive_reference(seed):
                 if global_flag:
                     asid = rng.choice([a for a, v in REF_IDS if v == vmid and a != asid] or [asid])
             fill(vpn, size, asid, vmid, global_flag)
-        elif op < 0.73:
-            tlb.flush()
-            ref.flush()
         elif op < 0.85:
             # Mostly the first two slots, so that some become active; often
             # the previous lookup's page and ids, so that a lookup repeating
@@ -754,14 +652,6 @@ def test_tlb_matches_naive_reference(seed):
                 program(index, which, value, valid)
                 ref.program(index, which, value if valid else None)
                 assert tlb_state(tlb) == ref.state()
-        elif op < 0.90:
-            idle = [i for i, slot in enumerate(tlb.slots) if not slot.active]
-            if idle:
-                index = rng.choice(idle)
-                taken = {slot.target_leaf for i, slot in enumerate(tlb.slots) if i != index}
-                leaf = rng.choice(sorted(set(range(n_entries)) - taken))
-                tlb.set_lock_target(index, leaf)
-                ref.retarget(index, leaf)
         elif op < 0.95 or not saved:
             saved.append((tlb.snapshot(), copy.deepcopy(ref)))
         else:

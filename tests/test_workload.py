@@ -5,7 +5,7 @@ import random
 import unittest
 from types import SimpleNamespace
 
-from pvmsim.cache import Memory
+from pvmsim.cache import MODE_SPM, Memory
 from pvmsim.memsys import LatencyConfig, MemorySystem
 from pvmsim.sv39 import PTE_A, PTE_D, PTE_R, PTE_W, PTE_X, SIZE_4K
 from pvmsim.walker import AddressSpace
@@ -127,7 +127,8 @@ class RunRegionsTest(unittest.TestCase):
     def test_writes_reach_memory(self):
         sys, vm, _ = build_vm()
         run_regions(sys, vm, (Region(base=VBASE, pages=1, stride=SIZE_4K, kind="write"),))
-        sys.dcache.flush()
+        for way in range(sys.dcache.ways):  # converting a way writes its lines back
+            sys.dcache.configure_way(way, MODE_SPM)
         self.assertEqual(sys.memory.read_word(DATA_BASE), (VBASE >> 3) & 0xFFFF_FFFF)
 
     def test_ifetch_goes_through_instruction_side(self):
@@ -206,13 +207,14 @@ class RunInterferenceTest(unittest.TestCase):
     def test_pool_page_invalidated_after_use_faults_with_its_address(self):
         sys, vm, _ = build_vm()
         loop = InterferenceLoop(base=VBASE, pages=1, kind="write")
+        cold_dtlb = sys.dtlb.snapshot()
         run_interference(sys, vm, loop, 500, random.Random(0))  # walked and remembered
         space = vm.guest_space
         table = space.root_ppn
         for level in (2, 1):
             table = space.tables[table][VBASE >> (12 + 9 * level) & 0x1FF] >> 10
         space.set_pte(table, VBASE >> 12 & 0x1FF, 0)
-        sys.dtlb.flush()
+        sys.dtlb.restore(cold_dtlb)
         with self.assertRaisesRegex(
             SimulationError, r"^interference access 0x400[0-9a-f]{3} faulted \(invalid, stage None\)$"
         ):
