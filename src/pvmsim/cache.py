@@ -36,8 +36,8 @@ and the backing memory's line dict: it serves a hit, a window address
 and a whole miss (fill, eviction, write-back, fill-drop) in its own
 frame, window decode included.  ``access`` checks its arguments and
 wraps the step's event in a result (every write of one event shares
-one), a walk's ``read_fetches`` and ``MemorySystem.run_loop`` call the
-step directly.
+one); ``MemorySystem`` calls the step directly for each fetch of a
+walk and each touch of ``run_loop``.
 
 Accesses are 64-bit words, the unit of page-table entries and workload
 loads and stores; backing memory is stored and moved by the line.  Data
@@ -296,22 +296,6 @@ class Cache:
             raise ValueError("kind must be read/write/ifetch, got %r" % (kind,))
         event = self.step(paddr, None)
         return _new_result(AccessResult, (event, self._read[0]))
-
-    def read_fetches(self, paddrs):
-        """Read every address of a page walk's fetch list, in order, exactly
-        as access(paddr, "read") one by one would; return the counts of
-        (hits, misses, spm) events, spm covering misconfigured-window reads
-        too."""
-        stats, step = self.stats, self.step
-        hits, misses = stats["hits"], stats["misses"]
-        spm = stats["spm_accesses"] + stats["spm_misconfigs"]
-        for paddr in paddrs:
-            step(paddr, None)
-        return (
-            stats["hits"] - hits,
-            stats["misses"] - misses,
-            stats["spm_accesses"] + stats["spm_misconfigs"] - spm,
-        )
 
     def _access_step(self):
         """Build ``step(paddr, value) -> event``, the one access path:

@@ -46,12 +46,16 @@ def preset_text(name):
 
 def resolve_config(token):
     """The configuration text `token` names: a file, else a preset."""
-    if os.path.exists(token):
+    if not os.path.exists(token):
+        if "/" not in token and not token.endswith(".ini"):
+            return preset_text(token)
+        raise ConfigError("config file %r not found" % token)
+    try:
         with open(token, "r", encoding="utf-8") as handle:
             return handle.read()
-    if "/" not in token and not token.endswith(".ini"):
-        return preset_text(token)
-    raise ConfigError("config file %r not found" % token)
+    except (OSError, UnicodeDecodeError) as exc:  # a directory, unreadable, or not UTF-8
+        reason = getattr(exc, "strerror", None) or exc
+        raise ConfigError("cannot read config file %r: %s" % (token, reason)) from exc
 
 
 def _cmd_run(args):
@@ -81,11 +85,8 @@ def _cmd_run(args):
         if "cycles" not in entry:
             print("%-28s (no iterations)" % name)
             continue
-        line = "%-28s mean %12.2f   std %10.2f" % (
-            name,
-            entry["cycles"]["mean"],
-            entry["cycles"]["std"],
-        )
+        cycles = entry["cycles"]
+        line = "%-28s mean %12.2f   std %10.2f" % (name, cycles["mean"], cycles["std"])
         vs = entry.get("vs_unmitigated")
         if vs:
             line += "   std vs unmitigated: %s%%" % vs["delta_std_pct"]
@@ -137,10 +138,9 @@ def _cmd_compare(args):
 
 def _cmd_presets(args):
     if args.action == "list":
-        for name in preset_names():
-            print(name)
-        return 0
-    print(preset_text(args.name), end="")
+        print("\n".join(preset_names()))
+    else:
+        print(preset_text(args.name), end="")
     return 0
 
 

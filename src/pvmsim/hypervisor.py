@@ -32,27 +32,25 @@ a random-order prime snapshots the machine right after set-up and runs
 its prefix on every iteration.  Only a random-order region draws from
 the workload stream, so an iteration seeds it only when its plan has one.
 
-A plan with no interference VM and no random-order region in its prime
-or measure goes further: every iteration restores the same machine and
-then takes the same events, so its record is a fixed base plus the sum
-of its k measured misses' jitter draws, where k is the record's
-cache_misses.  The first iteration such a plan runs (in each process) is
+Two kinds of plan draw their records instead of simulating them, by one
+rule.  A plan with no interference VM and no random-order region in its
+prime or measure restores the same machine in every iteration and then
+takes the same events.  A plan whose measured phase is fully guaranteed
+-- on the first iteration it simulates in a process, every measured
+access was a lock-slot hit and a scratchpad access, as
+MemorySystem.guaranteed_counts shows it -- takes events that cost the
+same in any machine state, interference or not: lock slots and way modes
+are written only by setup_scenario, such accesses read no replacement
+state and draw no jitter, and a random-order measure only permutes a
+fixed multiset of pages.  Either way a record is a fixed base plus the
+jitter draws of its k measured misses, k being its cache_misses (0 when
+guaranteed).  The first iteration such a plan runs in a process is
 simulated in full and leaves plan.fixed behind; every later one is drawn
-without touching the machine: skip the draws the snapshot's misses stand
-for, then sum the next k (memsys.jitter_sum).  Both counts rest on the
-rule restore relies on, one draw per counted miss, so a drawn record
-equals the simulated one.
-
-A plan whose measured phase is fully guaranteed is drawn the same way,
-interference or not: on the first iteration it simulates in a process,
-every measured access was a lock-slot hit and a scratchpad access, as
-MemorySystem.guaranteed_counts shows it.  Such an access costs the same
-in any machine state: lock slots and way modes are written only by
-setup_scenario, a lock-slot hit and a scratchpad access read no
-replacement state and draw no jitter, and a random-order measure only
-permutes a fixed multiset of pages.  So every iteration's record is that
-first one's, with no miss to price, and later iterations run neither the
-restore nor the interference quanta, which no record can see (an
+without touching the machine, its restore or its interference quanta:
+skip the draws the misses before the measured phase stand for, then sum
+the next k (memsys.jitter_sum).  Both counts rest on the rule restore
+relies on, one draw per counted miss, so a drawn record equals the
+simulated one.  No record can see a skipped interference quantum (an
 interference loop is bound to a mapped region at load, so skipping it
 hides no fault).
 
@@ -314,7 +312,7 @@ class ScenarioPlan:
     the first iteration of a plan whose measured phase it found fully
     guaranteed, fixed holds what every iteration of it shares: (base
     cycles, the misses counted before the measured phase, its TLB misses,
-    its cache misses); a guaranteed plan's three counts are 0."""
+    its cache misses); a guaranteed phase has no miss of either kind."""
 
     defn: "ScenarioDef"
     measured: VmContext
@@ -602,14 +600,13 @@ def run_iteration(plan, index):
     record = IterationRecord(
         index=index, cycles=cycles, tlb_misses=tlb1 - tlb0, cache_misses=cache1 - cache0
     )
+    guaranteed = False
     if first:
         lookups, lock_hits, spm = (b - a for a, b in zip(served0, sys.guaranteed_counts()))
-        if lookups == lock_hits == spm:
-            # Fully guaranteed: no miss, so nothing for a draw to price.
-            plan.fixed = (cycles, 0, record.tlb_misses, record.cache_misses)
-            return record
-    if plan.interference_free:
-        # No interference ran, so cache0 is the snapshot's miss count.
+        guaranteed = lookups == lock_hits == spm
+    if guaranteed or plan.interference_free:
+        # Without interference, cache0 is the snapshot's miss count; a
+        # guaranteed phase has no miss, so its draws sum to 0.
         drawn = jitter_sum(_jitter_rng(defn, index), jitter, record.cache_misses, after=cache0)
         plan.fixed = (cycles - drawn, cache0, record.tlb_misses, record.cache_misses)
     return record

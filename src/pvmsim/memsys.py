@@ -31,12 +31,9 @@ the TLB entry it fills depend only on the page tables, the VM's ids and
 the page, so every TLB miss on the page fills the remembered entry and
 prices the remembered fetch list through the D-cache, in order.  A
 change to either stage's tables (seen through AddressSpace.version)
-forgets what was remembered for that pair.  The whole list goes to the
-D-cache in one Cache.read_fetches call, which reads it in order and
-returns the walk's hit, miss and SPM counts; the walk is priced from
-those counts and then draws one jitter sample per miss.  Nothing between
-two fetches of one walk draws from the generator, so this is the same
-sequence of draws as pricing the fetches one by one.
+forgets what was remembered for that pair.  Each fetch of the list is
+one Cache.step of the D-cache, priced from the same table as every other
+access at the step that produced it; a miss draws its jitter there.
 
 The optional jitter models memory-controller noise: a miss (a refill or
 a fill-drop, the only events that reach backing memory) adds a uniform
@@ -47,11 +44,10 @@ the records of a plan whose measured phase takes only that path, as
 guaranteed_counts shows it.  Because each miss is exactly one
 draw, restore() draws once per miss its snapshot's caches count: the
 restored machine and generator stand where a machine built with that
-generator stood on reaching the snapshot.  virtual_access's final access,
-each walk it prices and restore all draw through jitter_sum, and so does
-a caller that knows a phase's miss count without simulating it: after a
-restore, a phase of k misses adds jitter_sum(rng, j, k, after=the
-snapshot's misses).
+generator stood on reaching the snapshot.  restore draws through
+jitter_sum, and so does a caller that knows a phase's miss count without
+simulating it: after a restore, a phase of k misses adds jitter_sum(rng,
+j, k, after=the snapshot's misses).
 
 Untimed interference runs through run_loop, which does what a
 virtual_access per address would do but builds no outcome: each touch is
@@ -69,7 +65,7 @@ random.Random.randint(-j, j).
 
 from dataclasses import dataclass, fields
 
-from .cache import EVENT_HIT, EVENT_MISS, EVENT_SPM, EVENT_SPM_MISCONFIG, Cache, Memory
+from .cache import EVENT_HIT, EVENT_MISS, EVENT_SPM, EVENT_SPM_MISCONFIG, Cache
 from .cache import check_geometry as check_cache_geometry
 from .sv39 import PAGE_SHIFT, PAGE_SIZE, PTE_G
 from .tlb import NON_CANONICAL, PartitionCsrFile, Tlb, TlbEntry
@@ -214,8 +210,6 @@ class MemorySystem:
         }
         lat = self.latency
         # Cache event -> cycles; a miss also pays a jitter draw.
-        # read_fetches counts both scratchpad events as one, so they
-        # share a price.
         self._price = {
             EVENT_HIT: lat.cache_hit_cycles,
             EVENT_MISS: lat.memory_cycles,
@@ -227,21 +221,19 @@ class MemorySystem:
         self._walks = {}
 
     @classmethod
-    def build(
-        cls, machine=None, memory=None, latency=None, *, ispm_base=None, dspm_base=None, rng=None
-    ):
+    def build(cls, machine, memory, latency=None, *, ispm_base=None, dspm_base=None, rng=None):
         """Convenience constructor: two TLBs sharing one CSR file and two
         caches sharing `memory`, all of `machine`'s shape."""
-        m = machine or MachineConfig()
-        memory = Memory((), m.line_bytes) if memory is None else memory
-        csr = PartitionCsrFile(m.partitions)
+        csr = PartitionCsrFile(machine.partitions)
         itlb, dtlb = (
-            Tlb(csr, entries=m.entries, partition_count=m.partitions, lock_slots=m.lock_slots)
+            Tlb(csr, entries=machine.entries, partition_count=machine.partitions,
+                lock_slots=machine.lock_slots)
             for _ in range(2)
         )
         icache, dcache = (
-            Cache(memory, ways=m.ways, sets=sets, line_bytes=m.line_bytes, spm_base=base)
-            for sets, base in ((m.icache_sets, ispm_base), (m.dcache_sets, dspm_base))
+            Cache(memory, ways=machine.ways, sets=sets, line_bytes=machine.line_bytes,
+                  spm_base=base)
+            for sets, base in ((machine.icache_sets, ispm_base), (machine.dcache_sets, dspm_base))
         )
         return cls(itlb=itlb, dtlb=dtlb, icache=icache, dcache=dcache, latency=latency, rng=rng)
 
@@ -255,10 +247,6 @@ class MemorySystem:
         return self.dcache.memory
 
     # -- pricing helpers ------------------------------------------------------
-
-    def _jitter(self, misses):
-        """The sum of `misses` jitter draws from this machine's generator."""
-        return jitter_sum(self.rng, self.latency.jitter, misses)
 
     def _refill(self, tlb, vm, vaddr):
         """Serve a TLB miss: walk vaddr's page (remembered per VM), price the
@@ -290,14 +278,13 @@ class MemorySystem:
                 )
             remembered = pages[page] = (walk, entry)
         walk, entry = remembered
-        hits, misses, spm = self.dcache.read_fetches(walk.accesses)
-        price = self._price
-        cycles = (
-            hits * price[EVENT_HIT]
-            + misses * price[EVENT_MISS]
-            + spm * price[EVENT_SPM]
-            + self._jitter(misses)
-        )
+        step, price, jitter = self.dcache.step, self._price, self.latency.jitter
+        cycles = 0
+        for paddr in walk.accesses:
+            event = step(paddr, None)
+            cycles += price[event]
+            if jitter and event == EVENT_MISS:
+                cycles += randbelow(self.rng.getrandbits, 2 * jitter + 1) - jitter
         if entry is None:
             return walk, None, cycles
         tlb.fill(entry)
@@ -307,7 +294,7 @@ class MemorySystem:
 
     def virtual_access(self, vaddr, kind, vm, value=None):
         """Translate and perform one access on behalf of `vm`, and price
-        it; only a final-access miss, a real memory trip, draws jitter."""
+        it; each cache miss, a real memory trip, draws jitter."""
         side = self._sides.get(kind)
         if side is None:
             raise ValueError("kind must be one of %r, got %r" % (KINDS, kind))
@@ -332,8 +319,9 @@ class MemorySystem:
                 )
         event, read = cache.access(paddr, kind, value)
         cycles = self._price[event]
-        if event == EVENT_MISS:
-            cycles += self._jitter(1)
+        jitter = self.latency.jitter
+        if jitter and event == EVENT_MISS:
+            cycles += randbelow(self.rng.getrandbits, 2 * jitter + 1) - jitter
         return MemAccessOutcome(
             translation, walk_cycles, cycles, translation + walk_cycles + cycles,
             status == "hit", look.lock_hit, fetches, event, None, None, read, paddr,

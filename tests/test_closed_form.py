@@ -14,7 +14,9 @@ the process pool.  A plan with an interference VM whose measured phase is
 only partly guaranteed (translations locked but the cache exposed, the
 scratchpad without locks, one region left unlocked), or an isolation plan
 with a random-order prime or measure region, must still simulate its
-measured phase on every iteration.
+measured phase on every iteration.  A plan that is both interference-free
+and guaranteed, and a guaranteed plan with a random-order prime, are
+drawn by the same rule.
 """
 
 from dataclasses import replace
@@ -27,7 +29,7 @@ from pvmsim.cli import preset_names, preset_text
 from pvmsim.config import load_experiment
 from pvmsim.harness import run_experiment
 from pvmsim.hypervisor import build_plan, run_iteration, run_range
-from pvmsim.workload import Workload, run_regions
+from pvmsim.workload import InterferenceLoop, Workload, run_regions
 
 from test_golden import WRITES_TEXT
 
@@ -161,3 +163,29 @@ def test_partly_guaranteed_plans_simulate_every_iteration(name, scenario, vary):
     records, runs = measure_runs(defn, stop)
     assert runs == stop
     assert records == first_iterations(replace(defn, iterations=stop))
+
+
+def without_interference(defn):
+    """defn with its interference VMs removed."""
+    return replace(defn, vms=tuple(
+        vm for vm in defn.vms if not isinstance(vm.workload, InterferenceLoop)
+    ))
+
+
+@pytest.mark.parametrize("jitter", (3, 0))
+@pytest.mark.parametrize("vary", ("isolated", "random-prime"))
+def test_guaranteed_plans_draw_by_the_one_rule(vary, jitter):
+    # Both reasons to draw at once, and a guaranteed plan whose prefix
+    # draws from the workload stream on every simulated iteration.
+    defn = config("synthetic-spm", jitter, "lockspm").scenarios["lockspm"]
+    if vary == "isolated":
+        defn = without_interference(defn)
+        assert build_plan(defn).interference_free
+    else:
+        defn = with_random_order(defn, "prime")
+        assert build_plan(defn).random_prime
+    fresh = first_iterations(defn)
+    assert {(r.tlb_misses, r.cache_misses) for r in fresh} == {(0, 0)}
+    records, runs = measure_runs(defn)
+    assert runs == 1
+    assert records == fresh

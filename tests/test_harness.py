@@ -883,6 +883,31 @@ class CliTest(unittest.TestCase):
             code = self.run_cli(["run", cfg_path, "--outdir", d, "--quiet"])
             self.assertEqual(code, 2)
 
+    def run_unreadable(self, path, outdir):
+        """Run the config at `path`; assert exit 2, one stderr line naming
+        it and nothing on stdout or in `outdir`."""
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = self.run_cli(["run", path, "--outdir", outdir, "--quiet"])
+        self.assertEqual(code, 2)
+        self.assertEqual(out.getvalue(), "")
+        self.assertEqual(err.getvalue().count("\n"), 1)
+        self.assertTrue(
+            err.getvalue().startswith("configuration error: cannot read config file %r: " % path)
+        )
+        self.assertFalse(os.path.exists(outdir))
+
+    def test_config_directory_is_config_error(self):
+        with tempfile.TemporaryDirectory() as d:
+            self.run_unreadable(d, os.path.join(d, "out"))
+
+    def test_config_not_utf8_is_config_error(self):
+        with tempfile.TemporaryDirectory() as d:
+            cfg_path = os.path.join(d, "utf16.ini")
+            with open(cfg_path, "wb") as handle:
+                handle.write(b"\xff\xfe" + SMALL.encode("utf-16-le"))
+            self.run_unreadable(cfg_path, os.path.join(d, "out"))
+
 
 class TouchRateTest(unittest.TestCase):
     """The interference loop's touches-per-page knob trades page-crossing

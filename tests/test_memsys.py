@@ -39,8 +39,9 @@ def build_system(jitter=0, seed=0, **kw):
     latency = LatencyConfig(jitter=jitter)
     rng = random.Random(seed) if jitter else None
     return MemorySystem.build(
-        memory=mem,
-        latency=latency,
+        MachineConfig(),
+        mem,
+        latency,
         dspm_base=DSPM_BASE,
         ispm_base=ISPM_BASE,
         rng=rng,
@@ -140,7 +141,7 @@ def test_every_event_is_priced_from_the_latency_config():
     entry (or from a default) shows up as a wrong number."""
     mem = Memory([(TABLE_BASE, 1 << 20), (DATA_BASE, 1 << 20)], 16)
     latency = LatencyConfig(tlb_hit_cycles=2, cache_hit_cycles=3, spm_cycles=5, memory_cycles=50)
-    sys_ = MemorySystem.build(memory=mem, latency=latency, dspm_base=DSPM_BASE)
+    sys_ = MemorySystem.build(MachineConfig(), mem, latency, dspm_base=DSPM_BASE)
     vm = single_stage_vm()
     sys_.dcache.configure_way(0, MODE_SPM)
     way_bytes = sys_.dcache.way_bytes
@@ -396,8 +397,9 @@ def test_jitter_must_stay_below_memory_cycles():
 def test_jitter_requires_a_generator():
     with pytest.raises(ValueError):
         MemorySystem.build(
-            memory=Memory([(DATA_BASE, 1 << 20)], 16),
-            latency=LatencyConfig(jitter=3),
+            MachineConfig(),
+            Memory([(DATA_BASE, 1 << 20)], 16),
+            LatencyConfig(jitter=3),
             rng=None,
         )
 
@@ -436,24 +438,20 @@ def test_identical_streams_give_identical_cycles():
 
 @pytest.mark.parametrize("seed", (0, 1, 29, 2**40 + 3))
 def test_draws_match_random_randrange_and_randint(seed):
-    """randbelow and the jitter draw give randrange(n)'s and randint(-j,
-    j)'s values, and leave the generator in the same state, draw by draw."""
+    """randbelow and jitter_sum give randrange(n)'s and randint(-j, j)'s
+    values, and leave the generator in the same state, draw by draw."""
     for n in (1, 2, 7, 64, 512):
         ours, theirs = random.Random(seed), random.Random(seed)
         for _ in range(100):
             assert memsys.randbelow(ours.getrandbits, n) == theirs.randrange(n)
             assert ours.getstate() == theirs.getstate()
     for j in range(1, 6):
-        sys_ = MemorySystem(
-            itlb=None, dtlb=None, icache=None, dcache=None,
-            latency=LatencyConfig(jitter=j), rng=random.Random(seed),
-        )
-        theirs = random.Random(seed)
+        ours, theirs = random.Random(seed), random.Random(seed)
         for _ in range(100):
-            assert sys_._jitter(1) == theirs.randint(-j, j)
-            assert sys_.rng.getstate() == theirs.getstate()
-        assert sys_._jitter(5) == sum(theirs.randint(-j, j) for _ in range(5))
-        assert sys_.rng.getstate() == theirs.getstate()
+            assert memsys.jitter_sum(ours, j, 1) == theirs.randint(-j, j)
+            assert ours.getstate() == theirs.getstate()
+        assert memsys.jitter_sum(ours, j, 5) == sum(theirs.randint(-j, j) for _ in range(5))
+        assert ours.getstate() == theirs.getstate()
 
 
 def test_jitter_is_seed_deterministic_and_bounded():

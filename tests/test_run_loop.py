@@ -32,6 +32,7 @@ from pvmsim.config import load_experiment
 from pvmsim.hypervisor import build_plan, iteration_seed, restore_machine, trap_enter, trap_exit
 from pvmsim.memsys import randbelow, write_value
 from pvmsim.sv39 import PTE_A, PTE_D, PTE_R, PTE_V, PTE_W, SIZE_2M, SIZE_4K, make_pte
+from pvmsim.walker import walk_single, walk_two_stage
 from pvmsim.workload import InterferenceLoop, SimulationError, run_interference
 from test_golden import WRITES_TEXT, machine_state
 from test_pipeline_oracle import DATA_BASE, GEOMETRY, build_vms, make_system
@@ -275,32 +276,43 @@ def cache_events(cache):
     return stats["hits"] + stats["misses"] + stats["spm_accesses"] + stats["spm_misconfigs"]
 
 
+def walk_fetches(vm, vaddr):
+    """How many PTE fetches the walk of vaddr's page takes for `vm`."""
+    if vm.host_space is None:
+        return len(walk_single(vm.guest_space, vaddr).accesses)
+    return len(walk_two_stage(vm.guest_space, vm.host_space, vaddr).accesses)
+
+
 def counted_loop(seen):
     """A run for interference_quanta that checks one quantum's counters:
     one lookup per address taken, and on the loop's side of the machine
-    one cache event per touch, plus one D-cache event per walk fetch.
-    Appends (touches, walk fetches) to `seen`."""
+    one cache event per touch, plus one D-cache event per fetch of the
+    walk of each address the TLB missed.  Appends (touches, walk fetches)
+    to `seen`."""
 
     def run(sys, vm, loop, quantum, rng):
         ifetch = loop.kind == "ifetch"
         tlb, cache = (sys.itlb, sys.icache) if ifetch else (sys.dtlb, sys.dcache)
-        fetches = []
-        read_fetches = sys.dcache.read_fetches
+        missed = []
+        translate = tlb.translate
 
-        def spy(paddrs):
-            fetches.append(len(paddrs))
-            return read_fetches(paddrs)
+        def spy(vaddr, asid, vmid):
+            paddr = translate(vaddr, asid, vmid)
+            if paddr is None:
+                missed.append(vaddr)
+            return paddr
 
         lookups, events = tlb.hits + tlb.misses, cache_events(cache)
         data_events = cache_events(sys.dcache)
         stream = CountingStream(loop.addresses(rng))
-        sys.dcache.read_fetches = spy
+        tlb.translate = spy
         try:
             spent, fault = sys.run_loop(vm, loop.kind, stream, loop.compute_cycles, quantum)
         finally:
-            del sys.dcache.read_fetches
+            del tlb.translate
         assert fault is None
-        touches, walked = stream.taken, sum(fetches)
+        touches = stream.taken
+        walked = sum(walk_fetches(vm, vaddr) for vaddr in missed)
         assert tlb.hits + tlb.misses - lookups == touches
         if ifetch:
             assert cache_events(cache) - events == touches

@@ -8,7 +8,7 @@ from types import SimpleNamespace
 import pytest
 
 from pvmsim.cache import Memory
-from pvmsim.memsys import LatencyConfig, MemorySystem
+from pvmsim.memsys import LatencyConfig, MachineConfig, MemorySystem
 from pvmsim.sv39 import (
     PTE_A,
     PTE_D,
@@ -140,8 +140,9 @@ def test_latency_additivity_with_variable_costs():
     space = AddressSpace(root_ppn=0x100)
     space.map_page(0x8000_0000, 0x4000_0000, SIZE_4K, RW)
     sys_ = MemorySystem.build(
-        memory=Memory([(0x100 << 12, 3 * SIZE_4K), (0x4000_0000, SIZE_4K)], 16),
-        latency=LatencyConfig(cache_hit_cycles=7, memory_cycles=41),
+        MachineConfig(),
+        Memory([(0x100 << 12, 3 * SIZE_4K), (0x4000_0000, SIZE_4K)], 16),
+        LatencyConfig(cache_hit_cycles=7, memory_cycles=41),
     )
     sys_.dcache.access(walk_single(space, 0x8000_0000).accesses[1], "read")
     vm = SimpleNamespace(asid=1, vmid=0, guest_space=space, host_space=None)

@@ -6,7 +6,7 @@ import unittest
 from types import SimpleNamespace
 
 from pvmsim.cache import MODE_SPM, Memory
-from pvmsim.memsys import LatencyConfig, MemorySystem
+from pvmsim.memsys import LatencyConfig, MachineConfig, MemorySystem
 from pvmsim.sv39 import PTE_A, PTE_D, PTE_R, PTE_W, PTE_X, SIZE_4K
 from pvmsim.walker import AddressSpace
 from pvmsim.workload import (
@@ -29,7 +29,7 @@ RX = PTE_R | PTE_X | PTE_A | PTE_D
 def build_vm(pages=8, latency=None):
     """Single-stage VM with `pages` data pages and 2 code pages mapped."""
     memory = Memory([(TABLE_BASE, 1 << 20), (DATA_BASE, 1 << 20)], 16)
-    sys = MemorySystem.build(memory=memory, latency=latency or LatencyConfig())
+    sys = MemorySystem.build(MachineConfig(), memory, latency or LatencyConfig())
     space = AddressSpace(root_ppn=TABLE_BASE >> 12)
     for i in range(pages):
         space.map_page(VBASE + i * SIZE_4K, DATA_BASE + i * SIZE_4K, SIZE_4K, RW)
