@@ -51,8 +51,11 @@ bitmap over its ways and its tree-PLRU node bits packed into one int,
 the format every ``PlruTree`` uses.  A set is touched with the same
 ``touch_masks`` pair as a tree and picks its victim from a
 ``victim_table`` (see plru.py).  The SPM ways are recorded once, as one
-cache-wide locked-ways mask that selects the victim table.
-``snapshot``/``restore`` copy this state wholesale.
+cache-wide locked-ways mask that selects the victim table.  A line
+directory, ``{line number: slot}`` over every slot that holds a line,
+finds a hit with one dict lookup; a fill adds its line and drops its
+victim's, and conversion to SPM drops the way's lines.
+``snapshot``/``restore`` copy this state wholesale, directory included.
 """
 
 from typing import NamedTuple
@@ -231,6 +234,7 @@ class Cache:
         self._set_shift = sets.bit_length() - 1
         self._set_mask = sets - 1
         self._tags = [_NO_LINE] * (sets * ways)
+        self._where = {}  # line number -> slot, for every slot that holds a line
         self._dirty = [0] * sets  # bitmap over ways, per set
         self._data = [0] * (sets * ways * self.words_per_line)
         self._plru = [0] * sets  # packed tree-PLRU node bits, per set
@@ -270,12 +274,14 @@ class Cache:
         if bool(self._locked & bit) == (mode == MODE_SPM):
             return
         if mode == MODE_SPM:
-            for s, dirty in enumerate(self._dirty):
-                if dirty & bit:
-                    self._write_back(s, way)
             # The way's slots sit every `ways` slots apart, so each of its
             # tags, and each word position of its lines, is one stride.
             ways, wpl = self.ways, self.words_per_line
+            for s, tag in enumerate(self._tags[way::ways]):
+                if tag != _NO_LINE:
+                    if self._dirty[s] & bit:
+                        self._write_back(s, way)
+                    del self._where[tag * self.sets + s]
             self._tags[way::ways] = [_NO_LINE] * self.sets
             zeros = [0] * self.sets
             for i in range(way * wpl, (way + 1) * wpl):
@@ -301,15 +307,17 @@ class Cache:
         """Build ``step(paddr, value) -> event``, the one access path:
         `value` is the word a write stores and None for a read (a store of
         0 is a write); a read leaves its word in ``_read[0]``.  The step
-        holds this cache's lists, ``stats`` and the memory's regions and
-        line dict in its own frame, so those are only ever changed in
-        place; configure_way and restore rebind the victim table and the
-        locked-ways mask, so those are read off the cache at each use."""
+        holds this cache's lists, line directory, ``stats`` and the
+        memory's regions and line dict in its own frame, so those are only
+        ever changed in place; configure_way and restore rebind the victim
+        table and the locked-ways mask, so those are read off the cache at
+        each use."""
         ways, wpl, line_bytes = self.ways, self.words_per_line, self.line_bytes
         line_shift, set_shift, set_mask = self._line_shift, self._set_shift, self._set_mask
         way_shift = line_shift + set_shift
-        word_mask, align = wpl - 1, -WORD_BYTES
+        word_mask, way_mask, align = wpl - 1, ways - 1, -WORD_BYTES
         tags, plru, data, dirty = self._tags, self._plru, self._data, self._dirty
+        where = self._where
         and_, or_, stats, read = self._and, self._or, self.stats, self._read
         memory = self.memory
         regions, lines, zero = memory._regions, memory._lines, memory._zero
@@ -339,14 +347,12 @@ class Cache:
                 return EVENT_SPM
             line = paddr >> line_shift
             set_idx = line & set_mask
-            base = set_idx * ways
-            row = tags[base:base + ways]
-            tag = line >> set_shift
-            if tag in row:
-                way = row.index(tag)
+            slot = where.get(line)
+            if slot is not None:
+                way = slot & way_mask
                 plru[set_idx] = plru[set_idx] & and_[way] | or_[way]
                 stats["hits"] += 1
-                idx = (base + way) * wpl + word
+                idx = slot * wpl + word
                 if value is not None:
                     data[idx] = value & _WORD_MASK
                     dirty[set_idx] |= 1 << way
@@ -378,19 +384,20 @@ class Cache:
                     read[0] = fill[word]
                 return EVENT_MISS
             plru[set_idx] = bits & and_[victim] | or_[victim]
-            slot = base + victim
+            slot = set_idx * ways + victim
             bit = 1 << victim
             start = slot * wpl
             old = tags[slot]
             if old != _NO_LINE:
                 stats["evictions"] += 1
+                old = old << set_shift | set_idx  # the victim's line number
+                del where[old]
                 if dirty[set_idx] & bit:
-                    lines[(old << set_shift | set_idx) << line_shift] = tuple(
-                        data[start:start + wpl]
-                    )
+                    lines[old << line_shift] = tuple(data[start:start + wpl])
                     stats["write_backs"] += 1
             data[start:start + wpl] = fill
-            tags[slot] = tag
+            tags[slot] = line >> set_shift
+            where[line] = slot
             if value is not None:
                 data[start + word] = value & _WORD_MASK
                 dirty[set_idx] |= bit
@@ -413,14 +420,18 @@ class Cache:
 
     def snapshot(self):
         """Every piece of mutable state -- tags, dirty bitmaps, data words,
-        PLRU bits, the locked-ways mask and the statistics -- as immutable
-        copies for restore()."""
+        PLRU bits, the locked-ways mask, the statistics and the line
+        directory -- as immutable copies for restore().  The directory is a
+        frozenset of (line, slot) pairs, so two snapshots of the same lines
+        are equal whatever order the lines were filled in."""
         return (tuple(self._tags), tuple(self._dirty), tuple(self._data), tuple(self._plru),
-                self._locked, tuple(self.stats.items()))
+                self._locked, tuple(self.stats.items()), frozenset(self._where.items()))
 
     def restore(self, state):
         """Return to a snapshot() of this cache, copying it in place."""
-        tags, dirty, data, plru, locked, stats = state
+        tags, dirty, data, plru, locked, stats, where = state
+        self._where.clear()
+        self._where.update(where)
         self._tags[:] = tags
         self._dirty[:] = dirty
         self._data[:] = data

@@ -606,9 +606,10 @@ def run_iteration(plan, index):
         guaranteed = lookups == lock_hits == spm
     if guaranteed or plan.interference_free:
         # Without interference, cache0 is the snapshot's miss count; a
-        # guaranteed phase has no miss, so its draws sum to 0.
-        drawn = jitter_sum(_jitter_rng(defn, index), jitter, record.cache_misses, after=cache0)
-        plan.fixed = (cycles - drawn, cache0, record.tlb_misses, record.cache_misses)
+        # guaranteed phase has no miss, so it draws nothing.
+        misses = record.cache_misses
+        drawn = misses and jitter_sum(_jitter_rng(defn, index), jitter, misses, after=cache0)
+        plan.fixed = (cycles - drawn, cache0, record.tlb_misses, misses)
     return record
 
 

@@ -3,11 +3,13 @@ cache's public geometry (ways, sets, line_bytes, words_per_line): the
 same state the simulator saves and restores, seen without reaching into
 how it is stored.
 
-A cache snapshot is (tags, dirty, data, plru, locked, stats): slot
-``set * ways + way`` holds one tag (-1 for no line) and the
+A cache snapshot is (tags, dirty, data, plru, locked, stats, where):
+slot ``set * ways + way`` holds one tag (-1 for no line) and the
 ``words_per_line`` words at ``slot * words_per_line``; each set has a
 dirty bitmap over its ways and packed PLRU node bits; ``locked`` has a
-bit set for each scratchpad way.  A memory snapshot is its
+bit set for each scratchpad way; ``where`` is the line directory, a
+frozenset of (line number, slot) pairs, one per slot that holds a line
+(line number ``tag * sets + set``).  A memory snapshot is its
 (line address, words) pairs.
 """
 
@@ -17,7 +19,7 @@ from pvmsim.cache import MODE_CACHE, MODE_SPM, WORD_BYTES
 def tag_state(cache):
     """(tags, dirty bitmaps, PLRU bits, locked-ways mask), for before and
     after comparisons."""
-    tags, dirty, _, plru, locked, _ = cache.snapshot()
+    tags, dirty, _, plru, locked, _, _ = cache.snapshot()
     return tags, dirty, plru, locked
 
 
@@ -42,7 +44,7 @@ def probe(cache, paddr):
 
 def spm_word(cache, way, set_idx, word):
     """One word of a scratchpad way's storage, read without an access."""
-    _, _, data, _, locked, _ = cache.snapshot()
+    _, _, data, _, locked, _, _ = cache.snapshot()
     assert locked >> way & 1, "way %d is not in SPM mode" % way
     return data[(set_idx * cache.ways + way) * cache.words_per_line + word]
 

@@ -5,6 +5,7 @@ equivalence on random traces."""
 import copy
 import pickle
 import random
+from collections import Counter
 
 import pytest
 
@@ -524,14 +525,51 @@ def test_conversion_write_back_matches_flush_semantics():
 # -- textbook oracle equivalence ---------------------------------------------------
 
 
+def assert_directory_matches_tags(cache, step):
+    """The line directory in the cache's snapshot is the one its tags
+    imply: (tag * sets + set, slot) for every slot that holds a line."""
+    tags = tag_state(cache)[0]
+    derived = frozenset(
+        (tag * cache.sets + slot // cache.ways, slot) for slot, tag in enumerate(tags) if tag != -1
+    )
+    assert cache.snapshot()[6] == derived, "step %d: line directory diverged from the tags" % step
+
+
 def run_against_oracle(ways, sets, line_bytes, ops, seed):
+    """A random trace against CacheRef.  Every ops // 8 steps each way is
+    set to a random mode (every way SPM in the fourth phase, so misses
+    drop their fills); now and then the cache, its memory and the
+    reference are saved, and later put back.  The line directory is
+    checked against the tags after every operation."""
     cache, mem = make_cache(ways=ways, sets=sets, line_bytes=line_bytes, window=False)
     ref = CacheRef(ways, sets, line_bytes)
     rng = random.Random(seed)
     # Pool spanning 2x the cache so both conflict and capacity misses occur.
     pool_lines = 2 * ways * sets
     pool = [RAM_BASE + k * line_bytes for k in range(pool_lines)]
+    phase, saved, seen = ops // 8, None, Counter()
     for step in range(ops):
+        if step % phase == phase - 1:
+            spm = (1 << ways) - 1 if step // phase == 3 else rng.getrandbits(ways)
+            for way in range(ways):
+                to_spm = bool(spm >> way & 1)
+                seen["to spm" if to_spm else "to cache"] += to_spm != (way in ref.spm)
+                cache.configure_way(way, MODE_SPM if to_spm else MODE_CACHE)
+                ref.convert(way, to_spm)
+                assert_directory_matches_tags(cache, step)
+            continue
+        r = rng.random()
+        if r < 0.01:
+            saved = cache.snapshot(), mem.snapshot(), copy.deepcopy(ref)
+            continue
+        if r < 0.02 and saved is not None:
+            cache.restore(saved[0])
+            mem.restore(saved[1])
+            ref = copy.deepcopy(saved[2])
+            seen["restores"] += 1
+            assert_directory_matches_tags(cache, step)
+            continue
+        before = dict(cache.stats)
         addr = rng.choice(pool) + 8 * rng.randrange(line_bytes // 8)
         if rng.random() < 0.4:
             value = rng.getrandbits(32)
@@ -544,8 +582,14 @@ def run_against_oracle(ways, sets, line_bytes, ops, seed):
             assert (got.event, got.value) == (want_event, want_value), (
                 "step %d: read diverged" % step
             )
+        seen.update({name: n - before[name] for name, n in cache.stats.items()})
+        assert_directory_matches_tags(cache, step)
+    covered = ("hits", "misses", "evictions", "write_backs", "fill_drops", "to spm", "to cache",
+               "restores")
+    assert [name for name in covered if not seen[name]] == []
     all_spm(cache)  # writes back every dirty line, as the drain does
     ref.drain()
+    assert_directory_matches_tags(cache, ops)
     for line in pool:
         for i in range(line_bytes // 8):
             assert mem.read_word(line + 8 * i) == ref.mem.get(line + 8 * i, 0)
@@ -557,6 +601,20 @@ def test_random_trace_matches_textbook_plru_cache_small():
 
 def test_random_trace_matches_textbook_plru_cache_wide():
     run_against_oracle(ways=8, sets=4, line_bytes=32, ops=4000, seed=8)
+
+
+def test_snapshots_of_the_same_lines_are_equal_whatever_the_fill_order():
+    # The line directory is saved as a set of (line, slot) pairs, so the
+    # order two lines of different sets arrived in does not show.
+    first, _ = make_cache()
+    second, _ = make_cache()
+    a, b = same_set_addr(first, 1, 0), same_set_addr(first, 6, 3)
+    for cache, order in ((first, (a, b)), (second, (b, a))):
+        for paddr in order:
+            cache.access(paddr, "read")
+    assert first.snapshot() == second.snapshot()
+    second.restore(first.snapshot())
+    assert [second.access(p, "read").event for p in (a, b)] == [EVENT_HIT, EVENT_HIT]
 
 
 def test_stats_add_up_on_random_trace():
