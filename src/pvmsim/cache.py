@@ -36,8 +36,10 @@ and the backing memory's line dict: it serves a hit, a window address
 and a whole miss (fill, eviction, write-back, fill-drop) in its own
 frame, window decode included.  ``access`` checks its arguments and
 wraps the step's event in a result (every write of one event shares
-one); ``MemorySystem`` calls the step directly for each fetch of a
-walk and each touch of ``run_loop``.
+one); ``MemorySystem`` calls the step directly for each touch of
+``run_loop``.  A walk's fetches, decoded once by ``decode``, are read by
+one ``replay``: it serves a hit in its own loop (a PLRU touch and a
+count) and hands every other fetch to the step.
 
 Accesses are 64-bit words, the unit of page-table entries and workload
 loads and stores; backing memory is stored and moved by the line.  Data
@@ -245,7 +247,7 @@ class Cache:
         self._set_locked(0)
         self.stats = dict.fromkeys(_STATS, 0)
         self._read = [None]  # the word the last read step returned
-        self.step = self._access_step()
+        self.step, self.replay = self._access_step()
 
     def __deepcopy__(self, memo):
         raise TypeError("a Cache cannot be deep-copied; use snapshot() and restore()")
@@ -303,10 +305,18 @@ class Cache:
         event = self.step(paddr, None)
         return _new_result(AccessResult, (event, self._read[0]))
 
+    def decode(self, paddrs):
+        """The reads at `paddrs` as the (line, set, paddr) triples replay()
+        takes."""
+        line_shift, set_mask = self._line_shift, self._set_mask
+        return tuple((p >> line_shift, p >> line_shift & set_mask, p) for p in paddrs)
+
     def _access_step(self):
         """Build ``step(paddr, value) -> event``, the one access path:
         `value` is the word a write stores and None for a read (a store of
-        0 is a write); a read leaves its word in ``_read[0]``.  The step
+        0 is a write); a read leaves its word in ``_read[0]``.  Beside it,
+        ``replay(fetches) -> events`` reads decode()'s triples in order and
+        returns the events of those that did not hit, in order.  The step
         holds this cache's lists, line directory, ``stats`` and the
         memory's regions and line dict in its own frame, so those are only
         ever changed in place; configure_way and restore rebind the victim
@@ -406,7 +416,25 @@ class Cache:
                 read[0] = fill[word]
             return EVENT_MISS
 
-        return step
+        def replay(fetches):
+            # A window line is never in the directory, so a read that finds
+            # its line is a hit.  The hits counted so far reach the stats
+            # before each step, which may raise UnmappedAddress.
+            events, hits = [], 0
+            for line, set_idx, paddr in fetches:
+                slot = where.get(line)
+                if slot is None:
+                    stats["hits"] += hits
+                    hits = 0
+                    events.append(step(paddr, None))
+                else:
+                    way = slot & way_mask
+                    plru[set_idx] = plru[set_idx] & and_[way] | or_[way]
+                    hits += 1
+            stats["hits"] += hits
+            return events
+
+        return step, replay
 
     def _write_back(self, set_idx, way):
         slot = set_idx * self.ways + way

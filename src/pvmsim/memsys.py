@@ -31,9 +31,12 @@ the TLB entry it fills depend only on the page tables, the VM's ids and
 the page, so every TLB miss on the page fills the remembered entry and
 prices the remembered fetch list through the D-cache, in order.  A
 change to either stage's tables (seen through AddressSpace.version)
-forgets what was remembered for that pair.  Each fetch of the list is
-one Cache.step of the D-cache, priced from the same table as every other
-access at the step that produced it; a miss draws its jitter there.
+forgets what was remembered for that pair.  The list is kept as the
+D-cache decodes it and read by one Cache.replay, which returns the
+events of the fetches that did not hit, in order.  The walk costs
+cache_hit_cycles per hit plus the table's price of each returned event,
+and its misses then draw their jitter through jitter_sum: nothing draws
+between fetches, so the generator sees the same draws in the same order.
 
 The optional jitter models memory-controller noise: a miss (a refill or
 a fill-drop, the only events that reach backing memory) adds a uniform
@@ -57,10 +60,10 @@ priced from a table fixed once per call with the lookup and compute
 cycles folded in.  This module reads nothing of a TLB's or a cache's
 storage.
 
-Every draw goes straight to the generator's getrandbits through
-randbelow, applying CPython's own rejection rule, so a draw gives the
-same value and leaves the generator in the same state as
-random.Random.randint(-j, j).
+Every draw goes straight to the generator's getrandbits, through
+randbelow or jitter_sum's copy of its loop, applying CPython's own
+rejection rule, so a draw gives the same value and leaves the generator
+in the same state as random.Random.randint(-j, j).
 """
 
 from dataclasses import dataclass, fields
@@ -96,10 +99,15 @@ def jitter_sum(rng, jitter, misses, after=0):
     if jitter:
         getrandbits = rng.getrandbits
         span = 2 * jitter + 1
+        k = span.bit_length()
         for _ in range(after):
-            randbelow(getrandbits, span)
+            while getrandbits(k) >= span:
+                pass
         for _ in range(misses):
-            total += randbelow(getrandbits, span) - jitter
+            r = getrandbits(k)
+            while r >= span:
+                r = getrandbits(k)
+            total += r - jitter
     return total
 
 
@@ -217,7 +225,7 @@ class MemorySystem:
             EVENT_SPM_MISCONFIG: lat.spm_cycles,
         }
         # (guest, host, asid, vmid) -> ((guest.version, host.version),
-        # {page: (WalkResult, TlbEntry or None on a fault)})
+        # {page: (WalkResult, TlbEntry or None on a fault, decoded fetches)})
         self._walks = {}
 
     @classmethod
@@ -276,15 +284,14 @@ class MemorySystem:
                     pte=walk.pte,
                     global_flag=bool(walk.pte & PTE_G),
                 )
-            remembered = pages[page] = (walk, entry)
-        walk, entry = remembered
-        step, price, jitter = self.dcache.step, self._price, self.latency.jitter
-        cycles = 0
-        for paddr in walk.accesses:
-            event = step(paddr, None)
-            cycles += price[event]
-            if jitter and event == EVENT_MISS:
-                cycles += randbelow(self.rng.getrandbits, 2 * jitter + 1) - jitter
+            remembered = pages[page] = (walk, entry, self.dcache.decode(walk.accesses))
+        walk, entry, fetches = remembered
+        events = self.dcache.replay(fetches)
+        cycles = (len(fetches) - len(events)) * self.latency.cache_hit_cycles
+        if events:
+            for event in events:
+                cycles += self._price[event]
+            cycles += jitter_sum(self.rng, self.latency.jitter, events.count(EVENT_MISS))
         if entry is None:
             return walk, None, cycles
         tlb.fill(entry)

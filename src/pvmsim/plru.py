@@ -71,7 +71,12 @@ def check_tree(leaf_count, partition_count, leaves="leaf_count", parts="partitio
 @functools.cache
 def _leaf_mask(leaf_count, partition_count, enabled):
     """Bitmap of the leaves partition mask `enabled` enables; partition p
-    holds the p-th run of leaf_count // partition_count leaves."""
+    holds the p-th run of leaf_count // partition_count leaves.  Raises
+    ValueError on a mask wider than the partitions."""
+    if not 0 <= enabled < 1 << partition_count:
+        raise ValueError(
+            "partition mask 0x%x does not fit %d partitions" % (enabled, partition_count)
+        )
     per = leaf_count // partition_count
     return sum(((1 << per) - 1) << p * per for p in range(partition_count) if enabled >> p & 1)
 
@@ -79,7 +84,7 @@ def _leaf_mask(leaf_count, partition_count, enabled):
 class PlruTree:
     """Replacement state for one fully associative structure or one cache set."""
 
-    __slots__ = ("leaf_count", "partition_count", "bits", "locked", "_touch", "full_mask")
+    __slots__ = ("leaf_count", "partition_count", "bits", "locked", "_touch")
 
     def __init__(self, leaf_count, partition_count=1):
         check_tree(leaf_count, partition_count)
@@ -88,7 +93,6 @@ class PlruTree:
         self.bits = 0  # packed node bits, bit n = node n
         self.locked = 0  # bitmap over leaves
         self._touch = touch_masks(leaf_count)
-        self.full_mask = (1 << partition_count) - 1
 
     # -- constraint bookkeeping ------------------------------------------
 
@@ -102,10 +106,6 @@ class PlruTree:
 
     def enabled_leaves(self, enabled):
         """Expand a partition mask into the bitmap of leaves it enables."""
-        if not 0 <= enabled <= self.full_mask:
-            raise ValueError(
-                "partition mask 0x%x does not fit %d partitions" % (enabled, self.partition_count)
-            )
         return _leaf_mask(self.leaf_count, self.partition_count, enabled)
 
     # -- the three core operations ---------------------------------------
@@ -129,10 +129,13 @@ class PlruTree:
 
     def insert(self, enabled):
         """Pick a victim under `enabled` and touch it; None means the fill
-        has nowhere to go and must be dropped by the caller."""
-        victim = self.select_victim(enabled)
+        has nowhere to go and must be dropped by the caller.  This is
+        select_victim then touch, on the tables both use."""
+        n, bits = self.leaf_count, self.bits
+        victim = victim_table(n, _leaf_mask(n, self.partition_count, enabled) & ~self.locked)[bits]
         if victim is not None:
-            self.touch(victim)
+            ands, ors = self._touch
+            self.bits = bits & ands[victim] | ors[victim]
         return victim
 
     # -- helpers -----------------------------------------------------------

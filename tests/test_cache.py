@@ -657,3 +657,61 @@ def test_read_fetches_stops_at_an_unmapped_line_without_touching_the_set():
     with pytest.raises(UnmappedAddress):
         cache.access(unmapped, "read")
     assert (tag_state(cache), memory.snapshot()) == (tags, lines)
+
+
+# -- walk replay ---------------------------------------------------------------------
+
+
+def test_replay_matches_one_step_per_read():
+    """replay(decode(paddrs)) against one step(paddr, None) per address on
+    a twin cache: the same non-hit events in order, the same cache and
+    memory snapshots.  Way modes are random (every way SPM in some trials,
+    so misses drop their fills), the window is read in converted and
+    unconverted ways, dirty lines make victims write back, and a read of
+    an unmapped line stops both where it stands."""
+    rng = random.Random(61)
+    unmapped = 0x4000_0000
+    seen = Counter()
+    for trial in range(300):
+        ways, sets = rng.choice(((2, 4), (4, 8), (8, 2)))
+        cache, mem = make_cache(ways=ways, sets=sets)
+        twin, twin_mem = make_cache(ways=ways, sets=sets)
+        pool = [RAM_BASE + k * cache.line_bytes for k in range(3 * ways * sets)]
+        spm = (1 << ways) - 1 if trial % 5 == 0 else rng.getrandbits(ways)
+        for way in range(ways):
+            if spm >> way & 1:
+                cache.configure_way(way, MODE_SPM)
+        for _ in range(rng.randrange(4 * ways * sets)):
+            cache.access(rng.choice(pool) + 8 * rng.randrange(2), "write", value=rng.getrandbits(16))
+        twin.restore(cache.snapshot())
+        twin_mem.restore(mem.snapshot())
+        paddrs = []
+        for _ in range(rng.randrange(1, 16)):
+            r = rng.random()
+            if r < 0.15:
+                paddrs.append(SPM_BASE + rng.randrange(0, cache.size, 8))
+            elif r < 0.17:
+                paddrs.append(unmapped + rng.randrange(0, 1 << 12, 8))
+            else:
+                paddrs.append(rng.choice(pool) + 8 * rng.randrange(2))
+        before = dict(cache.stats)
+        try:
+            events = cache.replay(cache.decode(paddrs))
+        except UnmappedAddress:
+            events = None
+        want = []
+        try:
+            for paddr in paddrs:
+                event = twin.step(paddr, None)
+                if event != EVENT_HIT:
+                    want.append(event)
+        except UnmappedAddress:
+            want = None
+            seen["unmapped"] += 1
+        assert events == want, "trial %d" % trial
+        assert cache.snapshot() == twin.snapshot(), "trial %d" % trial
+        assert mem.snapshot() == twin_mem.snapshot(), "trial %d" % trial
+        seen.update({name: n - before[name] for name, n in cache.stats.items()})
+    covered = ("hits", "misses", "evictions", "write_backs", "fill_drops", "spm_accesses",
+               "spm_misconfigs", "unmapped")
+    assert [name for name in covered if not seen[name]] == []

@@ -3,6 +3,7 @@ discipline, and the predictability/monotonicity properties of locked,
 scratchpad-resident access paths."""
 
 import random
+import sys
 from types import SimpleNamespace
 
 import pytest
@@ -200,6 +201,37 @@ def test_walk_fetches_are_priced_through_the_data_cache():
 
 
 # -- remembered walks -------------------------------------------------------------
+
+
+def test_warm_replay_serves_every_fetch_without_a_step():
+    """Once a walk's lines are cached, refilling its page again replays
+    all 15 two-stage fetches as hits inside Cache.replay: the step is never
+    called, and the walk costs 15 cache hits."""
+    mem = Memory([(TABLE_BASE, 1 << 20), (DATA_BASE, 1 << 20)], 16)
+    # The walk puts nine page-aligned lines in set 0: 16 ways hold them all.
+    sys_ = MemorySystem.build(MachineConfig(ways=16), mem, LatencyConfig(cache_hit_cycles=3))
+    vm, vaddr = scattered_two_stage()
+    step_code = sys_.dcache.step.__code__
+    steps = []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code is step_code:
+            steps.append(event)
+
+    def refill():
+        steps.clear()
+        sys.setprofile(profile)
+        try:
+            return sys_._refill(sys_.dtlb, vm, vaddr)
+        finally:
+            sys.setprofile(None)
+
+    walk, _, cold = refill()
+    assert (len(walk.accesses), len(steps), cold) == (15, 15, 15 * sys_.latency.memory_cycles)
+    hits = sys_.dcache.stats["hits"]
+    walk, _, warm = refill()
+    assert (len(steps), warm) == (0, 15 * 3)
+    assert sys_.dcache.stats["hits"] == hits + 15
 
 
 def count_calls(monkeypatch, name):
@@ -445,13 +477,27 @@ def test_draws_match_random_randrange_and_randint(seed):
         for _ in range(100):
             assert memsys.randbelow(ours.getrandbits, n) == theirs.randrange(n)
             assert ours.getstate() == theirs.getstate()
-    for j in range(1, 6):
+    for j in (1, 2, 3, 4, 5, 39):
         ours, theirs = random.Random(seed), random.Random(seed)
         for _ in range(100):
             assert memsys.jitter_sum(ours, j, 1) == theirs.randint(-j, j)
             assert ours.getstate() == theirs.getstate()
         assert memsys.jitter_sum(ours, j, 5) == sum(theirs.randint(-j, j) for _ in range(5))
         assert ours.getstate() == theirs.getstate()
+    # `after` skips that many draws first; jitter 39 spans 79 values, so
+    # its rejection loop runs often.
+    for j in (1, 3, 39):
+        for after in (1, 2, 7):
+            ours, theirs = random.Random(seed), random.Random(seed)
+            for _ in range(30):
+                for _ in range(after):
+                    theirs.randint(-j, j)
+                assert memsys.jitter_sum(ours, j, 1, after=after) == theirs.randint(-j, j)
+                assert ours.getstate() == theirs.getstate()
+            assert memsys.jitter_sum(ours, j, 0, after=after) == 0
+            for _ in range(after):
+                theirs.randint(-j, j)
+            assert ours.getstate() == theirs.getstate()
 
 
 def test_jitter_is_seed_deterministic_and_bounded():

@@ -191,7 +191,7 @@ def exhaustive_reach_product(leaf_count):
             reachable = {l for l in range(leaf_count) if reach_bits >> l & 1}
             tree = make_tree(leaf_count, bits, partition_count=leaf_count,
                              locked=((1 << leaf_count) - 1) ^ reach_bits)
-            got = tree.select_victim(tree.full_mask)
+            got = tree.select_victim((1 << leaf_count) - 1)
             want = plru_constrained_victim_ref(list(bits), leaf_count, reachable)
             if got != want:
                 mismatches += 1
@@ -271,6 +271,29 @@ def test_vanilla_equivalence_random_trace():
                 assert got == want
                 bits = plru_touch_ref(bits, leaf_count, want)
             assert list(tree.snapshot_bits()) == bits
+
+
+def test_insert_is_select_victim_then_touch():
+    # insert picks and touches through the tables directly; it must agree
+    # with the two public steps it stands for, and a mask too wide for the
+    # partitions raises before any bit moves.
+    rng = random.Random(17)
+    for _ in range(3000):
+        leaf_count = rng.choice((2, 4, 8, 16))
+        pc = rng.choice([p for p in (1, 2, 4, 8, 16) if p <= leaf_count])
+        bits = unpack_bits(rng.getrandbits(leaf_count - 1), leaf_count)
+        locked = rng.getrandbits(leaf_count) & rng.getrandbits(leaf_count)
+        tree, twin = make_tree(leaf_count, bits, pc, locked), make_tree(leaf_count, bits, pc, locked)
+        mask = rng.randrange(1 << pc)
+        want = twin.select_victim(mask)
+        if want is not None:
+            twin.touch(want)
+        assert tree.insert(mask) == want
+        assert tree.bits == twin.bits
+        for bad in (1 << pc, -1):
+            with pytest.raises(ValueError):
+                tree.insert(bad)
+            assert tree.bits == twin.bits
 
 
 def test_selection_is_pure():
