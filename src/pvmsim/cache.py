@@ -5,10 +5,10 @@ Each cache way can be switched at run time between two modes:
   CACHE  -- the way participates in normal set-associative lookup and in
             per-set tree-PLRU victim selection.
   SPM    -- the way is removed from the associativity (never chosen as a
-            victim, tags invalidated) and its data array is instead
-            exposed directly through a physical address window.
+            victim, its lines dropped) and is instead exposed as storage
+            of its own through a physical address window.
 
-The SPM window maps the whole data array contiguously, one way after the
+The SPM window maps every way's storage contiguously, one way after the
 other::
 
       spm_base                                          spm_base + size
@@ -31,33 +31,37 @@ any SPM access and never stall on the mistake.
 
 An access reports its event (hit, miss, spm, spm-misconfig) and the
 value read; memsys.MemorySystem turns events into cycles.  Each cache
-has one access step, ``Cache.step``, built over the flat state below
-and the backing memory's line dict: it serves a hit, a window address
-and a whole miss (fill, eviction, write-back, fill-drop) in its own
-frame, window decode included.  ``access`` checks its arguments and
-wraps the step's event in a result (every write of one event shares
-one); ``MemorySystem`` calls the step directly for each touch of
-``run_loop``.  A walk's fetches, decoded once by ``decode``, are read by
-one ``replay``: it serves a hit in its own loop (a PLRU touch and a
-count) and hands every other fetch to the step.
+has one access step, ``Cache.step``, built over the state below and the
+memory's word store: it serves a hit, a window address and a whole miss
+(fill, eviction, write-back, fill-drop) in its own frame, window decode
+included.  ``access`` checks its arguments and wraps the step's event in
+a result (every write of one event shares one); ``MemorySystem`` calls
+the step directly for each touch of ``run_loop``.  A walk's fetches,
+decoded once by ``decode``, are read by one ``replay``: it serves a hit
+in its own loop (a PLRU touch and a count) and hands every other fetch
+to the step.
 
 Accesses are 64-bit words, the unit of page-table entries and workload
-loads and stores; backing memory is stored and moved by the line.  Data
-is tracked for real so that write-back and SPM round trips can be
-checked against memory.
+loads and stores.  No event and no cycle depends on a value, so values
+stay off the timing path: every word outside the scratchpads lives in
+the memory's one word store, which a cache-mode hit or miss reads and
+every store writes.  A fill copies nothing and a write-back only counts;
+a store is visible to every reader at once, the other cache included.
+Each scratchpad way keeps its own words, and conversion to SPM zeroes
+them.
 
-The state is flat: slot ``set * ways + way`` indexes one list of tags
-(-1 marks a slot that holds no line), its words sit at
-``slot * words_per_line`` in one word list, and each set keeps a dirty
-bitmap over its ways and its tree-PLRU node bits packed into one int,
-the format every ``PlruTree`` uses.  A set is touched with the same
+The state is sparse and scales with the lines held: a line directory,
+``{line number: slot}`` over every slot ``set * ways + way`` that holds
+a line, finds a hit with one dict lookup, and its inverse ``{slot: line
+number}`` names a victim's line.  A fill adds its line and drops its
+victim's, and conversion to SPM drops the way's lines.  Each set keeps a
+dirty bitmap over its ways and its tree-PLRU node bits packed into one
+int, the format every ``PlruTree`` uses.  A set is touched with the same
 ``touch_masks`` pair as a tree and picks its victim from a
 ``victim_table`` (see plru.py).  The SPM ways are recorded once, as one
-cache-wide locked-ways mask that selects the victim table.  A line
-directory, ``{line number: slot}`` over every slot that holds a line,
-finds a hit with one dict lookup; a fill adds its line and drops its
-victim's, and conversion to SPM drops the way's lines.
-``snapshot``/``restore`` copy this state wholesale, directory included.
+cache-wide locked-ways mask that selects the victim table.
+``snapshot``/``restore`` copy this state, so a restore costs the lines
+held plus two per-set lists, never ``sets * ways`` slots.
 """
 
 from typing import NamedTuple
@@ -66,7 +70,6 @@ from .plru import check_tree, is_pow2, touch_masks, victim_table
 
 WORD_BYTES = 8
 _WORD_MASK = (1 << 64) - 1
-_NO_LINE = -1  # tag of a slot that holds no line
 
 MODE_CACHE = "cache"
 MODE_SPM = "spm"
@@ -79,13 +82,12 @@ EVENT_SPM_MISCONFIG = "spm-misconfig"
 # Bounds on what one cache may ask for; presets use 8 ways of 16-byte lines
 # and 32 KiB arrays.  A set's PLRU state is one (ways - 1)-bit int and
 # touch_masks builds `ways` of them, so ways is bounded as tlb.MAX_ENTRIES
-# bounds the TLB; a line is at most a page; and every iteration restores
-# the whole data array.
+# bounds the TLB; a line is at most a page; and the array bounds the sets,
+# whose dirty and PLRU lists every iteration restores, and the scratchpad
+# window each cache maps.
 MAX_WAYS = 4096
 MAX_LINE_BYTES = 4096
 MAX_ARRAY_BYTES = 1 << 22
-
-
 def check_geometry(ways, sets, line_bytes, sets_name="sets"):
     """Raise ValueError unless a Cache of this shape can be built (each
     set is a tree-PLRU over its ways)."""
@@ -117,25 +119,20 @@ class UnmappedAddress(ValueError):
 
 
 class Memory:
-    """Sparse backing memory: explicit regions, default zero, stored by line.
+    """Sparse backing memory: explicit regions, default zero, one word store.
 
     Regions are declared up front (``add_region``); touching an address
     outside all regions raises :class:`UnmappedAddress`, a configuration
     mistake rather than a modeled hardware fault.
 
-    Each line is one immutable tuple of words keyed by its address.  A
-    cache's step fills a line with one region test and one lookup in that
-    dict and writes a dirty victim back as one entry, so the memory keeps
-    one line dict for its whole life: ``restore`` refills it in place.
-    The line size is fixed when the memory is made, and every cache
-    sharing it must use the same.  The word API serves the fill-drop
-    path, where a miss with every way SPM goes straight to memory.
+    Every word lives in one dict keyed by its address.  The caches that
+    share the memory read and write that dict in their steps, so the
+    memory keeps it for its whole life: ``restore`` refills it in place.
     """
 
-    def __init__(self, regions, line_bytes):
+    def __init__(self, regions):
         self._regions = []
-        self._lines = {}  # line address -> tuple of its words; never rebound
-        self.line_bytes, self._zero = line_bytes, (0,) * (line_bytes // WORD_BYTES)
+        self._words = {}  # word address -> word; never rebound
         for base, size in regions:
             self.add_region(base, size)
 
@@ -154,27 +151,19 @@ class Memory:
     def read_word(self, addr):
         addr &= ~(WORD_BYTES - 1)
         self.check(addr)
-        return self._lines.get(addr & -self.line_bytes, self._zero)[addr % self.line_bytes >> 3]
+        return self._words.get(addr, 0)
 
     def write_word(self, addr, value):
         addr &= ~(WORD_BYTES - 1)
         self.check(addr)
-        base = addr & -self.line_bytes
-        words = list(self._lines.get(base, self._zero))
-        words[(addr - base) >> 3] = value & _WORD_MASK
-        self._lines[base] = tuple(words)
-
-    def write_line(self, base, words):
-        """Store a line's words at `base`.  A cache writes back only lines
-        it filled, so the mapping is already checked."""
-        self._lines[base] = tuple(words)
+        self._words[addr] = value & _WORD_MASK
 
     def snapshot(self):
-        return tuple(self._lines.items())
+        return tuple(self._words.items())
 
     def restore(self, state):
-        self._lines.clear()
-        self._lines.update(state)
+        self._words.clear()
+        self._words.update(state)
 
 
 class AccessResult(NamedTuple):
@@ -202,11 +191,11 @@ class Cache:
     The same object serves both personalities; instruction caches simply
     receive kind="ifetch" accesses and never see writes.
 
-    ``step`` is a closure over this cache's lists, ``stats`` and its
-    memory's line dict, so every method changes them in place.  It also
-    bars copies: pickling or deep-copying a Cache raises (a copied step
-    would serve the original's state).  Save the state with snapshot()
-    and bring it back with restore() instead.
+    ``step`` is a closure over this cache's dicts, lists and ``stats`` and
+    its memory's word store, so every method changes them in place.  It
+    also bars copies: pickling or deep-copying a Cache raises (a copied
+    step would serve the original's state).  Save the state with
+    snapshot() and bring it back with restore() instead.
     """
 
     def __init__(
@@ -219,27 +208,22 @@ class Cache:
         spm_base=None,
     ):
         check_geometry(ways, sets, line_bytes)
-        if memory.line_bytes != line_bytes:
-            raise ValueError("a memory of %d-byte lines cannot serve %d-byte lines"
-                             % (memory.line_bytes, line_bytes))
         self.memory = memory
         self.ways = ways
         self.sets = sets
         self.line_bytes = line_bytes
         self.way_bytes = sets * line_bytes
         self.size = ways * self.way_bytes
-        self.words_per_line = line_bytes // WORD_BYTES
         if spm_base is not None:
             check_spm_window(spm_base, self.size, memory)
         self.spm_base = spm_base
         self._line_shift = line_bytes.bit_length() - 1
-        self._set_shift = sets.bit_length() - 1
         self._set_mask = sets - 1
-        self._tags = [_NO_LINE] * (sets * ways)
         self._where = {}  # line number -> slot, for every slot that holds a line
+        self._lines = {}  # slot -> line number: the directory's inverse
         self._dirty = [0] * sets  # bitmap over ways, per set
-        self._data = [0] * (sets * ways * self.words_per_line)
         self._plru = [0] * sets  # packed tree-PLRU node bits, per set
+        self._spm = {}  # SPM way -> {window address: word}, its own storage
         # Each way is its own partition, so SPM conversion is a lock on
         # that way in every set: one mask for the whole cache.
         self._and, self._or = touch_masks(ways)
@@ -261,12 +245,12 @@ class Cache:
     def configure_way(self, way, mode):
         """Switch one way between CACHE and SPM mode.
 
-        CACHE -> SPM: dirty lines in the way are written back first (the
-        array becomes invisible to lookups, so anything not written back
-        now would be lost), then its tags and dirty bits are cleared, the
-        way is locked against replacement, and the storage is zeroed for
-        its new life as scratchpad.  SPM -> CACHE: the way is simply unlocked;
-        tags are already invalid, and fills overwrite the stale storage.
+        CACHE -> SPM: dirty lines in the way are written back (their words
+        are already in memory, so this only counts them and clears their
+        dirty bits), its lines leave the directory, the way is locked
+        against replacement, and it gets zeroed storage for its new life
+        as scratchpad.  SPM -> CACHE: the way is unlocked and its storage
+        dropped; it holds no line until a fill picks it.
         """
         if not 0 <= way < self.ways:
             raise ValueError("way index %r out of range [0, %d)" % (way, self.ways))
@@ -276,20 +260,17 @@ class Cache:
         if bool(self._locked & bit) == (mode == MODE_SPM):
             return
         if mode == MODE_SPM:
-            # The way's slots sit every `ways` slots apart, so each of its
-            # tags, and each word position of its lines, is one stride.
-            ways, wpl = self.ways, self.words_per_line
-            for s, tag in enumerate(self._tags[way::ways]):
-                if tag != _NO_LINE:
-                    if self._dirty[s] & bit:
-                        self._write_back(s, way)
-                    del self._where[tag * self.sets + s]
-            self._tags[way::ways] = [_NO_LINE] * self.sets
-            zeros = [0] * self.sets
-            for i in range(way * wpl, (way + 1) * wpl):
-                self._data[i::ways * wpl] = zeros
+            for slot, line in list(self._lines.items()):
+                if slot % self.ways == way:
+                    set_idx = slot // self.ways
+                    if self._dirty[set_idx] & bit:
+                        self._dirty[set_idx] ^= bit
+                        self.stats["write_backs"] += 1
+                    del self._lines[slot], self._where[line]
+            self._spm[way] = {}
             self._set_locked(self._locked | bit)
         else:
+            del self._spm[way]
             self._set_locked(self._locked & ~bit)
 
     # -- the access path ------------------------------------------------------
@@ -317,31 +298,25 @@ class Cache:
         0 is a write); a read leaves its word in ``_read[0]``.  Beside it,
         ``replay(fetches) -> events`` reads decode()'s triples in order and
         returns the events of those that did not hit, in order.  The step
-        holds this cache's lists, line directory, ``stats`` and the
-        memory's regions and line dict in its own frame, so those are only
-        ever changed in place; configure_way and restore rebind the victim
-        table and the locked-ways mask, so those are read off the cache at
-        each use."""
-        ways, wpl, line_bytes = self.ways, self.words_per_line, self.line_bytes
-        line_shift, set_shift, set_mask = self._line_shift, self._set_shift, self._set_mask
-        way_shift = line_shift + set_shift
-        word_mask, way_mask, align = wpl - 1, ways - 1, -WORD_BYTES
-        tags, plru, data, dirty = self._tags, self._plru, self._data, self._dirty
-        where = self._where
+        holds this cache's dicts, lists, ``stats`` and the memory's regions
+        and word store in its own frame, so those are only ever changed in
+        place; configure_way and restore rebind the victim table, so it is
+        read off the cache at each use."""
+        ways, line_bytes, line_shift = self.ways, self.line_bytes, self._line_shift
+        set_mask, way_shift = self._set_mask, self.way_bytes.bit_length() - 1
+        way_mask, align = ways - 1, -WORD_BYTES
+        where, lines, plru, dirty, spm = self._where, self._lines, self._plru, self._dirty, self._spm
         and_, or_, stats, read = self._and, self._or, self.stats, self._read
-        memory = self.memory
-        regions, lines, zero = memory._regions, memory._lines, memory._zero
+        regions, words = self.memory._regions, self.memory._words
         # Without a window, an empty range that no address falls in.
         spm_lo = 0 if self.spm_base is None else self.spm_base
         spm_hi = spm_lo if self.spm_base is None else spm_lo + self.size
 
         def step(paddr, value):
             paddr &= align
-            word = paddr >> 3 & word_mask
             if spm_lo <= paddr < spm_hi:
-                offset = paddr - spm_lo
-                way = offset >> way_shift
-                if not self._locked >> way & 1:
+                store = spm.get(paddr - spm_lo >> way_shift)
+                if store is None:
                     # The window slice exists but its way was never
                     # converted: behave like a black hole instead of
                     # stalling the core.
@@ -349,11 +324,10 @@ class Cache:
                     read[0] = 0
                     return EVENT_SPM_MISCONFIG
                 stats["spm_accesses"] += 1
-                idx = ((offset >> line_shift & set_mask) * ways + way) * wpl + word
                 if value is not None:
-                    data[idx] = value & _WORD_MASK
+                    store[paddr] = value & _WORD_MASK
                 else:
-                    read[0] = data[idx]
+                    read[0] = store.get(paddr, 0)
                 return EVENT_SPM
             line = paddr >> line_shift
             set_idx = line & set_mask
@@ -362,17 +336,15 @@ class Cache:
                 way = slot & way_mask
                 plru[set_idx] = plru[set_idx] & and_[way] | or_[way]
                 stats["hits"] += 1
-                idx = slot * wpl + word
                 if value is not None:
-                    data[idx] = value & _WORD_MASK
+                    words[paddr] = value & _WORD_MASK
                     dirty[set_idx] |= 1 << way
                 else:
-                    read[0] = data[idx]
+                    read[0] = words.get(paddr, 0)
                 return EVENT_HIT
-            # Reading the fill line first is the mapping check: a line that
-            # no one region holds whole raises before any tag, dirty bit,
-            # PLRU bit or statistic moves.  The victim holds another line,
-            # so its write-back cannot change what was read.
+            # The mapping check: a line that no one region holds whole
+            # raises before any line, dirty bit, PLRU bit, statistic or
+            # word moves.
             addr = line << line_shift
             top = addr + line_bytes
             for lo, hi in regions:
@@ -380,7 +352,6 @@ class Cache:
                     break
             else:
                 raise UnmappedAddress("line 0x%x is not inside one memory region" % addr)
-            fill = lines.get(addr, zero)
             stats["misses"] += 1
             bits = plru[set_idx]
             victim = self._victims[bits]
@@ -388,32 +359,25 @@ class Cache:
                 # Every way is SPM: nothing can be allocated, so the access
                 # is serviced straight from memory and nothing is cached.
                 stats["fill_drops"] += 1
-                if value is not None:
-                    memory.write_word(paddr, value)
-                else:
-                    read[0] = fill[word]
-                return EVENT_MISS
-            plru[set_idx] = bits & and_[victim] | or_[victim]
-            slot = set_idx * ways + victim
-            bit = 1 << victim
-            start = slot * wpl
-            old = tags[slot]
-            if old != _NO_LINE:
-                stats["evictions"] += 1
-                old = old << set_shift | set_idx  # the victim's line number
-                del where[old]
-                if dirty[set_idx] & bit:
-                    lines[old << line_shift] = tuple(data[start:start + wpl])
-                    stats["write_backs"] += 1
-            data[start:start + wpl] = fill
-            tags[slot] = line >> set_shift
-            where[line] = slot
-            if value is not None:
-                data[start + word] = value & _WORD_MASK
-                dirty[set_idx] |= bit
             else:
-                dirty[set_idx] &= ~bit
-                read[0] = fill[word]
+                plru[set_idx] = bits & and_[victim] | or_[victim]
+                slot = set_idx * ways + victim
+                bit = 1 << victim
+                old = lines.get(slot)
+                if old is not None:
+                    stats["evictions"] += 1
+                    del where[old]
+                    if dirty[set_idx] & bit:
+                        dirty[set_idx] ^= bit
+                        stats["write_backs"] += 1
+                lines[slot] = line
+                where[line] = slot
+                if value is not None:
+                    dirty[set_idx] |= bit
+            if value is not None:
+                words[paddr] = value & _WORD_MASK
+            else:
+                read[0] = words.get(paddr, 0)
             return EVENT_MISS
 
         def replay(fetches):
@@ -436,33 +400,31 @@ class Cache:
 
         return step, replay
 
-    def _write_back(self, set_idx, way):
-        slot = set_idx * self.ways + way
-        line_base = (self._tags[slot] * self.sets + set_idx) * self.line_bytes
-        start = slot * self.words_per_line
-        self.memory.write_line(line_base, self._data[start:start + self.words_per_line])
-        self._dirty[set_idx] &= ~(1 << way)
-        self.stats["write_backs"] += 1
-
     # -- snapshot / restore ------------------------------------------------------
 
     def snapshot(self):
-        """Every piece of mutable state -- tags, dirty bitmaps, data words,
-        PLRU bits, the locked-ways mask, the statistics and the line
-        directory -- as immutable copies for restore().  The directory is a
-        frozenset of (line, slot) pairs, so two snapshots of the same lines
-        are equal whatever order the lines were filled in."""
-        return (tuple(self._tags), tuple(self._dirty), tuple(self._data), tuple(self._plru),
-                self._locked, tuple(self.stats.items()), frozenset(self._where.items()))
+        """Every piece of mutable state -- the line directory and its
+        inverse, dirty bitmaps, PLRU bits, the locked-ways mask, the
+        scratchpad words and the statistics -- as immutable copies for
+        restore().  The directory, its inverse and each scratchpad way's
+        words are frozensets, so two snapshots of the same state are equal
+        whatever order it was reached in."""
+        return (frozenset(self._where.items()), frozenset(self._lines.items()),
+                tuple(self._dirty), tuple(self._plru), self._locked,
+                frozenset((way, frozenset(store.items())) for way, store in self._spm.items()),
+                tuple(self.stats.items()))
 
     def restore(self, state):
         """Return to a snapshot() of this cache, copying it in place."""
-        tags, dirty, data, plru, locked, stats, where = state
+        where, lines, dirty, plru, locked, spm, stats = state
         self._where.clear()
         self._where.update(where)
-        self._tags[:] = tags
+        self._lines.clear()
+        self._lines.update(lines)
         self._dirty[:] = dirty
-        self._data[:] = data
         self._plru[:] = plru
+        self._spm.clear()
+        for way, store in spm:
+            self._spm[way] = dict(store)
         self._set_locked(locked)
         self.stats.update(stats)

@@ -241,12 +241,12 @@ class ScenarioDef:
 
 
 def check_spm_windows(machine):
-    """Raise ValueError unless both data arrays of `machine` fit this
+    """Raise ValueError unless both cache arrays of `machine` fit this
     layout: each scratchpad window aligned to its whole array and clear of
     RAM, and each array at most cache.MAX_ARRAY_BYTES.  Run once per
     MachineConfig, so a shape that cannot be built, or would take long to
     build and restore, fails at load time, not in its first iteration."""
-    memory = Memory(MEMORY_REGIONS, machine.line_bytes)
+    memory = Memory(MEMORY_REGIONS)
     for sets, base, side in (
         (machine.icache_sets, ISPM_BASE, "instruction"),
         (machine.dcache_sets, DSPM_BASE, "data"),
@@ -474,7 +474,7 @@ def build_system(defn, jitter_rng):
     RAM, with the scratchpad windows at this layout's bases."""
     return MemorySystem.build(
         defn.machine,
-        Memory(MEMORY_REGIONS, defn.machine.line_bytes),
+        Memory(MEMORY_REGIONS),
         defn.latency,
         ispm_base=ISPM_BASE,
         dspm_base=DSPM_BASE,

@@ -13,6 +13,10 @@ One MemorySystem models the memory side of a single hart::
                    \\                             /
                     '----- shared backing memory
 
+Backing memory is one word store that both caches read and write, so a
+store is seen by both sides at once, before any write-back.  No cycle
+depends on a value: events alone are priced.
+
 This is the only module that knows a price.  TLB lookups, cache
 accesses and walks report what happened; one table built from
 LatencyConfig turns those events into cycles:
@@ -39,8 +43,8 @@ and its misses then draw their jitter through jitter_sum: nothing draws
 between fetches, so the generator sees the same draws in the same order.
 
 The optional jitter models memory-controller noise: a miss (a refill or
-a fill-drop, the only events that reach backing memory) adds a uniform
-draw from [-j, +j].  Hits, SPM accesses and lock-slot translations never
+a fill-drop, the only events that model a trip to backing memory) adds a
+uniform draw from [-j, +j].  Hits, SPM accesses and lock-slot translations never
 consult the generator, so a fully locked, SPM-resident access path stays
 cycle-constant even with jitter enabled; hypervisor.run_iteration draws
 the records of a plan whose measured phase takes only that path, as
@@ -392,8 +396,8 @@ class MemorySystem:
 
     def snapshot(self):
         """The machine state -- both TLBs, both caches, the partition CSRs
-        and the backing memory the caches share -- as immutable copies for
-        restore()."""
+        and the backing memory's word store, which the caches share -- as
+        immutable copies for restore()."""
         csr = self.csr
         return (
             self.itlb.snapshot(),

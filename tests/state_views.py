@@ -1,16 +1,20 @@
 """A cache's and a memory's state, read through their snapshot() and the
-cache's public geometry (ways, sets, line_bytes, words_per_line): the
-same state the simulator saves and restores, seen without reaching into
-how it is stored.
+cache's public geometry (ways, sets, line_bytes, way_bytes, spm_base):
+the same state the simulator saves and restores, seen without reaching
+into how it is stored.
 
-A cache snapshot is (tags, dirty, data, plru, locked, stats, where):
-slot ``set * ways + way`` holds one tag (-1 for no line) and the
-``words_per_line`` words at ``slot * words_per_line``; each set has a
+A cache snapshot is (where, lines, dirty, plru, locked, spm, stats):
+``where`` is the line directory, a frozenset of (line number, slot)
+pairs, one per slot ``set * ways + way`` that holds a line, and
+``lines`` is its inverse, the (slot, line number) pairs; each set has a
 dirty bitmap over its ways and packed PLRU node bits; ``locked`` has a
-bit set for each scratchpad way; ``where`` is the line directory, a
-frozenset of (line number, slot) pairs, one per slot that holds a line
-(line number ``tag * sets + set``).  A memory snapshot is its
-(line address, words) pairs.
+bit set for each scratchpad way; ``spm`` pairs each scratchpad way with
+the frozenset of its (window address, word) pairs.  A cache holds no
+data words outside its scratchpad ways: a held line's words are in the
+memory the cache shares, whose snapshot is its (word address, word)
+pairs.  The views below rebuild the per-slot form: a tag per slot (-1
+for a slot that holds no line, else line number // sets) and each
+slot's line words.
 """
 
 from pvmsim.cache import MODE_CACHE, MODE_SPM, WORD_BYTES
@@ -19,13 +23,31 @@ from pvmsim.cache import MODE_CACHE, MODE_SPM, WORD_BYTES
 def tag_state(cache):
     """(tags, dirty bitmaps, PLRU bits, locked-ways mask), for before and
     after comparisons."""
-    tags, dirty, _, plru, locked, _, _ = cache.snapshot()
-    return tags, dirty, plru, locked
+    _, lines, dirty, plru, locked, _, _ = cache.snapshot()
+    tags = [-1] * (cache.sets * cache.ways)
+    for slot, line in lines:
+        tags[slot] = line // cache.sets
+    return tuple(tags), dirty, plru, locked
 
 
 def data_words(cache):
-    """Every slot's line words, slot by slot, scratchpad ways included."""
-    return cache.snapshot()[2]
+    """Every slot's line words, slot by slot, scratchpad ways included: a
+    held line's words as its memory holds them, a scratchpad way's own
+    words, and zeros elsewhere."""
+    _, lines, _, _, _, spm, _ = cache.snapshot()
+    wpl = cache.line_bytes // WORD_BYTES
+    memory = dict(cache.memory.snapshot())
+    data = [0] * (cache.sets * cache.ways * wpl)
+    for slot, line in lines:
+        base = line * cache.line_bytes
+        data[slot * wpl:(slot + 1) * wpl] = [memory.get(base + i * WORD_BYTES, 0)
+                                             for i in range(wpl)]
+    for way, words in spm:
+        for addr, word in words:
+            set_idx, offset = divmod(addr - cache.spm_base - way * cache.way_bytes,
+                                     cache.line_bytes)
+            data[(set_idx * cache.ways + way) * wpl + offset // WORD_BYTES] = word
+    return tuple(data)
 
 
 def way_modes(cache):
@@ -36,22 +58,18 @@ def way_modes(cache):
 
 def probe(cache, paddr):
     """The (set, way) holding paddr's line, else None."""
-    line = paddr // cache.line_bytes
-    set_idx, tag = line % cache.sets, line // cache.sets
-    row = cache.snapshot()[0][set_idx * cache.ways:(set_idx + 1) * cache.ways]
-    return (set_idx, row.index(tag)) if tag in row else None
+    slot = dict(cache.snapshot()[0]).get(paddr // cache.line_bytes)
+    return None if slot is None else divmod(slot, cache.ways)
 
 
 def spm_word(cache, way, set_idx, word):
     """One word of a scratchpad way's storage, read without an access."""
-    _, _, data, _, locked, _, _ = cache.snapshot()
+    _, _, _, _, locked, spm, _ = cache.snapshot()
     assert locked >> way & 1, "way %d is not in SPM mode" % way
-    return data[(set_idx * cache.ways + way) * cache.words_per_line + word]
+    addr = cache.spm_base + way * cache.way_bytes + set_idx * cache.line_bytes + word * WORD_BYTES
+    return dict(dict(spm)[way]).get(addr, 0)
 
 
 def memory_words(memory):
     """Every non-zero word of `memory` as sorted (address, word) pairs."""
-    return tuple(
-        (base + i * WORD_BYTES, word)
-        for base, line in sorted(memory.snapshot()) for i, word in enumerate(line) if word
-    )
+    return tuple(sorted((addr, word) for addr, word in memory.snapshot() if word))

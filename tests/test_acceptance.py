@@ -332,7 +332,7 @@ def test_criterion_07_interference_trends():
 # -- 8: scratchpad semantics -----------------------------------------------------
 
 def _small_cache():
-    mem = Memory((), 16)
+    mem = Memory(())
     mem.add_region(RAM_BASE, 1 << 20)
     cache = Cache(mem, ways=4, sets=8, line_bytes=16, spm_base=SPM_BASE)
     return mem, cache
@@ -422,7 +422,7 @@ def test_criterion_08_scratchpad_semantics():
     rng = random.Random(0xACC8 + 2)
     latency = LatencyConfig(spm_cycles=2, jitter=3)
     sys_ = MemorySystem.build(
-        MachineConfig(ways=4, icache_sets=8, dcache_sets=8), Memory([(RAM_BASE, 1 << 20)], 16),
+        MachineConfig(ways=4, icache_sets=8, dcache_sets=8), Memory([(RAM_BASE, 1 << 20)]),
         latency, dspm_base=SPM_BASE, rng=random.Random(0xACC8 + 3),
     )
     cache = sys_.dcache

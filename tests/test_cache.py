@@ -14,11 +14,14 @@ from pvmsim.cache import (
     EVENT_MISS,
     EVENT_SPM,
     EVENT_SPM_MISCONFIG,
+    MAX_ARRAY_BYTES,
     MODE_CACHE,
     MODE_SPM,
+    WORD_BYTES,
     Cache,
     Memory,
     UnmappedAddress,
+    check_geometry,
     check_spm_window,
 )
 from oracles import CacheRef, spm_decode_ref
@@ -30,7 +33,7 @@ SPM_BASE = 0x1000_0000  # aligned to any power-of-two array size used here
 
 
 def make_cache(ways=4, sets=8, line_bytes=16, window=True, **kw):
-    mem = Memory([(RAM_BASE, RAM_SIZE)], line_bytes)
+    mem = Memory([(RAM_BASE, RAM_SIZE)])
     cache = Cache(
         mem,
         ways=ways,
@@ -51,7 +54,7 @@ def same_set_addr(cache, set_idx, k, word=0):
 
 
 def test_geometry_must_be_powers_of_two():
-    mem = Memory([(RAM_BASE, RAM_SIZE)], 16)
+    mem = Memory([(RAM_BASE, RAM_SIZE)])
     with pytest.raises(ValueError):
         Cache(mem, ways=3, sets=8, line_bytes=16)
     with pytest.raises(ValueError):
@@ -63,19 +66,19 @@ def test_geometry_must_be_powers_of_two():
 
 
 def test_spm_base_must_be_size_aligned():
-    mem = Memory([(RAM_BASE, RAM_SIZE)], 16)
+    mem = Memory([(RAM_BASE, RAM_SIZE)])
     size = 4 * 8 * 16
     with pytest.raises(ValueError):
         Cache(mem, ways=4, sets=8, line_bytes=16, spm_base=SPM_BASE + size // 2)
 
 
 def test_spm_window_may_not_overlap_memory():
-    mem = Memory([(RAM_BASE, RAM_SIZE)], 16)
+    mem = Memory([(RAM_BASE, RAM_SIZE)])
     with pytest.raises(ValueError):
         Cache(mem, ways=4, sets=8, line_bytes=16, spm_base=RAM_BASE)
     # A region strictly inside the window holds neither of its ends.
     with pytest.raises(ValueError, match="overlaps a backing-memory region"):
-        check_spm_window(0x1000_0000, 0x1000_0000, Memory([(0x1800_0000, 0x1000)], 16))
+        check_spm_window(0x1000_0000, 0x1000_0000, Memory([(0x1800_0000, 0x1000)]))
 
 
 def test_unmapped_address_is_a_configuration_error():
@@ -92,7 +95,7 @@ def test_miss_outside_memory_changes_nothing(kind, where, all_spm):
     cuts, raises before any tag, dirty bit, PLRU bit, statistic, data word
     or memory word moves: with a dirty victim waiting, and with every way
     SPM, where the miss would go straight to memory."""
-    mem = Memory([(RAM_BASE, RAM_SIZE - 8)], 16)  # the last line keeps one word
+    mem = Memory([(RAM_BASE, RAM_SIZE - 8)])  # the last line keeps one word
     cache = Cache(mem, ways=4, sets=8, line_bytes=16, spm_base=SPM_BASE)
     paddr = RAM_BASE + RAM_SIZE - 16 if where == "cut" else 0x4000_0000 + 5 * 16
     set_idx = paddr // cache.line_bytes % cache.sets
@@ -113,7 +116,7 @@ def test_miss_outside_memory_changes_nothing(kind, where, all_spm):
 
 
 def test_memory_region_needs_a_base_and_a_size():
-    mem = Memory([(RAM_BASE, RAM_SIZE)], 16)
+    mem = Memory([(RAM_BASE, RAM_SIZE)])
     for base, size in ((RAM_BASE + RAM_SIZE, 0), (RAM_BASE + RAM_SIZE, -16), (-16, 16)):
         with pytest.raises(ValueError, match="^region base/size must be non-negative/positive$"):
             mem.add_region(base, size)
@@ -121,7 +124,7 @@ def test_memory_region_needs_a_base_and_a_size():
 
 
 def test_memory_reads_default_to_zero_inside_regions():
-    mem = Memory([(RAM_BASE, RAM_SIZE)], 16)
+    mem = Memory([(RAM_BASE, RAM_SIZE)])
     assert mem.read_word(RAM_BASE + 0x100) == 0
     mem.write_word(RAM_BASE + 0x100, 7)
     assert mem.read_word(RAM_BASE + 0x100) == 7
@@ -129,25 +132,12 @@ def test_memory_reads_default_to_zero_inside_regions():
         mem.read_word(RAM_BASE - 8)
 
 
-def test_caches_take_the_line_size_of_their_memory():
-    """A memory stores lines of the size it is made with: caches of that
-    size share it, and a cache of another size is refused."""
-    mem = Memory([(RAM_BASE, RAM_SIZE)], 32)
-    mem.write_word(RAM_BASE + 0x48, 5)
-    assert mem.snapshot() == ((RAM_BASE + 0x40, (0, 5, 0, 0)),)
-    Cache(mem, ways=4, sets=8, line_bytes=32)
-    Cache(mem, ways=2, sets=4, line_bytes=32)
-    with pytest.raises(ValueError, match="^a memory of 32-byte lines cannot serve 16-byte lines$"):
-        Cache(mem, ways=4, sets=8, line_bytes=16)
-    assert memory_words(mem) == ((RAM_BASE + 0x48, 5),)
-
-
-def test_memory_keeps_one_line_dict_for_life():
-    """A cache's step holds its memory's line dict, so restoring a
+def test_memory_keeps_one_word_dict_for_life():
+    """A cache's step holds its memory's word dict, so restoring a
     snapshot must refill that dict, not replace it: the cache's later fill
-    reads the restored word, and its dirty eviction lands where the
-    memory's snapshot sees it."""
-    mem = Memory([(RAM_BASE, RAM_SIZE)], 16)
+    reads the restored word, and its store lands where the memory's
+    snapshot sees it."""
+    mem = Memory([(RAM_BASE, RAM_SIZE)])
     a = Cache(mem, ways=2, sets=4, line_bytes=16)
     mem.write_word(RAM_BASE + 0x08, 1)
     state = mem.snapshot()
@@ -178,9 +168,9 @@ def test_write_allocate_installs_dirty_line():
     cache, mem = make_cache()
     res = cache.access(RAM_BASE + 0x80, "write", value=0x1234)
     assert res.event == EVENT_MISS
-    assert probe(cache, RAM_BASE + 0x80) is not None
-    # Write-back policy: the store is not yet visible in memory.
-    assert mem.read_word(RAM_BASE + 0x80) == 0
+    set_idx, way = probe(cache, RAM_BASE + 0x80)
+    # Write-back policy: the line is dirty and nothing is written back yet.
+    assert tag_state(cache)[1][set_idx] == 1 << way and cache.stats["write_backs"] == 0
     assert cache.access(RAM_BASE + 0x80, "read").value == 0x1234
 
 
@@ -198,6 +188,28 @@ def test_ifetch_behaves_like_read():
     assert cache.access(RAM_BASE + 0x200, "ifetch").event == EVENT_MISS
     res = cache.access(RAM_BASE + 0x200, "ifetch")
     assert (res.event, res.value) == (EVENT_HIT, 0x13)
+
+
+def test_a_store_is_seen_by_the_other_cache_before_any_write_back():
+    """Two caches over one memory, as the I- and D-cache are: a D-side
+    store, on a hit and on a miss, is read at once by Memory.read_word and
+    by an I-side fetch, whether the I-cache already held the line or
+    fills it now, while the D-side line stays dirty and unwritten-back."""
+    icache, mem = make_cache(window=False)
+    dcache = Cache(mem, ways=4, sets=8, line_bytes=16)
+    held, cold = RAM_BASE + 0x40, RAM_BASE + 0x88
+    mem.write_word(held, 1)
+    assert icache.access(held, "ifetch").value == 1
+    dcache.access(held, "read")
+    assert dcache.access(held, "write", value=2).event == EVENT_HIT
+    assert dcache.access(cold, "write", value=3).event == EVENT_MISS
+    for paddr, word in ((held, 2), (cold, 3)):
+        set_idx, way = probe(dcache, paddr)
+        assert tag_state(dcache)[1][set_idx] == 1 << way
+        assert mem.read_word(paddr) == word
+    assert dcache.stats["write_backs"] == 0
+    assert tuple(icache.access(held, "ifetch")) == (EVENT_HIT, 2)
+    assert tuple(icache.access(cold, "ifetch")) == (EVENT_MISS, 3)
 
 
 def test_eviction_writes_back_dirty_line():
@@ -246,7 +258,7 @@ def test_spm_decode_contiguous_way_mapping():
     for k, (paddr, where) in enumerate((
         (SPM_BASE + 3 * 128 + 64, (3, 4, 0)),
         (SPM_BASE, (0, 0, 0)),
-        (SPM_BASE + cache.size - 8, (cache.ways - 1, cache.sets - 1, cache.words_per_line - 1)),
+        (SPM_BASE + cache.size - 8, (cache.ways - 1, cache.sets - 1, cache.line_bytes // 8 - 1)),
     )):
         assert cache.access(paddr, "write", value=k + 1).event == EVENT_SPM
         assert spm_word(cache, *where) == k + 1
@@ -273,7 +285,7 @@ def test_spm_decode_matches_range_scan_reference():
     # Every word holds the last value written to its reference address.
     for way in range(cache.ways):
         for s in range(cache.sets):
-            for w in range(cache.words_per_line):
+            for w in range(cache.line_bytes // 8):
                 assert spm_word(cache, way, s, w) == shadow.get((way, s, w), 0)
 
 
@@ -329,21 +341,23 @@ def test_conversion_evicts_resident_line():
 def test_conversion_writes_back_dirty_lines():
     cache, mem = make_cache()
     cache.access(RAM_BASE + 0x40, "write", value=0xC0FFEE)
-    _, way = probe(cache, RAM_BASE + 0x40)
-    assert mem.read_word(RAM_BASE + 0x40) == 0  # not yet written back
+    set_idx, way = probe(cache, RAM_BASE + 0x40)
+    # Dirty and not yet written back.
+    assert tag_state(cache)[1][set_idx] == 1 << way and cache.stats["write_backs"] == 0
     cache.configure_way(way, MODE_SPM)
+    assert tag_state(cache)[1][set_idx] == 0 and cache.stats["write_backs"] == 1
     assert mem.read_word(RAM_BASE + 0x40) == 0xC0FFEE
-    assert cache.stats["write_backs"] == 1
 
 
 @pytest.mark.parametrize("ways,line_bytes", ((4, 16), (16, 32)))
 def test_conversion_touches_only_its_own_way(ways, line_bytes):
     """With every slot holding a dirty line, converting a middle way
-    writes back exactly that way's lines and empties and zeroes exactly
-    its slots; every other way's tags, words and dirty bits and every
-    set's PLRU bits stay as they were."""
+    writes back exactly that way's lines (one write-back per set, each
+    clearing its line's dirty bit) and empties and zeroes exactly its
+    slots; every other way's tags, words and dirty bits, every set's PLRU
+    bits and every memory word stay as they were."""
     cache, mem = make_cache(ways=ways, sets=8, line_bytes=line_bytes)
-    wpl = cache.words_per_line
+    wpl = cache.line_bytes // 8
     for s in range(cache.sets):
         for k in range(ways):
             for i in range(wpl):
@@ -354,14 +368,8 @@ def test_conversion_touches_only_its_own_way(ways, line_bytes):
     way = ways // 2
     tags, dirty, plru, _ = tag_state(cache)
     data = data_words(cache)
-    assert all(d == (1 << ways) - 1 for d in dirty)
-    evicted = sorted(
-        (addr, addr >> 3)
-        for s in range(cache.sets) for k in range(ways) for i in range(wpl)
-        for addr in (same_set_addr(cache, s, k, i),)
-        if probe(cache, addr) == (s, way)
-    )
-    assert len(evicted) == cache.sets * wpl
+    memory = memory_words(mem)
+    assert all(d == (1 << ways) - 1 for d in dirty) and cache.stats["write_backs"] == 0
 
     cache.configure_way(way, MODE_SPM)
 
@@ -375,7 +383,7 @@ def test_conversion_touches_only_its_own_way(ways, line_bytes):
             assert tag == -1 and words == (0,) * wpl
         else:
             assert tag == tags[slot] and words == data[slot * wpl:(slot + 1) * wpl]
-    assert list(memory_words(mem)) == evicted
+    assert memory_words(mem) == memory
     assert cache.stats["write_backs"] == cache.sets
 
 
@@ -432,7 +440,7 @@ def test_way_and_mode_arguments_validated():
 
 def spm_snapshot(cache, ways):
     return [
-        [spm_word(cache, w, s, i) for s in range(cache.sets) for i in range(cache.words_per_line)]
+        [spm_word(cache, w, s, i) for s in range(cache.sets) for i in range(cache.line_bytes // 8)]
         for w in ways
     ]
 
@@ -532,7 +540,7 @@ def assert_directory_matches_tags(cache, step):
     derived = frozenset(
         (tag * cache.sets + slot // cache.ways, slot) for slot, tag in enumerate(tags) if tag != -1
     )
-    assert cache.snapshot()[6] == derived, "step %d: line directory diverged from the tags" % step
+    assert cache.snapshot()[0] == derived, "step %d: line directory diverged from the tags" % step
 
 
 def run_against_oracle(ways, sets, line_bytes, ops, seed):
@@ -715,3 +723,35 @@ def test_replay_matches_one_step_per_read():
     covered = ("hits", "misses", "evictions", "write_backs", "fill_drops", "spm_accesses",
                "spm_misconfigs", "unmapped")
     assert [name for name in covered if not seen[name]] == []
+
+
+# -- sparse state ---------------------------------------------------------------------
+
+
+def test_no_state_scales_with_the_slots():
+    """At the most slots a cache may have (the largest array, the smallest
+    line), after fills, a dirty eviction, a conversion and a scratchpad
+    store, no snapshot element and no container the cache holds has
+    sets * ways entries: the per-set lists have `sets`, and the directory,
+    its inverse and the scratchpad words have one entry per line or word
+    actually held."""
+    ways, line_bytes = 8, WORD_BYTES
+    sets = MAX_ARRAY_BYTES // (ways * line_bytes)
+    check_geometry(ways, sets, line_bytes)
+    cache = Cache(Memory([(RAM_BASE, 16 << 20)]), ways=ways, sets=sets, line_bytes=line_bytes,
+                  spm_base=SPM_BASE)
+    slots = sets * ways
+    for k in range(ways + 1):  # one more line than set 3 has ways
+        cache.access(same_set_addr(cache, 3, k), "write", value=k + 1)
+    cache.access(same_set_addr(cache, 5, 0), "read")
+    cache.configure_way(1, MODE_SPM)
+    cache.access(SPM_BASE + cache.way_bytes, "write", value=9)
+    assert cache.stats["write_backs"] >= 1 and cache.stats["spm_accesses"] == 1
+    held = sum(tag != -1 for tag in tag_state(cache)[0])
+    assert 0 < held < ways + 2
+    for element in cache.snapshot():
+        if isinstance(element, (tuple, frozenset)):
+            assert len(element) in (sets, held, 1, len(cache.stats)), len(element)
+    for name, value in vars(cache).items():
+        if isinstance(value, (list, tuple, dict)):
+            assert len(value) < slots, name

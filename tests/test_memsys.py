@@ -36,7 +36,7 @@ VBASE = 0x40_0000
 
 
 def build_system(jitter=0, seed=0, **kw):
-    mem = Memory([(TABLE_BASE, 1 << 20), (DATA_BASE, 1 << 20)], 16)
+    mem = Memory([(TABLE_BASE, 1 << 20), (DATA_BASE, 1 << 20)])
     latency = LatencyConfig(jitter=jitter)
     rng = random.Random(seed) if jitter else None
     return MemorySystem.build(
@@ -140,7 +140,7 @@ def test_cold_two_stage_miss_prices_fifteen_fetches():
 def test_every_event_is_priced_from_the_latency_config():
     """Distinct non-default prices, so a component priced from the wrong
     entry (or from a default) shows up as a wrong number."""
-    mem = Memory([(TABLE_BASE, 1 << 20), (DATA_BASE, 1 << 20)], 16)
+    mem = Memory([(TABLE_BASE, 1 << 20), (DATA_BASE, 1 << 20)])
     latency = LatencyConfig(tlb_hit_cycles=2, cache_hit_cycles=3, spm_cycles=5, memory_cycles=50)
     sys_ = MemorySystem.build(MachineConfig(), mem, latency, dspm_base=DSPM_BASE)
     vm = single_stage_vm()
@@ -207,7 +207,7 @@ def test_warm_replay_serves_every_fetch_without_a_step():
     """Once a walk's lines are cached, refilling its page again replays
     all 15 two-stage fetches as hits inside Cache.replay: the step is never
     called, and the walk costs 15 cache hits."""
-    mem = Memory([(TABLE_BASE, 1 << 20), (DATA_BASE, 1 << 20)], 16)
+    mem = Memory([(TABLE_BASE, 1 << 20), (DATA_BASE, 1 << 20)])
     # The walk puts nine page-aligned lines in set 0: 16 ways hold them all.
     sys_ = MemorySystem.build(MachineConfig(ways=16), mem, LatencyConfig(cache_hit_cycles=3))
     vm, vaddr = scattered_two_stage()
@@ -430,7 +430,7 @@ def test_jitter_requires_a_generator():
     with pytest.raises(ValueError):
         MemorySystem.build(
             MachineConfig(),
-            Memory([(DATA_BASE, 1 << 20)], 16),
+            Memory([(DATA_BASE, 1 << 20)]),
             LatencyConfig(jitter=3),
             rng=None,
         )
@@ -629,7 +629,7 @@ def test_build_takes_its_shape_from_the_machine_config():
     machine = MachineConfig(
         entries=8, partitions=4, lock_slots=3, ways=4, icache_sets=16, dcache_sets=32, line_bytes=32
     )
-    sys_ = MemorySystem.build(machine, Memory([(DATA_BASE, 1 << 20)], 32), dspm_base=DSPM_BASE)
+    sys_ = MemorySystem.build(machine, Memory([(DATA_BASE, 1 << 20)]), dspm_base=DSPM_BASE)
     assert sys_.csr.width == 4
     for tlb in (sys_.itlb, sys_.dtlb):
         assert len(tlb.entries) == 8 and len(tlb.slots) == 3

@@ -15,6 +15,14 @@ outcome field must match, and so must both TLBs, both caches, backing
 memory and the jitter generator, every few hundred steps and at the end.
 MemorySystem.run_loop, the lean interference path, must match the same
 reference run as a loop of accesses.
+
+The simulator keeps one word store, so a D-side store is seen by every
+reader at once; the reference gives each cache its own copy of a line
+and writes it back on eviction.  Both agree on every D-side value.  An
+ifetch, whose I-side copy the reference may hold stale, is compared with
+the word the reference's one store would hold (coherent_word), and the
+memory and held lines with the reference's memory overlaid by its dirty
+lines (coherent_words).
 """
 
 import dataclasses
@@ -139,7 +147,7 @@ def tlb_ref_view(ref):
 def cache_view(cache):
     tags, dirty, plru, locked = tag_state(cache)
     data = data_words(cache)
-    wpl = cache.words_per_line
+    wpl = cache.line_bytes // 8
     lines = {}
     for s in range(cache.sets):
         for w in range(cache.ways):
@@ -161,11 +169,54 @@ def cache_view(cache):
     return lines, spm, bits, dict(cache.stats)
 
 
-def cache_ref_view(ref):
+def line_base(cache, set_idx, tag):
+    return (tag * cache.sets + set_idx) * cache.line_bytes
+
+
+def coherent_words(ref):
+    """The reference's memory overlaid by every dirty line of its caches:
+    the words one word store holds."""
+    words = dict(ref.mem)
+    for cache in (ref.icache, ref.dcache):
+        for s, slots in enumerate(cache.slots):
+            for tag, line, dirty in slots.values():
+                if dirty:
+                    base = line_base(cache, s, tag)
+                    words.update((base + 8 * i, word) for i, word in enumerate(line))
+    return words
+
+
+def coherent_word(ref, paddr):
+    """The word at paddr in one word store: the reference D-cache's copy
+    if it holds the line (only D-side lines are ever written), else the
+    reference memory's."""
+    cache, paddr = ref.dcache, paddr & ~7
+    set_idx = paddr // cache.line_bytes % cache.sets
+    for tag, line, _ in cache.slots[set_idx].values():
+        if line_base(cache, set_idx, tag) == paddr & -cache.line_bytes:
+            return line[paddr % cache.line_bytes // 8]
+    return ref.mem.get(paddr, 0)
+
+
+def coherent_access(ref, vm, vaddr, kind, value):
+    """(ref.access's fields, stale): a cached ifetch's value is replaced
+    by coherent_word, and `stale` says whether the reference read another
+    word."""
+    want = ref.access(vm, vaddr, kind, value)
+    if kind != "ifetch" or want[7] not in ("hit", "miss"):
+        return want, False
+    coherent = coherent_word(ref, want[11])
+    return want[:10] + (coherent,) + want[11:], coherent != want[10]
+
+
+def cache_ref_view(ref, words):
+    """cache_view of a CacheRef, each held line's words read from
+    `words`."""
     lines = {
-        (s, w): (slot[0], list(slot[1]), slot[2])
+        (s, w): (tag, [words.get(line_base(ref, s, tag) + 8 * i, 0)
+                       for i in range(ref.words_per_line)], dirty)
         for s, slots in enumerate(ref.slots)
-        for w, slot in slots.items()
+        for w, (tag, _, dirty) in slots.items()
     }
     spm = {w: {key: v for key, v in store.items() if v} for w, store in ref.spm.items()}
     return lines, spm, [tuple(b) for b in ref.bits], dict(ref.stats)
@@ -174,11 +225,11 @@ def cache_ref_view(ref):
 def assert_same_state(sys_, ref, where):
     for side in ("itlb", "dtlb"):
         assert tlb_view(getattr(sys_, side)) == tlb_ref_view(getattr(ref, side)), (where, side)
+    words = coherent_words(ref)
     for side in ("icache", "dcache"):
-        assert cache_view(getattr(sys_, side)) == cache_ref_view(getattr(ref, side)), (where, side)
-    assert dict(memory_words(sys_.memory)) == {
-        a: v for a, v in ref.mem.items() if v
-    }, where
+        assert cache_view(getattr(sys_, side)) == cache_ref_view(getattr(ref, side), words), (
+            where, side)
+    assert dict(memory_words(sys_.memory)) == {a: v for a, v in words.items() if v}, where
     assert (sys_.rng is None) == (ref.rng is None)
     if sys_.rng is not None:
         assert sys_.rng.getstate() == ref.rng.getstate(), where
@@ -189,7 +240,7 @@ def make_system(seed, jitter):
     latency = LatencyConfig(
         tlb_hit_cycles=2, cache_hit_cycles=3, spm_cycles=5, memory_cycles=40, jitter=jitter
     )
-    memory = Memory([(TABLE_BASE, 1 << 20), (DATA_BASE, 16 << 20)], GEOMETRY["line_bytes"])
+    memory = Memory([(TABLE_BASE, 1 << 20), (DATA_BASE, 16 << 20)])
     return MemorySystem.build(
         MachineConfig(**GEOMETRY), memory, latency, ispm_base=ISPM_BASE, dspm_base=DSPM_BASE,
         rng=random.Random(seed) if jitter else None,
@@ -292,7 +343,7 @@ def test_virtual_access_matches_reference_pipeline(seed, jitter):
     program = Program(rng, sys_, ref)
     seen = dict.fromkeys(
         ("lock_hit", "tlb_drop", "fault", "non-canonical", "hit", "write_hit", "miss", "spm",
-         "spm-misconfig", "cache_drop", "two_stage_walk", "superpage_fill"),
+         "spm-misconfig", "cache_drop", "two_stage_walk", "superpage_fill", "stale_ifetch"),
         0,
     )
     for step in range(3000):
@@ -302,9 +353,10 @@ def test_virtual_access_matches_reference_pipeline(seed, jitter):
         drops = sys_.dtlb.dropped_fills + sys_.itlb.dropped_fills
         cache_drops = sys_.icache.stats["fill_drops"] + sys_.dcache.stats["fill_drops"]
         got = dataclasses.astuple(sys_.virtual_access(vaddr, kind, vm, value))
-        want = ref.access(vm, vaddr, kind, value)
+        want, stale = coherent_access(ref, vm, vaddr, kind, value)
         assert got == want, "step %d: %s 0x%x" % (step, kind, vaddr)
         seen["lock_hit"] += got[5]
+        seen["stale_ifetch"] += stale
         seen["tlb_drop"] += sys_.dtlb.dropped_fills + sys_.itlb.dropped_fills > drops
         seen["cache_drop"] += (
             sys_.icache.stats["fill_drops"] + sys_.dcache.stats["fill_drops"] > cache_drops
@@ -354,7 +406,7 @@ def test_run_loop_matches_reference_pipeline(seed, jitter):
             if not program.step():
                 vm, vaddr, kind, value = program.access()
                 assert dataclasses.astuple(sys_.virtual_access(vaddr, kind, vm, value)) == (
-                    ref.access(vm, vaddr, kind, value)
+                    coherent_access(ref, vm, vaddr, kind, value)[0]
                 )
         vm, base, span, kinds = rng.choice(program.pools)
         loop = InterferenceLoop(

@@ -28,7 +28,7 @@ RX = PTE_R | PTE_X | PTE_A | PTE_D
 
 def build_vm(pages=8, latency=None):
     """Single-stage VM with `pages` data pages and 2 code pages mapped."""
-    memory = Memory([(TABLE_BASE, 1 << 20), (DATA_BASE, 1 << 20)], 16)
+    memory = Memory([(TABLE_BASE, 1 << 20), (DATA_BASE, 1 << 20)])
     sys = MemorySystem.build(MachineConfig(), memory, latency or LatencyConfig())
     space = AddressSpace(root_ppn=TABLE_BASE >> 12)
     for i in range(pages):
