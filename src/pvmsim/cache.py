@@ -88,6 +88,8 @@ EVENT_SPM_MISCONFIG = "spm-misconfig"
 MAX_WAYS = 4096
 MAX_LINE_BYTES = 4096
 MAX_ARRAY_BYTES = 1 << 22
+
+
 def check_geometry(ways, sets, line_bytes, sets_name="sets"):
     """Raise ValueError unless a Cache of this shape can be built (each
     set is a tree-PLRU over its ways)."""

@@ -44,11 +44,11 @@ between fetches, so the generator sees the same draws in the same order.
 
 The optional jitter models memory-controller noise: a miss (a refill or
 a fill-drop, the only events that model a trip to backing memory) adds a
-uniform draw from [-j, +j].  Hits, SPM accesses and lock-slot translations never
-consult the generator, so a fully locked, SPM-resident access path stays
-cycle-constant even with jitter enabled; hypervisor.run_iteration draws
-the records of a plan whose measured phase takes only that path, as
-guaranteed_counts shows it.  Because each miss is exactly one
+uniform draw from [-j, +j].  Hits, SPM accesses and lock-slot
+translations never consult the generator, so a fully locked,
+SPM-resident access path stays cycle-constant even with jitter
+enabled; hypervisor.run_iteration draws the records of a plan whose
+measured phase takes only that path, as guaranteed_counts shows it.  Because each miss is exactly one
 draw, restore() draws once per miss its snapshot's caches count: the
 restored machine and generator stand where a machine built with that
 generator stood on reaching the snapshot.  restore draws through

@@ -751,6 +751,8 @@ def test_no_state_scales_with_the_slots():
     assert 0 < held < ways + 2
     for element in cache.snapshot():
         if isinstance(element, (tuple, frozenset)):
+            # A per-set list, or one entry per held line, scratchpad way
+            # or statistic.
             assert len(element) in (sets, held, 1, len(cache.stats)), len(element)
     for name, value in vars(cache).items():
         if isinstance(value, (list, tuple, dict)):

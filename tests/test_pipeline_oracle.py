@@ -18,11 +18,11 @@ reference run as a loop of accesses.
 
 The simulator keeps one word store, so a D-side store is seen by every
 reader at once; the reference gives each cache its own copy of a line
-and writes it back on eviction.  Both agree on every D-side value.  An
-ifetch, whose I-side copy the reference may hold stale, is compared with
-the word the reference's one store would hold (coherent_word), and the
-memory and held lines with the reference's memory overlaid by its dirty
-lines (coherent_words).
+and writes it back on eviction.  Both agree on every D-side value.  The
+reference's I-side copy may be stale, so an ifetch's value is compared
+with the words one store would hold: the reference's memory overlaid by
+its caches' dirty lines (coherent_words).  So are backing memory and the
+words of every held line.
 """
 
 import dataclasses
@@ -186,26 +186,14 @@ def coherent_words(ref):
     return words
 
 
-def coherent_word(ref, paddr):
-    """The word at paddr in one word store: the reference D-cache's copy
-    if it holds the line (only D-side lines are ever written), else the
-    reference memory's."""
-    cache, paddr = ref.dcache, paddr & ~7
-    set_idx = paddr // cache.line_bytes % cache.sets
-    for tag, line, _ in cache.slots[set_idx].values():
-        if line_base(cache, set_idx, tag) == paddr & -cache.line_bytes:
-            return line[paddr % cache.line_bytes // 8]
-    return ref.mem.get(paddr, 0)
-
-
 def coherent_access(ref, vm, vaddr, kind, value):
     """(ref.access's fields, stale): a cached ifetch's value is replaced
-    by coherent_word, and `stale` says whether the reference read another
-    word."""
+    by the word coherent_words holds, and `stale` says whether the
+    reference read another word."""
     want = ref.access(vm, vaddr, kind, value)
     if kind != "ifetch" or want[7] not in ("hit", "miss"):
         return want, False
-    coherent = coherent_word(ref, want[11])
+    coherent = coherent_words(ref).get(want[11] & ~7, 0)
     return want[:10] + (coherent,) + want[11:], coherent != want[10]
 
 
