@@ -6,7 +6,7 @@ Each cache way can be switched at run time between two modes:
             per-set tree-PLRU victim selection.
   SPM    -- the way is removed from the associativity (never chosen as a
             victim, its lines dropped) and is instead exposed as storage
-            of its own through a physical address window.
+            through a physical address window.
 
 The SPM window maps every way's storage contiguously, one way after the
 other::
@@ -29,30 +29,32 @@ misconfiguration: writes are silently dropped and reads return dummy
 zeros, reported as their own event so the pipeline can price them like
 any SPM access and never stall on the mistake.
 
-An access reports its event (hit, miss, spm, spm-misconfig) and the
-value read; memsys.MemorySystem turns events into cycles.  Each cache
-has one access step, ``Cache.step``, built over the state below and the
-memory's word store: it serves a hit, a window address and a whole miss
-(fill, eviction, write-back, fill-drop) in its own frame, window decode
-included.  ``access`` checks its arguments and wraps the step's event in
-a result (every write of one event shares one); ``MemorySystem`` calls
-the step directly for each touch of ``run_loop``.  A walk's fetches,
-decoded once by ``decode``, are read by one ``replay``: it serves a hit
-in its own loop (a PLRU touch and a count) and hands every other fetch
-to the step.
+An access reports its event (hit, miss, spm, spm-misconfig);
+memsys.MemorySystem turns events into cycles.  Each cache has one access
+step, ``Cache.step``, built over the state below and the memory's word
+store: it serves a hit, a window address and a whole miss (fill,
+eviction, write-back, fill-drop) in its own frame, window decode
+included, stores a write's word and fetches no value.  ``access`` checks
+its arguments and wraps the step's event in a result, reading a read's
+value after the step (every write of one event shares one result);
+``MemorySystem`` calls the step directly for each touch of ``run_loop``.
+A walk's fetches, decoded once by ``decode``, are read by one
+``replay``: it serves a hit in its own loop (a PLRU touch and a count)
+and hands every other fetch to the step.
 
 Accesses are 64-bit words, the unit of page-table entries and workload
 loads and stores.  No event and no cycle depends on a value, so values
-stay off the timing path: every word outside the scratchpads lives in
-the memory's one word store, which a cache-mode hit or miss reads and
-every store writes.  A fill copies nothing and a write-back only counts;
+stay off the timing path: every word lives in the memory's one word
+store, a scratchpad way's words at their window addresses, and every
+store writes there.  A fill copies nothing and a write-back only counts;
 a store is visible to every reader at once, the other cache included.
-Each scratchpad way keeps its own words, and conversion to SPM zeroes
-them.
+A way drops its window words whenever it changes mode, so a newly
+converted way reads zeros.
 
-The state is sparse and scales with the lines held: a line directory,
-``{line number: slot}`` over every slot ``set * ways + way`` that holds
-a line, finds a hit with one dict lookup, and its inverse ``{slot: line
+A cache's state is its tags, replacement bits, way modes and statistics,
+sparse and scaling with the lines held: a line directory, ``{line
+number: slot}`` over every slot ``set * ways + way`` that holds a line,
+finds a hit with one dict lookup, and its inverse ``{slot: line
 number}`` names a victim's line.  A fill adds its line and drops its
 victim's, and conversion to SPM drops the way's lines.  Each set keeps a
 dirty bitmap over its ways and its tree-PLRU node bits packed into one
@@ -107,13 +109,17 @@ def check_geometry(ways, sets, line_bytes, sets_name="sets"):
 def check_spm_window(base, size, memory, name="SPM window"):
     """Raise ValueError unless the scratchpad window of a `size`-byte data
     array can sit at `base`: aligned to the array size, and clear of every
-    region of `memory`."""
+    region of `memory` and of every window recorded on it.  Then record
+    the window on `memory`, whose word store holds the window's words."""
     if base % size:
         raise ValueError(
             "%s base 0x%x must be aligned to the array size 0x%x" % (name, base, size)
         )
     if memory.overlaps(base, size):
         raise ValueError("%s overlaps a backing-memory region" % name)
+    if any(lo < base + size and base < hi for lo, hi in memory._windows):
+        raise ValueError("%s overlaps another scratchpad window on its memory" % name)
+    memory._windows.append((base, base + size))
 
 
 class UnmappedAddress(ValueError):
@@ -127,13 +133,15 @@ class Memory:
     outside all regions raises :class:`UnmappedAddress`, a configuration
     mistake rather than a modeled hardware fault.
 
-    Every word lives in one dict keyed by its address.  The caches that
-    share the memory read and write that dict in their steps, so the
+    Every word lives in one dict keyed by its address: a region's words,
+    and each scratchpad way's words at their window addresses.  The caches
+    that share the memory read and write that dict in their steps, so the
     memory keeps it for its whole life: ``restore`` refills it in place.
     """
 
     def __init__(self, regions):
         self._regions = []
+        self._windows = []  # (lo, hi) of each cache's window: see check_spm_window
         self._words = {}  # word address -> word; never rebound
         for base, size in regions:
             self.add_region(base, size)
@@ -161,7 +169,8 @@ class Memory:
         self._words[addr] = value & _WORD_MASK
 
     def snapshot(self):
-        return tuple(self._words.items())
+        """The words as a frozenset of (address, word) pairs: write order does not show."""
+        return frozenset(self._words.items())
 
     def restore(self, state):
         self._words.clear()
@@ -169,8 +178,8 @@ class Memory:
 
 
 class AccessResult(NamedTuple):
-    """Outcome of one cache access: its event and the value read (None for
-    a write; a misconfigured-window read returns a dummy 0)."""
+    """Outcome of one cache access: its event and the word store's value
+    (None for a write; a misconfigured-window read returns a dummy 0)."""
 
     event: str
     value: int = None
@@ -200,15 +209,7 @@ class Cache:
     snapshot() and bring it back with restore() instead.
     """
 
-    def __init__(
-        self,
-        memory,
-        *,
-        ways,
-        sets,
-        line_bytes,
-        spm_base=None,
-    ):
+    def __init__(self, memory, *, ways, sets, line_bytes, spm_base):
         check_geometry(ways, sets, line_bytes)
         self.memory = memory
         self.ways = ways
@@ -216,8 +217,7 @@ class Cache:
         self.line_bytes = line_bytes
         self.way_bytes = sets * line_bytes
         self.size = ways * self.way_bytes
-        if spm_base is not None:
-            check_spm_window(spm_base, self.size, memory)
+        check_spm_window(spm_base, self.size, memory)
         self.spm_base = spm_base
         self._line_shift = line_bytes.bit_length() - 1
         self._set_mask = sets - 1
@@ -225,14 +225,12 @@ class Cache:
         self._lines = {}  # slot -> line number: the directory's inverse
         self._dirty = [0] * sets  # bitmap over ways, per set
         self._plru = [0] * sets  # packed tree-PLRU node bits, per set
-        self._spm = {}  # SPM way -> {window address: word}, its own storage
         # Each way is its own partition, so SPM conversion is a lock on
         # that way in every set: one mask for the whole cache.
         self._and, self._or = touch_masks(ways)
         self._all_ways_mask = (1 << ways) - 1
         self._set_locked(0)
         self.stats = dict.fromkeys(_STATS, 0)
-        self._read = [None]  # the word the last read step returned
         self.step, self.replay = self._access_step()
 
     def __deepcopy__(self, memo):
@@ -249,10 +247,11 @@ class Cache:
 
         CACHE -> SPM: dirty lines in the way are written back (their words
         are already in memory, so this only counts them and clears their
-        dirty bits), its lines leave the directory, the way is locked
-        against replacement, and it gets zeroed storage for its new life
-        as scratchpad.  SPM -> CACHE: the way is unlocked and its storage
-        dropped; it holds no line until a fill picks it.
+        dirty bits), its lines leave the directory and the way is locked
+        against replacement.  SPM -> CACHE: the way is unlocked; it holds
+        no line until a fill picks it.  Either way the memory drops the
+        way's window words, found by a scan of the words it holds, so a
+        newly converted way reads zeros.
         """
         if not 0 <= way < self.ways:
             raise ValueError("way index %r out of range [0, %d)" % (way, self.ways))
@@ -269,16 +268,19 @@ class Cache:
                         self._dirty[set_idx] ^= bit
                         self.stats["write_backs"] += 1
                     del self._lines[slot], self._where[line]
-            self._spm[way] = {}
             self._set_locked(self._locked | bit)
         else:
-            del self._spm[way]
             self._set_locked(self._locked & ~bit)
+        lo, words = self.spm_base + way * self.way_bytes, self.memory._words
+        for addr in [addr for addr in words if lo <= addr < lo + self.way_bytes]:
+            del words[addr]
 
     # -- the access path ------------------------------------------------------
 
     def access(self, paddr, kind="read", value=None):
-        """Perform one 64-bit access; paddr is word-aligned internally."""
+        """Perform one 64-bit access; paddr is word-aligned internally.  A
+        read's value is the word store's, read after the step: 0 on a
+        misconfigured window slice, whose way holds no window word."""
         if kind == "write":
             if value is None:
                 raise ValueError("write access needs a value")
@@ -286,7 +288,7 @@ class Cache:
         if kind != "read" and kind != "ifetch":
             raise ValueError("kind must be read/write/ifetch, got %r" % (kind,))
         event = self.step(paddr, None)
-        return _new_result(AccessResult, (event, self._read[0]))
+        return _new_result(AccessResult, (event, self.memory._words.get(paddr & -WORD_BYTES, 0)))
 
     def decode(self, paddrs):
         """The reads at `paddrs` as the (line, set, paddr) triples replay()
@@ -297,39 +299,33 @@ class Cache:
     def _access_step(self):
         """Build ``step(paddr, value) -> event``, the one access path:
         `value` is the word a write stores and None for a read (a store of
-        0 is a write); a read leaves its word in ``_read[0]``.  Beside it,
-        ``replay(fetches) -> events`` reads decode()'s triples in order and
-        returns the events of those that did not hit, in order.  The step
-        holds this cache's dicts, lists, ``stats`` and the memory's regions
-        and word store in its own frame, so those are only ever changed in
-        place; configure_way and restore rebind the victim table, so it is
-        read off the cache at each use."""
+        0 is a write); a read fetches no value.  Beside it, ``replay(fetches)
+        -> events`` reads decode()'s triples in order and returns the events
+        of those that did not hit, in order.  The step holds this cache's
+        dicts, lists, ``stats`` and the memory's regions and word store in
+        its own frame, so those are only ever changed in place;
+        configure_way and restore rebind the locked-ways mask and the
+        victim table, so both are read off the cache at each use."""
         ways, line_bytes, line_shift = self.ways, self.line_bytes, self._line_shift
         set_mask, way_shift = self._set_mask, self.way_bytes.bit_length() - 1
         way_mask, align = ways - 1, -WORD_BYTES
-        where, lines, plru, dirty, spm = self._where, self._lines, self._plru, self._dirty, self._spm
-        and_, or_, stats, read = self._and, self._or, self.stats, self._read
+        where, lines, plru, dirty = self._where, self._lines, self._plru, self._dirty
+        and_, or_, stats = self._and, self._or, self.stats
         regions, words = self.memory._regions, self.memory._words
-        # Without a window, an empty range that no address falls in.
-        spm_lo = 0 if self.spm_base is None else self.spm_base
-        spm_hi = spm_lo if self.spm_base is None else spm_lo + self.size
+        spm_lo, spm_hi = self.spm_base, self.spm_base + self.size
 
         def step(paddr, value):
             paddr &= align
             if spm_lo <= paddr < spm_hi:
-                store = spm.get(paddr - spm_lo >> way_shift)
-                if store is None:
+                if not self._locked >> (paddr - spm_lo >> way_shift) & 1:
                     # The window slice exists but its way was never
                     # converted: behave like a black hole instead of
                     # stalling the core.
                     stats["spm_misconfigs"] += 1
-                    read[0] = 0
                     return EVENT_SPM_MISCONFIG
                 stats["spm_accesses"] += 1
                 if value is not None:
-                    store[paddr] = value & _WORD_MASK
-                else:
-                    read[0] = store.get(paddr, 0)
+                    words[paddr] = value & _WORD_MASK
                 return EVENT_SPM
             line = paddr >> line_shift
             set_idx = line & set_mask
@@ -341,8 +337,6 @@ class Cache:
                 if value is not None:
                     words[paddr] = value & _WORD_MASK
                     dirty[set_idx] |= 1 << way
-                else:
-                    read[0] = words.get(paddr, 0)
                 return EVENT_HIT
             # The mapping check: a line that no one region holds whole
             # raises before any line, dirty bit, PLRU bit, statistic or
@@ -378,8 +372,6 @@ class Cache:
                     dirty[set_idx] |= bit
             if value is not None:
                 words[paddr] = value & _WORD_MASK
-            else:
-                read[0] = words.get(paddr, 0)
             return EVENT_MISS
 
         def replay(fetches):
@@ -406,27 +398,23 @@ class Cache:
 
     def snapshot(self):
         """Every piece of mutable state -- the line directory and its
-        inverse, dirty bitmaps, PLRU bits, the locked-ways mask, the
-        scratchpad words and the statistics -- as immutable copies for
-        restore().  The directory, its inverse and each scratchpad way's
-        words are frozensets, so two snapshots of the same state are equal
-        whatever order it was reached in."""
+        inverse, dirty bitmaps, PLRU bits, the locked-ways mask and the
+        statistics -- as immutable copies for restore().  It holds no word:
+        scratchpad words are in the memory's snapshot.  The directory and
+        its inverse are frozensets, so two snapshots of the same state are
+        equal whatever order it was reached in."""
         return (frozenset(self._where.items()), frozenset(self._lines.items()),
                 tuple(self._dirty), tuple(self._plru), self._locked,
-                frozenset((way, frozenset(store.items())) for way, store in self._spm.items()),
                 tuple(self.stats.items()))
 
     def restore(self, state):
         """Return to a snapshot() of this cache, copying it in place."""
-        where, lines, dirty, plru, locked, spm, stats = state
+        where, lines, dirty, plru, locked, stats = state
         self._where.clear()
         self._where.update(where)
         self._lines.clear()
         self._lines.update(lines)
         self._dirty[:] = dirty
         self._plru[:] = plru
-        self._spm.clear()
-        for way, store in spm:
-            self._spm[way] = dict(store)
         self._set_locked(locked)
         self.stats.update(stats)

@@ -159,7 +159,8 @@ def main(argv=None):
     p_run.add_argument(
         "--iterations", type=int, default=None, help="override every scenario's iteration count"
     )
-    p_run.add_argument("--workers", type=int, default=1, help="worker processes (default: 1)")
+    p_run.add_argument("--workers", type=int, default=1,
+                       help="worker processes, at most one per CPU (default: 1)")
     p_run.add_argument(
         "--scenario",
         action="append",

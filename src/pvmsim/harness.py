@@ -8,11 +8,13 @@ wall-clock speed, is the contract the parallel mode must keep.
 Every selected scenario's plan is built in this process before the first
 iteration, so a scenario that cannot be realized (a lock-slot or
 scratchpad overflow) fails before any work is done.  With workers > 1 the
-experiment opens one process pool.  Each scenario of at least 2 * workers
-iterations is cut into contiguous iteration ranges of ceil(iterations /
-workers), one per worker, and every range of every scenario is submitted
-up front with a pickled copy of its plan, so a worker builds each set-up
-machine once per range (a built machine cannot be pickled: see Cache).
+experiment opens one process pool of at most one process per CPU, as a
+forking pool starts all its processes at the first submit.  Each
+scenario of at least 2 * workers iterations is cut into contiguous
+iteration ranges of ceil(iterations / workers), one per worker, and
+every range of every scenario is submitted up front with a pickled copy
+of its plan, so a worker builds each set-up machine once per range (a
+built machine cannot be pickled: see Cache).
 Smaller scenarios run in this process.  Results are collected in
 submission order; because every iteration reseeds from (master seed,
 iteration index), any split yields the same records.
@@ -71,7 +73,8 @@ def run_experiment(config, workers=1, log=None):
         context = multiprocessing.get_context("fork")
     pool = None
     if jobs:
-        pool = concurrent.futures.ProcessPoolExecutor(min(workers, jobs), mp_context=context)
+        size = min(workers, jobs, os.cpu_count() or 1)
+        pool = concurrent.futures.ProcessPoolExecutor(size, mp_context=context)
     results = {}
     try:
         futures = {

@@ -14,8 +14,10 @@ One MemorySystem models the memory side of a single hart::
                     '----- shared backing memory
 
 Backing memory is one word store that both caches read and write, so a
-store is seen by both sides at once, before any write-back.  No cycle
-depends on a value: events alone are priced.
+store is seen by both sides at once, before any write-back.  It holds
+the scratchpad words too, each at its window address, and the two
+windows may not overlap.  No cycle depends on a value: events alone are
+priced.
 
 This is the only module that knows a price.  TLB lookups, cache
 accesses and walks report what happened; one table built from
@@ -233,9 +235,10 @@ class MemorySystem:
         self._walks = {}
 
     @classmethod
-    def build(cls, machine, memory, latency=None, *, ispm_base=None, dspm_base=None, rng=None):
+    def build(cls, machine, memory, latency=None, *, ispm_base, dspm_base, rng=None):
         """Convenience constructor: two TLBs sharing one CSR file and two
-        caches sharing `memory`, all of `machine`'s shape."""
+        caches sharing `memory`, all of `machine`'s shape, with their
+        scratchpad windows at `ispm_base` and `dspm_base`."""
         csr = PartitionCsrFile(machine.partitions)
         itlb, dtlb = (
             Tlb(csr, entries=machine.entries, partition_count=machine.partitions,
@@ -396,8 +399,9 @@ class MemorySystem:
 
     def snapshot(self):
         """The machine state -- both TLBs, both caches, the partition CSRs
-        and the backing memory's word store, which the caches share -- as
-        immutable copies for restore()."""
+        and the backing memory's word store, which the caches share and
+        which holds their scratchpad words -- as immutable copies for
+        restore()."""
         csr = self.csr
         return (
             self.itlb.snapshot(),

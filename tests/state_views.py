@@ -1,20 +1,19 @@
 """A cache's and a memory's state, read through their snapshot() and the
-cache's public geometry (ways, sets, line_bytes, way_bytes, spm_base):
-the same state the simulator saves and restores, seen without reaching
-into how it is stored.
+cache's public geometry (ways, sets, line_bytes, way_bytes, size,
+spm_base): the same state the simulator saves and restores, seen without
+reaching into how it is stored.
 
-A cache snapshot is (where, lines, dirty, plru, locked, spm, stats):
-``where`` is the line directory, a frozenset of (line number, slot)
-pairs, one per slot ``set * ways + way`` that holds a line, and
-``lines`` is its inverse, the (slot, line number) pairs; each set has a
-dirty bitmap over its ways and packed PLRU node bits; ``locked`` has a
-bit set for each scratchpad way; ``spm`` pairs each scratchpad way with
-the frozenset of its (window address, word) pairs.  A cache holds no
-data words outside its scratchpad ways: a held line's words are in the
-memory the cache shares, whose snapshot is its (word address, word)
-pairs.  The views below rebuild the per-slot form: a tag per slot (-1
-for a slot that holds no line, else line number // sets) and each
-slot's line words.
+A cache snapshot is (where, lines, dirty, plru, locked, stats): ``where``
+is the line directory, a frozenset of (line number, slot) pairs, one per
+slot ``set * ways + way`` that holds a line, and ``lines`` is its
+inverse, the (slot, line number) pairs; each set has a dirty bitmap over
+its ways and packed PLRU node bits; ``locked`` has a bit set for each
+scratchpad way.  A cache holds no data word: a held line's words and a
+scratchpad way's words, the latter at their window addresses, are in
+the memory the cache shares, whose snapshot is a frozenset of its (word
+address, word) pairs.  The views below rebuild the per-slot form: a tag
+per slot (-1 for a slot that holds no line, else line number // sets)
+and each slot's line words.
 """
 
 from pvmsim.cache import MODE_CACHE, MODE_SPM, WORD_BYTES
@@ -23,7 +22,7 @@ from pvmsim.cache import MODE_CACHE, MODE_SPM, WORD_BYTES
 def tag_state(cache):
     """(tags, dirty bitmaps, PLRU bits, locked-ways mask), for before and
     after comparisons."""
-    _, lines, dirty, plru, locked, _, _ = cache.snapshot()
+    _, lines, dirty, plru, locked, _ = cache.snapshot()
     tags = [-1] * (cache.sets * cache.ways)
     for slot, line in lines:
         tags[slot] = line // cache.sets
@@ -32,9 +31,9 @@ def tag_state(cache):
 
 def data_words(cache):
     """Every slot's line words, slot by slot, scratchpad ways included: a
-    held line's words as its memory holds them, a scratchpad way's own
-    words, and zeros elsewhere."""
-    _, lines, _, _, _, spm, _ = cache.snapshot()
+    held line's words and a scratchpad way's window words as its memory
+    holds them, and zeros elsewhere."""
+    _, lines, _, _, locked, _ = cache.snapshot()
     wpl = cache.line_bytes // WORD_BYTES
     memory = dict(cache.memory.snapshot())
     data = [0] * (cache.sets * cache.ways * wpl)
@@ -42,11 +41,12 @@ def data_words(cache):
         base = line * cache.line_bytes
         data[slot * wpl:(slot + 1) * wpl] = [memory.get(base + i * WORD_BYTES, 0)
                                              for i in range(wpl)]
-    for way, words in spm:
-        for addr, word in words:
-            set_idx, offset = divmod(addr - cache.spm_base - way * cache.way_bytes,
-                                     cache.line_bytes)
-            data[(set_idx * cache.ways + way) * wpl + offset // WORD_BYTES] = word
+    for addr, word in memory.items():
+        offset = addr - cache.spm_base
+        if 0 <= offset < cache.size and locked >> offset // cache.way_bytes & 1:
+            way, rest = divmod(offset, cache.way_bytes)
+            set_idx, byte = divmod(rest, cache.line_bytes)
+            data[(set_idx * cache.ways + way) * wpl + byte // WORD_BYTES] = word
     return tuple(data)
 
 
@@ -63,13 +63,16 @@ def probe(cache, paddr):
 
 
 def spm_word(cache, way, set_idx, word):
-    """One word of a scratchpad way's storage, read without an access."""
-    _, _, _, _, locked, spm, _ = cache.snapshot()
-    assert locked >> way & 1, "way %d is not in SPM mode" % way
+    """One word of a scratchpad way's storage, read from its memory's
+    snapshot without an access."""
+    assert cache.snapshot()[4] >> way & 1, "way %d is not in SPM mode" % way
     addr = cache.spm_base + way * cache.way_bytes + set_idx * cache.line_bytes + word * WORD_BYTES
-    return dict(dict(spm)[way]).get(addr, 0)
+    return dict(cache.memory.snapshot()).get(addr, 0)
 
 
 def memory_words(memory):
-    """Every non-zero word of `memory` as sorted (address, word) pairs."""
-    return tuple(sorted((addr, word) for addr, word in memory.snapshot() if word))
+    """Every non-zero word inside `memory`'s regions as sorted (address,
+    word) pairs; scratchpad words, which live outside every region, are
+    left out."""
+    return tuple(sorted((addr, word) for addr, word in memory.snapshot()
+                        if word and memory.overlaps(addr, WORD_BYTES)))

@@ -423,7 +423,7 @@ def test_criterion_08_scratchpad_semantics():
     latency = LatencyConfig(spm_cycles=2, jitter=3)
     sys_ = MemorySystem.build(
         MachineConfig(ways=4, icache_sets=8, dcache_sets=8), Memory([(RAM_BASE, 1 << 20)]),
-        latency, dspm_base=SPM_BASE, rng=random.Random(0xACC8 + 3),
+        latency, ispm_base=2 * SPM_BASE, dspm_base=SPM_BASE, rng=random.Random(0xACC8 + 3),
     )
     cache = sys_.dcache
     cache.configure_way(1, MODE_SPM)

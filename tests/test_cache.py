@@ -32,17 +32,9 @@ RAM_SIZE = 1 << 20
 SPM_BASE = 0x1000_0000  # aligned to any power-of-two array size used here
 
 
-def make_cache(ways=4, sets=8, line_bytes=16, window=True, **kw):
+def make_cache(ways=4, sets=8, line_bytes=16):
     mem = Memory([(RAM_BASE, RAM_SIZE)])
-    cache = Cache(
-        mem,
-        ways=ways,
-        sets=sets,
-        line_bytes=line_bytes,
-        spm_base=SPM_BASE if window else None,
-        **kw,
-    )
-    return cache, mem
+    return Cache(mem, ways=ways, sets=sets, line_bytes=line_bytes, spm_base=SPM_BASE), mem
 
 
 def same_set_addr(cache, set_idx, k, word=0):
@@ -56,13 +48,13 @@ def same_set_addr(cache, set_idx, k, word=0):
 def test_geometry_must_be_powers_of_two():
     mem = Memory([(RAM_BASE, RAM_SIZE)])
     with pytest.raises(ValueError):
-        Cache(mem, ways=3, sets=8, line_bytes=16)
+        Cache(mem, ways=3, sets=8, line_bytes=16, spm_base=SPM_BASE)
     with pytest.raises(ValueError):
-        Cache(mem, ways=4, sets=10, line_bytes=16)
+        Cache(mem, ways=4, sets=10, line_bytes=16, spm_base=SPM_BASE)
     with pytest.raises(ValueError):
-        Cache(mem, ways=4, sets=8, line_bytes=24)
+        Cache(mem, ways=4, sets=8, line_bytes=24, spm_base=SPM_BASE)
     with pytest.raises(ValueError):
-        Cache(mem, ways=4, sets=8, line_bytes=4)  # below word size
+        Cache(mem, ways=4, sets=8, line_bytes=4, spm_base=SPM_BASE)  # below word size
 
 
 def test_spm_base_must_be_size_aligned():
@@ -79,6 +71,20 @@ def test_spm_window_may_not_overlap_memory():
     # A region strictly inside the window holds neither of its ends.
     with pytest.raises(ValueError, match="overlaps a backing-memory region"):
         check_spm_window(0x1000_0000, 0x1000_0000, Memory([(0x1800_0000, 0x1000)]))
+
+
+def test_spm_windows_on_one_memory_may_not_overlap():
+    """Scratchpad words live in their memory's one word store, so two
+    caches on one memory with overlapping windows would share words: the
+    later cache is refused, and a refused window is not recorded."""
+    mem = Memory([(RAM_BASE, RAM_SIZE)])
+    Cache(mem, ways=4, sets=8, line_bytes=16, spm_base=SPM_BASE)  # a 512-byte window
+    message = "^SPM window overlaps another scratchpad window on its memory$"
+    for ways, sets, base in ((2, 8, SPM_BASE + 256), (4, 16, SPM_BASE), (4, 8, SPM_BASE)):
+        with pytest.raises(ValueError, match=message):
+            Cache(mem, ways=ways, sets=sets, line_bytes=16, spm_base=base)
+    Cache(mem, ways=4, sets=8, line_bytes=16, spm_base=SPM_BASE + 512)  # the next window
+    Cache(Memory([(RAM_BASE, RAM_SIZE)]), ways=4, sets=8, line_bytes=16, spm_base=SPM_BASE)
 
 
 def test_unmapped_address_is_a_configuration_error():
@@ -138,7 +144,7 @@ def test_memory_keeps_one_word_dict_for_life():
     reads the restored word, and its store lands where the memory's
     snapshot sees it."""
     mem = Memory([(RAM_BASE, RAM_SIZE)])
-    a = Cache(mem, ways=2, sets=4, line_bytes=16)
+    a = Cache(mem, ways=2, sets=4, line_bytes=16, spm_base=SPM_BASE)
     mem.write_word(RAM_BASE + 0x08, 1)
     state = mem.snapshot()
     mem.write_word(RAM_BASE + 0x08, 2)
@@ -195,8 +201,8 @@ def test_a_store_is_seen_by_the_other_cache_before_any_write_back():
     store, on a hit and on a miss, is read at once by Memory.read_word and
     by an I-side fetch, whether the I-cache already held the line or
     fills it now, while the D-side line stays dirty and unwritten-back."""
-    icache, mem = make_cache(window=False)
-    dcache = Cache(mem, ways=4, sets=8, line_bytes=16)
+    icache, mem = make_cache()
+    dcache = Cache(mem, ways=4, sets=8, line_bytes=16, spm_base=2 * SPM_BASE)
     held, cold = RAM_BASE + 0x40, RAM_BASE + 0x88
     mem.write_word(held, 1)
     assert icache.access(held, "ifetch").value == 1
@@ -395,12 +401,23 @@ def test_conversion_zeroes_spm_storage():
 
 
 def test_spm_cache_spm_round_trip_zeroes_contents():
-    cache, _ = make_cache()
+    """While a way is scratchpad its words are in the memory's word store;
+    back in cache mode none of its window words remain, another
+    scratchpad way's stay, and once converted again it reads zeros."""
+    cache, mem = make_cache()
     cache.configure_way(0, MODE_SPM)
-    cache.access(SPM_BASE + 0x18, "write", value=0xFEED)
+    cache.configure_way(2, MODE_SPM)
+    window = [SPM_BASE + off for off in range(0, cache.way_bytes, 8)]
+    for addr in window:
+        cache.access(addr, "write", value=addr >> 3)
+    other = (SPM_BASE + 2 * cache.way_bytes + 0x18, 0xFEED)
+    cache.access(other[0], "write", value=other[1])
+    assert mem.snapshot() == frozenset([(addr, addr >> 3) for addr in window] + [other])
     cache.configure_way(0, MODE_CACHE)
+    assert mem.snapshot() == frozenset([other])
     cache.configure_way(0, MODE_SPM)
-    assert cache.access(SPM_BASE + 0x18, "read").value == 0
+    assert [cache.access(addr, "read").value for addr in window] == [0] * len(window)
+    assert mem.snapshot() == frozenset([other])
 
 
 def test_reconfiguring_to_same_mode_is_a_no_op():
@@ -549,7 +566,7 @@ def run_against_oracle(ways, sets, line_bytes, ops, seed):
     drop their fills); now and then the cache, its memory and the
     reference are saved, and later put back.  The line directory is
     checked against the tags after every operation."""
-    cache, mem = make_cache(ways=ways, sets=sets, line_bytes=line_bytes, window=False)
+    cache, mem = make_cache(ways=ways, sets=sets, line_bytes=line_bytes)
     ref = CacheRef(ways, sets, line_bytes)
     rng = random.Random(seed)
     # Pool spanning 2x the cache so both conflict and capacity misses occur.
@@ -612,15 +629,20 @@ def test_random_trace_matches_textbook_plru_cache_wide():
 
 
 def test_snapshots_of_the_same_lines_are_equal_whatever_the_fill_order():
-    # The line directory is saved as a set of (line, slot) pairs, so the
-    # order two lines of different sets arrived in does not show.
-    first, _ = make_cache()
-    second, _ = make_cache()
+    # The line directory and the word store are saved as sets of pairs, so
+    # the order two lines of different sets arrived in, or two words were
+    # stored in, scratchpad words included, does not show.
+    first, first_mem = make_cache()
+    second, second_mem = make_cache()
+    first.configure_way(3, MODE_SPM)
+    second.configure_way(3, MODE_SPM)
     a, b = same_set_addr(first, 1, 0), same_set_addr(first, 6, 3)
-    for cache, order in ((first, (a, b)), (second, (b, a))):
+    spm = SPM_BASE + 3 * first.way_bytes
+    for cache, order in ((first, (a, b, spm)), (second, (spm, b, a))):
         for paddr in order:
-            cache.access(paddr, "read")
+            cache.access(paddr, "write", value=paddr >> 3)
     assert first.snapshot() == second.snapshot()
+    assert first_mem.snapshot() == second_mem.snapshot()
     second.restore(first.snapshot())
     assert [second.access(p, "read").event for p in (a, b)] == [EVENT_HIT, EVENT_HIT]
 
@@ -732,9 +754,9 @@ def test_no_state_scales_with_the_slots():
     """At the most slots a cache may have (the largest array, the smallest
     line), after fills, a dirty eviction, a conversion and a scratchpad
     store, no snapshot element and no container the cache holds has
-    sets * ways entries: the per-set lists have `sets`, and the directory,
-    its inverse and the scratchpad words have one entry per line or word
-    actually held."""
+    sets * ways entries: the per-set lists have `sets`, and the directory
+    and its inverse have one entry per line actually held.  The cache
+    holds no word: the scratchpad word is in its memory."""
     ways, line_bytes = 8, WORD_BYTES
     sets = MAX_ARRAY_BYTES // (ways * line_bytes)
     check_geometry(ways, sets, line_bytes)
@@ -749,11 +771,13 @@ def test_no_state_scales_with_the_slots():
     assert cache.stats["write_backs"] >= 1 and cache.stats["spm_accesses"] == 1
     held = sum(tag != -1 for tag in tag_state(cache)[0])
     assert 0 < held < ways + 2
+    assert len(cache.snapshot()) == 6
     for element in cache.snapshot():
         if isinstance(element, (tuple, frozenset)):
-            # A per-set list, or one entry per held line, scratchpad way
-            # or statistic.
-            assert len(element) in (sets, held, 1, len(cache.stats)), len(element)
+            # A per-set list, or one entry per held line or statistic.
+            assert len(element) in (sets, held, len(cache.stats)), len(element)
+    assert not {"_spm", "_read"} & set(vars(cache))
     for name, value in vars(cache).items():
         if isinstance(value, (list, tuple, dict)):
             assert len(value) < slots, name
+    assert (SPM_BASE + cache.way_bytes, 9) in cache.memory.snapshot()

@@ -282,8 +282,10 @@ class EndToEndTest(unittest.TestCase):
 @pytest.fixture
 def pools(monkeypatch):
     """Every process pool run_experiment opens, with the (plan, start, stop)
-    arguments of each job submitted to it."""
+    arguments of each job submitted to it, on a host of 4 CPUs whatever
+    this one has (a test may patch os.cpu_count again)."""
     opened = []
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
 
     class CountingPool(concurrent.futures.ProcessPoolExecutor):
         def __init__(self, max_workers=None, *args, **kwargs):
@@ -334,6 +336,18 @@ def test_pool_is_no_larger_than_its_job_count(pools):
     cfg = load_experiment(text=SMALL, iterations=9, scenarios=["isolation"])
     run_experiment(cfg, workers=4)
     assert [(p.max_workers, len(p.jobs)) for p in pools] == [(3, 3)]
+
+
+def test_pool_is_no_larger_than_the_cpu_count(pools, monkeypatch):
+    # 16 iterations over 8 workers: ranges of 2, so 8 jobs, cut by the
+    # worker count whatever the CPU count, and served by 2 processes.
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    cfg = load_experiment(text=SMALL, iterations=16, scenarios=["unmitigated"])
+    serial = run_experiment(cfg, workers=1)
+    assert run_experiment(cfg, workers=8) == serial
+    assert [(p.max_workers, len(p.jobs)) for p in pools] == [(2, 8)]
+    ranges = [(start, stop) for _, start, stop in pools[0].jobs]
+    assert ranges == [(i, i + 2) for i in range(0, 16, 2)]
 
 
 def test_one_contiguous_range_per_worker_per_scenario(pools):

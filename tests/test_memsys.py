@@ -142,7 +142,8 @@ def test_every_event_is_priced_from_the_latency_config():
     entry (or from a default) shows up as a wrong number."""
     mem = Memory([(TABLE_BASE, 1 << 20), (DATA_BASE, 1 << 20)])
     latency = LatencyConfig(tlb_hit_cycles=2, cache_hit_cycles=3, spm_cycles=5, memory_cycles=50)
-    sys_ = MemorySystem.build(MachineConfig(), mem, latency, dspm_base=DSPM_BASE)
+    sys_ = MemorySystem.build(MachineConfig(), mem, latency, ispm_base=ISPM_BASE,
+                              dspm_base=DSPM_BASE)
     vm = single_stage_vm()
     sys_.dcache.configure_way(0, MODE_SPM)
     way_bytes = sys_.dcache.way_bytes
@@ -209,7 +210,8 @@ def test_warm_replay_serves_every_fetch_without_a_step():
     called, and the walk costs 15 cache hits."""
     mem = Memory([(TABLE_BASE, 1 << 20), (DATA_BASE, 1 << 20)])
     # The walk puts nine page-aligned lines in set 0: 16 ways hold them all.
-    sys_ = MemorySystem.build(MachineConfig(ways=16), mem, LatencyConfig(cache_hit_cycles=3))
+    sys_ = MemorySystem.build(MachineConfig(ways=16), mem, LatencyConfig(cache_hit_cycles=3),
+                              ispm_base=ISPM_BASE, dspm_base=DSPM_BASE)
     vm, vaddr = scattered_two_stage()
     step_code = sys_.dcache.step.__code__
     steps = []
@@ -432,6 +434,8 @@ def test_jitter_requires_a_generator():
             MachineConfig(),
             Memory([(DATA_BASE, 1 << 20)]),
             LatencyConfig(jitter=3),
+            ispm_base=ISPM_BASE,
+            dspm_base=DSPM_BASE,
             rng=None,
         )
 
@@ -629,11 +633,12 @@ def test_build_takes_its_shape_from_the_machine_config():
     machine = MachineConfig(
         entries=8, partitions=4, lock_slots=3, ways=4, icache_sets=16, dcache_sets=32, line_bytes=32
     )
-    sys_ = MemorySystem.build(machine, Memory([(DATA_BASE, 1 << 20)]), dspm_base=DSPM_BASE)
+    sys_ = MemorySystem.build(machine, Memory([(DATA_BASE, 1 << 20)]), ispm_base=ISPM_BASE,
+                              dspm_base=DSPM_BASE)
     assert sys_.csr.width == 4
     for tlb in (sys_.itlb, sys_.dtlb):
         assert len(tlb.entries) == 8 and len(tlb.slots) == 3
         assert tlb.tree.partition_count == 4
     for cache, sets in ((sys_.icache, 16), (sys_.dcache, 32)):
         assert (cache.ways, cache.sets, cache.line_bytes) == (4, sets, 32)
-    assert sys_.dcache.spm_base == DSPM_BASE and sys_.icache.spm_base is None
+    assert (sys_.dcache.spm_base, sys_.icache.spm_base) == (DSPM_BASE, ISPM_BASE)

@@ -143,6 +143,8 @@ def test_latency_additivity_with_variable_costs():
         MachineConfig(),
         Memory([(0x100 << 12, 3 * SIZE_4K), (0x4000_0000, SIZE_4K)]),
         LatencyConfig(cache_hit_cycles=7, memory_cycles=41),
+        ispm_base=0x2000_0000,
+        dspm_base=0x1000_0000,
     )
     sys_.dcache.access(walk_single(space, 0x8000_0000).accesses[1], "read")
     vm = SimpleNamespace(asid=1, vmid=0, guest_space=space, host_space=None)

@@ -21,6 +21,8 @@ from pvmsim.workload import (
 TABLE_BASE = 0x0100_0000
 DATA_BASE = 0x8000_0000
 VBASE = 0x0040_0000
+DSPM_BASE = 0x1000_0000
+ISPM_BASE = 0x2000_0000
 
 RW = PTE_R | PTE_W | PTE_A | PTE_D
 RX = PTE_R | PTE_X | PTE_A | PTE_D
@@ -29,7 +31,8 @@ RX = PTE_R | PTE_X | PTE_A | PTE_D
 def build_vm(pages=8, latency=None):
     """Single-stage VM with `pages` data pages and 2 code pages mapped."""
     memory = Memory([(TABLE_BASE, 1 << 20), (DATA_BASE, 1 << 20)])
-    sys = MemorySystem.build(MachineConfig(), memory, latency or LatencyConfig())
+    sys = MemorySystem.build(MachineConfig(), memory, latency or LatencyConfig(),
+                             ispm_base=ISPM_BASE, dspm_base=DSPM_BASE)
     space = AddressSpace(root_ppn=TABLE_BASE >> 12)
     for i in range(pages):
         space.map_page(VBASE + i * SIZE_4K, DATA_BASE + i * SIZE_4K, SIZE_4K, RW)
