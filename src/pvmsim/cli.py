@@ -18,7 +18,7 @@ import sys
 from importlib import resources
 
 from .config import ConfigError, load_experiment
-from .harness import build_bundle, compare, run_experiment, write_outputs
+from .harness import MIN_SLICE, build_bundle, compare, run_experiment, write_outputs
 from .hypervisor import SetupError
 from .vectors import main as vectors_main
 
@@ -160,7 +160,8 @@ def main(argv=None):
         "--iterations", type=int, default=None, help="override every scenario's iteration count"
     )
     p_run.add_argument("--workers", type=int, default=1,
-                       help="worker processes, at most one per CPU (default: 1)")
+                       help="worker processes, at most one per CPU; a scenario is split "
+                       "only into ranges of at least %d iterations (default: 1)" % MIN_SLICE)
     p_run.add_argument(
         "--scenario",
         action="append",

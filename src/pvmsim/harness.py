@@ -8,19 +8,22 @@ wall-clock speed, is the contract the parallel mode must keep.
 Every selected scenario's plan is built in this process before the first
 iteration, so a scenario that cannot be realized (a lock-slot or
 scratchpad overflow) fails before any work is done.  With workers > 1 the
-experiment opens one process pool of at most one process per CPU, as a
-forking pool starts all its processes at the first submit.  Each
-scenario of at least 2 * workers iterations is cut into contiguous
-iteration ranges of ceil(iterations / workers), one per worker, and
-every range of every scenario is submitted up front with a pickled copy
-of its plan, so a worker builds each set-up machine once per range (a
-built machine cannot be pickled: see Cache).
-Smaller scenarios run in this process.  Results are collected in
+experiment opens one process pool of procs = min(workers, CPUs)
+processes, or fewer when there are fewer jobs, as a forking pool starts
+all its processes at the first submit.  A range shipped to the pool
+starts cold: its worker unpickles the plan and builds, sets up and warms
+the machine again (a built machine cannot be pickled: see Cache), which
+costs about as much as 5.5 warm iterations.  So a scenario is cut into
+near-equal contiguous ranges, one per process, only as far as each keeps
+MIN_SLICE iterations, and otherwise ships whole.  An interference-free
+plan draws every iteration after its first, so it runs in this process,
+beside the pool, and is never shipped.  Results are collected in
 submission order; because every iteration reseeds from (master seed,
 iteration index), any split yields the same records.
 """
 
 import concurrent.futures
+import gc
 import hashlib
 import io
 import json
@@ -33,12 +36,20 @@ import time
 from . import __version__, hypervisor
 
 
-def _ranges(iterations, workers):
-    """The [start, stop) ranges a scenario is split into for the pool;
-    empty when it is too small to be worth shipping to other processes."""
-    if workers <= 1 or iterations < 2 * workers:
+# The fewest iterations worth a cold range: its start-up (about 5.5 warm
+# iterations of an `unmitigated` scenario, CPython 3.11) stays under ~10%
+# of it.
+MIN_SLICE = 64
+
+
+def _ranges(iterations, procs):
+    """The near-equal contiguous [start, stop) ranges a scenario is split
+    into for a pool of `procs` processes: one per process as far as each
+    keeps MIN_SLICE iterations, else the whole scenario; empty without a
+    pool or an iteration."""
+    if procs <= 1 or not iterations:
         return []
-    size = math.ceil(iterations / workers)
+    size = math.ceil(iterations / max(1, min(procs, iterations // MIN_SLICE)))
     return [(start, min(start + size, iterations)) for start in range(0, iterations, size)]
 
 
@@ -60,21 +71,29 @@ def run_experiment(config, workers=1, log=None):
             plans[name] = hypervisor.build_plan(config.scenarios[name])
         except hypervisor.SetupError as exc:
             raise hypervisor.SetupError("scenario %r: %s" % (name, exc)) from exc
-    ranges = {name: _ranges(plan.defn.iterations, workers) for name, plan in plans.items()}
+    procs = min(workers, os.cpu_count() or 1)
+    ranges = {
+        name: [] if plan.interference_free else _ranges(plan.defn.iterations, procs)
+        for name, plan in plans.items()
+    }
     jobs = sum(len(r) for r in ranges.values())
     # Fork wherever the platform has it, else its default.  Workers need
     # nothing their arguments do not carry, so any start method works, and
-    # this process starts no threads, so forking it is safe.  On Linux fork
-    # starts a 2-worker pool in about 10 ms where forkserver (the default
-    # from CPython 3.14) takes about 90 ms and spawn about 170 ms (CPython
-    # 3.11, 2 vCPUs), more than a small experiment runs for.
+    # this process starts no threads, so forking it is safe.  On Linux a
+    # 2-worker pool starts, runs one empty job per process and shuts down
+    # in about 6 ms with fork, where forkserver (the default from CPython
+    # 3.14) takes about 80 ms and spawn about 110 ms (CPython 3.11, 2
+    # vCPUs), more than a small experiment runs for.
     context = None
     if "fork" in multiprocessing.get_all_start_methods():
         context = multiprocessing.get_context("fork")
     pool = None
     if jobs:
-        size = min(workers, jobs, os.cpu_count() or 1)
-        pool = concurrent.futures.ProcessPoolExecutor(size, mp_context=context)
+        # A forked worker's collector would walk, and so copy on write,
+        # the whole heap it inherited: freeze that heap first.
+        pool = concurrent.futures.ProcessPoolExecutor(
+            min(procs, jobs), mp_context=context, initializer=gc.freeze
+        )
     results = {}
     try:
         futures = {

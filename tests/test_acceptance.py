@@ -17,6 +17,7 @@ import tempfile
 import time
 from types import SimpleNamespace
 
+from pvmsim import harness
 from pvmsim.cache import (
     EVENT_MISS,
     EVENT_SPM,
@@ -482,7 +483,7 @@ def test_criterion_09_csr_protocol():
 
 # -- 10: reproducibility ------------------------------------------------------------
 
-def test_criterion_10_determinism():
+def test_criterion_10_determinism(pools, monkeypatch):
     presets = ("synthetic-nospm", "synthetic-spm", "powerwindow-like")
     stable = []
     for name in presets:
@@ -501,7 +502,10 @@ def test_criterion_10_determinism():
     cfg = load_experiment(text=preset_text("synthetic-spm"), seed=3,
                           iterations=30, scenarios=["unmitigated"])
     serial = run_experiment(cfg)["unmitigated"]
+    # Cut the 30 iterations into 3 ranges, far below MIN_SLICE.
+    monkeypatch.setattr(harness, "MIN_SLICE", 1)
     parallel = run_experiment(cfg, workers=3)["unmitigated"]
+    assert [p.ranges() for p in pools] == [{"unmitigated": [(0, 10), (10, 20), (20, 30)]}]
     chunking_ok = serial == parallel
     ok = all(stable) and chunking_ok
     report(10, ok, "same-seed reruns byte-identical for %d/%d presets; "

@@ -6,10 +6,11 @@ pins SHA-256 digests of the sorted (scenario, index, cycles, tlb_misses,
 cache_misses) rows for every preset at a few seeds, so a change that is
 meant to leave behaviour alone (a refactor, a speed-up) is shown to leave
 every record alone.  Serial, two-worker and three-worker runs must all
-match the pin; at 4 iterations three workers fall below the harness's
-2 * workers threshold and run in the calling process.  The process pool's
-uneven split is pinned separately: 7 iterations over 3 workers run as the
-ranges [0, 3), [3, 6) and [6, 7).
+match the pin; at 4 iterations, far below the harness's MIN_SLICE, each
+scenario with interference ships whole to the pool, and each
+interference-free one runs in the calling process.  The pool's uneven
+split is pinned separately: with MIN_SLICE lowered to 1 and 4 CPUs, 7
+iterations over 3 workers run as the ranges [0, 3), [3, 6) and [6, 7).
 
 No preset primes in random order, and every preset has jitter, so the
 `prefix` section pins PREFIX_TEXT, a cut-down synthetic-nospm whose
@@ -68,6 +69,7 @@ import tempfile
 
 import pytest
 
+from pvmsim import harness
 from pvmsim.cli import preset_names, preset_text
 from pvmsim.config import load_experiment
 from pvmsim.harness import run_experiment, write_outputs
@@ -510,9 +512,14 @@ def test_records_match_golden_digest(preset, seed, workers):
 
 
 @pytest.mark.parametrize("preset", preset_names())
-def test_uneven_ranges_match_golden_digest(preset):
+def test_uneven_ranges_match_golden_digest(preset, pools, monkeypatch):
+    monkeypatch.setattr(harness, "MIN_SLICE", 1)
     expected = load_golden()["uneven"]["digests"][preset]
     assert run_digest(preset, UNEVEN["seed"], UNEVEN["workers"], UNEVEN["iterations"]) == expected
+    [pool] = pools
+    shipped = pool.ranges()
+    assert shipped
+    assert all(ranges == [(0, 3), (3, 6), (6, 7)] for ranges in shipped.values())
 
 
 @pytest.mark.parametrize("workers", (1, 2))

@@ -6,9 +6,9 @@ JSON outputs are byte-stable for a given configuration and seed, and
 splitting iterations over worker processes changes nothing.
 """
 
-import concurrent.futures
 import contextlib
 import dataclasses
+import gc
 import io
 import json
 import multiprocessing
@@ -20,11 +20,12 @@ import unittest.mock
 
 import pytest
 
-from pvmsim import hypervisor
+from pvmsim import harness, hypervisor
 from pvmsim.cli import main as cli_main
 from pvmsim.cli import preset_text
 from pvmsim.config import load_experiment
 from pvmsim.harness import (
+    _ranges,
     build_bundle,
     compare,
     render_csv,
@@ -99,8 +100,8 @@ hyp_mask = 0xffff
 )
 
 # Iteration counts that 3 workers do not divide (8 and 7), plus a scenario
-# below the 2 * workers threshold that runs in the calling process, listed
-# out of file order.
+# of 5, listed out of file order.  "tiny" and "isolation" have no
+# interference VM, so they run in the calling process.
 UNEVEN = SMALL.replace(
     "[scenario.unmitigated]",
     """[scenario.tiny]
@@ -279,41 +280,29 @@ class EndToEndTest(unittest.TestCase):
             )
 
 
-@pytest.fixture
-def pools(monkeypatch):
-    """Every process pool run_experiment opens, with the (plan, start, stop)
-    arguments of each job submitted to it, on a host of 4 CPUs whatever
-    this one has (a test may patch os.cpu_count again)."""
-    opened = []
-    monkeypatch.setattr(os, "cpu_count", lambda: 4)
-
-    class CountingPool(concurrent.futures.ProcessPoolExecutor):
-        def __init__(self, max_workers=None, *args, **kwargs):
-            super().__init__(max_workers, *args, **kwargs)
-            self.max_workers = max_workers
-            self.mp_context = kwargs.get("mp_context")
-            self.jobs = []
-            opened.append(self)
-
-        def submit(self, fn, /, *args, **kwargs):
-            self.jobs.append(args)
-            return super().submit(fn, *args, **kwargs)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
-    return opened
-
-
 def uneven_config():
     return load_experiment(text=UNEVEN, scenarios=UNEVEN_ORDER)
+
+
+def test_ranges_cut_long_scenarios_only():
+    assert _ranges(24, 2) == [(0, 24)]
+    assert _ranges(1000, 2) == [(0, 500), (500, 1000)]
+    # 200 // 64 = 3 ranges of at least MIN_SLICE, not one per process.
+    assert _ranges(200, 4) == [(0, 67), (67, 134), (134, 200)]
+    assert _ranges(0, 2) == []
+    assert _ranges(1000, 1) == []  # no pool
 
 
 def test_one_pool_per_experiment(pools):
     cfg = uneven_config()
     run_experiment(cfg, workers=3)
+    # "unmitigated" ships whole (8 < MIN_SLICE); "tiny" and "isolation"
+    # are interference-free and stay home.
     assert len(pools) == 1
-    assert pools[0].max_workers == 3
+    assert (pools[0].max_workers, pools[0].initializer) == (1, gc.freeze)
+    assert pools[0].ranges() == {"unmitigated": [(0, 8)]}
     run_experiment(cfg, workers=1)
-    run_experiment(load_experiment(text=SMALL, iterations=3), workers=2)  # all below 2 * 2
+    run_experiment(load_experiment(text=SMALL, scenarios=["isolation"]), workers=2)
     assert len(pools) == 1
 
 
@@ -331,38 +320,35 @@ def test_pool_forks_where_the_platform_can(pools, monkeypatch):
     assert pools[1].mp_context is None
 
 
-def test_pool_is_no_larger_than_its_job_count(pools):
-    # 9 iterations over 4 workers: ranges of ceil(9 / 4) = 3, so 3 jobs.
-    cfg = load_experiment(text=SMALL, iterations=9, scenarios=["isolation"])
+def test_pool_is_no_larger_than_its_job_count(pools, monkeypatch):
+    # 9 iterations over 4 processes, ranges of at least 3: 3 jobs.
+    monkeypatch.setattr(harness, "MIN_SLICE", 3)
+    cfg = load_experiment(text=SMALL, iterations=9)
     run_experiment(cfg, workers=4)
-    assert [(p.max_workers, len(p.jobs)) for p in pools] == [(3, 3)]
+    assert [(p.max_workers, p.initializer, len(p.jobs)) for p in pools] == [(3, gc.freeze, 3)]
+    assert pools[0].ranges() == {"unmitigated": [(0, 3), (3, 6), (6, 9)]}
 
 
 def test_pool_is_no_larger_than_the_cpu_count(pools, monkeypatch):
-    # 16 iterations over 8 workers: ranges of 2, so 8 jobs, cut by the
-    # worker count whatever the CPU count, and served by 2 processes.
+    # 16 iterations over 8 workers on 2 CPUs: cut for the 2 processes
+    # that serve them, not into 8 ranges that each set up the machine again.
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(harness, "MIN_SLICE", 1)
     cfg = load_experiment(text=SMALL, iterations=16, scenarios=["unmitigated"])
     serial = run_experiment(cfg, workers=1)
     assert run_experiment(cfg, workers=8) == serial
-    assert [(p.max_workers, len(p.jobs)) for p in pools] == [(2, 8)]
-    ranges = [(start, stop) for _, start, stop in pools[0].jobs]
-    assert ranges == [(i, i + 2) for i in range(0, 16, 2)]
+    assert [(p.max_workers, p.initializer, len(p.jobs)) for p in pools] == [(2, gc.freeze, 2)]
+    assert pools[0].ranges() == {"unmitigated": [(0, 8), (8, 16)]}
 
 
-def test_one_contiguous_range_per_worker_per_scenario(pools):
+def test_one_contiguous_range_per_worker_per_scenario(pools, monkeypatch):
+    monkeypatch.setattr(harness, "MIN_SLICE", 1)
     cfg = uneven_config()
-    run_experiment(cfg, workers=3)
-    ranges = {}
-    for plan, start, stop in pools[0].jobs:
-        ranges.setdefault(plan.defn.name, []).append((start, stop))
-    # Submitted scenario by scenario in run order; "tiny" (5 < 2 * 3) stays home.
-    assert list(ranges) == ["unmitigated", "isolation"]
-    assert ranges["unmitigated"] == [(0, 3), (3, 6), (6, 8)]
-    assert ranges["isolation"] == [(0, 3), (3, 6), (6, 7)]
-    # A built machine holds each cache's access step, a closure that cannot
-    # be pickled: every plan goes to the pool before any iteration runs.
-    assert all(plan.machine is None for plan, _, _ in pools[0].jobs)
+    assert run_experiment(cfg, workers=3) == run_experiment(cfg, workers=1)
+    # Submitted scenario by scenario in run order; the interference-free
+    # "tiny" and "isolation" run in the calling process.
+    assert [(p.max_workers, p.initializer) for p in pools] == [(3, gc.freeze)]
+    assert pools[0].ranges() == {"unmitigated": [(0, 3), (3, 6), (6, 8)]}
 
 
 def test_plans_are_built_once_per_scenario_in_the_calling_process(monkeypatch):
@@ -386,7 +372,8 @@ def test_results_follow_scenario_names_order():
         assert list(run_experiment(cfg, workers=workers)) == UNEVEN_ORDER
 
 
-def test_uneven_ranges_equal_serial_records():
+def test_uneven_ranges_equal_serial_records(monkeypatch):
+    monkeypatch.setattr(harness, "MIN_SLICE", 1)
     cfg = uneven_config()
     serial = run_experiment(cfg, workers=1)
     assert [len(serial[n]) for n in UNEVEN_ORDER] == [8, 5, 7]
