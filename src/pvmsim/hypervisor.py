@@ -581,7 +581,9 @@ def run_iteration(plan, index):
     work_rng = None  # drawn from only by a random-order region
     if plan.random_order:
         work_rng = random.Random(iteration_seed(defn.seed, index, "workload"))
-    intf_rng = random.Random(iteration_seed(defn.seed, index, "interference"))
+    intf_rng = None  # drawn from only by an interference VM
+    if plan.interference:
+        intf_rng = random.Random(iteration_seed(defn.seed, index, "interference"))
     first = plan.machine is None
     sys = restore_machine(plan, _jitter_rng(defn, index), work_rng)
     crit = plan.measured

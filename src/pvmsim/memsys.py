@@ -23,7 +23,7 @@ This is the only module that knows a price.  TLB lookups, cache
 accesses and walks report what happened; one table built from
 LatencyConfig turns those events into cycles:
 
-  every TLB lookup      -> tlb_hit_cycles (hit, miss or fault)
+  every TLB lookup      -> tlb_hit_cycles (hit or miss)
   cache hit             -> cache_hit_cycles
   cache miss            -> memory_cycles plus jitter
   spm, spm-misconfig    -> spm_cycles
@@ -31,6 +31,10 @@ LatencyConfig turns those events into cycles:
 An access's cycles split into translation (its TLB lookup), walk (its
 PTE fetches, each one a D-cache read; zero on a TLB hit) and cache (the
 final physical access through the I- or D-side array).
+
+A translation fault is a scenario bug, never an outcome: Tlb.translate
+raises ValueError on a non-canonical address, and _refill raises
+SimulationError on a faulting walk before it prices or fills anything.
 
 Each 4 KiB page is walked once per VM: the walk, its PTE-fetch list and
 the TLB entry it fills depend only on the page tables, the VM's ids and
@@ -77,11 +81,15 @@ from dataclasses import dataclass, fields
 from .cache import EVENT_HIT, EVENT_MISS, EVENT_SPM, EVENT_SPM_MISCONFIG, Cache
 from .cache import check_geometry as check_cache_geometry
 from .sv39 import PAGE_SHIFT, PAGE_SIZE, PTE_G
-from .tlb import NON_CANONICAL, PartitionCsrFile, Tlb, TlbEntry
+from .tlb import PartitionCsrFile, Tlb, TlbEntry
 from .tlb import check_geometry as check_tlb_geometry
 from .walker import walk_single, walk_two_stage
 
 KINDS = ("read", "write", "ifetch")
+
+
+class SimulationError(RuntimeError):
+    """A scenario is internally inconsistent: a workload access faulted."""
 
 
 def randbelow(getrandbits, n):
@@ -179,7 +187,7 @@ class MachineConfig:
 @dataclass
 class MemAccessOutcome:
     """One access, fully accounted.  total_cycles is the sum of the three
-    components; faults simply leave the later components at zero."""
+    components."""
 
     translation_cycles: int = 0
     walk_cycles: int = 0
@@ -188,15 +196,9 @@ class MemAccessOutcome:
     tlb_hit: bool = False
     lock_hit: bool = False
     walk_fetches: int = 0
-    cache_event: str = None  # hit | miss | spm | spm-misconfig | None on fault
-    fault: str = None  # None | non-canonical | invalid | misaligned | no-leaf
-    fault_stage: str = None  # None | guest | host
+    cache_event: str = None  # hit | miss | spm | spm-misconfig
     value: int = None
     paddr: int = None
-
-    @property
-    def ok(self):
-        return self.fault is None
 
 
 class MemorySystem:
@@ -231,7 +233,7 @@ class MemorySystem:
             EVENT_SPM_MISCONFIG: lat.spm_cycles,
         }
         # (guest, host, asid, vmid) -> ((guest.version, host.version),
-        # {page: (WalkResult, TlbEntry or None on a fault, decoded fetches)})
+        # {page: (WalkResult, TlbEntry, decoded fetches)})
         self._walks = {}
 
     @classmethod
@@ -265,8 +267,8 @@ class MemorySystem:
 
     def _refill(self, tlb, vm, vaddr):
         """Serve a TLB miss: walk vaddr's page (remembered per VM), price the
-        walk and fill `tlb`.  Returns (walk, paddr, cycles), with paddr None
-        on a fault, which fills nothing."""
+        walk and fill `tlb`.  Returns (walk, paddr, cycles).  A walk that
+        faults raises SimulationError and is neither priced nor remembered."""
         guest, host = vm.guest_space, vm.host_space
         versions = (guest.version, None if host is None else host.version)
         key = (guest, host, vm.asid, vm.vmid)
@@ -281,16 +283,19 @@ class MemorySystem:
                 walk = walk_single(guest, vaddr)
             else:
                 walk = walk_two_stage(guest, host, vaddr)
-            entry = None
-            if walk.ok:
-                entry = TlbEntry(
-                    vpn=walk.vpn,
-                    page_size=walk.page_size,
-                    asid=vm.asid,
-                    vmid=vm.vmid,
-                    pte=walk.pte,
-                    global_flag=bool(walk.pte & PTE_G),
+            if walk.fault is not None:
+                raise SimulationError(
+                    "access 0x%x by vmid %d asid %d faulted (%s, stage %s)"
+                    % (vaddr, vm.vmid, vm.asid, walk.fault, walk.fault_stage)
                 )
+            entry = TlbEntry(
+                vpn=walk.vpn,
+                page_size=walk.page_size,
+                asid=vm.asid,
+                vmid=vm.vmid,
+                pte=walk.pte,
+                global_flag=bool(walk.pte & PTE_G),
+            )
             remembered = pages[page] = (walk, entry, self.dcache.decode(walk.accesses))
         walk, entry, fetches = remembered
         events = self.dcache.replay(fetches)
@@ -299,8 +304,6 @@ class MemorySystem:
             for event in events:
                 cycles += self._price[event]
             cycles += jitter_sum(self.rng, self.latency.jitter, events.count(EVENT_MISS))
-        if entry is None:
-            return walk, None, cycles
         tlb.fill(entry)
         return walk, walk.paddr & ~(PAGE_SIZE - 1) | vaddr & (PAGE_SIZE - 1), cycles
 
@@ -316,21 +319,12 @@ class MemorySystem:
         look = tlb.lookup(vaddr, vm.asid, vm.vmid)
         translation = self.latency.tlb_hit_cycles
         status = look.status
-        if status == "fault":
-            return MemAccessOutcome(
-                translation, 0, 0, translation, False, False, 0, None, "non-canonical"
-            )
         if status == "hit":
             walk_cycles = fetches = 0
             paddr = look.paddr
         else:
             walk, paddr, walk_cycles = self._refill(tlb, vm, vaddr)
             fetches = len(walk.accesses)
-            if paddr is None:
-                return MemAccessOutcome(
-                    translation, walk_cycles, 0, translation + walk_cycles, False, False,
-                    fetches, None, walk.fault, walk.fault_stage,
-                )
         event, read = cache.access(paddr, kind, value)
         cycles = self._price[event]
         jitter = self.latency.jitter
@@ -338,15 +332,14 @@ class MemorySystem:
             cycles += randbelow(self.rng.getrandbits, 2 * jitter + 1) - jitter
         return MemAccessOutcome(
             translation, walk_cycles, cycles, translation + walk_cycles + cycles,
-            status == "hit", look.lock_hit, fetches, event, None, None, read, paddr,
+            status == "hit", look.lock_hit, fetches, event, read, paddr,
         )
 
     def run_loop(self, vm, kind, addresses, compute_cycles, quantum):
         """Perform `kind` accesses at `addresses` on behalf of `vm` until a
         positive `quantum` of cycles is spent, stopping at the first access
         boundary at or past it; each costs virtual_access's cycles plus
-        `compute_cycles`.  Returns (spent, None), or (spent, (vaddr, fault,
-        fault_stage)) at the first access that faults.
+        `compute_cycles`.  Returns the cycles spent.
 
         Each touch is one Tlb.translate (a miss goes on to _refill) and one
         Cache.step, priced from a table fixed once per call."""
@@ -362,19 +355,15 @@ class MemorySystem:
         for vaddr in addresses:
             paddr = translate(vaddr, asid, vmid)
             if paddr is None:
-                walk, paddr, cycles = refill(tlb, vm, vaddr)
-                if paddr is None:
-                    return spent, (vaddr, walk.fault, walk.fault_stage)
+                _, paddr, cycles = refill(tlb, vm, vaddr)
                 spent += cycles
-            elif paddr == NON_CANONICAL:
-                return spent, (vaddr, "non-canonical", None)
             event = step(paddr, write_value(vaddr) if write else None)
             spent += price[event]
             if jitter and event == EVENT_MISS:
                 spent += randbelow(draw, span) - jitter
             if spent >= quantum:
                 break
-        return spent, None
+        return spent
 
     # -- bookkeeping ---------------------------------------------------------
 

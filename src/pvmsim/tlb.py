@@ -32,9 +32,10 @@ only -- lookups hit entries of disabled partitions just fine.
 A lookup reports what it found, not what it cost: memsys.MemorySystem
 prices every lookup at LatencyConfig.tlb_hit_cycles.  Tlb.translate is
 the one lookup path: it serves the memo, scans on a memo miss, keeps the
-hit, miss and lock-hit counts, and returns the physical address, None on
-a miss or NON_CANONICAL.  Tlb.lookup is translate plus a LookupResult
-read from the memo translate just served.
+hit, miss and lock-hit counts, and returns the physical address, or None
+on a miss.  A non-canonical address is no lookup: translate raises
+ValueError naming it.  Tlb.lookup is translate plus a LookupResult read
+from the memo translate just served.
 
 A hit on a regular entry touches its leaf through PlruTree.touch; a
 lock-slot hit touches nothing.  The TLB remembers its last hit: a lookup
@@ -84,9 +85,9 @@ class TlbEntry:
 
 
 class LookupResult(NamedTuple):
-    """Immutable, so every miss and every fault can share one result."""
+    """Immutable, so every miss can share one result."""
 
-    status: str  # "hit" | "miss" | "fault"
+    status: str  # "hit" | "miss"
     paddr: int = 0
     page_size: int = 0
     pte: int = 0
@@ -98,8 +99,6 @@ class LookupResult(NamedTuple):
 
 
 _MISS = LookupResult("miss")
-_FAULT = LookupResult("fault")
-NON_CANONICAL = -1  # what translate returns for a non-canonical address
 # tuple.__new__ builds a hit without the named tuple's Python-level __new__
 # (what LookupResult._make does inside).
 _new_result = tuple.__new__
@@ -199,12 +198,11 @@ class Tlb:
 
     def translate(self, vaddr, asid, vmid):
         """The physical address vaddr maps to for these ids on a hit, None
-        on a miss, NON_CANONICAL for a non-canonical address (which counts
-        as neither)."""
+        on a miss; ValueError, counted as neither, on a non-canonical one."""
         memo = self._memo
         if memo is None or vaddr & memo[0] != memo[1] or memo[2] != asid or memo[3] != vmid:
             if not is_canonical(vaddr):
-                return NON_CANONICAL
+                raise ValueError("address 0x%x is not canonical" % vaddr)
             memo = self._scan(vaddr, asid, vmid)
             if memo is None:
                 self.misses += 1
@@ -220,8 +218,6 @@ class Tlb:
         paddr = self.translate(vaddr, asid, vmid)
         if paddr is None:
             return _MISS
-        if paddr == NON_CANONICAL:
-            return _FAULT
         memo = self._memo
         return _new_result(LookupResult, ("hit", paddr, memo[6], memo[7], memo[8]))
 

@@ -443,6 +443,11 @@ def spm_decode_ref(base, ways, sets, line_bytes, paddr):
 # -- TLB reference ------------------------------------------------------------
 
 
+class RefFault(Exception):
+    """A translation fault of TlbRef or PipelineRef; args are (vaddr, fault,
+    stage): "non-canonical" and None, or a walk's fault and its stage."""
+
+
 class TlbRef:
     """Naive fully associative TLB with lock slots and partition-steered
     fills, built on the PLRU helpers above.
@@ -451,7 +456,8 @@ class TlbRef:
     lock slots in slot order, then every valid entry in leaf order, and
     matches a page by range (vpn <= page < vpn + span) rather than by
     masking.  No state is remembered between lookups.  Results are
-    (status, paddr, page_size, pte, lock_hit) tuples; the counters are
+    (status, paddr, page_size, pte, lock_hit) tuples; a non-canonical
+    address raises RefFault and counts as nothing.  The counters are
     (hits, misses, lock_hits, fills, dropped_fills).
     """
 
@@ -483,7 +489,7 @@ class TlbRef:
 
     def lookup(self, vaddr, asid, vmid):
         if not self._canonical(vaddr):
-            return ("fault", 0, 0, 0, False)
+            raise RefFault(vaddr, "non-canonical", None)
         for slot in self.slots:
             if not self._active(slot):
                 continue
@@ -566,7 +572,9 @@ class PipelineRef:
     for a single-stage walk); a space is read only through its `tables`
     ({ppn: [512 ptes]}) and `root_ppn`.  The test mirrors every partition
     CSR write into `cur_part`.  access() returns the fields of a
-    MemAccessOutcome, in field order.
+    MemAccessOutcome, in field order.  A non-canonical address raises
+    TlbRef's RefFault; a miss whose walk faults counts the miss and raises
+    RefFault before any PTE fetch is read or priced.
     """
 
     def __init__(self, geometry, prices, ispm_base, dspm_base, rng=None):
@@ -600,21 +608,18 @@ class PipelineRef:
         tlb, cache = (self.itlb, self.icache) if kind == "ifetch" else (self.dtlb, self.dcache)
         translation = self.prices[0]
         status, paddr, _, _, lock_hit = tlb.lookup(vaddr, vm.asid, vm.vmid)
-        if status == "fault":
-            return translation, 0, 0, translation, False, False, 0, None, "non-canonical", None, None, None
         walk = fetches = 0
         if status == "miss":
             addrs, outcome = self._walk(vm, vaddr)
+            if outcome[0] == "fault":
+                raise RefFault(vaddr, outcome[1], outcome[2])
             fetches = len(addrs)
             for addr in addrs:
                 walk += self._price(self.dcache.access(addr, "read")[0])
-            if outcome[0] == "fault":
-                return (translation, walk, 0, translation + walk, False, False, fetches, None,
-                        outcome[1], outcome[2], None, None)
             _, paddr, size, pte = outcome
             vpn = (vaddr >> 12) % (1 << 27) // (size >> 12) * (size >> 12)
             tlb.fill(self.cur_part, vpn, size, vm.asid, vm.vmid, pte, bool(pte & TlbRef.G_FLAG))
         event, read = cache.access(paddr, kind, value)
         cycles = self._price(event)
         return (translation, walk, cycles, translation + walk + cycles, status == "hit", lock_hit,
-                fetches, event, None, None, read, paddr)
+                fetches, event, read, paddr)

@@ -10,7 +10,13 @@ import pytest
 
 from pvmsim import memsys
 from pvmsim.cache import MODE_SPM, Memory
-from pvmsim.memsys import LatencyConfig, MachineConfig, MemAccessOutcome, MemorySystem
+from pvmsim.memsys import (
+    LatencyConfig,
+    MachineConfig,
+    MemAccessOutcome,
+    MemorySystem,
+    SimulationError,
+)
 from pvmsim.sv39 import (
     PTE_A,
     PTE_D,
@@ -128,7 +134,6 @@ def test_cold_two_stage_miss_prices_fifteen_fetches():
     vm, vaddr = scattered_two_stage()
     mc = sys_.latency.memory_cycles
     out = sys_.virtual_access(vaddr, "read", vm)
-    assert out.ok
     assert out.walk_fetches == 15
     assert (out.translation_cycles, out.walk_cycles, out.cache_cycles) == (1, 15 * mc, mc)
     assert out.total_cycles == 1 + 16 * mc  # 641 with the defaults
@@ -294,7 +299,7 @@ def test_remapped_host_page_is_walked_again():
     host.map_page(gpa, DATA_BASE + 0x30 * SIZE_4K, SIZE_4K, RW)
     sys_.dtlb.restore(cold_dtlb)
     out = sys_.virtual_access(vaddr, "read", vm)
-    assert out.ok and out.walk_fetches == 15
+    assert out.walk_fetches == 15
     assert out.paddr == DATA_BASE + 0x30 * SIZE_4K
     new_tables = set(host.tables) - old_tables
     assert len(new_tables) == 2
@@ -305,15 +310,32 @@ def test_remapped_host_page_is_walked_again():
 # -- faults ---------------------------------------------------------------------
 
 
-def test_unmapped_page_faults_with_breakdown():
-    sys_ = build_system()
-    vm = single_stage_vm(pages=1)
-    out = sys_.virtual_access(VBASE + 0x40_0000, "read", vm)
-    assert out.fault == "invalid"
-    assert out.fault_stage is None
-    assert out.walk_fetches >= 1
-    assert out.cache_cycles == 0 and out.cache_event is None
-    assert out.total_cycles == out.translation_cycles + out.walk_cycles
+def counts(sys_):
+    """Every TLB counter and cache statistic of both sides."""
+    return [
+        (tlb.hits, tlb.misses, tlb.lock_hits, tlb.fills, tlb.dropped_fills)
+        for tlb in (sys_.itlb, sys_.dtlb)
+    ] + [dict(cache.stats) for cache in (sys_.icache, sys_.dcache)]
+
+
+def test_unmapped_page_raises_before_pricing_or_filling():
+    """The walk's fault raises where _refill finds it, on either path: the
+    TLB counted its miss, and no PTE fetch was read, no jitter drawn and
+    nothing filled."""
+    vaddr = VBASE + 0x40_0000 + 0x18
+    for path in ("access", "run_loop"):
+        sys_ = build_system(jitter=3, seed=5)
+        vm = single_stage_vm(pages=1, asid=4, vmid=2)
+        before, state = counts(sys_), sys_.rng.getstate()
+        with pytest.raises(SimulationError) as info:
+            if path == "access":
+                sys_.virtual_access(vaddr, "read", vm)
+            else:
+                sys_.run_loop(vm, "read", [vaddr], 0, 100)
+        assert str(info.value) == "access 0x800018 by vmid 2 asid 4 faulted (invalid, stage None)"
+        before[1] = (0, 1, 0, 0, 0)
+        assert counts(sys_) == before, path
+        assert sys_.rng.getstate() == state, path
 
 
 def test_host_stage_fault_is_attributed():
@@ -321,18 +343,20 @@ def test_host_stage_fault_is_attributed():
     sys_ = build_system()
     # Take away the host mapping of the final data page only.
     vm.host_space.set_pte(vm.host_space.root_ppn, 0x40, 0)
-    out = sys_.virtual_access(vaddr, "read", vm)
-    assert out.fault == "invalid" and out.fault_stage == "host"
-    assert not out.ok
+    with pytest.raises(SimulationError, match=r"^access 0x408000 by vmid 5 asid 3 faulted "
+                                              r"\(invalid, stage host\)$"):
+        sys_.virtual_access(vaddr, "read", vm)
 
 
-def test_non_canonical_address_faults_in_one_cycle():
+def test_non_canonical_address_raises_and_counts_nothing():
     sys_ = build_system()
     vm = single_stage_vm()
-    out = sys_.virtual_access(1 << 45, "read", vm)
-    assert out.fault == "non-canonical"
-    assert out.total_cycles == 1
-    assert out.walk_fetches == 0
+    before = counts(sys_)
+    with pytest.raises(ValueError, match=r"^address 0x200000000000 is not canonical$"):
+        sys_.virtual_access(1 << 45, "read", vm)
+    with pytest.raises(ValueError, match=r"^address 0x200000000000 is not canonical$"):
+        sys_.run_loop(vm, "read", [1 << 45], 0, 100)
+    assert counts(sys_) == before
 
 
 def test_kind_is_validated():
@@ -360,7 +384,7 @@ def test_empty_cur_part_drops_fills_but_serves_data():
     sys_.memory.write_word(DATA_BASE, 0x51)
     sys_.csr.write_cur_part(0)
     out = sys_.virtual_access(VBASE, "read", vm)
-    assert out.ok and out.value == 0x51
+    assert out.value == 0x51
     assert sys_.dtlb.dropped_fills == 1
     # Nothing was cached in the TLB: the next access walks again.
     out = sys_.virtual_access(VBASE, "read", vm)
@@ -401,7 +425,7 @@ def test_a_store_of_zero_is_a_write(path):
         cache.access(DATA_BASE, "write", value=0)
     else:
         assert memsys.write_value(0) == 0
-        assert sys_.run_loop(vm, "write", [0], 0, 1)[1] is None
+        assert sys_.run_loop(vm, "write", [0], 0, 1) >= 1
     set_idx, way = probe(cache, DATA_BASE)
     assert tag_state(cache)[1][set_idx] >> way & 1  # dirty
     assert cache.access(DATA_BASE, "read").value == 0
@@ -448,6 +472,10 @@ def test_outcome_total_is_component_sum():
         vaddr = VBASE + rng.randrange(0, 12 * SIZE_4K, 8)  # some pages unmapped
         kind = rng.choice(["read", "write", "ifetch"])
         value = rng.getrandbits(16) if kind == "write" else None
+        if vaddr >= VBASE + 8 * SIZE_4K:  # a fault raises; it has no total
+            with pytest.raises(SimulationError):
+                sys_.virtual_access(vaddr, kind, vm, value=value)
+            continue
         out = sys_.virtual_access(vaddr, kind, vm, value=value)
         assert out.total_cycles == out.translation_cycles + out.walk_cycles + out.cache_cycles
 

@@ -16,6 +16,10 @@ memory and the jitter generator, every few hundred steps and at the end.
 MemorySystem.run_loop, the lean interference path, must match the same
 reference run as a loop of accesses.
 
+A fault is no outcome: when the reference raises RefFault, the system
+must raise on the same access, with the exception and message that name
+the fault (raises_as), and the whole state must still match.
+
 The simulator keeps one word store, so a D-side store is seen by every
 reader at once; the reference gives each cache its own copy of a line
 and writes it back on eviction.  Both agree on every D-side value.  The
@@ -31,9 +35,9 @@ from types import SimpleNamespace
 
 import pytest
 
-from oracles import PipelineRef
+from oracles import PipelineRef, RefFault
 from pvmsim.cache import MODE_CACHE, MODE_SPM, Memory
-from pvmsim.memsys import LatencyConfig, MachineConfig, MemorySystem
+from pvmsim.memsys import LatencyConfig, MachineConfig, MemorySystem, SimulationError
 from pvmsim.sv39 import (
     PTE_A,
     PTE_D,
@@ -193,8 +197,25 @@ def coherent_access(ref, vm, vaddr, kind, value):
     want = ref.access(vm, vaddr, kind, value)
     if kind != "ifetch" or want[7] not in ("hit", "miss"):
         return want, False
-    coherent = coherent_words(ref).get(want[11] & ~7, 0)
-    return want[:10] + (coherent,) + want[11:], coherent != want[10]
+    coherent = coherent_words(ref).get(want[9] & ~7, 0)
+    return want[:8] + (coherent,) + want[9:], coherent != want[8]
+
+
+def raises_as(fault, vm, call, *args):
+    """Assert that call(*args) raises what the system raises for the
+    reference's RefFault `fault`: ValueError naming a non-canonical
+    address, or SimulationError naming the address, vm's vmid and asid,
+    the fault and its stage."""
+    vaddr, reason, stage = fault.args
+    if reason == "non-canonical":
+        kind, message = ValueError, "address 0x%x is not canonical" % vaddr
+    else:
+        kind = SimulationError
+        message = "access 0x%x by vmid %d asid %d faulted (%s, stage %s)" % (
+            vaddr, vm.vmid, vm.asid, reason, stage)
+    with pytest.raises(kind) as info:
+        call(*args)
+    assert str(info.value) == message
 
 
 def cache_ref_view(ref, words):
@@ -340,8 +361,14 @@ def test_virtual_access_matches_reference_pipeline(seed, jitter):
         vm, vaddr, kind, value = program.access()
         drops = sys_.dtlb.dropped_fills + sys_.itlb.dropped_fills
         cache_drops = sys_.icache.stats["fill_drops"] + sys_.dcache.stats["fill_drops"]
+        try:
+            want, stale = coherent_access(ref, vm, vaddr, kind, value)
+        except RefFault as fault:
+            raises_as(fault, vm, sys_.virtual_access, vaddr, kind, vm, value)
+            seen["non-canonical" if fault.args[1] == "non-canonical" else "fault"] += 1
+            assert_same_state(sys_, ref, step)
+            continue
         got = dataclasses.astuple(sys_.virtual_access(vaddr, kind, vm, value))
-        want, stale = coherent_access(ref, vm, vaddr, kind, value)
         assert got == want, "step %d: %s 0x%x" % (step, kind, vaddr)
         seen["lock_hit"] += got[5]
         seen["stale_ifetch"] += stale
@@ -349,13 +376,10 @@ def test_virtual_access_matches_reference_pipeline(seed, jitter):
         seen["cache_drop"] += (
             sys_.icache.stats["fill_drops"] + sys_.dcache.stats["fill_drops"] > cache_drops
         )
-        seen["fault"] += got[8] not in (None, "non-canonical")
-        seen["non-canonical"] += got[8] == "non-canonical"
-        if got[7] is not None:
-            seen[got[7]] += 1
+        seen[got[7]] += 1
         seen["write_hit"] += kind == "write" and got[7] == "hit"
         seen["two_stage_walk"] += got[6] > 3
-        seen["superpage_fill"] += got[6] > 0 and vaddr >= 0x4000_0000 and got[8] is None
+        seen["superpage_fill"] += got[6] > 0 and vaddr >= 0x4000_0000
         if step % 500 == 499:
             assert_same_state(sys_, ref, step)
     assert_same_state(sys_, ref, "end")
@@ -363,8 +387,8 @@ def test_virtual_access_matches_reference_pipeline(seed, jitter):
 
 
 def reference_loop(ref, vm, loop, quantum, rng):
-    """The interference loop over PipelineRef.access: (spent, None), or
-    (spent, (vaddr, fault, fault_stage)) at the first faulting access."""
+    """The interference loop over PipelineRef.access: the cycles spent; the
+    first faulting access raises RefFault."""
     per_page = max(1, SIZE_4K // loop.stride)
     spent = 0
     while spent < quantum:
@@ -372,19 +396,18 @@ def reference_loop(ref, vm, loop, quantum, rng):
         for _ in range(min(loop.touches_per_page, per_page)):
             vaddr = page_base + rng.randrange(per_page) * loop.stride
             value = (vaddr >> 3) & 0xFFFF_FFFF if loop.kind == "write" else None
-            out = ref.access(vm, vaddr, loop.kind, value)
-            if out[8] is not None:
-                return spent, (vaddr, out[8], out[9])
-            spent += out[3] + loop.compute_cycles
+            spent += ref.access(vm, vaddr, loop.kind, value)[3] + loop.compute_cycles
             if spent >= quantum:
-                return spent, None
-    return spent, None
+                return spent
+    return spent
 
 
 @pytest.mark.parametrize("seed,jitter", [(5, 0), (6, 3)])
 def test_run_loop_matches_reference_pipeline(seed, jitter):
     """Interference loops of every kind, stride and pool, faulting ones
-    included, between stretches of the random program."""
+    included, between stretches of the random program.  A faulting loop
+    raises on the same touch on both sides, with both loop generators in
+    the same state."""
     rng = random.Random(seed)
     sys_, ref = make_pair(seed, jitter)
     program = Program(rng, sys_, ref)
@@ -393,9 +416,12 @@ def test_run_loop_matches_reference_pipeline(seed, jitter):
         for _ in range(40):
             if not program.step():
                 vm, vaddr, kind, value = program.access()
-                assert dataclasses.astuple(sys_.virtual_access(vaddr, kind, vm, value)) == (
-                    coherent_access(ref, vm, vaddr, kind, value)[0]
-                )
+                try:
+                    want = coherent_access(ref, vm, vaddr, kind, value)[0]
+                except RefFault as fault:
+                    raises_as(fault, vm, sys_.virtual_access, vaddr, kind, vm, value)
+                    continue
+                assert dataclasses.astuple(sys_.virtual_access(vaddr, kind, vm, value)) == want
         vm, base, span, kinds = rng.choice(program.pools)
         loop = InterferenceLoop(
             base=base | (NON_CANONICAL if rng.random() < 0.03 else 0),
@@ -408,9 +434,14 @@ def test_run_loop_matches_reference_pipeline(seed, jitter):
         quantum = rng.randrange(100, 4000)
         loop_seed = rng.getrandbits(32)
         ours, theirs = random.Random(loop_seed), random.Random(loop_seed)
-        got = sys_.run_loop(vm, loop.kind, loop.addresses(ours), loop.compute_cycles, quantum)
-        assert got == reference_loop(ref, vm, loop, quantum, theirs), round_
+        args = (vm, loop.kind, loop.addresses(ours), loop.compute_cycles, quantum)
+        try:
+            want = reference_loop(ref, vm, loop, quantum, theirs)
+        except RefFault as fault:
+            raises_as(fault, vm, sys_.run_loop, *args)
+            faults += 1
+        else:
+            assert sys_.run_loop(*args) == want, round_
         assert ours.getstate() == theirs.getstate(), round_
-        faults += got[1] is not None
         assert_same_state(sys_, ref, round_)
     assert faults

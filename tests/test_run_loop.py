@@ -33,7 +33,7 @@ from pvmsim.hypervisor import build_plan, iteration_seed, restore_machine, trap_
 from pvmsim.memsys import randbelow, write_value
 from pvmsim.sv39 import PTE_A, PTE_D, PTE_R, PTE_V, PTE_W, SIZE_2M, SIZE_4K, make_pte
 from pvmsim.walker import walk_single, walk_two_stage
-from pvmsim.workload import InterferenceLoop, SimulationError, run_interference
+from pvmsim.workload import InterferenceLoop, run_interference
 from test_golden import WRITES_TEXT, machine_state
 from test_pipeline_oracle import DATA_BASE, GEOMETRY, build_vms, make_system
 
@@ -53,13 +53,7 @@ def reference_loop(sys, vm, loop, quantum, rng):
         for _ in range(touches):
             vaddr = page_base + randbelow(getrandbits, per_page) * stride
             value = write_value(vaddr) if write else None
-            out = sys.virtual_access(vaddr, kind, vm, value)
-            if out.fault is not None:
-                raise SimulationError(
-                    "interference access 0x%x faulted (%s, stage %s)"
-                    % (vaddr, out.fault, out.fault_stage)
-                )
-            spent += out.total_cycles + loop.compute_cycles
+            spent += sys.virtual_access(vaddr, kind, vm, value).total_cycles + loop.compute_cycles
             if spent >= quantum:
                 break
     return spent
@@ -307,10 +301,9 @@ def counted_loop(seen):
         stream = CountingStream(loop.addresses(rng))
         tlb.translate = spy
         try:
-            spent, fault = sys.run_loop(vm, loop.kind, stream, loop.compute_cycles, quantum)
+            spent = sys.run_loop(vm, loop.kind, stream, loop.compute_cycles, quantum)
         finally:
             del tlb.translate
-        assert fault is None
         touches = stream.taken
         walked = sum(walk_fetches(vm, vaddr) for vaddr in missed)
         assert tlb.hits + tlb.misses - lookups == touches

@@ -20,9 +20,9 @@ from pvmsim.sv39 import (
     SIZE_4K,
     make_pte,
 )
-from pvmsim.tlb import NON_CANONICAL, LockSlot, LookupResult, PartitionCsrFile, Tlb, TlbEntry
+from pvmsim.tlb import LockSlot, LookupResult, PartitionCsrFile, Tlb, TlbEntry
 
-from oracles import CsrPairRef, TlbRef
+from oracles import CsrPairRef, RefFault, TlbRef
 
 FULL = PTE_V | PTE_R | PTE_W | PTE_X | PTE_A | PTE_D
 
@@ -71,7 +71,10 @@ def test_global_entries_match_any_asid_same_vmid():
 
 def test_non_canonical_address_faults():
     tlb = make_tlb()
-    assert tlb.lookup(1 << 38, asid=1, vmid=0).status == "fault"
+    for look in (tlb.lookup, tlb.translate):
+        with pytest.raises(ValueError, match=r"^address 0x4000000000 is not canonical$"):
+            look(1 << 38, asid=1, vmid=0)
+    assert (tlb.hits, tlb.misses, tlb.lock_hits) == (0, 0, 0)
     # A properly sign-extended high address is fine.
     tlb.fill(entry(vpn=(1 << 27) - 1, asid=1, vmid=0))
     high = 0xFFFF_FFFF_FFFF_F000
@@ -479,8 +482,10 @@ def test_tlb_matches_naive_reference(seed):
     the entries and the PLRU node bits must match TlbRef.  A seeded share
     of the lookups goes through Tlb.translate instead of Tlb.lookup, from a
     generator of its own so that the operations stay the same: its
-    address, None or NON_CANONICAL must match TlbRef's hit, miss or fault,
-    and the five counters must match right after it.
+    address or None must match TlbRef's hit or miss, and the five counters
+    must match right after it.  A non-canonical address must raise
+    ValueError on both routes where TlbRef raises RefFault, counting
+    nothing.
 
     Inside a span, a 4 KiB entry at a lower or a higher leaf than the
     superpage's, an active lock slot or another asid's global entry may
@@ -527,15 +532,24 @@ def test_tlb_matches_naive_reference(seed):
         """Look vaddr up in both TLBs, through translate or lookup, and
         compare; count lock hits and shadowed pages."""
         nonlocal last, superhit
-        if route.random() < 0.5:
-            got = LookupResult(*ref.lookup(vaddr, asid, vmid))
-            expected = {"hit": got.paddr, "miss": None, "fault": NON_CANONICAL}
-            assert tlb.translate(vaddr, asid, vmid) == expected[got.status]
+        routed = tlb.translate if route.random() < 0.5 else tlb.lookup
+        try:
+            want = ref.lookup(vaddr, asid, vmid)
+        except RefFault:
+            with pytest.raises(ValueError, match=r"^address 0x%x is not canonical$" % vaddr):
+                routed(vaddr, asid, vmid)
+            assert tlb_state(tlb)[3] == tuple(ref.counters)
+            seen["fault"] += 1
+            superhit, last = None, (vaddr & ~(SIZE_4K - 1), asid, vmid)
+            return
+        if routed == tlb.translate:
+            got = LookupResult(*want)
+            assert tlb.translate(vaddr, asid, vmid) == (got.paddr if got.hit else None)
             assert tlb_state(tlb)[3] == tuple(ref.counters)
             seen["translate"] += 1
         else:
             got = tlb.lookup(vaddr, asid, vmid)
-            assert got == ref.lookup(vaddr, asid, vmid)
+            assert got == want
         seen["lock_hit"] += got.lock_hit
         vpn = vaddr >> 12 & ((1 << 27) - 1)
         if superhit is not None and superhit[2:] == (asid, vmid):
@@ -607,7 +621,6 @@ def test_tlb_matches_naive_reference(seed):
                 vaddr = page + rng.randrange(SIZE_4K)
                 if rng.random() < 0.05:
                     vaddr ^= 1 << 40  # same page number bits, not canonical
-                    seen["fault"] += 1
                 elif last == (vaddr & ~(SIZE_4K - 1), asid, vmid):
                     seen["repeat"] += 1
                 look(vaddr, asid, vmid)

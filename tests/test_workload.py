@@ -6,17 +6,10 @@ import unittest
 from types import SimpleNamespace
 
 from pvmsim.cache import MODE_SPM, Memory
-from pvmsim.memsys import LatencyConfig, MachineConfig, MemorySystem
+from pvmsim.memsys import LatencyConfig, MachineConfig, MemorySystem, SimulationError
 from pvmsim.sv39 import PTE_A, PTE_D, PTE_R, PTE_W, PTE_X, SIZE_4K
 from pvmsim.walker import AddressSpace
-from pvmsim.workload import (
-    InterferenceLoop,
-    Region,
-    SimulationError,
-    Workload,
-    run_interference,
-    run_regions,
-)
+from pvmsim.workload import InterferenceLoop, Region, Workload, run_interference, run_regions
 
 TABLE_BASE = 0x0100_0000
 DATA_BASE = 0x8000_0000
@@ -41,6 +34,15 @@ def build_vm(pages=8, latency=None):
         space.map_page(code_base + i * SIZE_4K, DATA_BASE + (pages + i) * SIZE_4K, SIZE_4K, RX)
     vm = SimpleNamespace(asid=1, vmid=0, guest_space=space, host_space=None)
     return sys, vm, code_base
+
+
+def clear_leaf(vm, vaddr):
+    """Invalidate the leaf PTE that maps vaddr's 4 KiB page."""
+    space = vm.guest_space
+    table = space.root_ppn
+    for level in (2, 1):
+        table = space.tables[table][vaddr >> (12 + 9 * level) & 0x1FF] >> 10
+    space.set_pte(table, vaddr >> 12 & 0x1FF, 0)
 
 
 class RegionDescriptorTest(unittest.TestCase):
@@ -143,8 +145,26 @@ class RunRegionsTest(unittest.TestCase):
 
     def test_fault_raises(self):
         sys, vm, _ = build_vm()
-        with self.assertRaises(SimulationError):
+        with self.assertRaisesRegex(
+            SimulationError, r"^access 0x70000000 by vmid 0 asid 1 faulted \(invalid, stage None\)$"
+        ):
             run_regions(sys, vm, (Region(base=0x7000_0000, pages=1),))
+
+    def test_faulting_pte_raises_at_its_access(self):
+        # Pages 0-4 are walked, filled and written; page 5's walk faults
+        # before it is priced or filled, and page 6 is never reached: the
+        # caches saw what a sweep of pages 0-4 alone shows them.
+        sys, vm, _ = build_vm()
+        clear_leaf(vm, VBASE + 5 * SIZE_4K)
+        sweep = Region(base=VBASE, pages=8, stride=SIZE_4K, kind="write")
+        with self.assertRaisesRegex(
+            SimulationError, r"^access 0x405000 by vmid 0 asid 1 faulted \(invalid, stage None\)$"
+        ):
+            run_regions(sys, vm, (sweep,))
+        self.assertEqual((sys.dtlb.misses, sys.dtlb.fills), (6, 5))
+        clean, clean_vm, _ = build_vm()
+        run_regions(clean, clean_vm, (Region(base=VBASE, pages=5, stride=SIZE_4K, kind="write"),))
+        self.assertEqual(sys.dcache.stats, clean.dcache.stats)
 
 
 class RunInterferenceTest(unittest.TestCase):
@@ -204,7 +224,10 @@ class RunInterferenceTest(unittest.TestCase):
     def test_faulting_loop_raises(self):
         sys, vm, _ = build_vm()
         loop = InterferenceLoop(base=0x7000_0000, pages=2)
-        with self.assertRaises(SimulationError):
+        with self.assertRaisesRegex(
+            SimulationError,
+            r"^access 0x7000[0-9a-f]{4} by vmid 0 asid 1 faulted \(invalid, stage None\)$",
+        ):
             run_interference(sys, vm, loop, 100, random.Random(0))
 
     def test_pool_page_invalidated_after_use_faults_with_its_address(self):
@@ -212,22 +235,19 @@ class RunInterferenceTest(unittest.TestCase):
         loop = InterferenceLoop(base=VBASE, pages=1, kind="write")
         cold_dtlb = sys.dtlb.snapshot()
         run_interference(sys, vm, loop, 500, random.Random(0))  # walked and remembered
-        space = vm.guest_space
-        table = space.root_ppn
-        for level in (2, 1):
-            table = space.tables[table][VBASE >> (12 + 9 * level) & 0x1FF] >> 10
-        space.set_pte(table, VBASE >> 12 & 0x1FF, 0)
+        clear_leaf(vm, VBASE)
         sys.dtlb.restore(cold_dtlb)
-        with self.assertRaisesRegex(
-            SimulationError, r"^interference access 0x400[0-9a-f]{3} faulted \(invalid, stage None\)$"
-        ):
-            run_interference(sys, vm, loop, 500, random.Random(1))
-        non_canonical = InterferenceLoop(base=1 << 45, pages=1)
+        misses = sys.dtlb.misses
         with self.assertRaisesRegex(
             SimulationError,
-            r"^interference access 0x200000000[0-9a-f]{3} faulted \(non-canonical, stage None\)$",
+            r"^access 0x400[0-9a-f]{3} by vmid 0 asid 1 faulted \(invalid, stage None\)$",
         ):
+            run_interference(sys, vm, loop, 500, random.Random(1))
+        self.assertEqual(sys.dtlb.misses, misses + 1)  # the first touch raised
+        non_canonical = InterferenceLoop(base=1 << 45, pages=1)
+        with self.assertRaisesRegex(ValueError, r"^address 0x200000000[0-9a-f]{3} is not canonical$"):
             run_interference(sys, vm, non_canonical, 500, random.Random(1))
+        self.assertEqual(sys.dtlb.misses, misses + 1)
 
 
 if __name__ == "__main__":
