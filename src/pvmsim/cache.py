@@ -86,7 +86,8 @@ EVENT_SPM_MISCONFIG = "spm-misconfig"
 # touch_masks builds `ways` of them, so ways is bounded as tlb.MAX_ENTRIES
 # bounds the TLB; a line is at most a page; and the array bounds the sets,
 # whose dirty and PLRU lists every iteration restores, and the scratchpad
-# window each cache maps.
+# window each cache maps: every admitted array is a power of two of at
+# most 4 MiB, so a window base aligned to 4 MiB fits any of them.
 MAX_WAYS = 4096
 MAX_LINE_BYTES = 4096
 MAX_ARRAY_BYTES = 1 << 22
@@ -94,7 +95,8 @@ MAX_ARRAY_BYTES = 1 << 22
 
 def check_geometry(ways, sets, line_bytes, sets_name="sets"):
     """Raise ValueError unless a Cache of this shape can be built (each
-    set is a tree-PLRU over its ways)."""
+    set is a tree-PLRU over its ways, and the array holds at most
+    MAX_ARRAY_BYTES)."""
     check_tree(ways, 1, "ways")
     for label, n in ((sets_name, sets), ("line_bytes", line_bytes)):
         if not is_pow2(n):
@@ -104,21 +106,24 @@ def check_geometry(ways, sets, line_bytes, sets_name="sets"):
     for label, n, most in (("ways", ways, MAX_WAYS), ("line_bytes", line_bytes, MAX_LINE_BYTES)):
         if n > most:
             raise ValueError("%s must be at most %d, got %d" % (label, most, n))
+    if ways * sets * line_bytes > MAX_ARRAY_BYTES:
+        raise ValueError("ways * %s * line_bytes is 0x%x bytes, more than 0x%x"
+                         % (sets_name, ways * sets * line_bytes, MAX_ARRAY_BYTES))
 
 
-def check_spm_window(base, size, memory, name="SPM window"):
+def check_spm_window(base, size, memory):
     """Raise ValueError unless the scratchpad window of a `size`-byte data
     array can sit at `base`: aligned to the array size, and clear of every
     region of `memory` and of every window recorded on it.  Then record
-    the window on `memory`, whose word store holds the window's words."""
+    the window on `memory`, whose word store holds the window's words.
+    Cache runs it for every cache it builds."""
     if base % size:
-        raise ValueError(
-            "%s base 0x%x must be aligned to the array size 0x%x" % (name, base, size)
-        )
+        raise ValueError("SPM window base 0x%x must be aligned to the array size 0x%x"
+                         % (base, size))
     if memory.overlaps(base, size):
-        raise ValueError("%s overlaps a backing-memory region" % name)
+        raise ValueError("SPM window overlaps a backing-memory region")
     if any(lo < base + size and base < hi for lo, hi in memory._windows):
-        raise ValueError("%s overlaps another scratchpad window on its memory" % name)
+        raise ValueError("SPM window overlaps another scratchpad window on its memory")
     memory._windows.append((base, base + size))
 
 

@@ -32,16 +32,16 @@ scenario names become output file names, so they may not hold a path
 separator.
 
 [tlb] and [cache] describe one MachineConfig, built and checked once per
-experiment (geometry and scratchpad windows, errors under [tlb] or
-[cache]) and shared by every scenario; a scenario checks only its own
-masks and spm_ways against it.
+experiment (geometry and array sizes, errors under [tlb] or [cache]) and
+shared by every scenario; a scenario checks only its own masks and
+spm_ways against it.
 """
 
 import configparser
 import os
 from dataclasses import dataclass, replace
 
-from .hypervisor import HypervisorConfig, MappedRegion, ScenarioDef, VmSpec, check_spm_windows
+from .hypervisor import HypervisorConfig, MappedRegion, ScenarioDef, VmSpec
 from .memsys import LatencyConfig, MachineConfig
 from .sv39 import PTE_A, PTE_D, PTE_R, PTE_W, PTE_X, SIZE_1G, SIZE_2M, SIZE_4K
 from .workload import InterferenceLoop, Region, Workload
@@ -349,7 +349,6 @@ def load_experiment(*, text, seed=None, iterations=None, scenarios=None):
         machine = MachineConfig(**fixed("tlb", _TLB))
     with _located("[cache]"):
         machine = replace(machine, **fixed("cache", _CACHE))
-        check_spm_windows(machine)
 
     hyp_values = fixed("hypervisor", _HYPERVISOR)
     footprint = {f: hyp_values.pop(f) for f, _ in _FOOTPRINT.values() if f in hyp_values}

@@ -70,7 +70,7 @@ import hashlib
 import random
 from dataclasses import dataclass, field
 
-from .cache import MAX_ARRAY_BYTES, MODE_SPM, Memory, check_spm_window
+from .cache import MODE_SPM, Memory
 from .memsys import LatencyConfig, MachineConfig, MemorySystem, jitter_sum
 from .sv39 import (
     PAGE_SHIFT,
@@ -238,25 +238,6 @@ class ScenarioDef:
                     "vm %r: one quantum may take %d touches of %d cycles, more than %d"
                     % (vm.name, touches, cheapest, MAX_QUANTUM_TOUCHES)
                 )
-
-
-def check_spm_windows(machine):
-    """Raise ValueError unless both cache arrays of `machine` fit this
-    layout: each scratchpad window aligned to its whole array and clear of
-    RAM, and each array at most cache.MAX_ARRAY_BYTES.  Run once per
-    MachineConfig, so a shape that cannot be built, or would take long to
-    build and restore, fails at load time, not in its first iteration."""
-    memory = Memory(MEMORY_REGIONS)
-    for sets, base, side in (
-        (machine.icache_sets, ISPM_BASE, "instruction"),
-        (machine.dcache_sets, DSPM_BASE, "data"),
-    ):
-        size = machine.ways * sets * machine.line_bytes
-        check_spm_window(base, size, memory, "%s scratchpad window" % side)
-        if size > MAX_ARRAY_BYTES:
-            raise ValueError(
-                "the %s cache's array of 0x%x bytes exceeds 0x%x" % (side, size, MAX_ARRAY_BYTES)
-            )
 
 
 @dataclass(frozen=True)
@@ -472,7 +453,7 @@ def build_plan(defn):
 def build_system(defn, jitter_rng):
     """The one production MemorySystem: defn's machine over this layout's
     RAM, with the scratchpad windows at this layout's bases."""
-    return MemorySystem.build(
+    return MemorySystem(
         defn.machine,
         Memory(MEMORY_REGIONS),
         defn.latency,

@@ -168,7 +168,8 @@ class LatencyConfig:
 class MachineConfig:
     """The shape no mitigation changes: the geometry of both TLBs and both
     caches, named after the [tlb] and [cache] keys.  Building one checks
-    that it can be built; the scratchpad windows are the caller's."""
+    that it can be built: each cache array holds at most
+    cache.MAX_ARRAY_BYTES, so a window base aligned to that fits it."""
 
     entries: int = 16
     partitions: int = 16
@@ -202,7 +203,10 @@ class MemAccessOutcome:
 
 
 class MemorySystem:
-    """Composes the per-hart TLBs and caches into one access pipeline.
+    """The per-hart TLBs and caches composed into one access pipeline, all
+    of `machine`'s shape: two TLBs sharing one partition CSR file (`csr`)
+    and two caches sharing `memory`, with their scratchpad windows at
+    `ispm_base` and `dspm_base`.
 
     The vm argument of virtual_access duck-types: it must carry `asid`,
     `vmid`, `guest_space` and `host_space` attributes (host_space None
@@ -210,14 +214,19 @@ class MemorySystem:
     writes happen directly on the member TLBs / shared CSR file.
     """
 
-    def __init__(self, *, itlb, dtlb, icache, dcache, latency=None, rng=None):
+    def __init__(self, machine, memory, latency=None, *, ispm_base, dspm_base, rng=None):
         self.latency = latency or LatencyConfig()
         if self.latency.jitter and rng is None:
             raise ValueError("jitter is enabled but no seeded generator was supplied")
-        self.itlb = itlb
-        self.dtlb = dtlb
-        self.icache = icache
-        self.dcache = dcache
+        self.csr = csr = PartitionCsrFile(machine.partitions)
+        self.memory = memory
+        itlb, dtlb = (Tlb(csr, machine.entries, machine.lock_slots) for _ in range(2))
+        icache, dcache = (
+            Cache(memory, ways=machine.ways, sets=sets, line_bytes=machine.line_bytes,
+                  spm_base=base)
+            for sets, base in ((machine.icache_sets, ispm_base), (machine.dcache_sets, dspm_base))
+        )
+        self.itlb, self.dtlb, self.icache, self.dcache = itlb, dtlb, icache, dcache
         self.rng = rng
         self._sides = {
             "read": (dtlb, dcache),
@@ -235,33 +244,6 @@ class MemorySystem:
         # (guest, host, asid, vmid) -> ((guest.version, host.version),
         # {page: (WalkResult, TlbEntry, decoded fetches)})
         self._walks = {}
-
-    @classmethod
-    def build(cls, machine, memory, latency=None, *, ispm_base, dspm_base, rng=None):
-        """Convenience constructor: two TLBs sharing one CSR file and two
-        caches sharing `memory`, all of `machine`'s shape, with their
-        scratchpad windows at `ispm_base` and `dspm_base`."""
-        csr = PartitionCsrFile(machine.partitions)
-        itlb, dtlb = (
-            Tlb(csr, entries=machine.entries, partition_count=machine.partitions,
-                lock_slots=machine.lock_slots)
-            for _ in range(2)
-        )
-        icache, dcache = (
-            Cache(memory, ways=machine.ways, sets=sets, line_bytes=machine.line_bytes,
-                  spm_base=base)
-            for sets, base in ((machine.icache_sets, ispm_base), (machine.dcache_sets, dspm_base))
-        )
-        return cls(itlb=itlb, dtlb=dtlb, icache=icache, dcache=dcache, latency=latency, rng=rng)
-
-    @property
-    def csr(self):
-        """The partition CSR file (shared by both TLBs)."""
-        return self.dtlb.csr
-
-    @property
-    def memory(self):
-        return self.dcache.memory
 
     # -- pricing helpers ------------------------------------------------------
 
@@ -311,11 +293,14 @@ class MemorySystem:
 
     def virtual_access(self, vaddr, kind, vm, value=None):
         """Translate and perform one access on behalf of `vm`, and price
-        it; each cache miss, a real memory trip, draws jitter."""
+        it; each cache miss, a real memory trip, draws jitter.  A write
+        given no value stores write_value(vaddr), as run_loop's do."""
         side = self._sides.get(kind)
         if side is None:
             raise ValueError("kind must be one of %r, got %r" % (KINDS, kind))
         tlb, cache = side
+        if value is None and kind == "write":
+            value = write_value(vaddr)
         look = tlb.lookup(vaddr, vm.asid, vm.vmid)
         translation = self.latency.tlb_hit_cycles
         status = look.status

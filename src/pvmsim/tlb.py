@@ -169,13 +169,13 @@ class PartitionCsrFile:
 
 
 class Tlb:
-    def __init__(self, csr, entries, partition_count, lock_slots):
-        if csr.width != partition_count:
-            raise ValueError("partition CSR width %d != partition count %d"
-                             % (csr.width, partition_count))
-        check_geometry(entries, partition_count, lock_slots)
+    """`entries` entries and `lock_slots` lock slots, replaced under the
+    masks of `csr`, whose width is the partition count."""
+
+    def __init__(self, csr, entries, lock_slots):
+        check_geometry(entries, csr.width, lock_slots)
         self.csr = csr
-        self.tree = PlruTree(entries, partition_count)
+        self.tree = PlruTree(entries, csr.width)
         self.entries = [
             TlbEntry(vpn=0, page_size=PAGE_SIZES[0], asid=0, vmid=0, pte=0, valid=False)
             for _ in range(entries)

@@ -64,10 +64,6 @@ class WalkResult:
     paddr: int = 0  # host-physical address of the walked vaddr
     accesses: list = field(default_factory=list)  # PTE fetch addresses, in order
 
-    @property
-    def ok(self):
-        return self.fault is None
-
 
 class AddressSpace:
     """Sparse radix page tables plus builder helpers.

@@ -27,7 +27,7 @@ Neither checks for faults: memsys raises at the access that finds one.
 
 from dataclasses import dataclass
 
-from .memsys import KINDS, write_value
+from .memsys import KINDS
 from .sv39 import SIZE_4K
 
 ORDERS = ("forward", "reverse", "random")
@@ -138,8 +138,7 @@ def run_regions(sys, vm, regions, rng=None):
     total = 0
     for region in regions:
         for vaddr in region.addresses(rng):
-            value = write_value(vaddr) if region.kind == "write" else None
-            out = sys.virtual_access(vaddr, region.kind, vm, value=value)
+            out = sys.virtual_access(vaddr, region.kind, vm)
             total += out.total_cycles + region.compute_cycles
     return total
 

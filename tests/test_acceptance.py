@@ -210,7 +210,7 @@ def test_criterion_05_walk_fetch_counts():
     count_c = len(res_c.accesses)
 
     literal_ok = (
-        res_a.ok and res_b.ok and res_c.ok
+        res_a.fault is None and res_b.fault is None and res_c.fault is None
         and (count_a, count_b, count_c) == (15, 7, 7)
     )
 
@@ -249,7 +249,7 @@ def test_criterion_05_walk_fetch_counts():
         if len(res.accesses) != want_count:
             mismatches += 1
             continue
-        if res.ok:
+        if res.fault is None:
             if want_status != ("ok", res.paddr):
                 mismatches += 1
         elif want_status != ("fault", res.fault_stage):
@@ -422,7 +422,7 @@ def test_criterion_08_scratchpad_semantics():
     # (which is jittered, and priced differently on a hit).
     rng = random.Random(0xACC8 + 2)
     latency = LatencyConfig(spm_cycles=2, jitter=3)
-    sys_ = MemorySystem.build(
+    sys_ = MemorySystem(
         MachineConfig(ways=4, icache_sets=8, dcache_sets=8), Memory([(RAM_BASE, 1 << 20)]),
         latency, ispm_base=2 * SPM_BASE, dspm_base=SPM_BASE, rng=random.Random(0xACC8 + 3),
     )

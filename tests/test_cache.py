@@ -24,6 +24,7 @@ from pvmsim.cache import (
     check_geometry,
     check_spm_window,
 )
+from pvmsim.hypervisor import DSPM_BASE, ISPM_BASE, MEMORY_REGIONS
 from oracles import CacheRef, spm_decode_ref
 from state_views import data_words, memory_words, probe, spm_word, tag_state
 
@@ -85,6 +86,31 @@ def test_spm_windows_on_one_memory_may_not_overlap():
             Cache(mem, ways=ways, sets=sets, line_bytes=16, spm_base=base)
     Cache(mem, ways=4, sets=8, line_bytes=16, spm_base=SPM_BASE + 512)  # the next window
     Cache(Memory([(RAM_BASE, RAM_SIZE)]), ways=4, sets=8, line_bytes=16, spm_base=SPM_BASE)
+
+
+def test_an_array_above_the_bound_is_refused_at_build():
+    mem = Memory([(RAM_BASE, RAM_SIZE)])
+    with pytest.raises(ValueError, match=r"^ways \* sets \* line_bytes is 0x800000 bytes, "
+                                         r"more than 0x400000$"):
+        Cache(mem, ways=8, sets=MAX_ARRAY_BYTES // 64, line_bytes=16, spm_base=SPM_BASE)
+    assert mem._windows == []
+
+
+def test_both_windows_fit_every_admitted_array():
+    """The array bound is all the window check needs at load: every array
+    check_geometry admits is a power of two of 16 bytes (2 ways, 1 set,
+    8-byte lines) to MAX_ARRAY_BYTES, and both windows of the modeled
+    layout fit each such size on one memory."""
+    size = 2 * 1 * WORD_BYTES
+    check_geometry(2, 1, WORD_BYTES)
+    sizes = []
+    while size <= MAX_ARRAY_BYTES:
+        mem = Memory(MEMORY_REGIONS)
+        check_spm_window(DSPM_BASE, size, mem)
+        check_spm_window(ISPM_BASE, size, mem)
+        sizes.append(size)
+        size *= 2
+    assert sizes[-1] == MAX_ARRAY_BYTES and len(sizes) == 19
 
 
 def test_unmapped_address_is_a_configuration_error():

@@ -8,13 +8,15 @@ promise is string-matching the error text here.
 import contextlib
 import io
 import os
+import random
 import unittest
 
 import pytest
 
 from pvmsim import cli
 from pvmsim.config import ConfigError, load_experiment
-from pvmsim.hypervisor import HypervisorConfig
+from pvmsim.cache import MAX_ARRAY_BYTES
+from pvmsim.hypervisor import HypervisorConfig, build_system
 from pvmsim.memsys import MachineConfig
 from pvmsim.sv39 import PTE_A, PTE_D, PTE_R, PTE_W, PTE_X, SIZE_2M
 from pvmsim.workload import InterferenceLoop, Region, Workload
@@ -427,10 +429,10 @@ class RejectionTest(unittest.TestCase):
 
     def test_machine_the_scenario_cannot_build(self):
         # Each rule of Cache, PlruTree and PartitionCsrFile, at load time,
-        # including where the scratchpad windows sit: an 8-way array of
-        # 2^22 (2^23) sets of 16 bytes outgrows the alignment of the data
-        # (instruction) window base.  Geometry and windows are checked once,
-        # under their own section; the masks are checked per scenario.
+        # including the array bound: an 8-way array of 2^22 (2^23) sets of
+        # 16 bytes would outgrow the alignment of the data (instruction)
+        # window base, and the bound stops it first.  Geometry is checked
+        # once, under its own section; the masks are checked per scenario.
         tlb, cache, scenario = r"\[tlb\]", r"\[cache\]", r"\[scenario\.(quiet|noisy)\]"
         for old, new, where, pattern in (
             ("ways = 8", "ways = 6", cache, r"ways must be a power of two >= 2, got 6"),
@@ -441,15 +443,13 @@ class RejectionTest(unittest.TestCase):
                 "dcache_sets = 256",
                 "dcache_sets = 4194304",
                 cache,
-                r"data scratchpad window base 0x10000000 must be aligned to the array size "
-                r"0x20000000$",
+                r"ways \* dcache_sets \* line_bytes is 0x20000000 bytes, more than 0x400000$",
             ),
             (
                 "icache_sets = 128",
                 "icache_sets = 8388608",
                 cache,
-                r"instruction scratchpad window base 0x20000000 must be aligned to the array "
-                r"size 0x40000000$",
+                r"ways \* icache_sets \* line_bytes is 0x40000000 bytes, more than 0x400000$",
             ),
             ("line_bytes = 16", "line_bytes = 24", cache, r"line_bytes must be a power of two"),
             ("line_bytes = 16", "line_bytes = 4", cache, r"line_bytes must be at least 8"),
@@ -505,25 +505,29 @@ class RejectionTest(unittest.TestCase):
             (
                 "dcache_sets = 256",
                 "dcache_sets = 262144",
-                r"the data cache's array of 0x2000000 bytes exceeds 0x400000$",
+                r"ways \* dcache_sets \* line_bytes is 0x2000000 bytes, more than 0x400000$",
             ),
             (
                 "ways = 8",
                 "ways = 4096",
-                r"the instruction cache's array of 0x800000 bytes exceeds 0x400000$",
+                r"ways \* icache_sets \* line_bytes is 0x800000 bytes, more than 0x400000$",
             ),
         ):
             with self.subTest(new=new):
                 self.check(BASE.replace(old, new), r"^\[cache\]: " + pattern)
         # The largest shapes the bounds admit: 4096 ways, 4 KiB lines and
-        # 4 MiB arrays.
+        # 4 MiB arrays.  They load, and their machine builds with both
+        # scratchpad windows in place.
         for old, new in (
             ("ways = 8\nicache_sets = 128\ndcache_sets = 256",
              "ways = 4096\nicache_sets = 64\ndcache_sets = 64"),
             ("icache_sets = 128\ndcache_sets = 256\nline_bytes = 16",
              "icache_sets = 64\ndcache_sets = 128\nline_bytes = 4096"),
         ):
-            self.assertEqual(load(BASE.replace(old, new)).scenario_names, ("quiet", "noisy"))
+            cfg = load(BASE.replace(old, new))
+            self.assertEqual(cfg.scenario_names, ("quiet", "noisy"))
+            system = build_system(cfg.scenarios["quiet"], random.Random(1))
+            self.assertEqual(system.dcache.size, MAX_ARRAY_BYTES)
 
     def test_touches_per_quantum_are_bounded_at_load(self):
         # The cheapest touch is a TLB hit and a cache hit, 2 cycles, so a

@@ -74,6 +74,7 @@ def test_every_touchable_page_translates(name):
         touches.append((plan.hyp_context, (plan.defn.hyp.footprint,)))
         for ctx, sweeps in touches:
             for vaddr, walk in walks(ctx, sweeps):
-                assert walk.ok, (scenario, ctx.name, hex(vaddr), walk.fault, walk.fault_stage)
+                assert walk.fault is None, (
+                    scenario, ctx.name, hex(vaddr), walk.fault, walk.fault_stage)
                 walked += 1
     assert walked

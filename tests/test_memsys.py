@@ -45,7 +45,7 @@ def build_system(jitter=0, seed=0, **kw):
     mem = Memory([(TABLE_BASE, 1 << 20), (DATA_BASE, 1 << 20)])
     latency = LatencyConfig(jitter=jitter)
     rng = random.Random(seed) if jitter else None
-    return MemorySystem.build(
+    return MemorySystem(
         MachineConfig(),
         mem,
         latency,
@@ -147,8 +147,8 @@ def test_every_event_is_priced_from_the_latency_config():
     entry (or from a default) shows up as a wrong number."""
     mem = Memory([(TABLE_BASE, 1 << 20), (DATA_BASE, 1 << 20)])
     latency = LatencyConfig(tlb_hit_cycles=2, cache_hit_cycles=3, spm_cycles=5, memory_cycles=50)
-    sys_ = MemorySystem.build(MachineConfig(), mem, latency, ispm_base=ISPM_BASE,
-                              dspm_base=DSPM_BASE)
+    sys_ = MemorySystem(MachineConfig(), mem, latency, ispm_base=ISPM_BASE,
+                        dspm_base=DSPM_BASE)
     vm = single_stage_vm()
     sys_.dcache.configure_way(0, MODE_SPM)
     way_bytes = sys_.dcache.way_bytes
@@ -215,8 +215,8 @@ def test_warm_replay_serves_every_fetch_without_a_step():
     called, and the walk costs 15 cache hits."""
     mem = Memory([(TABLE_BASE, 1 << 20), (DATA_BASE, 1 << 20)])
     # The walk puts nine page-aligned lines in set 0: 16 ways hold them all.
-    sys_ = MemorySystem.build(MachineConfig(ways=16), mem, LatencyConfig(cache_hit_cycles=3),
-                              ispm_base=ISPM_BASE, dspm_base=DSPM_BASE)
+    sys_ = MemorySystem(MachineConfig(ways=16), mem, LatencyConfig(cache_hit_cycles=3),
+                        ispm_base=ISPM_BASE, dspm_base=DSPM_BASE)
     vm, vaddr = scattered_two_stage()
     step_code = sys_.dcache.step.__code__
     steps = []
@@ -410,6 +410,25 @@ def test_write_value_round_trips_through_pipeline():
     assert out.value == 0xABCD
 
 
+@pytest.mark.parametrize("warm", [True, False], ids=["tlb-hit", "tlb-miss"])
+def test_a_write_given_no_value_stores_write_value(warm):
+    """A write with no value is whole before it starts: it stores
+    write_value(vaddr), as run_loop's writes do, and leaves the machine
+    and the cycles exactly as the same write given that value."""
+    vaddr = VBASE + 0x148
+    runs = []
+    for value in (None, memsys.write_value(vaddr)):
+        sys_ = build_system()
+        vm = single_stage_vm()
+        if warm:
+            sys_.virtual_access(VBASE, "read", vm)
+        out = sys_.virtual_access(vaddr, "write", vm, value=value)
+        assert out.tlb_hit == warm
+        runs.append((out, sys_.snapshot(), sys_.dtlb.hits, sys_.dtlb.misses))
+    assert runs[0] == runs[1]
+    assert dict(runs[0][1][-1])[DATA_BASE + 0x148] == memsys.write_value(vaddr)
+
+
 @pytest.mark.parametrize("path", ["access", "run_loop"])
 def test_a_store_of_zero_is_a_write(path):
     """A cache step reads on a value of None alone: a store of 0, which a
@@ -454,7 +473,7 @@ def test_jitter_must_stay_below_memory_cycles():
 
 def test_jitter_requires_a_generator():
     with pytest.raises(ValueError):
-        MemorySystem.build(
+        MemorySystem(
             MachineConfig(),
             Memory([(DATA_BASE, 1 << 20)]),
             LatencyConfig(jitter=3),
@@ -644,7 +663,7 @@ def test_interference_never_speeds_up_a_fitting_working_set():
             assert run(ops, seed) >= baseline
 
 
-# -- build helper -------------------------------------------------------------------
+# -- construction -------------------------------------------------------------------
 
 
 def test_build_wires_shared_components():
@@ -661,8 +680,8 @@ def test_build_takes_its_shape_from_the_machine_config():
     machine = MachineConfig(
         entries=8, partitions=4, lock_slots=3, ways=4, icache_sets=16, dcache_sets=32, line_bytes=32
     )
-    sys_ = MemorySystem.build(machine, Memory([(DATA_BASE, 1 << 20)]), ispm_base=ISPM_BASE,
-                              dspm_base=DSPM_BASE)
+    sys_ = MemorySystem(machine, Memory([(DATA_BASE, 1 << 20)]), ispm_base=ISPM_BASE,
+                        dspm_base=DSPM_BASE)
     assert sys_.csr.width == 4
     for tlb in (sys_.itlb, sys_.dtlb):
         assert len(tlb.entries) == 8 and len(tlb.slots) == 3

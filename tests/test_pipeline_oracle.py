@@ -250,7 +250,7 @@ def make_system(seed, jitter):
         tlb_hit_cycles=2, cache_hit_cycles=3, spm_cycles=5, memory_cycles=40, jitter=jitter
     )
     memory = Memory([(TABLE_BASE, 1 << 20), (DATA_BASE, 16 << 20)])
-    return MemorySystem.build(
+    return MemorySystem(
         MachineConfig(**GEOMETRY), memory, latency, ispm_base=ISPM_BASE, dspm_base=DSPM_BASE,
         rng=random.Random(seed) if jitter else None,
     )

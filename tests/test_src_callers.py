@@ -3,9 +3,11 @@ by tools/ or by bench/: model API that only tests call does not belong in
 src/.  Tests read state the simulator does not expose through snapshot()
 (see state_views.py) or through the model's own methods.
 
-A use is the name as an attribute, a plain name, an import alias or a
-whole string constant; the last covers bench/layers.py's TARGETS, which
-names the methods it times as strings.
+A use of a method or property is its name as an attribute, an import
+alias or a whole string constant; the last covers bench/layers.py's
+TARGETS, which names the methods it times as strings.  A module-level
+function may also be used as a plain name.  A local variable that shares
+a method's name is no use of the method.
 """
 
 import ast
@@ -41,37 +43,50 @@ def public_definitions(path, module):
 
 
 def used_names(path):
-    """Every name the file at `path` uses as an attribute, a plain name, an
-    import alias or a whole string constant."""
-    used = set()
+    """(members, plain): the names the file at `path` uses as an
+    attribute, an import alias or a whole string constant, and the names
+    it uses as a plain name."""
+    members, plain = set(), set()
     for node in ast.walk(parse(path)):
         if isinstance(node, ast.Attribute):
-            used.add(node.attr)
+            members.add(node.attr)
         elif isinstance(node, ast.Name):
-            used.add(node.id)
+            plain.add(node.id)
         elif isinstance(node, ast.alias):
-            used.add(node.name.rsplit(".", 1)[-1])
+            members.add(node.name.rsplit(".", 1)[-1])
             if node.asname:
-                used.add(node.asname)
+                members.add(node.asname)
         elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-            used.add(node.value)
-    return used
+            members.add(node.value)
+    return members, plain
+
+
+def unused(sources, callers):
+    """The qualified names of the public definitions in `sources` that no
+    file in `callers` uses: a method by a member use, a module-level
+    function by either kind."""
+    members, plain = set(), set()
+    for path in callers:
+        found_members, found_plain = used_names(path)
+        members |= found_members
+        plain |= found_plain
+    return [
+        qualified
+        for path in sources
+        for qualified, name in public_definitions(path, os.path.splitext(os.path.basename(path))[0])
+        if name not in members and (qualified.count(".") > 1 or name not in plain)
+    ]
 
 
 def test_every_public_function_has_a_caller_outside_the_tests():
     sources = sorted(glob.glob(os.path.join(ROOT, "src", "pvmsim", "*.py")))
     assert len(sources) > 10
+    assert sum(len(public_definitions(path, "m")) for path in sources) > 50
     callers = sources + sorted(glob.glob(os.path.join(ROOT, "tools", "*.py")))
     callers += sorted(glob.glob(os.path.join(ROOT, "bench", "*.py")))
-    used = set().union(*(used_names(path) for path in callers))
-    defined = [
-        definition
-        for path in sources
-        for definition in public_definitions(path, os.path.splitext(os.path.basename(path))[0])
-    ]
-    assert len(defined) > 50
-    assert [q for q, name in defined if name not in used and q not in ALLOWED] == []
-    assert {q for q, name in defined if name not in used} == ALLOWED  # no stale entry
+    found = unused(sources, callers)
+    assert [q for q in found if q not in ALLOWED] == []
+    assert set(found) == ALLOWED  # no stale entry
 
 
 def test_the_check_sees_every_definition_and_use_form(tmp_path):
@@ -88,13 +103,23 @@ def test_the_check_sees_every_definition_and_use_form(tmp_path):
         "        pass\n"
         "    def _scan(self):\n"
         "        pass\n"
-        "TARGETS = (('tlb', 'Tlb', 'translate'),)\n",
+        "    @property\n"
+        "    def ok(self):\n"
+        "        pass\n"
+        "TARGETS = (('tlb', 'Tlb', 'translate'),)\n"
+        "def main():\n"
+        "    ok = build\n",
         encoding="utf-8",
     )
     assert public_definitions(str(path), "probe") == [
         ("probe.build", "build"),
         ("probe.Tlb.fill", "fill"),
+        ("probe.Tlb.ok", "ok"),
+        ("probe.main", "main"),
     ]
-    used = used_names(str(path))
-    assert {"snapshot", "take", "walker", "lookup", "run_loop", "translate"} <= used
-    assert not {"build", "inner", "fill", "_scan"} & used
+    members, plain = used_names(str(path))
+    assert {"snapshot", "take", "walker", "lookup", "translate"} <= members
+    assert {"run_loop", "ok", "build"} <= plain
+    assert not {"run_loop", "ok", "build", "inner", "fill", "_scan"} & members
+    # A plain name uses a function, never a method of the same name.
+    assert unused([str(path)], [str(path)]) == ["probe.Tlb.fill", "probe.Tlb.ok", "probe.main"]

@@ -29,7 +29,7 @@ FULL = PTE_V | PTE_R | PTE_W | PTE_X | PTE_A | PTE_D
 
 def make_tlb(entries=16, partitions=16, slots=8):
     csr = PartitionCsrFile(partitions)
-    return Tlb(csr, entries=entries, partition_count=partitions, lock_slots=slots)
+    return Tlb(csr, entries=entries, lock_slots=slots)
 
 
 def entry(vpn, asid=1, vmid=0, size=SIZE_4K, ppn=None, flags=FULL, global_flag=False):
@@ -201,8 +201,6 @@ def test_width_mismatch_rejected():
         csr.write_cur_part(1 << 4)
     with pytest.raises(ValueError):
         csr.write_last_part(-1)
-    with pytest.raises(ValueError):
-        Tlb(PartitionCsrFile(8), entries=16, partition_count=16, lock_slots=8)
 
 
 def test_csr_protocol_matches_reference_machine():

@@ -50,7 +50,7 @@ def test_4k_walk_costs_three_fetches():
     space = AddressSpace(root_ppn=0x100)
     space.map_page(0x8000_0000, 0x4000_0000, SIZE_4K, RW)
     res = walk_single(space, 0x8000_0123)
-    assert res.ok
+    assert res.fault is None
     # Root to leaf: the builder allocated the lower tables right after the root.
     assert [addr >> 12 for addr in res.accesses] == [0x100, 0x101, 0x102]
     assert res.paddr == 0x4000_0123
@@ -61,7 +61,7 @@ def test_giga_leaf_costs_one_fetch():
     space = AddressSpace(root_ppn=0x100)
     space.map_page(0x4000_0000, 0x8000_0000, SIZE_1G, RWX)
     res = walk_single(space, 0x4000_0000 + 12345)
-    assert res.ok and len(res.accesses) == 1
+    assert res.fault is None and len(res.accesses) == 1
     assert res.page_size == SIZE_1G
     assert res.paddr == 0x8000_0000 + 12345
 
@@ -70,7 +70,7 @@ def test_mega_leaf_costs_two_fetches():
     space = AddressSpace(root_ppn=0x100)
     space.map_page(0x8020_0000, 0x4020_0000, SIZE_2M, RW)
     res = walk_single(space, 0x8020_0000 + 0x1FFFFF)
-    assert res.ok and len(res.accesses) == 2
+    assert res.fault is None and len(res.accesses) == 2
     assert res.paddr == 0x4020_0000 + 0x1FFFFF
 
 
@@ -139,7 +139,7 @@ def test_latency_additivity_with_variable_costs():
     # prices, in order: here only the middle-level PTE line is warm.
     space = AddressSpace(root_ppn=0x100)
     space.map_page(0x8000_0000, 0x4000_0000, SIZE_4K, RW)
-    sys_ = MemorySystem.build(
+    sys_ = MemorySystem(
         MachineConfig(),
         Memory([(0x100 << 12, 3 * SIZE_4K), (0x4000_0000, SIZE_4K)]),
         LatencyConfig(cache_hit_cycles=7, memory_cycles=41),
@@ -179,7 +179,7 @@ def test_random_pages_match_direct_evaluation():
         res = walk_single(space, addr)
         status, paddr, level, pte = radix_translate_ref(space.tables, space.root_ppn, addr)
         assert status == "ok"
-        assert res.ok and res.paddr == paddr and res.pte == pte
+        assert res.fault is None and res.paddr == paddr and res.pte == pte
         assert len(res.accesses) == 3 - level
 
 
@@ -235,7 +235,7 @@ def nested_setup(guest_size=SIZE_4K, host_size=SIZE_4K):
 def test_two_stage_4k_4k_is_fifteen_fetches():
     guest, host, gva = nested_setup()
     res = walk_two_stage(guest, host, gva + 0x123)
-    assert res.ok
+    assert res.fault is None
     assert len(res.accesses) == 15
     assert res.page_size == SIZE_4K
     assert res.paddr == 0x8000_0123
@@ -248,14 +248,14 @@ def test_two_stage_guest_giga_is_seven_fetches():
     host.map_page(0x800 << 12, 0x800 << 12, SIZE_4K, RWX)  # guest root table
     map_region(host, 0x8000_0000, 0x8000_0000, SIZE_4K, RWX)  # the accessed page
     res = walk_two_stage(guest, host, 0x4000_0000)
-    assert res.ok and len(res.accesses) == 7
+    assert res.fault is None and len(res.accesses) == 7
     assert res.page_size == SIZE_4K  # merged granularity: min(1G, 4K)
 
 
 def test_two_stage_host_giga_is_seven_fetches():
     guest, host, gva = nested_setup(host_size=SIZE_1G)
     res = walk_two_stage(guest, host, gva)
-    assert res.ok and len(res.accesses) == 7
+    assert res.fault is None and len(res.accesses) == 7
     assert res.page_size == SIZE_4K
 
 
@@ -276,7 +276,7 @@ def test_merged_page_size_both_superpages():
         host.map_page(table_ppn << 12, table_ppn << 12, SIZE_4K, RWX)
     host.map_page(0x8000_0000, 0xC000_0000, SIZE_2M, RWX)
     res = walk_two_stage(guest, host, 0x4000_0000 + 0x12345)
-    assert res.ok
+    assert res.fault is None
     assert res.page_size == SIZE_2M  # min(2M, 2M)
     assert res.paddr == 0xC000_0000 + 0x12345
     assert res.pte >> 10 == 0xC000_0000 >> 12
@@ -329,7 +329,7 @@ def test_random_two_stage_against_instrumented_oracle():
         )
         assert len(res.accesses) == want_count
         if gpa in mapped_data:
-            assert want_status[0] == "ok" and res.ok
+            assert want_status[0] == "ok" and res.fault is None
             assert res.paddr == want_status[1]
             # Composition: host-translate the guest-translated address.
             g_status, g_paddr, _, _ = radix_translate_ref(guest.tables, guest.root_ppn, addr)

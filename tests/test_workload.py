@@ -24,8 +24,8 @@ RX = PTE_R | PTE_X | PTE_A | PTE_D
 def build_vm(pages=8, latency=None):
     """Single-stage VM with `pages` data pages and 2 code pages mapped."""
     memory = Memory([(TABLE_BASE, 1 << 20), (DATA_BASE, 1 << 20)])
-    sys = MemorySystem.build(MachineConfig(), memory, latency or LatencyConfig(),
-                             ispm_base=ISPM_BASE, dspm_base=DSPM_BASE)
+    sys = MemorySystem(MachineConfig(), memory, latency or LatencyConfig(),
+                       ispm_base=ISPM_BASE, dspm_base=DSPM_BASE)
     space = AddressSpace(root_ppn=TABLE_BASE >> 12)
     for i in range(pages):
         space.map_page(VBASE + i * SIZE_4K, DATA_BASE + i * SIZE_4K, SIZE_4K, RW)
