@@ -13,7 +13,7 @@ processes, or fewer when there are fewer jobs, as a forking pool starts
 all its processes at the first submit.  A range shipped to the pool
 starts cold: its worker unpickles the plan and builds, sets up and warms
 the machine again (a built machine cannot be pickled: see Cache), which
-costs about as much as 5.5 warm iterations.  So a scenario is cut into
+costs about as much as 5 warm iterations.  So a scenario is cut into
 near-equal contiguous ranges, one per process, only as far as each keeps
 MIN_SLICE iterations, and otherwise ships whole.  An interference-free
 plan draws every iteration after its first, so it runs in this process,
@@ -36,9 +36,9 @@ import time
 from . import __version__, hypervisor
 
 
-# The fewest iterations worth a cold range: its start-up (about 5.5 warm
-# iterations of an `unmitigated` scenario, CPython 3.11) stays under ~10%
-# of it.
+# The fewest iterations worth a cold range: its start-up (about 5 warm
+# iterations of an `unmitigated` scenario, timed as one range and as 41
+# through a one-process pool, CPython 3.11) stays under ~10% of it.
 MIN_SLICE = 64
 
 

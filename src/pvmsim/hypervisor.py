@@ -63,7 +63,12 @@ by writing LAST_PART first and then RESTORE_LAST_PART.
 Only the measured phase is timed, so the untimed phases (prime, the
 handler's footprint sweep, interference quanta) matter solely through
 the TLB, cache and CSR state they leave behind, and traps and VM
-switches carry no cycle price of their own.
+switches carry no cycle price of their own.  The measured phase and the
+interference quanta run through MemorySystem.run_loop (run_measure and
+run_interference), which builds no per-access outcome; the prime and the
+footprint take one virtual_access per address (run_regions), which keeps
+the outcome-building path in every run for the tests and the benchmark's
+traced pass that observe it (see the workload module docstring).
 """
 
 import hashlib
@@ -86,7 +91,14 @@ from .sv39 import (
 )
 from .tlb import check_mask
 from .walker import GPA_BITS, AddressSpace
-from .workload import InterferenceLoop, Region, Workload, run_interference, run_regions
+from .workload import (
+    InterferenceLoop,
+    Region,
+    Workload,
+    run_interference,
+    run_measure,
+    run_regions,
+)
 
 # Physical layout of the modeled machine. Backing memory is sparse, so
 # generous spacing costs nothing.
@@ -578,7 +590,7 @@ def run_iteration(plan, index):
     if first:
         served0 = sys.guaranteed_counts()
     tlb0, cache0 = sys.miss_counts()
-    cycles = run_regions(sys, crit, crit.workload.measure, work_rng)
+    cycles = run_measure(sys, crit, crit.workload.measure, work_rng)
     tlb1, cache1 = sys.miss_counts()
     record = IterationRecord(
         index=index, cycles=cycles, tlb_misses=tlb1 - tlb0, cache_misses=cache1 - cache0

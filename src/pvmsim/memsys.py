@@ -62,13 +62,14 @@ jitter_sum, and so does a caller that knows a phase's miss count without
 simulating it: after a restore, a phase of k misses adds jitter_sum(rng,
 j, k, after=the snapshot's misses).
 
-Untimed interference runs through run_loop, which does what a
-virtual_access per address would do but builds no outcome: each touch is
-one Tlb.translate (the path Tlb.lookup takes) and one call of the
-cache's access step (Cache.step, the path Cache.access takes), its event
-priced from a table fixed once per call with the lookup and compute
-cycles folded in.  This module reads nothing of a TLB's or a cache's
-storage.
+run_loop does what a virtual_access per address would do but builds no
+outcome: each touch is one Tlb.translate (the path Tlb.lookup takes) and
+one call of the cache's access step (Cache.step, the path Cache.access
+takes), its event priced from a table fixed once per call with the
+lookup and compute cycles folded in.  Interference quanta run through it,
+and so does the timed measured phase: a quantum of math.inf never stops
+it, so it sweeps its whole address stream (workload.run_measure).  This
+module reads nothing of a TLB's or a cache's storage.
 
 Every draw goes straight to the generator's getrandbits, through
 randbelow or jitter_sum's copy of its loop, applying CPython's own
@@ -324,7 +325,8 @@ class MemorySystem:
         """Perform `kind` accesses at `addresses` on behalf of `vm` until a
         positive `quantum` of cycles is spent, stopping at the first access
         boundary at or past it; each costs virtual_access's cycles plus
-        `compute_cycles`.  Returns the cycles spent.
+        `compute_cycles`.  Returns the cycles spent.  A quantum of math.inf
+        makes it a sweep of every address.
 
         Each touch is one Tlb.translate (a miss goes on to _refill) and one
         Cache.step, priced from a table fixed once per call."""

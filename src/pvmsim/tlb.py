@@ -38,19 +38,28 @@ ValueError naming it.  Tlb.lookup is translate plus a LookupResult read
 from the memo translate just served.
 
 A hit on a regular entry touches its leaf through PlruTree.touch; a
-lock-slot hit touches nothing.  The TLB remembers its last hit: a lookup
-with the same asid and vmid whose page lies in the memo's span is served
-from the memo without a scan or a touch.  The span is the hit's page, or
-the whole span of a superpage entry when nothing else could serve a page
-of it first: no active lock slot and no valid entry at a lower leaf
-overlaps the span for these ids (or globally).  That is checked once,
-when the memo is set; slots win over entries and lower leaves over
-higher ones, so the scan of any page in the span would then find the
-same leaf.  Between the hit and the lookup nothing has changed -- every
-fill, restore and lock-slot write clears the memo -- and touching
-the leaf last touched again would change no bit.  The memo holds the
-address bits above the span, sign extension included, so a memo hit is
-canonical.  It is derived state and never goes into a snapshot.
+lock-slot hit touches nothing.  The TLB remembers its last hit, or the
+page its last fill served: a lookup with the same asid and vmid whose
+page lies in the memo's span is served from the memo without a scan or a
+touch.  The span is the page, or the whole span of a superpage entry
+when nothing else could serve a page of it first: no active lock slot
+and no valid entry at a lower leaf overlaps the span for these ids (or
+globally).  That is checked once, when the memo is set, by the one
+helper the scan and the fill share; slots win over entries and lower
+leaves over higher ones, so the scan of any page in the span would then
+find the same leaf.  Between setting the memo and the lookup nothing has
+changed -- every fill, restore and lock-slot write clears the memo, and
+only a fill may set it again, for the entry it installs -- and touching
+the leaf last touched again would change no bit.
+
+A miss is remembered until the next fill, restore or lock-slot write.
+When a fill installs an entry that serves the missed page, no slot or
+other entry could serve it, so the scan after the fill would find the
+filled leaf, which PlruTree.insert has just touched: the fill sets the
+memo that scan would set, and the touches after a refill skip the
+scan.  The memo holds the address bits above the span, sign extension
+included, so a memo hit is canonical.  It is derived state and never
+goes into a snapshot.
 """
 
 from dataclasses import dataclass, replace
@@ -184,10 +193,14 @@ class Tlb:
         self.slots = [LockSlot(target_leaf=j) for j in range(lock_slots)]
         self._active = ()  # derived by _refresh_active; never snapshotted
         # (cover mask, vaddr & cover mask, asid, vmid, frame address, offset
-        # mask, page size, pte, lock hit) of the last hit, or None; the
-        # cover is the page or the whole superpage the memo serves.  Read
-        # by translate, and by lookup after translate has served it.
+        # mask, page size, pte, lock hit) of the last hit or of the page the
+        # last fill served, or None; the cover is the page or the whole
+        # superpage the memo serves.  Read by translate, and by lookup
+        # after translate has served it.
         self._memo = None
+        # (vaddr, asid, vmid) of the last miss until the next fill, restore
+        # or lock-slot write; a fill that serves it sets the memo.
+        self._missed = None
         self.hits = 0
         self.misses = 0
         self.lock_hits = 0
@@ -235,33 +248,37 @@ class Tlb:
                 and vpn & -(slot.page_size >> PAGE_SHIFT) == slot.vpn
             ):
                 # Served from the registers; replacement state untouched.
-                size, pte, lock_hit = slot.page_size, slot.pte, True
-                break
-        else:
-            for leaf, entry in enumerate(self.entries):
-                if (
-                    entry.valid
-                    and entry.vmid == vmid
-                    and (entry.asid == asid or entry.global_flag)
-                    and vpn & -(entry.page_size >> PAGE_SHIFT) == entry.vpn
-                ):
-                    self.tree.touch(leaf)
-                    size, pte, lock_hit = entry.page_size, entry.pte, False
-                    break
-            else:
-                return None
+                return self._remember(vaddr, asid, vmid, None, slot.page_size, slot.pte)
+        for leaf, entry in enumerate(self.entries):
+            if (
+                entry.valid
+                and entry.vmid == vmid
+                and (entry.asid == asid or entry.global_flag)
+                and vpn & -(entry.page_size >> PAGE_SHIFT) == entry.vpn
+            ):
+                self.tree.touch(leaf)
+                return self._remember(vaddr, asid, vmid, leaf, entry.page_size, entry.pte)
+        self._missed = (vaddr, asid, vmid)
+        return None
+
+    def _remember(self, vaddr, asid, vmid, leaf, size, pte):
+        """Set and return the memo of a hit at vaddr for these ids, served
+        by the entry at `leaf` (None for a lock slot) with this page size and
+        PTE.  A lock slot covers the page; an entry covers its whole span
+        when it serves every page of it alone."""
         cover = PAGE_SIZE
-        if size > PAGE_SIZE and not lock_hit and self._serves_alone(leaf, entry, asid, vmid):
+        if size > PAGE_SIZE and leaf is not None and self._serves_alone(leaf, asid, vmid):
             cover = size
         memo = self._memo = (
             -cover, vaddr & -cover, asid, vmid, pte >> PPN_SHIFT << PAGE_SHIFT, size - 1, size,
-            pte, lock_hit,
+            pte, leaf is None,
         )
         return memo
 
-    def _serves_alone(self, leaf, entry, asid, vmid):
-        """Whether `entry`, at `leaf`, serves every page of its span for these
+    def _serves_alone(self, leaf, asid, vmid):
+        """Whether the entry at `leaf` serves every page of its span for these
         ids: no active slot and no valid entry at a lower leaf overlaps it."""
+        entry = self.entries[leaf]
         lo, hi = entry.vpn, entry.vpn + (entry.page_size >> PAGE_SHIFT)
         return not any(
             slot.vmid == vmid
@@ -281,13 +298,23 @@ class Tlb:
         CUR_PART enabled nothing replaceable and the fill was dropped."""
         if not entry.valid:
             raise ValueError("refusing to fill an invalid entry")
-        self._memo = None
+        missed, self._memo, self._missed = self._missed, None, None
         victim = self.tree.insert(self.csr.cur_part)
         if victim is None:
             self.dropped_fills += 1
             return None
         self.entries[victim] = entry
         self.fills += 1
+        if missed is not None:
+            # No slot or entry served the missed page, and none has changed
+            # since but this one, so a scan of that page would find it here.
+            vaddr, asid, vmid = missed
+            if (
+                entry.vmid == vmid
+                and (entry.asid == asid or entry.global_flag)
+                and vaddr >> PAGE_SHIFT & VPN_MASK & -(entry.page_size >> PAGE_SHIFT) == entry.vpn
+            ):
+                self._remember(vaddr, asid, vmid, victim, entry.page_size, entry.pte)
         return victim
 
     # -- lock slots ----------------------------------------------------------
@@ -323,7 +350,7 @@ class Tlb:
         """Derive the active slots, in slot order, and the leaves they pin."""
         active = self._active = tuple(slot for slot in self.slots if slot.active)
         self.tree.locked = sum(1 << slot.target_leaf for slot in active)
-        self._memo = None
+        self._memo = self._missed = None
 
     # -- snapshot / restore ----------------------------------------------------
 

@@ -20,11 +20,20 @@ miss was inflicted from outside).
 An InterferenceLoop is open-ended instead: it visits uniformly random
 pages of its pool, a few line-granular touches per visit, until the cycle
 quantum the scheduler granted is used up.  Per visit it draws a page and
-then per touch an offset, each as randrange(n) would draw it, and
-MemorySystem.run_loop prices those addresses without per-access outcomes.
-Neither checks for faults: memsys raises at the access that finds one.
+then per touch an offset, each as randrange(n) would draw it.
+
+Two executors serve the region lists, with the same cycles and effects.
+run_measure, which times the measured phase, sweeps each region with one
+MemorySystem.run_loop, as run_interference runs a quantum: the hot paths
+build no per-access outcome.  run_regions takes one virtual_access per
+address and runs the untimed prime and the hypervisor's footprint sweep,
+so the outcome-building path, which tests hold to a reference pipeline
+and the benchmark's traced pass observes, runs in every experiment; a
+sweep through run_loop gained nothing measurable there.  None of them
+checks for faults: memsys raises at the access that finds one.
 """
 
+import math
 from dataclasses import dataclass
 
 from .memsys import KINDS
@@ -134,13 +143,23 @@ class InterferenceLoop:
 
 
 def run_regions(sys, vm, regions, rng=None):
-    """Execute a region list on behalf of vm; returns total cycles."""
+    """Execute a region list on behalf of vm, one virtual_access per
+    address; returns total cycles."""
     total = 0
     for region in regions:
         for vaddr in region.addresses(rng):
             out = sys.virtual_access(vaddr, region.kind, vm)
             total += out.total_cycles + region.compute_cycles
     return total
+
+
+def run_measure(sys, vm, regions, rng):
+    """run_regions' cycles and effects, each region swept by one run_loop
+    with no quantum to stop it."""
+    return sum(
+        sys.run_loop(vm, region.kind, region.addresses(rng), region.compute_cycles, math.inf)
+        for region in regions
+    )
 
 
 def run_interference(sys, vm, loop, quantum, rng):

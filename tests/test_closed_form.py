@@ -29,7 +29,7 @@ from pvmsim.cli import preset_names, preset_text
 from pvmsim.config import load_experiment
 from pvmsim.harness import run_experiment
 from pvmsim.hypervisor import build_plan, run_iteration, run_range
-from pvmsim.workload import InterferenceLoop, Workload, run_regions
+from pvmsim.workload import InterferenceLoop, Workload, run_measure
 
 from test_golden import WRITES_TEXT
 
@@ -55,7 +55,7 @@ def measure_runs(defn, stop=ITERATIONS):
     measured phase ran)."""
     plan = build_plan(defn)
     measure = plan.measured.workload.measure
-    with mock.patch.object(hypervisor, "run_regions", wraps=run_regions) as spy:
+    with mock.patch.object(hypervisor, "run_measure", wraps=run_measure) as spy:
         records = run_range(plan, 0, stop)
     return records, sum(1 for call in spy.call_args_list if call.args[2] is measure)
 

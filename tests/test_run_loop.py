@@ -20,9 +20,18 @@ Because the loop serves hits without calling Tlb.lookup or Cache.access,
 a counting test checks that the simulator's own counters still see
 every touch: one TLB lookup per address the loop consumed, and one cache
 event per touch and per walk fetch.
+
+The measured phase runs through run_loop too: workload.run_measure sweeps
+each region with no quantum.  From the same restored machine it must
+return run_regions' cycles and leave the same machine state and the same
+jitter and workload generators, on every scenario of every preset and of
+WRITES_TEXT, with the shipped measure regions and in random order, at
+jitter 0 and 3; and a sweep that meets a faulting page must raise the
+same SimulationError at the same access.
 """
 
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -30,10 +39,11 @@ from pvmsim.cache import MODE_SPM
 from pvmsim.cli import preset_names, preset_text
 from pvmsim.config import load_experiment
 from pvmsim.hypervisor import build_plan, iteration_seed, restore_machine, trap_enter, trap_exit
-from pvmsim.memsys import randbelow, write_value
+from pvmsim.memsys import SimulationError, randbelow, write_value
 from pvmsim.sv39 import PTE_A, PTE_D, PTE_R, PTE_V, PTE_W, SIZE_2M, SIZE_4K, make_pte
 from pvmsim.walker import walk_single, walk_two_stage
-from pvmsim.workload import InterferenceLoop, run_interference
+from pvmsim.workload import InterferenceLoop, Region, run_interference, run_measure, run_regions
+from test_closed_form import with_random_order
 from test_golden import WRITES_TEXT, machine_state
 from test_pipeline_oracle import DATA_BASE, GEOMETRY, build_vms, make_system
 
@@ -329,3 +339,110 @@ def test_counters_see_every_touch(text):
             interference_quanta(plan, index, counted_loop(seen))
     assert any(touches for touches, _ in seen)
     assert any(walked for _, walked in seen)
+
+
+def measured_phase(plan, index, run):
+    """Iteration `index` of `plan` with its measured phase run by `run`:
+    the phase's cycles, TLB misses, the machine state and both generators'
+    states after it."""
+    defn = plan.defn
+    jitter_rng = (
+        random.Random(iteration_seed(defn.seed, index, "jitter")) if defn.latency.jitter else None
+    )
+    work_rng = random.Random(iteration_seed(defn.seed, index, "workload"))
+    intf_rng = random.Random(iteration_seed(defn.seed, index, "interference"))
+    sys = restore_machine(plan, jitter_rng, work_rng)
+    for intf in plan.interference:
+        trap_exit(sys, intf)
+        run_interference(sys, intf, intf.workload, defn.hyp.quantum_cycles, intf_rng)
+        trap_enter(plan, sys)
+    crit = plan.measured
+    trap_exit(sys, crit if plan.interference else None)
+    misses = sys.miss_counts()
+    cycles = run(sys, crit, crit.workload.measure, work_rng)
+    misses = tuple(b - a for a, b in zip(misses, sys.miss_counts()))
+    return cycles, misses, machine_state(sys), generators(sys, work_rng)
+
+
+@pytest.mark.parametrize("jitter", [0, 3])
+@pytest.mark.parametrize("text", preset_names() + ["writes"])
+def test_measure_sweep_matches_rich_path(text, jitter):
+    config = WRITES_TEXT if text == "writes" else preset_text(text)
+    cfg = load_experiment(text=config, seed=1, iterations=ITERATIONS)
+    missed = 0
+    for name in cfg.scenario_names:
+        defn = cfg.scenarios[name]
+        defn = replace(defn, latency=replace(defn.latency, jitter=jitter))
+        for order, variant in (("shipped", defn), ("random", with_random_order(defn, "measure"))):
+            sweep, rich = build_plan(variant), build_plan(variant)
+            for index in range(ITERATIONS):
+                got = measured_phase(sweep, index, run_measure)
+                want = measured_phase(rich, index, run_regions)
+                assert got == want, (name, order, index)
+                missed += got[1][1]
+    assert missed  # the jitter draws, when on, were taken
+
+
+# VM index -> a region list no preset measures: compute charges, repeats,
+# long sweeps, every kind, a 2 MiB page, a converted scratchpad page and
+# a two-stage VM.
+SYNTHETIC_MEASURES = {
+    0: (
+        Region(base=0x40_0000, pages=12, stride=0x200, order="random", repeats=3, kind="write",
+               compute_cycles=5),
+        Region(base=0x60_0000, pages=4, stride=0x40, kind="ifetch", compute_cycles=2),
+        Region(base=0x4000_0000, pages=16, stride=0x400, order="reverse", repeats=2),
+        Region(base=0x10_0000, pages=1, stride=0x80, kind="write", compute_cycles=1),
+    ),
+    2: (
+        Region(base=0x80_0000, pages=8, stride=0x100, order="random", repeats=2, kind="write",
+               compute_cycles=7),
+        Region(base=0x40_0000, pages=8, stride=0x800, order="reverse"),
+    ),
+}
+
+
+@pytest.mark.parametrize("jitter", [0, 3])
+@pytest.mark.parametrize("vm_index", sorted(SYNTHETIC_MEASURES))
+def test_measure_sweep_matches_rich_path_on_synthetic_regions(vm_index, jitter):
+    regions = SYNTHETIC_MEASURES[vm_index]
+    runs = []
+    for run in (run_measure, run_regions):
+        sys = make_system(7, jitter)
+        convert_dspm(sys, None)
+        vm = build_vms()[0][vm_index]
+        rng = random.Random(5)
+        # Twice: the second sweep starts from what the first left behind.
+        cycles = [run(sys, vm, regions, rng) for _ in range(2)]
+        runs.append((cycles, machine_state(sys), generators(sys, rng)))
+    assert runs[0] == runs[1]
+    assert runs[0][0][0] > 20_000  # far past any quantum a preset grants
+
+
+def clear_leaf(space, vaddr):
+    """Invalidate the leaf PTE that maps vaddr's 4 KiB page in `space`."""
+    table = space.root_ppn
+    for level in (2, 1):
+        table = space.tables[table][vaddr >> (12 + 9 * level) & 0x1FF] >> 10
+    space.set_pte(table, vaddr >> 12 & 0x1FF, 0)
+
+
+@pytest.mark.parametrize("jitter", [0, 3])
+def test_measure_sweep_raises_at_the_rich_paths_fault(jitter):
+    """Page 5 of a random-order write sweep faults: the other pages before
+    it in the drawn order are walked and written, then both paths raise the
+    same error and leave the same machine and generators."""
+    sweep = Region(base=0x40_0000, pages=12, stride=0x400, order="random", kind="write")
+    runs = []
+    for run in (run_measure, run_regions):
+        sys = make_system(7, jitter)
+        vm = build_vms()[0][0]
+        clear_leaf(vm.guest_space, 0x40_0000 + 5 * SIZE_4K)
+        rng = random.Random(5)
+        with pytest.raises(SimulationError) as info:
+            run(sys, vm, (sweep,), rng)
+        runs.append((str(info.value), machine_state(sys), generators(sys, rng)))
+    assert runs[0] == runs[1]
+    message, state, _ = runs[0]
+    assert message == "access 0x405000 by vmid 0 asid 1 faulted (invalid, stage None)"
+    assert state[0][1][4][1] > 1  # the pages drawn before page 5 were walked

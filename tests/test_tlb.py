@@ -329,6 +329,105 @@ def test_only_scan_hits_on_entries_touch_the_tree(monkeypatch):
     assert touched == [leaf, leaf]
 
 
+def counters(tlb):
+    return tlb.hits, tlb.misses, tlb.lock_hits, tlb.fills, tlb.dropped_fills
+
+
+def fill_inner_page(tlb):
+    tlb.fill(entry(vpn=0x601))  # the first fill of an empty tree takes leaf 0
+
+
+# name -> (set-up, missed address, filled entry, next lookup's address, the
+# memo's cover); every lookup is by asid 1, vmid 0.
+FILL_MEMO_CASES = {
+    "4k": (None, (0x100 << 12) + 0x18, entry(vpn=0x100), (0x100 << 12) + 8, SIZE_4K),
+    "global-entry-of-another-asid": (
+        None, 0x100 << 12, entry(vpn=0x100, asid=2, global_flag=True), (0x100 << 12) + 8,
+        SIZE_4K,
+    ),
+    "2m-alone": (
+        None, (0x603 << 12) + 8, entry(vpn=0x600, size=SIZE_2M), 0x7FF << 12, SIZE_2M,
+    ),
+    "2m-above-an-inner-entry": (
+        fill_inner_page, 0x603 << 12, entry(vpn=0x600, size=SIZE_2M), (0x603 << 12) + 8,
+        SIZE_4K,
+    ),
+    "2m-beside-a-lock-slot": (
+        lambda tlb: program_full_slot(tlb, 0, 0x605), 0x603 << 12,
+        entry(vpn=0x600, size=SIZE_2M), (0x603 << 12) + 8, SIZE_4K,
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FILL_MEMO_CASES))
+def test_fill_of_the_missed_page_serves_the_next_lookup(case, monkeypatch):
+    """A fill that serves the last miss sets the memo the next scan would
+    set: the next lookup runs no scan, and its result, the counters, the
+    tree bits and the memo equal those of a twin whose memo was cleared,
+    which scans.  A superpage covers its whole span only when it serves it
+    alone."""
+    setup, missed, filled, probe, cover = FILL_MEMO_CASES[case]
+    tlbs = []
+    for _ in range(2):
+        tlb = make_tlb()
+        if setup is not None:
+            setup(tlb)
+        assert tlb.translate(missed, 1, 0) is None
+        assert tlb.fill(filled) is not None
+        tlbs.append(tlb)
+    tlb, twin = tlbs
+    twin._memo = None
+    scans = []
+    real_scan = Tlb._scan
+
+    def spy(self, vaddr, asid, vmid):
+        scans.append(self)
+        return real_scan(self, vaddr, asid, vmid)
+
+    monkeypatch.setattr(Tlb, "_scan", spy)
+    got = tlb.lookup(probe, 1, 0)
+    assert not scans
+    want = twin.lookup(probe, 1, 0)
+    assert scans == [twin]
+    assert got == want and got.hit and not got.lock_hit
+    assert counters(tlb) == counters(twin)
+    assert tlb.tree.bits == twin.tree.bits
+    assert tlb._memo == twin._memo
+    assert tlb._memo[0] == -cover
+
+
+def test_no_memo_unless_the_fill_serves_the_last_miss():
+    """The memo stays clear after a fill of another page or other ids, a
+    fill after a lock-slot write or a restore, a dropped fill, and a second
+    fill after the miss."""
+    missed = 0x100 << 12
+
+    def miss_then(*steps):
+        tlb = make_tlb()
+        state = tlb.snapshot()
+        assert tlb.translate(missed, 1, 0) is None
+        for step in steps:
+            step(tlb, state)
+        return tlb
+
+    def fill(**fields):
+        return lambda tlb, state: tlb.fill(entry(**fields))
+
+    cases = {
+        "another-page": miss_then(fill(vpn=0x101)),
+        "another-asid": miss_then(fill(vpn=0x100, asid=2)),
+        "another-vmid": miss_then(fill(vpn=0x100, vmid=1)),
+        "lock-slot-write": miss_then(
+            lambda tlb, state: tlb.program_lock_slot(0, "vpn", vpn=0x700), fill(vpn=0x100)
+        ),
+        "restore": miss_then(lambda tlb, state: tlb.restore(state), fill(vpn=0x100)),
+        "dropped": miss_then(lambda tlb, state: tlb.csr.write_cur_part(0), fill(vpn=0x100)),
+        "second-fill": miss_then(fill(vpn=0x101), fill(vpn=0x100)),
+    }
+    assert cases["dropped"].dropped_fills == 1
+    assert {name: tlb._memo for name, tlb in cases.items()} == dict.fromkeys(cases)
+
+
 def test_misaligned_lock_vpn_rejected():
     tlb = make_tlb()
     slot = tlb.slots[0]
