@@ -13,13 +13,17 @@ processes, or fewer when there are fewer jobs, as a forking pool starts
 all its processes at the first submit.  A range shipped to the pool
 starts cold: its worker unpickles the plan and builds, sets up and warms
 the machine again (a built machine cannot be pickled: see Cache), which
-costs about as much as 5 warm iterations.  So a scenario is cut into
+costs about as much as 4.5 to 5.5 warm iterations.  So a scenario is cut into
 near-equal contiguous ranges, one per process, only as far as each keeps
 MIN_SLICE iterations, and otherwise ships whole.  An interference-free
 plan draws every iteration after its first, so it runs in this process,
-beside the pool, and is never shipped.  Results are collected in
-submission order; because every iteration reseeds from (master seed,
-iteration index), any split yields the same records.
+beside the pool, and is never shipped.  The pool's feeder thread may
+still be pickling shipped plans while it runs, so nothing a parent-run
+plan mutates (its machine, compiled sweeps and fixed record) may be
+reachable from a shipped plan: such state lives on the plan itself,
+never on the Workload or Region objects that scenarios share.  Results
+are collected in submission order; because every iteration reseeds from
+(master seed, iteration index), any split yields the same records.
 """
 
 import concurrent.futures
@@ -36,7 +40,7 @@ import time
 from . import __version__, hypervisor
 
 
-# The fewest iterations worth a cold range: its start-up (about 5 warm
+# The fewest iterations worth a cold range: its start-up (4.5 to 5.5 warm
 # iterations of an `unmitigated` scenario, timed as one range and as 41
 # through a one-process pool, CPython 3.11) stays under ~10% of it.
 MIN_SLICE = 64

@@ -65,9 +65,15 @@ handler's footprint sweep, interference quanta) matter solely through
 the TLB, cache and CSR state they leave behind, and traps and VM
 switches carry no cycle price of their own.  The measured phase and the
 interference quanta run through MemorySystem.run_loop (run_measure and
-run_interference), which builds no per-access outcome; the prime and the
-footprint take one virtual_access per address (run_regions), which keeps
-the outcome-building path in every run for the tests and the benchmark's
+run_interference), which builds no per-access outcome.  The measured
+regions are compiled once per plan, on its first iteration, into
+plan.sweeps (workload.compile_sweeps): consecutive fixed-order regions
+of one kind and compute charge become one run_loop over a precomputed
+address tuple, and a random-order region one run_loop of its own.  The
+sweeps live on the plan, never on the Workload or Region objects that
+every scenario naming the VM shares.  The prime and the footprint take
+one virtual_access per address (run_regions), which keeps the
+outcome-building path in every run for the tests and the benchmark's
 traced pass that observe it (see the workload module docstring).
 """
 
@@ -95,6 +101,7 @@ from .workload import (
     InterferenceLoop,
     Region,
     Workload,
+    compile_sweeps,
     run_interference,
     run_measure,
     run_regions,
@@ -301,11 +308,13 @@ class ScenarioPlan:
     runtime VM contexts and lock chunks.  Once an iteration ran, machine
     holds (MemorySystem, snapshot), the snapshot taken from the plan alone:
     after the prefix, or, when the prime has a random-order region, right
-    after set-up.  Once an iteration of an interference-free plan ran, or
-    the first iteration of a plan whose measured phase it found fully
-    guaranteed, fixed holds what every iteration of it shares: (base
-    cycles, the misses counted before the measured phase, its TLB misses,
-    its cache misses); a guaranteed phase has no miss of either kind."""
+    after set-up; and sweeps holds the measured regions compiled by
+    workload.compile_sweeps.  Once an iteration of an interference-free
+    plan ran, or the first iteration of a plan whose measured phase it
+    found fully guaranteed, fixed holds what every iteration of it shares:
+    (base cycles, the misses counted before the measured phase, its TLB
+    misses, its cache misses); a guaranteed phase has no miss of either
+    kind."""
 
     defn: "ScenarioDef"
     measured: VmContext
@@ -315,6 +324,7 @@ class ScenarioPlan:
     random_prime: bool  # a prime region is order=random, so the prefix draws
     random_order: bool  # a prime or measure region is, so the iteration draws
     machine: tuple = field(default=None, repr=False, compare=False)
+    sweeps: tuple = field(default=None, repr=False, compare=False)
     fixed: tuple = field(default=None, repr=False, compare=False)
 
     @property
@@ -560,10 +570,11 @@ def _jitter_rng(defn, index):
 def run_iteration(plan, index):
     """One scheduling round: boot and prime (untimed), deschedule,
     interference quantum per interference VM, reschedule, timed measured
-    phase.  A plan that is interference-free, or whose measured phase is
-    fully guaranteed, simulates its first iteration only; every later one
-    is drawn: plan.fixed's base plus the jitter its cache misses draw from
-    the iteration's own generator (see the module docstring)."""
+    phase, one run_loop per sweep of plan.sweeps.  A plan that is
+    interference-free, or whose measured phase is fully guaranteed,
+    simulates its first iteration only; every later one is drawn:
+    plan.fixed's base plus the jitter its cache misses draw from the
+    iteration's own generator (see the module docstring)."""
     defn = plan.defn
     jitter = defn.latency.jitter
     if plan.fixed is not None:
@@ -587,10 +598,13 @@ def run_iteration(plan, index):
     # Switch back if another VM ran; otherwise the critical VM just resumes.
     trap_exit(sys, crit if plan.interference else None)
 
+    sweeps = plan.sweeps
+    if sweeps is None:
+        sweeps = plan.sweeps = compile_sweeps(crit.workload.measure)
     if first:
         served0 = sys.guaranteed_counts()
     tlb0, cache0 = sys.miss_counts()
-    cycles = run_measure(sys, crit, crit.workload.measure, work_rng)
+    cycles = run_measure(sys, crit, sweeps, work_rng)
     tlb1, cache1 = sys.miss_counts()
     record = IterationRecord(
         index=index, cycles=cycles, tlb_misses=tlb1 - tlb0, cache_misses=cache1 - cache0

@@ -65,11 +65,14 @@ j, k, after=the snapshot's misses).
 run_loop does what a virtual_access per address would do but builds no
 outcome: each touch is one Tlb.translate (the path Tlb.lookup takes) and
 one call of the cache's access step (Cache.step, the path Cache.access
-takes), its event priced from a table fixed once per call with the
-lookup and compute cycles folded in.  Interference quanta run through it,
-and so does the timed measured phase: a quantum of math.inf never stops
-it, so it sweeps its whole address stream (workload.run_measure).  This
-module reads nothing of a TLB's or a cache's storage.
+takes), its event priced from a table with the lookup and compute cycles
+folded in.  The prices are fixed for a machine, so each compute charge's
+table is built once and kept; the VM's remembered walks are looked up
+once per call, not once per TLB miss.  Interference quanta run through
+it, and so does the timed measured phase: a quantum of math.inf never
+stops it, so it sweeps its whole address stream, one call per compiled
+sweep (workload.run_measure).  This module reads nothing of a TLB's or a
+cache's storage.
 
 Every draw goes straight to the generator's getrandbits, through
 randbelow or jitter_sum's copy of its loop, applying CPython's own
@@ -242,23 +245,32 @@ class MemorySystem:
             EVENT_SPM: lat.spm_cycles,
             EVENT_SPM_MISCONFIG: lat.spm_cycles,
         }
+        # compute cycles -> run_loop's price table: the event's cycles plus
+        # the lookup and the compute charge, fixed for this machine.
+        self._loop_prices = {}
         # (guest, host, asid, vmid) -> ((guest.version, host.version),
         # {page: (WalkResult, TlbEntry, decoded fetches)})
         self._walks = {}
 
     # -- pricing helpers ------------------------------------------------------
 
-    def _refill(self, tlb, vm, vaddr):
-        """Serve a TLB miss: walk vaddr's page (remembered per VM), price the
-        walk and fill `tlb`.  Returns (walk, paddr, cycles).  A walk that
-        faults raises SimulationError and is neither priced nor remembered."""
+    def _walk_table(self, vm):
+        """vm's remembered walks, {page: (WalkResult, TlbEntry, decoded
+        fetches)}, emptied first if either stage's tables changed since."""
         guest, host = vm.guest_space, vm.host_space
         versions = (guest.version, None if host is None else host.version)
         key = (guest, host, vm.asid, vm.vmid)
         known = self._walks.get(key)
         if known is None or known[0] != versions:
             known = self._walks[key] = (versions, {})
-        pages = known[1]
+        return known[1]
+
+    def _refill(self, tlb, vm, vaddr, pages):
+        """Serve a TLB miss: walk vaddr's page (remembered in `pages`, vm's
+        _walk_table), price the walk and fill `tlb`.  Returns (walk, paddr,
+        cycles).  A walk that faults raises SimulationError and is neither
+        priced nor remembered."""
+        guest, host = vm.guest_space, vm.host_space
         page = vaddr >> PAGE_SHIFT
         remembered = pages.get(page)
         if remembered is None:
@@ -309,7 +321,7 @@ class MemorySystem:
             walk_cycles = fetches = 0
             paddr = look.paddr
         else:
-            walk, paddr, walk_cycles = self._refill(tlb, vm, vaddr)
+            walk, paddr, walk_cycles = self._refill(tlb, vm, vaddr, self._walk_table(vm))
             fetches = len(walk.accesses)
         event, read = cache.access(paddr, kind, value)
         cycles = self._price[event]
@@ -328,13 +340,19 @@ class MemorySystem:
         `compute_cycles`.  Returns the cycles spent.  A quantum of math.inf
         makes it a sweep of every address.
 
-        Each touch is one Tlb.translate (a miss goes on to _refill) and one
-        Cache.step, priced from a table fixed once per call."""
+        Each touch is one Tlb.translate (a miss goes on to _refill, with
+        vm's walk table looked up once per call) and one Cache.step, priced
+        from a table fixed once per machine and compute charge."""
         tlb, cache = self._sides[kind]
         translate, refill, step = tlb.translate, self._refill, cache.step
         asid, vmid = vm.asid, vm.vmid
-        touch = self.latency.tlb_hit_cycles + compute_cycles  # no walk, no jitter
-        price = {event: touch + cycles for event, cycles in self._price.items()}
+        walks = self._walk_table(vm)
+        price = self._loop_prices.get(compute_cycles)
+        if price is None:
+            touch = self.latency.tlb_hit_cycles + compute_cycles  # no walk, no jitter
+            price = self._loop_prices[compute_cycles] = {
+                event: touch + cycles for event, cycles in self._price.items()
+            }
         jitter = self.latency.jitter
         draw, span = self.rng.getrandbits if jitter else None, 2 * jitter + 1
         write = kind == "write"
@@ -342,7 +360,7 @@ class MemorySystem:
         for vaddr in addresses:
             paddr = translate(vaddr, asid, vmid)
             if paddr is None:
-                _, paddr, cycles = refill(tlb, vm, vaddr)
+                _, paddr, cycles = refill(tlb, vm, vaddr, walks)
                 spent += cycles
             event = step(paddr, write_value(vaddr) if write else None)
             spent += price[event]

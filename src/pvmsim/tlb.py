@@ -13,9 +13,12 @@ Layout per structure (one instance each for instruction and data sides):
 
 The slot registers are the only record of lock state: the active slots
 and the tree's locked leaves are derived from them after every register
-write and restore.  Slots are immutable records, like entries, so
-snapshots share them; a register write builds the slot's next record,
-checks it and only then stores it, so a rejected write changes nothing.
+write.  A snapshot carries what was derived beside the slots, so restore
+copies it in instead of deriving it again.  Slots are immutable records,
+like entries, so snapshots share them, and a blank TLB shares one invalid
+entry and, per slot count, one tuple of blank slots; a register write
+builds the slot's next record, checks it and only then stores it, so a
+rejected write changes nothing.
 
 Replacement is steered by a pair of partition CSRs shared by both TLBs
 of a hart:
@@ -62,6 +65,7 @@ included, so a memo hit is canonical.  It is derived state and never
 goes into a snapshot.
 """
 
+import functools
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
@@ -139,6 +143,16 @@ class LockSlot:
         return self.vpn_valid and self.pte_valid and self.id_valid
 
 
+# What every leaf of a blank TLB holds.
+_BLANK_ENTRY = TlbEntry(vpn=0, page_size=PAGE_SIZES[0], asid=0, vmid=0, pte=0, valid=False)
+
+
+@functools.cache
+def _blank_slots(count):
+    """A blank TLB's `count` lock slots, shared by every blank TLB."""
+    return tuple(LockSlot(target_leaf=j) for j in range(count))
+
+
 def check_geometry(entries, partition_count, lock_slots):
     """Raise ValueError unless a Tlb of this shape can be built."""
     check_tree(entries, partition_count, "entries", "partitions")
@@ -185,13 +199,10 @@ class Tlb:
         check_geometry(entries, csr.width, lock_slots)
         self.csr = csr
         self.tree = PlruTree(entries, csr.width)
-        self.entries = [
-            TlbEntry(vpn=0, page_size=PAGE_SIZES[0], asid=0, vmid=0, pte=0, valid=False)
-            for _ in range(entries)
-        ]
+        self.entries = [_BLANK_ENTRY] * entries
         # Slot j pins leaf j while it is active.
-        self.slots = [LockSlot(target_leaf=j) for j in range(lock_slots)]
-        self._active = ()  # derived by _refresh_active; never snapshotted
+        self.slots = list(_blank_slots(lock_slots))
+        self._active = ()  # derived by _refresh_active; carried by snapshots
         # (cover mask, vaddr & cover mask, asid, vmid, frame address, offset
         # mask, page size, pte, lock hit) of the last hit or of the page the
         # last fill served, or None; the cover is the page or the whole
@@ -355,21 +366,25 @@ class Tlb:
     # -- snapshot / restore ----------------------------------------------------
 
     def snapshot(self):
-        """Replacement bits, entries, lock slots and counters, as copies
-        that restore() only reads.  Entries and slots are shared: they are
-        immutable.  restore() derives the locked leaves from the slots."""
+        """Replacement bits, entries, lock slots, the active slots and
+        locked leaves derived from them, and counters, as copies that
+        restore() only reads.  Entries and slots are shared: they are
+        immutable."""
         return (
             self.tree.bits,
             tuple(self.entries),
             tuple(self.slots),
+            self._active,
+            self.tree.locked,
             (self.hits, self.misses, self.lock_hits, self.fills, self.dropped_fills),
         )
 
     def restore(self, state):
         """Return to a snapshot() of this TLB, copying it in place."""
-        bits, entries, slots, counters = state
-        self.tree.bits = bits
+        bits, entries, slots, self._active, locked, counters = state
+        tree = self.tree
+        tree.bits, tree.locked = bits, locked
         self.entries[:] = entries
         self.slots[:] = slots
-        self._refresh_active()
+        self._memo = self._missed = None
         self.hits, self.misses, self.lock_hits, self.fills, self.dropped_fills = counters

@@ -23,18 +23,25 @@ quantum the scheduler granted is used up.  Per visit it draws a page and
 then per touch an offset, each as randrange(n) would draw it.
 
 Two executors serve the region lists, with the same cycles and effects.
-run_measure, which times the measured phase, sweeps each region with one
-MemorySystem.run_loop, as run_interference runs a quantum: the hot paths
-build no per-access outcome.  run_regions takes one virtual_access per
-address and runs the untimed prime and the hypervisor's footprint sweep,
-so the outcome-building path, which tests hold to a reference pipeline
-and the benchmark's traced pass observes, runs in every experiment; a
-sweep through run_loop gained nothing measurable there.  None of them
-checks for faults: memsys raises at the access that finds one.
+The timed measured phase is compiled once per plan (compile_sweeps) into
+sweeps: a maximal run of consecutive fixed-order regions of one kind and
+one compute charge becomes one sweep over a precomputed address tuple,
+and a random-order region stays a sweep of its own, whose pages are
+shuffled from the workload generator when it starts.  run_measure runs
+each sweep with one MemorySystem.run_loop, as run_interference runs a
+quantum: the hot paths build no per-access outcome, and back-to-back
+regions of one kind cost one loop set-up.  run_regions takes one
+virtual_access per address and runs the untimed prime and the
+hypervisor's footprint sweep, so the outcome-building path, which tests
+hold to a reference pipeline and the benchmark's traced pass observes,
+runs in every experiment; a sweep through run_loop gained nothing
+measurable there.  None of them checks for faults: memsys raises at the
+access that finds one.
 """
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .memsys import KINDS
 from .sv39 import SIZE_4K
@@ -153,13 +160,47 @@ def run_regions(sys, vm, regions, rng=None):
     return total
 
 
-def run_measure(sys, vm, regions, rng):
-    """run_regions' cycles and effects, each region swept by one run_loop
-    with no quantum to stop it."""
-    return sum(
-        sys.run_loop(vm, region.kind, region.addresses(rng), region.compute_cycles, math.inf)
-        for region in regions
+class Sweep(NamedTuple):
+    """One run_loop of the measured phase: `kind` accesses, each charged
+    `compute_cycles`, at `addresses`, or, when that is None, at the
+    addresses of the random-order `region`, drawn as the sweep starts."""
+
+    kind: str
+    compute_cycles: int
+    addresses: tuple
+    region: Region = None
+
+
+def compile_sweeps(regions):
+    """The sweeps that perform a region list: consecutive fixed-order
+    regions of one kind and compute charge merge into one sweep over their
+    addresses, in order; a random-order region stays a sweep of its own."""
+    sweeps = []
+    for region in regions:
+        kind, compute = region.kind, region.compute_cycles
+        last = sweeps[-1] if sweeps else None
+        if region.order == "random":
+            sweeps.append(Sweep(kind, compute, None, region))
+        elif last is not None and last.region is None and last[:2] == (kind, compute):
+            last.addresses.extend(region.addresses())
+        else:
+            sweeps.append(Sweep(kind, compute, list(region.addresses())))
+    return tuple(
+        sweep if sweep.region is not None else sweep._replace(addresses=tuple(sweep.addresses))
+        for sweep in sweeps
     )
+
+
+def run_measure(sys, vm, sweeps, rng):
+    """run_regions' cycles and effects for the region list compiled into
+    `sweeps`, each sweep one run_loop with no quantum to stop it."""
+    run_loop = sys.run_loop
+    total = 0
+    for kind, compute, addresses, region in sweeps:
+        if addresses is None:
+            addresses = region.addresses(rng)
+        total += run_loop(vm, kind, addresses, compute, math.inf)
+    return total
 
 
 def run_interference(sys, vm, loop, quantum, rng):

@@ -54,10 +54,10 @@ def measure_runs(defn, stop=ITERATIONS):
     """(records of iterations [0, stop) of one plan, how many times its
     measured phase ran)."""
     plan = build_plan(defn)
-    measure = plan.measured.workload.measure
     with mock.patch.object(hypervisor, "run_measure", wraps=run_measure) as spy:
         records = run_range(plan, 0, stop)
-    return records, sum(1 for call in spy.call_args_list if call.args[2] is measure)
+    assert plan.sweeps is not None
+    return records, sum(1 for call in spy.call_args_list if call.args[2] is plan.sweeps)
 
 
 def with_measured(defn, change):

@@ -229,7 +229,7 @@ def test_warm_replay_serves_every_fetch_without_a_step():
         steps.clear()
         sys.setprofile(profile)
         try:
-            return sys_._refill(sys_.dtlb, vm, vaddr)
+            return sys_._refill(sys_.dtlb, vm, vaddr, sys_._walk_table(vm))
         finally:
             sys.setprofile(None)
 

@@ -21,28 +21,50 @@ a counting test checks that the simulator's own counters still see
 every touch: one TLB lookup per address the loop consumed, and one cache
 event per touch and per walk fetch.
 
-The measured phase runs through run_loop too: workload.run_measure sweeps
-each region with no quantum.  From the same restored machine it must
-return run_regions' cycles and leave the same machine state and the same
-jitter and workload generators, on every scenario of every preset and of
+The measured phase runs through run_loop too: workload.compile_sweeps
+merges consecutive fixed-order regions of one kind and compute charge
+into one sweep, and workload.run_measure runs each sweep with no
+quantum.  From the same restored machine the compiled phase must return
+run_regions' cycles and leave the same machine state and the same jitter
+and workload generators, on every scenario of every preset and of
 WRITES_TEXT, with the shipped measure regions and in random order, at
 jitter 0 and 3; and a sweep that meets a faulting page must raise the
-same SimulationError at the same access.
+same SimulationError at the same access.  A region list that crosses
+every merge boundary (kind, compute charge, a random-order region between
+two mergeable ones) must also match one run_loop per region, and each
+preset's measured phase makes exactly as many run_loop calls as it has
+sweeps.
 """
 
+import math
 import random
 from dataclasses import replace
+from unittest import mock
 
 import pytest
 
 from pvmsim.cache import MODE_SPM
 from pvmsim.cli import preset_names, preset_text
 from pvmsim.config import load_experiment
-from pvmsim.hypervisor import build_plan, iteration_seed, restore_machine, trap_enter, trap_exit
-from pvmsim.memsys import SimulationError, randbelow, write_value
+from pvmsim.hypervisor import (
+    build_plan,
+    iteration_seed,
+    restore_machine,
+    run_iteration,
+    trap_enter,
+    trap_exit,
+)
+from pvmsim.memsys import MemorySystem, SimulationError, randbelow, write_value
 from pvmsim.sv39 import PTE_A, PTE_D, PTE_R, PTE_V, PTE_W, SIZE_2M, SIZE_4K, make_pte
 from pvmsim.walker import walk_single, walk_two_stage
-from pvmsim.workload import InterferenceLoop, Region, run_interference, run_measure, run_regions
+from pvmsim.workload import (
+    InterferenceLoop,
+    Region,
+    compile_sweeps,
+    run_interference,
+    run_measure,
+    run_regions,
+)
 from test_closed_form import with_random_order
 from test_golden import WRITES_TEXT, machine_state
 from test_pipeline_oracle import DATA_BASE, GEOMETRY, build_vms, make_system
@@ -341,6 +363,21 @@ def test_counters_see_every_touch(text):
     assert any(walked for _, walked in seen)
 
 
+def compiled_measure(sys, vm, regions, rng):
+    """The measured phase as run_iteration runs it: `regions` compiled
+    into sweeps, each one run_loop."""
+    return run_measure(sys, vm, compile_sweeps(regions), rng)
+
+
+def measure_per_region(sys, vm, regions, rng):
+    """The measured phase one run_loop per region, as it ran before
+    regions were merged into sweeps."""
+    return sum(
+        sys.run_loop(vm, region.kind, region.addresses(rng), region.compute_cycles, math.inf)
+        for region in regions
+    )
+
+
 def measured_phase(plan, index, run):
     """Iteration `index` of `plan` with its measured phase run by `run`:
     the phase's cycles, TLB misses, the machine state and both generators'
@@ -376,7 +413,7 @@ def test_measure_sweep_matches_rich_path(text, jitter):
         for order, variant in (("shipped", defn), ("random", with_random_order(defn, "measure"))):
             sweep, rich = build_plan(variant), build_plan(variant)
             for index in range(ITERATIONS):
-                got = measured_phase(sweep, index, run_measure)
+                got = measured_phase(sweep, index, compiled_measure)
                 want = measured_phase(rich, index, run_regions)
                 assert got == want, (name, order, index)
                 missed += got[1][1]
@@ -405,18 +442,118 @@ SYNTHETIC_MEASURES = {
 @pytest.mark.parametrize("jitter", [0, 3])
 @pytest.mark.parametrize("vm_index", sorted(SYNTHETIC_MEASURES))
 def test_measure_sweep_matches_rich_path_on_synthetic_regions(vm_index, jitter):
-    regions = SYNTHETIC_MEASURES[vm_index]
+    compiled, per_region, rich = synthetic_runs(vm_index, SYNTHETIC_MEASURES[vm_index], jitter)
+    assert compiled == per_region == rich
+    assert compiled[0][0] > 20_000  # far past any quantum a preset grants
+
+
+def synthetic_runs(vm_index, regions, jitter):
+    """Two passes of `regions` by VM `vm_index` on a fresh machine with its
+    data scratchpad converted, through the compiled sweeps, one run_loop
+    per region and run_regions: per path, each pass's cycles and (TLB,
+    cache) misses, then the machine state and both generators' states."""
     runs = []
-    for run in (run_measure, run_regions):
+    for run in (compiled_measure, measure_per_region, run_regions):
         sys = make_system(7, jitter)
         convert_dspm(sys, None)
         vm = build_vms()[0][vm_index]
         rng = random.Random(5)
-        # Twice: the second sweep starts from what the first left behind.
-        cycles = [run(sys, vm, regions, rng) for _ in range(2)]
-        runs.append((cycles, machine_state(sys), generators(sys, rng)))
-    assert runs[0] == runs[1]
-    assert runs[0][0][0] > 20_000  # far past any quantum a preset grants
+        # Twice: the second pass starts from what the first left behind.
+        cycles, misses = [], []
+        for _ in range(2):
+            before = sys.miss_counts()
+            cycles.append(run(sys, vm, regions, rng))
+            misses.append(tuple(b - a for a, b in zip(before, sys.miss_counts())))
+        runs.append((cycles, misses, machine_state(sys), generators(sys, rng)))
+    return runs
+
+
+# VM index -> (a region list that crosses every merge boundary, the sweeps
+# it compiles to as (kind, compute cycles, accesses, or "random")).
+MERGE_BOUNDARIES = {
+    0: (
+        (
+            Region(base=0x40_0000, pages=4, stride=0x400),
+            Region(base=0x40_4000, pages=4, stride=0x800, order="reverse", repeats=2),
+            Region(base=0x4000_0000, pages=8, stride=0x1000),  # inside one 2 MiB page
+            Region(base=0x40_0000, pages=6, stride=0x200, kind="write"),  # a new kind
+            Region(base=0x10_0000, pages=1, stride=0x80, kind="write"),  # the scratchpad
+            Region(base=0x60_0000, pages=4, stride=0x100, kind="ifetch"),  # a new kind
+            Region(base=0x60_0000, pages=2, stride=0x100, kind="ifetch", compute_cycles=3),
+            Region(base=0x40_0000, pages=3, stride=0x400, kind="write", compute_cycles=3),
+            Region(base=0x40_0000, pages=12, stride=0x400, order="random", kind="write",
+                   compute_cycles=3),  # between two regions that would merge
+            Region(base=0x40_8000, pages=4, stride=0x400, kind="write", compute_cycles=3),
+            Region(base=0x40_0000, pages=6, stride=0x800, order="random", kind="write",
+                   compute_cycles=3, repeats=2),  # next to another random region
+        ),
+        (
+            ("read", 0, 4 * 4 + 2 * 4 * 2 + 8),
+            ("write", 0, 6 * 8 + 32),
+            ("ifetch", 0, 4 * 16),
+            ("ifetch", 3, 2 * 16),
+            ("write", 3, 3 * 4),
+            ("write", 3, "random"),
+            ("write", 3, 4 * 4),
+            ("write", 3, "random"),
+        ),
+    ),
+    2: (
+        (
+            Region(base=0x80_0000, pages=8, stride=0x400, order="reverse"),
+            Region(base=0x4000_0000, pages=16, stride=0x1000, repeats=2),  # 2 MiB at both stages
+            Region(base=0x40_0000, pages=8, stride=0x400, order="random"),
+            Region(base=0x40_0000, pages=8, stride=0x800, kind="write"),
+            Region(base=0x80_0000, pages=2, stride=0x200, kind="write", compute_cycles=1),
+        ),
+        (
+            ("read", 0, 8 * 4 + 16 * 2),
+            ("read", 0, "random"),
+            ("write", 0, 8 * 2),
+            ("write", 1, 2 * 8),
+        ),
+    ),
+}
+
+
+def sweep_shape(sweeps):
+    return [
+        (s.kind, s.compute_cycles, "random" if s.addresses is None else len(s.addresses))
+        for s in sweeps
+    ]
+
+
+@pytest.mark.parametrize("jitter", [0, 3])
+@pytest.mark.parametrize("vm_index", sorted(MERGE_BOUNDARIES))
+def test_compiled_sweeps_match_per_region_loops_across_merge_boundaries(vm_index, jitter):
+    regions, shape = MERGE_BOUNDARIES[vm_index]
+    assert sweep_shape(compile_sweeps(regions)) == list(shape)
+    compiled, per_region, rich = synthetic_runs(vm_index, regions, jitter)
+    assert compiled == per_region, "compiled sweeps against one run_loop per region"
+    assert compiled == rich, "compiled sweeps against run_regions"
+    assert all(tlb and cache for tlb, cache in compiled[1])
+    if jitter:
+        assert compiled[3][1] != random.Random(7).getstate()  # jitter was drawn
+
+
+@pytest.mark.parametrize("text", preset_names() + ["writes"])
+def test_each_preset_compiles_its_measured_phase_into_two_sweeps(text):
+    """Every shipped measured phase is a run of data reads and a run of
+    instruction fetches: two sweeps, so two run_loop calls with no quantum
+    per simulated iteration."""
+    config = WRITES_TEXT if text == "writes" else preset_text(text)
+    cfg = load_experiment(text=config, seed=1, iterations=ITERATIONS)
+    for name in cfg.scenario_names:
+        plan = build_plan(cfg.scenarios[name])
+        sweeps = compile_sweeps(plan.measured.workload.measure)
+        assert len(sweeps) == 2, name
+        with mock.patch.object(MemorySystem, "run_loop", autospec=True,
+                               side_effect=MemorySystem.run_loop) as spy:
+            run_iteration(plan, 0)
+        assert plan.sweeps == sweeps
+        measured = [call for call in spy.call_args_list if call.args[5] == math.inf]
+        assert len(measured) == len(sweeps), name
+        assert [call.args[2] for call in measured] == [s.kind for s in sweeps]
 
 
 def clear_leaf(space, vaddr):
@@ -434,7 +571,7 @@ def test_measure_sweep_raises_at_the_rich_paths_fault(jitter):
     same error and leave the same machine and generators."""
     sweep = Region(base=0x40_0000, pages=12, stride=0x400, order="random", kind="write")
     runs = []
-    for run in (run_measure, run_regions):
+    for run in (compiled_measure, run_regions):
         sys = make_system(7, jitter)
         vm = build_vms()[0][0]
         clear_leaf(vm.guest_space, 0x40_0000 + 5 * SIZE_4K)

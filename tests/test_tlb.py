@@ -270,9 +270,10 @@ def test_activation_locks_leaf_and_serves_lookups():
 
 @pytest.mark.parametrize("active_in_snapshot", (False, True))
 def test_restore_brings_back_which_slots_serve_lookups(active_in_snapshot):
-    """Which slots are active is derived from their registers: restore must
-    recompute it, so a slot activated after the snapshot stops lock-hitting
-    and one deactivated after it lock-hits again."""
+    """Which slots are active is derived from their registers, and a
+    snapshot carries it: restore must bring it back, so a slot activated
+    after the snapshot stops lock-hitting and one deactivated after it
+    lock-hits again."""
     tlb = make_tlb()
     program_full_slot(tlb, 2, 0x700)
     tlb.program_lock_slot(2, "id", asid=1, vmid=0, valid=active_in_snapshot)
@@ -286,6 +287,101 @@ def test_restore_brings_back_which_slots_serve_lookups(active_in_snapshot):
     assert tlb.tree.locked == (1 << 2 if active_in_snapshot else 0)
     res = tlb.lookup(0x700 << 12, asid=1, vmid=0)
     assert (res.hit, res.lock_hit) == (active_in_snapshot, active_in_snapshot)
+
+
+# Register writes that program slot 0 (4 KiB), slot 3 (a global 2 MiB
+# page), slot 5 (two of its three registers) and then clear slot 0's id.
+LOCK_WRITES = (
+    (0, "vpn", dict(vpn=0x700, page_size=SIZE_4K, flags=FULL)),
+    (0, "pte", dict(pte=make_pte(0x99000, FULL))),
+    (3, "vpn", dict(vpn=0x4000_0000 >> 12, page_size=SIZE_2M, flags=FULL | PTE_G)),
+    (0, "id", dict(asid=1, vmid=0)),
+    (3, "pte", dict(pte=make_pte(0x9A000, FULL | PTE_G))),
+    (5, "vpn", dict(vpn=0x710, page_size=SIZE_4K, flags=FULL)),
+    (3, "id", dict(asid=2, vmid=0)),
+    (5, "pte", dict(pte=make_pte(0x9B000, FULL))),
+    (0, "id", dict(asid=1, vmid=0, valid=False)),
+)
+# Pages served by those slots once active, by a filled entry, or by nothing.
+LOCK_PROBES = tuple(
+    (vaddr, asid)
+    for vaddr in (0x700 << 12, 0x4000_0000, 0x4000_0000 + 0x1F_F008, 0x710 << 12, 0x720 << 12)
+    for asid in (1, 2)
+)
+
+
+def lock_writes(tlb, count):
+    for index, which, fields in LOCK_WRITES[:count]:
+        tlb.program_lock_slot(index, which, **fields)
+    return tlb
+
+
+def probe_locks(tlb):
+    """Every probe's lookup result, then the counters, of a TLB holding an
+    entry for page 0x720."""
+    results = [tlb.lookup(vaddr, asid, 0) for vaddr, asid in LOCK_PROBES]
+    return results, counters(tlb)
+
+
+@pytest.mark.parametrize("written", (0, 1, 2, 4, 6, 7, 8, 9))
+def test_restored_lock_state_equals_the_rederived_one(written):
+    """A snapshot taken before, while and after lock slots are programmed
+    (with one or two of a slot's three registers valid, or all three)
+    restores into a TLB in another lock state the active slots and locked
+    leaves a twin derives by programming the same registers."""
+    source = lock_writes(make_tlb(), written)
+    source.fill(entry(vpn=0x720))
+    state = source.snapshot()
+    # The target's own lock state differs from every snapshot's.
+    target = make_tlb()
+    program_full_slot(target, 1, 0x710, asid=1)
+    program_full_slot(target, 7, 0x700, asid=2)
+    target.fill(entry(vpn=0x700, asid=1))
+    assert target.lookup(0x710 << 12, 1, 0).lock_hit
+    target.restore(state)
+    twin = lock_writes(make_tlb(), written)
+    twin.fill(entry(vpn=0x720))
+    assert target._active == twin._active
+    assert target.tree.locked == twin.tree.locked
+    assert target.tree.bits == twin.tree.bits
+    assert probe_locks(target) == probe_locks(twin)
+    # A register write after the restore derives from the restored slots.
+    for tlb in (target, twin):
+        tlb.program_lock_slot(5, "id", asid=1, vmid=0)
+    assert target.tree.locked == twin.tree.locked
+    assert probe_locks(target) == probe_locks(twin)
+
+
+def test_lock_writes_cover_every_stage():
+    """LOCK_WRITES passes through no slot, partly written slots, two active
+    slots and one of them cleared again."""
+    active = [lock_writes(make_tlb(), n).tree.locked for n in range(len(LOCK_WRITES) + 1)]
+    assert active == [0, 0, 0, 0, 1, 1, 1, 1 | 1 << 3, 1 | 1 << 3, 1 << 3]
+
+
+def test_a_fresh_tlb_shares_one_blank_entry_and_blank_slots():
+    tlb, other = make_tlb(), make_tlb()
+    blank = tlb.entries[0]
+    assert not blank.valid
+    assert all(e is blank for e in tlb.entries + other.entries)
+    assert all(a is b for a, b in zip(tlb.slots, other.slots))
+    assert tlb.slots == [LockSlot(target_leaf=j) for j in range(8)]
+    assert make_tlb(slots=4).slots == [LockSlot(target_leaf=j) for j in range(4)]
+
+
+def test_fills_and_lock_writes_replace_shared_blanks():
+    tlb = make_tlb()
+    blank, blank_slots = tlb.entries[0], list(tlb.slots)
+    before = (repr(blank), [repr(slot) for slot in blank_slots])
+    leaf = tlb.fill(entry(vpn=0x100))
+    program_full_slot(tlb, 2, 0x700)
+    assert tlb.entries[leaf] is not blank and tlb.entries[leaf].valid
+    assert sum(e is blank for e in tlb.entries) == len(tlb.entries) - 1
+    assert tlb.slots[2] is not blank_slots[2] and tlb.slots[2].active
+    assert (repr(blank), [repr(slot) for slot in blank_slots]) == before
+    fresh = make_tlb()
+    assert fresh.entries == [blank] * 16 and fresh.slots == blank_slots
+    assert fresh.tree.locked == 0 and fresh.lookup(0x100 << 12, 1, 0).status == "miss"
 
 
 def test_lock_slot_precedence_over_aliased_entry():
