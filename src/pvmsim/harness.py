@@ -7,10 +7,16 @@ wall-clock speed, is the contract the parallel mode must keep.
 
 Every selected scenario's plan is built in this process before the first
 iteration, so a scenario that cannot be realized (a lock-slot or
-scratchpad overflow) fails before any work is done.  With workers > 1 the
-experiment opens one process pool of procs = min(workers, CPUs)
-processes, or fewer when there are fewer jobs, as a forking pool starts
-all its processes at the first submit.  A range shipped to the pool
+scratchpad overflow) fails before any work is done.  Scenarios of one
+layout -- the same VMs' regions, stages, footprint, converted ways and
+machine, whatever their ids, masks, locks and workloads -- share one set
+of address spaces, built by the first of them (hypervisor.build_plan),
+and the machines over them walk each page once: the remembered walks
+belong to the spaces, so they live for this call only.
+
+With workers > 1 the experiment opens one process pool of procs =
+min(workers, CPUs) processes, or fewer when there are fewer jobs, as a
+forking pool starts all its processes at the first submit.  A range shipped to the pool
 starts cold: its worker unpickles the plan and builds, sets up and warms
 the machine again (a built machine cannot be pickled: see Cache), which
 costs about as much as 4.5 to 5.5 warm iterations.  So a scenario is cut into
@@ -21,7 +27,11 @@ beside the pool, and is never shipped.  The pool's feeder thread may
 still be pickling shipped plans while it runs, so nothing a parent-run
 plan mutates (its machine, compiled sweeps and fixed record) may be
 reachable from a shipped plan: such state lives on the plan itself,
-never on the Workload or Region objects that scenarios share.  Results
+never on the Workload or Region objects that scenarios share.  The
+address spaces that scenarios share are read-only once built, and the
+walks remembered for them are kept beside them, in memsys, where no
+plan reaches them: a shipped plan pickles its spaces' tables alone, and
+its worker walks its own unpickled copies afresh.  Results
 are collected in submission order; because every iteration reseeds from
 (master seed, iteration index), any split yields the same records.
 """
@@ -68,11 +78,12 @@ def run_experiment(config, workers=1, log=None):
     """
     started = last = time.perf_counter()
     plans = {}
+    layouts = {}  # scenarios of one layout share its address spaces, for this call only
     for name in config.scenario_names:
         try:
             # Looked up on the module at call time, like run_range's
             # run_iteration, so wrappers installed on the module see it.
-            plans[name] = hypervisor.build_plan(config.scenarios[name])
+            plans[name] = hypervisor.build_plan(config.scenarios[name], layouts)
         except hypervisor.SetupError as exc:
             raise hypervisor.SetupError("scenario %r: %s" % (name, exc)) from exc
     procs = min(workers, os.cpu_count() or 1)

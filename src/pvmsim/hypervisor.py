@@ -20,6 +20,11 @@ machine is built once per plan, on its first iteration, and every
 iteration, that first one included, restores it in place from the plan's
 one snapshot: plan.machine is the pair (MemorySystem, snapshot).
 
+The scenarios of one experiment whose layouts match share their page
+tables, read-only (build_plan's `layouts`).  A mitigation that only sets
+masks, locks or workloads runs on the same guest, as in hardware, and
+every machine over that guest walks each of its pages once (memsys).
+
 Each iteration begins with a deterministic prefix: boot, the untimed
 prime and the first trap_enter.  Unless a prime region visits its pages
 in random order (drawn from the workload stream), the prefix leaves the
@@ -359,14 +364,42 @@ def _check_table_area(space, owner):
                          % (owner, len(space.tables), TABLE_STRIDE >> PAGE_SHIFT))
 
 
-def build_plan(defn):
+def _layout_key(defn):
+    """What fixes defn's page tables and frames: each VM's stage count and
+    regions (base, size, flags, page size and backing) in declaration
+    order, the hypervisor footprint's pages, the converted ways and the
+    machine.  Names, ids, masks, workloads and lock flags move no table
+    and no frame, so they are left out."""
+    vms = tuple(
+        (vm.two_stage,
+         tuple((r.gvaddr, r.size, r.flags, r.page_size, r.backing) for r in vm.regions))
+        for vm in defn.vms
+    )
+    footprint = defn.hyp.footprint
+    return vms, footprint.base, footprint.pages, defn.spm_ways, defn.machine
+
+
+def build_plan(defn, layouts=None):
     """Build page tables and physical placement for every VM, decompose
     lock regions into per-PTE chunks, and fail fast, naming the VM and
     region, on anything the per-iteration setup could not realize: a
     region mapped twice or outside its address space, a frame or table
     outside RAM, page tables past their table area, and the lock-slot and
-    scratchpad budgets."""
+    scratchpad budgets.
+
+    `layouts`, if given, is a dict its caller keeps for one experiment,
+    from a layout (_layout_key) to the address spaces built for it.  A
+    defn whose layout is there reuses those spaces, read-only, and adds
+    no mapping: every allocator still runs, so its frames and lock chunks
+    are those it would get alone, and its contexts and lock chunks are
+    its own.  Machines over shared spaces share their remembered walks
+    (see the memsys module docstring).  A new layout's spaces are added."""
     machine = defn.machine
+    key = built = None
+    if layouts is not None:
+        key = _layout_key(defn)
+        built = layouts.get(key)
+    spaces = []  # (guest, host) per VM, then the hypervisor's
     frames = _Allocator(FRAME_BASE, RAM_BASE + RAM_SIZE, "the 128 MiB of RAM for data frames")
     table_area = _Allocator(RAM_BASE, FRAME_BASE, "the 64 page-table areas of RAM")
     # backing -> where its frames come from
@@ -382,24 +415,31 @@ def build_plan(defn):
     interference = []
     lock_chunks = {"i": [], "d": []}
 
-    for vm in defn.vms:
+    for n, vm in enumerate(defn.vms):
         root = table_area.take(TABLE_STRIDE, TABLE_STRIDE, "vm %r" % vm.name)
-        if vm.two_stage:
-            gpa_data = _Allocator(GPA_DATA_BASE, 1 << GPA_BITS, "the guest-physical space")
+        if built is not None:
+            guest, host = built[n]
+        elif vm.two_stage:
             guest = AddressSpace(root_ppn=GPA_TABLE_BASE >> PAGE_SHIFT)
             host = AddressSpace(root_ppn=root >> PAGE_SHIFT, gpa_space=True)
-
-            def map_leaf(gvaddr, paddr, region, owner):
-                gpa = gpa_data.take(region.page_size, region.page_size, owner)
-                guest.map_page(gvaddr, gpa, region.page_size, region.flags)
-                host.map_page(gpa, paddr, region.page_size, _HOST_FULL)
-
         else:
             guest = AddressSpace(root_ppn=root >> PAGE_SHIFT)
             host = None
+        spaces.append((guest, host))
+        if vm.two_stage:
+            gpa_data = _Allocator(GPA_DATA_BASE, 1 << GPA_BITS, "the guest-physical space")
 
             def map_leaf(gvaddr, paddr, region, owner):
-                guest.map_page(gvaddr, paddr, region.page_size, region.flags)
+                gpa = gpa_data.take(region.page_size, region.page_size, owner)
+                if built is None:
+                    guest.map_page(gvaddr, gpa, region.page_size, region.flags)
+                    host.map_page(gpa, paddr, region.page_size, _HOST_FULL)
+
+        else:
+
+            def map_leaf(gvaddr, paddr, region, owner):
+                if built is None:
+                    guest.map_page(gvaddr, paddr, region.page_size, region.flags)
 
         ctx = VmContext(vm.name, vm.vmid, vm.asid, vm.partition_mask, guest, host, vm.workload)
         for region in vm.regions:
@@ -423,7 +463,8 @@ def build_plan(defn):
             owner = "vm %r page tables" % vm.name
             for tppn in guest.table_ppns():
                 frame = frames.take(SIZE_4K, SIZE_4K, owner)
-                host.map_page(tppn << PAGE_SHIFT, frame, SIZE_4K, _HOST_FULL)
+                if built is None:
+                    host.map_page(tppn << PAGE_SHIFT, frame, SIZE_4K, _HOST_FULL)
         _check_table_area(guest if host is None else host, "vm %r" % vm.name)
         if isinstance(vm.workload, Workload):
             measured = ctx
@@ -439,18 +480,21 @@ def build_plan(defn):
 
     # The hypervisor's own footprint pages, single-stage under its ids.
     hyp_root = table_area.take(TABLE_STRIDE, TABLE_STRIDE, "the hypervisor")
-    hyp_space = AddressSpace(root_ppn=hyp_root >> PAGE_SHIFT)
+    hyp_space = AddressSpace(root_ppn=hyp_root >> PAGE_SHIFT) if built is None else built[-1]
     owner = "the hypervisor footprint"
     footprint = defn.hyp.footprint
     for i in range(footprint.pages):
         frame = frames.take(SIZE_4K, SIZE_4K, owner)
-        try:
-            hyp_space.map_page(
-                footprint.base + i * SIZE_4K, frame, SIZE_4K, PTE_R | PTE_W | PTE_A | PTE_D
-            )
-        except ValueError as exc:  # outside the address space
-            raise SetupError("%s: %s" % (owner, exc)) from exc
+        if built is None:
+            try:
+                hyp_space.map_page(
+                    footprint.base + i * SIZE_4K, frame, SIZE_4K, PTE_R | PTE_W | PTE_A | PTE_D
+                )
+            except ValueError as exc:  # outside the address space
+                raise SetupError("%s: %s" % (owner, exc)) from exc
     _check_table_area(hyp_space, "the hypervisor")
+    if layouts is not None and built is None:
+        layouts[key] = spaces + [hyp_space]
     hyp_context = VmContext(
         "hypervisor", HYP_VMID, HYP_ASID, defn.hyp.partition_mask, hyp_space, None, None
     )

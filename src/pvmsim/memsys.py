@@ -36,17 +36,23 @@ A translation fault is a scenario bug, never an outcome: Tlb.translate
 raises ValueError on a non-canonical address, and _refill raises
 SimulationError on a faulting walk before it prices or fills anything.
 
-Each 4 KiB page is walked once per VM: the walk, its PTE-fetch list and
-the TLB entry it fills depend only on the page tables, the VM's ids and
-the page, so every TLB miss on the page fills the remembered entry and
-prices the remembered fetch list through the D-cache, in order.  A
-change to either stage's tables (seen through AddressSpace.version)
-forgets what was remembered for that pair.  The list is kept as the
-D-cache decodes it and read by one Cache.replay, which returns the
-events of the fetches that did not hit, in order.  The walk costs
-cache_hit_cycles per hit plus the table's price of each returned event,
-and its misses then draw their jitter through jitter_sum: nothing draws
-between fetches, so the generator sees the same draws in the same order.
+Each 4 KiB page is walked once per address-space pair per experiment:
+the walk, its PTE-fetch list and the TLB entry it fills depend only on
+the page tables, the VM's ids, the page and the D-cache's line size and
+set count, so every TLB miss on the page, on any machine over the same
+spaces, fills the remembered entry and prices the remembered fetch list
+through its own D-cache, in order.  The remembered walks belong to the
+guest space, in a weak-keyed table that forgets them when the space is
+freed; harness.run_experiment shares one layout's spaces among its
+scenarios (hypervisor.build_plan), so they live for one experiment, and
+no plan reaches them.  A change to either stage's tables (seen through
+AddressSpace.version) forgets what was remembered for that pair.  The
+list is kept as the D-cache decodes it and read by one Cache.replay,
+which returns the events of the fetches that did not hit, in order.  The
+walk costs cache_hit_cycles per hit plus the table's price of each
+returned event, and its misses then draw their jitter through
+jitter_sum: nothing draws between fetches, so the generator sees the
+same draws in the same order.
 
 The optional jitter models memory-controller noise: a miss (a refill or
 a fill-drop, the only events that model a trip to backing memory) adds a
@@ -80,6 +86,7 @@ rejection rule, so a draw gives the same value and leaves the generator
 in the same state as random.Random.randint(-j, j).
 """
 
+import weakref
 from dataclasses import dataclass, fields
 
 from .cache import EVENT_HIT, EVENT_MISS, EVENT_SPM, EVENT_SPM_MISCONFIG, Cache
@@ -90,6 +97,11 @@ from .tlb import check_geometry as check_tlb_geometry
 from .walker import walk_single, walk_two_stage
 
 KINDS = ("read", "write", "ifetch")
+
+# guest space -> {(host space, asid, vmid, D-cache line bytes, D-cache
+# sets): ((guest.version, host.version), {page: (WalkResult, TlbEntry,
+# decoded fetches)})}, shared by every machine over the guest space.
+_REMEMBERED = weakref.WeakKeyDictionary()
 
 
 class SimulationError(RuntimeError):
@@ -248,21 +260,30 @@ class MemorySystem:
         # compute cycles -> run_loop's price table: the event's cycles plus
         # the lookup and the compute charge, fixed for this machine.
         self._loop_prices = {}
-        # (guest, host, asid, vmid) -> ((guest.version, host.version),
-        # {page: (WalkResult, TlbEntry, decoded fetches)})
+        # (guest, host, asid, vmid) -> this machine's view of the shared
+        # entry of _REMEMBERED: ((guest.version, host.version), {page: ...})
         self._walks = {}
 
     # -- pricing helpers ------------------------------------------------------
 
     def _walk_table(self, vm):
         """vm's remembered walks, {page: (WalkResult, TlbEntry, decoded
-        fetches)}, emptied first if either stage's tables changed since."""
+        fetches)}, shared with every machine over vm's spaces under vm's
+        ids and with this D-cache shape, and emptied first if either
+        stage's tables changed since.  This machine's own table answers
+        until the versions move; only then is the shared one consulted."""
         guest, host = vm.guest_space, vm.host_space
         versions = (guest.version, None if host is None else host.version)
         key = (guest, host, vm.asid, vm.vmid)
         known = self._walks.get(key)
         if known is None or known[0] != versions:
-            known = self._walks[key] = (versions, {})
+            dcache = self.dcache
+            shared = _REMEMBERED.setdefault(guest, {})
+            inner = (host, vm.asid, vm.vmid, dcache.line_bytes, dcache.sets)
+            known = shared.get(inner)
+            if known is None or known[0] != versions:
+                known = shared[inner] = (versions, {})
+            self._walks[key] = known
         return known[1]
 
     def _refill(self, tlb, vm, vaddr, pages):

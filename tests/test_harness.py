@@ -356,10 +356,10 @@ def test_plans_are_built_once_per_scenario_in_the_calling_process(monkeypatch):
     built = []
     real = hypervisor.build_plan
 
-    def counting(defn):
+    def counting(defn, *layouts):
         assert os.getpid() == parent, "a worker process built a plan"
         built.append(defn.name)
-        return real(defn)
+        return real(defn, *layouts)
 
     monkeypatch.setattr(hypervisor, "build_plan", counting)
     run_experiment(uneven_config(), workers=3)
