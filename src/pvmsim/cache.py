@@ -190,13 +190,6 @@ class AccessResult(NamedTuple):
     value: int = None
 
 
-# Every write of one event shares its result.  tuple.__new__ builds a
-# read result without the named tuple's Python-level __new__ (what
-# AccessResult._make does inside).
-_WRITTEN = {e: AccessResult(e) for e in (EVENT_HIT, EVENT_MISS, EVENT_SPM, EVENT_SPM_MISCONFIG)}
-_new_result = tuple.__new__
-
-
 _STATS = ("hits", "misses", "evictions", "write_backs", "fill_drops", "spm_accesses",
           "spm_misconfigs")
 
@@ -289,11 +282,11 @@ class Cache:
         if kind == "write":
             if value is None:
                 raise ValueError("write access needs a value")
-            return _WRITTEN[self.step(paddr, value)]
+            return AccessResult(self.step(paddr, value))
         if kind != "read" and kind != "ifetch":
             raise ValueError("kind must be read/write/ifetch, got %r" % (kind,))
         event = self.step(paddr, None)
-        return _new_result(AccessResult, (event, self.memory._words.get(paddr & -WORD_BYTES, 0)))
+        return AccessResult(event, self.memory._words.get(paddr & -WORD_BYTES, 0))
 
     def decode(self, paddrs):
         """The reads at `paddrs` as the (line, set, paddr) triples replay()

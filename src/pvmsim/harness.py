@@ -9,10 +9,10 @@ Every selected scenario's plan is built in this process before the first
 iteration, so a scenario that cannot be realized (a lock-slot or
 scratchpad overflow) fails before any work is done.  Scenarios of one
 layout -- the same VMs' regions, stages, footprint, converted ways and
-machine, whatever their ids, masks, locks and workloads -- share one set
-of address spaces, built by the first of them (hypervisor.build_plan),
-and the machines over them walk each page once: the remembered walks
-belong to the spaces, so they live for this call only.
+machine, whatever their ids, masks, locks and workloads -- share one
+layout (page tables and frames), mapped once for the first of them
+(hypervisor.build_plan), and the machines over it walk each page once:
+the remembered walks belong to its spaces, so they last this call only.
 
 With workers > 1 the experiment opens one process pool of procs =
 min(workers, CPUs) processes, or fewer when there are fewer jobs, as a

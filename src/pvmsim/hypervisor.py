@@ -20,10 +20,11 @@ machine is built once per plan, on its first iteration, and every
 iteration, that first one included, restores it in place from the plan's
 one snapshot: plan.machine is the pair (MemorySystem, snapshot).
 
-The scenarios of one experiment whose layouts match share their page
-tables, read-only (build_plan's `layouts`).  A mitigation that only sets
-masks, locks or workloads runs on the same guest, as in hardware, and
-every machine over that guest walks each of its pages once (memsys).
+A plan stands on a layout (_layout_key) that _build_layout maps once.
+Scenarios of one experiment with the same layout share it read-only
+(build_plan's `layouts`): a mitigation that only sets masks, locks or
+workloads runs on the same guest, as in hardware, and every machine over
+that guest walks each of its pages once (memsys).
 
 Each iteration begins with a deterministic prefix: boot, the untimed
 prime and the first trap_enter.  Unless a prime region visits its pages
@@ -379,31 +380,16 @@ def _layout_key(defn):
     return vms, footprint.base, footprint.pages, defn.spm_ways, defn.machine
 
 
-def build_plan(defn, layouts=None):
-    """Build page tables and physical placement for every VM, decompose
-    lock regions into per-PTE chunks, and fail fast, naming the VM and
-    region, on anything the per-iteration setup could not realize: a
-    region mapped twice or outside its address space, a frame or table
-    outside RAM, page tables past their table area, and the lock-slot and
-    scratchpad budgets.
-
-    `layouts`, if given, is a dict its caller keeps for one experiment,
-    from a layout (_layout_key) to the address spaces built for it.  A
-    defn whose layout is there reuses those spaces, read-only, and adds
-    no mapping: every allocator still runs, so its frames and lock chunks
-    are those it would get alone, and its contexts and lock chunks are
-    its own.  Machines over shared spaces share their remembered walks
-    (see the memsys module docstring).  A new layout's spaces are added."""
+def _build_layout(defn):
+    """Place and map defn's layout (_layout_key), raising SetupError, naming
+    the VM and region, on a page mapped twice or outside its space, a frame
+    or table that does not fit, or tables past their table area.  Returns
+    (spaces, hyp_space, frames), the first and last indexed like defn.vms."""
     machine = defn.machine
-    key = built = None
-    if layouts is not None:
-        key = _layout_key(defn)
-        built = layouts.get(key)
-    spaces = []  # (guest, host) per VM, then the hypervisor's
-    frames = _Allocator(FRAME_BASE, RAM_BASE + RAM_SIZE, "the 128 MiB of RAM for data frames")
+    ram = _Allocator(FRAME_BASE, RAM_BASE + RAM_SIZE, "the 128 MiB of RAM for data frames")
     table_area = _Allocator(RAM_BASE, FRAME_BASE, "the 64 page-table areas of RAM")
     # backing -> where its frames come from
-    stores = {"ram": frames}
+    stores = {"ram": ram}
     for backing, base, sets, side in (
         ("dspm", DSPM_BASE, machine.dcache_sets, "data"),
         ("ispm", ISPM_BASE, machine.icache_sets, "instruction"),
@@ -411,90 +397,104 @@ def build_plan(defn, layouts=None):
         end = base + defn.spm_ways * sets * machine.line_bytes
         name = "the %s scratchpad of %d converted ways" % (side, defn.spm_ways)
         stores[backing] = _Allocator(base, end, name)
-    measured = None
-    interference = []
-    lock_chunks = {"i": [], "d": []}
-
-    for n, vm in enumerate(defn.vms):
+    spaces = []  # per VM: (guest, host), host None for one stage
+    frames = []  # per VM, per region: the frame of each page
+    for vm in defn.vms:
         root = table_area.take(TABLE_STRIDE, TABLE_STRIDE, "vm %r" % vm.name)
-        if built is not None:
-            guest, host = built[n]
-        elif vm.two_stage:
+        if vm.two_stage:
             guest = AddressSpace(root_ppn=GPA_TABLE_BASE >> PAGE_SHIFT)
             host = AddressSpace(root_ppn=root >> PAGE_SHIFT, gpa_space=True)
+            gpa_data = _Allocator(GPA_DATA_BASE, 1 << GPA_BITS, "the guest-physical space")
         else:
             guest = AddressSpace(root_ppn=root >> PAGE_SHIFT)
             host = None
         spaces.append((guest, host))
-        if vm.two_stage:
-            gpa_data = _Allocator(GPA_DATA_BASE, 1 << GPA_BITS, "the guest-physical space")
-
-            def map_leaf(gvaddr, paddr, region, owner):
-                gpa = gpa_data.take(region.page_size, region.page_size, owner)
-                if built is None:
-                    guest.map_page(gvaddr, gpa, region.page_size, region.flags)
-                    host.map_page(gpa, paddr, region.page_size, _HOST_FULL)
-
-        else:
-
-            def map_leaf(gvaddr, paddr, region, owner):
-                if built is None:
-                    guest.map_page(gvaddr, paddr, region.page_size, region.flags)
-
-        ctx = VmContext(vm.name, vm.vmid, vm.asid, vm.partition_mask, guest, host, vm.workload)
+        vm_frames = []
         for region in vm.regions:
-            side = "i" if region.flags & PTE_X else "d"
-            store = stores[region.backing]
+            store, size = stores[region.backing], region.page_size
             owner = "vm %r region 0x%x" % (vm.name, region.gvaddr)
+            paddrs = []
             for i in range(region.page_count):
-                gvaddr = region.gvaddr + i * region.page_size
-                paddr = store.take(region.page_size, region.page_size, owner)
+                gvaddr = region.gvaddr + i * size
+                paddr = store.take(size, size, owner)
                 try:
-                    map_leaf(gvaddr, paddr, region, owner)
+                    if host is None:
+                        guest.map_page(gvaddr, paddr, size, region.flags)
+                    else:
+                        gpa = gpa_data.take(size, size, owner)
+                        guest.map_page(gvaddr, gpa, size, region.flags)
+                        host.map_page(gpa, paddr, size, _HOST_FULL)
                 except ValueError as exc:  # mapped twice, or outside the address space
                     raise SetupError("%s: %s" % (owner, exc)) from exc
-                if region.lock:
-                    lock_chunks[side].append(
-                        (ctx, LockChunk(gvaddr, region.page_size, paddr, region.flags))
-                    )
+                paddrs.append(paddr)
+            vm_frames.append(paddrs)
+        frames.append(vm_frames)
         if host is not None:
             # Guest page tables themselves live in guest-physical pages;
             # give each one a host frame so their PTE fetches are priceable.
             owner = "vm %r page tables" % vm.name
             for tppn in guest.table_ppns():
-                frame = frames.take(SIZE_4K, SIZE_4K, owner)
-                if built is None:
-                    host.map_page(tppn << PAGE_SHIFT, frame, SIZE_4K, _HOST_FULL)
+                frame = ram.take(SIZE_4K, SIZE_4K, owner)
+                host.map_page(tppn << PAGE_SHIFT, frame, SIZE_4K, _HOST_FULL)
         _check_table_area(guest if host is None else host, "vm %r" % vm.name)
+
+    # The hypervisor's own footprint pages, single-stage under its ids.
+    hyp_root = table_area.take(TABLE_STRIDE, TABLE_STRIDE, "the hypervisor")
+    hyp_space = AddressSpace(root_ppn=hyp_root >> PAGE_SHIFT)
+    owner = "the hypervisor footprint"
+    footprint = defn.hyp.footprint
+    for i in range(footprint.pages):
+        vaddr, frame = footprint.base + i * SIZE_4K, ram.take(SIZE_4K, SIZE_4K, owner)
+        try:
+            hyp_space.map_page(vaddr, frame, SIZE_4K, PTE_R | PTE_W | PTE_A | PTE_D)
+        except ValueError as exc:  # outside the address space
+            raise SetupError("%s: %s" % (owner, exc)) from exc
+    _check_table_area(hyp_space, "the hypervisor")
+    return spaces, hyp_space, frames
+
+
+def build_plan(defn, layouts=None):
+    """Plan defn on its layout (_build_layout): a runtime context per VM
+    over the layout's spaces, and its lock regions cut into per-PTE chunks
+    over the layout's frames.  Raises SetupError on the layout's faults
+    first, then on the lock-slot budget.
+
+    `layouts`, if given, is a dict its caller keeps for one experiment,
+    from a layout (_layout_key) to what _build_layout built for it.  A
+    defn whose layout is there plans on it, read-only, and maps nothing; a
+    new layout is built and added.  The contexts and lock chunks are
+    defn's own and equal those of build_plan(defn) alone.  Machines over
+    shared spaces share their remembered walks (memsys docstring)."""
+    if layouts is None:
+        layout = _build_layout(defn)
+    else:
+        key = _layout_key(defn)
+        layout = layouts.get(key)
+        if layout is None:
+            layout = layouts[key] = _build_layout(defn)
+    spaces, hyp_space, frames = layout
+    measured = None
+    interference = []
+    lock_chunks = {"i": [], "d": []}
+    for vm, (guest, host), vm_frames in zip(defn.vms, spaces, frames):
+        ctx = VmContext(vm.name, vm.vmid, vm.asid, vm.partition_mask, guest, host, vm.workload)
+        for region, paddrs in zip(vm.regions, vm_frames):
+            if region.lock:
+                chunks = lock_chunks["i" if region.flags & PTE_X else "d"]
+                for i, paddr in enumerate(paddrs):
+                    gvaddr = region.gvaddr + i * region.page_size
+                    chunks.append((ctx, LockChunk(gvaddr, region.page_size, paddr, region.flags)))
         if isinstance(vm.workload, Workload):
             measured = ctx
         elif isinstance(vm.workload, InterferenceLoop):
             interference.append(ctx)
 
     for side, chunks in lock_chunks.items():
-        if len(chunks) > machine.lock_slots:
+        if len(chunks) > defn.machine.lock_slots:
             raise SetupError(
                 "%s-side lock regions need %d slots but only %d are available"
-                % (side.upper(), len(chunks), machine.lock_slots)
+                % (side.upper(), len(chunks), defn.machine.lock_slots)
             )
-
-    # The hypervisor's own footprint pages, single-stage under its ids.
-    hyp_root = table_area.take(TABLE_STRIDE, TABLE_STRIDE, "the hypervisor")
-    hyp_space = AddressSpace(root_ppn=hyp_root >> PAGE_SHIFT) if built is None else built[-1]
-    owner = "the hypervisor footprint"
-    footprint = defn.hyp.footprint
-    for i in range(footprint.pages):
-        frame = frames.take(SIZE_4K, SIZE_4K, owner)
-        if built is None:
-            try:
-                hyp_space.map_page(
-                    footprint.base + i * SIZE_4K, frame, SIZE_4K, PTE_R | PTE_W | PTE_A | PTE_D
-                )
-            except ValueError as exc:  # outside the address space
-                raise SetupError("%s: %s" % (owner, exc)) from exc
-    _check_table_area(hyp_space, "the hypervisor")
-    if layouts is not None and built is None:
-        layouts[key] = spaces + [hyp_space]
     hyp_context = VmContext(
         "hypervisor", HYP_VMID, HYP_ASID, defn.hyp.partition_mask, hyp_space, None, None
     )

@@ -42,10 +42,12 @@ the page tables, the VM's ids, the page and the D-cache's line size and
 set count, so every TLB miss on the page, on any machine over the same
 spaces, fills the remembered entry and prices the remembered fetch list
 through its own D-cache, in order.  The remembered walks belong to the
-guest space, in a weak-keyed table that forgets them when the space is
-freed; harness.run_experiment shares one layout's spaces among its
-scenarios (hypervisor.build_plan), so they live for one experiment, and
-no plan reaches them.  A change to either stage's tables (seen through
+guest space, in one weak-keyed table (_REMEMBERED) that forgets them
+when the space is freed; harness.run_experiment shares one layout's
+spaces among its scenarios (hypervisor.build_plan), so they live for one
+experiment, and no plan or machine holds them.  A machine reads the
+table once per run_loop call and once per virtual_access TLB miss, never
+per touch.  A change to either stage's tables (seen through
 AddressSpace.version) forgets what was remembered for that pair.  The
 list is kept as the D-cache decodes it and read by one Cache.replay,
 which returns the events of the fetches that did not hit, in order.  The
@@ -260,30 +262,22 @@ class MemorySystem:
         # compute cycles -> run_loop's price table: the event's cycles plus
         # the lookup and the compute charge, fixed for this machine.
         self._loop_prices = {}
-        # (guest, host, asid, vmid) -> this machine's view of the shared
-        # entry of _REMEMBERED: ((guest.version, host.version), {page: ...})
-        self._walks = {}
 
     # -- pricing helpers ------------------------------------------------------
 
     def _walk_table(self, vm):
         """vm's remembered walks, {page: (WalkResult, TlbEntry, decoded
-        fetches)}, shared with every machine over vm's spaces under vm's
-        ids and with this D-cache shape, and emptied first if either
-        stage's tables changed since.  This machine's own table answers
-        until the versions move; only then is the shared one consulted."""
+        fetches)}, read from _REMEMBERED: shared with every machine over
+        vm's spaces under vm's ids and with this D-cache shape, and emptied
+        first if either stage's tables changed since.  Read once per
+        run_loop call and once per virtual_access TLB miss."""
         guest, host = vm.guest_space, vm.host_space
         versions = (guest.version, None if host is None else host.version)
-        key = (guest, host, vm.asid, vm.vmid)
-        known = self._walks.get(key)
+        shared = _REMEMBERED.setdefault(guest, {})
+        inner = (host, vm.asid, vm.vmid, self.dcache.line_bytes, self.dcache.sets)
+        known = shared.get(inner)
         if known is None or known[0] != versions:
-            dcache = self.dcache
-            shared = _REMEMBERED.setdefault(guest, {})
-            inner = (host, vm.asid, vm.vmid, dcache.line_bytes, dcache.sets)
-            known = shared.get(inner)
-            if known is None or known[0] != versions:
-                known = shared[inner] = (versions, {})
-            self._walks[key] = known
+            known = shared[inner] = (versions, {})
         return known[1]
 
     def _refill(self, tlb, vm, vaddr, pages):

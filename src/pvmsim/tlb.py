@@ -112,9 +112,6 @@ class LookupResult(NamedTuple):
 
 
 _MISS = LookupResult("miss")
-# tuple.__new__ builds a hit without the named tuple's Python-level __new__
-# (what LookupResult._make does inside).
-_new_result = tuple.__new__
 
 
 @dataclass(frozen=True)
@@ -243,7 +240,7 @@ class Tlb:
         if paddr is None:
             return _MISS
         memo = self._memo
-        return _new_result(LookupResult, ("hit", paddr, memo[6], memo[7], memo[8]))
+        return LookupResult("hit", paddr, memo[6], memo[7], memo[8])
 
     def _scan(self, vaddr, asid, vmid):
         """Find the slot or entry serving a canonical address's page, touch

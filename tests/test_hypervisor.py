@@ -9,6 +9,8 @@ from types import SimpleNamespace
 from unittest import mock
 
 from pvmsim import hypervisor
+from pvmsim.cli import preset_text
+from pvmsim.config import load_experiment
 from pvmsim.hypervisor import (
     HypervisorConfig,
     IterationRecord,
@@ -249,6 +251,26 @@ class PlanTest(unittest.TestCase):
             vm = replace(vm, regions=vm.regions + (region,))
             with self.subTest(region=region), self.assertRaisesRegex(SetupError, pattern):
                 build_plan(scenario((vm,)))
+
+    def test_a_layout_fault_is_reported_before_the_lock_slot_budget(self):
+        """The layout is built before lock chunks are counted, so a
+        scenario that breaks both the slot budget and the hypervisor
+        footprint reports the footprint; each alone reports itself."""
+        cfg = load_experiment(text=preset_text("synthetic-spm"), seed=1, iterations=1)
+        defn = cfg.scenarios["lockspm"]
+        few_slots = replace(defn, machine=replace(defn.machine, lock_slots=2))
+        far = replace(defn.hyp.footprint, base=0x40_0000_0000)  # not canonical SV39
+        budget = r"^D-side lock regions need 4 slots but only 2 are available$"
+        footprint = r"^the hypervisor footprint: address 0x4000000000 outside this space$"
+        for case, pattern in (
+            (few_slots, budget),
+            (replace(defn, hyp=replace(defn.hyp, footprint=far)), footprint),
+            (replace(few_slots, hyp=replace(defn.hyp, footprint=far)), footprint),
+        ):
+            for layouts in (None, {}):
+                with self.subTest(pattern=pattern, layouts=layouts):
+                    with self.assertRaisesRegex(SetupError, pattern):
+                        build_plan(case, layouts)
 
     def test_two_stage_tables_are_walkable(self):
         defn = scenario((crit_vm(), intf_vm()))

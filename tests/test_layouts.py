@@ -5,13 +5,14 @@ whose layout (hypervisor._layout_key) was already built the spaces built
 for it, and every machine over a shared space walks each page once per
 (asid, vmid, D-cache shape): the walks are remembered beside the guest
 space, not on the machine (memsys module docstring).  These tests hold
-the shared plans to plans built alone, the sharing to the key, the
-remembered walks to the tables they were walked from, and both to one
-experiment: nothing carries over from one call to the next, or into an
-unpickled plan.
+the shared plans to plans built alone, the sharing to the key, a reused
+layout to no frame taken and no page mapped, the remembered walks to the
+tables they were walked from, and both to one experiment: nothing
+carries over from one call to the next, or into an unpickled plan.
 """
 
 import pickle
+from collections import Counter
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -50,6 +51,22 @@ def walks(monkeypatch):
 
         monkeypatch.setattr(memsys, name, counted)
     return count
+
+
+@pytest.fixture
+def placed(monkeypatch):
+    """A Counter of the _Allocator.take and AddressSpace.map_page calls
+    made, by method name."""
+    calls = Counter()
+    for cls, name in ((hypervisor._Allocator, "take"), (AddressSpace, "map_page")):
+        real = getattr(cls, name)
+
+        def counted(*args, real=real, name=name):
+            calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(cls, name, counted)
+    return calls
 
 
 def contexts(plan):
@@ -100,6 +117,29 @@ def test_shared_plans_equal_plans_built_alone(name):
         assert plan_view(plan) == plan_view(alone), scenario
         own = [ctx for chunks in plan.lock_chunks.values() for ctx, _ in chunks]
         assert all(any(ctx is mine for mine in contexts(plan)) for ctx in own)
+
+
+@pytest.mark.parametrize("name", sorted(TEXTS))
+def test_a_built_layout_is_planned_on_without_placing_or_mapping(name, placed):
+    """Within one layouts dict, only the first plan of a layout takes a
+    frame or maps a page; every later one plans on what it built and
+    still equals a plan built alone."""
+    cfg = experiment(name)
+    layouts = {}
+    reused = 0
+    for scenario, defn in cfg.scenarios.items():
+        known = _layout_key(defn) in layouts
+        placed.clear()
+        plan = build_plan(defn, layouts)
+        if known:
+            reused += 1
+            assert not placed, scenario
+        else:
+            assert placed["take"] and placed["map_page"], scenario
+        assert plan_view(plan) == plan_view(build_plan(defn)), scenario
+    assert reused == len(cfg.scenarios) - len(layouts)
+    if name in LAYOUTS:
+        assert reused > 0
 
 
 @pytest.mark.parametrize("name", sorted(TEXTS))

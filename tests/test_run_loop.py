@@ -19,7 +19,9 @@ lock-slot hit.
 Because the loop serves hits without calling Tlb.lookup or Cache.access,
 a counting test checks that the simulator's own counters still see
 every touch: one TLB lookup per address the loop consumed, and one cache
-event per touch and per walk fetch.
+event per touch and per walk fetch.  Over a whole iteration, prime and
+trap footprints included, one _refill per TLB miss and one cache event
+per lookup and per walk fetch, so walks are derivable from those tallies.
 
 The measured phase runs through run_loop too: workload.compile_sweeps
 merges consecutive fixed-order regions of one kind and compute charge
@@ -361,6 +363,35 @@ def test_counters_see_every_touch(text):
             interference_quanta(plan, index, counted_loop(seen))
     assert any(touches for touches, _ in seen)
     assert any(walked for _, walked in seen)
+
+
+@pytest.mark.parametrize("text", preset_names() + ["writes"])
+def test_walks_are_derivable_from_a_whole_iterations_tallies(text):
+    """Over one simulated iteration (prime, trap footprints, interference
+    quanta and measured phase, on the machine the plan's first iteration
+    builds, so its tallies start at zero), every TLB miss is one _refill,
+    and every cache event beyond one per TLB lookup is one of its walk
+    fetches: walks and walk fetches need no tally of their own."""
+    config = WRITES_TEXT if text == "writes" else preset_text(text)
+    cfg = load_experiment(text=config, seed=1, iterations=1)
+    refill = MemorySystem._refill
+    fetches = []  # per _refill call, its walk's fetch count
+
+    def counted(self, tlb, vm, vaddr, pages):
+        walk, paddr, cycles = refill(self, tlb, vm, vaddr, pages)
+        fetches.append(len(walk.accesses))
+        return walk, paddr, cycles
+
+    with mock.patch.object(MemorySystem, "_refill", counted):
+        for name in cfg.scenario_names:
+            plan = build_plan(cfg.scenarios[name])
+            fetches.clear()
+            run_iteration(plan, 0)
+            sys = plan.machine[0]
+            lookups = sum(tlb.hits + tlb.misses for tlb in (sys.itlb, sys.dtlb))
+            assert len(fetches) == sys.itlb.misses + sys.dtlb.misses > 0, name
+            events = cache_events(sys.icache) + cache_events(sys.dcache)
+            assert sum(fetches) == events - lookups, name
 
 
 def compiled_measure(sys, vm, regions, rng):
