@@ -69,16 +69,19 @@ by writing LAST_PART first and then RESTORE_LAST_PART.
 Only the measured phase is timed, so the untimed phases (prime, the
 handler's footprint sweep, interference quanta) matter solely through
 the TLB, cache and CSR state they leave behind, and traps and VM
-switches carry no cycle price of their own.  The measured phase and the
-interference quanta run through MemorySystem.run_loop (run_measure and
-run_interference), which builds no per-access outcome.  The measured
-regions are compiled once per plan, on its first iteration, into
-plan.sweeps (workload.compile_sweeps): consecutive fixed-order regions
-of one kind and compute charge become one run_loop over a precomputed
-address tuple, and a random-order region one run_loop of its own.  The
-sweeps live on the plan, never on the Workload or Region objects that
-every scenario naming the VM shares.  The prime and the footprint take
-one virtual_access per address (run_regions), which keeps the
+switches carry no cycle price of their own.  The measured phase, the
+footprint sweep and the interference quanta run through
+MemorySystem.run_loop (run_measure and run_interference), which builds
+no per-access outcome.  The measured regions are compiled once per plan,
+on its first iteration, into plan.sweeps, and the footprint on the
+plan's first trap into plan.trap_sweeps (workload.compile_sweeps):
+consecutive fixed-order regions of one kind and compute charge become
+one run_loop over a precomputed address tuple, and a random-order region
+one run_loop of its own.  The sweeps live on the plan, never on the
+Workload or Region objects that every scenario naming the VM shares, and
+build_plan compiles none.  Only the prime takes one virtual_access per
+address (run_regions), in the prefix, so a simulated iteration calls
+virtual_access only when its prime is random-order; the prefix keeps the
 outcome-building path in every run for the tests and the benchmark's
 traced pass that observe it (see the workload module docstring).
 """
@@ -314,13 +317,13 @@ class ScenarioPlan:
     runtime VM contexts and lock chunks.  Once an iteration ran, machine
     holds (MemorySystem, snapshot), the snapshot taken from the plan alone:
     after the prefix, or, when the prime has a random-order region, right
-    after set-up; and sweeps holds the measured regions compiled by
-    workload.compile_sweeps.  Once an iteration of an interference-free
-    plan ran, or the first iteration of a plan whose measured phase it
-    found fully guaranteed, fixed holds what every iteration of it shares:
-    (base cycles, the misses counted before the measured phase, its TLB
-    misses, its cache misses); a guaranteed phase has no miss of either
-    kind."""
+    after set-up; sweeps holds the measured regions and trap_sweeps the
+    hypervisor footprint, each compiled by workload.compile_sweeps.  Once
+    an iteration of an interference-free plan ran, or the first iteration
+    of a plan whose measured phase it found fully guaranteed, fixed holds
+    what every iteration of it shares: (base cycles, the misses counted
+    before the measured phase, its TLB misses, its cache misses); a
+    guaranteed phase has no miss of either kind."""
 
     defn: "ScenarioDef"
     measured: VmContext
@@ -331,6 +334,7 @@ class ScenarioPlan:
     random_order: bool  # a prime or measure region is, so the iteration draws
     machine: tuple = field(default=None, repr=False, compare=False)
     sweeps: tuple = field(default=None, repr=False, compare=False)
+    trap_sweeps: tuple = field(default=None, repr=False, compare=False)
     fixed: tuple = field(default=None, repr=False, compare=False)
 
     @property
@@ -586,10 +590,15 @@ def restore_machine(plan, jitter_rng, work_rng):
 
 def trap_enter(plan, sys):
     """Enter the hypervisor: install its partition mask before anything
-    else (hardware saves the interrupted mask in LAST_PART), then run the
-    handler's own memory footprint under the hypervisor mask."""
-    sys.csr.write_cur_part(plan.hyp_context.partition_mask)
-    run_regions(sys, plan.hyp_context, (plan.defn.hyp.footprint,))
+    else (hardware saves the interrupted mask in LAST_PART), then sweep the
+    handler's own memory footprint under the hypervisor mask, compiled on
+    the first trap into plan.trap_sweeps."""
+    hyp = plan.hyp_context
+    sys.csr.write_cur_part(hyp.partition_mask)
+    sweeps = plan.trap_sweeps
+    if sweeps is None:
+        sweeps = plan.trap_sweeps = compile_sweeps((plan.defn.hyp.footprint,))
+    run_measure(sys, hyp, sweeps, None)
 
 
 def trap_exit(sys, next_ctx=None):

@@ -36,18 +36,21 @@ A translation fault is a scenario bug, never an outcome: Tlb.translate
 raises ValueError on a non-canonical address, and _refill raises
 SimulationError on a faulting walk before it prices or fills anything.
 
-Each 4 KiB page is walked once per address-space pair per experiment:
-the walk, its PTE-fetch list and the TLB entry it fills depend only on
-the page tables, the VM's ids, the page and the D-cache's line size and
-set count, so every TLB miss on the page, on any machine over the same
-spaces, fills the remembered entry and prices the remembered fetch list
-through its own D-cache, in order.  The remembered walks belong to the
-guest space, in one weak-keyed table (_REMEMBERED) that forgets them
-when the space is freed; harness.run_experiment shares one layout's
-spaces among its scenarios (hypervisor.build_plan), so they live for one
-experiment, and no plan or machine holds them.  A machine reads the
-table once per run_loop call and once per virtual_access TLB miss, never
-per touch.  A change to either stage's tables (seen through
+Each leaf is walked once per address-space pair per experiment: the
+walk, its PTE-fetch list and the TLB entry it fills depend only on the
+page tables, the VM's ids, the leaf and the D-cache's line size and set
+count, so every TLB miss on a page of the leaf, on any machine over the
+same spaces, fills the remembered entry, takes its physical address from
+the entry's PTE and prices the remembered fetch list through its own
+D-cache, in order.  A leaf is the merged translation's page: a 2 MiB
+guest leaf over 4 KiB host pages is walked once per 4 KiB page, and a
+superpage at both stages once for all its pages.  The remembered walks
+belong to the guest space, in one weak-keyed table (_REMEMBERED) that
+forgets them when the space is freed; harness.run_experiment shares one
+layout's spaces among its scenarios (hypervisor.build_plan), so they
+live for one experiment, and no plan or machine holds them.  A machine
+reads the table once per run_loop call and once per virtual_access TLB
+miss, never per touch.  A change to either stage's tables (seen through
 AddressSpace.version) forgets what was remembered for that pair.  The
 list is kept as the D-cache decodes it and read by one Cache.replay,
 which returns the events of the fetches that did not hit, in order.  The
@@ -76,16 +79,20 @@ one call of the cache's access step (Cache.step, the path Cache.access
 takes), its event priced from a table with the lookup and compute cycles
 folded in.  The prices are fixed for a machine, so each compute charge's
 table is built once and kept; the VM's remembered walks are looked up
-once per call, not once per TLB miss.  Interference quanta run through
-it, and so does the timed measured phase: a quantum of math.inf never
-stops it, so it sweeps its whole address stream, one call per compiled
-sweep (workload.run_measure).  This module reads nothing of a TLB's or a
-cache's storage.
+once per call, not once per TLB miss.  A miss's jitter draw and a
+store's value (write_value) are computed in the loop's own frame, so a
+touch calls only Tlb.translate and Cache.step, and _refill on a TLB
+miss.  Interference quanta run through it, and so do the timed measured
+phase and the hypervisor's footprint sweep on every trap: a quantum of
+math.inf never stops it, so it sweeps its whole address stream, one call
+per compiled sweep (workload.run_measure).  This module reads nothing of
+a TLB's or a cache's storage.
 
 Every draw goes straight to the generator's getrandbits, through
-randbelow or jitter_sum's copy of its loop, applying CPython's own
-rejection rule, so a draw gives the same value and leaves the generator
-in the same state as random.Random.randint(-j, j).
+randbelow or one of its two written-out copies, jitter_sum's and
+run_loop's, each applying CPython's own rejection rule, so a draw gives
+the same value and leaves the generator in the same state as
+random.Random.randint(-j, j).
 """
 
 import weakref
@@ -93,7 +100,7 @@ from dataclasses import dataclass, fields
 
 from .cache import EVENT_HIT, EVENT_MISS, EVENT_SPM, EVENT_SPM_MISCONFIG, Cache
 from .cache import check_geometry as check_cache_geometry
-from .sv39 import PAGE_SHIFT, PAGE_SIZE, PTE_G
+from .sv39 import PAGE_SHIFT, PAGE_SIZE, PPN_SHIFT, PTE_G, SIZE_1G, SIZE_2M
 from .tlb import PartitionCsrFile, Tlb, TlbEntry
 from .tlb import check_geometry as check_tlb_geometry
 from .walker import walk_single, walk_two_stage
@@ -101,8 +108,9 @@ from .walker import walk_single, walk_two_stage
 KINDS = ("read", "write", "ifetch")
 
 # guest space -> {(host space, asid, vmid, D-cache line bytes, D-cache
-# sets): ((guest.version, host.version), {page: (WalkResult, TlbEntry,
-# decoded fetches)})}, shared by every machine over the guest space.
+# sets): ((guest.version, host.version), {leaf: (WalkResult, TlbEntry,
+# decoded fetches)})}, shared by every machine over the guest space; a
+# leaf is keyed as _refill keys it.
 _REMEMBERED = weakref.WeakKeyDictionary()
 
 
@@ -281,14 +289,23 @@ class MemorySystem:
         return known[1]
 
     def _refill(self, tlb, vm, vaddr, pages):
-        """Serve a TLB miss: walk vaddr's page (remembered in `pages`, vm's
+        """Serve a TLB miss: walk vaddr's leaf (remembered in `pages`, vm's
         _walk_table), price the walk and fill `tlb`.  Returns (walk, paddr,
-        cycles).  A walk that faults raises SimulationError and is neither
-        priced nor remembered."""
-        guest, host = vm.guest_space, vm.host_space
-        page = vaddr >> PAGE_SHIFT
-        remembered = pages.get(page)
+        cycles), paddr taken from the entry's PTE and page size.  A walk
+        that faults raises SimulationError and is neither priced nor
+        remembered.
+
+        A 4 KiB leaf is remembered under its page number, a superpage leaf
+        under (its page size, its base address), so every page of a
+        superpage is served by one walk.  The leaf is looked up by its 4 KiB
+        page first, then by its 2 MiB and 1 GiB spans."""
+        remembered = (
+            pages.get(vaddr >> PAGE_SHIFT)
+            or pages.get((SIZE_2M, vaddr & -SIZE_2M))
+            or pages.get((SIZE_1G, vaddr & -SIZE_1G))
+        )
         if remembered is None:
+            guest, host = vm.guest_space, vm.host_space
             if host is None:
                 walk = walk_single(guest, vaddr)
             else:
@@ -298,15 +315,17 @@ class MemorySystem:
                     "access 0x%x by vmid %d asid %d faulted (%s, stage %s)"
                     % (vaddr, vm.vmid, vm.asid, walk.fault, walk.fault_stage)
                 )
+            size = walk.page_size
             entry = TlbEntry(
                 vpn=walk.vpn,
-                page_size=walk.page_size,
+                page_size=size,
                 asid=vm.asid,
                 vmid=vm.vmid,
                 pte=walk.pte,
                 global_flag=bool(walk.pte & PTE_G),
             )
-            remembered = pages[page] = (walk, entry, self.dcache.decode(walk.accesses))
+            key = vaddr >> PAGE_SHIFT if size == PAGE_SIZE else (size, vaddr & -size)
+            remembered = pages[key] = (walk, entry, self.dcache.decode(walk.accesses))
         walk, entry, fetches = remembered
         events = self.dcache.replay(fetches)
         cycles = (len(fetches) - len(events)) * self.latency.cache_hit_cycles
@@ -315,7 +334,8 @@ class MemorySystem:
                 cycles += self._price[event]
             cycles += jitter_sum(self.rng, self.latency.jitter, events.count(EVENT_MISS))
         tlb.fill(entry)
-        return walk, walk.paddr & ~(PAGE_SIZE - 1) | vaddr & (PAGE_SIZE - 1), cycles
+        paddr = entry.pte >> PPN_SHIFT << PAGE_SHIFT | vaddr & entry.page_size - 1
+        return walk, paddr, cycles
 
     # -- the pipeline -----------------------------------------------------------
 
@@ -357,7 +377,8 @@ class MemorySystem:
 
         Each touch is one Tlb.translate (a miss goes on to _refill, with
         vm's walk table looked up once per call) and one Cache.step, priced
-        from a table fixed once per machine and compute charge."""
+        from a table fixed once per machine and compute charge; a miss's
+        jitter draw and a store's value are computed here."""
         tlb, cache = self._sides[kind]
         translate, refill, step = tlb.translate, self._refill, cache.step
         asid, vmid = vm.asid, vm.vmid
@@ -369,7 +390,9 @@ class MemorySystem:
                 event: touch + cycles for event, cycles in self._price.items()
             }
         jitter = self.latency.jitter
-        draw, span = self.rng.getrandbits if jitter else None, 2 * jitter + 1
+        if jitter:
+            draw, span = self.rng.getrandbits, 2 * jitter + 1
+            bits = span.bit_length()
         write = kind == "write"
         spent = 0
         for vaddr in addresses:
@@ -377,10 +400,15 @@ class MemorySystem:
             if paddr is None:
                 _, paddr, cycles = refill(tlb, vm, vaddr, walks)
                 spent += cycles
-            event = step(paddr, write_value(vaddr) if write else None)
+            # A store writes write_value(vaddr).
+            event = step(paddr, vaddr >> 3 & 0xFFFF_FFFF if write else None)
             spent += price[event]
             if jitter and event == EVENT_MISS:
-                spent += randbelow(draw, span) - jitter
+                # randbelow(draw, span), written out as jitter_sum writes it.
+                r = draw(bits)
+                while r >= span:
+                    r = draw(bits)
+                spent += r - jitter
             if spent >= quantum:
                 break
         return spent

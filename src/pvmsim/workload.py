@@ -23,20 +23,19 @@ quantum the scheduler granted is used up.  Per visit it draws a page and
 then per touch an offset, each as randrange(n) would draw it.
 
 Two executors serve the region lists, with the same cycles and effects.
-The timed measured phase is compiled once per plan (compile_sweeps) into
-sweeps: a maximal run of consecutive fixed-order regions of one kind and
-one compute charge becomes one sweep over a precomputed address tuple,
-and a random-order region stays a sweep of its own, whose pages are
-shuffled from the workload generator when it starts.  run_measure runs
-each sweep with one MemorySystem.run_loop, as run_interference runs a
-quantum: the hot paths build no per-access outcome, and back-to-back
-regions of one kind cost one loop set-up.  run_regions takes one
-virtual_access per address and runs the untimed prime and the
-hypervisor's footprint sweep, so the outcome-building path, which tests
-hold to a reference pipeline and the benchmark's traced pass observes,
-runs in every experiment; a sweep through run_loop gained nothing
-measurable there.  None of them checks for faults: memsys raises at the
-access that finds one.
+The timed measured phase and the hypervisor's footprint are each
+compiled once per plan (compile_sweeps) into sweeps: a maximal run of
+consecutive fixed-order regions of one kind and one compute charge
+becomes one sweep over a precomputed address tuple, and a random-order
+region stays a sweep of its own, whose pages are shuffled from the
+workload generator when it starts.  run_measure runs each sweep with one
+MemorySystem.run_loop, as run_interference runs a quantum: the hot paths
+build no per-access outcome, and back-to-back regions of one kind cost
+one loop set-up.  run_regions takes one virtual_access per address and
+runs only the untimed prime, which every plan's first iteration runs, so
+the outcome-building path, which tests hold to a reference pipeline and
+the benchmark's traced pass observes, runs in every experiment.  None of
+them checks for faults: memsys raises at the access that finds one.
 """
 
 import math

@@ -351,6 +351,18 @@ def test_one_contiguous_range_per_worker_per_scenario(pools, monkeypatch):
     assert pools[0].ranges() == {"unmitigated": [(0, 3), (3, 6), (6, 8)]}
 
 
+def test_shipped_plans_carry_no_compiled_sweep(pools, monkeypatch):
+    """build_plan compiles neither the measured phase nor the trap
+    footprint, so a plan goes to the pool with neither; each is compiled
+    where the plan runs."""
+    monkeypatch.setattr(harness, "MIN_SLICE", 1)
+    run_experiment(uneven_config(), workers=3)
+    (pool,) = pools
+    assert pool.jobs
+    for plan, _, _ in pool.jobs:
+        assert plan.sweeps is None and plan.trap_sweeps is None, plan.defn.name
+
+
 def test_plans_are_built_once_per_scenario_in_the_calling_process(monkeypatch):
     parent = os.getpid()
     built = []

@@ -2,15 +2,17 @@
 
 Within one harness.run_experiment call, build_plan gives every scenario
 whose layout (hypervisor._layout_key) was already built the spaces built
-for it, and every machine over a shared space walks each page once per
-(asid, vmid, D-cache shape): the walks are remembered beside the guest
-space, not on the machine (memsys module docstring).  These tests hold
+for it, and every machine over a shared space walks each leaf once per
+(asid, vmid, D-cache shape), a superpage translation once for all its
+pages: the walks are remembered beside the guest space, not on the
+machine (memsys module docstring).  These tests hold
 the shared plans to plans built alone, the sharing to the key, a reused
 layout to no frame taken and no page mapped, the remembered walks to the
 tables they were walked from, and both to one experiment: nothing
 carries over from one call to the next, or into an unpickled plan.
 """
 
+import math
 import pickle
 from collections import Counter
 from dataclasses import replace
@@ -23,12 +25,13 @@ from pvmsim.cache import Memory
 from pvmsim.cli import preset_names, preset_text
 from pvmsim.config import load_experiment
 from pvmsim.hypervisor import _layout_key, build_plan, run_range
-from pvmsim.memsys import LatencyConfig, MachineConfig, MemorySystem
+from pvmsim.memsys import LatencyConfig, MachineConfig, MemorySystem, write_value
 from pvmsim.sv39 import PTE_A, PTE_D, PTE_R, PTE_V, PTE_W, PTE_X, SIZE_2M, SIZE_4K, make_pte
-from pvmsim.walker import AddressSpace
+from pvmsim.walker import AddressSpace, walk_single, walk_two_stage
 from pvmsim.workload import Workload
 
 from test_golden import WRITES_TEXT
+from test_pipeline_oracle import RW, build_vms, make_system
 
 TEXTS = {name: preset_text(name) for name in preset_names()} | {"writes": WRITES_TEXT}
 LAYOUTS = {"synthetic-nospm": 2, "powerwindow-like": 3, "synthetic-spm": 3}
@@ -273,6 +276,7 @@ def test_back_to_back_experiments_build_their_own_spaces_and_walk_alike(walks, m
 TABLE_BASE = 0x0100_0000
 DATA_BASE = 0x8000_0000
 VBASE = 0x40_0000
+SUPER = 0x4000_0000  # a 2 MiB leaf of build_vms' VMs a and c
 RWX = PTE_R | PTE_W | PTE_X | PTE_A | PTE_D
 
 
@@ -349,6 +353,45 @@ def test_a_table_change_makes_both_machines_walk_again(walks, change):
     a.restore(blank_a, None)
     assert a.virtual_access(VBASE, "read", vm).paddr == frame
     assert walks[0] == 3  # and the new one is shared again
+
+
+def spaces_of(vm):
+    return (vm.guest_space,) if vm.host_space is None else (vm.guest_space, vm.host_space)
+
+
+@pytest.mark.parametrize("vm_index", (0, 2), ids=("single-stage", "two-stage"))
+def test_a_superpage_leaf_is_walked_once_for_all_its_pages(walks, vm_index):
+    """VM a maps 0x4000_0000 with a 2 MiB leaf, VM c with 2 MiB at both
+    stages: after one page of the span is walked, another page refills on
+    a fresh machine with no walker call, its address taken from the
+    remembered entry, through virtual_access and through run_loop."""
+    vm = build_vms()[0][vm_index]
+    walk = walk_two_stage if vm.host_space else walk_single
+    first = make_system(7, 0).virtual_access(SUPER, "read", vm)
+    assert walks[0] == 1 and first.walk_fetches > 0
+    for page in (1, 5):
+        vaddr = SUPER + page * SIZE_4K + 24
+        other = make_system(7, 0)
+        out = other.virtual_access(vaddr, "read", vm)
+        assert not out.tlb_hit and out.walk_fetches == first.walk_fetches
+        assert out.paddr == walk(*spaces_of(vm), vaddr).paddr
+        looped = make_system(7, 0)
+        looped.run_loop(vm, "write", (vaddr,), 0, math.inf)
+        assert looped.memory._words[out.paddr & -8] == write_value(vaddr)
+        assert looped.dtlb.misses == 1
+    assert walks[0] == 1
+
+
+def test_a_superpage_guest_leaf_over_base_host_pages_is_walked_per_page(walks):
+    """A 2 MiB guest leaf whose guest-physical span the host maps with 4 KiB
+    pages merges to 4 KiB entries, so each of its pages is walked once."""
+    vm = build_vms()[0][2]
+    vm.guest_space.map_page(0xC0_0000, 0x60_0000, SIZE_2M, RW)  # host: 4 KiB pages
+    for page in (0, 1, 0, 1):
+        vaddr = 0xC0_0000 + page * SIZE_4K
+        out = make_system(7, 0).virtual_access(vaddr, "read", vm)
+        assert out.paddr == walk_two_stage(vm.guest_space, vm.host_space, vaddr).paddr
+    assert walks[0] == 2
 
 
 @pytest.mark.parametrize("other", (

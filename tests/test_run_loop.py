@@ -36,6 +36,13 @@ every merge boundary (kind, compute charge, a random-order region between
 two mergeable ones) must also match one run_loop per region, and each
 preset's measured phase makes exactly as many run_loop calls as it has
 sweeps.
+
+The hypervisor's footprint runs through run_loop too, one compiled sweep
+per trap: it must match run_regions of the footprint from the same
+restored machine on every scenario of every preset and of WRITES_TEXT.
+run_loop draws a miss's jitter and computes a store's value in its own
+frame, so a write loop is held to the rich path at jitter bounds whose
+draws reject, and its stored words to write_value.
 """
 
 import math
@@ -45,6 +52,7 @@ from unittest import mock
 
 import pytest
 
+from pvmsim import hypervisor
 from pvmsim.cache import MODE_SPM
 from pvmsim.cli import preset_names, preset_text
 from pvmsim.config import load_experiment
@@ -283,6 +291,34 @@ def test_kernel_matches_rich_path_on_synthetic_loops(case, jitter):
     assert gens == want_gens
 
 
+# A write loop whose misses draw at every jitter bound below: spans 3, 7
+# and 17, so the draw's rejection loop takes 2, 3 and 5 bits and rejects.
+WRITE_LOOP = InterferenceLoop(base=0x40_0000, pages=12, kind="write", touches_per_page=3)
+
+
+@pytest.mark.parametrize("jitter", [1, 3, 8])
+def test_inline_draws_and_stores_match_the_rich_path(jitter):
+    """run_loop draws a miss's jitter and computes a store's value in its
+    own frame: the same cycles, machine and generators as the rich path,
+    and every word it stored is write_value of the address stored to."""
+    vm = build_vms()[0][0]
+    runs = []
+    for run in (run_interference, reference_loop):
+        sys = make_system(7, jitter)
+        rng = random.Random(11)
+        spent = [run(sys, vm, WRITE_LOOP, quantum, rng) for quantum in (3000, 5000)]
+        runs.append((spent, machine_state(sys), generators(sys, rng), sys.memory._words))
+    assert runs[0][:3] == runs[1][:3]
+    assert runs[0][2][1] != random.Random(7).getstate()  # jitter was drawn
+    words = runs[0][3]  # run_loop's
+    paddrs = {vaddr: walk_single(vm.guest_space, vaddr).paddr
+              for vaddr in range(WRITE_LOOP.base, WRITE_LOOP.base + 12 * SIZE_4K, 8)}
+    stored = [vaddr for vaddr, paddr in paddrs.items() if paddr in words]
+    assert len(stored) > 12
+    for vaddr in stored:
+        assert words[paddrs[vaddr]] == write_value(vaddr)
+
+
 class CountingStream:
     """An address stream that counts the addresses taken from it."""
 
@@ -392,6 +428,62 @@ def test_walks_are_derivable_from_a_whole_iterations_tallies(text):
             assert len(fetches) == sys.itlb.misses + sys.dtlb.misses > 0, name
             events = cache_events(sys.icache) + cache_events(sys.dcache)
             assert sum(fetches) == events - lookups, name
+
+
+def footprint_sweeps(plan, index, sweep):
+    """Iteration `index` of `plan` with a footprint sweep, run by `sweep`,
+    after the restore and after each interference quantum: per sweep its
+    cycles, TLB and cache misses, the machine state and the jitter
+    generator's state."""
+    defn = plan.defn
+    jitter_rng = (
+        random.Random(iteration_seed(defn.seed, index, "jitter")) if defn.latency.jitter else None
+    )
+    work_rng = random.Random(iteration_seed(defn.seed, index, "workload"))
+    intf_rng = random.Random(iteration_seed(defn.seed, index, "interference"))
+    sys = restore_machine(plan, jitter_rng, work_rng)
+    hyp, footprint = plan.hyp_context, defn.hyp.footprint
+    seen = []
+    for intf in (None, *plan.interference):
+        if intf is not None:
+            trap_exit(sys, intf)
+            run_interference(sys, intf, intf.workload, defn.hyp.quantum_cycles, intf_rng)
+        sys.csr.write_cur_part(hyp.partition_mask)
+        misses = sys.miss_counts()
+        cycles = sweep(sys, hyp, footprint)
+        misses = tuple(b - a for a, b in zip(misses, sys.miss_counts()))
+        seen.append((cycles, misses, machine_state(sys), generators(sys, work_rng)[1]))
+    return seen
+
+
+@pytest.mark.parametrize("jitter", [0, 3])
+@pytest.mark.parametrize("text", preset_names() + ["writes"])
+def test_footprint_sweep_matches_rich_path(text, jitter):
+    """The trap footprint as trap_enter sweeps it, one compiled run_loop,
+    against run_regions of the footprint, from the same restored machine:
+    equal cycles, machine state and jitter generator, on every scenario."""
+    config = WRITES_TEXT if text == "writes" else preset_text(text)
+    cfg = load_experiment(text=config, seed=1, iterations=ITERATIONS)
+    tlb_missed = cache_missed = 0
+    for name in cfg.scenario_names:
+        defn = cfg.scenarios[name]
+        defn = replace(defn, latency=replace(defn.latency, jitter=jitter))
+        swept, rich = build_plan(defn), build_plan(defn)
+        for index in range(ITERATIONS):
+            got = footprint_sweeps(
+                swept, index,
+                lambda sys, hyp, footprint: run_measure(
+                    sys, hyp, compile_sweeps((footprint,)), None
+                ),
+            )
+            want = footprint_sweeps(
+                rich, index, lambda sys, hyp, footprint: run_regions(sys, hyp, (footprint,))
+            )
+            assert got == want, (name, index)
+            tlb_missed += sum(misses[0] for _, misses, _, _ in got)
+            cache_missed += sum(misses[1] for _, misses, _, _ in got)
+    if text != "writes":  # whose interference evicts neither the footprint's entry nor its lines
+        assert tlb_missed and cache_missed  # the sweeps walked, and drew when jitter is on
 
 
 def compiled_measure(sys, vm, regions, rng):
@@ -571,7 +663,8 @@ def test_compiled_sweeps_match_per_region_loops_across_merge_boundaries(vm_index
 def test_each_preset_compiles_its_measured_phase_into_two_sweeps(text):
     """Every shipped measured phase is a run of data reads and a run of
     instruction fetches: two sweeps, so two run_loop calls with no quantum
-    per simulated iteration."""
+    per simulated iteration.  Every trap sweeps the hypervisor footprint
+    with one more, under the hypervisor's context."""
     config = WRITES_TEXT if text == "writes" else preset_text(text)
     cfg = load_experiment(text=config, seed=1, iterations=ITERATIONS)
     for name in cfg.scenario_names:
@@ -579,12 +672,20 @@ def test_each_preset_compiles_its_measured_phase_into_two_sweeps(text):
         sweeps = compile_sweeps(plan.measured.workload.measure)
         assert len(sweeps) == 2, name
         with mock.patch.object(MemorySystem, "run_loop", autospec=True,
-                               side_effect=MemorySystem.run_loop) as spy:
+                               side_effect=MemorySystem.run_loop) as spy, \
+                mock.patch.object(hypervisor, "trap_enter", wraps=trap_enter) as traps:
             run_iteration(plan, 0)
         assert plan.sweeps == sweeps
-        measured = [call for call in spy.call_args_list if call.args[5] == math.inf]
+        measured = [call for call in spy.call_args_list if call.args[1] is plan.measured]
         assert len(measured) == len(sweeps), name
         assert [call.args[2] for call in measured] == [s.kind for s in sweeps]
+        assert all(call.args[5] == math.inf for call in measured)
+        (footprint,) = plan.trap_sweeps
+        assert plan.trap_sweeps == compile_sweeps((plan.defn.hyp.footprint,))
+        trapped = [call for call in spy.call_args_list if call.args[1] is plan.hyp_context]
+        assert len(trapped) == traps.call_count == 1 + len(plan.interference), name
+        for call in trapped:
+            assert call.args[2:] == ("read", footprint.addresses, 0, math.inf)
 
 
 def clear_leaf(space, vaddr):
