@@ -190,7 +190,7 @@ class AccessResult(NamedTuple):
     value: int = None
 
 
-_STATS = ("hits", "misses", "evictions", "write_backs", "fill_drops", "spm_accesses",
+STATS = ("hits", "misses", "evictions", "write_backs", "fill_drops", "spm_accesses",
           "spm_misconfigs")
 
 
@@ -228,7 +228,7 @@ class Cache:
         self._and, self._or = touch_masks(ways)
         self._all_ways_mask = (1 << ways) - 1
         self._set_locked(0)
-        self.stats = dict.fromkeys(_STATS, 0)
+        self.stats = dict.fromkeys(STATS, 0)
         self.step, self.replay = self._access_step()
 
     def __deepcopy__(self, memo):

@@ -42,23 +42,23 @@ Two kinds of plan draw their records instead of simulating them, by one
 rule.  A plan with no interference VM and no random-order region in its
 prime or measure restores the same machine in every iteration and then
 takes the same events.  A plan whose measured phase is fully guaranteed
--- on the first iteration it simulates in a process, every measured
-access was a lock-slot hit and a scratchpad access, as
-MemorySystem.guaranteed_counts shows it -- takes events that cost the
-same in any machine state, interference or not: lock slots and way modes
-are written only by setup_scenario, such accesses read no replacement
-state and draw no jitter, and a random-order measure only permutes a
-fixed multiset of pages.  Either way a record is a fixed base plus the
-jitter draws of its k measured misses, k being its cache_misses (0 when
-guaranteed).  The first iteration such a plan runs in a process is
-simulated in full and leaves plan.fixed behind; every later one is drawn
-without touching the machine, its restore or its interference quanta:
-skip the draws the misses before the measured phase stand for, then sum
-the next k (memsys.jitter_sum).  Both counts rest on the rule restore
-relies on, one draw per counted miss, so a drawn record equals the
-simulated one.  No record can see a skipped interference quantum (an
-interference loop is bound to a mapped region at load, so skipping it
-hides no fault).
+-- every measured access was a lock-slot hit and a scratchpad access, as
+the phase's MemorySystem.counters() delta shows it -- takes events that
+cost the same in any machine state, interference or not: lock slots and
+way modes are written only by setup_scenario, such accesses read no
+replacement state and draw no jitter, and a random-order measure only
+permutes a fixed multiset of pages.  So the phase is guaranteed in every
+iteration or in none, and any simulated iteration may test it.  Either
+way a record is a fixed base plus the jitter draws of its k measured
+misses, k being its cache_misses (0 when guaranteed).  The first
+iteration such a plan runs in a process is simulated in full and leaves
+plan.fixed behind; every later one is drawn without touching the
+machine, its restore or its interference quanta: skip the draws the
+misses before the measured phase stand for, then sum the next k
+(memsys.jitter_sum).  Both counts rest on the rule restore relies on,
+one draw per counted miss, so a drawn record equals the simulated one.
+No record can see a skipped interference quantum (an interference loop
+is bound to a mapped region at load, so skipping it hides no fault).
 
 The trap choreography follows the partition CSR protocol: entering the
 handler overwrites CUR_PART with the hypervisor's constant mask (which
@@ -89,9 +89,10 @@ traced pass that observe it (see the workload module docstring).
 import hashlib
 import random
 from dataclasses import dataclass, field
+from operator import itemgetter, sub
 
 from .cache import MODE_SPM, Memory
-from .memsys import LatencyConfig, MachineConfig, MemorySystem, jitter_sum
+from .memsys import COUNTERS, LatencyConfig, MachineConfig, MemorySystem, jitter_sum
 from .sv39 import (
     PAGE_SHIFT,
     PAGE_SIZES,
@@ -134,6 +135,15 @@ MAX_QUANTUM_TOUCHES = 1 << 20
 
 HYP_VMID = 0
 HYP_ASID = 0
+
+# The counters() positions run_iteration reads around a measured phase:
+# the misses of both TLBs and both caches, then the TLB hits, lock-slot
+# hits and scratchpad events its guaranteed test adds up.
+_MEASURED = itemgetter(*map(COUNTERS.index, (
+    "itlb.misses", "dtlb.misses", "icache.misses", "dcache.misses", "itlb.hits", "dtlb.hits",
+    "itlb.lock_hits", "dtlb.lock_hits", "icache.spm_accesses", "icache.spm_misconfigs",
+    "dcache.spm_accesses", "dcache.spm_misconfigs",
+)))
 
 _HOST_FULL = PTE_R | PTE_W | PTE_X | PTE_A | PTE_D
 
@@ -319,8 +329,8 @@ class ScenarioPlan:
     after the prefix, or, when the prime has a random-order region, right
     after set-up; sweeps holds the measured regions and trap_sweeps the
     hypervisor footprint, each compiled by workload.compile_sweeps.  Once
-    an iteration of an interference-free plan ran, or the first iteration
-    of a plan whose measured phase it found fully guaranteed, fixed holds
+    an iteration of an interference-free plan ran, or an iteration that
+    found its measured phase fully guaranteed, fixed holds
     what every iteration of it shares: (base cycles, the misses counted
     before the measured phase, its TLB misses, its cache misses); a
     guaranteed phase has no miss of either kind."""
@@ -641,7 +651,6 @@ def run_iteration(plan, index):
     intf_rng = None  # drawn from only by an interference VM
     if plan.interference:
         intf_rng = random.Random(iteration_seed(defn.seed, index, "interference"))
-    first = plan.machine is None
     sys = restore_machine(plan, _jitter_rng(defn, index), work_rng)
     crit = plan.measured
     for intf in plan.interference:
@@ -654,22 +663,16 @@ def run_iteration(plan, index):
     sweeps = plan.sweeps
     if sweeps is None:
         sweeps = plan.sweeps = compile_sweeps(crit.workload.measure)
-    if first:
-        served0 = sys.guaranteed_counts()
-    tlb0, cache0 = sys.miss_counts()
+    before = _MEASURED(sys.counters())
     cycles = run_measure(sys, crit, sweeps, work_rng)
-    tlb1, cache1 = sys.miss_counts()
-    record = IterationRecord(
-        index=index, cycles=cycles, tlb_misses=tlb1 - tlb0, cache_misses=cache1 - cache0
-    )
-    guaranteed = False
-    if first:
-        lookups, lock_hits, spm = (b - a for a, b in zip(served0, sys.guaranteed_counts()))
-        guaranteed = lookups == lock_hits == spm
-    if guaranteed or plan.interference_free:
-        # Without interference, cache0 is the snapshot's miss count; a
-        # guaranteed phase has no miss, so it draws nothing.
-        misses = record.cache_misses
+    tlb_i, tlb_d, cache_i, cache_d, hits_i, hits_d, lock_i, lock_d, *spm = map(
+        sub, _MEASURED(sys.counters()), before)
+    record = IterationRecord(index, cycles, tlb_i + tlb_d, cache_i + cache_d)
+    lookups = hits_i + hits_d + record.tlb_misses
+    if plan.interference_free or lookups == lock_i + lock_d == sum(spm):
+        # Without interference, cache0 (before's cache misses) is the
+        # snapshot's miss count; a guaranteed phase has none to draw for.
+        misses, cache0 = record.cache_misses, before[2] + before[3]
         drawn = misses and jitter_sum(_jitter_rng(defn, index), jitter, misses, after=cache0)
         plan.fixed = (cycles - drawn, cache0, record.tlb_misses, misses)
     return record

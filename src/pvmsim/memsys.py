@@ -63,15 +63,15 @@ The optional jitter models memory-controller noise: a miss (a refill or
 a fill-drop, the only events that model a trip to backing memory) adds a
 uniform draw from [-j, +j].  Hits, SPM accesses and lock-slot
 translations never consult the generator, so a fully locked,
-SPM-resident access path stays cycle-constant even with jitter
-enabled; hypervisor.run_iteration draws the records of a plan whose
-measured phase takes only that path, as guaranteed_counts shows it.  Because each miss is exactly one
-draw, restore() draws once per miss its snapshot's caches count: the
-restored machine and generator stand where a machine built with that
-generator stood on reaching the snapshot.  restore draws through
-jitter_sum, and so does a caller that knows a phase's miss count without
-simulating it: after a restore, a phase of k misses adds jitter_sum(rng,
-j, k, after=the snapshot's misses).
+SPM-resident access path stays cycle-constant even with jitter enabled;
+hypervisor.run_iteration draws the records of a plan whose measured
+phase takes only that path, as the phase's counters() delta shows it.
+Because each miss is exactly one draw, restore() draws once per miss its
+snapshot's caches count: the restored machine and generator stand where
+a machine built with that generator stood on reaching the snapshot.
+restore draws through jitter_sum, and so does a caller that knows a
+phase's miss count without simulating it: after a restore, a phase of k
+misses adds jitter_sum(rng, j, k, after=the snapshot's misses).
 
 run_loop does what a virtual_access per address would do but builds no
 outcome: each touch is one Tlb.translate (the path Tlb.lookup takes) and
@@ -86,7 +86,7 @@ miss.  Interference quanta run through it, and so do the timed measured
 phase and the hypervisor's footprint sweep on every trap: a quantum of
 math.inf never stops it, so it sweeps its whole address stream, one call
 per compiled sweep (workload.run_measure).  This module reads nothing of
-a TLB's or a cache's storage.
+a TLB's or a cache's storage but their tallies, in counters().
 
 Every draw goes straight to the generator's getrandbits, through
 randbelow or one of its two written-out copies, jitter_sum's and
@@ -97,8 +97,9 @@ random.Random.randint(-j, j).
 
 import weakref
 from dataclasses import dataclass, fields
+from operator import itemgetter
 
-from .cache import EVENT_HIT, EVENT_MISS, EVENT_SPM, EVENT_SPM_MISCONFIG, Cache
+from .cache import EVENT_HIT, EVENT_MISS, EVENT_SPM, EVENT_SPM_MISCONFIG, STATS, Cache
 from .cache import check_geometry as check_cache_geometry
 from .sv39 import PAGE_SHIFT, PAGE_SIZE, PPN_SHIFT, PTE_G, SIZE_1G, SIZE_2M
 from .tlb import PartitionCsrFile, Tlb, TlbEntry
@@ -112,6 +113,13 @@ KINDS = ("read", "write", "ifetch")
 # decoded fetches)})}, shared by every machine over the guest space; a
 # leaf is keyed as _refill keys it.
 _REMEMBERED = weakref.WeakKeyDictionary()
+
+# What each position of MemorySystem.counters() counts, as "unit.tally":
+# each TLB's tallies, then each cache's stats (cache.STATS), I-side first.
+COUNTERS = tuple("%s.%s" % (tlb, name) for tlb in ("itlb", "dtlb")
+                 for name in ("hits", "misses", "lock_hits", "fills", "dropped_fills"))
+COUNTERS += tuple("%s.%s" % (cache, name) for cache in ("icache", "dcache") for name in STATS)
+_CACHE_MISSES = itemgetter(COUNTERS.index("icache.misses"), COUNTERS.index("dcache.misses"))
 
 
 class SimulationError(RuntimeError):
@@ -415,24 +423,13 @@ class MemorySystem:
 
     # -- bookkeeping ---------------------------------------------------------
 
-    def miss_counts(self):
-        """(tlb_misses, cache_misses) across both sides, for run statistics."""
-        tlb = self.itlb.misses + self.dtlb.misses
-        cache = self.icache.stats["misses"] + self.dcache.stats["misses"]
-        return tlb, cache
-
-    def guaranteed_counts(self):
-        """(TLB lookups, lock-slot hits, scratchpad events) across both
-        sides.  A phase whose three deltas are equal took a lock-slot hit
-        and a scratchpad access on every access: no walk, no cache miss and
-        no jitter draw, and no event that reads replacement state."""
-        itlb, dtlb, icache, dcache = self.itlb, self.dtlb, self.icache.stats, self.dcache.stats
-        return (
-            itlb.hits + itlb.misses + dtlb.hits + dtlb.misses,
-            itlb.lock_hits + dtlb.lock_hits,
-            icache["spm_accesses"] + icache["spm_misconfigs"]
-            + dcache["spm_accesses"] + dcache["spm_misconfigs"],
-        )
+    def counters(self):
+        """Every tally of the machine as one flat tuple, each position named
+        by COUNTERS; the delta of two is what happened between them."""
+        itlb, dtlb = self.itlb, self.dtlb
+        return (itlb.hits, itlb.misses, itlb.lock_hits, itlb.fills, itlb.dropped_fills,
+                dtlb.hits, dtlb.misses, dtlb.lock_hits, dtlb.fills, dtlb.dropped_fills,
+                *self.icache.stats.values(), *self.dcache.stats.values())
 
     def snapshot(self):
         """The machine state -- both TLBs, both caches, the partition CSRs
@@ -463,4 +460,4 @@ class MemorySystem:
         self.csr.cur_part, self.csr.last_part = csr
         self.memory.restore(memory)
         self.rng = rng
-        jitter_sum(rng, self.latency.jitter, 0, after=self.miss_counts()[1])
+        jitter_sum(rng, self.latency.jitter, 0, after=sum(_CACHE_MISSES(self.counters())))

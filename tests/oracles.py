@@ -458,7 +458,8 @@ class TlbRef:
     masking.  No state is remembered between lookups.  Results are
     (status, paddr, page_size, pte, lock_hit) tuples; a non-canonical
     address raises RefFault and counts as nothing.  The counters are
-    (hits, misses, lock_hits, fills, dropped_fills).
+    (hits, misses, lock_hits, fills, dropped_fills), the order in which
+    memsys.COUNTERS names each TLB's positions.
     """
 
     G_FLAG = 1 << 5
@@ -572,7 +573,8 @@ class PipelineRef:
     for a single-stage walk); a space is read only through its `tables`
     ({ppn: [512 ptes]}) and `root_ppn`.  The test mirrors every partition
     CSR write into `cur_part`.  access() returns the fields of a
-    MemAccessOutcome, in field order.  A non-canonical address raises
+    MemAccessOutcome, in field order, and counters() every tally in
+    MemorySystem.counters()'s order.  A non-canonical address raises
     TlbRef's RefFault; a miss whose walk faults counts the miss and raises
     RefFault before any PTE fetch is read or priced.
     """
@@ -586,6 +588,11 @@ class PipelineRef:
         self.icache = CacheRef(ways, icache_sets, line_bytes, self.mem, ispm_base)
         self.dcache = CacheRef(ways, dcache_sets, line_bytes, self.mem, dspm_base)
         self.cur_part = (1 << partitions) - 1
+
+    def counters(self):
+        """Each TlbRef's counters, then each CacheRef's stats, I-side first."""
+        return (*self.itlb.counters, *self.dtlb.counters,
+                *self.icache.stats.values(), *self.dcache.stats.values())
 
     def _price(self, event):
         tlb, hit, spm, memory, jitter = self.prices

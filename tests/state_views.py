@@ -14,9 +14,14 @@ the memory the cache shares, whose snapshot is a frozenset of its (word
 address, word) pairs.  The views below rebuild the per-slot form: a tag
 per slot (-1 for a slot that holds no line, else line number // sets)
 and each slot's line words.
+
+A machine's tallies are read through MemorySystem.counters(), one flat
+tuple whose positions memsys.COUNTERS names; counter_sum totals named
+positions of it, or of a delta of two (counter_delta).
 """
 
 from pvmsim.cache import MODE_CACHE, MODE_SPM, WORD_BYTES
+from pvmsim.memsys import COUNTERS
 
 
 def tag_state(cache):
@@ -76,3 +81,25 @@ def memory_words(memory):
     left out."""
     return tuple(sorted((addr, word) for addr, word in memory.snapshot()
                         if word and memory.overlaps(addr, WORD_BYTES)))
+
+
+def counter_delta(after, before):
+    """What happened between two MemorySystem.counters() tuples."""
+    return tuple(a - b for a, b in zip(after, before, strict=True))
+
+
+def counter_sum(counts, *names):
+    """The total of the positions named `names` (memsys.COUNTERS) in a
+    counters() tuple or a counter_delta."""
+    assert len(counts) == len(COUNTERS)
+    return sum(counts[COUNTERS.index(name)] for name in names)
+
+
+def cache_misses(counts):
+    """Both caches' misses in a counters() tuple or a counter_delta."""
+    return counter_sum(counts, "icache.misses", "dcache.misses")
+
+
+def tlb_misses(counts):
+    """Both TLBs' misses in a counters() tuple or a counter_delta."""
+    return counter_sum(counts, "itlb.misses", "dtlb.misses")

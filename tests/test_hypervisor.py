@@ -35,7 +35,7 @@ from pvmsim.sv39 import PTE_A, PTE_D, PTE_R, PTE_W, PTE_X, SIZE_1G, SIZE_2M, SIZ
 from pvmsim.workload import InterferenceLoop, Region, Workload
 
 from oracles import partition_leaves_ref
-from state_views import spm_word
+from state_views import cache_misses, spm_word, tlb_misses
 
 RW = PTE_R | PTE_W | PTE_A | PTE_D
 RX = PTE_R | PTE_X | PTE_A | PTE_D
@@ -526,7 +526,12 @@ class SnapshotIsolationTest(unittest.TestCase):
         # iteration (every VM here runs under the same mask).
         self.assertTrue(intf_entries())
         self.assertGreater(len(sys.memory.snapshot()), len(want.memory.snapshot()))
-        self.assertNotEqual(sys.miss_counts(), want.miss_counts())
+
+        def misses(machine):
+            counts = machine.counters()
+            return tlb_misses(counts), cache_misses(counts)
+
+        self.assertNotEqual(misses(sys), misses(want))
         prime_word = spm_word(sys.dcache, 0, 0, 0)
         self.assertNotEqual(prime_word, 0)  # written by the prime
         sys.dcache.access(spm, "write", ~prime_word)
@@ -537,12 +542,12 @@ class SnapshotIsolationTest(unittest.TestCase):
         self.assert_same_state(sys.snapshot(), want.snapshot())
         self.assertEqual(intf_entries(), [])
         self.assertEqual(spm_word(sys.dcache, 0, 0, 0), prime_word)
-        self.assertEqual(sys.miss_counts(), want.miss_counts())
+        self.assertEqual(sys.counters(), want.counters())
         # The restored machine draws from the generator it was handed,
         # already past the prefix's k draws, one per cache miss.
         self.assertIs(sys.rng, jitter)
         expected = random.Random(9)
-        for _ in range(want.miss_counts()[1]):
+        for _ in range(cache_misses(want.counters())):
             expected.randint(-self.JITTER, self.JITTER)
         self.assertEqual(jitter.getstate(), expected.getstate())
 
@@ -594,7 +599,7 @@ class PrefixSnapshotTest(unittest.TestCase):
         defn = scenario((crit_vm(), intf_vm()), jitter=3)
         plan = build_plan(defn)
         jitter = random.Random(0)
-        k = fresh_prefix(plan, jitter).miss_counts()[1]
+        k = cache_misses(fresh_prefix(plan, jitter).counters())
         self.assertGreater(k, 0)
         # Every draw advances the generator, so the states agree only if
         # the prefix drew exactly k times, one per cache miss.
@@ -636,7 +641,7 @@ class PrefixSnapshotTest(unittest.TestCase):
         self.assertEqual(len(made), 3)  # the interference streams; no region is random-order
         # No jitter generator exists, so a jitter draw would have raised.
         self.assertIsNone(plan.machine[0].rng)
-        self.assertGreater(fresh_prefix(plan).miss_counts()[1], 0)  # misses, but no draws
+        self.assertGreater(cache_misses(fresh_prefix(plan).counters()), 0)  # misses, but no draws
 
 
 class InterferencePhysicsTest(unittest.TestCase):

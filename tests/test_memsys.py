@@ -17,6 +17,7 @@ from pvmsim.memsys import (
     MemorySystem,
     SimulationError,
 )
+from pvmsim.memsys import COUNTERS
 from pvmsim.sv39 import (
     PTE_A,
     PTE_D,
@@ -29,7 +30,7 @@ from pvmsim.sv39 import (
     make_pte,
 )
 from pvmsim.walker import AddressSpace
-from state_views import probe, tag_state
+from state_views import cache_misses, probe, tag_state
 
 RW = PTE_R | PTE_W | PTE_A | PTE_D
 RWX = RW | PTE_X
@@ -310,14 +311,6 @@ def test_remapped_host_page_is_walked_again():
 # -- faults ---------------------------------------------------------------------
 
 
-def counts(sys_):
-    """Every TLB counter and cache statistic of both sides."""
-    return [
-        (tlb.hits, tlb.misses, tlb.lock_hits, tlb.fills, tlb.dropped_fills)
-        for tlb in (sys_.itlb, sys_.dtlb)
-    ] + [dict(cache.stats) for cache in (sys_.icache, sys_.dcache)]
-
-
 def test_unmapped_page_raises_before_pricing_or_filling():
     """The walk's fault raises where _refill finds it, on either path: the
     TLB counted its miss, and no PTE fetch was read, no jitter drawn and
@@ -326,15 +319,17 @@ def test_unmapped_page_raises_before_pricing_or_filling():
     for path in ("access", "run_loop"):
         sys_ = build_system(jitter=3, seed=5)
         vm = single_stage_vm(pages=1, asid=4, vmid=2)
-        before, state = counts(sys_), sys_.rng.getstate()
+        before, state = sys_.counters(), sys_.rng.getstate()
         with pytest.raises(SimulationError) as info:
             if path == "access":
                 sys_.virtual_access(vaddr, "read", vm)
             else:
                 sys_.run_loop(vm, "read", [vaddr], 0, 100)
         assert str(info.value) == "access 0x800018 by vmid 2 asid 4 faulted (invalid, stage None)"
-        before[1] = (0, 1, 0, 0, 0)
-        assert counts(sys_) == before, path
+        want = list(before)
+        dtlb = COUNTERS.index("dtlb.hits")
+        want[dtlb:dtlb + 5] = (0, 1, 0, 0, 0)  # its hits, misses, lock hits, fills, drops
+        assert sys_.counters() == tuple(want), path
         assert sys_.rng.getstate() == state, path
 
 
@@ -351,12 +346,12 @@ def test_host_stage_fault_is_attributed():
 def test_non_canonical_address_raises_and_counts_nothing():
     sys_ = build_system()
     vm = single_stage_vm()
-    before = counts(sys_)
+    before = sys_.counters()
     with pytest.raises(ValueError, match=r"^address 0x200000000000 is not canonical$"):
         sys_.virtual_access(1 << 45, "read", vm)
     with pytest.raises(ValueError, match=r"^address 0x200000000000 is not canonical$"):
         sys_.run_loop(vm, "read", [1 << 45], 0, 100)
-    assert counts(sys_) == before
+    assert sys_.counters() == before
 
 
 def test_kind_is_validated():
@@ -572,7 +567,7 @@ def test_restore_replays_one_draw_per_cache_miss_of_the_snapshot():
     vm = single_stage_vm()
     built = build_system(jitter=5, seed=100)
     trace_totals(built, vm, seed=5, n=60)
-    state, misses = built.snapshot(), built.miss_counts()[1]
+    state, misses = built.snapshot(), cache_misses(built.counters())
     assert misses > 0
     expected = random.Random(100)
     for _ in range(misses):
@@ -672,8 +667,23 @@ def test_build_wires_shared_components():
     assert sys_.icache.memory is sys_.dcache.memory
     assert sys_.icache.sets == 128 and sys_.dcache.sets == 256
     assert sys_.icache.size == 16 * 1024 and sys_.dcache.size == 32 * 1024
-    tlb_m, cache_m = sys_.miss_counts()
-    assert (tlb_m, cache_m) == (0, 0)
+    assert sys_.counters() == (0,) * len(COUNTERS)
+
+
+def test_counters_are_every_tally_in_the_order_counters_names():
+    """counters() is each TLB's five tallies, in its snapshot's order, then
+    each cache's stats, I-side first, as COUNTERS names them."""
+    sys_ = build_system()
+    assert len(set(COUNTERS)) == len(COUNTERS) == len(sys_.counters())
+    for value, name in enumerate(COUNTERS, start=100):
+        unit, tally = name.split(".")
+        if unit in ("itlb", "dtlb"):
+            setattr(getattr(sys_, unit), tally, value)
+        else:
+            getattr(sys_, unit).stats[tally] = value
+    counts = sys_.counters()
+    assert counts == tuple(range(100, 100 + len(COUNTERS)))
+    assert sys_.itlb.snapshot()[-1] + sys_.dtlb.snapshot()[-1] == counts[:10]
 
 
 def test_build_takes_its_shape_from_the_machine_config():

@@ -16,6 +16,13 @@ memory and the jitter generator, every few hundred steps and at the end.
 MemorySystem.run_loop, the lean interference path, must match the same
 reference run as a loop of accesses.
 
+Every state comparison also holds MemorySystem.counters() to
+PipelineRef.counters(), position by position.  On every scenario of every
+preset and of WRITES_TEXT, a set-up machine and a reference set up alike
+run the prefix and then the measured phase as run_iteration runs them:
+the phase's counters() delta, its cycles and the jitter generator must
+match the reference's.
+
 A fault is no outcome: when the reference raises RefFault, the system
 must raise on the same access, with the exception and message that name
 the fault (raises_as), and the whole state must still match.
@@ -37,7 +44,24 @@ import pytest
 
 from oracles import PipelineRef, RefFault
 from pvmsim.cache import MODE_CACHE, MODE_SPM, Memory
-from pvmsim.memsys import LatencyConfig, MachineConfig, MemorySystem, SimulationError
+from pvmsim.cli import preset_names, preset_text
+from pvmsim.config import load_experiment
+from pvmsim.hypervisor import (
+    build_plan,
+    build_system,
+    run_prefix,
+    setup_scenario,
+    trap_enter,
+    trap_exit,
+)
+from pvmsim.memsys import (
+    COUNTERS,
+    LatencyConfig,
+    MachineConfig,
+    MemorySystem,
+    SimulationError,
+    write_value,
+)
 from pvmsim.sv39 import (
     PTE_A,
     PTE_D,
@@ -48,11 +72,13 @@ from pvmsim.sv39 import (
     PTE_X,
     SIZE_2M,
     SIZE_4K,
+    VPN_MASK,
     make_pte,
 )
 from pvmsim.walker import AddressSpace
-from state_views import data_words, memory_words, tag_state
-from pvmsim.workload import InterferenceLoop
+from state_views import counter_delta, data_words, memory_words, tag_state
+from pvmsim.workload import InterferenceLoop, compile_sweeps, run_interference, run_measure
+from test_golden import WRITES_TEXT
 from test_walker import map_region
 
 GEOMETRY = dict(
@@ -128,13 +154,17 @@ def leaf_slot(space, vaddr):
     raise AssertionError("0x%x is not mapped" % vaddr)
 
 
-def tlb_view(tlb):
+def tlb_view(sys_, side):
+    """The `side` TLB's node bits, locked leaves, entries and its five
+    counters, sliced from sys_.counters()."""
+    tlb = getattr(sys_, side)
     entries = [
         (e.vpn, e.page_size, e.asid, e.vmid, e.pte, e.global_flag) if e.valid else None
         for e in tlb.entries
     ]
     locked = [leaf for leaf in range(len(tlb.entries)) if tlb.tree.locked >> leaf & 1]
-    counters = (tlb.hits, tlb.misses, tlb.lock_hits, tlb.fills, tlb.dropped_fills)
+    first = COUNTERS.index(side + ".hits")
+    counters = sys_.counters()[first:first + 5]
     return list(tlb.tree.snapshot_bits()), locked, entries, counters
 
 
@@ -233,7 +263,8 @@ def cache_ref_view(ref, words):
 
 def assert_same_state(sys_, ref, where):
     for side in ("itlb", "dtlb"):
-        assert tlb_view(getattr(sys_, side)) == tlb_ref_view(getattr(ref, side)), (where, side)
+        assert tlb_view(sys_, side) == tlb_ref_view(getattr(ref, side)), (where, side)
+    assert sys_.counters() == ref.counters(), where
     words = coherent_words(ref)
     for side in ("icache", "dcache"):
         assert cache_view(getattr(sys_, side)) == cache_ref_view(getattr(ref, side), words), (
@@ -445,3 +476,90 @@ def test_run_loop_matches_reference_pipeline(seed, jitter):
         assert ours.getstate() == theirs.getstate(), round_
         assert_same_state(sys_, ref, round_)
     assert faults
+
+
+def reference_phase(ref, vm, regions, rng):
+    """`regions` run by `vm` through PipelineRef.access: the cycles, each
+    access charged its region's compute cycles; a store writes
+    write_value(vaddr), as run_loop's do."""
+    cycles = 0
+    for region in regions:
+        for vaddr in region.addresses(rng):
+            value = write_value(vaddr) if region.kind == "write" else None
+            cycles += ref.access(vm, vaddr, region.kind, value)[3] + region.compute_cycles
+    return cycles
+
+
+@pytest.mark.parametrize("text", preset_names() + ["writes"])
+def test_measured_phase_counter_delta_matches_reference(text):
+    """Two rounds of run_iteration's phases on one machine, with no
+    restore between them, each mirrored on the reference: interference
+    quanta, each followed by the hypervisor's footprint, then the measured
+    phase, whose counters() delta must equal the reference's."""
+    config = WRITES_TEXT if text == "writes" else preset_text(text)
+    cfg = load_experiment(text=config, seed=1, iterations=1)
+    seen = set()
+    for name in cfg.scenario_names:
+        defn = cfg.scenarios[name]
+        plan = build_plan(defn)
+        crit, hyp = plan.measured, plan.hyp_context
+        jitter = defn.latency.jitter
+        sys_ = build_system(defn, random.Random(3) if jitter else None)
+        ref = PipelineRef(dataclasses.astuple(defn.machine), dataclasses.astuple(defn.latency),
+                          sys_.icache.spm_base, sys_.dcache.spm_base,
+                          random.Random(3) if jitter else None)
+        # setup_scenario on the machine, mirrored on the reference.
+        setup_scenario(plan, sys_)
+        for way in range(defn.spm_ways):
+            ref.icache.convert(way, True)
+            ref.dcache.convert(way, True)
+        for side, tref in (("i", ref.itlb), ("d", ref.dtlb)):
+            for index, (ctx, chunk) in enumerate(plan.lock_chunks[side]):
+                vpn = chunk.gvaddr >> 12 & VPN_MASK
+                tref.program(index, "vpn", (vpn, chunk.page_size, chunk.flags))
+                tref.program(index, "pte", make_pte(chunk.paddr >> 12, chunk.flags))
+                tref.program(index, "id", (ctx.asid, ctx.vmid))
+        ours, theirs = random.Random(5), random.Random(5)  # the workload streams
+
+        def footprint():
+            ref.cur_part = hyp.partition_mask
+            reference_phase(ref, hyp, (defn.hyp.footprint,), None)
+
+        # The prefix: the prime under the measured VM's mask, then a trap.
+        run_prefix(plan, sys_, ours)
+        ref.cur_part = crit.partition_mask
+        reference_phase(ref, crit, crit.workload.prime, theirs)
+        footprint()
+        for round_ in range(2):
+            for intf in plan.interference:
+                trap_exit(sys_, intf)
+                run_interference(sys_, intf, intf.workload, defn.hyp.quantum_cycles, ours)
+                trap_enter(plan, sys_)
+                ref.cur_part = intf.partition_mask
+                reference_loop(ref, intf, intf.workload, defn.hyp.quantum_cycles, theirs)
+                footprint()
+            trap_exit(sys_, crit)
+            ref.cur_part = crit.partition_mask
+            where = (name, round_)
+            assert sys_.counters() == ref.counters(), where
+            before, ref_before = sys_.counters(), ref.counters()
+            cycles = run_measure(sys_, crit, compile_sweeps(crit.workload.measure), ours)
+            want = reference_phase(ref, crit, crit.workload.measure, theirs)
+            delta = counter_delta(sys_.counters(), before)
+            assert delta == counter_delta(ref.counters(), ref_before), where
+            assert cycles == want, where
+            assert ours.getstate() == theirs.getstate(), where
+            if jitter:
+                assert sys_.rng.getstate() == ref.rng.getstate(), where
+            seen.update(n for n, d in zip(COUNTERS, delta) if d)
+    # The phases hit lock slots and missed, hit and evicted lines; they
+    # walked on every preset (WRITES_TEXT's interference evicts no measured
+    # translation), used the scratchpad where one is converted and wrote
+    # back where the measure stores.
+    assert {"dtlb.lock_hits", "dcache.misses", "dcache.hits", "dcache.evictions"} <= seen, seen
+    if text == "writes":
+        assert {"dcache.spm_accesses", "dcache.write_backs"} <= seen, seen
+    else:
+        assert {"dtlb.misses", "dtlb.fills"} <= seen, seen
+    if text != "synthetic-nospm":
+        assert {"icache.spm_accesses", "dcache.spm_accesses"} <= seen, seen

@@ -78,6 +78,7 @@ from pvmsim.workload import (
 from test_closed_form import with_random_order
 from test_golden import WRITES_TEXT, machine_state
 from test_pipeline_oracle import DATA_BASE, GEOMETRY, build_vms, make_system
+from state_views import cache_misses, counter_delta, counter_sum, tlb_misses
 
 ITERATIONS = 3
 
@@ -335,9 +336,18 @@ class CountingStream:
         return vaddr
 
 
-def cache_events(cache):
-    stats = cache.stats
-    return stats["hits"] + stats["misses"] + stats["spm_accesses"] + stats["spm_misconfigs"]
+def lookups(counts, *tlbs):
+    """TLB lookups of `tlbs` ("itlb", "dtlb") in a counters() tuple or
+    delta: each is a hit or a miss."""
+    return counter_sum(counts, *(tlb + tally for tlb in tlbs for tally in (".hits", ".misses")))
+
+
+def cache_events(counts, *caches):
+    """Cache events of `caches` ("icache", "dcache") in a counters() tuple
+    or delta: each access or walk fetch is a hit, a miss or a scratchpad
+    event."""
+    tallies = (".hits", ".misses", ".spm_accesses", ".spm_misconfigs")
+    return counter_sum(counts, *(cache + tally for cache in caches for tally in tallies))
 
 
 def walk_fetches(vm, vaddr):
@@ -356,7 +366,7 @@ def counted_loop(seen):
 
     def run(sys, vm, loop, quantum, rng):
         ifetch = loop.kind == "ifetch"
-        tlb, cache = (sys.itlb, sys.icache) if ifetch else (sys.dtlb, sys.dcache)
+        tlb, side, cache = (sys.itlb, "itlb", "icache") if ifetch else (sys.dtlb, "dtlb", "dcache")
         missed = []
         translate = tlb.translate
 
@@ -366,8 +376,7 @@ def counted_loop(seen):
                 missed.append(vaddr)
             return paddr
 
-        lookups, events = tlb.hits + tlb.misses, cache_events(cache)
-        data_events = cache_events(sys.dcache)
+        before = sys.counters()
         stream = CountingStream(loop.addresses(rng))
         tlb.translate = spy
         try:
@@ -376,12 +385,13 @@ def counted_loop(seen):
             del tlb.translate
         touches = stream.taken
         walked = sum(walk_fetches(vm, vaddr) for vaddr in missed)
-        assert tlb.hits + tlb.misses - lookups == touches
+        delta = counter_delta(sys.counters(), before)
+        assert lookups(delta, side) == touches
         if ifetch:
-            assert cache_events(cache) - events == touches
-            assert cache_events(sys.dcache) - data_events == walked
+            assert cache_events(delta, cache) == touches
+            assert cache_events(delta, "dcache") == walked
         else:
-            assert cache_events(cache) - events == touches + walked
+            assert cache_events(delta, cache) == touches + walked
         seen.append((touches, walked))
         return spent
 
@@ -423,17 +433,16 @@ def test_walks_are_derivable_from_a_whole_iterations_tallies(text):
             plan = build_plan(cfg.scenarios[name])
             fetches.clear()
             run_iteration(plan, 0)
-            sys = plan.machine[0]
-            lookups = sum(tlb.hits + tlb.misses for tlb in (sys.itlb, sys.dtlb))
-            assert len(fetches) == sys.itlb.misses + sys.dtlb.misses > 0, name
-            events = cache_events(sys.icache) + cache_events(sys.dcache)
-            assert sum(fetches) == events - lookups, name
+            counts = plan.machine[0].counters()
+            assert len(fetches) == tlb_misses(counts) > 0, name
+            events = cache_events(counts, "icache", "dcache")
+            assert sum(fetches) == events - lookups(counts, "itlb", "dtlb"), name
 
 
 def footprint_sweeps(plan, index, sweep):
     """Iteration `index` of `plan` with a footprint sweep, run by `sweep`,
     after the restore and after each interference quantum: per sweep its
-    cycles, TLB and cache misses, the machine state and the jitter
+    cycles, its counters() delta, the machine state and the jitter
     generator's state."""
     defn = plan.defn
     jitter_rng = (
@@ -449,10 +458,10 @@ def footprint_sweeps(plan, index, sweep):
             trap_exit(sys, intf)
             run_interference(sys, intf, intf.workload, defn.hyp.quantum_cycles, intf_rng)
         sys.csr.write_cur_part(hyp.partition_mask)
-        misses = sys.miss_counts()
+        before = sys.counters()
         cycles = sweep(sys, hyp, footprint)
-        misses = tuple(b - a for a, b in zip(misses, sys.miss_counts()))
-        seen.append((cycles, misses, machine_state(sys), generators(sys, work_rng)[1]))
+        delta = counter_delta(sys.counters(), before)
+        seen.append((cycles, delta, machine_state(sys), generators(sys, work_rng)[1]))
     return seen
 
 
@@ -480,8 +489,8 @@ def test_footprint_sweep_matches_rich_path(text, jitter):
                 rich, index, lambda sys, hyp, footprint: run_regions(sys, hyp, (footprint,))
             )
             assert got == want, (name, index)
-            tlb_missed += sum(misses[0] for _, misses, _, _ in got)
-            cache_missed += sum(misses[1] for _, misses, _, _ in got)
+            tlb_missed += sum(tlb_misses(delta) for _, delta, _, _ in got)
+            cache_missed += sum(cache_misses(delta) for _, delta, _, _ in got)
     if text != "writes":  # whose interference evicts neither the footprint's entry nor its lines
         assert tlb_missed and cache_missed  # the sweeps walked, and drew when jitter is on
 
@@ -503,8 +512,8 @@ def measure_per_region(sys, vm, regions, rng):
 
 def measured_phase(plan, index, run):
     """Iteration `index` of `plan` with its measured phase run by `run`:
-    the phase's cycles, TLB misses, the machine state and both generators'
-    states after it."""
+    the phase's cycles and counters() delta, the machine state and both
+    generators' states after it."""
     defn = plan.defn
     jitter_rng = (
         random.Random(iteration_seed(defn.seed, index, "jitter")) if defn.latency.jitter else None
@@ -518,10 +527,10 @@ def measured_phase(plan, index, run):
         trap_enter(plan, sys)
     crit = plan.measured
     trap_exit(sys, crit if plan.interference else None)
-    misses = sys.miss_counts()
+    before = sys.counters()
     cycles = run(sys, crit, crit.workload.measure, work_rng)
-    misses = tuple(b - a for a, b in zip(misses, sys.miss_counts()))
-    return cycles, misses, machine_state(sys), generators(sys, work_rng)
+    delta = counter_delta(sys.counters(), before)
+    return cycles, delta, machine_state(sys), generators(sys, work_rng)
 
 
 @pytest.mark.parametrize("jitter", [0, 3])
@@ -539,7 +548,7 @@ def test_measure_sweep_matches_rich_path(text, jitter):
                 got = measured_phase(sweep, index, compiled_measure)
                 want = measured_phase(rich, index, run_regions)
                 assert got == want, (name, order, index)
-                missed += got[1][1]
+                missed += cache_misses(got[1])
     assert missed  # the jitter draws, when on, were taken
 
 
@@ -573,8 +582,8 @@ def test_measure_sweep_matches_rich_path_on_synthetic_regions(vm_index, jitter):
 def synthetic_runs(vm_index, regions, jitter):
     """Two passes of `regions` by VM `vm_index` on a fresh machine with its
     data scratchpad converted, through the compiled sweeps, one run_loop
-    per region and run_regions: per path, each pass's cycles and (TLB,
-    cache) misses, then the machine state and both generators' states."""
+    per region and run_regions: per path, each pass's cycles and counters()
+    delta, then the machine state and both generators' states."""
     runs = []
     for run in (compiled_measure, measure_per_region, run_regions):
         sys = make_system(7, jitter)
@@ -582,12 +591,12 @@ def synthetic_runs(vm_index, regions, jitter):
         vm = build_vms()[0][vm_index]
         rng = random.Random(5)
         # Twice: the second pass starts from what the first left behind.
-        cycles, misses = [], []
+        cycles, deltas = [], []
         for _ in range(2):
-            before = sys.miss_counts()
+            before = sys.counters()
             cycles.append(run(sys, vm, regions, rng))
-            misses.append(tuple(b - a for a, b in zip(before, sys.miss_counts())))
-        runs.append((cycles, misses, machine_state(sys), generators(sys, rng)))
+            deltas.append(counter_delta(sys.counters(), before))
+        runs.append((cycles, deltas, machine_state(sys), generators(sys, rng)))
     return runs
 
 
@@ -654,7 +663,7 @@ def test_compiled_sweeps_match_per_region_loops_across_merge_boundaries(vm_index
     compiled, per_region, rich = synthetic_runs(vm_index, regions, jitter)
     assert compiled == per_region, "compiled sweeps against one run_loop per region"
     assert compiled == rich, "compiled sweeps against run_regions"
-    assert all(tlb and cache for tlb, cache in compiled[1])
+    assert all(tlb_misses(delta) and cache_misses(delta) for delta in compiled[1])
     if jitter:
         assert compiled[3][1] != random.Random(7).getstate()  # jitter was drawn
 

@@ -218,7 +218,7 @@ class RunInterferenceTest(unittest.TestCase):
             sys, vm, _ = build_vm()
             loop = InterferenceLoop(base=VBASE, pages=8, kind="write")
             spent = run_interference(sys, vm, loop, 3000, random.Random(11))
-            results.append((spent, sys.miss_counts()))
+            results.append((spent, sys.counters()))
         self.assertEqual(results[0], results[1])
 
     def test_faulting_loop_raises(self):
