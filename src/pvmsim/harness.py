@@ -16,24 +16,24 @@ the remembered walks belong to its spaces, so they last this call only.
 
 With workers > 1 the experiment opens one process pool of procs =
 min(workers, CPUs) processes, or fewer when there are fewer jobs, as a
-forking pool starts all its processes at the first submit.  A range shipped to the pool
-starts cold: its worker unpickles the plan and builds, sets up and warms
-the machine again (a built machine cannot be pickled: see Cache), which
-costs about as much as 4.5 to 5.5 warm iterations.  So a scenario is cut into
-near-equal contiguous ranges, one per process, only as far as each keeps
-MIN_SLICE iterations, and otherwise ships whole.  An interference-free
-plan draws every iteration after its first, so it runs in this process,
-beside the pool, and is never shipped.  The pool's feeder thread may
-still be pickling shipped plans while it runs, so nothing a parent-run
-plan mutates (its machine, compiled sweeps and fixed record) may be
-reachable from a shipped plan: such state lives on the plan itself,
-never on the Workload or Region objects that scenarios share.  The
-address spaces that scenarios share are read-only once built, and the
-walks remembered for them are kept beside them, in memsys, where no
-plan reaches them: a shipped plan pickles its spaces' tables alone, and
-its worker walks its own unpickled copies afresh.  Results
-are collected in submission order; because every iteration reseeds from
-(master seed, iteration index), any split yields the same records.
+forking pool starts all its processes at the first submit.  The plans
+shipped to the pool go to it once, as its initializer's argument
+(_adopt): each worker holds one copy of every shipped plan and of the
+layouts under them, inherited by fork or unpickled from one pickle, so
+plans of one layout still share its spaces there; this process never
+runs a shipped plan, so every copy is as build_plan left it.  A job
+names a scenario and a range (_run_job), and one worker's jobs share its
+copies: its first range of a scenario builds, sets up and warms the
+machine (a built machine cannot be pickled: see Cache), which costs
+about as much as 8 to 9 warm iterations, and any later range of that
+scenario in the same worker reuses it; each page of a layout is walked
+once per worker.  So a scenario is cut into near-equal contiguous
+ranges, one per process, only as far as each keeps MIN_SLICE iterations,
+and otherwise ships whole.  An interference-free plan draws every
+iteration after its first, so it runs in this process, beside the pool,
+and is never shipped.  Results are collected in submission order;
+because every iteration reseeds from (master seed, iteration index), any
+split yields the same records.
 """
 
 import concurrent.futures
@@ -50,10 +50,32 @@ import time
 from . import __version__, hypervisor
 
 
-# The fewest iterations worth a cold range: its start-up (4.5 to 5.5 warm
-# iterations of an `unmitigated` scenario, timed as one range and as 41
-# through a one-process pool, CPython 3.11) stays under ~10% of it.
+# The fewest iterations worth a range: a worker's first range of a scenario
+# starts cold, and its start-up (8 to 9 warm iterations of an `unmitigated`
+# scenario, timed as one range and as 41 through a one-process pool,
+# CPython 3.11) stays under ~15% of it.
 MIN_SLICE = 64
+
+# In a pool worker, every plan shipped to its pool by scenario name, set
+# once by _adopt; empty in any other process.
+_SHIPPED = {}
+
+
+def _adopt(plans):
+    """A pool worker's initializer: keep `plans`, the {name: plan} of every
+    scenario shipped to the pool, for all of this worker's jobs."""
+    # A forked worker's collector would walk, and so copy on write, the
+    # whole heap it inherited: freeze that heap first.
+    gc.freeze()
+    _SHIPPED.update(plans)
+
+
+def _run_job(name, start, stop):
+    """A pool job: iterations [start, stop) of this worker's copy of the
+    shipped plan `name`, so that its ranges share one machine."""
+    # Looked up on the module at call time, like run_range's run_iteration,
+    # so wrappers installed on the module see it.
+    return hypervisor.run_range(_SHIPPED[name], start, stop)
 
 
 def _ranges(iterations, procs):
@@ -91,32 +113,32 @@ def run_experiment(config, workers=1, log=None):
         name: [] if plan.interference_free else _ranges(plan.defn.iterations, procs)
         for name, plan in plans.items()
     }
+    shipped = {name: plans[name] for name, r in ranges.items() if r}
     jobs = sum(len(r) for r in ranges.values())
     # Fork wherever the platform has it, else its default.  Workers need
-    # nothing their arguments do not carry, so any start method works, and
-    # this process starts no threads, so forking it is safe.  On Linux a
-    # 2-worker pool starts, runs one empty job per process and shuts down
-    # in about 6 ms with fork, where forkserver (the default from CPython
-    # 3.14) takes about 80 ms and spawn about 110 ms (CPython 3.11, 2
+    # nothing their initializer's argument and their jobs do not carry, so
+    # any start method works, and this process starts no threads, so
+    # forking it is safe.  On Linux a 2-worker pool handed powerwindow-like's
+    # shipped plans starts, runs one empty job per process and shuts down
+    # in about 12 ms with fork, where forkserver (the default from CPython
+    # 3.14) takes about 150 ms and spawn 200 to 240 ms (CPython 3.11, 2
     # vCPUs), more than a small experiment runs for.
     context = None
     if "fork" in multiprocessing.get_all_start_methods():
         context = multiprocessing.get_context("fork")
     pool = None
     if jobs:
-        # A forked worker's collector would walk, and so copy on write,
-        # the whole heap it inherited: freeze that heap first.
         pool = concurrent.futures.ProcessPoolExecutor(
-            min(procs, jobs), mp_context=context, initializer=gc.freeze
+            min(procs, jobs), mp_context=context, initializer=_adopt, initargs=(shipped,)
         )
     results = {}
     try:
         futures = {
-            name: [pool.submit(hypervisor.run_range, plans[name], a, b) for a, b in ranges[name]]
-            for name in plans
+            name: [pool.submit(_run_job, name, a, b) for a, b in ranges[name]] for name in plans
         }
         for name in list(plans):
-            plan = plans.pop(name)  # the last reference: freed with its machine on the next pass
+            # A parent-run plan's last reference: freed with its machine on the next pass.
+            plan = plans.pop(name)
             pending = futures.pop(name)
             if pending:
                 records = [r for future in pending for r in future.result()]

@@ -253,6 +253,13 @@ class ScenarioDef:
         ids = [(vm.vmid, vm.asid) for vm in self.vms]
         if len(set(ids)) != len(ids):
             raise ValueError("duplicate vmid/asid pair")
+        named = {}  # vmid -> the VM that holds it
+        for vm in self.vms:
+            if named.setdefault(vm.vmid, vm.name) != vm.name:
+                # Each VM maps its own G-stage tables, and hardware keeps
+                # one G-stage root per VMID.
+                raise ValueError("vms %r and %r share vmid %d (one G-stage root per vmid)"
+                                 % (named[vm.vmid], vm.name, vm.vmid))
         for vm in self.vms:
             loop = vm.workload
             if not isinstance(loop, InterferenceLoop):

@@ -582,6 +582,8 @@ CLI_REJECTIONS = (
      "[vm.intf]: needs at least one region.<name>"),
     ("shared-vmid-and-asid", "vmid = 2\nasid = 2\n", "vmid = 1\nasid = 1\n",
      "[scenario.noisy]: duplicate vmid/asid pair"),
+    ("shared-vmid", "vmid = 2\nasid = 2\n", "vmid = 1\nasid = 2\n",
+     "[scenario.noisy]: vms 'crit' and 'intf' share vmid 1 (one G-stage root per vmid)"),
     ("negative-scenario-iterations", "vms = crit intf\n", "vms = crit intf\niterations = -1\n",
      "[scenario.noisy]: iterations must be >= 0"),
 )

@@ -13,6 +13,7 @@ import io
 import json
 import multiprocessing
 import os
+import pickle
 import re
 import tempfile
 import unittest
@@ -20,7 +21,7 @@ import unittest.mock
 
 import pytest
 
-from pvmsim import harness, hypervisor
+from pvmsim import harness, hypervisor, memsys
 from pvmsim.cli import main as cli_main
 from pvmsim.cli import preset_text
 from pvmsim.config import load_experiment
@@ -34,7 +35,9 @@ from pvmsim.harness import (
     summarize,
     write_outputs,
 )
-from pvmsim.hypervisor import IterationRecord
+from pvmsim.hypervisor import IterationRecord, _layout_key
+
+from conftest import MAX_JOB_BYTES
 
 SMALL = """\
 [run]
@@ -299,7 +302,7 @@ def test_one_pool_per_experiment(pools):
     # "unmitigated" ships whole (8 < MIN_SLICE); "tiny" and "isolation"
     # are interference-free and stay home.
     assert len(pools) == 1
-    assert (pools[0].max_workers, pools[0].initializer) == (1, gc.freeze)
+    assert (pools[0].max_workers, pools[0].initializer) == (1, harness._adopt)
     assert pools[0].ranges() == {"unmitigated": [(0, 8)]}
     run_experiment(cfg, workers=1)
     run_experiment(load_experiment(text=SMALL, scenarios=["isolation"]), workers=2)
@@ -325,7 +328,7 @@ def test_pool_is_no_larger_than_its_job_count(pools, monkeypatch):
     monkeypatch.setattr(harness, "MIN_SLICE", 3)
     cfg = load_experiment(text=SMALL, iterations=9)
     run_experiment(cfg, workers=4)
-    assert [(p.max_workers, p.initializer, len(p.jobs)) for p in pools] == [(3, gc.freeze, 3)]
+    assert [(p.max_workers, p.initializer, len(p.jobs)) for p in pools] == [(3, harness._adopt, 3)]
     assert pools[0].ranges() == {"unmitigated": [(0, 3), (3, 6), (6, 9)]}
 
 
@@ -337,7 +340,7 @@ def test_pool_is_no_larger_than_the_cpu_count(pools, monkeypatch):
     cfg = load_experiment(text=SMALL, iterations=16, scenarios=["unmitigated"])
     serial = run_experiment(cfg, workers=1)
     assert run_experiment(cfg, workers=8) == serial
-    assert [(p.max_workers, p.initializer, len(p.jobs)) for p in pools] == [(2, gc.freeze, 2)]
+    assert [(p.max_workers, p.initializer, len(p.jobs)) for p in pools] == [(2, harness._adopt, 2)]
     assert pools[0].ranges() == {"unmitigated": [(0, 8), (8, 16)]}
 
 
@@ -347,7 +350,7 @@ def test_one_contiguous_range_per_worker_per_scenario(pools, monkeypatch):
     assert run_experiment(cfg, workers=3) == run_experiment(cfg, workers=1)
     # Submitted scenario by scenario in run order; the interference-free
     # "tiny" and "isolation" run in the calling process.
-    assert [(p.max_workers, p.initializer) for p in pools] == [(3, gc.freeze)]
+    assert [(p.max_workers, p.initializer) for p in pools] == [(3, harness._adopt)]
     assert pools[0].ranges() == {"unmitigated": [(0, 3), (3, 6), (6, 8)]}
 
 
@@ -358,9 +361,104 @@ def test_shipped_plans_carry_no_compiled_sweep(pools, monkeypatch):
     monkeypatch.setattr(harness, "MIN_SLICE", 1)
     run_experiment(uneven_config(), workers=3)
     (pool,) = pools
-    assert pool.jobs
-    for plan, _, _ in pool.jobs:
+    (plans,) = pool.initargs
+    assert list(pool.ranges()) == list(plans) == ["unmitigated"]
+    for plan in plans.values():
         assert plan.sweeps is None and plan.trap_sweeps is None, plan.defn.name
+
+
+def counted(monkeypatch, module, name):
+    """A one-item list counting the calls of module.name from now on."""
+    count = [0]
+    real = getattr(module, name)
+
+    def counting(*args):
+        count[0] += 1
+        return real(*args)
+
+    monkeypatch.setattr(module, name, counting)
+    return count
+
+
+def adopt_shipped(monkeypatch, cfg):
+    """Run the pool's initializer in this process on what run_experiment
+    ships for cfg (the plans of every scenario that is not interference-free,
+    on the layouts they share), with a fresh harness._SHIPPED and gc.freeze
+    counted in place of freezing this process's heap.  Returns the names
+    shipped."""
+    layouts = {}
+    plans = {name: hypervisor.build_plan(cfg.scenarios[name], layouts)
+             for name in cfg.scenario_names}
+    shipped = {name: plan for name, plan in plans.items() if not plan.interference_free}
+    monkeypatch.setattr(harness, "_SHIPPED", {})
+    freezes = counted(monkeypatch, gc, "freeze")
+    harness._adopt(shipped)
+    assert freezes == [1]
+    assert harness._SHIPPED == shipped
+    return list(shipped)
+
+
+def test_one_workers_jobs_walk_each_page_of_a_layout_once(monkeypatch):
+    """After the initializer, jobs of two scenarios of one layout walk no
+    more than a serial run of the two, which shares their spaces; a job
+    carrying its own unpickled plan would walk every page again."""
+    text = preset_text("synthetic-nospm")
+    pair = ["unmitigated", "partitioning"]
+    walks = counted(monkeypatch, memsys, "walk_two_stage")
+    serial = run_experiment(load_experiment(text=text, iterations=6, scenarios=pair))
+    serial_walks, walks[0] = walks[0], 0
+    cfg = load_experiment(text=text, iterations=6)
+    assert _layout_key(cfg.scenarios[pair[0]]) == _layout_key(cfg.scenarios[pair[1]])
+    assert set(pair) < set(adopt_shipped(monkeypatch, cfg))
+    assert {name: harness._run_job(name, 0, 6) for name in pair} == serial
+    assert 0 < walks[0] <= serial_walks
+
+
+@pytest.mark.parametrize("preset, scenario, restored", (
+    ("synthetic-nospm", "unmitigated", 3),
+    # Guaranteed: the first range left plan.fixed behind, so the second is drawn.
+    ("synthetic-spm", "lockspm", 0),
+))
+def test_a_second_range_in_one_worker_reuses_its_machine(monkeypatch, preset, scenario, restored):
+    cfg = load_experiment(text=preset_text(preset), iterations=6, scenarios=[scenario])
+    serial = run_experiment(cfg)[scenario]
+    adopt_shipped(monkeypatch, cfg)
+    first = harness._run_job(scenario, 0, 3)
+    builds = counted(monkeypatch, hypervisor, "build_system")
+    restores = counted(monkeypatch, hypervisor, "restore_machine")
+    assert first + harness._run_job(scenario, 3, 6) == serial
+    assert (builds, restores) == ([0], [restored])
+
+
+def test_every_job_names_a_scenario_and_a_range(pools, monkeypatch):
+    monkeypatch.setattr(harness, "MIN_SLICE", 1)
+    cfg = load_experiment(text=preset_text("powerwindow-like"), iterations=6)
+    run_experiment(cfg, workers=2)
+    (pool,) = pools
+    assert pool.jobs and all(
+        isinstance(name, str) and isinstance(a, int) and isinstance(b, int)
+        for name, a, b in pool.jobs
+    )
+    assert max(pool.job_bytes) <= MAX_JOB_BYTES
+    (plans,) = pool.initargs
+    assert min(len(pickle.dumps(plan)) for plan in plans.values()) > 10 * MAX_JOB_BYTES
+    assert pool.ranges() == {name: [(0, 3), (3, 6)] for name in plans}
+
+
+def test_a_spawned_pool_gives_the_serial_records(pools, monkeypatch):
+    """The start method that pickles the initializer's plans, once per
+    worker: fork would inherit them."""
+    real = multiprocessing.get_context
+    monkeypatch.setattr(multiprocessing, "get_context", lambda method=None: real("spawn"))
+    monkeypatch.setattr(harness, "MIN_SLICE", 1)
+    cfg = load_experiment(text=preset_text("synthetic-nospm"), iterations=4)
+    serial = run_experiment(cfg, workers=1)
+    assert run_experiment(cfg, workers=2) == serial
+    (pool,) = pools
+    assert pool.mp_context.get_start_method() == "spawn"
+    assert pool.ranges() == {
+        name: [(0, 2), (2, 4)] for name in ("unmitigated", "partitioning", "locking", "partlock")
+    }
 
 
 def test_plans_are_built_once_per_scenario_in_the_calling_process(monkeypatch):
