@@ -101,6 +101,8 @@ def _str(where, raw):
 
 
 def _file_name(where, raw):
+    if not raw:
+        _fail(where, "must not be empty; it names output files")
     if any(sep and sep in raw for sep in (os.sep, os.altsep)):
         _fail(where, "%r holds a path separator; it names output files" % raw)
     return raw

@@ -32,8 +32,9 @@ in random order (drawn from the workload stream), the prefix leaves the
 same TLB, cache, CSR and memory state in every iteration: jitter only
 prices cycles the prefix throws away.  So the snapshot is taken from the
 plan alone, after running the prefix once on a machine with a generator
-of its own, and MemorySystem.restore advances each iteration's jitter
-generator by the draws the prefix's cache misses stand for.  A plan with
+of its own.  MemorySystem.restore only copies the snapshot back;
+restore_machine then binds the iteration's jitter generator and advances
+it past the draws the prefix's cache misses stand for.  A plan with
 a random-order prime snapshots the machine right after set-up and runs
 its prefix on every iteration.  Only a random-order region draws from
 the workload stream, so an iteration seeds it only when its plan has one.
@@ -55,8 +56,9 @@ iteration such a plan runs in a process is simulated in full and leaves
 plan.fixed behind; every later one is drawn without touching the
 machine, its restore or its interference quanta: skip the draws the
 misses before the measured phase stand for, then sum the next k
-(memsys.jitter_sum).  Both counts rest on the rule restore relies on,
-one draw per counted miss, so a drawn record equals the simulated one.
+(memsys.jitter_sum).  Both counts rest on the rule restore_machine
+relies on, one draw per counted miss, so a drawn record equals the
+simulated one.  Every skip of draws is made in this module.
 No record can see a skipped interference quantum (an interference loop
 is bound to a mapped region at load, so skipping it hides no fault).
 
@@ -72,9 +74,9 @@ the TLB, cache and CSR state they leave behind, and traps and VM
 switches carry no cycle price of their own.  The measured phase, the
 footprint sweep and the interference quanta run through
 MemorySystem.run_loop (run_measure and run_interference), which builds
-no per-access outcome.  The measured regions are compiled once per plan,
-on its first iteration, into plan.sweeps, and the footprint on the
-plan's first trap into plan.trap_sweeps (workload.compile_sweeps):
+no per-access outcome.  setup_scenario, which realizes a plan once per
+machine, compiles its measured regions into plan.sweeps and the
+footprint into plan.trap_sweeps (workload.compile_sweeps):
 consecutive fixed-order regions of one kind and compute charge become
 one run_loop over a precomputed address tuple, and a random-order region
 one run_loop of its own.  The sweeps live on the plan, never on the
@@ -138,7 +140,8 @@ HYP_ASID = 0
 
 # The counters() positions run_iteration reads around a measured phase:
 # the misses of both TLBs and both caches, then the TLB hits, lock-slot
-# hits and scratchpad events its guaranteed test adds up.
+# hits and scratchpad events its guaranteed test adds up.  restore_machine
+# reads the snapshot's cache misses here too.
 _MEASURED = itemgetter(*map(COUNTERS.index, (
     "itlb.misses", "dtlb.misses", "icache.misses", "dcache.misses", "itlb.hits", "dtlb.hits",
     "itlb.lock_hits", "dtlb.lock_hits", "icache.spm_accesses", "icache.spm_misconfigs",
@@ -335,7 +338,8 @@ class ScenarioPlan:
     holds (MemorySystem, snapshot), the snapshot taken from the plan alone:
     after the prefix, or, when the prime has a random-order region, right
     after set-up; sweeps holds the measured regions and trap_sweeps the
-    hypervisor footprint, each compiled by workload.compile_sweeps.  Once
+    hypervisor footprint, each compiled by workload.compile_sweeps in
+    setup_scenario.  Once
     an iteration of an interference-free plan ran, or an iteration that
     found its measured phase fully guaranteed, fixed holds
     what every iteration of it shares: (base cycles, the misses counted
@@ -553,8 +557,11 @@ def build_system(defn, jitter_rng):
 def setup_scenario(plan, sys):
     """Realize a plan on a fresh memory system: convert scratchpad ways and
     program one lock slot per locked page-table entry (first come, first
-    served in VM declaration order)."""
+    served in VM declaration order).  Compiles the plan's measured phase
+    and trap footprint into plan.sweeps and plan.trap_sweeps."""
     defn = plan.defn
+    plan.sweeps = compile_sweeps(plan.measured.workload.measure)
+    plan.trap_sweeps = compile_sweeps((defn.hyp.footprint,))
     for way in range(defn.spm_ways):
         sys.icache.configure_way(way, MODE_SPM)
         sys.dcache.configure_way(way, MODE_SPM)
@@ -587,16 +594,24 @@ def restore_machine(plan, jitter_rng, work_rng):
     iteration's first interference quantum, with its jitter drawn from
     `jitter_rng`.  Built and set up on the plan's first iteration (so
     build_plan stays planning only), then restored in place from the
-    plan's snapshot, which no iteration can reach.  See the module
-    docstring for where that snapshot is taken."""
+    plan's snapshot, which no iteration can reach; `jitter_rng` is then
+    past one draw per cache miss the snapshot counts, as if the machine
+    had reached it drawing from `jitter_rng`.  See the module docstring
+    for where that snapshot is taken."""
+    jitter = plan.defn.latency.jitter
     if plan.machine is None:
-        sys = build_system(plan.defn, random.Random(0) if plan.defn.latency.jitter else None)
+        sys = build_system(plan.defn, random.Random(0) if jitter else None)
         setup_scenario(plan, sys)
         if not plan.random_prime:
             run_prefix(plan, sys, None)  # a fixed-order prime draws nothing
         plan.machine = (sys, sys.snapshot())
     sys, state = plan.machine
-    sys.restore(state, jitter_rng)
+    sys.restore(state)
+    sys.rng = jitter_rng
+    if jitter:
+        # The snapshot stands for one draw per cache miss it counts.
+        _, _, cache_i, cache_d, *_ = _MEASURED(sys.counters())
+        jitter_sum(jitter_rng, jitter, 0, after=cache_i + cache_d)
     if plan.random_prime:
         run_prefix(plan, sys, work_rng)
     return sys
@@ -608,14 +623,11 @@ def restore_machine(plan, jitter_rng, work_rng):
 def trap_enter(plan, sys):
     """Enter the hypervisor: install its partition mask before anything
     else (hardware saves the interrupted mask in LAST_PART), then sweep the
-    handler's own memory footprint under the hypervisor mask, compiled on
-    the first trap into plan.trap_sweeps."""
+    handler's own memory footprint, plan.trap_sweeps, under the hypervisor
+    mask."""
     hyp = plan.hyp_context
     sys.csr.write_cur_part(hyp.partition_mask)
-    sweeps = plan.trap_sweeps
-    if sweeps is None:
-        sweeps = plan.trap_sweeps = compile_sweeps((plan.defn.hyp.footprint,))
-    run_measure(sys, hyp, sweeps, None)
+    run_measure(sys, hyp, plan.trap_sweeps, None)
 
 
 def trap_exit(sys, next_ctx=None):
@@ -667,11 +679,8 @@ def run_iteration(plan, index):
     # Switch back if another VM ran; otherwise the critical VM just resumes.
     trap_exit(sys, crit if plan.interference else None)
 
-    sweeps = plan.sweeps
-    if sweeps is None:
-        sweeps = plan.sweeps = compile_sweeps(crit.workload.measure)
     before = _MEASURED(sys.counters())
-    cycles = run_measure(sys, crit, sweeps, work_rng)
+    cycles = run_measure(sys, crit, plan.sweeps, work_rng)
     tlb_i, tlb_d, cache_i, cache_d, hits_i, hits_d, lock_i, lock_d, *spm = map(
         sub, _MEASURED(sys.counters()), before)
     record = IterationRecord(index, cycles, tlb_i + tlb_d, cache_i + cache_d)

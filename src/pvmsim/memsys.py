@@ -66,12 +66,10 @@ translations never consult the generator, so a fully locked,
 SPM-resident access path stays cycle-constant even with jitter enabled;
 hypervisor.run_iteration draws the records of a plan whose measured
 phase takes only that path, as the phase's counters() delta shows it.
-Because each miss is exactly one draw, restore() draws once per miss its
-snapshot's caches count: the restored machine and generator stand where
-a machine built with that generator stood on reaching the snapshot.
-restore draws through jitter_sum, and so does a caller that knows a
-phase's miss count without simulating it: after a restore, a phase of k
-misses adds jitter_sum(rng, j, k, after=the snapshot's misses).
+Because each miss is exactly one draw, a caller that knows how many
+misses came before may skip their draws: a phase of k misses after m
+earlier ones adds jitter_sum(rng, j, k, after=m).  restore() copies a
+snapshot back and draws nothing; the hypervisor makes every such skip.
 
 run_loop does what a virtual_access per address would do but builds no
 outcome: each touch is one Tlb.translate (the path Tlb.lookup takes) and
@@ -89,15 +87,13 @@ per compiled sweep (workload.run_measure).  This module reads nothing of
 a TLB's or a cache's storage but their tallies, in counters().
 
 Every draw goes straight to the generator's getrandbits, through
-randbelow or one of its two written-out copies, jitter_sum's and
-run_loop's, each applying CPython's own rejection rule, so a draw gives
-the same value and leaves the generator in the same state as
-random.Random.randint(-j, j).
+jitter_sum or run_loop's written-out copy of it, each applying CPython's
+own rejection rule, so a draw gives the same value and leaves the
+generator in the same state as random.Random.randint(-j, j).
 """
 
 import weakref
 from dataclasses import dataclass, fields
-from operator import itemgetter
 
 from .cache import EVENT_HIT, EVENT_MISS, EVENT_SPM, EVENT_SPM_MISCONFIG, STATS, Cache
 from .cache import check_geometry as check_cache_geometry
@@ -119,30 +115,17 @@ _REMEMBERED = weakref.WeakKeyDictionary()
 COUNTERS = tuple("%s.%s" % (tlb, name) for tlb in ("itlb", "dtlb")
                  for name in ("hits", "misses", "lock_hits", "fills", "dropped_fills"))
 COUNTERS += tuple("%s.%s" % (cache, name) for cache in ("icache", "dcache") for name in STATS)
-_CACHE_MISSES = itemgetter(COUNTERS.index("icache.misses"), COUNTERS.index("dcache.misses"))
 
 
 class SimulationError(RuntimeError):
     """A scenario is internally inconsistent: a workload access faulted."""
 
 
-def randbelow(getrandbits, n):
-    """A uniform draw from [0, n), n >= 1, taken from `getrandbits` of a
-    random.Random exactly as its randrange(n) takes it: the same value,
-    and the same generator state after."""
-    k = n.bit_length()
-    r = getrandbits(k)
-    while r >= n:
-        r = getrandbits(k)
-    return r
-
-
 def jitter_sum(rng, jitter, misses, after=0):
     """The jitter `misses` cache misses add after `after` earlier misses
     drew from the same generator `rng`: each miss draws once, as
-    randint(-jitter, jitter) would.  On a machine restored with `rng`,
-    `after` is its miss count, the snapshot's included.  0, and `rng`
-    untouched, when jitter is 0."""
+    randint(-jitter, jitter) would.  0, and `rng` untouched, when jitter
+    is 0."""
     total = 0
     if jitter:
         getrandbits = rng.getrandbits
@@ -368,9 +351,8 @@ class MemorySystem:
             fetches = len(walk.accesses)
         event, read = cache.access(paddr, kind, value)
         cycles = self._price[event]
-        jitter = self.latency.jitter
-        if jitter and event == EVENT_MISS:
-            cycles += randbelow(self.rng.getrandbits, 2 * jitter + 1) - jitter
+        if event == EVENT_MISS:
+            cycles += jitter_sum(self.rng, self.latency.jitter, 1)
         return MemAccessOutcome(
             translation, walk_cycles, cycles, translation + walk_cycles + cycles,
             status == "hit", look.lock_hit, fetches, event, read, paddr,
@@ -412,7 +394,7 @@ class MemorySystem:
             event = step(paddr, vaddr >> 3 & 0xFFFF_FFFF if write else None)
             spent += price[event]
             if jitter and event == EVENT_MISS:
-                # randbelow(draw, span), written out as jitter_sum writes it.
+                # jitter_sum(self.rng, jitter, 1), written out.
                 r = draw(bits)
                 while r >= span:
                     r = draw(bits)
@@ -446,12 +428,9 @@ class MemorySystem:
             self.memory.snapshot(),
         )
 
-    def restore(self, state, rng):
-        """Return to a snapshot() in place, drawing jitter from `rng`, which
-        first draws once per cache miss the snapshot counts.  Remembered
+    def restore(self, state):
+        """Return to a snapshot() in place; nothing draws.  Remembered
         walks are kept: they depend only on the page tables."""
-        if self.latency.jitter and rng is None:
-            raise ValueError("jitter is enabled but no seeded generator was supplied")
         itlb, dtlb, icache, dcache, csr, memory = state
         self.itlb.restore(itlb)
         self.dtlb.restore(dtlb)
@@ -459,5 +438,3 @@ class MemorySystem:
         self.dcache.restore(dcache)
         self.csr.cur_part, self.csr.last_part = csr
         self.memory.restore(memory)
-        self.rng = rng
-        jitter_sum(rng, self.latency.jitter, 0, after=sum(_CACHE_MISSES(self.counters())))

@@ -39,15 +39,16 @@ the walk degenerates to the textbook tree-PLRU victim choice.
 Selection never modifies the tree; pairing a selection with a touch of
 the chosen leaf is what ``insert`` does.
 
-Every tree keeps its bits in that one format, whether it is a
-``PlruTree`` or one cache set's int, and there is one definition of each
-operation on them.  ``touch_masks`` gives, per leaf, the AND/OR pair that
-points the leaf's root path away from it; ``PlruTree.touch`` applies it
-and so do the caches.  ``victim_table`` holds the victim walk: under one
-reachable-leaf mask it maps each packed state to its victim, walked the
-first time that state is looked up.  ``PlruTree.select_victim`` indexes
-the table for its partition mask and locks with its bits, and a cache
-set indexes the table for its unlocked ways.
+The bits take that one format in a ``PlruTree`` (a TLB's replacement
+state) and in the packed int a cache keeps per set, and there is one
+definition of each operation on them.  ``touch_masks`` gives, per leaf,
+the AND/OR pair that points the leaf's root path away from it;
+``PlruTree.touch`` applies it and so do the caches.  ``victim_table``
+holds the victim walk: under one reachable-leaf mask it maps each packed
+state to its victim, walked the first time that state is looked up.
+``PlruTree.select_victim`` indexes the table for its partition mask and
+locks with its bits, and a cache indexes the table for its unlocked ways
+with a set's int.
 """
 
 import functools
@@ -82,7 +83,8 @@ def _leaf_mask(leaf_count, partition_count, enabled):
 
 
 class PlruTree:
-    """Replacement state for one fully associative structure or one cache set."""
+    """Replacement state for one fully associative structure, such as a
+    TLB; a cache keeps each set's bits as a bare int instead."""
 
     __slots__ = ("leaf_count", "partition_count", "bits", "locked", "_touch")
 

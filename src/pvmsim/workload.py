@@ -130,7 +130,8 @@ class InterferenceLoop:
         _check_sweep(self, "loop", self.touches_per_page, "one touch per visit")
 
     def addresses(self, rng):
-        """Yield touch addresses forever, each draw memsys.randbelow written out."""
+        """Yield touch addresses forever, each draw random.Random.randrange(n)
+        written out: the same values, and the same generator state."""
         per_page = max(1, SIZE_4K // self.stride)
         touches = min(self.touches_per_page, per_page)
         base, pages, stride = self.base, self.pages, self.stride

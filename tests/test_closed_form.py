@@ -167,13 +167,15 @@ def test_partly_guaranteed_plans_simulate_every_iteration(name, scenario, vary):
 
 def test_a_guaranteed_first_iteration_draws_no_jitter():
     # Its measured phase has no cache miss, so it has nothing to draw;
-    # restoring the machine still skips through memsys.jitter_sum.
+    # the one jitter_sum call is restore_machine's skip of the prefix's
+    # draws, which draws nothing.
     defn = config("synthetic-spm", 3, "lockspm").scenarios["lockspm"]
     plan = build_plan(defn)
     with mock.patch.object(hypervisor, "jitter_sum", wraps=hypervisor.jitter_sum) as spy:
         record = run_iteration(plan, 0)
     assert plan.fixed is not None and record.cache_misses == 0
-    assert [call for call in spy.call_args_list if not call.args[2]] == []
+    (skip,) = spy.call_args_list
+    assert skip.args[1:] == (3, 0) and skip.kwargs["after"] > 0
 
 
 def without_interference(defn):

@@ -586,6 +586,10 @@ CLI_REJECTIONS = (
      "[scenario.noisy]: vms 'crit' and 'intf' share vmid 1 (one G-stage root per vmid)"),
     ("negative-scenario-iterations", "vms = crit intf\n", "vms = crit intf\niterations = -1\n",
      "[scenario.noisy]: iterations must be >= 0"),
+    ("empty-run-name", "name = unit\n", "name =\n",
+     "[run] name: must not be empty; it names output files"),
+    ("empty-scenario-name", "[scenario.quiet]\n", "[scenario.]\n",
+     "[scenario.]: must not be empty; it names output files"),
 )
 
 

@@ -350,7 +350,7 @@ def test_a_table_change_makes_both_machines_walk_again(walks, change):
     c = machine()
     assert c.virtual_access(VBASE, "read", vm).paddr == frame
     assert walks[0] == 3  # the remembered walk was forgotten for every machine
-    a.restore(blank_a, None)
+    a.restore(blank_a)
     assert a.virtual_access(VBASE, "read", vm).paddr == frame
     assert walks[0] == 3  # and the new one is shared again
 

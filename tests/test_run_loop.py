@@ -64,7 +64,7 @@ from pvmsim.hypervisor import (
     trap_enter,
     trap_exit,
 )
-from pvmsim.memsys import MemorySystem, SimulationError, randbelow, write_value
+from pvmsim.memsys import MemorySystem, SimulationError, write_value
 from pvmsim.sv39 import PTE_A, PTE_D, PTE_R, PTE_V, PTE_W, SIZE_2M, SIZE_4K, make_pte
 from pvmsim.walker import walk_single, walk_two_stage
 from pvmsim.workload import (
@@ -90,11 +90,10 @@ def reference_loop(sys, vm, loop, quantum, rng):
     touches = min(loop.touches_per_page, per_page)
     base, pages, stride, kind = loop.base, loop.pages, loop.stride, loop.kind
     write = kind == "write"
-    getrandbits = rng.getrandbits
     while spent < quantum:
-        page_base = base + randbelow(getrandbits, pages) * SIZE_4K
+        page_base = base + rng.randrange(pages) * SIZE_4K
         for _ in range(touches):
-            vaddr = page_base + randbelow(getrandbits, per_page) * stride
+            vaddr = page_base + rng.randrange(per_page) * stride
             value = write_value(vaddr) if write else None
             spent += sys.virtual_access(vaddr, kind, vm, value).total_cycles + loop.compute_cycles
             if spent >= quantum:
