@@ -25,9 +25,13 @@ back to defaults.  The full schema::
 
 Integers accept 0x-prefixed hex.  Each section and each key=value list
 has one table below (key -> dataclass field, parser); only the keys
-present are passed on, so every default is the dataclass's own.  A
-sweep covers its whole region unless pages= says fewer, and its kind
-defaults to ifetch for executable regions.  The run name and the
+present are passed on, so every default is the dataclass's own but a
+sweep's or loop's kind: ifetch for an executable region, else read.  A
+sweep covers its whole region unless pages= says fewer.  A kind must be
+one its region's flags permit (read r, write w, ifetch x), and flags
+may not hold w without r, a reserved PTE encoding: hardware would
+fault, and a fault is a scenario bug.  Region and footprint bases may
+not be negative.  The run name and the
 scenario names become output file names, so they may not hold a path
 separator.
 
@@ -53,6 +57,8 @@ class ConfigError(ValueError):
 
 _PAGE_SIZES = {"4k": SIZE_4K, "2m": SIZE_2M, "1g": SIZE_1G}
 _FLAG_LETTERS = {"r": PTE_R, "w": PTE_W, "x": PTE_X}
+# A sweep's or loop's kind -> the permission letter its region needs.
+_KIND_LETTERS = {"read": "r", "write": "w", "ifetch": "x"}
 
 
 def _fail(where, message):
@@ -120,6 +126,8 @@ def _flags(where, raw):
         value |= _FLAG_LETTERS[letter]
     if not value & (PTE_R | PTE_W | PTE_X):
         _fail(where, "flags need at least one of r/w/x")
+    if value & PTE_W and not value & PTE_R:
+        _fail(where, "w needs r (w without r is a reserved PTE encoding)")
     return value
 
 
@@ -146,7 +154,9 @@ _LATENCY = {
 _TLB = _ints("entries", "partitions", "lock_slots")
 _CACHE = _ints("ways", "icache_sets", "dcache_sets", "line_bytes")
 # footprint_* keys go to the fields of the footprint Region
-_FOOTPRINT = {"footprint_" + field: (field, _int) for field in ("base", "pages", "stride")}
+_FOOTPRINT = {"footprint_base": ("base", _count)} | {
+    "footprint_" + field: (field, _int) for field in ("pages", "stride")
+}
 _HYPERVISOR = {"mask": ("partition_mask", _int), "quantum": ("quantum_cycles", _int)} | _FOOTPRINT
 _VM = (
     {"mask": ("partition_mask", _int), "two_stage": ("two_stage", _bool)}
@@ -156,8 +166,8 @@ _VM = (
 _ROLES = {"measured": ("prime", "measure"), "interference": ("loop",)}
 _SCENARIO = {"vms": ("vms", _words)} | _ints("spm_ways", "hyp_mask", "iterations", "seed")
 _REGION = {
-    "base": ("gvaddr", _int),
-    "pages": ("pages", _int),  # times page_size, into the MappedRegion's size
+    "base": ("gvaddr", _count),  # upper-half addresses are large positive hex
+    "pages": ("pages", _count),  # times page_size, into the MappedRegion's size
     "flags": ("flags", _flags),
     "page_size": ("page_size", _page_size),
     "backing": ("backing", _str),
@@ -237,10 +247,13 @@ def _region_workload(where, raw, regions, table):
     if rname not in regions:
         _fail(where, "unknown region %r" % rname)
     region = regions[rname]
-    if region.flags & PTE_X:
-        values.setdefault("kind", "ifetch")
+    # A sweep or loop over an executable region fetches unless told otherwise.
+    kind = values.setdefault("kind", "ifetch" if region.flags & PTE_X else "read")
+    letter = _KIND_LETTERS.get(kind)  # an unknown kind fails in the sweep's or loop's own check
+    if letter and not region.flags & _FLAG_LETTERS[letter]:
+        _fail(where, "kind=%s needs flag %s, which region %r lacks" % (kind, letter, rname))
     # Each cache decodes only its own scratchpad window.
-    fetch = values.get("kind") == "ifetch"
+    fetch = kind == "ifetch"
     if region.backing not in ("ram", "ispm" if fetch else "dspm"):
         accesses = "fetches" if fetch else "loads and stores"
         _fail(where, "%s cannot reach region %r on %s" % (accesses, rname, region.backing))

@@ -18,7 +18,8 @@ depends on which worker executed it or what ran before it.  The immutable
 plan (page tables, physical layout, lock-chunk lists) is built once; the
 machine is built once per plan, on its first iteration, and every
 iteration, that first one included, restores it in place from the plan's
-one snapshot: plan.machine is the pair (MemorySystem, snapshot).
+one snapshot: plan.machine is (MemorySystem, snapshot, draws), draws
+being the snapshot's cache misses, counted once when it is taken.
 
 A plan stands on a layout (_layout_key) that _build_layout maps once.
 Scenarios of one experiment with the same layout share it read-only
@@ -34,7 +35,7 @@ prices cycles the prefix throws away.  So the snapshot is taken from the
 plan alone, after running the prefix once on a machine with a generator
 of its own.  MemorySystem.restore only copies the snapshot back;
 restore_machine then binds the iteration's jitter generator and advances
-it past the draws the prefix's cache misses stand for.  A plan with
+it past the snapshot's draws, one per cache miss it counts.  A plan with
 a random-order prime snapshots the machine right after set-up and runs
 its prefix on every iteration.  Only a random-order region draws from
 the workload stream, so an iteration seeds it only when its plan has one.
@@ -54,11 +55,13 @@ way a record is a fixed base plus the jitter draws of its k measured
 misses, k being its cache_misses (0 when guaranteed).  The first
 iteration such a plan runs in a process is simulated in full and leaves
 plan.fixed behind; every later one is drawn without touching the
-machine, its restore or its interference quanta: skip the draws the
-misses before the measured phase stand for, then sum the next k
-(memsys.jitter_sum).  Both counts rest on the rule restore_machine
-relies on, one draw per counted miss, so a drawn record equals the
-simulated one.  Every skip of draws is made in this module.
+machine, its restore or its interference quanta: skip the snapshot's
+draws, then sum the next k (memsys.jitter_sum).  Only an
+interference-free phase has misses to draw for, and the misses before
+it are exactly the snapshot's; a guaranteed phase has none.  So a drawn
+record rests on the rule restore_machine relies on, one draw per
+counted miss, and equals the simulated one.  Every skip of draws is
+made in this module.
 No record can see a skipped interference quantum (an interference loop
 is bound to a mapped region at load, so skipping it hides no fault).
 
@@ -141,7 +144,7 @@ HYP_ASID = 0
 # The counters() positions run_iteration reads around a measured phase:
 # the misses of both TLBs and both caches, then the TLB hits, lock-slot
 # hits and scratchpad events its guaranteed test adds up.  restore_machine
-# reads the snapshot's cache misses here too.
+# reads the snapshot's cache misses here once, when it takes the snapshot.
 _MEASURED = itemgetter(*map(COUNTERS.index, (
     "itlb.misses", "dtlb.misses", "icache.misses", "dcache.misses", "itlb.hits", "dtlb.hits",
     "itlb.lock_hits", "dtlb.lock_hits", "icache.spm_accesses", "icache.spm_misconfigs",
@@ -188,10 +191,6 @@ class MappedRegion:
             raise ValueError("unknown backing %r" % (self.backing,))
         if self.backing != "ram" and self.page_size != SIZE_4K:
             raise ValueError("scratchpad-backed regions must use base pages")
-
-    @property
-    def page_count(self):
-        return self.size // self.page_size
 
 
 @dataclass(frozen=True)
@@ -306,19 +305,17 @@ def iteration_seed(master_seed, index, stream):
 # -- immutable planning --------------------------------------------------------
 
 
+@dataclass(slots=True, eq=False)
 class VmContext:
     """Runtime identity of one VM; satisfies the memsys access contract."""
 
-    __slots__ = ("name", "vmid", "asid", "partition_mask", "guest_space", "host_space", "workload")
-
-    def __init__(self, name, vmid, asid, partition_mask, guest_space, host_space, workload):
-        self.name = name
-        self.vmid = vmid
-        self.asid = asid
-        self.partition_mask = partition_mask
-        self.guest_space = guest_space
-        self.host_space = host_space
-        self.workload = workload
+    name: str
+    vmid: int
+    asid: int
+    partition_mask: int
+    guest_space: AddressSpace
+    host_space: AddressSpace  # None for a single-stage VM
+    workload: object  # Workload, InterferenceLoop, or None (the hypervisor)
 
 
 @dataclass(frozen=True)
@@ -335,16 +332,15 @@ class LockChunk:
 class ScenarioPlan:
     """Shared, immutable-by-convention product of build_plan: page tables,
     runtime VM contexts and lock chunks.  Once an iteration ran, machine
-    holds (MemorySystem, snapshot), the snapshot taken from the plan alone:
-    after the prefix, or, when the prime has a random-order region, right
-    after set-up; sweeps holds the measured regions and trap_sweeps the
+    holds (MemorySystem, snapshot, draws), the snapshot taken from the plan
+    alone: after the prefix, or, when the prime has a random-order region,
+    right after set-up; draws is its cache misses, the jitter draws a
+    restore skips.  sweeps holds the measured regions and trap_sweeps the
     hypervisor footprint, each compiled by workload.compile_sweeps in
-    setup_scenario.  Once
-    an iteration of an interference-free plan ran, or an iteration that
-    found its measured phase fully guaranteed, fixed holds
-    what every iteration of it shares: (base cycles, the misses counted
-    before the measured phase, its TLB misses, its cache misses); a
-    guaranteed phase has no miss of either kind."""
+    setup_scenario.  Once an iteration of an interference-free plan ran,
+    or an iteration that found its measured phase fully guaranteed, fixed
+    holds what every iteration of it shares: (base cycles, its TLB misses,
+    its cache misses); a guaranteed phase has no miss of either kind."""
 
     defn: "ScenarioDef"
     measured: VmContext
@@ -439,7 +435,7 @@ def _build_layout(defn):
             store, size = stores[region.backing], region.page_size
             owner = "vm %r region 0x%x" % (vm.name, region.gvaddr)
             paddrs = []
-            for i in range(region.page_count):
+            for i in range(region.size // size):
                 gvaddr = region.gvaddr + i * size
                 paddr = store.take(size, size, owner)
                 try:
@@ -595,23 +591,21 @@ def restore_machine(plan, jitter_rng, work_rng):
     `jitter_rng`.  Built and set up on the plan's first iteration (so
     build_plan stays planning only), then restored in place from the
     plan's snapshot, which no iteration can reach; `jitter_rng` is then
-    past one draw per cache miss the snapshot counts, as if the machine
-    had reached it drawing from `jitter_rng`.  See the module docstring
-    for where that snapshot is taken."""
-    jitter = plan.defn.latency.jitter
+    past the snapshot's draws, as if the machine had reached it drawing
+    from `jitter_rng`.  See the module docstring for where that snapshot
+    is taken."""
     if plan.machine is None:
-        sys = build_system(plan.defn, random.Random(0) if jitter else None)
+        sys = build_system(plan.defn, random.Random(0) if plan.defn.latency.jitter else None)
         setup_scenario(plan, sys)
         if not plan.random_prime:
             run_prefix(plan, sys, None)  # a fixed-order prime draws nothing
-        plan.machine = (sys, sys.snapshot())
-    sys, state = plan.machine
-    sys.restore(state)
-    sys.rng = jitter_rng
-    if jitter:
         # The snapshot stands for one draw per cache miss it counts.
         _, _, cache_i, cache_d, *_ = _MEASURED(sys.counters())
-        jitter_sum(jitter_rng, jitter, 0, after=cache_i + cache_d)
+        plan.machine = (sys, sys.snapshot(), cache_i + cache_d)
+    sys, state, draws = plan.machine
+    sys.restore(state)
+    sys.rng = jitter_rng
+    jitter_sum(jitter_rng, plan.defn.latency.jitter, 0, after=draws)
     if plan.random_prime:
         run_prefix(plan, sys, work_rng)
     return sys
@@ -660,9 +654,9 @@ def run_iteration(plan, index):
     defn = plan.defn
     jitter = defn.latency.jitter
     if plan.fixed is not None:
-        base, before, tlb_misses, cache_misses = plan.fixed
+        base, tlb_misses, cache_misses = plan.fixed
         if cache_misses:
-            base += jitter_sum(_jitter_rng(defn, index), jitter, cache_misses, after=before)
+            base += jitter_sum(_jitter_rng(defn, index), jitter, cache_misses, after=plan.machine[2])
         return IterationRecord(index, base, tlb_misses, cache_misses)
     work_rng = None  # drawn from only by a random-order region
     if plan.random_order:
@@ -686,11 +680,10 @@ def run_iteration(plan, index):
     record = IterationRecord(index, cycles, tlb_i + tlb_d, cache_i + cache_d)
     lookups = hits_i + hits_d + record.tlb_misses
     if plan.interference_free or lookups == lock_i + lock_d == sum(spm):
-        # Without interference, cache0 (before's cache misses) is the
-        # snapshot's miss count; a guaranteed phase has none to draw for.
-        misses, cache0 = record.cache_misses, before[2] + before[3]
-        drawn = misses and jitter_sum(_jitter_rng(defn, index), jitter, misses, after=cache0)
-        plan.fixed = (cycles - drawn, cache0, record.tlb_misses, misses)
+        misses = record.cache_misses
+        drawn = misses and jitter_sum(_jitter_rng(defn, index), jitter, misses,
+                                      after=plan.machine[2])
+        plan.fixed = (cycles - drawn, record.tlb_misses, misses)
     return record
 
 

@@ -105,9 +105,9 @@ from .walker import walk_single, walk_two_stage
 KINDS = ("read", "write", "ifetch")
 
 # guest space -> {(host space, asid, vmid, D-cache line bytes, D-cache
-# sets): ((guest.version, host.version), {leaf: (WalkResult, TlbEntry,
-# decoded fetches)})}, shared by every machine over the guest space; a
-# leaf is keyed as _refill keys it.
+# sets): ((guest.version, host.version), {leaf: (TlbEntry, decoded
+# fetches)})}, shared by every machine over the guest space; a leaf is
+# keyed as _refill keys it.
 _REMEMBERED = weakref.WeakKeyDictionary()
 
 # What each position of MemorySystem.counters() counts, as "unit.tally":
@@ -265,8 +265,8 @@ class MemorySystem:
     # -- pricing helpers ------------------------------------------------------
 
     def _walk_table(self, vm):
-        """vm's remembered walks, {page: (WalkResult, TlbEntry, decoded
-        fetches)}, read from _REMEMBERED: shared with every machine over
+        """vm's remembered walks, {page: (TlbEntry, decoded fetches)},
+        read from _REMEMBERED: shared with every machine over
         vm's spaces under vm's ids and with this D-cache shape, and emptied
         first if either stage's tables changed since.  Read once per
         run_loop call and once per virtual_access TLB miss."""
@@ -281,10 +281,11 @@ class MemorySystem:
 
     def _refill(self, tlb, vm, vaddr, pages):
         """Serve a TLB miss: walk vaddr's leaf (remembered in `pages`, vm's
-        _walk_table), price the walk and fill `tlb`.  Returns (walk, paddr,
-        cycles), paddr taken from the entry's PTE and page size.  A walk
-        that faults raises SimulationError and is neither priced nor
-        remembered.
+        _walk_table), price the walk and fill `tlb`.  Returns (paddr,
+        cycles, the walk's fetch count), paddr taken from the entry's PTE
+        and page size.  A walk that faults raises SimulationError and is
+        neither priced nor remembered; a remembered one keeps only its
+        TLB entry and its decoded fetches.
 
         A 4 KiB leaf is remembered under its page number, a superpage leaf
         under (its page size, its base address), so every page of a
@@ -316,8 +317,8 @@ class MemorySystem:
                 global_flag=bool(walk.pte & PTE_G),
             )
             key = vaddr >> PAGE_SHIFT if size == PAGE_SIZE else (size, vaddr & -size)
-            remembered = pages[key] = (walk, entry, self.dcache.decode(walk.accesses))
-        walk, entry, fetches = remembered
+            remembered = pages[key] = (entry, self.dcache.decode(walk.accesses))
+        entry, fetches = remembered
         events = self.dcache.replay(fetches)
         cycles = (len(fetches) - len(events)) * self.latency.cache_hit_cycles
         if events:
@@ -326,7 +327,7 @@ class MemorySystem:
             cycles += jitter_sum(self.rng, self.latency.jitter, events.count(EVENT_MISS))
         tlb.fill(entry)
         paddr = entry.pte >> PPN_SHIFT << PAGE_SHIFT | vaddr & entry.page_size - 1
-        return walk, paddr, cycles
+        return paddr, cycles, len(fetches)
 
     # -- the pipeline -----------------------------------------------------------
 
@@ -347,8 +348,7 @@ class MemorySystem:
             walk_cycles = fetches = 0
             paddr = look.paddr
         else:
-            walk, paddr, walk_cycles = self._refill(tlb, vm, vaddr, self._walk_table(vm))
-            fetches = len(walk.accesses)
+            paddr, walk_cycles, fetches = self._refill(tlb, vm, vaddr, self._walk_table(vm))
         event, read = cache.access(paddr, kind, value)
         cycles = self._price[event]
         if event == EVENT_MISS:
@@ -388,7 +388,7 @@ class MemorySystem:
         for vaddr in addresses:
             paddr = translate(vaddr, asid, vmid)
             if paddr is None:
-                _, paddr, cycles = refill(tlb, vm, vaddr, walks)
+                paddr, cycles, _ = refill(tlb, vm, vaddr, walks)
                 spent += cycles
             # A store writes write_value(vaddr).
             event = step(paddr, vaddr >> 3 & 0xFFFF_FFFF if write else None)

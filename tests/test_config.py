@@ -590,6 +590,37 @@ CLI_REJECTIONS = (
      "[run] name: must not be empty; it names output files"),
     ("empty-scenario-name", "[scenario.quiet]\n", "[scenario.]\n",
      "[scenario.]: must not be empty; it names output files"),
+    # An access its page's permissions forbid would fault, and a fault is a
+    # scenario bug.
+    ("write-loop-on-read-only-pool",
+     "region.pool = base=0x40000000 pages=8 flags=rw\nloop = pool stride=64 touches=2\n",
+     "region.pool = base=0x40000000 pages=8 flags=r\nloop = pool stride=64 touches=2 kind=write\n",
+     "[vm.intf] loop: kind=write needs flag w, which region 'pool' lacks"),
+    ("ifetch-on-data-region", "prime = data stride=1024; code",
+     "prime = data stride=1024 kind=ifetch; code",
+     "[vm.crit] prime: kind=ifetch needs flag x, which region 'data' lacks"),
+    ("read-on-execute-only-region",
+     "region.code = base=0x00600000 pages=1 flags=rx\nprime = data stride=1024; code\n",
+     "region.code = base=0x00600000 pages=1 flags=x\nprime = data stride=1024; code kind=read\n",
+     "[vm.crit] prime: kind=read needs flag r, which region 'code' lacks"),
+    ("write-only-flags", "region.pool = base=0x40000000 pages=8 flags=rw\n",
+     "region.pool = base=0x40000000 pages=8 flags=w\n",
+     "[vm.intf] region.pool flags: w needs r (w without r is a reserved PTE encoding)"),
+    ("write-execute-flags", "region.pool = base=0x40000000 pages=8 flags=rw\n",
+     "region.pool = base=0x40000000 pages=8 flags=wx\n",
+     "[vm.intf] region.pool flags: w needs r (w without r is a reserved PTE encoding)"),
+    # Upper-half addresses are written as large positive hex.
+    ("negative-region-base", "region.data = base=0x00400000", "region.data = base=-0x1000",
+     "[vm.crit] region.data base: must be >= 0, got -4096"),
+    ("negative-unused-region-base", "region.pool = base=0x40000000 pages=8 flags=rw\n",
+     "region.pool = base=0x40000000 pages=8 flags=rw\n"
+     "region.spare = base=-0x200000 pages=1 flags=rw\n",
+     "[vm.intf] region.spare base: must be >= 0, got -2097152"),
+    ("negative-region-pages", "region.data = base=0x00400000 pages=2",
+     "region.data = base=0x00400000 pages=-2",
+     "[vm.crit] region.data pages: must be >= 0, got -2"),
+    ("negative-footprint-base", "footprint_base = 0x00700000", "footprint_base = -0x1000",
+     "[hypervisor] footprint_base: must be >= 0, got -4096"),
 )
 
 

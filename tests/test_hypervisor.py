@@ -560,7 +560,7 @@ class SnapshotIsolationTest(unittest.TestCase):
             for first in (0, 3):
                 plan = build_plan(replace(self.defn(), seed=seed))
                 run_iteration(plan, first)
-                self.assertEqual(len(plan.machine), 2)
+                self.assertEqual(len(plan.machine), 3)
                 snapshots.append(plan.machine[1])
         for snapshot in snapshots[1:]:
             self.assert_same_state(snapshot, snapshots[0])

@@ -15,11 +15,27 @@ bench/:
 * nothing but MemorySystem.__init__ and hypervisor.restore_machine binds
   a `.rng` attribute, by assignment or by setattr;
 * no module defines `randbelow`.
+
+A snapshot's draw count is fixed when it is taken, so it is counted
+then, once: plan.machine carries it beside the snapshot, and no restore
+reads a counter.
 """
 
 import ast
 import glob
 import os
+from unittest import mock
+
+import pytest
+
+from pvmsim.cli import preset_names, preset_text
+from pvmsim.config import load_experiment
+from pvmsim.hypervisor import build_plan, run_iteration
+from pvmsim.memsys import MemorySystem
+
+from test_golden import PREFIX_TEXT, WRITES_TEXT
+
+ITERATIONS = 4
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SKIPPERS = {"hypervisor.restore_machine", "hypervisor.run_iteration"}
@@ -126,3 +142,38 @@ def test_the_check_sees_every_form(tmp_path):
         (14, "probe", "rng"),
         (15, "probe", "randbelow"),
     ]
+
+
+@pytest.mark.parametrize("text", preset_names() + ["writes", "prefix"])
+def test_a_snapshot_counts_its_draws_once(text):
+    """plan.machine's draw count is the cache misses its snapshot counts,
+    0 when the prime is random-order (the snapshot is then taken right
+    after set-up).  It is read from counters() once, when the snapshot is
+    taken: a plan's first iteration reads counters() three times, every
+    later simulated one twice, around its measured phase, and a drawn one
+    never."""
+    config = {"writes": WRITES_TEXT, "prefix": PREFIX_TEXT}.get(text) or preset_text(text)
+    cfg = load_experiment(text=config, seed=1, iterations=ITERATIONS)
+    counters = MemorySystem.counters
+    reads = []  # per iteration run, its counters() calls
+
+    def counting(self):
+        reads[-1] += 1
+        return counters(self)
+
+    simulated = 0  # simulated iterations after a plan's first
+    with mock.patch.object(MemorySystem, "counters", counting):
+        for name in cfg.scenario_names:
+            plan = build_plan(cfg.scenarios[name])
+            for index in range(ITERATIONS):
+                drawn = plan.fixed is not None
+                reads.append(0)
+                run_iteration(plan, index)
+                want = 3 if index == 0 else 0 if drawn else 2
+                assert reads[-1] == want, (name, index)
+                simulated += index > 0 and not drawn
+            _, snapshot, draws = plan.machine
+            assert draws == sum(dict(snapshot[side][5])["misses"] for side in (2, 3)), name
+            if plan.random_prime:
+                assert draws == 0, name
+    assert simulated

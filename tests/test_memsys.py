@@ -234,11 +234,11 @@ def test_warm_replay_serves_every_fetch_without_a_step():
         finally:
             sys.setprofile(None)
 
-    walk, _, cold = refill()
-    assert (len(walk.accesses), len(steps), cold) == (15, 15, 15 * sys_.latency.memory_cycles)
+    _, cold, fetches = refill()
+    assert (fetches, len(steps), cold) == (15, 15, 15 * sys_.latency.memory_cycles)
     hits = sys_.dcache.stats["hits"]
-    walk, _, warm = refill()
-    assert (len(steps), warm) == (0, 15 * 3)
+    _, warm, fetches = refill()
+    assert (fetches, len(steps), warm) == (15, 0, 15 * 3)
     assert sys_.dcache.stats["hits"] == hits + 15
 
 

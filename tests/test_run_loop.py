@@ -423,9 +423,9 @@ def test_walks_are_derivable_from_a_whole_iterations_tallies(text):
     fetches = []  # per _refill call, its walk's fetch count
 
     def counted(self, tlb, vm, vaddr, pages):
-        walk, paddr, cycles = refill(self, tlb, vm, vaddr, pages)
-        fetches.append(len(walk.accesses))
-        return walk, paddr, cycles
+        paddr, cycles, count = refill(self, tlb, vm, vaddr, pages)
+        fetches.append(count)
+        return paddr, cycles, count
 
     with mock.patch.object(MemorySystem, "_refill", counted):
         for name in cfg.scenario_names:
